@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -56,11 +56,6 @@ class SphereGraph:
     sphere_edges: list[str]
     incidence: dict[HalfEdge, Attachment]
 
-    def half_edges(self) -> Iterator[HalfEdge]:
-        for s in self.sphere_edges:
-            yield HalfEdge(s, 0)
-            yield HalfEdge(s, 1)
-
     def pants_of(self, he: HalfEdge) -> str:
         return self.incidence[he].pants
 
@@ -75,16 +70,6 @@ class SphereGraph:
     def is_loop(self, sphere: str) -> bool:
         a, b = self.ends_of(sphere)
         return a == b
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SphereGraph):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.p_vertices == other.p_vertices
-            and self.sphere_edges == other.sphere_edges
-            and self.incidence == other.incidence
-        )
 
 
 def build_standard(n: int) -> SphereGraph:
@@ -160,21 +145,25 @@ def validate_graph(g: SphereGraph) -> list[str]:
     return problems
 
 
-def _component_of(g: SphereGraph, start: str) -> set[str]:
+def reachable(neighbors: Mapping[str, Iterable[str]], start: str) -> set[str]:
+    """Everything reachable from ``start``; a node missing from ``neighbors`` has none."""
     reached = {start}
     queue = deque([start])
+    while queue:
+        for q in neighbors.get(queue.popleft(), ()):
+            if q not in reached:
+                reached.add(q)
+                queue.append(q)
+    return reached
+
+
+def _component_of(g: SphereGraph, start: str) -> set[str]:
     neighbors: dict[str, set[str]] = {p: set() for p in g.p_vertices}
     for s in g.sphere_edges:
         a, b = g.ends_of(s)
         neighbors[a].add(b)
         neighbors[b].add(a)
-    while queue:
-        p = queue.popleft()
-        for q in neighbors[p]:
-            if q not in reached:
-                reached.add(q)
-                queue.append(q)
-    return reached
+    return reachable(neighbors, start)
 
 
 def random_cubic(n: int, seed: int) -> SphereGraph:

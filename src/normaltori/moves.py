@@ -30,6 +30,7 @@ from .position import (
     Piece,
     PositionError,
     TorusPosition,
+    end_slot,
     fresh_id,
     intersection_vector,
     is_boundary_parallel_disk,
@@ -91,6 +92,7 @@ def find_moves(t: TorusPosition) -> list[Move]:
     Slides come first (piece id, half-edge, then pairs with distinct far
     pieces before self-banding pairs, then circle ids), caps after.
     """
+    index = t.circle_slots()
     slides: list[tuple] = []
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
@@ -108,8 +110,8 @@ def find_moves(t: TorusPosition) -> list[Move]:
                     if not shared:
                         continue
                     region = min(shared)  # unique in a tree; min for determinism
-                    far1 = t.piece_at(c1, 1 - he.end)
-                    far2 = t.piece_at(c2, 1 - he.end)
+                    far1, _ = end_slot(t, index, c1, 1 - he.end)
+                    far2, _ = end_slot(t, index, c2, 1 - he.end)
                     far_same = 1 if far1.id == far2.id else 0
                     slides.append(
                         ((pid, he.sphere, he.end, far_same, c1, c2),
@@ -126,7 +128,7 @@ def find_moves(t: TorusPosition) -> list[Move]:
         if not tree.is_leaf(_ball_region(t, piece)):
             # sheets between the disk and the sphere would be dragged along
             continue
-        far = t.piece_at(cid, 1 - slot.half_edge.end)
+        far, _ = end_slot(t, index, cid, 1 - slot.half_edge.end)
         if len(far.boundary) < 2:
             # capping would close the neighbor piece off; never a torus move
             continue
@@ -166,8 +168,9 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
 
     far_end = 1 - m.half_edge.end
     far_he = HalfEdge(sphere, far_end)
-    g1, g1_slot = t.slot_at(m.circle1, far_end)
-    g2, g2_slot = t.slot_at(m.circle2, far_end)
+    index = t.circle_slots()
+    g1, g1_slot = end_slot(t, index, m.circle1, far_end)
+    g2, g2_slot = end_slot(t, index, m.circle2, far_end)
     f1, f2 = _flip(t, m.circle1), _flip(t, m.circle2)
 
     # Gauge relation of each touched piece to the near piece, read through
@@ -311,16 +314,11 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
             del out.pieces[pid]
         out.pieces[anchor] = Piece(anchor, pants, genus, new_boundary, uncrossed)
 
-    slot_owner: dict[tuple[str, int], str] = {}
-    for pid, piece in t.pieces.items():
-        for slot in piece.boundary:
-            slot_owner[(slot.circle, slot.half_edge.end)] = pid
     del out.transport[m.circle1]
     del out.transport[m.circle2]
     for cid in list(out.transport):
-        owner0 = slot_owner.get((cid, 0))
-        owner1 = slot_owner.get((cid, 1))
-        flips = rho.get(owner0, False) ^ rho.get(owner1, False)
+        owners = {slot.half_edge.end: piece.id for piece, slot in index.get(cid, ())}
+        flips = rho.get(owners.get(0), False) ^ rho.get(owners.get(1), False)
         if flips:
             out.transport[cid] = not out.transport[cid]
     out.transport[new_cid] = not (f1 ^ rho[g1.id])

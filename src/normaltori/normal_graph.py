@@ -26,6 +26,7 @@ from .position import (
     SIDE_A,
     PositionError,
     TorusPosition,
+    end_slot,
     is_normal,
     piece_kind,
     xor_side,
@@ -60,24 +61,19 @@ class NormalTorus:
     leaves: list[LeafStub]
     position: TorusPosition | None = None
 
-    def node_attachments(self, node: str) -> dict[HalfEdge, tuple[str, str]]:
-        """Half-edge -> ("crossing"|"leaf", id) at one node; must fill all three."""
-        att: dict[HalfEdge, tuple[str, str]] = {}
-        for cid, (sphere, n0, n1) in self.crossings.items():
-            if n0 == node:
-                att[HalfEdge(sphere, 0)] = ("crossing", cid)
-            if n1 == node:
-                att[HalfEdge(sphere, 1)] = ("crossing", cid)
-        for leaf in self.leaves:
-            if leaf.node == node:
-                att[leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
-        return att
+    def attachments(self) -> dict[str, dict[HalfEdge, tuple[str, str]]]:
+        """Node -> half-edge -> ("crossing"|"leaf", id); must fill all three.
 
-    def crossing_degree(self, node: str) -> int:
-        deg = 0
-        for _, n0, n1 in self.crossings.values():
-            deg += (n0 == node) + (n1 == node)
-        return deg
+        Built afresh on each call and never stored, since graphs are edited
+        in place; a node with nothing attached maps to an empty dict.
+        """
+        att: dict[str, dict[HalfEdge, tuple[str, str]]] = defaultdict(dict)
+        for cid, (sphere, n0, n1) in self.crossings.items():
+            att[n0][HalfEdge(sphere, 0)] = ("crossing", cid)
+            att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
+        for leaf in self.leaves:
+            att[leaf.node][leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
+        return att
 
 
 def to_normal_torus(t: TorusPosition) -> NormalTorus:
@@ -89,10 +85,11 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
         kind = piece_kind(piece)
         assert kind is not None
         nodes[pid] = (piece.pants, kind)
+    index = t.circle_slots()
     crossings = {}
     for cid, circle in t.circles.items():
-        n0 = t.piece_at(cid, 0).id
-        n1 = t.piece_at(cid, 1).id
+        n0 = end_slot(t, index, cid, 0)[0].id
+        n1 = end_slot(t, index, cid, 1)[0].id
         crossings[cid] = (circle.sphere, n0, n1)
     leaves = [
         LeafStub(pid, he)
@@ -106,10 +103,10 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
 
 def _check_normal_torus(nt: NormalTorus) -> None:
     by_kind = defaultdict(int)
+    att = nt.attachments()
     for node, (pants, kind) in nt.nodes.items():
-        att = nt.node_attachments(node)
         want = set(nt.graph.half_edges_at(pants))
-        if set(att) != want:
+        if set(att[node]) != want:
             raise PositionError(f"node {node} does not immerse onto its pants tripod")
         by_kind[kind] += 1
     if by_kind["disk"] != by_kind["pants"]:
@@ -192,7 +189,6 @@ def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     Returns (nodes, edges) with edges[i] joining nodes[i] to nodes[i+1]
     (cyclically).  Found by repeatedly pruning crossing-degree-1 nodes.
     """
-    degree = {n: nt.crossing_degree(n) for n in nt.nodes}
     alive_nodes = set(nt.nodes)
     alive_edges = set(nt.crossings)
     changed = True
@@ -241,15 +237,6 @@ def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     return nodes, edges
 
 
-def _branch_children(nt: NormalTorus, cycle_nodes: set[str]):
-    """Adjacency for the hanging trees: (node, via half-edge) -> child."""
-    children: dict[str, list[tuple[HalfEdge, str, str]]] = defaultdict(list)
-    for cid, (sphere, n0, n1) in nt.crossings.items():
-        for me, other, end in ((n0, n1, 0), (n1, n0, 1)):
-            children[me].append((HalfEdge(sphere, end), cid, other))
-    return children
-
-
 def _oriented_steps(nt: NormalTorus, nodes: list[str], edges: list[str], direction: int) -> tuple[list[str], list[tuple[str, int]]]:
     """Cycle traversal as (node sequence, [(crossing, from_end), ...]).
 
@@ -273,9 +260,12 @@ def _oriented_steps(nt: NormalTorus, nodes: list[str], edges: list[str], directi
     return ns, steps
 
 
-def _payload(nt: NormalTorus, signs, node: str, he: HalfEdge, flip: bool) -> str:
-    what, ident = nt.node_attachments(node)[he]
+def _payload(nt: NormalTorus, att, signs, node: str, he: HalfEdge, flip: bool) -> str:
+    """Code of what hangs off ``node`` at ``he``; leaves read ``leaf`` when ``signs`` is None."""
+    what, ident = att[node][he]
     if what == "leaf":
+        if signs is None:
+            return f"{he.label()}:leaf"
         sign = signs[LeafStub(node, he)]
         if flip:
             sign = MINUS if sign == PLUS else PLUS
@@ -283,17 +273,16 @@ def _payload(nt: NormalTorus, signs, node: str, he: HalfEdge, flip: bool) -> str
     sphere, n0, n1 = nt.crossings[ident]
     child = n1 if n0 == node else n0
     child_entry = HalfEdge(sphere, 1 if n0 == node else 0)
-    return f"{he.label()}:({_subtree_code(nt, child, child_entry, signs, flip)})"
+    return f"{he.label()}:({_subtree_code(nt, att, child, child_entry, signs, flip)})"
 
 
-def _subtree_code(nt: NormalTorus, node: str, entry: HalfEdge, signs, flip: bool) -> str:
-    att = nt.node_attachments(node)
-    parts = [_payload(nt, signs, node, he, flip) for he in sorted(k for k in att if k != entry)]
+def _subtree_code(nt: NormalTorus, att, node: str, entry: HalfEdge, signs, flip: bool) -> str:
+    parts = [_payload(nt, att, signs, node, he, flip) for he in sorted(k for k in att[node] if k != entry)]
     pants, _ = nt.nodes[node]
     return f"{pants}<{entry.label()}|{';'.join(parts)}>"
 
 
-def _axis_tokens(nt: NormalTorus, signs, ns: list[str], steps, flip: bool) -> list[str]:
+def _axis_tokens(nt: NormalTorus, att, signs, ns: list[str], steps, flip: bool) -> list[str]:
     """Token per axis node for one direction of the cycle."""
     k = len(ns)
     tokens = []
@@ -302,9 +291,8 @@ def _axis_tokens(nt: NormalTorus, signs, ns: list[str], steps, flip: bool) -> li
         cid_out, from_out = steps[i]
         he_in = HalfEdge(nt.crossings[cid_in][0], 1 - from_in)
         he_out = HalfEdge(nt.crossings[cid_out][0], from_out)
-        att = nt.node_attachments(node)
-        rest = [he for he in sorted(att) if he not in (he_in, he_out)]
-        payloads = [_payload(nt, signs, node, he, flip) for he in rest]
+        rest = [he for he in sorted(att[node]) if he not in (he_in, he_out)]
+        payloads = [_payload(nt, att, signs, node, he, flip) for he in rest]
         pants, _ = nt.nodes[node]
         tokens.append(f"{pants}[{he_in.label()}>{he_out.label()}|{';'.join(payloads)}]")
     return tokens
@@ -314,13 +302,14 @@ def _direction_codes(d: DecoratedGraph) -> tuple[str, str]:
     """Min code over rotations and global flips, one per axis direction."""
     nt = d.torus
     nodes, edges = _axis_cycle(nt)
+    att = nt.attachments()
     k = len(nodes)
     out = []
     for direction in (0, 1):
         ns, steps = _oriented_steps(nt, nodes, edges, direction)
         best = None
         for flip in (False, True):
-            tokens = _axis_tokens(nt, d.signs, ns, steps, flip)
+            tokens = _axis_tokens(nt, att, d.signs, ns, steps, flip)
             for r in range(k):
                 rotated = tokens[r:] + tokens[:r]
                 code = "|".join(rotated)
@@ -359,38 +348,21 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     decorated graph.
     """
     nodes, edges = _axis_cycle(nt)
-    cycle = set(nodes)
+    att = nt.attachments()
     branches: dict[str, list[str]] = {}
-    for i, node in enumerate(nodes):
-        att = nt.node_attachments(node)
+    for node in nodes:
         subtrees = []
-        for he in sorted(att):
-            what, ident = att[he]
+        for he in sorted(att[node]):
+            what, ident = att[node][he]
             if what != "crossing" or ident in edges:
                 continue
             sphere, n0, n1 = nt.crossings[ident]
             child = n1 if n0 == node else n0
             entry = HalfEdge(sphere, 1 if n0 == node else 0)
-            subtrees.append(_unsigned_subtree(nt, child, entry))
+            subtrees.append(_subtree_code(nt, att, child, entry, None, False))
         if subtrees:
             branches[node] = subtrees
     return nodes, branches
-
-
-def _unsigned_subtree(nt: NormalTorus, node: str, entry: HalfEdge) -> str:
-    att = nt.node_attachments(node)
-    parts = []
-    for he in sorted(k for k in att if k != entry):
-        what, ident = att[he]
-        if what == "leaf":
-            parts.append(f"{he.label()}:leaf")
-        else:
-            sphere, n0, n1 = nt.crossings[ident]
-            child = n1 if n0 == node else n0
-            child_entry = HalfEdge(sphere, 1 if n0 == node else 0)
-            parts.append(f"{he.label()}:({_unsigned_subtree(nt, child, child_entry)})")
-    pants, _ = nt.nodes[node]
-    return f"{pants}<{entry.label()}|{';'.join(parts)}>"
 
 
 def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, int]]:

@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .graphs import HalfEdge, SphereGraph
-from .moves import MoveError, apply_move, find_moves, normalize
+from .moves import apply_move, find_moves, normalize
 from .normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
     SIDE_A,
@@ -35,11 +35,11 @@ from .position import (
     PositionError,
     RegionTree,
     TorusPosition,
+    end_slot,
     fresh_id,
     intersection_vector,
     is_normal,
-    side_of_piece,
-    side_of_region,
+    side_lookup,
     total_intersections,
     validate_position,
 )
@@ -71,7 +71,7 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
             break
     else:
         raise PositionError("failed to sample a closed immersed walk")
-    nodes, budget = _grow_branches(g, rng, walk, size_bound)
+    nodes = _grow_branches(g, rng, walk, size_bound)
     t = _assemble(g, nodes)
     problems = validate_position(t)
     if problems:
@@ -110,12 +110,11 @@ class _Node:
     ports: dict[HalfEdge, str | None] = field(default_factory=dict)  # circle id or None=leaf
 
 
-def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int):
+def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int) -> list[_Node]:
     nodes: list[_Node] = []
-    circles: list[tuple[str, HalfEdge]] = []
     counter = 0
 
-    def new_circle(sphere: str) -> str:
+    def new_circle() -> str:
         nonlocal counter
         cid = f"c{counter}"
         counter += 1
@@ -127,9 +126,8 @@ def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int):
         node = _Node(f"F{i}", pants)
         nodes.append(node)
     axis_cids = []
-    for i, exit_he in enumerate(walk):
-        cid = new_circle(exit_he.sphere)
-        axis_cids.append(cid)
+    for _ in walk:
+        axis_cids.append(new_circle())
     for i, exit_he in enumerate(walk):
         entry_he = walk[(i - 1) % k].other()
         node = nodes[i]
@@ -167,13 +165,13 @@ def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int):
             exit_he = rng.choice(sorted(rest))
             other = [he for he in rest if he != exit_he][0]
             node.ports[other] = None
-            cid = new_circle(exit_he.sphere)
+            cid = new_circle()
             node.ports[exit_he] = cid
             pending_cid.append(cid)
             grow(exit_he.other())
             return
         for he in sorted(rest):
-            cid = new_circle(he.sphere)
+            cid = new_circle()
             node.ports[he] = cid
             pending_cid.append(cid)
             grow(he.other())
@@ -186,11 +184,11 @@ def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int):
             continue
         if rng.random() < 0.5:
             he = free[0]
-            cid = new_circle(he.sphere)
+            cid = new_circle()
             node.ports[he] = cid
             pending_cid.append(cid)
             grow(he.other())
-    return nodes, budget
+    return nodes
 
 
 def _assemble(g: SphereGraph, nodes: list[_Node]) -> TorusPosition:
@@ -262,26 +260,21 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 
 
 def _apply_some_inverse(t: TorusPosition, rng: random.Random, candidates: list) -> TorusPosition:
-    before = total_intersections(t)
-    pool = list(candidates)
-    for _ in range(60):
-        if not pool:
-            break
-        idx = rng.randrange(len(pool))
-        cand = pool.pop(idx)
-        try:
-            out = _apply_inverse(t, rng, cand)
-        except (PositionError, MoveError):
-            continue
-        if validate_position(out):
-            continue
-        if total_intersections(out) != before + 1:
-            continue
-        return out
-    raise PositionError("all inverse move candidates failed")
+    """Apply one drawn candidate; a rejected one means a bookkeeping bug, so it raises."""
+    cand = candidates[rng.randrange(len(candidates))]
+    try:
+        out = _apply_inverse(t, cand)
+    except PositionError as exc:  # MoveError included
+        raise PositionError(f"inverse move {cand} failed: {exc}") from exc
+    problems = validate_position(out)
+    if problems:
+        raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
+    if total_intersections(out) != total_intersections(t) + 1:
+        raise PositionError(f"inverse move {cand} did not raise the total by one")
+    return out
 
 
-def _apply_inverse(t: TorusPosition, rng: random.Random, cand: tuple) -> TorusPosition:
+def _apply_inverse(t: TorusPosition, cand: tuple) -> TorusPosition:
     if cand[0] == "dome":
         return _apply_inverse_dome(t, *cand[1:])
     if cand[0] == "finger":
@@ -293,64 +286,49 @@ def _all_regions(t: TorusPosition):
     return (r for tree in t.trees.values() for r in tree.regions)
 
 
-def _dome_label(t: TorusPosition, cid: str, host_end: int, rx: str) -> str:
-    """The forced side label of a shed dome.
-
-    A dome shed from the host piece opens toward the shared region, so its
-    away side must be the host's side facing that region; anything else
-    fails the slide's side consistency check on re-merge.
-    """
-    _, host_slot = t.slot_at(cid, host_end)
-    return SIDE_A if host_slot.region_a == rx else SIDE_B
-
-
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
+    index = t.circle_slots()
     cands: list[tuple] = []
     for cid in sorted(t.circles):
         sphere = t.circles[cid].sphere
         a, b = t.trees[sphere].adjacent(cid)
         for host_end in (0, 1):
-            host = t.piece_at(cid, host_end)
-            other = t.piece_at(cid, 1 - host_end)
+            host, _ = end_slot(t, index, cid, host_end)
+            other, _ = end_slot(t, index, cid, 1 - host_end)
             if host.id == other.id:
                 continue
             for rx in sorted((a, b)):
                 cands.append(("dome", cid, host_end, rx))
+    # A finger's arc runs inside one pants from the piece to the sphere
+    # collar over the target region, so both endpoints must lie in the same
+    # complementary component; in a pants, components are cut out by the
+    # (separating) pieces, so it suffices that every other piece of the
+    # pants sees both endpoints on one side.
+    side_of = side_lookup(t)
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
+        mates = [o for o in t.pieces.values() if o.id != pid and o.pants == piece.pants]
         for he in sorted(piece.uncrossed):
+            anchor = piece.boundary[0]  # where side_of_piece reads the piece
             for region in sorted(t.trees[he.sphere].regions):
-                if _finger_reachable(t, piece, he, region):
+                if all(side_of(o, he, region) == side_of(o, anchor.half_edge, anchor.region_a) for o in mates):
                     cands.append(("finger", pid, he, region))
     return cands
-
-
-def _finger_reachable(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) -> bool:
-    """Whether a finger from the piece can land in the region.
-
-    The finger's arc runs inside one pants from the piece to the sphere
-    collar over the target region, so both endpoints must lie in the same
-    complementary component; in a pants, components are cut out by the
-    (separating) pieces, so it suffices that every other piece of the
-    pants sees both endpoints on one side.
-    """
-    for other in t.pieces.values():
-        if other.id == piece.id or other.pants != piece.pants:
-            continue
-        if side_of_region(t, other, he, region) != side_of_piece(t, other, piece):
-            return False
-    return True
 
 
 def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> TorusPosition:
     """Split a circle, shedding a boundary-parallel disk on the host side."""
     sphere = t.circles[cid].sphere
     host_he = HalfEdge(sphere, host_end)
-    host, host_slot = t.slot_at(cid, host_end)
-    near, near_slot = t.slot_at(cid, 1 - host_end)
+    index = t.circle_slots()
+    host, host_slot = end_slot(t, index, cid, host_end)
+    near, near_slot = end_slot(t, index, cid, 1 - host_end)
     if host.id == near.id:
         raise PositionError("dome split needs distinct pieces")
-    dome_label = _dome_label(t, cid, host_end, rx)
+    # A dome shed from the host piece opens toward the shared region, so its
+    # away side must be the host's side facing that region; anything else
+    # fails the slide's side consistency check on re-merge.
+    dome_label = SIDE_A if host_slot.region_a == rx else SIDE_B
     r_y = t.trees[sphere].other_region(cid, rx)
 
     out = t.clone()
@@ -506,10 +484,12 @@ def _state_key(t: TorusPosition) -> str:
         for pid, p in t.pieces.items()
     }
     circle_color = {cid: str((c.sphere, t.transport[cid])) for cid, c in t.circles.items()}
+    index = t.circle_slots()
+    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
     region_color = {}
     for s, tree in t.trees.items():
         for r in tree.regions:
-            region_color[r] = str((s, tree.degree(r)))
+            region_color[r] = str((s, len(nbrs[s].get(r, ()))))
     for _ in range(4):
         new_piece = {}
         for pid, p in t.pieces.items():
@@ -521,7 +501,7 @@ def _state_key(t: TorusPosition) -> str:
         for cid in t.circles:
             ends = tuple(
                 (slot.half_edge.end, piece_color[piece.id]) for piece, slot in sorted(
-                    t.circle_slots(cid), key=lambda ps: ps[1].half_edge.end
+                    index.get(cid, []), key=lambda ps: ps[1].half_edge.end
                 )
             )
             a, b = t.trees[t.circles[cid].sphere].edges[cid]
@@ -529,7 +509,7 @@ def _state_key(t: TorusPosition) -> str:
         new_region = {}
         for s, tree in t.trees.items():
             for r in tree.regions:
-                inc = tuple(sorted(circle_color[c] for c, (a, b) in tree.edges.items() if r in (a, b)))
+                inc = tuple(sorted(circle_color[c] for c, _ in nbrs[s].get(r, ())))
                 new_region[r] = str((region_color[r], inc))
         piece_color, circle_color, region_color = new_piece, new_circle, new_region
     rename_p = {pid: f"P{i}" for i, pid in enumerate(sorted(t.pieces, key=lambda x: (piece_color[x], x)))}

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from .graphs import HalfEdge, SphereGraph, validate_graph
+from .graphs import HalfEdge, SphereGraph, reachable, validate_graph
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -91,9 +91,6 @@ class Piece:
     def crossed_half_edges(self) -> set[HalfEdge]:
         return {slot.half_edge for slot in self.boundary}
 
-    def slots_at(self, he: HalfEdge) -> list[BoundarySlot]:
-        return [slot for slot in self.boundary if slot.half_edge == he]
-
     def circles(self) -> set[str]:
         return {slot.circle for slot in self.boundary}
 
@@ -121,6 +118,15 @@ class RegionTree:
     def other_region(self, circle: str, region: str) -> str:
         a, b = self.edges[circle]
         return b if region == a else a
+
+    def neighbors(self) -> dict[str, list[tuple[str, str]]]:
+        """Region -> [(circle, region across it)], in edge order."""
+        nbrs: dict[str, list[tuple[str, str]]] = defaultdict(list)
+        for cid, (a, b) in self.edges.items():
+            nbrs[a].append((cid, b))
+            if b != a:
+                nbrs[b].append((cid, a))
+        return nbrs
 
     def degree(self, region: str) -> int:
         return sum(1 for a, b in self.edges.values() if region in (a, b))
@@ -157,32 +163,40 @@ class TorusPosition:
             dict(self.transport),
         )
 
-    def circle_slots(self, cid: str) -> list[tuple[Piece, BoundarySlot]]:
-        found = []
+    def circle_slots(self) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
+        """Circle id -> every (piece, slot) glued to it, in piece then slot order.
+
+        Built afresh on each call and never stored: positions are edited in
+        place, so a kept index would go stale.  Callers that look up many
+        circles build it once and read it with ``end_slot``.
+        """
+        index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
             for slot in piece.boundary:
-                if slot.circle == cid:
-                    found.append((piece, slot))
-        return found
+                index.setdefault(slot.circle, []).append((piece, slot))
+        return index
 
     def piece_at(self, cid: str, end: int) -> Piece:
         """The piece attached at the given end of the circle's sphere."""
-        he = HalfEdge(self.circles[cid].sphere, end)
-        for piece, slot in self.circle_slots(cid):
-            if slot.half_edge == he:
-                return piece
-        raise PositionError(f"circle {cid} has no piece at {he.label()}")
+        return self.slot_at(cid, end)[0]
 
     def slot_at(self, cid: str, end: int) -> tuple[Piece, BoundarySlot]:
-        he = HalfEdge(self.circles[cid].sphere, end)
-        for piece, slot in self.circle_slots(cid):
-            if slot.half_edge == he:
-                return piece, slot
-        raise PositionError(f"circle {cid} has no slot at {he.label()}")
+        return end_slot(self, self.circle_slots(), cid, end)
 
     def half_edge_label(self, he: HalfEdge) -> str:
         """Human-facing ``sphere@pants`` name of a sphere end."""
         return f"{he.sphere}@{self.graph.pants_of(he)}"
+
+
+def end_slot(
+    t: TorusPosition, index: dict[str, list[tuple[Piece, BoundarySlot]]], cid: str, end: int
+) -> tuple[Piece, BoundarySlot]:
+    """The (piece, slot) at one end of a circle, read from a ``circle_slots`` index."""
+    he = HalfEdge(t.circles[cid].sphere, end)
+    for piece, slot in index.get(cid, ()):
+        if slot.half_edge == he:
+            return piece, slot
+    raise PositionError(f"circle {cid} has no piece at {he.label()}")
 
 
 def euler_characteristic(t: TorusPosition) -> int:
@@ -200,24 +214,6 @@ def total_intersections(t: TorusPosition) -> int:
     return len(t.circles)
 
 
-def _piece_adjacency(t: TorusPosition) -> dict[str, list[tuple[str, str]]]:
-    """Piece-graph adjacency: piece id -> [(neighbor piece, via circle)]."""
-    ends: dict[str, list[str]] = defaultdict(list)
-    for pid, piece in t.pieces.items():
-        for slot in piece.boundary:
-            ends[slot.circle].append(pid)
-    adj: dict[str, list[tuple[str, str]]] = {pid: [] for pid in t.pieces}
-    for cid in t.circles:
-        pair = ends.get(cid, [])
-        if len(pair) != 2:
-            continue
-        a, b = pair
-        adj[a].append((b, cid))
-        if b != a:
-            adj[b].append((a, cid))
-    return adj
-
-
 def piece_graph_betti(t: TorusPosition) -> int:
     return len(t.circles) - len(t.pieces) + 1
 
@@ -230,16 +226,13 @@ def monodromy_certificate(t: TorusPosition) -> list[str] | None:
     self-loop circle or a non-tree edge is reported as the pieces along the
     offending cycle.
     """
-    ends: dict[str, list[str]] = defaultdict(list)
-    for pid, piece in t.pieces.items():
-        for slot in piece.boundary:
-            ends[slot.circle].append(pid)
+    index = t.circle_slots()
     adj: dict[str, list[tuple[str, bool, str]]] = {pid: [] for pid in t.pieces}
     for cid in sorted(t.circles):
-        pair = ends.get(cid, [])
+        pair = index.get(cid, [])
         if len(pair) != 2:
             continue
-        a, b = pair
+        a, b = (piece.id for piece, _ in pair)
         flip = not t.transport.get(cid, True)
         if a == b:
             if flip:
@@ -304,7 +297,7 @@ def validate_position(t: TorusPosition) -> list[str]:
             problems.append(f"piece {pid} has negative genus")
         if not piece.boundary:
             problems.append(f"piece {pid} is closed (no boundary)")
-        pants_hes = set(t.graph.half_edges_at(piece.pants))
+        pants_hes = t.graph.half_edges_at(piece.pants)
         for slot in piece.boundary:
             if slot.circle not in t.circles:
                 problems.append(f"piece {pid} references unknown circle {slot.circle}")
@@ -319,8 +312,8 @@ def validate_position(t: TorusPosition) -> list[str]:
                 )
             slot_count[slot.circle].append(slot.half_edge)
         crossed = piece.crossed_half_edges()
-        for he in pants_hes - crossed:
-            if he not in piece.uncrossed:
+        for he in pants_hes:
+            if he not in crossed and he not in piece.uncrossed:
                 problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
         for he, side in piece.uncrossed.items():
             if he in crossed:
@@ -352,18 +345,14 @@ def validate_position(t: TorusPosition) -> list[str]:
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    adj = _piece_adjacency(t)
     if t.pieces:
-        start = min(t.pieces)
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            pid = queue.popleft()
-            for nb, _ in adj[pid]:
-                if nb not in reached:
-                    reached.add(nb)
-                    queue.append(nb)
-        if len(reached) != len(t.pieces):
+        adj: dict[str, list[str]] = defaultdict(list)
+        for pair in t.circle_slots().values():
+            if len(pair) == 2:
+                (a, _), (b, _) = pair
+                adj[a.id].append(b.id)
+                adj[b.id].append(a.id)
+        if len(reachable(adj, min(t.pieces))) != len(t.pieces):
             problems.append("piece graph disconnected")
 
     if all(p.genus == 0 for p in t.pieces.values()) and not problems:
@@ -401,20 +390,8 @@ def _validate_trees(t: TorusPosition) -> list[str]:
         for cid, (a, b) in tree.edges.items():
             if a not in tree.regions or b not in tree.regions or a == b:
                 problems.append(f"region tree edge {cid} of {s} malformed")
-        nbrs: dict[str, list[str]] = defaultdict(list)
-        for a, b in tree.edges.values():
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-        start = next(iter(tree.regions))
-        reached = {start}
-        queue = deque([start])
-        while queue:
-            r = queue.popleft()
-            for q in nbrs[r]:
-                if q not in reached:
-                    reached.add(q)
-                    queue.append(q)
-        if len(reached) != len(tree.regions):
+        nbrs = {r: [q for _, q in pairs] for r, pairs in tree.neighbors().items()}
+        if tree.regions - reachable(nbrs, min(tree.regions)):
             problems.append(f"region tree of {s} disconnected")
     return problems
 
@@ -424,94 +401,78 @@ def _validate_side_anchors(t: TorusPosition) -> list[str]:
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
-    that side; so the piece's side, as a function on the sphere's regions
-    viewed from one end, flips exactly across its own circles at that end.
+    that side; so every ``region_a`` must read A in the piece's side map
+    at that end.  Runs only on positions whose circles and trees passed
+    the other checks.
     """
     problems = []
     for pid, piece in sorted(t.pieces.items()):
         by_he: dict[HalfEdge, list[BoundarySlot]] = defaultdict(list)
         for slot in piece.boundary:
-            if slot.circle in t.circles:
-                by_he[slot.half_edge].append(slot)
+            by_he[slot.half_edge].append(slot)
         for he, slots in sorted(by_he.items()):
-            tree = t.trees.get(he.sphere)
-            if tree is None:
+            tree = t.trees[he.sphere]
+            stray = [slot for slot in slots if slot.region_a not in tree.edges[slot.circle]]
+            for slot in stray:
+                problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
+            if stray or len(slots) == 1:  # a lone anchor cannot conflict
                 continue
-            own = {slot.circle for slot in slots}
-            side: dict[str, str] = {}
-            bad = False
-            for slot in slots:
-                if slot.circle not in tree.edges:
-                    bad = True
-                    continue
-                a, b = tree.edges[slot.circle]
-                if slot.region_a not in (a, b):
-                    problems.append(
-                        f"piece {pid} slot at {slot.circle} anchors a non-adjacent region"
-                    )
-                    bad = True
-                    continue
-                other = b if slot.region_a == a else a
-                for region, value in ((slot.region_a, SIDE_A), (other, SIDE_B)):
-                    if side.setdefault(region, value) != value:
-                        problems.append(f"piece {pid} side anchors conflict at {he.label()}")
-                        bad = True
-            if bad or not side:
-                continue
-            start = next(iter(side))
-            queue = deque([start])
-            seen = {start}
-            while queue:
-                r = queue.popleft()
-                for cid, (a, b) in tree.edges.items():
-                    if r not in (a, b):
-                        continue
-                    q = b if r == a else a
-                    want = xor_side(side[r], cid in own)
-                    if q in side:
-                        if side[q] != want:
-                            problems.append(f"piece {pid} side anchors conflict at {he.label()}")
-                    elif q not in seen:
-                        side[q] = want
-                        seen.add(q)
-                        queue.append(q)
+            side = side_map(t, piece, he)
+            if any(side.get(slot.region_a) != SIDE_A for slot in slots):
+                problems.append(f"piece {pid} side anchors conflict at {he.label()}")
     return problems
 
 
-def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) -> str:
-    """Which side of ``piece`` the collar over ``region`` at ``he`` lies on.
+def side_map(t: TorusPosition, piece: Piece, he: HalfEdge) -> dict[str, str]:
+    """Region -> side of ``piece`` over it, seen from the collar at ``he``.
 
     The collar is taken just inside the piece's pants, on the ``he`` side
     of the sphere.  Seen from there, the piece's side flips exactly across
-    its own circles attached at ``he``.
+    its own circles attached at ``he``; the walk starts at the piece's
+    first anchor there.  A sphere end the piece does not cross carries its
+    ``uncrossed`` label over every region.
     """
     tree = t.trees[he.sphere]
     anchors = [slot for slot in piece.boundary if slot.half_edge == he]
     if not anchors:
         if he not in piece.uncrossed:
             raise PositionError(f"piece {piece.id} has no side data at {he.label()}")
-        return piece.uncrossed[he]
+        return dict.fromkeys(tree.regions, piece.uncrossed[he])
     own = {slot.circle for slot in anchors}
     start = anchors[0]
     side = {start.region_a: SIDE_A, tree.other_region(start.circle, start.region_a): SIDE_B}
-    if region in side:
-        return side[region]
+    nbrs = tree.neighbors()
     queue = deque(side)
-    seen = set(side)
     while queue:
         r = queue.popleft()
-        for cid, (a, b) in tree.edges.items():
-            if r not in (a, b):
-                continue
-            q = b if r == a else a
-            if q in seen:
-                continue
-            side[q] = xor_side(side[r], cid in own)
-            if q == region:
-                return side[q]
-            seen.add(q)
-            queue.append(q)
-    raise PositionError(f"region {region} not on sphere {he.sphere}")
+        for cid, q in nbrs.get(r, ()):
+            if q not in side:
+                side[q] = xor_side(side[r], cid in own)
+                queue.append(q)
+    return side
+
+
+def side_lookup(t: TorusPosition):
+    """``side_of_region`` for many queries on a position left unchanged
+    meanwhile: each (piece, sphere end) side map is built once, on first use.
+    """
+    maps: dict[tuple[str, HalfEdge], dict[str, str]] = {}
+
+    def side_of(piece: Piece, he: HalfEdge, region: str) -> str:
+        key = (piece.id, he)
+        if key not in maps:
+            maps[key] = side_map(t, piece, he)
+        side = maps[key].get(region)
+        if side is None:
+            raise PositionError(f"region {region} not on sphere {he.sphere}")
+        return side
+
+    return side_of
+
+
+def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) -> str:
+    """Which side of ``piece`` the collar over ``region`` at ``he`` lies on."""
+    return side_lookup(t)(piece, he, region)
 
 
 def side_of_piece(t: TorusPosition, observer: Piece, target: Piece) -> str:
@@ -588,9 +549,3 @@ def is_boundary_parallel_disk(piece: Piece) -> bool:
         and len(set(piece.uncrossed.values())) == 1
         and len(piece.uncrossed) == 2
     )
-
-
-def require_valid(t: TorusPosition) -> None:
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("; ".join(problems))

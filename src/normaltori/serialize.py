@@ -275,8 +275,9 @@ def position_to_dot(t: TorusPosition) -> str:
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
         lines.append(f'  "{pid}" [label="{pid}\\n{piece.pants} g={piece.genus}"];')
+    index = t.circle_slots()
     for cid in sorted(t.circles):
-        slots = t.circle_slots(cid)
+        slots = index.get(cid, [])
         if len(slots) == 2:
             (pa, _), (pb, _) = slots
             lines.append(f'  "{pa.id}" -- "{pb.id}" [label="{cid}@{t.circles[cid].sphere}"];')

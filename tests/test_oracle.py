@@ -197,3 +197,18 @@ def test_perturb_includes_inverse_caps():
             assert len(p.pieces) == 3
             return
     raise AssertionError("no finger perturbation sampled")
+
+
+def test_rejected_inverse_move_raises_at_once(monkeypatch):
+    from normaltori import oracle
+
+    tried = []
+
+    def no_op(t, cand):
+        tried.append(cand)
+        return t.clone()
+
+    monkeypatch.setattr(oracle, "_apply_inverse", no_op)
+    with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):
+        perturb(make_t0(), 0, 1)
+    assert len(tried) == 1

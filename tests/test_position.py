@@ -1,12 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import normaltori
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
-from normaltori.graphs import HalfEdge
+from normaltori.graphs import HalfEdge, build_standard
 from normaltori.position import (
     SIDE_A,
     SIDE_B,
+    BoundarySlot,
+    Circle,
+    Piece,
+    RegionTree,
+    TorusPosition,
     euler_characteristic,
     intersection_vector,
     is_normal,
@@ -142,3 +153,56 @@ def test_transport_flip_detected_on_self_loop():
             break
     else:
         pytest.skip("no self-loop circle sampled")
+
+
+def test_side_anchor_conflict_behind_an_anchored_region():
+    # X crosses s0@0 at ca and cb with Y's cd between them; ca's anchor
+    # puts r2 on side B of X, cb's anchor claims r2 for side A.
+    def he(sphere, end):
+        return HalfEdge(sphere, end)
+
+    pieces = {
+        "X": Piece("X", "p0", 0, [BoundarySlot("ca", he("s0", 0), "r0"), BoundarySlot("cb", he("s0", 0), "r2")],
+                   {he("s1", 0): SIDE_A, he("s2", 1): SIDE_A}),
+        "Y": Piece("Y", "p0", 0, [BoundarySlot("cd", he("s0", 0), "r1"), BoundarySlot("c1", he("s1", 0), "r4")],
+                   {he("s2", 1): SIDE_A}),
+        "Z1": Piece("Z1", "p1", 0, [BoundarySlot("ca", he("s0", 1), "r0"), BoundarySlot("c1", he("s1", 1), "r4")],
+                    {he("s2", 0): SIDE_A}),
+        "Z2": Piece("Z2", "p1", 0, [BoundarySlot("cd", he("s0", 1), "r1"), BoundarySlot("cb", he("s0", 1), "r3")],
+                    {he("s1", 1): SIDE_A, he("s2", 0): SIDE_A}),
+    }
+    circles = {c: Circle(c, s) for c, s in (("ca", "s0"), ("cb", "s0"), ("cd", "s0"), ("c1", "s1"))}
+    trees = {
+        "s0": RegionTree("s0", {"r0", "r1", "r2", "r3"},
+                         {"ca": ("r0", "r1"), "cd": ("r1", "r2"), "cb": ("r2", "r3")}),
+        "s1": RegionTree("s1", {"r4", "r5"}, {"c1": ("r4", "r5")}),
+        "s2": RegionTree("s2", {"r6"}, {}),
+    }
+    t = TorusPosition(build_standard(2), pieces, circles, trees, {c: True for c in circles})
+    assert validate_position(t) == ["piece X side anchors conflict at s0@0"]
+
+
+_VALIDATE_MALFORMED = """
+from normaltori.fixtures import make_t0, make_t2
+from normaltori.position import validate_position
+t = make_t0()
+t.trees["s0"].edges["c0"] = ("r0", "rX")
+print(validate_position(t))
+t = make_t2()
+t.pieces["F2"].uncrossed.clear()
+print(validate_position(t))
+"""
+
+
+def test_validate_output_independent_of_hash_seed():
+    src = str(Path(normaltori.__file__).resolve().parent.parent)
+    outputs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _VALIDATE_MALFORMED], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    tree_problems, uncrossed_problems = outputs.pop().splitlines()
+    assert "region tree edge c0 of s0 malformed" in tree_problems
+    assert uncrossed_problems.count("missing uncrossed side") == 2

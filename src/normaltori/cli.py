@@ -57,6 +57,14 @@ def _want_position(kind, value, what="this command"):
     return value
 
 
+def _checked(t):
+    """The position itself, once ``validate_position`` finds nothing wrong with it."""
+    problems = validate_position(t)
+    if problems:
+        raise PositionError("; ".join(problems))
+    return t
+
+
 def _as_decorated(kind, value, base_piece=None, base_side="A"):
     """Positions and normal tori are decorated on the fly for comparison."""
     if kind == "decorated_graph":
@@ -64,10 +72,7 @@ def _as_decorated(kind, value, base_piece=None, base_side="A"):
     if kind == "normal_torus":
         return decorate(value, base_piece, base_side)
     if kind == "position":
-        problems = validate_position(value)
-        if problems:
-            raise PositionError("; ".join(problems))
-        return decorate(to_normal_torus(value), base_piece, base_side)
+        return decorate(to_normal_torus(_checked(value)), base_piece, base_side)
     raise SchemaError(f"cannot decorate a {kind}")
 
 
@@ -194,7 +199,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_confluence(args) -> int:
     kind, value = _read(args.input)
-    t = _want_position(kind, value, "confluence")
+    t = _checked(_want_position(kind, value, "confluence"))
     result = confluence_search(t, args.depth)
     print(
         f"confluent: {result.confluent}; outcomes: {len(result.outcomes)}; "
@@ -205,7 +210,7 @@ def cmd_confluence(args) -> int:
 
 def cmd_minimality(args) -> int:
     kind, value = _read(args.input)
-    t = _want_position(kind, value, "minimality")
+    t = _checked(_want_position(kind, value, "minimality"))
     report = minimality_experiment(t, args.trials, args.depth, seed=args.seed)
     if args.output:
         _write(args.output, report.to_json())
@@ -215,7 +220,7 @@ def cmd_minimality(args) -> int:
 
 def cmd_perturb(args) -> int:
     kind, value = _read(args.input)
-    t = _want_position(kind, value, "perturb")
+    t = _checked(_want_position(kind, value, "perturb"))
     out = perturb(t, args.seed, args.count)
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))

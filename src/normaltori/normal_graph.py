@@ -140,13 +140,13 @@ def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SI
         base_piece = min(nt.nodes)
     if base_piece not in nt.nodes:
         raise PositionError(f"unknown base piece {base_piece}")
+    att = nt.attachments()
     plus: dict[str, str] = {base_piece: base_side}
     queue = deque([base_piece])
     while queue:
         pid = queue.popleft()
-        for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
-            if pid not in (n0, n1):
-                continue
+        for cid in _crossings_at(att, pid):
+            _, n0, n1 = nt.crossings[cid]
             flip = not t.transport[cid]
             if n0 == n1:
                 if flip:
@@ -183,32 +183,39 @@ def bounds_solid_torus(d: DecoratedGraph) -> bool:
     return not pos or not neg
 
 
+def _crossings_at(att, node: str) -> list[str]:
+    """Crossing ids attached to ``node``, ascending; a self-loop is listed once per end."""
+    return sorted(ident for what, ident in att.get(node, {}).values() if what == "crossing")
+
+
 def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     """The unique cycle: alternating node and crossing ids, aligned.
 
     Returns (nodes, edges) with edges[i] joining nodes[i] to nodes[i+1]
-    (cyclically).  Found by repeatedly pruning crossing-degree-1 nodes.
+    (cyclically).  Found by pruning crossing-degree-1 nodes until none is
+    left, then walking the rest from its least node along least crossings.
     """
-    alive_nodes = set(nt.nodes)
+    att = nt.attachments()
+    incident = {n: _crossings_at(att, n) for n in nt.nodes}
+    degree = {n: len(cids) for n, cids in incident.items()}
     alive_edges = set(nt.crossings)
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(alive_nodes):
-            incident = [
-                cid
-                for cid in alive_edges
-                if n in (nt.crossings[cid][1], nt.crossings[cid][2])
-            ]
-            ends = sum(
-                (nt.crossings[cid][1] == n) + (nt.crossings[cid][2] == n)
-                for cid in incident
-            )
-            if ends == 1:
-                alive_nodes.discard(n)
-                alive_edges.discard(incident[0])
-                changed = True
-    if not alive_nodes:
+    pruned: set[str] = set()
+    queue = deque(n for n in sorted(nt.nodes) if degree[n] == 1)
+    while queue:
+        n = queue.popleft()
+        if degree[n] != 1:
+            continue
+        cid = next(c for c in incident[n] if c in alive_edges)
+        alive_edges.discard(cid)
+        pruned.add(n)
+        _, n0, n1 = nt.crossings[cid]
+        for m in dict.fromkeys((n0, n1)):
+            if m in degree:
+                degree[m] -= incident[m].count(cid)
+                if degree[m] == 1:
+                    queue.append(m)
+    alive_nodes = set(nt.nodes) - pruned
+    if not alive_nodes or not alive_edges:
         raise PositionError("no cycle found: graph is a tree")
     start = min(alive_nodes)
     nodes = [start]
@@ -216,11 +223,7 @@ def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     current = start
     used: set[str] = set()
     while True:
-        options = sorted(
-            cid
-            for cid in alive_edges
-            if cid not in used and current in (nt.crossings[cid][1], nt.crossings[cid][2])
-        )
+        options = [cid for cid in incident.get(current, ()) if cid in alive_edges and cid not in used]
         if not options:
             break
         cid = options[0]

@@ -468,35 +468,33 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
 
 
 def _state_key(t: TorusPosition) -> str:
-    """Canonical-ish state fingerprint: ids renamed by refined colors.
+    """State fingerprint: ids renamed in the order of refined colours.
 
-    Imperfect canonicity only costs duplicate exploration, never wrong
-    answers, since the move DAG is finite either way.
+    Colours come from 1-dim Weisfeiler-Leman refinement over pieces,
+    circles and regions: each round a colour's signature is its previous
+    colour plus its neighbours' colours, and every kind's distinct
+    signatures are interned to their ranks, so colours stay small ints.
+    The key spells out the whole position under the renaming, so two
+    states share a key only if they are isomorphic and the search never
+    gives a wrong answer; the colours decide only how often isomorphic
+    states are told apart, i.e. how much exploration is duplicated.
     """
-    piece_color = {
-        pid: str(
-            (
-                p.pants,
-                p.genus,
-                tuple(sorted((he, side) for he, side in p.uncrossed.items())),
-            )
-        )
-        for pid, p in t.pieces.items()
-    }
-    circle_color = {cid: str((c.sphere, t.transport[cid])) for cid, c in t.circles.items()}
+    piece_color = _intern(
+        {pid: (p.pants, p.genus, tuple(sorted(p.uncrossed.items()))) for pid, p in t.pieces.items()}
+    )
+    circle_color = _intern({cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()})
     index = t.circle_slots()
     nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
-    region_color = {}
-    for s, tree in t.trees.items():
-        for r in tree.regions:
-            region_color[r] = str((s, len(nbrs[s].get(r, ()))))
+    region_color = _intern(
+        {r: (s, len(nbrs[s].get(r, ()))) for s, tree in t.trees.items() for r in tree.regions}
+    )
     for _ in range(4):
         new_piece = {}
         for pid, p in t.pieces.items():
             sig = tuple(
                 sorted((slot.half_edge, circle_color[slot.circle], region_color[slot.region_a]) for slot in p.boundary)
             )
-            new_piece[pid] = str((piece_color[pid], sig))
+            new_piece[pid] = (piece_color[pid], sig)
         new_circle = {}
         for cid in t.circles:
             ends = tuple(
@@ -505,13 +503,13 @@ def _state_key(t: TorusPosition) -> str:
                 )
             )
             a, b = t.trees[t.circles[cid].sphere].edges[cid]
-            new_circle[cid] = str((circle_color[cid], ends, tuple(sorted((region_color[a], region_color[b])))))
+            new_circle[cid] = (circle_color[cid], ends, tuple(sorted((region_color[a], region_color[b]))))
         new_region = {}
         for s, tree in t.trees.items():
             for r in tree.regions:
                 inc = tuple(sorted(circle_color[c] for c, _ in nbrs[s].get(r, ())))
-                new_region[r] = str((region_color[r], inc))
-        piece_color, circle_color, region_color = new_piece, new_circle, new_region
+                new_region[r] = (region_color[r], inc)
+        piece_color, circle_color, region_color = _intern(new_piece), _intern(new_circle), _intern(new_region)
     rename_p = {pid: f"P{i}" for i, pid in enumerate(sorted(t.pieces, key=lambda x: (piece_color[x], x)))}
     rename_c = {cid: f"C{i}" for i, cid in enumerate(sorted(t.circles, key=lambda x: (circle_color[x], x)))}
     rename_r = {}
@@ -532,6 +530,12 @@ def _state_key(t: TorusPosition) -> str:
             str((rename_c[cid], t.circles[cid].sphere, t.transport[cid], tuple(sorted((rename_r[a], rename_r[b])))))
         )
     return "&".join(parts)
+
+
+def _intern(signatures: dict) -> dict[str, int]:
+    """Replace each signature with its rank among the distinct signatures."""
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
+    return {x: rank[sig] for x, sig in signatures.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,13 @@ def test_klein_decorate_fails(files, capsys):
     assert main(["decorate", str(paths["klein"])]) == 1
 
 
+@pytest.mark.parametrize("command", ["perturb", "confluence", "minimality"])
+def test_oracle_commands_validate_input(files, capsys, command):
+    tmp, paths = files
+    assert main([command, str(paths["klein"])]) == 1
+    assert capsys.readouterr().err == "error: monodromy nontrivial on cycle (F0,F1)\n"
+
+
 def test_perturb_and_confluence(files, capsys, tmp_path):
     tmp, paths = files
     out = tmp_path / "pert.json"

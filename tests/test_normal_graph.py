@@ -134,6 +134,14 @@ def test_fundamental_domain_t0_t2():
     assert len(branches2["F0"]) == 1
 
 
+def test_canonical_form_of_a_tree_is_an_error():
+    # A loaded normal torus is not re-checked; with an axis crossing gone its graph is a tree.
+    nt = to_normal_torus(make_t2())
+    del nt.crossings["c0"]
+    with pytest.raises(PositionError, match="no cycle found"):
+        canonicalize(decorate(nt))
+
+
 def test_axis_words_fixture():
     lab = label_generators(make_t0().graph)
     w0 = axis_word(to_normal_torus(make_t0()), lab)

@@ -100,6 +100,14 @@ def test_confluence_single_move_instance():
     assert len(result.outcomes) == 1
 
 
+@pytest.mark.parametrize("k, explored", [(2, 6), (4, 30), (6, 56), (8, 182)])
+def test_confluence_explored_counts(k, explored):
+    # A less canonical state key explores more duplicates; the CLI prints this count.
+    result = confluence_search(perturb(make_t2(), 3, k))
+    assert result.confluent
+    assert result.explored == explored
+
+
 def test_confluence_matches_normalize_result():
     t = perturb(make_t2(), 21, 2)
     result = confluence_search(t)

@@ -64,6 +64,17 @@ class SphereGraph:
         at = [(att.slot, he) for he, att in self.incidence.items() if att.pants == pants]
         return [he for _, he in sorted(at)]
 
+    def half_edges_by_pants(self) -> dict[str, list[HalfEdge]]:
+        """Pants -> ``half_edges_at(pants)``, for every pants in one pass.
+
+        Built afresh on each call and never stored, since graphs are edited
+        in place; callers that look up many pants build it once.
+        """
+        table: dict[str, list[HalfEdge]] = {p: [] for p in self.p_vertices}
+        for att, he in sorted((att, he) for he, att in self.incidence.items()):
+            table.setdefault(att.pants, []).append(he)
+        return table
+
     def ends_of(self, sphere: str) -> tuple[str, str]:
         return (self.pants_of(HalfEdge(sphere, 0)), self.pants_of(HalfEdge(sphere, 1)))
 

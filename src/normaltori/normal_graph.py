@@ -102,10 +102,22 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
 
 
 def _check_normal_torus(nt: NormalTorus) -> None:
+    """Raise ``PositionError`` unless ``nt`` is the graph of a normal torus."""
+    spheres = set(nt.graph.sphere_edges)
+    for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
+        if sphere not in spheres:
+            raise PositionError(f"crossing {cid} on unknown sphere {sphere}")
+        for node in (n0, n1):
+            if node not in nt.nodes:
+                raise PositionError(f"crossing {cid} references unknown node {node}")
+    for leaf in nt.leaves:
+        if leaf.node not in nt.nodes:
+            raise PositionError(f"leaf at {leaf.half_edge.label()} references unknown node {leaf.node}")
     by_kind = defaultdict(int)
     att = nt.attachments()
+    hes_at = nt.graph.half_edges_by_pants()
     for node, (pants, kind) in nt.nodes.items():
-        want = set(nt.graph.half_edges_at(pants))
+        want = set(hes_at.get(pants, ()))
         if set(att[node]) != want:
             raise PositionError(f"node {node} does not immerse onto its pants tripod")
         by_kind[kind] += 1

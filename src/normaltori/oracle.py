@@ -39,7 +39,7 @@ from .position import (
     fresh_id,
     intersection_vector,
     is_normal,
-    side_lookup,
+    side_masks,
     total_intersections,
     validate_position,
 )
@@ -247,8 +247,12 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     """Apply ``k`` randomly parameterized inverse moves.
 
     The result is valid, homotopic to the input by construction, and its
-    total intersection count is exactly ``k`` larger.
+    total intersection count is exactly ``k`` larger.  The input must be
+    valid; it is checked once, before any draw.
     """
+    problems = validate_position(t)
+    if problems:
+        raise PositionError("invalid position: " + "; ".join(problems))
     rng = random.Random(seed)
     current = t
     for _ in range(k):
@@ -287,32 +291,50 @@ def _all_regions(t: TorusPosition):
 
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
+    """Every inverse move on a valid position, in a fixed order."""
     index = t.circle_slots()
     cands: list[tuple] = []
     for cid in sorted(t.circles):
-        sphere = t.circles[cid].sphere
-        a, b = t.trees[sphere].adjacent(cid)
+        (p0, _), (p1, _) = index[cid]  # one slot at each end
+        if p0.id == p1.id:  # a dome split needs distinct pieces
+            continue
+        a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
         for host_end in (0, 1):
-            host, _ = end_slot(t, index, cid, host_end)
-            other, _ = end_slot(t, index, cid, 1 - host_end)
-            if host.id == other.id:
-                continue
             for rx in sorted((a, b)):
                 cands.append(("dome", cid, host_end, rx))
     # A finger's arc runs inside one pants from the piece to the sphere
     # collar over the target region, so both endpoints must lie in the same
     # complementary component; in a pants, components are cut out by the
     # (separating) pieces, so it suffices that every other piece of the
-    # pants sees both endpoints on one side.
-    side_of = side_lookup(t)
+    # pants sees both endpoints on one side.  One mask walk per sphere end
+    # gives every region the sides of all pieces of that pants at once, so
+    # the admissible regions are those whose mask matches the mask at the
+    # piece's first anchor (where side_of_piece reads it) outside the
+    # piece's own bit, which is constant at an end it does not cross.
+    bits: dict[str, dict[str, int]] = defaultdict(dict)
+    for pid in sorted(t.pieces):
+        mates = bits[t.pieces[pid].pants]
+        mates[pid] = 1 << len(mates)
+    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
+    masks: dict[HalfEdge, dict[str, int]] = {}
+    regions_by_mask: dict[HalfEdge, dict[int, list[str]]] = {}
+    for he in t.graph.incidence:
+        pants = t.graph.pants_of(he)
+        if pants not in bits:
+            continue
+        masks[he] = side_masks(t, he, bits[pants], nbrs[he.sphere])
+        groups = regions_by_mask[he] = defaultdict(list)
+        for region in sorted(t.trees[he.sphere].regions):
+            groups[masks[he][region]].append(region)
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
-        mates = [o for o in t.pieces.values() if o.id != pid and o.pants == piece.pants]
+        bit = bits[piece.pants][pid]
+        anchor = piece.boundary[0]
+        at_anchor = masks[anchor.half_edge][anchor.region_a] & ~bit
         for he in sorted(piece.uncrossed):
-            anchor = piece.boundary[0]  # where side_of_piece reads the piece
-            for region in sorted(t.trees[he.sphere].regions):
-                if all(side_of(o, he, region) == side_of(o, anchor.half_edge, anchor.region_a) for o in mates):
-                    cands.append(("finger", pid, he, region))
+            own = bit if piece.uncrossed[he] == SIDE_B else 0
+            for region in regions_by_mask[he].get(at_anchor | own, ()):
+                cands.append(("finger", pid, he, region))
     return cands
 
 

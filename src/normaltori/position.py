@@ -218,15 +218,17 @@ def piece_graph_betti(t: TorusPosition) -> int:
     return len(t.circles) - len(t.pieces) + 1
 
 
-def monodromy_certificate(t: TorusPosition) -> list[str] | None:
+def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
     """None when a global co-orientation exists, else pieces of a bad cycle.
 
     Flip bits (not transport) form a Z/2 cochain on the piece graph; the
     surface is two-sided exactly when it is a coboundary.  A failure on a
     self-loop circle or a non-tree edge is reported as the pieces along the
-    offending cycle.
+    offending cycle.  ``index`` is the position's ``circle_slots()``, for
+    callers that already built it.
     """
-    index = t.circle_slots()
+    if index is None:
+        index = t.circle_slots()
     adj: dict[str, list[tuple[str, bool, str]]] = {pid: [] for pid in t.pieces}
     for cid in sorted(t.circles):
         pair = index.get(cid, [])
@@ -286,6 +288,7 @@ def validate_position(t: TorusPosition) -> list[str]:
     if problems:
         return problems
 
+    hes_at = t.graph.half_edges_by_pants()
     slot_count: dict[str, list[HalfEdge]] = defaultdict(list)
     for pid, piece in sorted(t.pieces.items()):
         if piece.id != pid:
@@ -297,7 +300,7 @@ def validate_position(t: TorusPosition) -> list[str]:
             problems.append(f"piece {pid} has negative genus")
         if not piece.boundary:
             problems.append(f"piece {pid} is closed (no boundary)")
-        pants_hes = t.graph.half_edges_at(piece.pants)
+        pants_hes = hes_at[piece.pants]
         for slot in piece.boundary:
             if slot.circle not in t.circles:
                 problems.append(f"piece {pid} references unknown circle {slot.circle}")
@@ -337,7 +340,8 @@ def validate_position(t: TorusPosition) -> list[str]:
         if cid not in t.transport:
             problems.append(f"circle {cid} missing side transport bit")
 
-    problems.extend(_validate_trees(t))
+    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
+    problems.extend(_validate_trees(t, nbrs))
     if problems:
         return problems
 
@@ -345,9 +349,10 @@ def validate_position(t: TorusPosition) -> list[str]:
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
+    index = t.circle_slots()
     if t.pieces:
         adj: dict[str, list[str]] = defaultdict(list)
-        for pair in t.circle_slots().values():
+        for pair in index.values():
             if len(pair) == 2:
                 (a, _), (b, _) = pair
                 adj[a.id].append(b.id)
@@ -359,15 +364,15 @@ def validate_position(t: TorusPosition) -> list[str]:
         if piece_graph_betti(t) != 1:
             problems.append(f"piece graph betti {piece_graph_betti(t)} not 1")
 
-    bad_cycle = monodromy_certificate(t)
+    bad_cycle = monodromy_certificate(t, index)
     if bad_cycle is not None:
         problems.append("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")")
 
-    problems.extend(_validate_side_anchors(t))
+    problems.extend(_validate_side_anchors(t, nbrs))
     return problems
 
 
-def _validate_trees(t: TorusPosition) -> list[str]:
+def _validate_trees(t: TorusPosition, nbrs) -> list[str]:
     problems = []
     by_sphere: dict[str, set[str]] = defaultdict(set)
     for cid, c in t.circles.items():
@@ -390,13 +395,13 @@ def _validate_trees(t: TorusPosition) -> list[str]:
         for cid, (a, b) in tree.edges.items():
             if a not in tree.regions or b not in tree.regions or a == b:
                 problems.append(f"region tree edge {cid} of {s} malformed")
-        nbrs = {r: [q for _, q in pairs] for r, pairs in tree.neighbors().items()}
-        if tree.regions - reachable(nbrs, min(tree.regions)):
+        adj = {r: [q for _, q in pairs] for r, pairs in nbrs[s].items()}
+        if tree.regions - reachable(adj, min(tree.regions)):
             problems.append(f"region tree of {s} disconnected")
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition) -> list[str]:
+def _validate_side_anchors(t: TorusPosition, nbrs) -> list[str]:
     """Per piece and sphere end, region-side anchors must be consistent.
 
     Walking on a sphere, seen from the collar on one of its two sides,
@@ -417,62 +422,72 @@ def _validate_side_anchors(t: TorusPosition) -> list[str]:
                 problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
             if stray or len(slots) == 1:  # a lone anchor cannot conflict
                 continue
-            side = side_map(t, piece, he)
+            side = side_map(t, piece, he, nbrs[he.sphere])
             if any(side.get(slot.region_a) != SIDE_A for slot in slots):
                 problems.append(f"piece {pid} side anchors conflict at {he.label()}")
     return problems
 
 
-def side_map(t: TorusPosition, piece: Piece, he: HalfEdge) -> dict[str, str]:
+def side_map(t: TorusPosition, piece: Piece, he: HalfEdge, nbrs) -> dict[str, str]:
     """Region -> side of ``piece`` over it, seen from the collar at ``he``.
 
     The collar is taken just inside the piece's pants, on the ``he`` side
     of the sphere.  Seen from there, the piece's side flips exactly across
-    its own circles attached at ``he``; the walk starts at the piece's
-    first anchor there.  A sphere end the piece does not cross carries its
-    ``uncrossed`` label over every region.
+    its own circles attached at ``he``, and reads A at its first anchor
+    there.  A sphere end the piece does not cross carries its ``uncrossed``
+    label over every region.  ``nbrs`` is the tree's ``neighbors()``, so
+    callers that walk one tree many times build it once.
+    """
+    masks = side_masks(t, he, {piece.id: 1}, nbrs)
+    return {r: SIDE_B if m else SIDE_A for r, m in masks.items()}
+
+
+def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int], nbrs) -> dict[str, int]:
+    """Region -> sides of many pieces of ``he``'s pants at once, as an int.
+
+    ``bits`` gives each piece its own bit, set in a region's mask when the
+    collar over that region at ``he`` lies on the piece's B side.  One walk
+    from the least region flips a piece's bit across each circle it owns at
+    ``he``.  Each piece that crosses ``he`` is then re-based so that its
+    first anchor there reads A; a piece that does not takes its
+    ``uncrossed`` label.  The region tree must be a tree.
     """
     tree = t.trees[he.sphere]
-    anchors = [slot for slot in piece.boundary if slot.half_edge == he]
-    if not anchors:
-        if he not in piece.uncrossed:
-            raise PositionError(f"piece {piece.id} has no side data at {he.label()}")
-        return dict.fromkeys(tree.regions, piece.uncrossed[he])
-    own = {slot.circle for slot in anchors}
-    start = anchors[0]
-    side = {start.region_a: SIDE_A, tree.other_region(start.circle, start.region_a): SIDE_B}
-    nbrs = tree.neighbors()
-    queue = deque(side)
+    flips: dict[str, int] = {}
+    anchors: dict[str, str] = {}
+    for pid, bit in bits.items():
+        for slot in t.pieces[pid].boundary:
+            if slot.half_edge == he:
+                flips[slot.circle] = bit
+                anchors.setdefault(pid, slot.region_a)
+    start = min(tree.regions)
+    mask = {start: 0}
+    queue = deque([start])
     while queue:
         r = queue.popleft()
         for cid, q in nbrs.get(r, ()):
-            if q not in side:
-                side[q] = xor_side(side[r], cid in own)
+            if q not in mask:
+                mask[q] = mask[r] ^ flips.get(cid, 0)
                 queue.append(q)
-    return side
-
-
-def side_lookup(t: TorusPosition):
-    """``side_of_region`` for many queries on a position left unchanged
-    meanwhile: each (piece, sphere end) side map is built once, on first use.
-    """
-    maps: dict[tuple[str, HalfEdge], dict[str, str]] = {}
-
-    def side_of(piece: Piece, he: HalfEdge, region: str) -> str:
-        key = (piece.id, he)
-        if key not in maps:
-            maps[key] = side_map(t, piece, he)
-        side = maps[key].get(region)
-        if side is None:
-            raise PositionError(f"region {region} not on sphere {he.sphere}")
-        return side
-
-    return side_of
+    base = 0
+    for pid, bit in bits.items():
+        if pid in anchors:
+            base |= mask.get(anchors[pid], 0) & bit
+            continue
+        label = t.pieces[pid].uncrossed.get(he)
+        if label is None:
+            raise PositionError(f"piece {pid} has no side data at {he.label()}")
+        if label == SIDE_B:
+            base |= bit
+    return {r: m ^ base for r, m in mask.items()}
 
 
 def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) -> str:
     """Which side of ``piece`` the collar over ``region`` at ``he`` lies on."""
-    return side_lookup(t)(piece, he, region)
+    side = side_map(t, piece, he, t.trees[he.sphere].neighbors()).get(region)
+    if side is None:
+        raise PositionError(f"region {region} not on sphere {he.sphere}")
+    return side
 
 
 def side_of_piece(t: TorusPosition, observer: Piece, target: Piece) -> str:

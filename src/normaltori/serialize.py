@@ -11,7 +11,7 @@ import json
 from typing import Any
 
 from .graphs import Attachment, HalfEdge, SphereGraph
-from .normal_graph import DecoratedGraph, LeafStub, NormalTorus
+from .normal_graph import DecoratedGraph, LeafStub, NormalTorus, _check_normal_torus
 from .position import (
     BoundarySlot,
     Circle,
@@ -195,7 +195,9 @@ def normal_torus_from_json(obj: dict) -> NormalTorus:
         LeafStub(str(l["node"]), _he_load(l["half_edge"], "leaf")) for l in obj["leaves"]
     ]
     position = position_from_json(obj["position"]) if "position" in obj else None
-    return NormalTorus(g, nodes, crossings, leaves, position)
+    nt = NormalTorus(g, nodes, crossings, leaves, position)
+    _check_normal_torus(nt)
+    return nt
 
 
 def decorated_to_json(d: DecoratedGraph) -> dict:

@@ -164,3 +164,33 @@ def test_normalize_byte_identical(files, tmp_path):
     assert main(["normalize", str(paths["t1"]), "-o", str(out1)]) == 0
     assert main(["normalize", str(paths["t1"]), "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["decorate", "export-dot"])
+@pytest.mark.parametrize("edit", ["rename node0", "delete", "rename sphere", "rename leaf node"])
+def test_malformed_normal_torus_file_rejected(tmp_path, capsys, command, edit):
+    from normaltori.graphs import build_standard
+    from normaltori.normal_graph import to_normal_torus
+    from normaltori.oracle import random_normal_torus
+    from normaltori.serialize import normal_torus_to_json
+
+    obj = normal_torus_to_json(to_normal_torus(random_normal_torus(build_standard(3), 1, 6)))
+    crossing = obj["crossings"][0]
+    if edit == "delete":
+        obj["crossings"].remove(crossing)
+        want = "does not immerse onto its pants tripod"
+    elif edit == "rename sphere":
+        crossing["sphere"] = "s99"
+        want = f"crossing {crossing['id']} on unknown sphere s99"
+    elif edit == "rename leaf node":
+        obj["leaves"][0]["node"] = "ZZ"
+        want = "references unknown node ZZ"
+    else:
+        crossing["node0"] = "ZZ"
+        want = f"crossing {crossing['id']} references unknown node ZZ"
+    src, out = tmp_path / "nt.json", tmp_path / "out"
+    src.write_text(dumps(obj), encoding="utf-8")
+    assert main([command, str(src), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and want in err
+    assert not out.exists()

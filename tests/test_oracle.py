@@ -220,3 +220,73 @@ def test_rejected_inverse_move_raises_at_once(monkeypatch):
     with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):
         perturb(make_t0(), 0, 1)
     assert len(tried) == 1
+
+
+def test_perturb_validates_input_before_drawing():
+    from normaltori.fixtures import make_klein
+
+    with pytest.raises(PositionError, match=r"^invalid position: monodromy nontrivial on cycle \(F0,F1\)$"):
+        perturb(make_klein(), 3, 2)
+
+
+def _flip_gauge(t, pid):
+    """Swap one piece's A and B sides: same surface, other labels and bits."""
+    out = t.clone()
+    piece = out.pieces[pid]
+    piece.uncrossed = {he: "B" if side == "A" else "A" for he, side in piece.uncrossed.items()}
+    for slot in piece.boundary:
+        slot.region_a = out.trees[slot.half_edge.sphere].other_region(slot.circle, slot.region_a)
+        out.transport[slot.circle] = not out.transport[slot.circle]
+    return out
+
+
+def _candidates_by_side_of_region(t):
+    """The inverse-move candidates, read region by region off ``side_of_region``."""
+    from normaltori.position import end_slot, side_of_region
+
+    index = t.circle_slots()
+    cands = []
+    for cid in sorted(t.circles):
+        a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
+        for host_end in (0, 1):
+            host, _ = end_slot(t, index, cid, host_end)
+            other, _ = end_slot(t, index, cid, 1 - host_end)
+            if host.id != other.id:
+                cands += [("dome", cid, host_end, rx) for rx in sorted((a, b))]
+    for pid in sorted(t.pieces):
+        piece = t.pieces[pid]
+        mates = [o for o in t.pieces.values() if o.id != pid and o.pants == piece.pants]
+        anchor = piece.boundary[0]
+        for he in sorted(piece.uncrossed):
+            for region in sorted(t.trees[he.sphere].regions):
+                if all(
+                    side_of_region(t, o, he, region) == side_of_region(t, o, anchor.half_edge, anchor.region_a)
+                    for o in mates
+                ):
+                    cands.append(("finger", pid, he, region))
+    return cands
+
+
+def test_inverse_candidates_match_side_of_region():
+    from normaltori.oracle import _inverse_candidates
+
+    corpus = []
+    for rank in range(2, 7):
+        for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
+            for seed in (rank, rank + 50):
+                base = random_normal_torus(g, seed, 2 * rank)
+                corpus += [perturb(base, 31 * seed + k, k) for k in (0, 4, 8, 12)]
+                corpus.append(_flip_gauge(corpus[-1], min(corpus[-1].pieces)))
+    loops = nested = flipped = narrowed = 0
+    for t in corpus:
+        assert validate_position(t) == []
+        cands = _inverse_candidates(t)
+        assert cands == _candidates_by_side_of_region(t)
+        loops += any(t.graph.is_loop(s) for s in t.graph.sphere_edges)
+        nested += any(
+            sum(len(across) > 1 for across in tree.neighbors().values()) > 1 for tree in t.trees.values()
+        )
+        flipped += not all(t.transport.values())
+        reachable = sum(len(t.trees[he.sphere].regions) for p in t.pieces.values() for he in p.uncrossed)
+        narrowed += sum(c[0] == "finger" for c in cands) < reachable
+    assert loops and nested and flipped and narrowed

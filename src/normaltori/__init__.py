@@ -31,6 +31,7 @@ from .position import (
     is_normal,
     total_intersections,
     validate_position,
+    validate_step,
 )
 from .moves import (
     Cap,

@@ -153,7 +153,7 @@ def cmd_compare(args) -> int:
 def cmd_axis_word(args) -> int:
     kind, value = _read(args.input)
     if kind == "position":
-        nt = to_normal_torus(value)
+        nt = to_normal_torus(_checked(value))
     elif kind == "normal_torus":
         nt = value
     elif kind == "decorated_graph":

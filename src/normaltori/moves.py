@@ -35,8 +35,10 @@ from .position import (
     intersection_vector,
     is_boundary_parallel_disk,
     is_normal,
+    is_normal_piece,
     total_intersections,
     validate_position,
+    validate_step,
     xor_side,
 )
 
@@ -397,7 +399,9 @@ def normalize(t: TorusPosition, check: bool = True) -> NormalizeResult:
     Raises when the input is disjoint from the sphere system (nothing to
     normalize), when a fixpoint is reached that is not normal, or when a
     step breaks a preserved invariant (which would be a bug or a
-    geometrically inconsistent input).
+    geometrically inconsistent input).  With ``check`` the input and the
+    normal result get ``validate_position`` and every move before the last
+    gets ``validate_step``, which finds the same problems.
     """
     if check:
         problems = validate_position(t)
@@ -422,7 +426,10 @@ def normalize(t: TorusPosition, check: bool = True) -> NormalizeResult:
             if n > before[s]:
                 raise NormalizeError(f"move {move} increased the count on {s}")
         if check:
-            problems = validate_position(nxt)
+            # a move that reaches normal form is the last one, so its result
+            # gets the full check; the ones before it are checked by step
+            last = all(map(is_normal_piece, nxt.pieces.values()))
+            problems = validate_position(nxt) if last else validate_step(current, nxt)
             if problems:
                 raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))

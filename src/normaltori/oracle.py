@@ -42,6 +42,7 @@ from .position import (
     side_masks,
     total_intersections,
     validate_position,
+    validate_step,
 )
 from .serialize import dumps, position_to_json
 
@@ -248,29 +249,34 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 
     The result is valid, homotopic to the input by construction, and its
     total intersection count is exactly ``k`` larger.  The input must be
-    valid; it is checked once, before any draw.
+    valid; it is checked once, before any draw.  The last inverse move's
+    result gets ``validate_position`` and each earlier one ``validate_step``.
     """
     problems = validate_position(t)
     if problems:
         raise PositionError("invalid position: " + "; ".join(problems))
     rng = random.Random(seed)
     current = t
-    for _ in range(k):
+    for i in range(k):
         candidates = _inverse_candidates(current)
         if not candidates:
             raise PositionError("no applicable inverse move")
-        current = _apply_some_inverse(current, rng, candidates)
+        current = _apply_some_inverse(current, rng, candidates, last=i == k - 1)
     return current
 
 
-def _apply_some_inverse(t: TorusPosition, rng: random.Random, candidates: list) -> TorusPosition:
-    """Apply one drawn candidate; a rejected one means a bookkeeping bug, so it raises."""
+def _apply_some_inverse(t: TorusPosition, rng: random.Random, candidates: list, last: bool) -> TorusPosition:
+    """Apply one drawn candidate; a rejected one means a bookkeeping bug, so it raises.
+
+    The result gets the full check when ``last``, else the step check
+    against ``t``.
+    """
     cand = candidates[rng.randrange(len(candidates))]
     try:
         out = _apply_inverse(t, cand)
     except PositionError as exc:  # MoveError included
         raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-    problems = validate_position(out)
+    problems = validate_position(out) if last else validate_step(t, out)
     if problems:
         raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
     if total_intersections(out) != total_intersections(t) + 1:

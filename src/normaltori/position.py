@@ -227,26 +227,39 @@ def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
     offending cycle.  ``index`` is the position's ``circle_slots()``, for
     callers that already built it.
     """
-    if index is None:
-        index = t.circle_slots()
+    return _walk_piece_graph(t, t.circle_slots() if index is None else index)[1]
+
+
+def _walk_piece_graph(t: TorusPosition, index) -> tuple[int, list[str] | None]:
+    """(pieces reached from the least piece, ``monodromy_certificate``).
+
+    One walk serves both the connectivity and the monodromy check.  It
+    keeps the first bad cycle it meets and finishes the least piece's
+    component past it, so the count stays exact.
+    """
     adj: dict[str, list[tuple[str, bool, str]]] = {pid: [] for pid in t.pieces}
+    bad = None
     for cid in sorted(t.circles):
-        pair = index.get(cid, [])
+        pair = index.get(cid, ())
         if len(pair) != 2:
             continue
-        a, b = (piece.id for piece, _ in pair)
+        (piece_a, _), (piece_b, _) = pair
+        a, b = piece_a.id, piece_b.id
         flip = not t.transport.get(cid, True)
         if a == b:
-            if flip:
-                return [a]
+            if flip and bad is None:
+                bad = [a]
             continue
         adj[a].append((b, flip, cid))
         adj[b].append((a, flip, cid))
     potential: dict[str, bool] = {}
     parent: dict[str, tuple[str, str] | None] = {}
+    reached = 0
     for start in sorted(t.pieces):
         if start in potential:
             continue
+        if reached and bad is not None:
+            break
         potential[start] = False
         parent[start] = None
         queue = deque([start])
@@ -258,9 +271,10 @@ def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
                     potential[other] = want
                     parent[other] = (pid, cid)
                     queue.append(other)
-                elif potential[other] != want:
-                    return _tree_cycle(parent, pid, other)
-    return None
+                elif potential[other] != want and bad is None:
+                    bad = _tree_cycle(parent, pid, other)
+        reached = reached or len(potential)
+    return reached, bad
 
 
 def _tree_cycle(parent, a: str, b: str) -> list[str]:
@@ -287,61 +301,93 @@ def validate_position(t: TorusPosition) -> list[str]:
     problems = validate_graph(t.graph)
     if problems:
         return problems
+    everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), set()
+    return _validate(t, t.circle_slots(), *everything)
 
+
+def validate_step(before: TorusPosition, after: TorusPosition) -> list[str]:
+    """``validate_position(after)``, re-checking only what differs from ``before``.
+
+    ``before`` must be valid.  When both share one graph object the graph
+    is not re-checked, and the per-piece, per-circle, per-tree and
+    side-anchor checks run only over the scope that ``_step_scope`` reads
+    off a comparison of the two positions by value; the global checks
+    (Euler sum, connectivity, betti, monodromy) still cover all of
+    ``after``.  The result is the same list, in the same order, that
+    ``validate_position(after)`` returns.  A different graph object gets the
+    full check.
+    """
+    if after.graph is not before.graph:
+        return validate_position(after)
+    index = after.circle_slots()
+    return _validate(after, index, *_step_scope(before, after, index))
+
+
+def _step_scope(before: TorusPosition, after: TorusPosition, index):
+    """(pieces, circles, spheres, ends) of ``after`` whose checks can differ from ``before``'s.
+
+    Found by comparing the two positions by value.  Each check reads only
+    its own item and what the item references, so an item outside the
+    scope reads what it read in the valid ``before`` and finds nothing:
+
+    * pieces: added or changed, or referencing a circle that was added,
+      removed or changed (``index``, ``after.circle_slots()``, finds the
+      unchanged ones, which reference it in ``after`` too);
+    * circles: added, changed or with a changed transport bit, and every
+      circle that an added, changed or removed piece references before or
+      after (their slot counts are read off all pieces);
+    * spheres: a changed region tree, or an added, removed or changed
+      circle on it before or after (a tree check reads the tree and the
+      circles on its sphere);
+    * ends: (piece, sphere end) pairs of added or changed pieces whose
+      slots at that end changed.  A side-anchor check reads one piece's
+      slots at one end and that sphere's tree, so it runs on these ends
+      and on every end at a scoped sphere.
+    """
+    pieces = {pid for pid, piece in after.pieces.items() if before.pieces.get(pid) != piece}
+    ends = set()
+    for pid in pieces:
+        old = _slots_by_end(before.pieces[pid]) if pid in before.pieces else {}
+        ends.update((pid, he) for he, slots in _slots_by_end(after.pieces[pid]).items()
+                    if old.get(he) != slots)
+    pieces |= before.pieces.keys() - after.pieces.keys()
+    moved = {cid for cid, circle in after.circles.items() if before.circles.get(cid) != circle}
+    moved |= before.circles.keys() - after.circles.keys()
+    circles = moved | {cid for cid in after.circles
+                       if before.transport.get(cid) != after.transport.get(cid)}
+    spheres = {s for s in after.graph.sphere_edges if before.trees.get(s) != after.trees.get(s)}
+    for t in (before, after):
+        for pid in pieces & t.pieces.keys():
+            circles |= t.pieces[pid].circles()
+        spheres.update(t.circles[cid].sphere for cid in moved & t.circles.keys())
+    for cid in moved:
+        pieces.update(piece.id for piece, _ in index.get(cid, ()))
+    return pieces & after.pieces.keys(), circles & after.circles.keys(), spheres, ends
+
+
+def _slots_by_end(piece: Piece) -> dict[HalfEdge, list[BoundarySlot]]:
+    by_he: dict[HalfEdge, list[BoundarySlot]] = {}
+    for slot in piece.boundary:
+        by_he.setdefault(slot.half_edge, []).append(slot)
+    return by_he
+
+
+def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends: set) -> list[str]:
+    """Every check after the graph's: per item over the given scope, globally over ``t``.
+
+    ``index`` is ``t.circle_slots()``.  The per-item checks run in id
+    order (spheres in graph order), and the global checks and the side
+    anchors at ``ends`` and at every end on a given sphere only once those
+    found nothing, so any scope that holds every item with a problem gives
+    the same list.
+    """
     hes_at = t.graph.half_edges_by_pants()
-    slot_count: dict[str, list[HalfEdge]] = defaultdict(list)
-    for pid, piece in sorted(t.pieces.items()):
-        if piece.id != pid:
-            problems.append(f"piece key {pid} disagrees with id {piece.id}")
-        if piece.pants not in t.graph.p_vertices:
-            problems.append(f"piece {pid} in unknown pants {piece.pants}")
-            continue
-        if piece.genus < 0:
-            problems.append(f"piece {pid} has negative genus")
-        if not piece.boundary:
-            problems.append(f"piece {pid} is closed (no boundary)")
-        pants_hes = hes_at[piece.pants]
-        for slot in piece.boundary:
-            if slot.circle not in t.circles:
-                problems.append(f"piece {pid} references unknown circle {slot.circle}")
-                continue
-            if slot.half_edge not in pants_hes:
-                problems.append(
-                    f"piece {pid} boundary at {slot.half_edge.label()} outside its pants"
-                )
-            if t.circles[slot.circle].sphere != slot.half_edge.sphere:
-                problems.append(
-                    f"piece {pid} attaches circle {slot.circle} to the wrong sphere"
-                )
-            slot_count[slot.circle].append(slot.half_edge)
-        crossed = piece.crossed_half_edges()
-        for he in pants_hes:
-            if he not in crossed and he not in piece.uncrossed:
-                problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
-        for he, side in piece.uncrossed.items():
-            if he in crossed:
-                problems.append(f"piece {pid} has uncrossed entry at crossed {t.half_edge_label(he)}")
-            if he not in pants_hes:
-                problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
-            if side not in (SIDE_A, SIDE_B):
-                problems.append(f"piece {pid} side label {side!r} invalid")
-
-    for cid, circle in sorted(t.circles.items()):
-        if circle.sphere not in t.graph.sphere_edges:
-            problems.append(f"circle {cid} on unknown sphere {circle.sphere}")
-            continue
-        ends = slot_count.get(cid, [])
-        if len(ends) == 1:
-            problems.append(f"circle {cid} has one incident piece")
-        elif len(ends) != 2:
-            problems.append(f"circle {cid} has {len(ends)} incident boundary slots")
-        elif {he.end for he in ends} != {0, 1}:
-            problems.append(f"circle {cid} does not pass through sphere {circle.sphere}")
-        if cid not in t.transport:
-            problems.append(f"circle {cid} missing side transport bit")
-
-    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
-    problems.extend(_validate_trees(t, nbrs))
+    problems = []
+    for pid in sorted(pieces):
+        problems.extend(_piece_problems(t, pid, hes_at))
+    for cid in sorted(circles):
+        problems.extend(_circle_problems(t, cid, index, hes_at))
+    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres]))
     if problems:
         return problems
 
@@ -349,41 +395,96 @@ def validate_position(t: TorusPosition) -> list[str]:
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    index = t.circle_slots()
-    if t.pieces:
-        adj: dict[str, list[str]] = defaultdict(list)
-        for pair in index.values():
-            if len(pair) == 2:
-                (a, _), (b, _) = pair
-                adj[a.id].append(b.id)
-                adj[b.id].append(a.id)
-        if len(reachable(adj, min(t.pieces))) != len(t.pieces):
-            problems.append("piece graph disconnected")
+    reached, bad_cycle = _walk_piece_graph(t, index)
+    if t.pieces and reached != len(t.pieces):
+        problems.append("piece graph disconnected")
 
     if all(p.genus == 0 for p in t.pieces.values()) and not problems:
         if piece_graph_betti(t) != 1:
             problems.append(f"piece graph betti {piece_graph_betti(t)} not 1")
 
-    bad_cycle = monodromy_certificate(t, index)
     if bad_cycle is not None:
         problems.append("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")")
 
-    problems.extend(_validate_side_anchors(t, nbrs))
+    # the trees are valid by now, so a sphere's edges are its circles
+    ends = ends | {
+        (piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
+        for piece, slot in index[cid]
+    }
+    problems.extend(_validate_side_anchors(t, ends))
     return problems
 
 
-def _validate_trees(t: TorusPosition, nbrs) -> list[str]:
+def _piece_problems(t: TorusPosition, pid: str, hes_at) -> list[str]:
+    piece = t.pieces[pid]
     problems = []
-    by_sphere: dict[str, set[str]] = defaultdict(set)
+    if piece.id != pid:
+        problems.append(f"piece key {pid} disagrees with id {piece.id}")
+    if piece.pants not in hes_at:
+        problems.append(f"piece {pid} in unknown pants {piece.pants}")
+        return problems
+    if piece.genus < 0:
+        problems.append(f"piece {pid} has negative genus")
+    if not piece.boundary:
+        problems.append(f"piece {pid} is closed (no boundary)")
+    pants_hes = hes_at[piece.pants]
+    for slot in piece.boundary:
+        if slot.circle not in t.circles:
+            problems.append(f"piece {pid} references unknown circle {slot.circle}")
+            continue
+        if slot.half_edge not in pants_hes:
+            problems.append(
+                f"piece {pid} boundary at {slot.half_edge.label()} outside its pants"
+            )
+        if t.circles[slot.circle].sphere != slot.half_edge.sphere:
+            problems.append(
+                f"piece {pid} attaches circle {slot.circle} to the wrong sphere"
+            )
+    crossed = piece.crossed_half_edges()
+    for he in pants_hes:
+        if he not in crossed and he not in piece.uncrossed:
+            problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
+    for he, side in piece.uncrossed.items():
+        if he in crossed:
+            problems.append(f"piece {pid} has uncrossed entry at crossed {t.half_edge_label(he)}")
+        if he not in pants_hes:
+            problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
+        if side not in (SIDE_A, SIDE_B):
+            problems.append(f"piece {pid} side label {side!r} invalid")
+    return problems
+
+
+def _circle_problems(t: TorusPosition, cid: str, index, hes_at) -> list[str]:
+    circle = t.circles[cid]
+    if circle.sphere not in t.graph.sphere_edges:
+        return [f"circle {cid} on unknown sphere {circle.sphere}"]
+    problems = []
+    # slots of pieces in an unknown pants are not counted, as their piece
+    # check stops before reading them
+    ends = [slot.half_edge for piece, slot in index.get(cid, ()) if piece.pants in hes_at]
+    if len(ends) == 1:
+        problems.append(f"circle {cid} has one incident piece")
+    elif len(ends) != 2:
+        problems.append(f"circle {cid} has {len(ends)} incident boundary slots")
+    elif {he.end for he in ends} != {0, 1}:
+        problems.append(f"circle {cid} does not pass through sphere {circle.sphere}")
+    if cid not in t.transport:
+        problems.append(f"circle {cid} missing side transport bit")
+    return problems
+
+
+def _validate_trees(t: TorusPosition, spheres: list[str]) -> list[str]:
+    problems = []
+    want: dict[str, set[str]] = {s: set() for s in spheres}
     for cid, c in t.circles.items():
-        by_sphere[c.sphere].add(cid)
-    for s in t.graph.sphere_edges:
+        if c.sphere in want:
+            want[c.sphere].add(cid)
+    for s in spheres:
         tree = t.trees.get(s)
         if tree is None:
             problems.append(f"sphere {s} missing region tree")
             continue
-        want = by_sphere.get(s, set())
-        if set(tree.edges) != want:
+        if set(tree.edges) != want[s]:
             problems.append(f"region tree of {s} does not list exactly its circles")
             continue
         if len(tree.regions) != len(tree.edges) + 1:
@@ -395,36 +496,37 @@ def _validate_trees(t: TorusPosition, nbrs) -> list[str]:
         for cid, (a, b) in tree.edges.items():
             if a not in tree.regions or b not in tree.regions or a == b:
                 problems.append(f"region tree edge {cid} of {s} malformed")
-        adj = {r: [q for _, q in pairs] for r, pairs in nbrs[s].items()}
+        adj = {r: [q for _, q in pairs] for r, pairs in tree.neighbors().items()}
         if tree.regions - reachable(adj, min(tree.regions)):
             problems.append(f"region tree of {s} disconnected")
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition, nbrs) -> list[str]:
+def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
     """Per piece and sphere end, region-side anchors must be consistent.
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
     that side; so every ``region_a`` must read A in the piece's side map
-    at that end.  Runs only on positions whose circles and trees passed
-    the other checks.
+    at that end.  Checks the given (piece, end) pairs, in order.  Runs only
+    on positions whose circles and trees passed the other checks.
     """
     problems = []
-    for pid, piece in sorted(t.pieces.items()):
-        by_he: dict[HalfEdge, list[BoundarySlot]] = defaultdict(list)
-        for slot in piece.boundary:
-            by_he[slot.half_edge].append(slot)
-        for he, slots in sorted(by_he.items()):
-            tree = t.trees[he.sphere]
-            stray = [slot for slot in slots if slot.region_a not in tree.edges[slot.circle]]
-            for slot in stray:
-                problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
-            if stray or len(slots) == 1:  # a lone anchor cannot conflict
-                continue
-            side = side_map(t, piece, he, nbrs[he.sphere])
-            if any(side.get(slot.region_a) != SIDE_A for slot in slots):
-                problems.append(f"piece {pid} side anchors conflict at {he.label()}")
+    nbrs: dict[str, dict] = {}
+    for pid, he in sorted(ends):
+        piece = t.pieces[pid]
+        slots = [slot for slot in piece.boundary if slot.half_edge == he]
+        tree = t.trees[he.sphere]
+        stray = [slot for slot in slots if slot.region_a not in tree.edges[slot.circle]]
+        for slot in stray:
+            problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
+        if stray or len(slots) == 1:  # a lone anchor cannot conflict
+            continue
+        if he.sphere not in nbrs:
+            nbrs[he.sphere] = tree.neighbors()
+        side = side_map(t, piece, he, nbrs[he.sphere])
+        if any(side.get(slot.region_a) != SIDE_A for slot in slots):
+            problems.append(f"piece {pid} side anchors conflict at {he.label()}")
     return problems
 
 
@@ -523,6 +625,16 @@ def piece_kind(piece: Piece) -> str | None:
     if len(crossed) == 3:
         return PANTS
     return None
+
+
+def is_normal_piece(piece: Piece) -> bool:
+    """A disk, cylinder or pants piece, and an essential one if a disk.
+
+    True exactly for the pieces ``is_normal`` finds no violation in; it
+    skips building the messages, for callers that only need the verdict.
+    """
+    kind = piece_kind(piece)
+    return kind is not None and (kind != DISK or len(set(piece.uncrossed.values())) == 2)
 
 
 def is_normal(t: TorusPosition) -> tuple[bool, list[str]]:

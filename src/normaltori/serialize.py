@@ -16,6 +16,7 @@ from .position import (
     BoundarySlot,
     Circle,
     Piece,
+    PositionError,
     RegionTree,
     TorusPosition,
 )
@@ -197,7 +198,43 @@ def normal_torus_from_json(obj: dict) -> NormalTorus:
     position = position_from_json(obj["position"]) if "position" in obj else None
     nt = NormalTorus(g, nodes, crossings, leaves, position)
     _check_normal_torus(nt)
+    if position is not None:
+        _check_embedded_position(nt)
     return nt
+
+
+def _check_embedded_position(nt: NormalTorus) -> None:
+    """Raise ``PositionError`` at the first place the embedded position and the graph disagree.
+
+    Its pieces must be the nodes, in the same pants, and its circles the
+    crossings, on the same sphere between the same end pieces, each with a
+    transport bit.  Only key lookups: a full ``validate_position`` would
+    cost more than the load.
+    """
+    t = nt.position
+    for nid in sorted(nt.nodes.keys() | t.pieces.keys()):
+        if nid not in t.pieces:
+            raise PositionError(f"node {nid} has no piece in the embedded position")
+        if nid not in nt.nodes:
+            raise PositionError(f"embedded piece {nid} is not a node")
+        if t.pieces[nid].pants != nt.nodes[nid][0]:
+            raise PositionError(f"node {nid} and its embedded piece lie in different pants")
+    ends = {}
+    for pid, piece in t.pieces.items():
+        for slot in piece.boundary:
+            ends[slot.circle, slot.half_edge.end] = pid
+    for cid in sorted(nt.crossings.keys() | t.circles.keys()):
+        if cid not in t.circles:
+            raise PositionError(f"crossing {cid} has no circle in the embedded position")
+        if cid not in nt.crossings:
+            raise PositionError(f"embedded circle {cid} is not a crossing")
+        sphere, n0, n1 = nt.crossings[cid]
+        if t.circles[cid].sphere != sphere:
+            raise PositionError(f"crossing {cid} and its embedded circle lie on different spheres")
+        if (ends.get((cid, 0)), ends.get((cid, 1))) != (n0, n1):
+            raise PositionError(f"crossing {cid} and its embedded circle join different pieces")
+        if cid not in t.transport:
+            raise PositionError(f"crossing {cid} has no side transport bit")
 
 
 def decorated_to_json(d: DecoratedGraph) -> dict:

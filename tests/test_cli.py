@@ -115,7 +115,7 @@ def test_klein_decorate_fails(files, capsys):
     assert main(["decorate", str(paths["klein"])]) == 1
 
 
-@pytest.mark.parametrize("command", ["perturb", "confluence", "minimality"])
+@pytest.mark.parametrize("command", ["perturb", "confluence", "minimality", "axis-word"])
 def test_oracle_commands_validate_input(files, capsys, command):
     tmp, paths = files
     assert main([command, str(paths["klein"])]) == 1
@@ -193,4 +193,28 @@ def test_malformed_normal_torus_file_rejected(tmp_path, capsys, command, edit):
     assert main([command, str(src), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and want in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["drop transport bit", "rename piece"])
+def test_normal_torus_file_with_stray_position_rejected(tmp_path, capsys, edit):
+    from normaltori.graphs import build_standard
+    from normaltori.normal_graph import to_normal_torus
+    from normaltori.oracle import random_normal_torus
+    from normaltori.serialize import normal_torus_to_json
+
+    obj = normal_torus_to_json(to_normal_torus(random_normal_torus(build_standard(3), 1, 6)))
+    position = obj["position"]
+    if edit == "drop transport bit":
+        cid = min(position["side_transport"])
+        del position["side_transport"][cid]
+        want = f"error: crossing {cid} has no side transport bit\n"
+    else:
+        piece = position["pieces"][0]
+        want = f"error: node {piece['id']} has no piece in the embedded position\n"
+        piece["id"] = "QQ"
+    src, out = tmp_path / "nt.json", tmp_path / "out"
+    src.write_text(dumps(obj), encoding="utf-8")
+    assert main(["decorate", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == want
     assert not out.exists()

@@ -1,0 +1,277 @@
+"""The step check: ``validate_step`` against ``validate_position``.
+
+``normalize(check=True)`` and ``perturb`` fully validate only their input
+and their last step's result, and check every step in between with
+``validate_step``, which re-checks only what the step changed.  These
+tests pin that the two checks agree, on real steps and on mutants of
+them, and that the callers keep to the two full checks.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from test_acceptance import _fuzz_corpus
+
+from normaltori import moves, oracle, position
+from normaltori.graphs import build_standard, random_cubic
+from normaltori.moves import apply_move, find_moves, normalize
+from normaltori.oracle import _apply_inverse, _inverse_candidates, perturb, random_normal_torus
+from normaltori.position import (
+    BoundarySlot,
+    Circle,
+    is_normal,
+    is_normal_piece,
+    validate_position,
+    validate_step,
+)
+from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
+
+
+def _corpus_steps():
+    """(before, after) of every inverse move and move on criterion 6's corpus."""
+    steps = []
+    for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
+        rng = random.Random(60_000 + instances)
+        current = base
+        for _ in range((instances % 4) + 1):  # the draws ``perturb`` makes
+            candidates = _inverse_candidates(current)
+            nxt = _apply_inverse(current, candidates[rng.randrange(len(candidates))])
+            steps.append((current, nxt))
+            current = nxt
+        while found := find_moves(current):
+            nxt = apply_move(current, found[0])
+            steps.append((current, nxt))
+            current = nxt
+    return steps
+
+
+def _pick(rng, items):
+    items = sorted(items)
+    return items[rng.randrange(len(items))]
+
+
+def _slot(rng, t):
+    piece = t.pieces[_pick(rng, t.pieces)]
+    return piece, rng.randrange(len(piece.boundary))
+
+
+def _drop_circle(rng, t):
+    """Remove a circle everywhere but in the pieces, keeping its tree a tree."""
+    cid = _pick(rng, t.circles)
+    tree = t.trees[t.circles.pop(cid).sphere]
+    t.transport.pop(cid)
+    keep, gone = tree.edges.pop(cid)
+    tree.regions.discard(gone)
+    for other, (a, b) in tree.edges.items():
+        tree.edges[other] = (keep if a == gone else a, keep if b == gone else b)
+
+
+def _swap_far_ends(rng, t):
+    """Exchange which pieces two circles of one sphere reach at end 1."""
+    by_sphere = {}
+    for cid, circle in t.circles.items():
+        by_sphere.setdefault(circle.sphere, []).append(cid)
+    groups = sorted(cids for cids in by_sphere.values() if len(cids) >= 2)
+    if not groups:
+        return
+    c1, c2 = rng.sample(sorted(groups[rng.randrange(len(groups))]), 2)
+    ends = {}
+    for piece in t.pieces.values():
+        for i, slot in enumerate(piece.boundary):
+            if slot.circle in (c1, c2) and slot.half_edge.end == 1:
+                ends[slot.circle] = (piece, i)
+    (p1, i1), (p2, i2) = ends[c1], ends[c2]
+    p1.boundary[i1].circle, p2.boundary[i2].circle = c2, c1
+
+
+def _swap_tree_edges(rng, t):
+    """Exchange two circles' places in one region tree: still a tree."""
+    spheres = [s for s, tree in t.trees.items() if len(tree.edges) >= 2]
+    if spheres:
+        tree = t.trees[_pick(rng, spheres)]
+        c1, c2 = rng.sample(sorted(tree.edges), 2)
+        tree.edges[c1], tree.edges[c2] = tree.edges[c2], tree.edges[c1]
+
+
+def _genus(rng, t):
+    piece = t.pieces[_pick(rng, t.pieces)]
+    piece.genus = rng.choice((-1, piece.genus + 1))
+
+
+def _pants(rng, t):
+    t.pieces[_pick(rng, t.pieces)].pants = _pick(rng, t.graph.p_vertices)
+
+
+def _slot_end(rng, t):
+    piece, i = _slot(rng, t)
+    slot = piece.boundary[i]
+    piece.boundary[i] = BoundarySlot(slot.circle, slot.half_edge.other(), slot.region_a)
+
+
+def _slot_circle(rng, t):
+    piece, i = _slot(rng, t)
+    piece.boundary[i].circle = _pick(rng, t.circles)
+
+
+def _anchor(rng, t):
+    piece, i = _slot(rng, t)
+    slot = piece.boundary[i]
+    tree = t.trees[slot.half_edge.sphere]
+    if rng.random() < 0.75:
+        slot.region_a = tree.other_region(slot.circle, slot.region_a)
+    else:
+        slot.region_a = _pick(rng, tree.regions)
+
+
+def _uncrossed(rng, t):
+    piece = t.pieces[_pick(rng, t.pieces)]
+    if piece.uncrossed:
+        he = _pick(rng, piece.uncrossed)
+        piece.uncrossed[he] = rng.choice(("A", "B", "C"))
+    else:
+        piece.uncrossed[piece.boundary[0].half_edge] = "A"
+
+
+def _transport(rng, t):
+    cid = _pick(rng, t.circles)
+    if rng.random() < 0.9:
+        t.transport[cid] = not t.transport[cid]
+    else:
+        del t.transport[cid]
+
+
+def _tree_edge(rng, t):
+    tree = t.trees[_pick(rng, t.trees)]
+    if tree.edges:
+        tree.edges[_pick(rng, tree.edges)] = (_pick(rng, tree.regions), _pick(rng, tree.regions))
+
+
+def _tree_region(rng, t):
+    tree = t.trees[_pick(rng, t.trees)]
+    if rng.random() < 0.5 or len(tree.regions) == 1:
+        tree.regions.add("rX")
+    else:
+        tree.regions.discard(_pick(rng, tree.regions))
+
+
+def _circle_sphere(rng, t):
+    t.circles[_pick(rng, t.circles)].sphere = _pick(rng, t.graph.sphere_edges)
+
+
+def _add_circle(rng, t):
+    sphere = _pick(rng, t.graph.sphere_edges)
+    t.circles["cX"] = Circle("cX", sphere)
+    t.transport["cX"] = True
+    if rng.random() < 0.5:
+        tree = t.trees[sphere]
+        tree.edges["cX"] = (_pick(rng, tree.regions), "rX")
+        tree.regions.add("rX")
+
+
+def _add_piece(rng, t):
+    piece = t.pieces[_pick(rng, t.pieces)].clone()
+    piece.id = "FX"
+    t.pieces["FX"] = piece
+
+
+def _drop_piece(rng, t):
+    del t.pieces[_pick(rng, t.pieces)]
+
+
+MUTATIONS = (
+    _genus, _pants, _slot_end, _slot_circle, _anchor, _anchor, _uncrossed, _transport,
+    _transport, _tree_edge, _tree_region, _swap_tree_edges, _swap_tree_edges, _circle_sphere,
+    _add_circle, _drop_circle, _drop_circle, _add_piece, _drop_piece, _swap_far_ends,
+    _swap_far_ends,
+)
+
+
+def _mutate(rng, t):
+    """A clone of ``t`` with one mutation drawn from ``MUTATIONS``."""
+    out = t.clone()
+    rng.choice(MUTATIONS)(rng, out)
+    return out
+
+
+def test_validate_step_matches_validate_position():
+    """Identical problem lists on every corpus step and on mutants of them."""
+    steps = _corpus_steps()
+    for before, after in steps:
+        assert validate_step(before, after) == validate_position(after) == []
+        assert all(map(is_normal_piece, after.pieces.values())) == is_normal(after)[0]
+    rng = random.Random(5)
+    mutants = rejected = 0
+    seen = set()
+    for before, after in steps:
+        for _ in range(4):
+            mutant = _mutate(rng, after)
+            want = validate_position(mutant)
+            assert validate_step(before, mutant) == want
+            mutants += 1
+            rejected += bool(want)
+            for problem in want:
+                for tag in ("side anchors conflict", "monodromy", "disconnected", "region tree"):
+                    if tag in problem:
+                        seen.add(tag)
+    assert mutants >= 600
+    assert rejected * 3 >= mutants
+    assert seen == {"side anchors conflict", "monodromy", "disconnected", "region tree"}
+    print(f"validate_step == validate_position on {len(steps)} steps, {mutants} mutants ({rejected} rejected)")
+
+
+def test_validate_step_falls_back_on_another_graph():
+    g = build_standard(3)
+    t = random_normal_torus(g, 1, 6)
+    other = t.clone()
+    other.graph = build_standard(3)
+    other.graph.incidence.popitem()
+    assert validate_step(t, other) == validate_position(other) != []
+
+
+def test_normalize_check_does_not_change_the_result():
+    """``normalize(check=False)`` and ``normalize(check=True)`` give the same bytes."""
+    cases = 0
+    for rank in range(2, 7):
+        for g in (build_standard(rank), random_cubic(rank, 40 + rank)):
+            base = random_normal_torus(g, rank, 3)
+            for k in (rank + 1, 14 - rank):
+                messy = perturb(base, 7 * rank + k, k)
+                fast, checked = normalize(messy, check=False), normalize(messy, check=True)
+                assert [(r.description, r.counts_before, r.counts_after) for r in fast.trace] == [
+                    (r.description, r.counts_before, r.counts_after) for r in checked.trace
+                ]
+                assert len(checked.trace) == k
+                assert dumps(position_to_json(fast.position)) == dumps(position_to_json(checked.position))
+                assert dumps(normal_torus_to_json(fast.torus)) == dumps(normal_torus_to_json(checked.torus))
+                cases += 1
+    assert cases == 20
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Counts ``validate_position`` calls through every binding callers use."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return full(t)
+
+    full = position.validate_position
+    for module in (position, moves, oracle):
+        monkeypatch.setattr(module, "validate_position", counted)
+    return calls
+
+
+def test_full_checks_only_at_the_ends(full_checks):
+    base = random_normal_torus(build_standard(4), 3, 6)
+    full_checks.clear()
+    messy = perturb(base, 11, 5)
+    assert len(full_checks) == 2  # the input and the last inverse move's result
+    full_checks.clear()
+    assert len(normalize(messy).trace) == 5
+    assert len(full_checks) == 2  # the input and the last move's result
+    full_checks.clear()
+    assert normalize(base).trace == []
+    assert len(full_checks) == 1  # the input, already normal

@@ -65,15 +65,26 @@ def _checked(t):
     return t
 
 
-def _as_decorated(kind, value, base_piece=None, base_side="A"):
+def _normal_torus(kind, value, what):
+    """The checked normal torus of a position, normal_torus or decorated_graph file.
+
+    A position must validate and be normal; the other two kinds were derived
+    from their own position when they were loaded.
+    """
+    if kind == "position":
+        return to_normal_torus(_checked(value))
+    if kind == "normal_torus":
+        return value
+    if kind == "decorated_graph":
+        return value.torus
+    raise SchemaError(f"{what} needs a position, normal torus or decorated graph, got {kind}")
+
+
+def _as_decorated(kind, value):
     """Positions and normal tori are decorated on the fly for comparison."""
     if kind == "decorated_graph":
         return value
-    if kind == "normal_torus":
-        return decorate(value, base_piece, base_side)
-    if kind == "position":
-        return decorate(to_normal_torus(_checked(value)), base_piece, base_side)
-    raise SchemaError(f"cannot decorate a {kind}")
+    return decorate(_normal_torus(kind, value, "compare"))
 
 
 def cmd_graph(args) -> int:
@@ -121,18 +132,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_decorate(args) -> int:
-    kind, value = _read(args.input)
-    if kind == "position":
-        problems = validate_position(value)
-        if problems:
-            for p in problems:
-                print(p, file=sys.stderr)
-            return EXIT_DIAGNOSTIC
-        nt = to_normal_torus(value)
-    elif kind == "normal_torus":
-        nt = value
-    else:
-        raise SchemaError("decorate needs a position or normal torus")
+    nt = _normal_torus(*_read(args.input), "decorate")
     d = decorate(nt, args.base_piece, args.base_side)
     _write(args.output, serialize.decorated_to_json(d))
     pos, neg = sides(d)
@@ -151,15 +151,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_axis_word(args) -> int:
-    kind, value = _read(args.input)
-    if kind == "position":
-        nt = to_normal_torus(_checked(value))
-    elif kind == "normal_torus":
-        nt = value
-    elif kind == "decorated_graph":
-        nt = value.torus
-    else:
-        raise SchemaError("axis-word needs a position or normal torus")
+    nt = _normal_torus(*_read(args.input), "axis-word")
     word = axis_word(nt, label_generators(nt.graph))
     print(format_word(word))
     return EXIT_OK

@@ -51,15 +51,16 @@ class NormalTorus:
     """Betti-1 graph of a normal torus, immersed into the sphere graph.
 
     ``nodes`` maps a node id to (pants, kind); ``crossings`` maps a circle
-    id to (sphere, node at end 0, node at end 1).  ``position`` keeps the
-    underlying data for decoration.
+    id to (sphere, node at end 0, node at end 1).  ``position`` is the
+    normal position all of this is derived from (``to_normal_torus``); its
+    side labels and transport bits are what ``decorate`` reads.
     """
 
     graph: SphereGraph
     nodes: dict[str, tuple[str, str]]
     crossings: dict[str, tuple[str, str, str]]
     leaves: list[LeafStub]
-    position: TorusPosition | None = None
+    position: TorusPosition
 
     def attachments(self) -> dict[str, dict[HalfEdge, tuple[str, str]]]:
         """Node -> half-edge -> ("crossing"|"leaf", id); must fill all three.
@@ -103,16 +104,6 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
 
 def _check_normal_torus(nt: NormalTorus) -> None:
     """Raise ``PositionError`` unless ``nt`` is the graph of a normal torus."""
-    spheres = set(nt.graph.sphere_edges)
-    for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
-        if sphere not in spheres:
-            raise PositionError(f"crossing {cid} on unknown sphere {sphere}")
-        for node in (n0, n1):
-            if node not in nt.nodes:
-                raise PositionError(f"crossing {cid} references unknown node {node}")
-    for leaf in nt.leaves:
-        if leaf.node not in nt.nodes:
-            raise PositionError(f"leaf at {leaf.half_edge.label()} references unknown node {leaf.node}")
     by_kind = defaultdict(int)
     att = nt.attachments()
     hes_at = nt.graph.half_edges_by_pants()
@@ -146,8 +137,6 @@ def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SI
     sign.
     """
     t = nt.position
-    if t is None:
-        raise PositionError("decoration needs the underlying position")
     if base_piece is None:
         base_piece = min(nt.nodes)
     if base_piece not in nt.nodes:

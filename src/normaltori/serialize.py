@@ -2,7 +2,8 @@
 
 All payloads carry ``"format": 1`` and a ``"kind"`` tag so CLI commands can
 sniff what they were given.  Serialization is deterministic: keys sorted,
-lists in id order.
+lists in id order.  Loaders take every value through one typed reader,
+``_field``; a normal torus or decorated graph is derived from its position.
 """
 
 from __future__ import annotations
@@ -11,42 +12,77 @@ import json
 from typing import Any
 
 from .graphs import Attachment, HalfEdge, SphereGraph
-from .normal_graph import DecoratedGraph, LeafStub, NormalTorus, _check_normal_torus
+from .normal_graph import DecoratedGraph, NormalTorus, _leaf_key, decorate, to_normal_torus
 from .position import (
+    SIDE_A,
+    SIDE_B,
     BoundarySlot,
     Circle,
     Piece,
     PositionError,
     RegionTree,
     TorusPosition,
+    validate_position,
 )
 
 FORMAT = 1
+
+_MISSING = object()
 
 
 class SchemaError(ValueError):
     pass
 
 
+def _at(path, what: str) -> str:
+    """``malformed <kind>: <json path>: <what>``; a path is the file kind or ``(path, key or index)``."""
+    where = ""
+    while type(path) is tuple:
+        path, key = path
+        where = (f"[{key}]" if type(key) is int else f".{key}") + where
+    return f"malformed {path}: {where.lstrip('.')}: {what}"
+
+
+def _field(obj, key, kind: type, path):
+    """``obj[key]`` if it is exactly a ``kind``; ``path`` leads to ``obj``.
+
+    ``obj`` is a dict, or a list read by index.  Nothing is coerced (a bool
+    is not an int), and the message is only built when the value is rejected.
+    """
+    try:
+        value = obj[key]
+    except (KeyError, IndexError):
+        value = _MISSING
+    if type(value) is not kind:
+        got = "nothing" if value is _MISSING else "null" if value is None else type(value).__name__
+        raise SchemaError(_at((path, key), f"expected {kind.__name__}, got {got}"))
+    return value
+
+
+def _items(obj, key, kind: type, path, count: int | None = None) -> list:
+    """The ``kind`` items of the list ``obj[key]`` (``count`` of them if given), each with its path."""
+    items = _field(obj, key, list, path)
+    if count is not None and len(items) != count:
+        raise SchemaError(_at((path, key), f"expected {count} items, got {len(items)}"))
+    path = (path, key)
+    return [(_field(items, i, kind, path), (path, i)) for i in range(len(items))]
+
+
 def _he_json(he: HalfEdge) -> dict:
     return {"sphere": he.sphere, "end": he.end}
 
 
-def _he_load(obj: dict, where: str) -> HalfEdge:
-    try:
-        return HalfEdge(str(obj["sphere"]), int(obj["end"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad half-edge in {where}: {obj!r}") from exc
+def _half_edge(obj: dict, path) -> HalfEdge:
+    he = _field(obj, "half_edge", dict, path)
+    path = (path, "half_edge")
+    return HalfEdge(_field(he, "sphere", str, path), _field(he, "end", int, path))
 
 
 def graph_to_json(g: SphereGraph) -> dict:
     edges = []
     for s in g.sphere_edges:
-        ends = []
-        for end in (0, 1):
-            att = g.incidence[HalfEdge(s, end)]
-            ends.append({"p": att.pants, "slot": att.slot})
-        edges.append({"id": s, "ends": ends})
+        ends = (g.incidence[HalfEdge(s, 0)], g.incidence[HalfEdge(s, 1)])
+        edges.append({"id": s, "ends": [{"p": att.pants, "slot": att.slot} for att in ends]})
     return {
         "format": FORMAT,
         "kind": "sphere_graph",
@@ -57,217 +93,185 @@ def graph_to_json(g: SphereGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> SphereGraph:
+    return _graph(obj, "sphere_graph")
+
+
+def _graph(obj: dict, path) -> SphereGraph:
     _expect(obj, "sphere_graph")
-    try:
-        rank = int(obj["rank"])
-        p_vertices = [str(p) for p in obj["p_vertices"]]
-        incidence: dict[HalfEdge, Attachment] = {}
-        sphere_edges = []
-        for edge in obj["edges"]:
-            s = str(edge["id"])
-            sphere_edges.append(s)
-            for end, e in enumerate(edge["ends"]):
-                incidence[HalfEdge(s, end)] = Attachment(str(e["p"]), int(e["slot"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed sphere graph: {exc}") from exc
-    return SphereGraph(rank, p_vertices, sphere_edges, incidence)
+    incidence: dict[HalfEdge, Attachment] = {}
+    sphere_edges = []
+    for edge, at in _items(obj, "edges", dict, path):
+        s = _field(edge, "id", str, at)
+        sphere_edges.append(s)
+        for end, (e, e_at) in enumerate(_items(edge, "ends", dict, at, 2)):
+            incidence[HalfEdge(s, end)] = Attachment(_field(e, "p", str, e_at), _field(e, "slot", int, e_at))
+    p_vertices = [p for p, _ in _items(obj, "p_vertices", str, path)]
+    return SphereGraph(_field(obj, "rank", int, path), p_vertices, sphere_edges, incidence)
 
 
 def position_to_json(t: TorusPosition) -> dict:
-    pieces = []
-    for pid in sorted(t.pieces):
-        piece = t.pieces[pid]
-        pieces.append(
-            {
-                "id": piece.id,
-                "pants": piece.pants,
-                "genus": piece.genus,
-                "boundary": [
-                    {
-                        "circle": slot.circle,
-                        "half_edge": _he_json(slot.half_edge),
-                        "region_a": slot.region_a,
-                    }
-                    for slot in piece.boundary
-                ],
-                "uncrossed": [
-                    {"half_edge": _he_json(he), "side": side}
-                    for he, side in sorted(piece.uncrossed.items())
-                ],
-            }
-        )
-    trees = []
-    for s in t.graph.sphere_edges:
-        tree = t.trees[s]
-        trees.append(
-            {
-                "sphere": s,
-                "regions": sorted(tree.regions),
-                "edges": [
-                    {"circle": cid, "regions": list(tree.edges[cid])}
-                    for cid in sorted(tree.edges)
-                ],
-            }
-        )
+    pieces = [
+        {
+            "id": p.id,
+            "pants": p.pants,
+            "genus": p.genus,
+            "boundary": [
+                {"circle": slot.circle, "half_edge": _he_json(slot.half_edge), "region_a": slot.region_a}
+                for slot in p.boundary
+            ],
+            "uncrossed": [{"half_edge": _he_json(he), "side": v} for he, v in sorted(p.uncrossed.items())],
+        }
+        for _, p in sorted(t.pieces.items())
+    ]
+    trees = [
+        {
+            "sphere": s,
+            "regions": sorted(t.trees[s].regions),
+            "edges": [{"circle": c, "regions": list(ends)} for c, ends in sorted(t.trees[s].edges.items())],
+        }
+        for s in t.graph.sphere_edges
+    ]
     return {
         "format": FORMAT,
         "kind": "position",
         "graph": graph_to_json(t.graph),
         "pieces": pieces,
-        "circles": [
-            {"id": cid, "sphere": t.circles[cid].sphere} for cid in sorted(t.circles)
-        ],
+        "circles": [{"id": cid, "sphere": t.circles[cid].sphere} for cid in sorted(t.circles)],
         "region_trees": trees,
         "side_transport": {cid: t.transport[cid] for cid in sorted(t.transport)},
     }
 
 
 def position_from_json(obj: dict) -> TorusPosition:
+    return _position(obj, "position")
+
+
+def _position(obj: dict, path) -> TorusPosition:
     _expect(obj, "position")
-    g = graph_from_json(obj["graph"])
-    try:
-        circles = {
-            str(c["id"]): Circle(str(c["id"]), str(c["sphere"])) for c in obj["circles"]
+    g = _graph(_field(obj, "graph", dict, path), (path, "graph"))
+    circles = {}
+    for c, at in _items(obj, "circles", dict, path):
+        cid = _field(c, "id", str, at)
+        circles[cid] = Circle(cid, _field(c, "sphere", str, at))
+    pieces = {}
+    for p, at in _items(obj, "pieces", dict, path):
+        boundary = [
+            BoundarySlot(_field(s, "circle", str, s_at), _half_edge(s, s_at), _field(s, "region_a", str, s_at))
+            for s, s_at in _items(p, "boundary", dict, at)
+        ]
+        sides = {
+            _half_edge(u, u_at): _field(u, "side", str, u_at) for u, u_at in _items(p, "uncrossed", dict, at)
         }
-        pieces = {}
-        for p in obj["pieces"]:
-            boundary = [
-                BoundarySlot(
-                    str(s["circle"]),
-                    _he_load(s["half_edge"], f"piece {p['id']}"),
-                    str(s["region_a"]),
-                )
-                for s in p["boundary"]
-            ]
-            uncrossed = {
-                _he_load(u["half_edge"], f"piece {p['id']}"): str(u["side"])
-                for u in p["uncrossed"]
-            }
-            pieces[str(p["id"])] = Piece(
-                str(p["id"]), str(p["pants"]), int(p["genus"]), boundary, uncrossed
-            )
-        trees = {}
-        for tr in obj["region_trees"]:
-            edges = {
-                str(e["circle"]): (str(e["regions"][0]), str(e["regions"][1]))
-                for e in tr["edges"]
-            }
-            trees[str(tr["sphere"])] = RegionTree(
-                str(tr["sphere"]), {str(r) for r in tr["regions"]}, edges
-            )
-        transport = {str(c): bool(v) for c, v in obj["side_transport"].items()}
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SchemaError(f"malformed position: {exc}") from exc
+        pid, pants, genus = _field(p, "id", str, at), _field(p, "pants", str, at), _field(p, "genus", int, at)
+        pieces[pid] = Piece(pid, pants, genus, boundary, sides)
+    trees = {}
+    for tr, at in _items(obj, "region_trees", dict, path):
+        edges = {}
+        for e, e_at in _items(tr, "edges", dict, at):
+            (a, _), (b, _) = _items(e, "regions", str, e_at, 2)
+            edges[_field(e, "circle", str, e_at)] = (a, b)
+        s = _field(tr, "sphere", str, at)
+        trees[s] = RegionTree(s, {r for r, _ in _items(tr, "regions", str, at)}, edges)
+    bits = _field(obj, "side_transport", dict, path)
+    transport = {cid: _field(bits, cid, bool, (path, "side_transport")) for cid in bits}
     return TorusPosition(g, pieces, circles, trees, transport)
 
 
 def normal_torus_to_json(nt: NormalTorus) -> dict:
-    out = {
-        "format": FORMAT,
-        "kind": "normal_torus",
+    position = position_to_json(nt.position)
+    return {"format": FORMAT, "kind": "normal_torus", **_derived_json(nt), "position": position}
+
+
+def _derived_json(nt: NormalTorus) -> dict:
+    """The sections of a normal_torus file that its position determines."""
+    return {
         "graph": graph_to_json(nt.graph),
-        "nodes": [
-            {"id": nid, "pants": pants, "node_kind": kind}
-            for nid, (pants, kind) in sorted(nt.nodes.items())
-        ],
+        "nodes": [{"id": n, "pants": p, "node_kind": kind} for n, (p, kind) in sorted(nt.nodes.items())],
         "crossings": [
             {"id": cid, "sphere": sphere, "node0": n0, "node1": n1}
             for cid, (sphere, n0, n1) in sorted(nt.crossings.items())
         ],
         "leaves": [
             {"node": leaf.node, "half_edge": _he_json(leaf.half_edge)}
-            for leaf in sorted(nt.leaves, key=lambda l: (l.node, l.half_edge))
+            for leaf in sorted(nt.leaves, key=_leaf_key)
         ],
     }
-    if nt.position is not None:
-        out["position"] = position_to_json(nt.position)
-    return out
 
 
 def normal_torus_from_json(obj: dict) -> NormalTorus:
     _expect(obj, "normal_torus")
-    g = graph_from_json(obj["graph"])
-    nodes = {str(n["id"]): (str(n["pants"]), str(n["node_kind"])) for n in obj["nodes"]}
-    crossings = {
-        str(c["id"]): (str(c["sphere"]), str(c["node0"]), str(c["node1"]))
-        for c in obj["crossings"]
-    }
-    leaves = [
-        LeafStub(str(l["node"]), _he_load(l["half_edge"], "leaf")) for l in obj["leaves"]
-    ]
-    position = position_from_json(obj["position"]) if "position" in obj else None
-    nt = NormalTorus(g, nodes, crossings, leaves, position)
-    _check_normal_torus(nt)
-    if position is not None:
-        _check_embedded_position(nt)
+    nt = _derived_torus(obj, "normal_torus")
+    _check_written(obj, _derived_json(nt), "normal_torus")
     return nt
 
 
-def _check_embedded_position(nt: NormalTorus) -> None:
-    """Raise ``PositionError`` at the first place the embedded position and the graph disagree.
+def _derived_torus(obj: dict, path) -> NormalTorus:
+    """The normal torus of the position embedded in ``obj``, once that validates."""
+    t = _position(_field(obj, "position", dict, path), (path, "position"))
+    problems = validate_position(t)
+    if problems:
+        raise PositionError("; ".join(problems))
+    return to_normal_torus(t)
 
-    Its pieces must be the nodes, in the same pants, and its circles the
-    crossings, on the same sphere between the same end pieces, each with a
-    transport bit.  Only key lookups: a full ``validate_position`` would
-    cost more than the load.
+
+def _check_written(obj: dict, written: dict, path) -> None:
+    """``SchemaError`` at the first place where ``obj`` differs from ``written``, section by section."""
+    for key, want in written.items():
+        found = _first_difference(obj.get(key, _MISSING), want, (path, key))
+        if found is not None:
+            where, got, want = found
+            raise SchemaError(_at(where, f"has {_shown(got)}, the position gives {_shown(want)}"))
+
+
+def _first_difference(got, want, path):
+    """``(path, got, want)`` where two JSON values first differ, in key and list order; else None.
+
+    Types must match too, so ``1`` differs from ``true`` and ``1.0``.
     """
-    t = nt.position
-    for nid in sorted(nt.nodes.keys() | t.pieces.keys()):
-        if nid not in t.pieces:
-            raise PositionError(f"node {nid} has no piece in the embedded position")
-        if nid not in nt.nodes:
-            raise PositionError(f"embedded piece {nid} is not a node")
-        if t.pieces[nid].pants != nt.nodes[nid][0]:
-            raise PositionError(f"node {nid} and its embedded piece lie in different pants")
-    ends = {}
-    for pid, piece in t.pieces.items():
-        for slot in piece.boundary:
-            ends[slot.circle, slot.half_edge.end] = pid
-    for cid in sorted(nt.crossings.keys() | t.circles.keys()):
-        if cid not in t.circles:
-            raise PositionError(f"crossing {cid} has no circle in the embedded position")
-        if cid not in nt.crossings:
-            raise PositionError(f"embedded circle {cid} is not a crossing")
-        sphere, n0, n1 = nt.crossings[cid]
-        if t.circles[cid].sphere != sphere:
-            raise PositionError(f"crossing {cid} and its embedded circle lie on different spheres")
-        if (ends.get((cid, 0)), ends.get((cid, 1))) != (n0, n1):
-            raise PositionError(f"crossing {cid} and its embedded circle join different pieces")
-        if cid not in t.transport:
-            raise PositionError(f"crossing {cid} has no side transport bit")
+    if type(got) is type(want) is list:
+        got, want = dict(enumerate(got)), dict(enumerate(want))
+    elif type(got) is not type(want) or type(want) is not dict:
+        return None if type(got) is type(want) and got == want else (path, got, want)
+    for key in sorted(got.keys() | want.keys()):
+        found = _first_difference(got.get(key, _MISSING), want.get(key, _MISSING), (path, key))
+        if found is not None:
+            return found
+    return None
+
+
+def _shown(value) -> str:
+    return "nothing" if value is _MISSING else json.dumps(value, sort_keys=True)
 
 
 def decorated_to_json(d: DecoratedGraph) -> dict:
-    out = normal_torus_to_json(d.torus)
-    out["kind"] = "decorated_graph"
-    out["base"] = {"piece": d.base_piece, "side": d.base_side}
-    out["signs"] = [
-        {
-            "node": leaf.node,
-            "half_edge": _he_json(leaf.half_edge),
-            "sign": d.signs[leaf],
-        }
-        for leaf in sorted(d.signs, key=lambda l: (l.node, l.half_edge))
+    base = {"piece": d.base_piece, "side": d.base_side}
+    return {**normal_torus_to_json(d.torus), "kind": "decorated_graph", "base": base, "signs": _signs_json(d)}
+
+
+def _signs_json(d: DecoratedGraph) -> list:
+    return [
+        {"node": leaf.node, "half_edge": _he_json(leaf.half_edge), "sign": d.signs[leaf]}
+        for leaf in sorted(d.signs, key=_leaf_key)
     ]
-    return out
 
 
 def decorated_from_json(obj: dict) -> DecoratedGraph:
     _expect(obj, "decorated_graph")
-    inner = dict(obj)
-    inner["kind"] = "normal_torus"
-    nt = normal_torus_from_json(inner)
-    signs = {}
-    for s in obj["signs"]:
-        signs[LeafStub(str(s["node"]), _he_load(s["half_edge"], "sign"))] = str(s["sign"])
-    base = obj.get("base", {})
-    return DecoratedGraph(nt, signs, str(base.get("piece", "")), str(base.get("side", "A")))
+    path = "decorated_graph"
+    nt = _derived_torus(obj, path)
+    base = _field(obj, "base", dict, path)
+    piece, side = _field(base, "piece", str, (path, "base")), _field(base, "side", str, (path, "base"))
+    if piece not in nt.nodes or side not in (SIDE_A, SIDE_B):
+        raise SchemaError(_at((path, "base"), f"needs a node and side A or B, got {_shown(base)}"))
+    d = decorate(nt, piece, side)
+    _check_written(obj, {**_derived_json(nt), "signs": _signs_json(d)}, path)
+    return d
 
 
 def _expect(obj: Any, kind: str) -> None:
     if not isinstance(obj, dict):
         raise SchemaError(f"expected a JSON object for {kind}")
-    if obj.get("format") != FORMAT:
+    if type(obj.get("format")) is not int or obj["format"] != FORMAT:
         raise SchemaError(f"unsupported format {obj.get('format')!r} (want {FORMAT})")
     if obj.get("kind") != kind:
         raise SchemaError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
@@ -292,7 +296,7 @@ def load_any(text: str):
         "normal_torus": normal_torus_from_json,
         "decorated_graph": decorated_from_json,
     }
-    if kind not in loaders:
+    if type(kind) is not str or kind not in loaders:
         raise SchemaError(f"unknown kind {kind!r}")
     return kind, loaders[kind](obj)
 
@@ -311,8 +315,7 @@ def graph_to_dot(g: SphereGraph) -> str:
 def position_to_dot(t: TorusPosition) -> str:
     """Piece graph: pieces as nodes, intersection circles as edges."""
     lines = ["graph piece_graph {", "  node [shape=box];"]
-    for pid in sorted(t.pieces):
-        piece = t.pieces[pid]
+    for pid, piece in sorted(t.pieces.items()):
         lines.append(f'  "{pid}" [label="{pid}\\n{piece.pants} g={piece.genus}"];')
     index = t.circle_slots()
     for cid in sorted(t.circles):
@@ -329,20 +332,15 @@ _SHAPES = {"disk": "triangle", "cylinder": "ellipse", "pants": "hexagon"}
 
 def normal_torus_to_dot(nt: NormalTorus, signs=None) -> str:
     lines = ["graph normal_torus {"]
-    for nid in sorted(nt.nodes):
-        pants, kind = nt.nodes[nid]
+    for nid, (pants, kind) in sorted(nt.nodes.items()):
         shape = _SHAPES.get(kind, "box")
         lines.append(f'  "{nid}" [shape={shape} label="{nid}\\n{pants} {kind}"];')
-    for cid in sorted(nt.crossings):
-        sphere, n0, n1 = nt.crossings[cid]
+    for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
         lines.append(f'  "{n0}" -- "{n1}" [label="{cid}@{sphere}"];')
-    for i, leaf in enumerate(sorted(nt.leaves, key=lambda l: (l.node, l.half_edge))):
-        stub = f"leaf{i}"
-        sign = ""
-        if signs is not None:
-            sign = signs.get(leaf, "")
+    for i, leaf in enumerate(sorted(nt.leaves, key=_leaf_key)):
+        sign = signs.get(leaf, "") if signs else ""
         label = f"{leaf.half_edge.label()} {sign}".strip()
-        lines.append(f'  "{stub}" [shape=plaintext label="{label}"];')
-        lines.append(f'  "{leaf.node}" -- "{stub}" [style=dashed];')
+        lines.append(f'  "leaf{i}" [shape=plaintext label="{label}"];')
+        lines.append(f'  "{leaf.node}" -- "leaf{i}" [style=dashed];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -115,7 +115,7 @@ def test_klein_decorate_fails(files, capsys):
     assert main(["decorate", str(paths["klein"])]) == 1
 
 
-@pytest.mark.parametrize("command", ["perturb", "confluence", "minimality", "axis-word"])
+@pytest.mark.parametrize("command", ["perturb", "confluence", "minimality", "axis-word", "decorate"])
 def test_oracle_commands_validate_input(files, capsys, command):
     tmp, paths = files
     assert main([command, str(paths["klein"])]) == 1
@@ -178,21 +178,21 @@ def test_malformed_normal_torus_file_rejected(tmp_path, capsys, command, edit):
     crossing = obj["crossings"][0]
     if edit == "delete":
         obj["crossings"].remove(crossing)
-        want = "does not immerse onto its pants tripod"
+        want = f'crossings[0].id: has "{obj["crossings"][0]["id"]}", the position gives "{crossing["id"]}"'
     elif edit == "rename sphere":
+        want = f'crossings[0].sphere: has "s99", the position gives "{crossing["sphere"]}"'
         crossing["sphere"] = "s99"
-        want = f"crossing {crossing['id']} on unknown sphere s99"
     elif edit == "rename leaf node":
-        obj["leaves"][0]["node"] = "ZZ"
-        want = "references unknown node ZZ"
+        leaf = obj["leaves"][0]
+        want = f'leaves[0].node: has "ZZ", the position gives "{leaf["node"]}"'
+        leaf["node"] = "ZZ"
     else:
+        want = f'crossings[0].node0: has "ZZ", the position gives "{crossing["node0"]}"'
         crossing["node0"] = "ZZ"
-        want = f"crossing {crossing['id']} references unknown node ZZ"
     src, out = tmp_path / "nt.json", tmp_path / "out"
     src.write_text(dumps(obj), encoding="utf-8")
     assert main([command, str(src), "-o", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and want in err
+    assert capsys.readouterr().err == f"error: malformed normal_torus: {want}\n"
     assert not out.exists()
 
 
@@ -208,10 +208,11 @@ def test_normal_torus_file_with_stray_position_rejected(tmp_path, capsys, edit):
     if edit == "drop transport bit":
         cid = min(position["side_transport"])
         del position["side_transport"][cid]
-        want = f"error: crossing {cid} has no side transport bit\n"
+        want = f"error: circle {cid} missing side transport bit\n"
     else:
         piece = position["pieces"][0]
-        want = f"error: node {piece['id']} has no piece in the embedded position\n"
+        nxt = position["pieces"][1]["id"]
+        want = f'error: malformed normal_torus: nodes[0].id: has "{piece["id"]}", the position gives "{nxt}"\n'
         piece["id"] = "QQ"
     src, out = tmp_path / "nt.json", tmp_path / "out"
     src.write_text(dumps(obj), encoding="utf-8")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from normaltori.fixtures import make_t0, make_t1, make_t2
 from normaltori.graphs import build_standard, random_cubic
+from normaltori.moves import normalize
 from normaltori.normal_graph import canonicalize, decorate, to_normal_torus
 from normaltori.oracle import random_normal_torus
 from normaltori.position import validate_position
@@ -98,6 +100,75 @@ def test_schema_errors():
     del mangled["pieces"][0]["boundary"][0]["circle"]
     with pytest.raises(SchemaError, match="malformed position"):
         position_from_json(mangled)
+    for kind in (["position"], {"kind": "position"}):
+        with pytest.raises(SchemaError, match="unknown kind"):
+            load_any(json.dumps({"format": 1, "kind": kind}))
+    bit = position_to_json(make_t0())
+    bit["side_transport"]["c0"] = "zz"
+    want = "malformed position: side_transport.c0: expected bool, got str"
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        position_from_json(bit)
+    genus = position_to_json(make_t0())
+    genus["pieces"][0]["genus"] = {"g": 1}
+    want = "malformed position: pieces[0].genus: expected int, got dict"
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        load_any(dumps(genus))
+    ends = graph_to_json(build_standard(2))
+    ends["edges"][0]["ends"].append({"p": "p0", "slot": 2})
+    want = "malformed sphere_graph: edges[0].ends: expected 2 items, got 3"
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        graph_from_json(ends)
+
+
+def test_written_files_load_back_unchanged():
+    positions = [make_t0(), normalize(make_t1()).torus.position, make_t2()]
+    positions += [random_normal_torus(build_standard(3), 0, 12), random_normal_torus(random_cubic(4, 7), 1, 12)]
+    writers = {
+        "sphere_graph": graph_to_json,
+        "position": position_to_json,
+        "normal_torus": normal_torus_to_json,
+        "decorated_graph": decorated_to_json,
+    }
+    for t in positions:
+        nt = to_normal_torus(t)
+        d = decorate(nt, max(nt.nodes), "B")
+        for payload in graph_to_json(t.graph), position_to_json(t), normal_torus_to_json(nt), decorated_to_json(d):
+            text = dumps(payload)
+            kind, value = load_any(text)
+            assert dumps(writers[kind](value)) == text
+
+
+def test_decorated_file_with_a_flipped_sign_rejected():
+    obj = decorated_to_json(decorate(to_normal_torus(make_t2()), "F2", "A"))
+    sign = obj["signs"][0]
+    was, sign["sign"] = sign["sign"], "-" if sign["sign"] == "+" else "+"
+    want = f'malformed decorated_graph: signs[0].sign: has "{sign["sign"]}", the position gives "{was}"'
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        decorated_from_json(obj)
+
+
+def test_normal_torus_graph_must_be_its_positions_graph():
+    # swapping two slots of one pants gives another valid graph, over which the nodes still immerse
+    obj = normal_torus_to_json(to_normal_torus(make_t2()))
+    first, second = (edge["ends"][0] for edge in obj["graph"]["edges"][:2])
+    assert first["p"] == second["p"]
+    first["slot"], second["slot"] = second["slot"], first["slot"]
+    want = "malformed normal_torus: graph.edges[0].ends[0].slot: has 1, the position gives 0"
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        normal_torus_from_json(obj)
+    # equal values of another JSON type differ too
+    obj = normal_torus_to_json(to_normal_torus(make_t2()))
+    obj["graph"]["format"] = True
+    with pytest.raises(SchemaError, match=re.escape("graph.format: has true, the position gives 1")):
+        normal_torus_from_json(obj)
+
+
+def test_normal_torus_file_without_position_rejected():
+    obj = normal_torus_to_json(to_normal_torus(make_t2()))
+    del obj["position"]
+    want = "malformed normal_torus: position: expected dict, got nothing"
+    with pytest.raises(SchemaError, match=re.escape(want)):
+        load_any(dumps(obj))
 
 
 def test_dot_exports_mention_everything():

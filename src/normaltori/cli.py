@@ -25,7 +25,7 @@ from .normal_graph import (
     sides,
     to_normal_torus,
 )
-from .oracle import confluence_search, minimality_experiment, perturb, random_normal_torus, roundtrip_report
+from .oracle import _perturb, confluence_search, minimality_experiment, random_normal_torus, roundtrip_report
 from .position import PositionError, intersection_vector, validate_position
 from .serialize import SchemaError
 
@@ -54,6 +54,14 @@ def _write(path: str | None, payload: dict) -> None:
 def _want_position(kind, value, what="this command"):
     if kind != "position":
         raise SchemaError(f"{what} needs a position file, got {kind}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """An int of at least 0, as an argparse ``type``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -213,7 +221,7 @@ def cmd_minimality(args) -> int:
 def cmd_perturb(args) -> int:
     kind, value = _read(args.input)
     t = _checked(_want_position(kind, value, "perturb"))
-    out = perturb(t, args.seed, args.count)
+    out = _perturb(t, args.seed, args.count)
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))
     return EXIT_OK
@@ -282,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perturb", help="apply inverse moves to a position")
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=non_negative_int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("fuzz", help="randomized perturb/normalize round trips")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--depth", type=int, default=5, help="max inverse moves per trial")
+    p.add_argument("--trials", type=non_negative_int, default=100)
+    p.add_argument("--depth", type=non_negative_int, default=5, help="max inverse moves per trial")
     p.add_argument("--rank", type=int, nargs="+", default=[2, 3])
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fuzz)
@@ -301,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimality", help="perturbation cannot beat the normal counts")
     p.add_argument("input")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--trials", type=non_negative_int, default=100)
+    p.add_argument("--depth", type=non_negative_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_minimality)

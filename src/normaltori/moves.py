@@ -18,7 +18,7 @@ maximal move sequence has at most (initial total) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .graphs import HalfEdge
 from .normal_graph import NormalTorus, to_normal_torus
@@ -92,10 +92,15 @@ def find_moves(t: TorusPosition) -> list[Move]:
     """All applicable moves, deterministically ordered.
 
     Slides come first (piece id, half-edge, then pairs with distinct far
-    pieces before self-banding pairs, then circle ids), caps after.
+    pieces before self-banding pairs, each in circle-id order), caps after
+    (piece id).
     """
+    return list(_moves(t))
+
+
+def _moves(t: TorusPosition) -> Iterator[Move]:
+    """The moves of ``find_moves``, lazily and in its order."""
     index = t.circle_slots()
-    slides: list[tuple] = []
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
         by_he: dict[HalfEdge, list[str]] = {}
@@ -103,23 +108,22 @@ def find_moves(t: TorusPosition) -> list[Move]:
             by_he.setdefault(slot.half_edge, []).append(slot.circle)
         for he in sorted(by_he):
             cids = sorted(by_he[he])
-            if len(cids) < 2:
-                continue
             tree = t.trees[he.sphere]
+            self_banding: list[Slide] = []
             for i, c1 in enumerate(cids):
                 for c2 in cids[i + 1 :]:
                     shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
                     if not shared:
                         continue
                     region = min(shared)  # unique in a tree; min for determinism
+                    slide = Slide(pid, he, c1, c2, region)
                     far1, _ = end_slot(t, index, c1, 1 - he.end)
                     far2, _ = end_slot(t, index, c2, 1 - he.end)
-                    far_same = 1 if far1.id == far2.id else 0
-                    slides.append(
-                        ((pid, he.sphere, he.end, far_same, c1, c2),
-                         Slide(pid, he, c1, c2, region))
-                    )
-    caps: list[tuple] = []
+                    if far1.id == far2.id:
+                        self_banding.append(slide)
+                    else:
+                        yield slide
+            yield from self_banding
     for pid in sorted(t.pieces):
         piece = t.pieces[pid]
         if not is_boundary_parallel_disk(piece):
@@ -134,10 +138,7 @@ def find_moves(t: TorusPosition) -> list[Move]:
         if len(far.boundary) < 2:
             # capping would close the neighbor piece off; never a torus move
             continue
-        caps.append(((pid, cid), Cap(pid, cid)))
-    slides.sort(key=lambda kv: kv[0])
-    caps.sort(key=lambda kv: kv[0])
-    return [mv for _, mv in slides] + [mv for _, mv in caps]
+        yield Cap(pid, cid)
 
 
 def apply_move(t: TorusPosition, move: Move) -> TorusPosition:
@@ -393,30 +394,29 @@ class NormalizeResult:
     trace: list[MoveRecord]
 
 
-def normalize(t: TorusPosition, check: bool = True) -> NormalizeResult:
+def normalize(t: TorusPosition) -> NormalizeResult:
     """Drive the position to normal form with the first applicable move.
 
-    Raises when the input is disjoint from the sphere system (nothing to
-    normalize), when a fixpoint is reached that is not normal, or when a
-    step breaks a preserved invariant (which would be a bug or a
-    geometrically inconsistent input).  With ``check`` the input and the
-    normal result get ``validate_position`` and every move before the last
-    gets ``validate_step``, which finds the same problems.
+    Raises when the input is invalid or disjoint from the sphere system
+    (nothing to normalize), when a fixpoint is reached that is not normal,
+    or when a step breaks a preserved invariant (which would be a bug or a
+    geometrically inconsistent input).  The input and the normal result get
+    ``validate_position`` and every move before the last gets
+    ``validate_step``, which finds the same problems.
     """
-    if check:
-        problems = validate_position(t)
-        if problems:
-            raise NormalizeError("invalid position: " + "; ".join(problems))
+    problems = validate_position(t)
+    if problems:
+        raise NormalizeError("invalid position: " + "; ".join(problems))
+    return _normalize(t)
+
+
+def _normalize(t: TorusPosition) -> NormalizeResult:
+    """``normalize`` of a position already known to be valid."""
     if total_intersections(t) == 0:
         raise NormalizeError("disjoint from the sphere system: nothing to normalize")
     trace: list[MoveRecord] = []
     current = t
-    budget = total_intersections(t)
-    for _ in range(budget):
-        moves = find_moves(current)
-        if not moves:
-            break
-        move = moves[0]
+    while (move := next(_moves(current), None)) is not None:
         before = intersection_vector(current)
         nxt = apply_move(current, move)
         after = intersection_vector(nxt)
@@ -425,18 +425,15 @@ def normalize(t: TorusPosition, check: bool = True) -> NormalizeResult:
         for s, n in after.items():
             if n > before[s]:
                 raise NormalizeError(f"move {move} increased the count on {s}")
-        if check:
-            # a move that reaches normal form is the last one, so its result
-            # gets the full check; the ones before it are checked by step
-            last = all(map(is_normal_piece, nxt.pieces.values()))
-            problems = validate_position(nxt) if last else validate_step(current, nxt)
-            if problems:
-                raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
+        # a move that reaches normal form is the last one, so its result
+        # gets the full check; the ones before it are checked by step
+        last = all(map(is_normal_piece, nxt.pieces.values()))
+        problems = validate_position(nxt) if last else validate_step(current, nxt)
+        if problems:
+            raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
         current = nxt
     ok, violations = is_normal(current)
     if not ok:
-        if find_moves(current):
-            raise NormalizeError("normalization ran out of budget")  # unreachable
         raise NormalizeError("stuck non-normal: " + "; ".join(violations))
     return NormalizeResult(current, to_normal_torus(current), trace)

@@ -22,9 +22,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .graphs import HalfEdge, SphereGraph
-from .moves import apply_move, find_moves, normalize
+from .moves import _normalize, apply_move, find_moves
 from .normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
     SIDE_A,
@@ -255,6 +256,13 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     problems = validate_position(t)
     if problems:
         raise PositionError("invalid position: " + "; ".join(problems))
+    return _perturb(t, seed, k)
+
+
+def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
+    """``perturb`` of a position already known to be valid."""
+    if k < 0:
+        raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
     current = t
     for i in range(k):
@@ -315,8 +323,9 @@ def _inverse_candidates(t: TorusPosition) -> list[tuple]:
     # pants sees both endpoints on one side.  One mask walk per sphere end
     # gives every region the sides of all pieces of that pants at once, so
     # the admissible regions are those whose mask matches the mask at the
-    # piece's first anchor (where side_of_piece reads it) outside the
-    # piece's own bit, which is constant at an end it does not cross.
+    # piece's first anchor (a collar point next to its own circle, where
+    # every other piece of the pants sees it) outside the piece's own bit,
+    # which is constant at an end it does not cross.
     bits: dict[str, dict[str, int]] = defaultdict(dict)
     for pid in sorted(t.pieces):
         mates = bits[t.pieces[pid].pants]
@@ -609,6 +618,24 @@ class FuzzReport:
         }
 
 
+def _trials(t: TorusPosition, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
+    """Seed, k, perturbed position and normalize result of each perturb-then-normalize trial.
+
+    Trial i perturbs ``t`` by (i mod ``k_max``) + 1 inverse moves, none when
+    ``k_max`` is 0.  ``t`` is validated once, up front.
+    """
+    if trials < 0 or k_max < 0:
+        raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
+    problems = validate_position(t)
+    if problems:
+        raise PositionError("invalid position: " + "; ".join(problems))
+    for i in range(trials):
+        trial_seed = seed + stride * i
+        k = (i % k_max) + 1 if k_max >= 1 else 0
+        perturbed = _perturb(t, trial_seed, k)
+        yield trial_seed, k, perturbed, _normalize(perturbed)
+
+
 def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:
     """Check that the normal position minimizes every per-sphere count.
 
@@ -622,11 +649,7 @@ def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int =
     base = intersection_vector(t)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for i in range(trials):
-        trial_seed = seed + i
-        k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed = perturb(t, trial_seed, k) if k else t
-        result = normalize(perturbed)
+    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 1):
         after = intersection_vector(result.position)
         messed = intersection_vector(perturbed)
         bad = []
@@ -651,11 +674,7 @@ def roundtrip_report(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -
     base_solid = bounds_solid_torus(base_dec)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for i in range(trials):
-        trial_seed = seed + 7919 * i
-        k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed = perturb(t, trial_seed, k) if k else t
-        result = normalize(perturbed)
+    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 7919):
         dec = decorate(result.torus)
         if not equivalent(dec, base_dec):
             report.failures.append(

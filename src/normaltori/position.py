@@ -592,20 +592,6 @@ def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) ->
     return side
 
 
-def side_of_piece(t: TorusPosition, observer: Piece, target: Piece) -> str:
-    """Which side of ``observer`` the disjoint piece ``target`` lies on.
-
-    Both pieces must live in the same pants.  Anchored at a collar point
-    of ``target`` next to one of its own circles; crossing that circle on
-    the collar walk only passes through ``target``'s wall, so either
-    adjacent region gives the same answer.
-    """
-    if observer.pants != target.pants:
-        raise PositionError("side_of_piece needs pieces of one pants")
-    slot = target.boundary[0]
-    return side_of_region(t, observer, slot.half_edge, slot.region_a)
-
-
 DISK = "disk"
 CYLINDER = "cylinder"
 PANTS = "pants"

@@ -122,6 +122,27 @@ def test_oracle_commands_validate_input(files, capsys, command):
     assert capsys.readouterr().err == "error: monodromy nontrivial on cycle (F0,F1)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perturb", "t0", "--count", "{n}"],
+        ["minimality", "t0", "--trials", "{n}"],
+        ["minimality", "t0", "--depth", "{n}"],
+        ["fuzz", "--trials", "{n}"],
+        ["fuzz", "--trials", "2", "--depth", "{n}"],
+    ],
+)
+def test_negative_counts_are_usage_errors(files, capsys, tmp_path, argv):
+    tmp, paths = files
+    fill = {"t0": str(paths["t0"]), "{n}": "-2"}
+    with pytest.raises(SystemExit) as exc:
+        main([fill.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert "must be at least 0, got -2" in capsys.readouterr().err
+    fill["{n}"] = "0"
+    assert main([fill.get(a, a) for a in argv] + ["-o", str(tmp_path / "out.json")]) == 0
+
+
 def test_perturb_and_confluence(files, capsys, tmp_path):
     tmp, paths = files
     out = tmp_path / "pert.json"

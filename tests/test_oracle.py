@@ -136,6 +136,23 @@ def test_minimality_vacuous_at_k_zero():
     assert report.passed()
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (perturb, (0, -1)),
+        (minimality_experiment, (-3, 3)),
+        (minimality_experiment, (3, -1)),
+        (roundtrip_report, (-3, 3)),
+        (roundtrip_report, (3, -1)),
+    ],
+)
+def test_negative_counts_rejected(call, args):
+    with pytest.raises(PositionError, match=r"-\d"):
+        call(make_t0(), *args)
+    zero = tuple(max(n, 0) for n in args)
+    assert call(make_t0(), *zero) is not None  # zero stays allowed
+
+
 def test_minimality_requires_normal_input():
     from normaltori.fixtures import make_t1
 

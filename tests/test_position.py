@@ -22,7 +22,6 @@ from normaltori.position import (
     intersection_vector,
     is_normal,
     piece_graph_betti,
-    side_of_piece,
     side_of_region,
     total_intersections,
     validate_position,
@@ -113,14 +112,6 @@ def test_side_of_region_flips_across_own_circles():
     assert side_of_region(t, f0, HalfEdge("s0", 0), "r1") == SIDE_B
     # uncrossed sphere end: constant label
     assert side_of_region(t, f0, HalfEdge("s2", 1), "r4") == SIDE_A
-
-
-def test_side_of_piece_between_pants_mates():
-    t = make_t2()
-    f1, f2 = t.pieces["F1"], t.pieces["F2"]
-    # the essential disk sees the whole tube on one side and vice versa
-    assert side_of_piece(t, f2, f1) in (SIDE_A, SIDE_B)
-    assert side_of_piece(t, f1, f2) in (SIDE_A, SIDE_B)
 
 
 def test_monodromy_trivial_for_fixtures():

@@ -1,7 +1,7 @@
 """The step check: ``validate_step`` against ``validate_position``.
 
-``normalize(check=True)`` and ``perturb`` fully validate only their input
-and their last step's result, and check every step in between with
+``normalize`` and ``perturb`` fully validate only their input and their
+last step's result, and check every step in between with
 ``validate_step``, which re-checks only what the step changed.  These
 tests pin that the two checks agree, on real steps and on mutants of
 them, and that the callers keep to the two full checks.
@@ -14,13 +14,26 @@ import random
 import pytest
 from test_acceptance import _fuzz_corpus
 
-from normaltori import moves, oracle, position
+from normaltori import cli, moves, oracle, position
+from normaltori.cli import main
+from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard, random_cubic
-from normaltori.moves import apply_move, find_moves, normalize
-from normaltori.oracle import _apply_inverse, _inverse_candidates, perturb, random_normal_torus
+from normaltori.moves import Cap, Slide, _ball_region, apply_move, find_moves, normalize
+from normaltori.normal_graph import to_normal_torus
+from normaltori.oracle import (
+    _apply_inverse,
+    _inverse_candidates,
+    minimality_experiment,
+    perturb,
+    random_normal_torus,
+    roundtrip_report,
+)
 from normaltori.position import (
     BoundarySlot,
     Circle,
+    end_slot,
+    intersection_vector,
+    is_boundary_parallel_disk,
     is_normal,
     is_normal_piece,
     validate_position,
@@ -230,23 +243,70 @@ def test_validate_step_falls_back_on_another_graph():
     assert validate_step(t, other) == validate_position(other) != []
 
 
-def test_normalize_check_does_not_change_the_result():
-    """``normalize(check=False)`` and ``normalize(check=True)`` give the same bytes."""
-    cases = 0
+def _sorted_moves(t):
+    """Reference for ``find_moves``: every move with its sort key, sorted; caps after slides.
+
+    Also says whether some piece end has slides both with distinct far
+    pieces and with one far piece, where that part of the key decides.
+    """
+    index = t.circle_slots()
+    slides, caps, far_kinds = [], [], {}
+    for pid, piece in t.pieces.items():
+        by_he = {}
+        for slot in piece.boundary:
+            by_he.setdefault(slot.half_edge, []).append(slot.circle)
+        for he, cids in by_he.items():
+            tree = t.trees[he.sphere]
+            for c1 in cids:
+                for c2 in cids:
+                    shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
+                    if c1 >= c2 or not shared:
+                        continue
+                    far1, _ = end_slot(t, index, c1, 1 - he.end)
+                    far2, _ = end_slot(t, index, c2, 1 - he.end)
+                    far_same = 1 if far1.id == far2.id else 0
+                    far_kinds.setdefault((pid, he), set()).add(far_same)
+                    slides.append(((pid, he.sphere, he.end, far_same, c1, c2), Slide(pid, he, c1, c2, min(shared))))
+        if not is_boundary_parallel_disk(piece):
+            continue
+        slot = piece.boundary[0]
+        tree = t.trees[t.circles[slot.circle].sphere]
+        far, _ = end_slot(t, index, slot.circle, 1 - slot.half_edge.end)
+        if tree.is_leaf(_ball_region(t, piece)) and len(far.boundary) >= 2:
+            caps.append(((pid, slot.circle), Cap(pid, slot.circle)))
+    ordered = [mv for _, mv in sorted(slides, key=lambda kv: kv[0])] + [mv for _, mv in sorted(caps, key=lambda kv: kv[0])]
+    return ordered, any(len(kinds) == 2 for kinds in far_kinds.values())
+
+
+def test_normalize_takes_the_first_move():
+    """``normalize`` is the walk through ``find_moves(t)[0]``, whose order is the sorted one."""
+    rng = random.Random(8)
+    cases = mixed = 0
     for rank in range(2, 7):
         for g in (build_standard(rank), random_cubic(rank, 40 + rank)):
             base = random_normal_torus(g, rank, 3)
             for k in (rank + 1, 14 - rank):
                 messy = perturb(base, 7 * rank + k, k)
-                fast, checked = normalize(messy, check=False), normalize(messy, check=True)
-                assert [(r.description, r.counts_before, r.counts_after) for r in fast.trace] == [
-                    (r.description, r.counts_before, r.counts_after) for r in checked.trace
-                ]
-                assert len(checked.trace) == k
-                assert dumps(position_to_json(fast.position)) == dumps(position_to_json(checked.position))
-                assert dumps(normal_torus_to_json(fast.torus)) == dumps(normal_torus_to_json(checked.torus))
+                walk, cur = [], messy
+                while found := find_moves(cur):
+                    assert found == _sorted_moves(cur)[0]
+                    for _ in range(3):  # swapped far ends put both kinds of slide at one piece end
+                        swapped = cur.clone()
+                        _swap_far_ends(rng, swapped)
+                        want, both = _sorted_moves(swapped)
+                        assert find_moves(swapped) == want
+                        mixed += both
+                    nxt = apply_move(cur, found[0])
+                    walk.append((found[0].describe(cur), intersection_vector(cur), intersection_vector(nxt)))
+                    cur = nxt
+                assert _sorted_moves(cur)[0] == []
+                result = normalize(messy)
+                assert [(r.description, r.counts_before, r.counts_after) for r in result.trace] == walk
+                assert len(walk) == k
+                assert dumps(position_to_json(result.position)) == dumps(position_to_json(cur))
+                assert dumps(normal_torus_to_json(result.torus)) == dumps(normal_torus_to_json(to_normal_torus(cur)))
                 cases += 1
-    assert cases == 20
+    assert cases == 20 and mixed > 0
 
 
 @pytest.fixture
@@ -259,7 +319,7 @@ def full_checks(monkeypatch):
         return full(t)
 
     full = position.validate_position
-    for module in (position, moves, oracle):
+    for module in (position, moves, oracle, cli):
         monkeypatch.setattr(module, "validate_position", counted)
     return calls
 
@@ -275,3 +335,17 @@ def test_full_checks_only_at_the_ends(full_checks):
     full_checks.clear()
     assert normalize(base).trace == []
     assert len(full_checks) == 1  # the input, already normal
+
+
+def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
+    """The base once, then one full check per perturbed and per normalized position."""
+    assert minimality_experiment(make_t0(), 10, 3).passed()
+    assert len(full_checks) == 21
+    full_checks.clear()
+    assert roundtrip_report(make_t2(), 10, 3).passed()
+    assert len(full_checks) == 21
+    path = tmp_path / "t0.json"
+    path.write_text(dumps(position_to_json(make_t0())), encoding="utf-8")
+    full_checks.clear()
+    assert main(["perturb", str(path), "--count", "1", "-o", str(tmp_path / "out.json")]) == 0
+    assert len(full_checks) == 2  # the input and the inverse move's result

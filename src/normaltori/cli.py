@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("confluence", help="exhaust all move orders of a position")
     p.add_argument("input")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=non_negative_int, default=12)
     p.set_defaults(func=cmd_confluence)
 
     p = sub.add_parser("minimality", help="perturbation cannot beat the normal counts")

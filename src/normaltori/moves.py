@@ -29,6 +29,7 @@ from .position import (
     Circle,
     Piece,
     PositionError,
+    RegionTree,
     TorusPosition,
     end_slot,
     fresh_id,
@@ -200,36 +201,33 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
     rho = {pid: rel[pid] ^ rel[far_anchor] for pid in rel}
     rho[near.id] = False  # near piece always keeps its own gauge
 
-    out = t.clone()
+    out = t.shallow_copy()
     new_cid = fresh_id("c", out.circles)
     merged_region = fresh_id("r", (r for tr in out.trees.values() for r in tr.regions))
 
-    new_tree = out.trees[sphere]
-    del new_tree.edges[m.circle1]
-    del new_tree.edges[m.circle2]
-    new_tree.regions -= {region_far1, region_far2}
-    new_tree.regions.add(merged_region)
-    for cid, (a, b) in list(new_tree.edges.items()):
-        a2 = merged_region if a in (region_far1, region_far2) else a
-        b2 = merged_region if b in (region_far1, region_far2) else b
-        new_tree.edges[cid] = (a2, b2)
-    new_tree.edges[new_cid] = (m.region, merged_region)
+    # an anchor lies next to its own circle, so the anchors on the merged
+    # regions all sit at circles of this tree; the pieces holding them get
+    # remapped copies, which the banding below reads
+    gone = {region_far1, region_far2}
+    edges = {}
+    stale: set[str] = set()
+    for cid, (a, b) in tree.edges.items():
+        if cid in (m.circle1, m.circle2):
+            continue
+        edges[cid] = (merged_region if a in gone else a, merged_region if b in gone else b)
+        stale.update(piece.id for piece, slot in index[cid] if slot.region_a in gone)
+    edges[new_cid] = (m.region, merged_region)
+    out.trees[sphere] = RegionTree(sphere, (tree.regions - gone) | {merged_region}, edges)
+    for pid in stale:
+        old = t.pieces[pid]
+        boundary = [
+            BoundarySlot(s.circle, s.half_edge, merged_region) if s.circle in edges and s.region_a in gone else s
+            for s in old.boundary
+        ]
+        out.pieces[pid] = Piece(pid, old.pants, old.genus, boundary, old.uncrossed)
 
-    # region ids are global, so remap stale anchors on every piece; the
-    # rewritten groups get rebuilt from the old data below anyway
-    for piece in out.pieces.values():
-        for i, slot in enumerate(piece.boundary):
-            if slot.region_a in (region_far1, region_far2):
-                piece.boundary[i] = BoundarySlot(slot.circle, slot.half_edge, merged_region)
-
-    groups: list[set[str]] = []
     far_group = {g1.id, g2.id}
-    if combined:
-        far_group.add(near.id)
-        groups.append(far_group)
-    else:
-        groups.append({near.id})
-        groups.append(far_group)
+    groups = [far_group | {near.id}] if combined else [{near.id}, far_group]
 
     consumed = {
         (near.id, m.circle1, m.half_edge): "near_new",
@@ -240,7 +238,6 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
     near_ptr = m.region if x1 else merged_region
     far_ptr = m.region if (y1 ^ rho[g1.id]) else merged_region
 
-    old_circles = dict(out.circles)
     del out.circles[m.circle1]
     del out.circles[m.circle2]
     out.circles[new_cid] = Circle(new_cid, sphere)
@@ -251,7 +248,7 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
         new_boundary: list[BoundarySlot] = []
         chi = 0
         for pid in members:
-            old = t.pieces[pid]
+            old = out.pieces[pid]
             chi += old.euler()
             for slot in old.boundary:
                 tag = consumed.get((pid, slot.circle, slot.half_edge), "keep")
@@ -264,10 +261,8 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
                     new_boundary.append(BoundarySlot(new_cid, far_he, far_ptr))
                     continue
                 ra = slot.region_a
-                if old_circles[slot.circle].sphere == sphere and ra in (region_far1, region_far2):
-                    ra = merged_region
                 if rho.get(pid, False):
-                    ra = _other_region(out, slot.circle, ra)
+                    ra = out.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ra)
                 new_boundary.append(BoundarySlot(slot.circle, slot.half_edge, ra))
         if near.id in group:
             chi += 1  # cutting the near piece along the sliding arc
@@ -319,18 +314,14 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
 
     del out.transport[m.circle1]
     del out.transport[m.circle2]
-    for cid in list(out.transport):
+    regauged = {slot.circle for pid, r in rho.items() if r for slot in t.pieces[pid].boundary}
+    for cid in regauged - {m.circle1, m.circle2}:
         owners = {slot.half_edge.end: piece.id for piece, slot in index.get(cid, ())}
         flips = rho.get(owners.get(0), False) ^ rho.get(owners.get(1), False)
         if flips:
             out.transport[cid] = not out.transport[cid]
     out.transport[new_cid] = not (f1 ^ rho[g1.id])
     return out
-
-
-def _other_region(t: TorusPosition, cid: str, region: str) -> str:
-    tree = t.trees[t.circles[cid].sphere]
-    return tree.other_region(cid, region)
 
 
 def _ball_region(t: TorusPosition, disk: Piece) -> str:
@@ -363,19 +354,15 @@ def _apply_cap(t: TorusPosition, m: Cap) -> TorusPosition:
         raise MoveError("inapplicable move: capping would close the neighbor piece")
     new_label = SIDE_A if far_slot.region_a == away else SIDE_B
 
-    out = t.clone()
+    out = t.shallow_copy()
     del out.pieces[m.disk]
     del out.circles[m.circle]
     del out.transport[m.circle]
-    newtree = out.trees[sphere]
-    del newtree.edges[m.circle]
-    newtree.regions.discard(contracted)
-    neighbor = out.pieces[far.id]
-    neighbor.boundary = [
-        s for s in neighbor.boundary if not (s.circle == m.circle and s.half_edge == far_slot.half_edge)
-    ]
+    edges = {cid: ends for cid, ends in tree.edges.items() if cid != m.circle}
+    out.trees[sphere] = RegionTree(sphere, tree.regions - {contracted}, edges)
+    neighbor = out.pieces[far.id] = far.replacing_slot(m.circle, far_slot.half_edge, ())
     if not any(s.half_edge == far_slot.half_edge for s in neighbor.boundary):
-        neighbor.uncrossed[far_slot.half_edge] = new_label
+        neighbor.uncrossed = {**far.uncrossed, far_slot.half_edge: new_label}
     return out
 
 
@@ -415,9 +402,8 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     if total_intersections(t) == 0:
         raise NormalizeError("disjoint from the sphere system: nothing to normalize")
     trace: list[MoveRecord] = []
-    current = t
+    current, before = t, intersection_vector(t)
     while (move := next(_moves(current), None)) is not None:
-        before = intersection_vector(current)
         nxt = apply_move(current, move)
         after = intersection_vector(nxt)
         if sum(after.values()) != sum(before.values()) - 1:
@@ -432,7 +418,7 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
-        current = nxt
+        current, before = nxt, after
     ok, violations = is_normal(current)
     if not ok:
         raise NormalizeError("stuck non-normal: " + "; ".join(violations))

@@ -368,17 +368,17 @@ def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> T
     dome_label = SIDE_A if host_slot.region_a == rx else SIDE_B
     r_y = t.trees[sphere].other_region(cid, rx)
 
-    out = t.clone()
+    out = t.shallow_copy()
     c_dome = fresh_id("c", out.circles)
     c_keep = fresh_id("c", list(out.circles) + [c_dome])
     r_fp = fresh_id("r", _all_regions(out))
     dome_id = fresh_id("F", out.pieces)
 
-    tree = out.trees[sphere]
-    del tree.edges[cid]
-    tree.regions.add(r_fp)
-    tree.edges[c_dome] = (rx, r_fp)
-    tree.edges[c_keep] = (rx, r_y)
+    tree = t.trees[sphere]
+    edges = {c: ends for c, ends in tree.edges.items() if c != cid}
+    edges[c_dome] = (rx, r_fp)
+    edges[c_keep] = (rx, r_y)
+    out.trees[sphere] = RegionTree(sphere, tree.regions | {r_fp}, edges)
 
     bit = out.transport.pop(cid)
     del out.circles[cid]
@@ -387,22 +387,15 @@ def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> T
     out.transport[c_dome] = bit
     out.transport[c_keep] = bit
 
-    new_near = out.pieces[near.id]
     x = near_slot.region_a == rx
-    for i, slot in enumerate(new_near.boundary):
-        if slot.circle == cid and slot.half_edge == near_slot.half_edge:
-            new_near.boundary[i : i + 1] = [
-                BoundarySlot(c_dome, near_slot.half_edge, rx if x else r_fp),
-                BoundarySlot(c_keep, near_slot.half_edge, rx if x else r_y),
-            ]
-            break
-
-    new_host = out.pieces[host.id]
+    out.pieces[near.id] = near.replacing_slot(cid, near_slot.half_edge, (
+        BoundarySlot(c_dome, near_slot.half_edge, rx if x else r_fp),
+        BoundarySlot(c_keep, near_slot.half_edge, rx if x else r_y),
+    ))
     o = host_slot.region_a == rx
-    for i, slot in enumerate(new_host.boundary):
-        if slot.circle == cid and slot.half_edge == host_he:
-            new_host.boundary[i] = BoundarySlot(c_keep, host_he, rx if o else r_y)
-            break
+    out.pieces[host.id] = host.replacing_slot(
+        cid, host_he, (BoundarySlot(c_keep, host_he, rx if o else r_y),)
+    )
 
     pants = t.graph.pants_of(host_he)
     others = [he for he in t.graph.half_edges_at(pants) if he != host_he]
@@ -426,20 +419,19 @@ def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str)
     if region not in t.trees[sphere].regions:
         raise PositionError("unknown landing region")
 
-    out = t.clone()
+    out = t.shallow_copy()
     c_new = fresh_id("c", out.circles)
     leaf = fresh_id("r", _all_regions(out))
     dome_id = fresh_id("F", out.pieces)
 
-    tree = out.trees[sphere]
-    tree.regions.add(leaf)
-    tree.edges[c_new] = (region, leaf)
+    tree = t.trees[sphere]
+    out.trees[sphere] = RegionTree(sphere, tree.regions | {leaf}, {**tree.edges, c_new: (region, leaf)})
     out.circles[c_new] = Circle(c_new, sphere)
     out.transport[c_new] = True
 
-    grown = out.pieces[pid]
-    del grown.uncrossed[he]
-    grown.boundary.append(BoundarySlot(c_new, he, region if label == SIDE_A else leaf))
+    boundary = piece.boundary + [BoundarySlot(c_new, he, region if label == SIDE_A else leaf)]
+    uncrossed = {h: side for h, side in piece.uncrossed.items() if h != he}
+    out.pieces[pid] = Piece(pid, piece.pants, piece.genus, boundary, uncrossed)
 
     # The finger's cavity opens to the grown piece's far side, while the
     # dome's away side continues the near side across the sphere; with a

@@ -5,14 +5,19 @@ connected pieces inside each pants, intersection circles on each sphere,
 the tree of complementary regions each sphere's circles cut out, and the
 side bookkeeping needed to transport a co-orientation across circles.
 
-Positions are treated as immutable values; the move engine copies before
-rewriting.  Nothing here assumes the surface is in normal form - transient
-states mid-normalization (several circles of one piece on one sphere end,
+Positions are treated as immutable values.  A move builds its result from
+one ``shallow_copy`` of its input and replaces each piece, circle or
+region tree it changes with a new object, never editing one; the result
+shares every unchanged item with its input.  Code that edits a position
+in place (the tests do) must edit a ``clone`` of it.  Nothing here
+assumes the surface is in normal form - transient states
+mid-normalization (several circles of one piece on one sphere end,
 positive genus, boundary-parallel disks) are all representable.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
@@ -94,14 +99,12 @@ class Piece:
     def circles(self) -> set[str]:
         return {slot.circle for slot in self.boundary}
 
-    def clone(self) -> "Piece":
-        return Piece(
-            self.id,
-            self.pants,
-            self.genus,
-            [BoundarySlot(s.circle, s.half_edge, s.region_a) for s in self.boundary],
-            dict(self.uncrossed),
-        )
+    def replacing_slot(self, cid: str, he: HalfEdge, slots) -> "Piece":
+        """A new piece with its slot of ``cid`` at ``he`` replaced by ``slots``."""
+        boundary = []
+        for slot in self.boundary:
+            boundary.extend(slots if slot.circle == cid and slot.half_edge == he else (slot,))
+        return Piece(self.id, self.pants, self.genus, boundary, self.uncrossed)
 
 
 @dataclass
@@ -134,9 +137,6 @@ class RegionTree:
     def is_leaf(self, region: str) -> bool:
         return self.degree(region) == 1
 
-    def clone(self) -> "RegionTree":
-        return RegionTree(self.sphere, set(self.regions), dict(self.edges))
-
 
 @dataclass
 class TorusPosition:
@@ -155,18 +155,19 @@ class TorusPosition:
     transport: dict[str, bool]
 
     def clone(self) -> "TorusPosition":
+        """A deep copy that shares only the graph, safe to edit in place."""
+        return copy.deepcopy(self, {id(self.graph): self.graph})
+
+    def shallow_copy(self) -> "TorusPosition":
+        """New dicts holding the same items, for a move to replace some of them."""
         return TorusPosition(
-            self.graph,
-            {pid: piece.clone() for pid, piece in self.pieces.items()},
-            {cid: Circle(c.id, c.sphere) for cid, c in self.circles.items()},
-            {s: t.clone() for s, t in self.trees.items()},
-            dict(self.transport),
+            self.graph, dict(self.pieces), dict(self.circles), dict(self.trees), dict(self.transport)
         )
 
     def circle_slots(self) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
         """Circle id -> every (piece, slot) glued to it, in piece then slot order.
 
-        Built afresh on each call and never stored: positions are edited in
+        Built afresh on each call and never stored: tests edit positions in
         place, so a kept index would go stale.  Callers that look up many
         circles build it once and read it with ``end_slot``.
         """

@@ -143,6 +143,16 @@ def test_negative_counts_are_usage_errors(files, capsys, tmp_path, argv):
     assert main([fill.get(a, a) for a in argv] + ["-o", str(tmp_path / "out.json")]) == 0
 
 
+def test_negative_confluence_depth_is_usage_error(files, capsys):
+    tmp, paths = files
+    with pytest.raises(SystemExit) as exc:
+        main(["confluence", str(paths["t1"]), "--depth", "-1"])
+    assert exc.value.code == 2
+    assert "must be at least 0, got -1" in capsys.readouterr().err
+    assert main(["confluence", str(paths["t1"]), "--depth", "0"]) == 1
+    assert capsys.readouterr().err == "error: state space too large: 3 circles exceeds bound 0\n"
+
+
 def test_perturb_and_confluence(files, capsys, tmp_path):
     tmp, paths = files
     out = tmp_path / "pert.json"

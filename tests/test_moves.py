@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+import test_step_check
 from conftest import make_u_tubes
 
 from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2
@@ -14,6 +15,7 @@ from normaltori.position import (
     piece_kind,
     validate_position,
 )
+from normaltori.serialize import dumps, position_to_json
 
 
 def test_no_moves_on_normal_positions():
@@ -168,10 +170,34 @@ def test_moves_preserve_monotone_counts():
     assert sum(intersection_vector(current).values()) == total - 4
 
 
-def test_apply_move_is_pure():
-    from normaltori.serialize import dumps, position_to_json
+def test_apply_move_is_pure(monkeypatch):
+    """No move or inverse move edits its input or rebuilds an item it leaves equal.
 
-    t1 = make_t1()
-    snapshot = dumps(position_to_json(t1))
-    apply_move(t1, find_moves(t1)[0])
-    assert dumps(position_to_json(t1)) == snapshot
+    Every step of the step-check corpus runs through a wrapper that
+    compares the input's bytes before and after the step, and checks that
+    each piece, circle and region tree of the result that equals the
+    input's by value is the input's own object.
+    """
+    steps = {"move": 0, "inverse": 0}
+    shared = 0
+
+    def checked(kind, build):
+        def wrapper(t, step):
+            nonlocal shared
+            snapshot = dumps(position_to_json(t))
+            out = build(t, step)
+            assert dumps(position_to_json(t)) == snapshot, step
+            for name in ("pieces", "circles", "trees"):
+                old, new = getattr(t, name), getattr(out, name)
+                for key in old.keys() & new.keys():
+                    if old[key] == new[key]:
+                        assert new[key] is old[key], (step, name, key)
+                        shared += 1
+            steps[kind] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(test_step_check, "apply_move", checked("move", apply_move))
+    monkeypatch.setattr(test_step_check, "_apply_inverse", checked("inverse", test_step_check._apply_inverse))
+    assert len(test_step_check._corpus_steps()) == sum(steps.values())
+    assert steps["move"] and steps["inverse"] and shared

@@ -9,6 +9,7 @@ them, and that the callers keep to the two full checks.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -184,7 +185,7 @@ def _add_circle(rng, t):
 
 
 def _add_piece(rng, t):
-    piece = t.pieces[_pick(rng, t.pieces)].clone()
+    piece = copy.deepcopy(t.pieces[_pick(rng, t.pieces)])
     piece.id = "FX"
     t.pieces["FX"] = piece
 

@@ -151,7 +151,7 @@ def cmd_decorate(args) -> int:
 def cmd_compare(args) -> int:
     d1 = _as_decorated(*_read(args.first))
     d2 = _as_decorated(*_read(args.second))
-    if equivalent(d1, d2, allow_reversal=not args.no_reversal):
+    if equivalent(d1, d2):
         print("EQUIVALENT")
         return EXIT_OK
     print("DISTINCT")
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="decide normal-homotopy equivalence")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--no-reversal", action="store_true", help="distinguish axis directions")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("axis-word", help="cyclic free-group word of the axis")

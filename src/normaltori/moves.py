@@ -203,7 +203,7 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
 
     out = t.shallow_copy()
     new_cid = fresh_id("c", out.circles)
-    merged_region = fresh_id("r", (r for tr in out.trees.values() for r in tr.regions))
+    merged_region = fresh_id("r", {r for tr in out.trees.values() for r in tr.regions})
 
     # an anchor lies next to its own circle, so the anchors on the merged
     # regions all sit at circles of this tree; the pieces holding them get

@@ -18,7 +18,7 @@ rotation, its direction, and the global flip remain to minimize over.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .graphs import GeneratorLabeling, HalfEdge, SphereGraph
@@ -26,6 +26,8 @@ from .position import (
     SIDE_A,
     PositionError,
     TorusPosition,
+    _tree_cycle,
+    _walk_piece_graph,
     end_slot,
     is_normal,
     piece_kind,
@@ -131,40 +133,31 @@ class DecoratedGraph:
 def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SIDE_A) -> DecoratedGraph:
     """Propagate a transverse orientation and sign the leaves.
 
-    The base piece's chosen side is declared positive; side transport
-    carries that across every circle.  Fails with ``KleinBottleError`` when
-    the bits have nontrivial monodromy.  Flipping ``base_side`` flips every
-    sign.
+    The base piece's chosen side is declared positive; the side bits of the
+    piece-graph walk carry that across every crossing.  Fails with
+    ``KleinBottleError``, naming the pieces of the walk's bad cycle, when
+    the transport bits have nontrivial monodromy.  Flipping ``base_side``
+    flips every sign.
     """
     t = nt.position
     if base_piece is None:
         base_piece = min(nt.nodes)
     if base_piece not in nt.nodes:
         raise PositionError(f"unknown base piece {base_piece}")
-    att = nt.attachments()
-    plus: dict[str, str] = {base_piece: base_side}
-    queue = deque([base_piece])
-    while queue:
-        pid = queue.popleft()
-        for cid in _crossings_at(att, pid):
-            _, n0, n1 = nt.crossings[cid]
-            flip = not t.transport[cid]
-            if n0 == n1:
-                if flip:
-                    raise KleinBottleError(f"nontrivial monodromy on circle {cid} (Klein bottle)")
-                continue
-            other = n1 if pid == n0 else n0
-            want = xor_side(plus[pid], flip)
-            if other not in plus:
-                plus[other] = want
-                queue.append(other)
-            elif plus[other] != want:
-                raise KleinBottleError(f"nontrivial monodromy through circle {cid} (Klein bottle)")
+    _, side, _, bad = _walk_crossings(nt)
+    if bad is not None:
+        raise KleinBottleError("nontrivial monodromy on cycle (" + ",".join(bad) + ") (Klein bottle)")
     signs = {}
     for leaf in nt.leaves:
-        label = t.pieces[leaf.node].uncrossed[leaf.half_edge]
-        signs[leaf] = PLUS if label == plus[leaf.node] else MINUS
+        plus = xor_side(base_side, side[leaf.node] != side[base_piece])
+        signs[leaf] = PLUS if t.pieces[leaf.node].uncrossed[leaf.half_edge] == plus else MINUS
     return DecoratedGraph(nt, signs, base_piece, base_side)
+
+
+def _walk_crossings(nt: NormalTorus):
+    """``position._walk_piece_graph`` over the crossings, flipped where transport is False."""
+    edges = [(cid, n0, n1, not nt.position.transport[cid]) for cid, (_, n0, n1) in sorted(nt.crossings.items())]
+    return _walk_piece_graph(nt.nodes, edges)
 
 
 def sides(d: DecoratedGraph) -> tuple[list[LeafStub], list[LeafStub]]:
@@ -184,60 +177,28 @@ def bounds_solid_torus(d: DecoratedGraph) -> bool:
     return not pos or not neg
 
 
-def _crossings_at(att, node: str) -> list[str]:
-    """Crossing ids attached to ``node``, ascending; a self-loop is listed once per end."""
-    return sorted(ident for what, ident in att.get(node, {}).values() if what == "crossing")
-
-
 def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     """The unique cycle: alternating node and crossing ids, aligned.
 
     Returns (nodes, edges) with edges[i] joining nodes[i] to nodes[i+1]
-    (cyclically).  Found by pruning crossing-degree-1 nodes until none is
-    left, then walking the rest from its least node along least crossings.
+    (cyclically).  The cycle is the one crossing outside the piece-graph
+    walk's tree, closed through that tree; it starts at its least node and
+    leaves it along the lesser of that node's two cycle crossings.
     """
-    att = nt.attachments()
-    incident = {n: _crossings_at(att, n) for n in nt.nodes}
-    degree = {n: len(cids) for n, cids in incident.items()}
-    alive_edges = set(nt.crossings)
-    pruned: set[str] = set()
-    queue = deque(n for n in sorted(nt.nodes) if degree[n] == 1)
-    while queue:
-        n = queue.popleft()
-        if degree[n] != 1:
-            continue
-        cid = next(c for c in incident[n] if c in alive_edges)
-        alive_edges.discard(cid)
-        pruned.add(n)
-        _, n0, n1 = nt.crossings[cid]
-        for m in dict.fromkeys((n0, n1)):
-            if m in degree:
-                degree[m] -= incident[m].count(cid)
-                if degree[m] == 1:
-                    queue.append(m)
-    alive_nodes = set(nt.nodes) - pruned
-    if not alive_nodes or not alive_edges:
+    reached, _, parent, _ = _walk_crossings(nt)
+    tree = {link[1] for link in parent.values() if link is not None}
+    extra = [cid for cid in sorted(nt.crossings) if cid not in tree]
+    if not extra:
         raise PositionError("no cycle found: graph is a tree")
-    start = min(alive_nodes)
-    nodes = [start]
-    edges: list[str] = []
-    current = start
-    used: set[str] = set()
-    while True:
-        options = [cid for cid in incident.get(current, ()) if cid in alive_edges and cid not in used]
-        if not options:
-            break
-        cid = options[0]
-        used.add(cid)
-        _, n0, n1 = nt.crossings[cid]
-        nxt = n1 if current == n0 else n0
-        edges.append(cid)
-        if nxt == start and len(used) == len(alive_edges):
-            break
-        nodes.append(nxt)
-        current = nxt
-    if len(edges) != len(alive_edges) or len(nodes) != len(alive_nodes):
+    if len(extra) > 1 or reached != len(nt.nodes):
         raise PositionError("cycle extraction failed")
+    _, a, b = nt.crossings[extra[0]]
+    nodes, edges = _tree_cycle(parent, b, a)
+    edges.append(extra[0])
+    i = nodes.index(min(nodes))
+    nodes, edges = nodes[i:] + nodes[:i], edges[i:] + edges[:i]
+    if edges[-1] < edges[0]:
+        nodes, edges = nodes[:1] + nodes[:0:-1], edges[::-1]
     return nodes, edges
 
 
@@ -302,47 +263,35 @@ def _axis_tokens(nt: NormalTorus, att, signs, ns: list[str], steps, flip: bool) 
     return tokens
 
 
-def _direction_codes(d: DecoratedGraph) -> tuple[str, str]:
-    """Min code over rotations and global flips, one per axis direction."""
-    nt = d.torus
-    nodes, edges = _axis_cycle(nt)
-    att = nt.attachments()
-    k = len(nodes)
-    out = []
-    for direction in (0, 1):
-        ns, steps = _oriented_steps(nt, nodes, edges, direction)
-        best = None
-        for flip in (False, True):
-            tokens = _axis_tokens(nt, att, d.signs, ns, steps, flip)
-            for r in range(k):
-                rotated = tokens[r:] + tokens[:r]
-                code = "|".join(rotated)
-                if best is None or code < best:
-                    best = code
-        out.append(best)
-    return out[0], out[1]
-
-
-def canonicalize(d: DecoratedGraph, allow_reversal: bool = True) -> str:
+def canonicalize(d: DecoratedGraph) -> str:
     """Complete invariant code of the decorated graph.
 
     Invariant under node relabeling (the immersion into the sphere graph is
-    kept fixed), rotation of the axis, global sign flip, and - unless
-    disabled - reversal of the axis direction.
+    kept fixed), rotation of the axis, global sign flip and reversal of the
+    axis direction: the least code over both directions, both sign flips
+    and every rotation.  An axis has no intrinsic direction, since g and
+    g^-1 generate the same edge group of its Z-splitting.
     """
-    fwd, bwd = _direction_codes(d)
-    if allow_reversal:
-        return min(fwd, bwd)
-    return fwd
+    nt = d.torus
+    nodes, edges = _axis_cycle(nt)
+    att = nt.attachments()
+    best = None
+    for direction in (0, 1):
+        ns, steps = _oriented_steps(nt, nodes, edges, direction)
+        for flip in (False, True):
+            tokens = _axis_tokens(nt, att, d.signs, ns, steps, flip)
+            for r in range(len(tokens)):
+                code = "|".join(tokens[r:] + tokens[:r])
+                if best is None or code < best:
+                    best = code
+    return best
 
 
-def equivalent(d1: DecoratedGraph, d2: DecoratedGraph, allow_reversal: bool = True) -> bool:
-    """Same normal homotopy class: equal decorated graphs up to orientation."""
+def equivalent(d1: DecoratedGraph, d2: DecoratedGraph) -> bool:
+    """Same normal homotopy class: equal canonical codes over one sphere graph."""
     if d1.torus.graph != d2.torus.graph:
         raise PositionError("decorated graphs live over different sphere graphs")
-    if allow_reversal:
-        return canonicalize(d1) == canonicalize(d2)
-    return bool(set(_direction_codes(d1)) & set(_direction_codes(d2)))
+    return canonicalize(d1) == canonicalize(d2)
 
 
 def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]]:

@@ -300,8 +300,8 @@ def _apply_inverse(t: TorusPosition, cand: tuple) -> TorusPosition:
     raise PositionError(f"unknown inverse move {cand[0]}")
 
 
-def _all_regions(t: TorusPosition):
-    return (r for tree in t.trees.values() for r in tree.regions)
+def _all_regions(t: TorusPosition) -> set[str]:
+    return {r for tree in t.trees.values() for r in tree.regions}
 
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
@@ -370,7 +370,7 @@ def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> T
 
     out = t.shallow_copy()
     c_dome = fresh_id("c", out.circles)
-    c_keep = fresh_id("c", list(out.circles) + [c_dome])
+    c_keep = fresh_id("c", {*out.circles, c_dome})
     r_fp = fresh_id("r", _all_regions(out))
     dome_id = fresh_id("F", out.pieces)
 

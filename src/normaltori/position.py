@@ -40,13 +40,12 @@ def xor_side(side: str, flip: bool) -> str:
 
 
 def fresh_id(prefix: str, used) -> str:
-    """Smallest ``prefix<k>`` not in ``used``; deterministic allocation."""
-    taken = set()
-    for name in used:
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            taken.add(int(name[len(prefix):]))
+    """Smallest ``prefix<k>`` not in ``used``; deterministic allocation.
+
+    ``used`` is probed by membership only, so pass a set or a dict.
+    """
     k = 0
-    while k in taken:
+    while f"{prefix}{k}" in used:
         k += 1
     return f"{prefix}{k}"
 
@@ -228,57 +227,71 @@ def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
     offending cycle.  ``index`` is the position's ``circle_slots()``, for
     callers that already built it.
     """
-    return _walk_piece_graph(t, t.circle_slots() if index is None else index)[1]
+    index = t.circle_slots() if index is None else index
+    return _walk_piece_graph(t.pieces, _piece_edges(t, index))[3]
 
 
-def _walk_piece_graph(t: TorusPosition, index) -> tuple[int, list[str] | None]:
-    """(pieces reached from the least piece, ``monodromy_certificate``).
-
-    One walk serves both the connectivity and the monodromy check.  It
-    keeps the first bad cycle it meets and finishes the least piece's
-    component past it, so the count stays exact.
-    """
-    adj: dict[str, list[tuple[str, bool, str]]] = {pid: [] for pid in t.pieces}
-    bad = None
+def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
+    """(circle, piece, piece, flip) per circle with two slots, in circle order."""
+    edges = []
     for cid in sorted(t.circles):
         pair = index.get(cid, ())
-        if len(pair) != 2:
-            continue
-        (piece_a, _), (piece_b, _) = pair
-        a, b = piece_a.id, piece_b.id
-        flip = not t.transport.get(cid, True)
+        if len(pair) == 2:
+            (piece_a, _), (piece_b, _) = pair
+            edges.append((cid, piece_a.id, piece_b.id, not t.transport.get(cid, True)))
+    return edges
+
+
+def _walk_piece_graph(nodes, edges):
+    """(nodes reached from the least node, side bits, BFS tree, first bad cycle).
+
+    The one walk over a piece graph: ``_validate`` and
+    ``monodromy_certificate`` read it off a position's circles,
+    ``normal_graph.decorate`` and ``normal_graph._axis_cycle`` off a normal
+    torus's crossings.  ``edges`` holds
+    (circle, node, node, flip) in circle order.  A node's side bit is its
+    flip parity along the tree path from its component's least node; the
+    tree maps a node to (its parent, the circle joining them), or None at
+    that least node.  The bad cycle is the nodes of the first cycle with an
+    odd flip count, or None.  The walk finishes the least node's component
+    past a bad cycle, so the count stays exact, and stops there.
+    """
+    adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
+    bad = None
+    for cid, a, b, flip in edges:
         if a == b:
             if flip and bad is None:
                 bad = [a]
             continue
         adj[a].append((b, flip, cid))
         adj[b].append((a, flip, cid))
-    potential: dict[str, bool] = {}
+    side: dict[str, bool] = {}
     parent: dict[str, tuple[str, str] | None] = {}
     reached = 0
-    for start in sorted(t.pieces):
-        if start in potential:
+    for start in sorted(adj):
+        if start in side:
             continue
         if reached and bad is not None:
             break
-        potential[start] = False
+        side[start] = False
         parent[start] = None
         queue = deque([start])
         while queue:
-            pid = queue.popleft()
-            for other, flip, cid in adj[pid]:
-                want = potential[pid] ^ flip
-                if other not in potential:
-                    potential[other] = want
-                    parent[other] = (pid, cid)
+            n = queue.popleft()
+            for other, flip, cid in adj[n]:
+                want = side[n] ^ flip
+                if other not in side:
+                    side[other] = want
+                    parent[other] = (n, cid)
                     queue.append(other)
-                elif potential[other] != want and bad is None:
-                    bad = _tree_cycle(parent, pid, other)
-        reached = reached or len(potential)
-    return reached, bad
+                elif side[other] != want and bad is None:
+                    bad = _tree_cycle(parent, n, other)[0]
+        reached = reached or len(side)
+    return reached, side, parent, bad
 
 
-def _tree_cycle(parent, a: str, b: str) -> list[str]:
+def _tree_cycle(parent, a: str, b: str) -> tuple[list[str], list[str]]:
+    """The tree path from ``a`` to ``b``: its nodes, and the circle joining each to the next."""
     def chain(x: str) -> list[str]:
         out = [x]
         while parent[x] is not None:
@@ -286,15 +299,11 @@ def _tree_cycle(parent, a: str, b: str) -> list[str]:
             out.append(x)
         return out
     ca, cb = chain(a), chain(b)
-    common = None
     seen = set(ca)
-    for x in cb:
-        if x in seen:
-            common = x
-            break
-    cycle = ca[: ca.index(common) + 1]
-    cycle += list(reversed(cb[: cb.index(common)]))
-    return cycle
+    common = next(x for x in cb if x in seen)
+    up, down = ca[: ca.index(common)], cb[: cb.index(common)][::-1]
+    nodes = up + [common] + down
+    return nodes, [parent[x][1] for x in up] + [parent[x][1] for x in down]
 
 
 def validate_position(t: TorusPosition) -> list[str]:
@@ -396,7 +405,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    reached, bad_cycle = _walk_piece_graph(t, index)
+    reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
     if t.pieces and reached != len(t.pieces):
         problems.append("piece graph disconnected")
 

@@ -78,19 +78,35 @@ def test_compare_distinct_exit_code(files, tmp_path, capsys):
     assert "DISTINCT" in capsys.readouterr().out
 
 
-def test_compare_no_reversal_flag(files, capsys, tmp_path):
-    tmp, paths = files
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert main(["decorate", str(paths["t0"]), "-o", str(a), "--base-side", "A"]) == 0
-    assert main(["decorate", str(paths["t0"]), "-o", str(b), "--base-side", "B"]) == 0
-    assert main(["compare", str(a), str(b), "--no-reversal"]) == 0
-
-
 def test_axis_word_command(files, capsys):
     tmp, paths = files
     assert main(["axis-word", str(paths["t0"])]) == 0
     assert capsys.readouterr().out.strip() == "x1"
+
+
+def test_circle_id_with_a_non_ascii_digit(files, tmp_path):
+    tmp, paths = files
+    text = paths["t1"].read_text(encoding="utf-8").replace('"c1"', '"c\u00b2"')
+    assert "c1" not in text
+    src = tmp_path / "t1.json"
+    src.write_text(text, encoding="utf-8")
+    assert main(["validate", str(src)]) == 0
+    assert main(["normalize", str(src), "-o", str(tmp_path / "nt.json")]) == 0
+    assert main(["perturb", str(src), "--seed", "3", "--count", "2", "-o", str(tmp_path / "p.json")]) == 0
+
+
+def test_readme_commands_parse():
+    import shlex
+    from pathlib import Path
+
+    from normaltori.cli import build_parser
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("normaltori ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
 
 
 def test_usage_error_exit_code():

@@ -86,6 +86,64 @@ def test_canonical_form_relabel_invariant():
     assert equivalent(d1, d2)
 
 
+def _renamed(obj: dict, seed: int) -> dict:
+    """A position's JSON with its pieces, circles and regions renamed by a seeded shuffle."""
+    import random
+
+    rng = random.Random(seed)
+    ids = {
+        "P": sorted(p["id"] for p in obj["pieces"]),
+        "k": sorted(c["id"] for c in obj["circles"]),
+        "q": sorted({r for tree in obj["region_trees"] for r in tree["regions"]}),
+    }
+    name = {}
+    for prefix, old in ids.items():
+        new = list(range(len(old)))
+        rng.shuffle(new)
+        name.update((o, f"{prefix}{n}") for o, n in zip(old, new))
+    out = dict(obj)
+    out["pieces"] = [
+        {
+            **p,
+            "id": name[p["id"]],
+            "boundary": [{**s, "circle": name[s["circle"]], "region_a": name[s["region_a"]]} for s in p["boundary"]],
+        }
+        for p in obj["pieces"]
+    ]
+    out["circles"] = [{**c, "id": name[c["id"]]} for c in obj["circles"]]
+    out["region_trees"] = [
+        {
+            **tree,
+            "regions": [name[r] for r in tree["regions"]],
+            "edges": [{"circle": name[e["circle"]], "regions": [name[r] for r in e["regions"]]} for e in tree["edges"]],
+        }
+        for tree in obj["region_trees"]
+    ]
+    out["side_transport"] = {name[c]: bit for c, bit in obj["side_transport"].items()}
+    return out
+
+
+def test_renaming_before_normalizing_keeps_the_class():
+    from normaltori.graphs import build_standard, random_cubic
+    from normaltori.moves import normalize
+    from normaltori.oracle import perturb, random_normal_torus
+    from normaltori.position import intersection_vector
+    from normaltori.serialize import position_from_json, position_to_json
+
+    checked = 0
+    for rank in (2, 3, 4, 5):
+        for g in (build_standard(rank), random_cubic(rank, rank)):
+            for seed in range(6):
+                t = perturb(random_normal_torus(g, seed, 4 + seed % 3), seed, 2 + seed)
+                renamed = position_from_json(_renamed(position_to_json(t), seed))
+                assert set(renamed.pieces).isdisjoint(t.pieces)
+                one, two = normalize(t), normalize(renamed)
+                assert intersection_vector(one.position) == intersection_vector(two.position)
+                assert canonicalize(decorate(one.torus)) == canonicalize(decorate(two.torus))
+                checked += 1
+    assert checked == 48
+
+
 def test_canonical_form_separates_t0_t2():
     d0 = decorate(to_normal_torus(make_t0()))
     d2 = decorate(to_normal_torus(make_t2()))
@@ -135,7 +193,7 @@ def test_fundamental_domain_t0_t2():
 
 
 def test_canonical_form_of_a_tree_is_an_error():
-    # A loaded normal torus is not re-checked; with an axis crossing gone its graph is a tree.
+    # A normal torus edited in memory is not re-checked; with an axis crossing gone its graph is a tree.
     nt = to_normal_torus(make_t2())
     del nt.crossings["c0"]
     with pytest.raises(PositionError, match="no cycle found"):
@@ -252,13 +310,3 @@ def test_canonical_form_matches_brute_force_search():
             assert equivalent(a, b) == _brute_force_equivalent(a, b)
             agree += 1
     assert agree >= 50
-
-
-def test_no_reversal_flag():
-    d = decorate(to_normal_torus(make_t0()))
-    flipped = decorate(to_normal_torus(make_t0()), "F0", "B")
-    assert equivalent(d, flipped, allow_reversal=False)
-    assert equivalent(d, d, allow_reversal=False)
-    code_with = canonicalize(d, allow_reversal=True)
-    code_without = canonicalize(d, allow_reversal=False)
-    assert code_with <= code_without

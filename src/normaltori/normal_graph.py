@@ -36,6 +36,7 @@ from .position import (
 
 PLUS = "+"
 MINUS = "-"
+_FLIPPED = {PLUS: MINUS, MINUS: PLUS, "leaf": "leaf"}
 
 
 class KleinBottleError(PositionError):
@@ -202,65 +203,62 @@ def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
     return nodes, edges
 
 
-def _oriented_steps(nt: NormalTorus, nodes: list[str], edges: list[str], direction: int) -> tuple[list[str], list[tuple[str, int]]]:
-    """Cycle traversal as (node sequence, [(crossing, from_end), ...]).
+def _oriented_steps(nt: NormalTorus, nodes: list[str], edges: list[str]) -> list[tuple[str, int]]:
+    """Cycle traversal as [(crossing, from_end), ...].
 
     Step i runs from node i to node i+1 (cyclically) leaving through the
-    sphere end ``from_end``.  Self-loop crossings take their direction from
-    the requested orientation.
+    sphere end ``from_end``; a self-loop crossing is left through end 0.
     """
-    if direction == 0:
-        ns, es = list(nodes), list(edges)
-    else:
-        ns = [nodes[0]] + nodes[1:][::-1]
-        es = edges[::-1]
-    steps = []
-    for i, cid in enumerate(es):
-        sphere, n0, n1 = nt.crossings[cid]
-        if n0 == n1:
-            from_end = 0 if direction == 0 else 1
-        else:
-            from_end = 0 if n0 == ns[i] else 1
-        steps.append((cid, from_end))
-    return ns, steps
+    return [(cid, 0 if nt.crossings[cid][1] == node else 1) for node, cid in zip(nodes, edges)]
 
 
-def _payload(nt: NormalTorus, att, signs, node: str, he: HalfEdge, flip: bool) -> str:
-    """Code of what hangs off ``node`` at ``he``; leaves read ``leaf`` when ``signs`` is None."""
-    what, ident = att[node][he]
-    if what == "leaf":
-        if signs is None:
-            return f"{he.label()}:leaf"
-        sign = signs[LeafStub(node, he)]
-        if flip:
-            sign = MINUS if sign == PLUS else PLUS
-        return f"{he.label()}:{sign}"
-    sphere, n0, n1 = nt.crossings[ident]
-    child = n1 if n0 == node else n0
-    child_entry = HalfEdge(sphere, 1 if n0 == node else 0)
-    return f"{he.label()}:({_subtree_code(nt, att, child, child_entry, signs, flip)})"
+def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
+    """The node at the far end of crossing ``cid`` from ``node``, and the half-edge it is entered by."""
+    sphere, n0, n1 = nt.crossings[cid]
+    return (n1, HalfEdge(sphere, 1)) if n0 == node else (n0, HalfEdge(sphere, 0))
 
 
-def _subtree_code(nt: NormalTorus, att, node: str, entry: HalfEdge, signs, flip: bool) -> str:
-    parts = [_payload(nt, att, signs, node, he, flip) for he in sorted(k for k in att[node] if k != entry)]
-    pants, _ = nt.nodes[node]
-    return f"{pants}<{entry.label()}|{';'.join(parts)}>"
+def _branch_codes(nt: NormalTorus, att, axis: list[str], axis_edges: list[str], signs) -> dict[str, tuple[str, str]]:
+    """Codes of what hangs off the axis, as (code, code with every sign flipped).
 
-
-def _axis_tokens(nt: NormalTorus, att, signs, ns: list[str], steps, flip: bool) -> list[str]:
-    """Token per axis node for one direction of the cycle."""
-    k = len(ns)
-    tokens = []
-    for i, node in enumerate(ns):
-        cid_in, from_in = steps[(i - 1) % k]
-        cid_out, from_out = steps[i]
-        he_in = HalfEdge(nt.crossings[cid_in][0], 1 - from_in)
-        he_out = HalfEdge(nt.crossings[cid_out][0], from_out)
-        rest = [he for he in sorted(att[node]) if he not in (he_in, he_out)]
-        payloads = [_payload(nt, att, signs, node, he, flip) for he in rest]
-        pants, _ = nt.nodes[node]
-        tokens.append(f"{pants}[{he_in.label()}>{he_out.label()}|{';'.join(payloads)}]")
-    return tokens
+    A hanging node maps to its subtree's code ``pants<entry|payloads>``, an
+    axis node to its payloads alone: per other half-edge in sorted order,
+    ``he:sign`` at a leaf stub (``he:leaf`` when ``signs`` is None) or
+    ``he:(code)`` through a crossing.  Only the axis nodes and their
+    children are kept; deeper codes live inside their parents'.  The walk
+    keeps its own stack, so deep branches cost no recursion.
+    """
+    cut = set(axis_edges)
+    order = []
+    stack: list[tuple[str, HalfEdge | None]] = [(node, None) for node in axis]
+    while stack:
+        node, entry = stack.pop()
+        items = []
+        for he, (what, ident) in sorted(att[node].items()):
+            if what == "leaf":
+                items.append((he, None))
+            elif he != entry and ident not in cut:
+                child = _across(nt, node, ident)
+                items.append((he, child[0]))
+                stack.append(child)
+        order.append((node, entry, items))
+    codes: dict[str, tuple[str, str]] = {}
+    for node, entry, items in reversed(order):
+        plain, flipped = [], []
+        for he, child in items:
+            label = he.label()
+            if child is None:
+                sign = "leaf" if signs is None else signs[LeafStub(node, he)]
+                plain.append(f"{label}:{sign}")
+                flipped.append(f"{label}:{_FLIPPED[sign]}")
+            else:
+                # read once, by the parent: keeping every nested code would grow quadratically on a deep chain
+                code, code_flipped = codes[child] if entry is None else codes.pop(child)
+                plain.append(f"{label}:({code})")
+                flipped.append(f"{label}:({code_flipped})")
+        head, tail = ("", "") if entry is None else (f"{nt.nodes[node][0]}<{entry.label()}|", ">")
+        codes[node] = (head + ";".join(plain) + tail, head + ";".join(flipped) + tail)
+    return codes
 
 
 def canonicalize(d: DecoratedGraph) -> str:
@@ -270,20 +268,27 @@ def canonicalize(d: DecoratedGraph) -> str:
     kept fixed), rotation of the axis, global sign flip and reversal of the
     axis direction: the least code over both directions, both sign flips
     and every rotation.  An axis has no intrinsic direction, since g and
-    g^-1 generate the same edge group of its Z-splitting.
+    g^-1 generate the same edge group of its Z-splitting.  Reversing the
+    axis reverses its node order and swaps each token's in and out
+    half-edges; each rotation is a slice of one doubled string.
     """
     nt = d.torus
     nodes, edges = _axis_cycle(nt)
-    att = nt.attachments()
+    branches = _branch_codes(nt, nt.attachments(), nodes, edges, d.signs)
+    outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt, nodes, edges)]
+    heads = [(nt.nodes[node][0], outs[i - 1].other().label(), outs[i].label(), branches[node]) for i, node in enumerate(nodes)]
     best = None
-    for direction in (0, 1):
-        ns, steps = _oriented_steps(nt, nodes, edges, direction)
-        for flip in (False, True):
-            tokens = _axis_tokens(nt, att, d.signs, ns, steps, flip)
-            for r in range(len(tokens)):
-                code = "|".join(tokens[r:] + tokens[:r])
+    for flip in (0, 1):
+        forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
+        backward = [f"{pants}[{he_out}>{he_in}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
+        for tokens in (forward, backward[:1] + backward[:0:-1]):
+            doubled = "|".join(tokens + tokens)
+            size, start = len(doubled) // 2, 0
+            for token in tokens:
+                code = doubled[start:start + size]
                 if best is None or code < best:
                     best = code
+                start += len(token) + 1
     return best
 
 
@@ -302,17 +307,11 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     """
     nodes, edges = _axis_cycle(nt)
     att = nt.attachments()
+    codes = _branch_codes(nt, att, nodes, edges, None)
     branches: dict[str, list[str]] = {}
     for node in nodes:
-        subtrees = []
-        for he in sorted(att[node]):
-            what, ident = att[node][he]
-            if what != "crossing" or ident in edges:
-                continue
-            sphere, n0, n1 = nt.crossings[ident]
-            child = n1 if n0 == node else n0
-            entry = HalfEdge(sphere, 1 if n0 == node else 0)
-            subtrees.append(_subtree_code(nt, att, child, entry, None, False))
+        hanging = [ident for _, (what, ident) in sorted(att[node].items()) if what == "crossing" and ident not in edges]
+        subtrees = [codes[_across(nt, node, ident)[0]][0] for ident in hanging]
         if subtrees:
             branches[node] = subtrees
     return nodes, branches
@@ -328,7 +327,7 @@ def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, i
     of itself or its inverse.
     """
     nodes, edges = _axis_cycle(nt)
-    _, steps = _oriented_steps(nt, nodes, edges, 0)
+    steps = _oriented_steps(nt, nodes, edges)
     word: list[tuple[int, int]] = []
     for cid, from_end in steps:
         sphere = nt.crossings[cid][0]

@@ -78,10 +78,6 @@ class SphereGraph:
     def ends_of(self, sphere: str) -> tuple[str, str]:
         return (self.pants_of(HalfEdge(sphere, 0)), self.pants_of(HalfEdge(sphere, 1)))
 
-    def is_loop(self, sphere: str) -> bool:
-        a, b = self.ends_of(sphere)
-        return a == b
-
 
 def build_standard(n: int) -> SphereGraph:
     """Deterministic fixture graph of rank ``n``.

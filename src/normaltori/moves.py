@@ -27,19 +27,24 @@ from .position import (
     SIDE_B,
     BoundarySlot,
     Circle,
+    Delta,
     Piece,
     PositionError,
     RegionTree,
+    Tally,
     TorusPosition,
+    _diff,
+    _edge_changes,
+    _outline,
+    _owned_circles,
+    _reindexed,
+    _validate_delta,
     end_slot,
     fresh_id,
-    intersection_vector,
     is_boundary_parallel_disk,
     is_normal,
-    is_normal_piece,
     total_intersections,
     validate_position,
-    validate_step,
     xor_side,
 )
 
@@ -103,54 +108,158 @@ def _moves(t: TorusPosition) -> Iterator[Move]:
     """The moves of ``find_moves``, lazily and in its order."""
     index = t.circle_slots()
     for pid in sorted(t.pieces):
-        piece = t.pieces[pid]
-        by_he: dict[HalfEdge, list[str]] = {}
-        for slot in piece.boundary:
-            by_he.setdefault(slot.half_edge, []).append(slot.circle)
-        for he in sorted(by_he):
-            cids = sorted(by_he[he])
-            tree = t.trees[he.sphere]
-            self_banding: list[Slide] = []
-            for i, c1 in enumerate(cids):
-                for c2 in cids[i + 1 :]:
-                    shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
-                    if not shared:
-                        continue
-                    region = min(shared)  # unique in a tree; min for determinism
-                    slide = Slide(pid, he, c1, c2, region)
-                    far1, _ = end_slot(t, index, c1, 1 - he.end)
-                    far2, _ = end_slot(t, index, c2, 1 - he.end)
-                    if far1.id == far2.id:
-                        self_banding.append(slide)
-                    else:
-                        yield slide
-            yield from self_banding
+        yield from _slides(t, index, pid)
     for pid in sorted(t.pieces):
-        piece = t.pieces[pid]
-        if not is_boundary_parallel_disk(piece):
-            continue
-        slot = piece.boundary[0]
-        cid = slot.circle
-        tree = t.trees[t.circles[cid].sphere]
-        if not tree.is_leaf(_ball_region(t, piece)):
-            # sheets between the disk and the sphere would be dragged along
-            continue
-        far, _ = end_slot(t, index, cid, 1 - slot.half_edge.end)
-        if len(far.boundary) < 2:
-            # capping would close the neighbor piece off; never a torus move
-            continue
-        yield Cap(pid, cid)
+        cap = _cap(t, index, pid)
+        if cap is not None:
+            yield cap
+
+
+def _slides(t: TorusPosition, index, pid: str) -> Iterator[Slide]:
+    """The slides of one piece, in ``find_moves`` order."""
+    by_he: dict[HalfEdge, list[str]] = {}
+    for slot in t.pieces[pid].boundary:
+        by_he.setdefault(slot.half_edge, []).append(slot.circle)
+    for he in sorted(by_he):
+        cids = sorted(by_he[he])
+        tree = t.trees[he.sphere]
+        self_banding: list[Slide] = []
+        for i, c1 in enumerate(cids):
+            for c2 in cids[i + 1 :]:
+                shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
+                if not shared:
+                    continue
+                region = min(shared)  # unique in a tree; min for determinism
+                slide = Slide(pid, he, c1, c2, region)
+                far1, _ = end_slot(t, index, c1, 1 - he.end)
+                far2, _ = end_slot(t, index, c2, 1 - he.end)
+                if far1.id == far2.id:
+                    self_banding.append(slide)
+                else:
+                    yield slide
+        yield from self_banding
+
+
+def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
+    """The cap of one piece, or None."""
+    piece = t.pieces[pid]
+    if not is_boundary_parallel_disk(piece):
+        return None
+    slot = piece.boundary[0]
+    cid = slot.circle
+    tree = t.trees[t.circles[cid].sphere]
+    if not tree.is_leaf(_ball_region(t, piece)):
+        # sheets between the disk and the sphere would be dragged along
+        return None
+    far, _ = end_slot(t, index, cid, 1 - slot.half_edge.end)
+    if len(far.boundary) < 2:
+        # capping would close the neighbor piece off; never a torus move
+        return None
+    return Cap(pid, cid)
+
+
+class _MoveTable:
+    """Each piece's first slide and its cap, kept across the steps of one normalization.
+
+    ``first`` is ``next(_moves(t), None)``: the least piece's first slide,
+    else the least piece's cap.  After a step, ``update`` recomputes only
+    the pieces whose moves can have changed (``_near``).
+    """
+
+    def __init__(self, t: TorusPosition, index):
+        self.slides: dict[str, Slide] = {}
+        self.caps: dict[str, Cap] = {}
+        self._fill(t, index, t.pieces, t.pieces)
+
+    def _fill(self, t: TorusPosition, index, slides, caps) -> None:
+        for table, pids, find in ((self.slides, slides, _first_slide), (self.caps, caps, _cap)):
+            for pid in pids:
+                move = find(t, index, pid) if pid in t.pieces else None
+                if move is None:
+                    table.pop(pid, None)
+                else:
+                    table[pid] = move
+
+    def first(self) -> Move | None:
+        if self.slides:
+            return self.slides[min(self.slides)]
+        if self.caps:
+            return self.caps[min(self.caps)]
+        return None
+
+    def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
+        self._fill(after, index, *_near(before, after, index, delta))
+
+
+def _first_slide(t: TorusPosition, index, pid: str) -> Slide | None:
+    return next(_slides(t, index, pid), None)
+
+
+def _near(before: TorusPosition, after: TorusPosition, index, delta: Delta) -> tuple[set[str], set[str]]:
+    """The pieces whose slides, and those whose cap, a step can have changed; removed ones included.
+
+    A piece's slides read its own slots but not their anchors, the
+    region-tree edges of its circles and which piece holds each circle's
+    far end: they change only for a piece changed beyond its anchors, or a
+    piece on a changed circle, on a circle whose holders changed, or on a
+    circle whose tree edge changed.  A cap also reads its disk's anchor,
+    the far piece's slot count and whether its ball region is a leaf,
+    which adds the other changed pieces, the pieces on a circle held by a
+    piece whose slot count changed, and those on the one circle of a leaf
+    region that a changed edge meets, before or after.
+    """
+    edges, regions = _edge_changes(before, after, delta.spheres)
+    reshaped = {pid for pid in delta.pieces if _outline(before.pieces.get(pid)) != _outline(after.pieces.get(pid))}
+    slides = _holders(index, reshaped, delta.circles | delta.rewired | edges)
+    resized = {pid for pid in delta.pieces if _slot_count(before, pid) != _slot_count(after, pid)}
+    circles = _owned_circles(before, after, resized)
+    for s in delta.spheres:
+        for tree in (before.trees[s], after.trees[s]):
+            at: dict[str, list[str]] = {}
+            for cid, ends in tree.edges.items():
+                for r in ends:
+                    if r in regions:
+                        at.setdefault(r, []).append(cid)
+            circles.update(cids[0] for cids in at.values() if len(cids) == 1)
+    return slides, _holders(index, slides | delta.pieces, circles)
+
+
+def _slot_count(t: TorusPosition, pid: str) -> int | None:
+    piece = t.pieces.get(pid)
+    return None if piece is None else len(piece.boundary)
+
+
+def _holders(index, pids: set[str], circles: set[str]) -> set[str]:
+    """``pids`` and the pieces holding a slot of one of ``circles``."""
+    pids = set(pids)
+    for cid in circles:
+        pids.update(piece.id for piece, _ in index.get(cid, ()))
+    return pids
 
 
 def apply_move(t: TorusPosition, move: Move) -> TorusPosition:
+    return _move(t, move, t.circle_slots())[0]
+
+
+def _apply(t: TorusPosition, move: Move, index) -> tuple[TorusPosition, dict, Delta]:
+    """``apply_move`` that also returns the result's ``circle_slots()`` and the ``Delta``.
+
+    ``index`` is ``t.circle_slots()``; the new index is updated from it.
+    """
+    out, pieces, circles, sphere = _move(t, move, index)
+    return out, _reindexed(index, t, out, pieces), _diff(t, out, pieces, circles, (sphere,))
+
+
+def _move(t: TorusPosition, move: Move, index):
+    """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
     if isinstance(move, Slide):
-        return _apply_slide(t, move)
+        return _apply_slide(t, move, index)
     if isinstance(move, Cap):
-        return _apply_cap(t, move)
+        return _apply_cap(t, move, index)
     raise MoveError(f"unknown move {move!r}")
 
 
-def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
+def _apply_slide(t: TorusPosition, m: Slide, index):
     if m.piece not in t.pieces or m.circle1 not in t.circles or m.circle2 not in t.circles:
         raise MoveError("inapplicable move: missing piece or circle")
     if m.circle1 == m.circle2:
@@ -172,7 +281,6 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
 
     far_end = 1 - m.half_edge.end
     far_he = HalfEdge(sphere, far_end)
-    index = t.circle_slots()
     g1, g1_slot = end_slot(t, index, m.circle1, far_end)
     g2, g2_slot = end_slot(t, index, m.circle2, far_end)
     f1, f2 = _flip(t, m.circle1), _flip(t, m.circle2)
@@ -321,7 +429,7 @@ def _apply_slide(t: TorusPosition, m: Slide) -> TorusPosition:
         if flips:
             out.transport[cid] = not out.transport[cid]
     out.transport[new_cid] = not (f1 ^ rho[g1.id])
-    return out
+    return out, stale | rel.keys(), regauged | {m.circle1, m.circle2, new_cid}, sphere
 
 
 def _ball_region(t: TorusPosition, disk: Piece) -> str:
@@ -334,7 +442,7 @@ def _ball_region(t: TorusPosition, disk: Piece) -> str:
     return slot.region_a
 
 
-def _apply_cap(t: TorusPosition, m: Cap) -> TorusPosition:
+def _apply_cap(t: TorusPosition, m: Cap, index):
     disk = t.pieces.get(m.disk)
     if disk is None or not is_boundary_parallel_disk(disk):
         raise MoveError(f"inapplicable move: {m.disk} is not a boundary-parallel disk")
@@ -349,7 +457,7 @@ def _apply_cap(t: TorusPosition, m: Cap) -> TorusPosition:
         raise MoveError("inapplicable move: circle not innermost on the disk's product side")
     contracted = ball
 
-    far, far_slot = t.slot_at(m.circle, 1 - slot.half_edge.end)
+    far, far_slot = end_slot(t, index, m.circle, 1 - slot.half_edge.end)
     if far.id == disk.id or len(far.boundary) < 2:
         raise MoveError("inapplicable move: capping would close the neighbor piece")
     new_label = SIDE_A if far_slot.region_a == away else SIDE_B
@@ -363,7 +471,7 @@ def _apply_cap(t: TorusPosition, m: Cap) -> TorusPosition:
     neighbor = out.pieces[far.id] = far.replacing_slot(m.circle, far_slot.half_edge, ())
     if not any(s.half_edge == far_slot.half_edge for s in neighbor.boundary):
         neighbor.uncrossed = {**far.uncrossed, far_slot.half_edge: new_label}
-    return out
+    return out, {disk.id, far.id}, {m.circle}, sphere
 
 
 @dataclass
@@ -388,8 +496,8 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     (nothing to normalize), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
     geometrically inconsistent input).  The input and the normal result get
-    ``validate_position`` and every move before the last gets
-    ``validate_step``, which finds the same problems.
+    ``validate_position`` and every move before the last gets the step
+    check scoped by the move's ``Delta``, which finds the same problems.
     """
     problems = validate_position(t)
     if problems:
@@ -398,14 +506,21 @@ def normalize(t: TorusPosition) -> NormalizeResult:
 
 
 def _normalize(t: TorusPosition) -> NormalizeResult:
-    """``normalize`` of a position already known to be valid."""
+    """``normalize`` of a position already known to be valid.
+
+    Each step carries the ``circle_slots()`` index, the ``Tally`` and the
+    move table from the one before, and checks its result with
+    ``_validate_delta`` over the move's ``Delta``.
+    """
     if total_intersections(t) == 0:
         raise NormalizeError("disjoint from the sphere system: nothing to normalize")
     trace: list[MoveRecord] = []
-    current, before = t, intersection_vector(t)
-    while (move := next(_moves(current), None)) is not None:
-        nxt = apply_move(current, move)
-        after = intersection_vector(nxt)
+    index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
+    current, tally, table = t, Tally.of(t), _MoveTable(t, index)
+    while (move := table.first()) is not None:
+        nxt, nxt_index, delta = _apply(current, move, index)
+        nxt_tally = tally.stepped(current, nxt, delta)
+        before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
             raise NormalizeError(f"move {move} changed the total by {sum(after.values()) - sum(before.values())}")
         for s, n in after.items():
@@ -413,12 +528,15 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
                 raise NormalizeError(f"move {move} increased the count on {s}")
         # a move that reaches normal form is the last one, so its result
         # gets the full check; the ones before it are checked by step
-        last = all(map(is_normal_piece, nxt.pieces.values()))
-        problems = validate_position(nxt) if last else validate_step(current, nxt)
+        if nxt_tally.abnormal == 0:
+            problems = validate_position(nxt)
+        else:
+            problems = _validate_delta(current, index, nxt, nxt_index, delta, nxt_tally, hes_at)
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
-        current, before = nxt, after
+        table.update(current, nxt, nxt_index, delta)
+        current, index, tally = nxt, nxt_index, nxt_tally
     ok, violations = is_normal(current)
     if not ok:
         raise NormalizeError("stuck non-normal: " + "; ".join(violations))

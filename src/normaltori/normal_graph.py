@@ -225,40 +225,63 @@ def _branch_codes(nt: NormalTorus, att, axis: list[str], axis_edges: list[str], 
     axis node to its payloads alone: per other half-edge in sorted order,
     ``he:sign`` at a leaf stub (``he:leaf`` when ``signs`` is None) or
     ``he:(code)`` through a crossing.  Only the axis nodes and their
-    children are kept; deeper codes live inside their parents'.  The walk
-    keeps its own stack, so deep branches cost no recursion.
+    children are kept; deeper codes live inside their parents'.
     """
     cut = set(axis_edges)
-    order = []
-    stack: list[tuple[str, HalfEdge | None]] = [(node, None) for node in axis]
-    while stack:
-        node, entry = stack.pop()
-        items = []
-        for he, (what, ident) in sorted(att[node].items()):
-            if what == "leaf":
-                items.append((he, None))
-            elif he != entry and ident not in cut:
-                child = _across(nt, node, ident)
-                items.append((he, child[0]))
-                stack.append(child)
-        order.append((node, entry, items))
     codes: dict[str, tuple[str, str]] = {}
-    for node, entry, items in reversed(order):
+    for node in axis:
         plain, flipped = [], []
-        for he, child in items:
+        for he, (what, ident) in sorted(att[node].items()):
             label = he.label()
-            if child is None:
+            if what == "leaf":
                 sign = "leaf" if signs is None else signs[LeafStub(node, he)]
                 plain.append(f"{label}:{sign}")
                 flipped.append(f"{label}:{_FLIPPED[sign]}")
-            else:
-                # read once, by the parent: keeping every nested code would grow quadratically on a deep chain
-                code, code_flipped = codes[child] if entry is None else codes.pop(child)
+            elif ident not in cut:
+                child = _across(nt, node, ident)
+                code, code_flipped = codes[child[0]] = _hanging_code(nt, att, cut, signs, child)
                 plain.append(f"{label}:({code})")
                 flipped.append(f"{label}:({code_flipped})")
-        head, tail = ("", "") if entry is None else (f"{nt.nodes[node][0]}<{entry.label()}|", ">")
-        codes[node] = (head + ";".join(plain) + tail, head + ";".join(flipped) + tail)
+        codes[node] = (";".join(plain), ";".join(flipped))
     return codes
+
+
+def _hanging_code(nt: NormalTorus, att, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
+    """Both codes of the subtree hanging at ``root``: a node and the half-edge it is entered by.
+
+    The walk keeps its own stack, so deep branches cost no recursion.  It
+    emits each fragment once, in order: a string common to both codes, a
+    (plain, flipped) pair at a leaf stub, or a child node that stands for
+    its whole code.  The strings are joined once, so a deep chain costs
+    linear time.
+    """
+    plain, flipped = [], []
+    stack: list = [root]
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            plain.append(top)
+            flipped.append(top)
+            continue
+        node, entry = top
+        if type(entry) is str:
+            plain.append(node)
+            flipped.append(entry)
+            continue
+        parts: list = [f"{nt.nodes[node][0]}<{entry.label()}|"]
+        sep = ""
+        for he, (what, ident) in sorted(att[node].items()):
+            if what == "leaf":
+                sign = "leaf" if signs is None else signs[LeafStub(node, he)]
+                parts.append((f"{sep}{he.label()}:{sign}", f"{sep}{he.label()}:{_FLIPPED[sign]}"))
+            elif he != entry and ident not in cut:
+                parts += (f"{sep}{he.label()}:(", _across(nt, node, ident), ")")
+            else:
+                continue
+            sep = ";"
+        parts.append(">")
+        stack.extend(reversed(parts))
+    return "".join(plain), "".join(flipped)
 
 
 def canonicalize(d: DecoratedGraph) -> str:

@@ -32,10 +32,16 @@ from .position import (
     SIDE_B,
     BoundarySlot,
     Circle,
+    Delta,
     Piece,
     PositionError,
     RegionTree,
+    Tally,
     TorusPosition,
+    _diff,
+    _edge_changes,
+    _reindexed,
+    _validate_delta,
     end_slot,
     fresh_id,
     intersection_vector,
@@ -43,7 +49,6 @@ from .position import (
     side_masks,
     total_intersections,
     validate_position,
-    validate_step,
 )
 from .serialize import dumps, position_to_json
 
@@ -251,7 +256,8 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     The result is valid, homotopic to the input by construction, and its
     total intersection count is exactly ``k`` larger.  The input must be
     valid; it is checked once, before any draw.  The last inverse move's
-    result gets ``validate_position`` and each earlier one ``validate_step``.
+    result gets ``validate_position`` and each earlier one the step check
+    scoped by the inverse move's ``Delta``.
     """
     problems = validate_position(t)
     if problems:
@@ -260,44 +266,56 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 
 
 def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
-    """``perturb`` of a position already known to be valid."""
+    """``perturb`` of a position already known to be valid.
+
+    Each step carries the ``circle_slots()`` index, the ``Tally`` and the
+    candidate cache from the one before.  A rejected candidate means a
+    bookkeeping bug, so it raises.  The last result gets the full check,
+    each earlier one ``_validate_delta`` over the inverse move's ``Delta``.
+    """
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
-    current = t
+    current, index, tally = t, t.circle_slots(), Tally.of(t)
+    hes_at = t.graph.half_edges_by_pants()
+    cache = _Candidates(t, index)
     for i in range(k):
-        candidates = _inverse_candidates(current)
+        candidates = cache.list()
         if not candidates:
             raise PositionError("no applicable inverse move")
-        current = _apply_some_inverse(current, rng, candidates, last=i == k - 1)
+        cand = candidates[rng.randrange(len(candidates))]
+        try:
+            nxt, nxt_index, delta = _apply_inverse(current, cand, index)
+        except PositionError as exc:  # MoveError included
+            raise PositionError(f"inverse move {cand} failed: {exc}") from exc
+        nxt_tally = tally.stepped(current, nxt, delta)
+        last = i == k - 1
+        if last:
+            problems = validate_position(nxt)
+        else:
+            problems = _validate_delta(current, index, nxt, nxt_index, delta, nxt_tally, hes_at)
+        if problems:
+            raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
+        if total_intersections(nxt) != total_intersections(current) + 1:
+            raise PositionError(f"inverse move {cand} did not raise the total by one")
+        if not last:
+            cache.update(current, nxt, nxt_index, delta)
+        current, index, tally = nxt, nxt_index, nxt_tally
     return current
 
 
-def _apply_some_inverse(t: TorusPosition, rng: random.Random, candidates: list, last: bool) -> TorusPosition:
-    """Apply one drawn candidate; a rejected one means a bookkeeping bug, so it raises.
+def _apply_inverse(t: TorusPosition, cand: tuple, index) -> tuple[TorusPosition, dict, Delta]:
+    """Apply one inverse move; also return the result's ``circle_slots()`` and the ``Delta``.
 
-    The result gets the full check when ``last``, else the step check
-    against ``t``.
+    ``index`` is ``t.circle_slots()``; the new index is updated from it.
     """
-    cand = candidates[rng.randrange(len(candidates))]
-    try:
-        out = _apply_inverse(t, cand)
-    except PositionError as exc:  # MoveError included
-        raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-    problems = validate_position(out) if last else validate_step(t, out)
-    if problems:
-        raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
-    if total_intersections(out) != total_intersections(t) + 1:
-        raise PositionError(f"inverse move {cand} did not raise the total by one")
-    return out
-
-
-def _apply_inverse(t: TorusPosition, cand: tuple) -> TorusPosition:
     if cand[0] == "dome":
-        return _apply_inverse_dome(t, *cand[1:])
-    if cand[0] == "finger":
-        return _apply_inverse_finger(t, *cand[1:])
-    raise PositionError(f"unknown inverse move {cand[0]}")
+        out, pieces, circles, sphere = _apply_inverse_dome(t, index, *cand[1:])
+    elif cand[0] == "finger":
+        out, pieces, circles, sphere = _apply_inverse_finger(t, *cand[1:])
+    else:
+        raise PositionError(f"unknown inverse move {cand[0]}")
+    return out, _reindexed(index, t, out, pieces), _diff(t, out, pieces, circles, (sphere,))
 
 
 def _all_regions(t: TorusPosition) -> set[str]:
@@ -305,59 +323,128 @@ def _all_regions(t: TorusPosition) -> set[str]:
 
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
-    """Every inverse move on a valid position, in a fixed order."""
-    index = t.circle_slots()
-    cands: list[tuple] = []
-    for cid in sorted(t.circles):
-        (p0, _), (p1, _) = index[cid]  # one slot at each end
-        if p0.id == p1.id:  # a dome split needs distinct pieces
-            continue
-        a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
-        for host_end in (0, 1):
-            for rx in sorted((a, b)):
-                cands.append(("dome", cid, host_end, rx))
-    # A finger's arc runs inside one pants from the piece to the sphere
-    # collar over the target region, so both endpoints must lie in the same
-    # complementary component; in a pants, components are cut out by the
-    # (separating) pieces, so it suffices that every other piece of the
-    # pants sees both endpoints on one side.  One mask walk per sphere end
-    # gives every region the sides of all pieces of that pants at once, so
-    # the admissible regions are those whose mask matches the mask at the
-    # piece's first anchor (a collar point next to its own circle, where
-    # every other piece of the pants sees it) outside the piece's own bit,
-    # which is constant at an end it does not cross.
-    bits: dict[str, dict[str, int]] = defaultdict(dict)
-    for pid in sorted(t.pieces):
-        mates = bits[t.pieces[pid].pants]
-        mates[pid] = 1 << len(mates)
-    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
-    masks: dict[HalfEdge, dict[str, int]] = {}
-    regions_by_mask: dict[HalfEdge, dict[int, list[str]]] = {}
-    for he in t.graph.incidence:
-        pants = t.graph.pants_of(he)
-        if pants not in bits:
-            continue
-        masks[he] = side_masks(t, he, bits[pants], nbrs[he.sphere])
-        groups = regions_by_mask[he] = defaultdict(list)
-        for region in sorted(t.trees[he.sphere].regions):
-            groups[masks[he][region]].append(region)
-    for pid in sorted(t.pieces):
-        piece = t.pieces[pid]
-        bit = bits[piece.pants][pid]
+    """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
+    return _Candidates(t, t.circle_slots()).list()
+
+
+class _Candidates:
+    """The inverse moves of a valid position, kept per item across the steps of one perturbation.
+
+    Domes are kept per circle and fingers per piece.  A finger's arc runs
+    inside one pants from the piece to the sphere collar over the target
+    region, so both endpoints must lie in the same complementary
+    component; in a pants, components are cut out by the (separating)
+    pieces, so it suffices that every other piece of the pants sees both
+    endpoints on one side.  One mask walk per sphere end (``side_masks``)
+    gives every region the sides of all pieces of that pants at once, so
+    the admissible regions are those whose mask matches the mask at the
+    piece's first anchor (a collar point next to its own circle, where
+    every other piece of the pants sees it) outside the piece's own bit,
+    which is constant at an end it does not cross.
+
+    After a step, ``update`` rebuilds the masks, and the tree's
+    ``neighbors()``, only at the sphere ends whose tree or whose pants'
+    pieces changed, the fingers of the pieces of those pants, and the
+    domes of the circles that changed, changed owners or moved in their
+    tree.
+    """
+
+    def __init__(self, t: TorusPosition, index):
+        self.members: dict[str, set[str]] = defaultdict(set)
+        for pid, piece in t.pieces.items():
+            self.members[piece.pants].add(pid)
+        self.bits: dict[str, dict[str, int]] = {}
+        self.nbrs: dict[str, dict] = {}
+        self.masks: dict[HalfEdge, dict[str, int]] = {}
+        self.groups: dict[HalfEdge, dict[int, list[str]]] = {}
+        self.domes: dict[str, list[tuple]] = {}
+        self.fingers: dict[str, list[tuple]] = {}
+        self._refresh(t, index, t.circles.keys(), set(self.members), t.trees.keys(), set())
+
+    def list(self) -> list[tuple]:
+        domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
+        return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
+
+    def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
+        # a sphere end's masks read its tree, the bits of its pants' pieces
+        # (set by which pieces the pants holds) and each piece's slots or
+        # uncrossed label there
+        pants, ends = set(), {he for s in delta.spheres for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
+        for pid in delta.pieces:
+            old, new = before.pieces.get(pid), after.pieces.get(pid)
+            if old is None or new is None or old.pants != new.pants:
+                for piece in (old, new):
+                    if piece is not None:
+                        pants.add(piece.pants)
+                if old is not None:
+                    self.members[old.pants].discard(pid)
+                if new is not None:
+                    self.members[new.pants].add(pid)
+                else:
+                    del self.fingers[pid]
+                continue
+            ends.update(he for he in old.uncrossed.keys() | new.uncrossed.keys()
+                        if old.uncrossed.get(he) != new.uncrossed.get(he))
+        ends.update(he for _, he in delta.ends)
+        circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)[0]
+        self._refresh(after, index, circles, pants, delta.spheres, ends)
+
+    def _refresh(self, t: TorusPosition, index, circles, pants: set[str], spheres, ends: set[HalfEdge]) -> None:
+        """Rebuild the domes of ``circles``, the bits of ``pants``, the tree neighbors of
+        ``spheres``, the masks at ``ends`` and at every end of ``pants``, and the fingers
+        of every piece in a pants with a rebuilt end."""
+        for cid in circles:
+            self.domes.pop(cid, None)
+            if cid in t.circles:
+                self.domes[cid] = _domes(t, index, cid)
+        for s in spheres:
+            self.nbrs[s] = t.trees[s].neighbors()
+        for p in pants:
+            mates = sorted(self.members[p])
+            self.bits[p] = {pid: 1 << i for i, pid in enumerate(mates)}
+        ends = ends | {he for p in pants for he in t.graph.half_edges_at(p)}
+        for he in ends:
+            bits = self.bits.get(t.graph.pants_of(he))
+            if not bits:
+                self.masks.pop(he, None)
+                self.groups.pop(he, None)
+                continue
+            masks = self.masks[he] = side_masks(t, he, bits, self.nbrs[he.sphere])
+            groups = self.groups[he] = defaultdict(list)
+            for region in sorted(t.trees[he.sphere].regions):
+                groups[masks[region]].append(region)
+        for p in {t.graph.pants_of(he) for he in ends}:
+            for pid in self.bits.get(p, ()):
+                self.fingers[pid] = self._fingers(t.pieces[pid])
+
+    def _fingers(self, piece: Piece) -> list[tuple]:
+        bit = self.bits[piece.pants][piece.id]
         anchor = piece.boundary[0]
-        at_anchor = masks[anchor.half_edge][anchor.region_a] & ~bit
+        at_anchor = self.masks[anchor.half_edge][anchor.region_a] & ~bit
+        out = []
         for he in sorted(piece.uncrossed):
             own = bit if piece.uncrossed[he] == SIDE_B else 0
-            for region in regions_by_mask[he].get(at_anchor | own, ()):
-                cands.append(("finger", pid, he, region))
-    return cands
+            out.extend(("finger", piece.id, he, region) for region in self.groups[he].get(at_anchor | own, ()))
+        return out
 
 
-def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> TorusPosition:
-    """Split a circle, shedding a boundary-parallel disk on the host side."""
+def _domes(t: TorusPosition, index, cid: str) -> list[tuple]:
+    """The dome splits of one circle: none when one piece holds both its ends."""
+    (p0, _), (p1, _) = index[cid]  # one slot at each end
+    if p0.id == p1.id:
+        return []
+    a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
+    return [("dome", cid, host_end, rx) for host_end in (0, 1) for rx in sorted((a, b))]
+
+
+def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: str):
+    """Split a circle, shedding a boundary-parallel disk on the host side.
+
+    Returns the result, the ids of the pieces and circles it replaced, and
+    the sphere whose tree it replaced, as ``_apply_inverse_finger`` does.
+    """
     sphere = t.circles[cid].sphere
     host_he = HalfEdge(sphere, host_end)
-    index = t.circle_slots()
     host, host_slot = end_slot(t, index, cid, host_end)
     near, near_slot = end_slot(t, index, cid, 1 - host_end)
     if host.id == near.id:
@@ -406,10 +493,10 @@ def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str) -> T
         [BoundarySlot(c_dome, host_he, rx if dome_label == SIDE_A else r_fp)],
         {he: dome_label for he in others},
     )
-    return out
+    return out, {near.id, host.id, dome_id}, {cid, c_dome, c_keep}, sphere
 
 
-def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str) -> TorusPosition:
+def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str):
     """Push a finger of a piece through a sphere end it does not cross."""
     piece = t.pieces[pid]
     if he not in piece.uncrossed:
@@ -446,7 +533,7 @@ def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str)
         [BoundarySlot(c_new, dome_he, region if label == SIDE_A else leaf)],
         {h: label for h in others},
     )
-    return out
+    return out, {pid, dome_id}, {c_new}, sphere
 
 
 # ---------------------------------------------------------------------------

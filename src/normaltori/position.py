@@ -13,15 +13,21 @@ in place (the tests do) must edit a ``clone`` of it.  Nothing here
 assumes the surface is in normal form - transient states
 mid-normalization (several circles of one piece on one sphere end,
 positive genus, boundary-parallel disks) are all representable.
+
+Inside ``normalize`` and ``perturb`` each step reports a ``Delta``, and
+the loop carries the ``circle_slots()`` index and a ``Tally`` from step
+to step; ``_validate_delta`` then takes its scope from the delta, which
+the tests pin equal to the by-value scope that the public
+``validate_step`` still finds by comparing the two positions.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
-from .graphs import HalfEdge, SphereGraph, reachable, validate_graph
+from .graphs import HalfEdge, SphereGraph, validate_graph
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -130,11 +136,15 @@ class RegionTree:
                 nbrs[b].append((cid, a))
         return nbrs
 
-    def degree(self, region: str) -> int:
-        return sum(1 for a, b in self.edges.values() if region in (a, b))
-
     def is_leaf(self, region: str) -> bool:
-        return self.degree(region) == 1
+        """Whether exactly one circle borders ``region``; stops at the second."""
+        seen = False
+        for a, b in self.edges.values():
+            if region == a or region == b:
+                if seen:
+                    return False
+                seen = True
+        return seen
 
 
 @dataclass
@@ -166,22 +176,18 @@ class TorusPosition:
     def circle_slots(self) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
         """Circle id -> every (piece, slot) glued to it, in piece then slot order.
 
-        Built afresh on each call and never stored: tests edit positions in
-        place, so a kept index would go stale.  Callers that look up many
-        circles build it once and read it with ``end_slot``.
+        Built afresh on each call and never stored on the position: tests
+        edit positions in place, so a kept index would go stale.  Callers
+        that look up many circles build it once and read it with
+        ``end_slot``.  Inside ``normalize`` and ``perturb`` each step
+        updates the index from its ``Delta`` (``_reindexed``) instead of
+        building it again; the tests pin the update equal to a fresh build.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
             for slot in piece.boundary:
                 index.setdefault(slot.circle, []).append((piece, slot))
         return index
-
-    def piece_at(self, cid: str, end: int) -> Piece:
-        """The piece attached at the given end of the circle's sphere."""
-        return self.slot_at(cid, end)[0]
-
-    def slot_at(self, cid: str, end: int) -> tuple[Piece, BoundarySlot]:
-        return end_slot(self, self.circle_slots(), cid, end)
 
     def half_edge_label(self, he: HalfEdge) -> str:
         """Human-facing ``sphere@pants`` name of a sphere end."""
@@ -325,7 +331,9 @@ def validate_step(before: TorusPosition, after: TorusPosition) -> list[str]:
     (Euler sum, connectivity, betti, monodromy) still cover all of
     ``after``.  The result is the same list, in the same order, that
     ``validate_position(after)`` returns.  A different graph object gets the
-    full check.
+    full check.  Inside ``normalize`` and ``perturb`` each step is checked
+    by ``_validate_delta`` instead, whose scope comes from the move's own
+    ``Delta``; the tests pin that scope equal to this by-value one.
     """
     if after.graph is not before.graph:
         return validate_position(after)
@@ -333,12 +341,65 @@ def validate_step(before: TorusPosition, after: TorusPosition) -> list[str]:
     return _validate(after, index, *_step_scope(before, after, index))
 
 
+@dataclass
+class Delta:
+    """What one step changed, by id.
+
+    ``pieces`` and ``circles`` hold the ids added, removed or changed by
+    value; ``transport`` the circles of the result whose transport bit
+    changed; ``spheres`` those whose region tree changed; ``ends`` the
+    (piece, sphere end) pairs of the result whose slots changed; and
+    ``rewired`` the circles that a changed piece gained or lost a slot of
+    at some sphere end, i.e. whose holders changed.
+    """
+
+    pieces: set[str]
+    circles: set[str]
+    transport: set[str]
+    spheres: set[str]
+    ends: set[tuple[str, HalfEdge]]
+    rewired: set[str] = field(default_factory=set)
+
+
+def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres) -> Delta:
+    """The ``Delta`` from ``before`` to ``after``, comparing only the given ids by value.
+
+    Every other id must hold the same item in both positions: a move
+    passes the ids it replaced, ``_step_scope`` passes every id.
+    """
+    changed = {pid for pid in pieces if before.pieces.get(pid) != after.pieces.get(pid)}
+    ends, rewired = set(), set()
+    for pid in changed:
+        old = _slots_by_end(before.pieces[pid]) if pid in before.pieces else {}
+        new = _slots_by_end(after.pieces[pid]) if pid in after.pieces else {}
+        ends.update((pid, he) for he, slots in new.items() if old.get(he) != slots)
+        for he in old.keys() | new.keys():
+            a = [slot.circle for slot in old.get(he, ())]
+            b = [slot.circle for slot in new.get(he, ())]
+            if a != b:  # a circle listed twice changes its slot count, so take all then
+                rewired.update(set(a) ^ set(b) if len(set(a)) == len(a) and len(set(b)) == len(b) else {*a, *b})
+    return Delta(
+        changed,
+        {cid for cid in circles if before.circles.get(cid) != after.circles.get(cid)},
+        {cid for cid in circles if cid in after.circles and before.transport.get(cid) != after.transport.get(cid)},
+        {s for s in spheres if before.trees.get(s) != after.trees.get(s)},
+        ends,
+        rewired,
+    )
+
+
 def _step_scope(before: TorusPosition, after: TorusPosition, index):
+    """``_delta_scope`` of the ``Delta`` found by comparing the two positions by value."""
+    every = (before.pieces.keys() | after.pieces.keys(), before.circles.keys() | after.circles.keys())
+    return _delta_scope(before, after, index, _diff(before, after, *every, after.graph.sphere_edges))
+
+
+def _delta_scope(before: TorusPosition, after: TorusPosition, index, delta: Delta):
     """(pieces, circles, spheres, ends) of ``after`` whose checks can differ from ``before``'s.
 
-    Found by comparing the two positions by value.  Each check reads only
-    its own item and what the item references, so an item outside the
-    scope reads what it read in the valid ``before`` and finds nothing:
+    Each check reads only its own item and what the item references, so an
+    item outside the scope reads what it read in the valid ``before`` and
+    finds nothing:
 
     * pieces: added or changed, or referencing a circle that was added,
       removed or changed (``index``, ``after.circle_slots()``, finds the
@@ -354,25 +415,23 @@ def _step_scope(before: TorusPosition, after: TorusPosition, index):
       slots at one end and that sphere's tree, so it runs on these ends
       and on every end at a scoped sphere.
     """
-    pieces = {pid for pid, piece in after.pieces.items() if before.pieces.get(pid) != piece}
-    ends = set()
-    for pid in pieces:
-        old = _slots_by_end(before.pieces[pid]) if pid in before.pieces else {}
-        ends.update((pid, he) for he, slots in _slots_by_end(after.pieces[pid]).items()
-                    if old.get(he) != slots)
-    pieces |= before.pieces.keys() - after.pieces.keys()
-    moved = {cid for cid, circle in after.circles.items() if before.circles.get(cid) != circle}
-    moved |= before.circles.keys() - after.circles.keys()
-    circles = moved | {cid for cid in after.circles
-                       if before.transport.get(cid) != after.transport.get(cid)}
-    spheres = {s for s in after.graph.sphere_edges if before.trees.get(s) != after.trees.get(s)}
+    pieces = {pid for pid in delta.pieces if _outline(before.pieces.get(pid)) != _outline(after.pieces.get(pid))}
+    moved = {pid for pid in pieces if pid not in before.pieces or pid not in after.pieces
+             or before.pieces[pid].pants != after.pieces[pid].pants}
+    circles = delta.circles | delta.transport | delta.rewired | _owned_circles(before, after, moved)
+    spheres = set(delta.spheres)
     for t in (before, after):
-        for pid in pieces & t.pieces.keys():
-            circles |= t.pieces[pid].circles()
-        spheres.update(t.circles[cid].sphere for cid in moved & t.circles.keys())
-    for cid in moved:
+        spheres.update(t.circles[cid].sphere for cid in delta.circles & t.circles.keys())
+    for cid in delta.circles:
         pieces.update(piece.id for piece, _ in index.get(cid, ()))
-    return pieces & after.pieces.keys(), circles & after.circles.keys(), spheres, ends
+    return pieces & after.pieces.keys(), circles & after.circles.keys(), spheres, delta.ends
+
+
+def _outline(piece: Piece | None):
+    """What a piece check reads of a piece: all of it but its slots' anchors."""
+    if piece is None:
+        return None
+    return piece.id, piece.pants, piece.genus, [(s.circle, s.half_edge) for s in piece.boundary], piece.uncrossed
 
 
 def _slots_by_end(piece: Piece) -> dict[HalfEdge, list[BoundarySlot]]:
@@ -382,34 +441,224 @@ def _slots_by_end(piece: Piece) -> dict[HalfEdge, list[BoundarySlot]]:
     return by_he
 
 
-def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends: set) -> list[str]:
+def _owned_circles(before: TorusPosition, after: TorusPosition, pieces: set[str]) -> set[str]:
+    """The circles that the given pieces own, before or after a step."""
+    circles: set[str] = set()
+    for t in (before, after):
+        for pid in pieces & t.pieces.keys():
+            circles |= t.pieces[pid].circles()
+    return circles
+
+
+def _edge_changes(before: TorusPosition, after: TorusPosition, spheres) -> tuple[set[str], set[str]]:
+    """(circles whose region-tree edge differs, the regions those edges meet before or after), over ``spheres``."""
+    circles: set[str] = set()
+    regions: set[str] = set()
+    for s in spheres:
+        old, new = before.trees[s].edges, after.trees[s].edges
+        for cid in old.keys() | new.keys():
+            if old.get(cid) != new.get(cid):
+                circles.add(cid)
+                regions.update(old.get(cid, ()), new.get(cid, ()))
+    return circles, regions
+
+
+def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> dict:
+    """``after.circle_slots()``, updated from ``before``'s ``index`` over the pieces a step replaced.
+
+    ``pieces`` must hold every piece id whose item differs between the two
+    positions.  Each circle gets the same (piece, slot) pairs as a fresh
+    build, though a changed circle's pairs may come in another order; the
+    step's readers find a slot by its sphere end, never by its place.
+    """
+    out = dict(index)
+    fresh: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
+    for pid in sorted(pieces):
+        for slot in before.pieces[pid].boundary if pid in before.pieces else ():
+            fresh.setdefault(slot.circle, [])
+        piece = after.pieces.get(pid)
+        for slot in piece.boundary if piece is not None else ():
+            fresh.setdefault(slot.circle, []).append((piece, slot))
+    for cid, added in fresh.items():
+        entry = [pair for pair in index.get(cid, ()) if pair[0].id not in pieces] + added
+        if entry:
+            out[cid] = entry
+        else:
+            out.pop(cid, None)
+    return out
+
+
+@dataclass
+class Tally:
+    """Sums over a whole position that a step updates from its ``Delta``.
+
+    ``counts`` is the intersection vector, ``euler`` the Euler sum, and
+    ``genus`` and ``abnormal`` count the pieces of nonzero genus and the
+    pieces that are not normal pieces (``is_normal_piece``).
+    """
+
+    counts: dict[str, int]
+    euler: int
+    genus: int
+    abnormal: int
+
+    @classmethod
+    def of(cls, t: TorusPosition) -> "Tally":
+        pieces = t.pieces.values()
+        return cls(
+            intersection_vector(t),
+            euler_characteristic(t),
+            sum(p.genus != 0 for p in pieces),
+            sum(not is_normal_piece(p) for p in pieces),
+        )
+
+    def stepped(self, before: TorusPosition, after: TorusPosition, delta: Delta) -> "Tally":
+        """The tally of ``after``, from this one of ``before``."""
+        counts = dict(self.counts)
+        for cid in delta.circles:
+            if cid in before.circles:
+                counts[before.circles[cid].sphere] -= 1
+            if cid in after.circles:
+                sphere = after.circles[cid].sphere
+                counts[sphere] = counts.get(sphere, 0) + 1
+        euler, genus, abnormal = self.euler, self.genus, self.abnormal
+        for pid in delta.pieces:
+            for piece, sign in ((before.pieces.get(pid), -1), (after.pieces.get(pid), 1)):
+                if piece is not None:
+                    euler += sign * piece.euler()
+                    genus += sign * (piece.genus != 0)
+                    abnormal += sign * (not is_normal_piece(piece))
+        return Tally(counts, euler, genus, abnormal)
+
+
+def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, index, delta: Delta, tally: Tally,
+                    hes_at) -> list[str]:
+    """``validate_step(before, after)`` for a step that reports its ``Delta``.
+
+    ``index`` and ``tally`` are ``after``'s ``circle_slots()`` and ``Tally``,
+    ``before_index`` is ``before``'s index and ``hes_at`` the graph's
+    ``half_edges_by_pants()``.  The scope comes from the delta, and the
+    global checks read the tally and ``_same_joins``; only a step that
+    changes how the piece graph joins gets the full walk.
+    """
+    scope = _delta_scope(before, after, index, delta)
+    return _validate(after, index, *scope, step=(before, before_index, delta, tally, hes_at))
+
+
+def _joins(t: TorusPosition, index, inner: set[str], circles: set[str]):
+    """How the piece subgraph over ``circles`` joins the pieces outside ``inner``.
+
+    The subgraph holds the pieces of ``inner`` that ``t`` has and every
+    circle of ``circles`` with two slots.  Returns (boundary piece -> (least
+    boundary piece of its component, flip parity between the two)), the
+    number of components with no boundary piece, and whether some cycle has
+    an odd flip count.
+    """
+    adj: dict[str, list[tuple[str, bool]]] = {pid: [] for pid in inner & t.pieces.keys()}
+    odd = False
+    for cid in circles:
+        pair = index.get(cid, ()) if cid in t.circles else ()
+        if len(pair) != 2:
+            continue
+        (a, _), (b, _) = pair
+        flip = not t.transport.get(cid, True)
+        if a.id == b.id:
+            odd |= flip
+            continue
+        adj.setdefault(a.id, []).append((b.id, flip))
+        adj.setdefault(b.id, []).append((a.id, flip))
+    side: dict[str, bool] = {}
+    at: dict[str, tuple[str, bool]] = {}
+    free = 0
+    for start in adj:
+        if start in side:
+            continue
+        side[start] = False
+        component = [start]
+        for n in component:
+            for other, flip in adj[n]:
+                if other not in side:
+                    side[other] = side[n] ^ flip
+                    component.append(other)
+                elif side[other] != side[n] ^ flip:
+                    odd = True
+        boundary = [n for n in component if n not in inner]
+        if not boundary:
+            free += 1
+            continue
+        root = min(boundary)
+        for n in boundary:
+            at[n] = (root, side[n] ^ side[root])
+    return at, free, odd
+
+
+def _same_joins(t: TorusPosition, index, before: TorusPosition, before_index, delta: Delta) -> bool:
+    """Whether a step on a valid ``before`` keeps ``t``'s piece graph connected and two-sided.
+
+    The changed circles are those added, removed, with a new transport bit
+    or with a new holder; the inner pieces are the changed pieces that
+    hold one, with every circle they hold.  Outside these both piece
+    graphs are one shared rest, which meets each inner part only at
+    pieces outside it (the boundary).  If both parts join the boundary
+    alike (same components, same flip parity between pieces of a
+    component), leave the same number of components off it, and the new
+    part has no odd cycle, then ``t`` has as many components as ``before``
+    and is as two-sided.  A piece whose sides a step swaps is inner, so
+    the parities see no gauge change.  False means the full walk must
+    decide.
+    """
+    circles = delta.circles | delta.transport | delta.rewired
+    inner = {pid for pid in delta.pieces if pid not in before.pieces or pid not in t.pieces}
+    inner.update(piece.id for cid in circles for piece, _ in before_index.get(cid, ()) if piece.id in delta.pieces)
+    inner.update(piece.id for cid in circles for piece, _ in index.get(cid, ()) if piece.id in delta.pieces)
+    circles |= _owned_circles(before, t, inner)
+    old_at, *old = _joins(before, before_index, inner, circles)
+    new_at, *new = _joins(t, index, inner, circles)
+    if new[1] or old != new:
+        return False
+    return all(old_at.get(n, (n, False)) == new_at.get(n, (n, False)) for n in old_at.keys() | new_at.keys())
+
+
+def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends: set, step=None) -> list[str]:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
     ``index`` is ``t.circle_slots()``.  The per-item checks run in id
     order (spheres in graph order), and the global checks and the side
     anchors at ``ends`` and at every end on a given sphere only once those
     found nothing, so any scope that holds every item with a problem gives
-    the same list.
+    the same list.  ``step`` is (before, its index, ``Delta``, ``t``'s
+    ``Tally``, the graph's ``half_edges_by_pants()``) for the result of a
+    step from a valid ``before``: the per-sphere counts, the Euler sum and
+    the genus verdict are then read off the tally, and connectivity and
+    monodromy need the full walk only when ``_same_joins`` cannot tell.
     """
-    hes_at = t.graph.half_edges_by_pants()
+    hes_at = step[4] if step is not None else t.graph.half_edges_by_pants()
+    tally = step[3] if step is not None else None
     problems = []
     for pid in sorted(pieces):
         problems.extend(_piece_problems(t, pid, hes_at))
     for cid in sorted(circles):
         problems.extend(_circle_problems(t, cid, index, hes_at))
-    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres]))
+    counts = tally.counts if tally else Counter(c.sphere for c in t.circles.values())
+    nbrs: dict[str, dict] = {}
+    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts, nbrs))
     if problems:
         return problems
 
-    chi = euler_characteristic(t)
+    chi = tally.euler if tally else euler_characteristic(t)
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
-    if t.pieces and reached != len(t.pieces):
+    if step is not None and _same_joins(t, index, *step[:3]):
+        connected, bad_cycle = True, None
+    else:
+        reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
+        connected = not t.pieces or reached == len(t.pieces)
+    if not connected:
         problems.append("piece graph disconnected")
 
-    if all(p.genus == 0 for p in t.pieces.values()) and not problems:
+    flat = tally.genus == 0 if tally else all(p.genus == 0 for p in t.pieces.values())
+    if flat and not problems:
         if piece_graph_betti(t) != 1:
             problems.append(f"piece graph betti {piece_graph_betti(t)} not 1")
 
@@ -421,7 +670,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
         (piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
         for piece, slot in index[cid]
     }
-    problems.extend(_validate_side_anchors(t, ends))
+    problems.extend(_validate_side_anchors(t, ends, nbrs))
     return problems
 
 
@@ -483,18 +732,20 @@ def _circle_problems(t: TorusPosition, cid: str, index, hes_at) -> list[str]:
     return problems
 
 
-def _validate_trees(t: TorusPosition, spheres: list[str]) -> list[str]:
+def _validate_trees(t: TorusPosition, spheres: list[str], counts, nbrs: dict) -> list[str]:
+    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles.
+
+    Leaves each walked tree's ``neighbors()`` in ``nbrs``, by sphere.
+    """
     problems = []
-    want: dict[str, set[str]] = {s: set() for s in spheres}
-    for cid, c in t.circles.items():
-        if c.sphere in want:
-            want[c.sphere].add(cid)
     for s in spheres:
         tree = t.trees.get(s)
         if tree is None:
             problems.append(f"sphere {s} missing region tree")
             continue
-        if set(tree.edges) != want[s]:
+        if len(tree.edges) != counts.get(s, 0) or any(
+            cid not in t.circles or t.circles[cid].sphere != s for cid in tree.edges
+        ):
             problems.append(f"region tree of {s} does not list exactly its circles")
             continue
         if len(tree.regions) != len(tree.edges) + 1:
@@ -506,38 +757,61 @@ def _validate_trees(t: TorusPosition, spheres: list[str]) -> list[str]:
         for cid, (a, b) in tree.edges.items():
             if a not in tree.regions or b not in tree.regions or a == b:
                 problems.append(f"region tree edge {cid} of {s} malformed")
-        adj = {r: [q for _, q in pairs] for r, pairs in tree.neighbors().items()}
-        if tree.regions - reachable(adj, min(tree.regions)):
+        around = nbrs[s] = tree.neighbors()
+        start = min(tree.regions)
+        reached, stack = {start}, [start]
+        while stack:
+            for _, q in around.get(stack.pop(), ()):
+                if q not in reached:
+                    reached.add(q)
+                    stack.append(q)
+        if tree.regions - reached:
             problems.append(f"region tree of {s} disconnected")
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
+def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nbrs: dict) -> list[str]:
     """Per piece and sphere end, region-side anchors must be consistent.
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
     that side; so every ``region_a`` must read A in the piece's side map
-    at that end.  Checks the given (piece, end) pairs, in order.  Runs only
-    on positions whose circles and trees passed the other checks.
+    at that end.  Checks the given (piece, end) pairs, in order, with one
+    ``side_masks`` walk per sphere end for all its pieces.  Runs only on
+    positions whose circles and trees passed the other checks, where each
+    circle end holds one slot, so the pieces' bits never share a circle.
+    ``nbrs`` holds trees' ``neighbors()`` by sphere; it gains the missing ones.
     """
-    problems = []
-    nbrs: dict[str, dict] = {}
+    slots_at: dict[tuple[str, HalfEdge], list[BoundarySlot]] = defaultdict(list)
+    for pid in {pid for pid, _ in ends}:
+        for slot in t.pieces[pid].boundary:
+            slots_at[pid, slot.half_edge].append(slot)
+    problems: list = []
+    bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
     for pid, he in sorted(ends):
-        piece = t.pieces[pid]
-        slots = [slot for slot in piece.boundary if slot.half_edge == he]
-        tree = t.trees[he.sphere]
-        stray = [slot for slot in slots if slot.region_a not in tree.edges[slot.circle]]
+        slots = slots_at[pid, he]
+        edges = t.trees[he.sphere].edges
+        stray = [slot for slot in slots if slot.region_a not in edges[slot.circle]]
         for slot in stray:
             problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
-        if stray or len(slots) == 1:  # a lone anchor cannot conflict
-            continue
+        if not stray and len(slots) > 1:  # a lone anchor cannot conflict
+            bits[he][pid] = 1 << len(bits[he])
+            problems.append((pid, he, slots))  # decided below, once the masks are known
+    if not bits:
+        return problems
+    for he in bits:
         if he.sphere not in nbrs:
-            nbrs[he.sphere] = tree.neighbors()
-        side = side_map(t, piece, he, nbrs[he.sphere])
-        if any(side.get(slot.region_a) != SIDE_A for slot in slots):
-            problems.append(f"piece {pid} side anchors conflict at {he.label()}")
-    return problems
+            nbrs[he.sphere] = t.trees[he.sphere].neighbors()
+    masks = {he: side_masks(t, he, mates, nbrs[he.sphere]) for he, mates in bits.items()}
+    out = []
+    for problem in problems:
+        if type(problem) is str:
+            out.append(problem)
+            continue
+        pid, he, slots = problem
+        if any(masks[he][slot.region_a] & bits[he][pid] for slot in slots):
+            out.append(f"piece {pid} side anchors conflict at {he.label()}")
+    return out
 
 
 def side_map(t: TorusPosition, piece: Piece, he: HalfEdge, nbrs) -> dict[str, str]:

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
 from normaltori.fixtures import theta_graph
-from normaltori.graphs import HalfEdge
-from normaltori.position import SIDE_A, BoundarySlot, Circle, Piece, RegionTree, TorusPosition
+from normaltori.graphs import HalfEdge, SphereGraph
+from normaltori.position import SIDE_A, BoundarySlot, Circle, Piece, RegionTree, TorusPosition, end_slot
+
+
+def is_loop(g: SphereGraph, sphere: str) -> bool:
+    """Whether both ends of ``sphere`` lie on one pants."""
+    a, b = g.ends_of(sphere)
+    return a == b
+
+
+def piece_at(t: TorusPosition, cid: str, end: int) -> Piece:
+    """The piece attached at the given end of the circle's sphere."""
+    return end_slot(t, t.circle_slots(), cid, end)[0]
 
 
 def make_u_tubes() -> TorusPosition:

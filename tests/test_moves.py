@@ -98,11 +98,11 @@ def test_cap_requires_innermost_product_side():
     from normaltori.oracle import _apply_inverse_finger
 
     t = make_t0()
-    t = _apply_inverse_finger(t, "F0", HalfEdge("s2", 1), "r4")
+    t = _apply_inverse_finger(t, "F0", HalfEdge("s2", 1), "r4")[0]
     inner_leaf = next(
         r for r in t.trees["s2"].regions if t.trees["s2"].is_leaf(r) and r != "r4"
     )
-    t = _apply_inverse_finger(t, "F1", HalfEdge("s2", 0), inner_leaf)
+    t = _apply_inverse_finger(t, "F1", HalfEdge("s2", 0), inner_leaf)[0]
     dome_outer = "F2"
     caps = [m for m in find_moves(t) if isinstance(m, Cap)]
     assert all(c.disk != dome_outer for c in caps)

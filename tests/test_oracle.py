@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import is_loop
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard, random_cubic
 from normaltori.moves import find_moves, normalize
@@ -14,6 +15,7 @@ from normaltori.oracle import (
     roundtrip_report,
 )
 from normaltori.position import (
+    Delta,
     PositionError,
     intersection_vector,
     is_normal,
@@ -229,9 +231,9 @@ def test_rejected_inverse_move_raises_at_once(monkeypatch):
 
     tried = []
 
-    def no_op(t, cand):
+    def no_op(t, cand, index):
         tried.append(cand)
-        return t.clone()
+        return t.clone(), index, Delta(set(), set(), set(), set(), set())
 
     monkeypatch.setattr(oracle, "_apply_inverse", no_op)
     with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):
@@ -299,7 +301,7 @@ def test_inverse_candidates_match_side_of_region():
         assert validate_position(t) == []
         cands = _inverse_candidates(t)
         assert cands == _candidates_by_side_of_region(t)
-        loops += any(t.graph.is_loop(s) for s in t.graph.sphere_edges)
+        loops += any(is_loop(t.graph, s) for s in t.graph.sphere_edges)
         nested += any(
             sum(len(across) > 1 for across in tree.neighbors().values()) > 1 for tree in t.trees.values()
         )

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import normaltori
+from conftest import is_loop, piece_at
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
 from normaltori.graphs import HalfEdge, build_standard
 from normaltori.position import (
@@ -129,14 +130,14 @@ def test_transport_flip_detected_on_self_loop():
     from normaltori.position import monodromy_certificate
 
     g = random_cubic(2, 0)
-    loops = [s for s in g.sphere_edges if g.is_loop(s)]
+    loops = [s for s in g.sphere_edges if is_loop(g, s)]
     assert loops
     for seed in range(40):
         t = random_normal_torus(g, seed, 3)
         self_loops = [
             cid
             for cid in t.circles
-            if t.piece_at(cid, 0).id == t.piece_at(cid, 1).id
+            if piece_at(t, cid, 0).id == piece_at(t, cid, 1).id
         ]
         if self_loops:
             t.transport[self_loops[0]] = False

@@ -22,7 +22,6 @@ from normaltori.graphs import build_standard, random_cubic
 from normaltori.moves import Cap, Slide, _ball_region, apply_move, find_moves, normalize
 from normaltori.normal_graph import to_normal_torus
 from normaltori.oracle import (
-    _apply_inverse,
     _inverse_candidates,
     minimality_experiment,
     perturb,
@@ -41,6 +40,11 @@ from normaltori.position import (
     validate_step,
 )
 from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
+
+
+def _apply_inverse(t, cand):
+    """The position ``oracle._apply_inverse`` steps to."""
+    return oracle._apply_inverse(t, cand, t.circle_slots())[0]
 
 
 def _corpus_steps():
@@ -350,3 +354,116 @@ def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
     full_checks.clear()
     assert main(["perturb", str(path), "--count", "1", "-o", str(tmp_path / "out.json")]) == 0
     assert len(full_checks) == 2  # the input and the inverse move's result
+
+
+def _same_slots(index):
+    """A ``circle_slots`` index with each circle's pairs in one order, for comparing two builds."""
+    return {cid: sorted(pairs, key=lambda ps: (ps[0].id, ps[1].half_edge)) for cid, pairs in index.items()}
+
+
+def _corpus_deltas():
+    """Every step of ``_corpus_steps`` made by the twins that report their delta.
+
+    Yields (the kind of step, before, its index, after, the carried index,
+    delta), the kind being ``dome``, ``finger``, ``Slide`` or ``Cap``.
+    """
+    for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
+        rng = random.Random(60_000 + instances)
+        current, index = base, base.circle_slots()
+        for _ in range((instances % 4) + 1):
+            candidates = _inverse_candidates(current)
+            cand = candidates[rng.randrange(len(candidates))]
+            nxt, nxt_index, delta = oracle._apply_inverse(current, cand, index)
+            yield cand[0], current, index, nxt, nxt_index, delta
+            current, index = nxt, nxt_index
+        while (move := next(moves._moves(current), None)) is not None:
+            nxt, nxt_index, delta = moves._apply(current, move, index)
+            yield type(move).__name__, current, index, nxt, nxt_index, delta
+            current, index = nxt, nxt_index
+
+
+def test_deltas_match_the_by_value_step():
+    """On every corpus step the delta, the carried index, the move table and the candidate cache agree with fresh builds."""
+    walked = fallbacks = 0
+    table = cache = tally = last = None
+    kinds = set()
+    by_value = iter(_corpus_steps())
+    for kind, before, index, after, carried, delta in _corpus_deltas():
+        want_before, want_after = next(by_value)
+        assert dumps(position_to_json(after)) == dumps(position_to_json(want_after))
+        fresh = after.circle_slots()
+        assert _same_slots(carried) == _same_slots(fresh)
+        assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
+        assert position._delta_scope(before, after, carried, delta) == position._step_scope(before, after, fresh)
+        if before is not last:  # a new corpus instance
+            table, cache = moves._MoveTable(before, index), oracle._Candidates(before, index)
+            tally = position.Tally.of(before)
+        table.update(before, after, carried, delta)
+        assert table.first() == next(moves._moves(after), None)
+        cache.update(before, after, carried, delta)
+        assert cache.list() == _inverse_candidates(after)
+        tally = tally.stepped(before, after, delta)
+        assert tally == position.Tally.of(after)
+        hes_at = after.graph.half_edges_by_pants()
+        assert position._validate_delta(before, index, after, carried, delta, tally, hes_at) == []
+        fallbacks += not position._same_joins(after, carried, before, index, delta)
+        walked += 1
+        kinds.add(kind)
+        last = after
+    assert next(by_value, None) is None
+    assert kinds == {"dome", "finger", "Slide", "Cap"}
+    assert fallbacks == 0
+    print(f"deltas match on {walked} steps; {fallbacks} fell back to the full walk")
+
+
+def test_validate_delta_matches_validate_position_on_mutants():
+    """The local global checks agree with the full ones on mutants, whose delta is found by value."""
+    rng = random.Random(6)
+    mutants = rejected = fallbacks = 0
+    seen = set()
+    for before, after in _corpus_steps():
+        index = before.circle_slots()
+        tally = position.Tally.of(before)
+        for _ in range(4):
+            mutant = _mutate(rng, after)
+            every = (before.pieces.keys() | mutant.pieces.keys(), before.circles.keys() | mutant.circles.keys())
+            delta = position._diff(before, mutant, *every, mutant.graph.sphere_edges)
+            mutant_index = mutant.circle_slots()
+            got = position._validate_delta(before, index, mutant, mutant_index, delta, tally.stepped(before, mutant, delta),
+                                           mutant.graph.half_edges_by_pants())
+            want = validate_position(mutant)
+            assert got == want
+            mutants += 1
+            rejected += bool(want)
+            fallbacks += not position._same_joins(mutant, mutant_index, before, index, delta)
+            seen.update(tag for problem in want for tag in ("monodromy", "disconnected", "betti", "euler") if tag in problem)
+    assert mutants >= 600 and rejected * 3 >= mutants
+    assert {"monodromy", "disconnected"} <= seen
+    print(f"_validate_delta == validate_position on {mutants} mutants ({rejected} rejected, {fallbacks} fell back)")
+
+
+def test_step_scope_does_not_grow_with_the_torus():
+    """On the ladder's smallest and largest probe, the delta scope per step stays under one bound.
+
+    The probe is ``normalize(perturb(random_normal_torus(build_standard(r), 1, sb), 7, k))``
+    for (r, sb, k) = (6, 16, 32) and (12, 64, 256): 48 and 321 circles at
+    the peak.  A step's scope counts its pieces, circles and spheres.
+    """
+    largest, fallbacks = {}, {}
+    for r, sb, k in ((6, 16, 32), (12, 64, 256)):
+        sizes, misses = [], [0]
+
+        def record(before, before_index, after, index, delta, tally, hes_at, real=position._validate_delta):
+            sizes.append(sum(map(len, position._delta_scope(before, after, index, delta)[:3])))
+            misses[0] += not position._same_joins(after, index, before, before_index, delta)
+            return real(before, before_index, after, index, delta, tally, hes_at)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moves, "_validate_delta", record)
+            mp.setattr(oracle, "_validate_delta", record)
+            base = random_normal_torus(build_standard(r), 1, sb)
+            assert len(normalize(perturb(base, 7, k)).trace) == k
+        assert len(sizes) == 2 * (k - 1)
+        largest[r, sb, k], fallbacks[r, sb, k] = max(sizes), misses[0]
+    assert all(size <= 16 for size in largest.values()), largest
+    print(f"largest scope per step: {largest}; steps that fell back to the full walk: {fallbacks}")

@@ -358,7 +358,7 @@ class Delta:
     transport: set[str]
     spheres: set[str]
     ends: set[tuple[str, HalfEdge]]
-    rewired: set[str] = field(default_factory=set)
+    rewired: set[str]
 
 
 def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres) -> Delta:
@@ -401,12 +401,14 @@ def _delta_scope(before: TorusPosition, after: TorusPosition, index, delta: Delt
     item outside the scope reads what it read in the valid ``before`` and
     finds nothing:
 
-    * pieces: added or changed, or referencing a circle that was added,
+    * pieces: added, or changed in more than their slots' anchors (a piece
+      check reads no anchor), or referencing a circle that was added,
       removed or changed (``index``, ``after.circle_slots()``, finds the
       unchanged ones, which reference it in ``after`` too);
-    * circles: added, changed or with a changed transport bit, and every
-      circle that an added, changed or removed piece references before or
-      after (their slot counts are read off all pieces);
+    * circles: added, changed or with a changed transport bit, every
+      circle whose holders changed at some sphere end, and every circle of
+      a piece added, removed or moved to another pants, before or after (a
+      circle check reads its slots' ends and their pieces' pants);
     * spheres: a changed region tree, or an added, removed or changed
       circle on it before or after (a tree check reads the tree and the
       circles on its sphere);

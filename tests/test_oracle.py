@@ -233,7 +233,7 @@ def test_rejected_inverse_move_raises_at_once(monkeypatch):
 
     def no_op(t, cand, index):
         tried.append(cand)
-        return t.clone(), index, Delta(set(), set(), set(), set(), set())
+        return t.clone(), index, Delta(set(), set(), set(), set(), set(), set())
 
     monkeypatch.setattr(oracle, "_apply_inverse", no_op)
     with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):

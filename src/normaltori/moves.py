@@ -516,8 +516,11 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
         raise NormalizeError("disjoint from the sphere system: nothing to normalize")
     trace: list[MoveRecord] = []
     index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
-    current, tally, table = t, Tally.of(t), _MoveTable(t, index)
-    while (move := table.first()) is not None:
+    current, tally = t, Tally.of(t)
+    # a normal piece has no move: it meets each sphere end at most once and
+    # is no boundary-parallel disk, so the walk ends once every piece is normal
+    table = _MoveTable(t, index) if tally.abnormal else None
+    while tally.abnormal and (move := table.first()) is not None:
         nxt, nxt_index, delta = _apply(current, move, index)
         nxt_tally = tally.stepped(current, nxt, delta)
         before, after = tally.counts, nxt_tally.counts
@@ -535,7 +538,8 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
-        table.update(current, nxt, nxt_index, delta)
+        if nxt_tally.abnormal:
+            table.update(current, nxt, nxt_index, delta)
         current, index, tally = nxt, nxt_index, nxt_tally
     ok, violations = is_normal(current)
     if not ok:

@@ -276,31 +276,33 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
-    current, index, tally = t, t.circle_slots(), Tally.of(t)
+    current, index, tally = t, t.circle_slots(), None
     hes_at = t.graph.half_edges_by_pants()
-    cache = _Candidates(t, index)
+    cache = _Candidates(t, index, hes_at)
     for i in range(k):
         candidates = cache.list()
         if not candidates:
             raise PositionError("no applicable inverse move")
         cand = candidates[rng.randrange(len(candidates))]
+        last = i == k - 1
         try:
-            nxt, nxt_index, delta = _apply_inverse(current, cand, index)
+            # the last result gets the full check, so it needs no delta
+            nxt, nxt_index, delta = (_inverse(current, cand, index)[0], None, None) if last else \
+                _apply_inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        nxt_tally = tally.stepped(current, nxt, delta)
-        last = i == k - 1
         if last:
             problems = validate_position(nxt)
         else:
-            problems = _validate_delta(current, index, nxt, nxt_index, delta, nxt_tally, hes_at)
+            tally = (tally or Tally.of(current)).stepped(current, nxt, delta)
+            problems = _validate_delta(current, index, nxt, nxt_index, delta, tally, hes_at)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
             raise PositionError(f"inverse move {cand} did not raise the total by one")
         if not last:
             cache.update(current, nxt, nxt_index, delta)
-        current, index, tally = nxt, nxt_index, nxt_tally
+        current, index = nxt, nxt_index
     return current
 
 
@@ -309,13 +311,17 @@ def _apply_inverse(t: TorusPosition, cand: tuple, index) -> tuple[TorusPosition,
 
     ``index`` is ``t.circle_slots()``; the new index is updated from it.
     """
-    if cand[0] == "dome":
-        out, pieces, circles, sphere = _apply_inverse_dome(t, index, *cand[1:])
-    elif cand[0] == "finger":
-        out, pieces, circles, sphere = _apply_inverse_finger(t, *cand[1:])
-    else:
-        raise PositionError(f"unknown inverse move {cand[0]}")
+    out, pieces, circles, sphere = _inverse(t, cand, index)
     return out, _reindexed(index, t, out, pieces), _diff(t, out, pieces, circles, (sphere,))
+
+
+def _inverse(t: TorusPosition, cand: tuple, index):
+    """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
+    if cand[0] == "dome":
+        return _apply_inverse_dome(t, index, *cand[1:])
+    if cand[0] == "finger":
+        return _apply_inverse_finger(t, *cand[1:])
+    raise PositionError(f"unknown inverse move {cand[0]}")
 
 
 def _all_regions(t: TorusPosition) -> set[str]:
@@ -324,7 +330,7 @@ def _all_regions(t: TorusPosition) -> set[str]:
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
     """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
-    return _Candidates(t, t.circle_slots()).list()
+    return _Candidates(t, t.circle_slots(), t.graph.half_edges_by_pants()).list()
 
 
 class _Candidates:
@@ -349,14 +355,15 @@ class _Candidates:
     tree.
     """
 
-    def __init__(self, t: TorusPosition, index):
+    def __init__(self, t: TorusPosition, index, hes_at):
+        self.hes_at = hes_at  # the graph's half_edges_by_pants()
         self.members: dict[str, set[str]] = defaultdict(set)
         for pid, piece in t.pieces.items():
             self.members[piece.pants].add(pid)
         self.bits: dict[str, dict[str, int]] = {}
         self.nbrs: dict[str, dict] = {}
         self.masks: dict[HalfEdge, dict[str, int]] = {}
-        self.groups: dict[HalfEdge, dict[int, list[str]]] = {}
+        self.groups: dict[HalfEdge, dict[int, list[str]]] = {}  # regions by mask
         self.domes: dict[str, list[tuple]] = {}
         self.fingers: dict[str, list[tuple]] = {}
         self._refresh(t, index, t.circles.keys(), set(self.members), t.trees.keys(), set())
@@ -387,12 +394,14 @@ class _Candidates:
                         if old.uncrossed.get(he) != new.uncrossed.get(he))
         ends.update(he for _, he in delta.ends)
         circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)[0]
-        self._refresh(after, index, circles, pants, delta.spheres, ends)
+        # a changed piece's fingers also read its first anchor, wherever that now lies
+        self._refresh(after, index, circles, pants, delta.spheres, ends, delta.pieces & after.pieces.keys())
 
-    def _refresh(self, t: TorusPosition, index, circles, pants: set[str], spheres, ends: set[HalfEdge]) -> None:
+    def _refresh(self, t: TorusPosition, index, circles, pants: set[str], spheres, ends: set[HalfEdge],
+                 pieces=()) -> None:
         """Rebuild the domes of ``circles``, the bits of ``pants``, the tree neighbors of
         ``spheres``, the masks at ``ends`` and at every end of ``pants``, and the fingers
-        of every piece in a pants with a rebuilt end."""
+        of ``pieces`` and of every piece in a pants with a rebuilt end."""
         for cid in circles:
             self.domes.pop(cid, None)
             if cid in t.circles:
@@ -402,7 +411,8 @@ class _Candidates:
         for p in pants:
             mates = sorted(self.members[p])
             self.bits[p] = {pid: 1 << i for i, pid in enumerate(mates)}
-        ends = ends | {he for p in pants for he in t.graph.half_edges_at(p)}
+        ends = ends | {he for p in pants for he in self.hes_at[p]}
+        pieces = set(pieces)
         for he in ends:
             bits = self.bits.get(t.graph.pants_of(he))
             if not bits:
@@ -410,12 +420,12 @@ class _Candidates:
                 self.groups.pop(he, None)
                 continue
             masks = self.masks[he] = side_masks(t, he, bits, self.nbrs[he.sphere])
-            groups = self.groups[he] = defaultdict(list)
+            groups = self.groups[he] = {}
             for region in sorted(t.trees[he.sphere].regions):
-                groups[masks[region]].append(region)
-        for p in {t.graph.pants_of(he) for he in ends}:
-            for pid in self.bits.get(p, ()):
-                self.fingers[pid] = self._fingers(t.pieces[pid])
+                groups.setdefault(masks[region], []).append(region)
+            pieces.update(bits)
+        for pid in pieces:
+            self.fingers[pid] = self._fingers(t.pieces[pid])
 
     def _fingers(self, piece: Piece) -> list[tuple]:
         bit = self.bits[piece.pants][piece.id]

@@ -367,15 +367,20 @@ def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres)
     Every other id must hold the same item in both positions: a move
     passes the ids it replaced, ``_step_scope`` passes every id.
     """
-    changed = {pid for pid in pieces if before.pieces.get(pid) != after.pieces.get(pid)}
-    ends, rewired = set(), set()
-    for pid in changed:
-        old = _slots_by_end(before.pieces[pid]) if pid in before.pieces else {}
-        new = _slots_by_end(after.pieces[pid]) if pid in after.pieces else {}
-        ends.update((pid, he) for he, slots in new.items() if old.get(he) != slots)
-        for he in old.keys() | new.keys():
-            a = [slot.circle for slot in old.get(he, ())]
-            b = [slot.circle for slot in new.get(he, ())]
+    changed, ends, rewired = set(), set(), set()
+    for pid in pieces:
+        old, new = before.pieces.get(pid), after.pieces.get(pid)
+        if old is new or old == new:
+            continue
+        changed.add(pid)
+        old_at, new_at = _anchors_by_end(old), _anchors_by_end(new)
+        for he in old_at.keys() | new_at.keys():
+            a, b = old_at.get(he, []), new_at.get(he, [])
+            if a == b:
+                continue
+            if b:
+                ends.add((pid, he))
+            a, b = [cid for cid, _ in a], [cid for cid, _ in b]
             if a != b:  # a circle listed twice changes its slot count, so take all then
                 rewired.update(set(a) ^ set(b) if len(set(a)) == len(a) and len(set(b)) == len(b) else {*a, *b})
     return Delta(
@@ -436,10 +441,11 @@ def _outline(piece: Piece | None):
     return piece.id, piece.pants, piece.genus, [(s.circle, s.half_edge) for s in piece.boundary], piece.uncrossed
 
 
-def _slots_by_end(piece: Piece) -> dict[HalfEdge, list[BoundarySlot]]:
-    by_he: dict[HalfEdge, list[BoundarySlot]] = {}
-    for slot in piece.boundary:
-        by_he.setdefault(slot.half_edge, []).append(slot)
+def _anchors_by_end(piece: Piece | None) -> dict[HalfEdge, list[tuple[str, str]]]:
+    """Sphere end -> (circle, anchor) of each of the piece's slots there, in slot order."""
+    by_he: dict[HalfEdge, list[tuple[str, str]]] = {}
+    for slot in piece.boundary if piece is not None else ():
+        by_he.setdefault(slot.half_edge, []).append((slot.circle, slot.region_a))
     return by_he
 
 
@@ -784,14 +790,10 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
     circle end holds one slot, so the pieces' bits never share a circle.
     ``nbrs`` holds trees' ``neighbors()`` by sphere; it gains the missing ones.
     """
-    slots_at: dict[tuple[str, HalfEdge], list[BoundarySlot]] = defaultdict(list)
-    for pid in {pid for pid, _ in ends}:
-        for slot in t.pieces[pid].boundary:
-            slots_at[pid, slot.half_edge].append(slot)
     problems: list = []
     bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
     for pid, he in sorted(ends):
-        slots = slots_at[pid, he]
+        slots = [slot for slot in t.pieces[pid].boundary if slot.half_edge == he]
         edges = t.trees[he.sphere].edges
         stray = [slot for slot in slots if slot.region_a not in edges[slot.circle]]
         for slot in stray:

@@ -15,7 +15,6 @@ from normaltori.oracle import (
     roundtrip_report,
 )
 from normaltori.position import (
-    Delta,
     PositionError,
     intersection_vector,
     is_normal,
@@ -233,9 +232,9 @@ def test_rejected_inverse_move_raises_at_once(monkeypatch):
 
     def no_op(t, cand, index):
         tried.append(cand)
-        return t.clone(), index, Delta(set(), set(), set(), set(), set(), set())
+        return t.clone(), set(), set(), None
 
-    monkeypatch.setattr(oracle, "_apply_inverse", no_op)
+    monkeypatch.setattr(oracle, "_inverse", no_op)
     with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):
         perturb(make_t0(), 0, 1)
     assert len(tried) == 1

@@ -396,7 +396,8 @@ def test_deltas_match_the_by_value_step():
         assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
         assert position._delta_scope(before, after, carried, delta) == position._step_scope(before, after, fresh)
         if before is not last:  # a new corpus instance
-            table, cache = moves._MoveTable(before, index), oracle._Candidates(before, index)
+            table = moves._MoveTable(before, index)
+            cache = oracle._Candidates(before, index, before.graph.half_edges_by_pants())
             tally = position.Tally.of(before)
         table.update(before, after, carried, delta)
         assert table.first() == next(moves._moves(after), None)

@@ -259,15 +259,15 @@ def _hanging_code(nt: NormalTorus, att, cut: set[str], signs, root: tuple[str, H
     stack: list = [root]
     while stack:
         top = stack.pop()
-        if type(top) is str:
+        if type(top) is str:  # common to both codes
             plain.append(top)
             flipped.append(top)
             continue
-        node, entry = top
-        if type(entry) is str:
-            plain.append(node)
-            flipped.append(entry)
+        if type(top[1]) is str:  # a leaf stub's (plain, flipped) pair
+            plain.append(top[0])
+            flipped.append(top[1])
             continue
+        node, entry = top
         parts: list = [f"{nt.nodes[node][0]}<{entry.label()}|"]
         sep = ""
         for he, (what, ident) in sorted(att[node].items()):

@@ -640,8 +640,10 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     the genus verdict are then read off the tally, and connectivity and
     monodromy need the full walk only when ``_same_joins`` cannot tell.
     """
-    hes_at = step[4] if step is not None else t.graph.half_edges_by_pants()
-    tally = step[3] if step is not None else None
+    if step is None:
+        hes_at, tally = t.graph.half_edges_by_pants(), None
+    else:
+        before, before_index, delta, tally, hes_at = step
     problems = []
     for pid in sorted(pieces):
         problems.extend(_piece_problems(t, pid, hes_at))
@@ -657,7 +659,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    if step is not None and _same_joins(t, index, *step[:3]):
+    if tally and _same_joins(t, index, before, before_index, delta):
         connected, bad_cycle = True, None
     else:
         reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
@@ -818,20 +820,6 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
     return out
 
 
-def side_map(t: TorusPosition, piece: Piece, he: HalfEdge, nbrs) -> dict[str, str]:
-    """Region -> side of ``piece`` over it, seen from the collar at ``he``.
-
-    The collar is taken just inside the piece's pants, on the ``he`` side
-    of the sphere.  Seen from there, the piece's side flips exactly across
-    its own circles attached at ``he``, and reads A at its first anchor
-    there.  A sphere end the piece does not cross carries its ``uncrossed``
-    label over every region.  ``nbrs`` is the tree's ``neighbors()``, so
-    callers that walk one tree many times build it once.
-    """
-    masks = side_masks(t, he, {piece.id: 1}, nbrs)
-    return {r: SIDE_B if m else SIDE_A for r, m in masks.items()}
-
-
 def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int], nbrs) -> dict[str, int]:
     """Region -> sides of many pieces of ``he``'s pants at once, as an int.
 
@@ -873,11 +861,18 @@ def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int], nbrs) -> di
 
 
 def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) -> str:
-    """Which side of ``piece`` the collar over ``region`` at ``he`` lies on."""
-    side = side_map(t, piece, he, t.trees[he.sphere].neighbors()).get(region)
-    if side is None:
+    """Which side of ``piece`` the collar over ``region`` at ``he`` lies on.
+
+    The collar is taken just inside the piece's pants, on the ``he`` side
+    of the sphere.  Seen from there, the piece's side flips exactly across
+    its own circles attached at ``he``, and reads A at its first anchor
+    there.  A sphere end the piece does not cross carries its ``uncrossed``
+    label over every region.
+    """
+    mask = side_masks(t, he, {piece.id: 1}, t.trees[he.sphere].neighbors()).get(region)
+    if mask is None:
         raise PositionError(f"region {region} not on sphere {he.sphere}")
-    return side
+    return SIDE_B if mask else SIDE_A
 
 
 DISK = "disk"

@@ -346,83 +346,102 @@ class _Candidates:
     the admissible regions are those whose mask matches the mask at the
     piece's first anchor (a collar point next to its own circle, where
     every other piece of the pants sees it) outside the piece's own bit,
-    which is constant at an end it does not cross.
+    which is constant at an end it does not cross.  Only equality of masks
+    matters, so a piece keeps its bit for as long as it lives.
 
-    After a step, ``update`` rebuilds the masks, and the tree's
-    ``neighbors()``, only at the sphere ends whose tree or whose pants'
-    pieces changed, the fingers of the pieces of those pants, and the
-    domes of the circles that changed, changed owners or moved in their
-    tree.
+    After a step, ``update`` walks the masks again, and takes the tree's
+    ``neighbors()`` again, only at the sphere ends whose tree changed or
+    where a piece's slots or label changed.  A piece that joins or leaves
+    a pants sets or clears its bit at the ends it does not cross, with no
+    walk.  Fingers are rebuilt for the pieces of every pants with a
+    changed end, and domes for the circles that changed, changed holders
+    or moved in their tree.
     """
 
     def __init__(self, t: TorusPosition, index, hes_at):
         self.hes_at = hes_at  # the graph's half_edges_by_pants()
-        self.members: dict[str, set[str]] = defaultdict(set)
-        for pid, piece in t.pieces.items():
-            self.members[piece.pants].add(pid)
-        self.bits: dict[str, dict[str, int]] = {}
+        self.bits: dict[str, dict[str, int]] = defaultdict(dict)  # pants -> piece -> its bit
+        for pid in sorted(t.pieces):
+            self._join(t.pieces[pid])
         self.nbrs: dict[str, dict] = {}
         self.masks: dict[HalfEdge, dict[str, int]] = {}
         self.groups: dict[HalfEdge, dict[int, list[str]]] = {}  # regions by mask
         self.domes: dict[str, list[tuple]] = {}
         self.fingers: dict[str, list[tuple]] = {}
-        self._refresh(t, index, t.circles.keys(), set(self.members), t.trees.keys(), set())
+        ends = {he for s in t.trees for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
+        self._refresh(t, index, t.circles.keys(), t.trees.keys(), ends, {}, ())
+
+    def _join(self, piece: Piece) -> int:
+        """Give a piece the least bit its pants has free."""
+        mates = self.bits[piece.pants]
+        taken, bit = set(mates.values()), 1
+        while bit in taken:
+            bit <<= 1
+        mates[piece.id] = bit
+        return bit
 
     def list(self) -> list[tuple]:
         domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
         return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
 
     def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
-        # a sphere end's masks read its tree, the bits of its pants' pieces
-        # (set by which pieces the pants holds) and each piece's slots or
-        # uncrossed label there
-        pants, ends = set(), {he for s in delta.spheres for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
+        walk = {he for s in delta.spheres for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
+        walk.update(he for _, he in delta.ends)
+        shifts: dict[HalfEdge, list[tuple[int, bool]]] = defaultdict(list)
+        moved = []
         for pid in delta.pieces:
             old, new = before.pieces.get(pid), after.pieces.get(pid)
             if old is None or new is None or old.pants != new.pants:
-                for piece in (old, new):
-                    if piece is not None:
-                        pants.add(piece.pants)
-                if old is not None:
-                    self.members[old.pants].discard(pid)
-                if new is not None:
-                    self.members[new.pants].add(pid)
-                else:
-                    del self.fingers[pid]
+                moved.append((old, new))
                 continue
-            ends.update(he for he in old.uncrossed.keys() | new.uncrossed.keys()
+            walk.update(he for he in old.uncrossed.keys() | new.uncrossed.keys()
                         if old.uncrossed.get(he) != new.uncrossed.get(he))
-        ends.update(he for _, he in delta.ends)
+        # leaving pieces first, so that a bit is clear before it is given again
+        for old, new in moved:
+            if old is not None:
+                bit = self.bits[old.pants].pop(old.id)
+                walk.update(slot.half_edge for slot in old.boundary)
+                _shifts_of(shifts, old, bit, False)
+                if new is None:
+                    del self.fingers[old.id]
+        for old, new in moved:
+            if new is not None:
+                bit = self._join(new)
+                walk.update(slot.half_edge for slot in new.boundary)
+                walk.update(he for he in self.hes_at[new.pants] if he not in self.masks)  # a pants it opens
+                _shifts_of(shifts, new, bit, True)
         circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)[0]
         # a changed piece's fingers also read its first anchor, wherever that now lies
-        self._refresh(after, index, circles, pants, delta.spheres, ends, delta.pieces & after.pieces.keys())
+        self._refresh(after, index, circles, delta.spheres, walk, shifts, delta.pieces & after.pieces.keys())
 
-    def _refresh(self, t: TorusPosition, index, circles, pants: set[str], spheres, ends: set[HalfEdge],
-                 pieces=()) -> None:
-        """Rebuild the domes of ``circles``, the bits of ``pants``, the tree neighbors of
-        ``spheres``, the masks at ``ends`` and at every end of ``pants``, and the fingers
-        of ``pieces`` and of every piece in a pants with a rebuilt end."""
+    def _refresh(self, t: TorusPosition, index, circles, spheres, walk: set[HalfEdge], shifts, pieces) -> None:
+        """Rebuild the domes of ``circles`` and the tree neighbors of ``spheres``; walk the
+        masks at ``walk`` and apply ``shifts`` (end -> (bit, set or clear)) elsewhere; then
+        rebuild the fingers of ``pieces`` and of every piece in a pants with a changed end."""
         for cid in circles:
             self.domes.pop(cid, None)
             if cid in t.circles:
                 self.domes[cid] = _domes(t, index, cid)
         for s in spheres:
             self.nbrs[s] = t.trees[s].neighbors()
-        for p in pants:
-            mates = sorted(self.members[p])
-            self.bits[p] = {pid: 1 << i for i, pid in enumerate(mates)}
-        ends = ends | {he for p in pants for he in self.hes_at[p]}
         pieces = set(pieces)
-        for he in ends:
+        for he in walk | shifts.keys():
             bits = self.bits.get(t.graph.pants_of(he))
             if not bits:
                 self.masks.pop(he, None)
                 self.groups.pop(he, None)
                 continue
-            masks = self.masks[he] = side_masks(t, he, bits, self.nbrs[he.sphere])
-            groups = self.groups[he] = {}
-            for region in sorted(t.trees[he.sphere].regions):
-                groups.setdefault(masks[region], []).append(region)
+            if he in walk or he not in self.masks:
+                masks = side_masks(t, he, bits, self.nbrs[he.sphere])
+                groups: dict[int, list[str]] = {}
+                for region in sorted(t.trees[he.sphere].regions):
+                    groups.setdefault(masks[region], []).append(region)
+            else:  # the bit of a piece that does not cross here is the same over every region
+                masks, groups = self.masks[he], self.groups[he]
+                for bit, on in shifts[he]:
+                    masks = {r: m | bit if on else m & ~bit for r, m in masks.items()}
+                    groups = {m | bit if on else m & ~bit: regions for m, regions in groups.items()}
+            self.masks[he], self.groups[he] = masks, groups
             pieces.update(bits)
         for pid in pieces:
             self.fingers[pid] = self._fingers(t.pieces[pid])
@@ -436,6 +455,13 @@ class _Candidates:
             own = bit if piece.uncrossed[he] == SIDE_B else 0
             out.extend(("finger", piece.id, he, region) for region in self.groups[he].get(at_anchor | own, ()))
         return out
+
+
+def _shifts_of(shifts, piece: Piece, bit: int, on: bool) -> None:
+    """Record that ``piece``'s bit is set (``on``) or cleared at each end it labels B."""
+    for he, side in piece.uncrossed.items():
+        if side == SIDE_B:
+            shifts[he].append((bit, on))
 
 
 def _domes(t: TorusPosition, index, cid: str) -> list[tuple]:

@@ -373,6 +373,11 @@ def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres)
         if old is new or old == new:
             continue
         changed.add(pid)
+        if old is None or new is None:  # every slot of an added or removed piece changed
+            rewired.update(slot.circle for slot in (old or new).boundary)
+            if new is not None:
+                ends.update((pid, slot.half_edge) for slot in new.boundary)
+            continue
         old_at, new_at = _anchors_by_end(old), _anchors_by_end(new)
         for he in old_at.keys() | new_at.keys():
             a, b = old_at.get(he, []), new_at.get(he, [])
@@ -441,10 +446,10 @@ def _outline(piece: Piece | None):
     return piece.id, piece.pants, piece.genus, [(s.circle, s.half_edge) for s in piece.boundary], piece.uncrossed
 
 
-def _anchors_by_end(piece: Piece | None) -> dict[HalfEdge, list[tuple[str, str]]]:
+def _anchors_by_end(piece: Piece) -> dict[HalfEdge, list[tuple[str, str]]]:
     """Sphere end -> (circle, anchor) of each of the piece's slots there, in slot order."""
     by_he: dict[HalfEdge, list[tuple[str, str]]] = {}
-    for slot in piece.boundary if piece is not None else ():
+    for slot in piece.boundary:
         by_he.setdefault(slot.half_edge, []).append((slot.circle, slot.region_a))
     return by_he
 

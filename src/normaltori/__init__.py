@@ -31,7 +31,6 @@ from .position import (
     is_normal,
     total_intersections,
     validate_position,
-    validate_step,
 )
 from .moves import (
     Cap,

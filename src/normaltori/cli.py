@@ -43,12 +43,24 @@ def _read(path: str):
     return serialize.load_any(text)
 
 
-def _write(path: str | None, payload: dict) -> None:
-    text = serialize.dumps(payload)
-    if path is None or path == "-":
+def _write_file(path: str, text: str) -> None:
+    """Every file the CLI writes goes through here, so a failed write is an error line."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(path: str | None, text: str) -> None:
+    """``text`` to the file at ``path``, or to standard output without one or for ``-``."""
+    if not path or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        _write_file(path, text)
+
+
+def _write(path: str | None, payload: dict) -> None:
+    _emit(path, serialize.dumps(payload))
 
 
 def _want_position(kind, value, what="this command"):
@@ -132,7 +144,7 @@ def cmd_normalize(args) -> int:
         lines.append(f"{record.description} | before {before} | after {after}")
     trace_text = "\n".join(lines) + ("\n" if lines else "")
     if args.trace:
-        Path(args.trace).write_text(trace_text, encoding="utf-8")
+        _write_file(args.trace, trace_text)
     else:
         sys.stderr.write(trace_text)
     print(f"normalized in {len(result.trace)} moves")
@@ -239,10 +251,7 @@ def cmd_export_dot(args) -> int:
         dot = serialize.normal_torus_to_dot(value.torus, value.signs)
     else:
         raise SchemaError(f"no DOT export for {kind}")
-    if args.output and args.output != "-":
-        Path(args.output).write_text(dot, encoding="utf-8")
-    else:
-        sys.stdout.write(dot)
+    _emit(args.output, dot)
     return EXIT_OK
 
 

@@ -34,9 +34,6 @@ from .position import (
     Tally,
     TorusPosition,
     _diff,
-    _edge_changes,
-    _outline,
-    _owned_circles,
     _reindexed,
     _validate_delta,
     end_slot,
@@ -97,25 +94,23 @@ def _flip(t: TorusPosition, cid: str) -> bool:
 def find_moves(t: TorusPosition) -> list[Move]:
     """All applicable moves, deterministically ordered.
 
-    Slides come first (piece id, half-edge, then pairs with distinct far
-    pieces before self-banding pairs, each in circle-id order), caps after
-    (piece id).
+    Slides come first (piece id, half-edge, then circle-id pairs), caps
+    after (piece id).
     """
-    return list(_moves(t))
+    return list(_moves(t, t.circle_slots()))
 
 
-def _moves(t: TorusPosition) -> Iterator[Move]:
-    """The moves of ``find_moves``, lazily and in its order."""
-    index = t.circle_slots()
+def _moves(t: TorusPosition, index) -> Iterator[Move]:
+    """The moves of ``find_moves``, lazily and in its order; ``index`` is ``t.circle_slots()``."""
     for pid in sorted(t.pieces):
-        yield from _slides(t, index, pid)
+        yield from _slides(t, pid)
     for pid in sorted(t.pieces):
         cap = _cap(t, index, pid)
         if cap is not None:
             yield cap
 
 
-def _slides(t: TorusPosition, index, pid: str) -> Iterator[Slide]:
+def _slides(t: TorusPosition, pid: str) -> Iterator[Slide]:
     """The slides of one piece, in ``find_moves`` order."""
     by_he: dict[HalfEdge, list[str]] = {}
     for slot in t.pieces[pid].boundary:
@@ -123,21 +118,11 @@ def _slides(t: TorusPosition, index, pid: str) -> Iterator[Slide]:
     for he in sorted(by_he):
         cids = sorted(by_he[he])
         tree = t.trees[he.sphere]
-        self_banding: list[Slide] = []
         for i, c1 in enumerate(cids):
             for c2 in cids[i + 1 :]:
                 shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
-                if not shared:
-                    continue
-                region = min(shared)  # unique in a tree; min for determinism
-                slide = Slide(pid, he, c1, c2, region)
-                far1, _ = end_slot(t, index, c1, 1 - he.end)
-                far2, _ = end_slot(t, index, c2, 1 - he.end)
-                if far1.id == far2.id:
-                    self_banding.append(slide)
-                else:
-                    yield slide
-        yield from self_banding
+                if shared:  # unique in a tree; min for determinism
+                    yield Slide(pid, he, c1, c2, min(shared))
 
 
 def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
@@ -156,85 +141,6 @@ def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
         # capping would close the neighbor piece off; never a torus move
         return None
     return Cap(pid, cid)
-
-
-class _MoveTable:
-    """Each piece's first slide and its cap, kept across the steps of one normalization.
-
-    ``first`` is ``next(_moves(t), None)``: the least piece's first slide,
-    else the least piece's cap.  After a step, ``update`` recomputes only
-    the pieces whose moves can have changed (``_near``).
-    """
-
-    def __init__(self, t: TorusPosition, index):
-        self.slides: dict[str, Slide] = {}
-        self.caps: dict[str, Cap] = {}
-        self._fill(t, index, t.pieces, t.pieces)
-
-    def _fill(self, t: TorusPosition, index, slides, caps) -> None:
-        for table, pids, find in ((self.slides, slides, _first_slide), (self.caps, caps, _cap)):
-            for pid in pids:
-                move = find(t, index, pid) if pid in t.pieces else None
-                if move is None:
-                    table.pop(pid, None)
-                else:
-                    table[pid] = move
-
-    def first(self) -> Move | None:
-        if self.slides:
-            return self.slides[min(self.slides)]
-        if self.caps:
-            return self.caps[min(self.caps)]
-        return None
-
-    def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
-        self._fill(after, index, *_near(before, after, index, delta))
-
-
-def _first_slide(t: TorusPosition, index, pid: str) -> Slide | None:
-    return next(_slides(t, index, pid), None)
-
-
-def _near(before: TorusPosition, after: TorusPosition, index, delta: Delta) -> tuple[set[str], set[str]]:
-    """The pieces whose slides, and those whose cap, a step can have changed; removed ones included.
-
-    A piece's slides read its own slots but not their anchors, the
-    region-tree edges of its circles and which piece holds each circle's
-    far end: they change only for a piece changed beyond its anchors, or a
-    piece on a changed circle, on a circle whose holders changed, or on a
-    circle whose tree edge changed.  A cap also reads its disk's anchor,
-    the far piece's slot count and whether its ball region is a leaf,
-    which adds the other changed pieces, the pieces on a circle held by a
-    piece whose slot count changed, and those on the one circle of a leaf
-    region that a changed edge meets, before or after.
-    """
-    edges, regions = _edge_changes(before, after, delta.spheres)
-    reshaped = {pid for pid in delta.pieces if _outline(before.pieces.get(pid)) != _outline(after.pieces.get(pid))}
-    slides = _holders(index, reshaped, delta.circles | delta.rewired | edges)
-    resized = {pid for pid in delta.pieces if _slot_count(before, pid) != _slot_count(after, pid)}
-    circles = _owned_circles(before, after, resized)
-    for s in delta.spheres:
-        for tree in (before.trees[s], after.trees[s]):
-            at: dict[str, list[str]] = {}
-            for cid, ends in tree.edges.items():
-                for r in ends:
-                    if r in regions:
-                        at.setdefault(r, []).append(cid)
-            circles.update(cids[0] for cids in at.values() if len(cids) == 1)
-    return slides, _holders(index, slides | delta.pieces, circles)
-
-
-def _slot_count(t: TorusPosition, pid: str) -> int | None:
-    piece = t.pieces.get(pid)
-    return None if piece is None else len(piece.boundary)
-
-
-def _holders(index, pids: set[str], circles: set[str]) -> set[str]:
-    """``pids`` and the pieces holding a slot of one of ``circles``."""
-    pids = set(pids)
-    for cid in circles:
-        pids.update(piece.id for piece, _ in index.get(cid, ()))
-    return pids
 
 
 def apply_move(t: TorusPosition, move: Move) -> TorusPosition:
@@ -496,8 +402,9 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     (nothing to normalize), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
     geometrically inconsistent input).  The input and the normal result get
-    ``validate_position`` and every move before the last gets the step
-    check scoped by the move's ``Delta``, which finds the same problems.
+    ``validate_position``; every move before the last gets the one step
+    check, ``_validate_delta``, scoped by the move's ``Delta``, which finds
+    the same problems.
     """
     problems = validate_position(t)
     if problems:
@@ -508,9 +415,10 @@ def normalize(t: TorusPosition) -> NormalizeResult:
 def _normalize(t: TorusPosition) -> NormalizeResult:
     """``normalize`` of a position already known to be valid.
 
-    Each step carries the ``circle_slots()`` index, the ``Tally`` and the
-    move table from the one before, and checks its result with
-    ``_validate_delta`` over the move's ``Delta``.
+    Each step carries the ``circle_slots()`` index and the ``Tally`` from
+    the one before, takes its move afresh as the first of ``_moves`` over
+    the carried index, and checks its result with ``_validate_delta`` over
+    the move's ``Delta``.
     """
     if total_intersections(t) == 0:
         raise NormalizeError("disjoint from the sphere system: nothing to normalize")
@@ -519,8 +427,7 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     current, tally = t, Tally.of(t)
     # a normal piece has no move: it meets each sphere end at most once and
     # is no boundary-parallel disk, so the walk ends once every piece is normal
-    table = _MoveTable(t, index) if tally.abnormal else None
-    while tally.abnormal and (move := table.first()) is not None:
+    while tally.abnormal and (move := next(_moves(current, index), None)) is not None:
         nxt, nxt_index, delta = _apply(current, move, index)
         nxt_tally = tally.stepped(current, nxt, delta)
         before, after = tally.counts, nxt_tally.counts
@@ -538,8 +445,6 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
-        if nxt_tally.abnormal:
-            table.update(current, nxt, nxt_index, delta)
         current, index, tally = nxt, nxt_index, nxt_tally
     ok, violations = is_normal(current)
     if not ok:

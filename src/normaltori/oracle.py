@@ -410,7 +410,7 @@ class _Candidates:
                 walk.update(slot.half_edge for slot in new.boundary)
                 walk.update(he for he in self.hes_at[new.pants] if he not in self.masks)  # a pants it opens
                 _shifts_of(shifts, new, bit, True)
-        circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)[0]
+        circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)
         # a changed piece's fingers also read its first anchor, wherever that now lies
         self._refresh(after, index, circles, delta.spheres, walk, shifts, delta.pieces & after.pieces.keys())
 

@@ -16,9 +16,9 @@ positive genus, boundary-parallel disks) are all representable.
 
 Inside ``normalize`` and ``perturb`` each step reports a ``Delta``, and
 the loop carries the ``circle_slots()`` index and a ``Tally`` from step
-to step; ``_validate_delta`` then takes its scope from the delta, which
-the tests pin equal to the by-value scope that the public
-``validate_step`` still finds by comparing the two positions.
+to step.  ``_validate_delta``, the one step check, takes its scope from
+the delta; the tests pin that scope equal to the one found by comparing
+the two positions by value.
 """
 
 from __future__ import annotations
@@ -321,26 +321,6 @@ def validate_position(t: TorusPosition) -> list[str]:
     return _validate(t, t.circle_slots(), *everything)
 
 
-def validate_step(before: TorusPosition, after: TorusPosition) -> list[str]:
-    """``validate_position(after)``, re-checking only what differs from ``before``.
-
-    ``before`` must be valid.  When both share one graph object the graph
-    is not re-checked, and the per-piece, per-circle, per-tree and
-    side-anchor checks run only over the scope that ``_step_scope`` reads
-    off a comparison of the two positions by value; the global checks
-    (Euler sum, connectivity, betti, monodromy) still cover all of
-    ``after``.  The result is the same list, in the same order, that
-    ``validate_position(after)`` returns.  A different graph object gets the
-    full check.  Inside ``normalize`` and ``perturb`` each step is checked
-    by ``_validate_delta`` instead, whose scope comes from the move's own
-    ``Delta``; the tests pin that scope equal to this by-value one.
-    """
-    if after.graph is not before.graph:
-        return validate_position(after)
-    index = after.circle_slots()
-    return _validate(after, index, *_step_scope(before, after, index))
-
-
 @dataclass
 class Delta:
     """What one step changed, by id.
@@ -365,7 +345,7 @@ def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres)
     """The ``Delta`` from ``before`` to ``after``, comparing only the given ids by value.
 
     Every other id must hold the same item in both positions: a move
-    passes the ids it replaced, ``_step_scope`` passes every id.
+    passes the ids it replaced; passing every id finds the delta by value.
     """
     changed, ends, rewired = set(), set(), set()
     for pid in pieces:
@@ -396,12 +376,6 @@ def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres)
         ends,
         rewired,
     )
-
-
-def _step_scope(before: TorusPosition, after: TorusPosition, index):
-    """``_delta_scope`` of the ``Delta`` found by comparing the two positions by value."""
-    every = (before.pieces.keys() | after.pieces.keys(), before.circles.keys() | after.circles.keys())
-    return _delta_scope(before, after, index, _diff(before, after, *every, after.graph.sphere_edges))
 
 
 def _delta_scope(before: TorusPosition, after: TorusPosition, index, delta: Delta):
@@ -463,17 +437,13 @@ def _owned_circles(before: TorusPosition, after: TorusPosition, pieces: set[str]
     return circles
 
 
-def _edge_changes(before: TorusPosition, after: TorusPosition, spheres) -> tuple[set[str], set[str]]:
-    """(circles whose region-tree edge differs, the regions those edges meet before or after), over ``spheres``."""
+def _edge_changes(before: TorusPosition, after: TorusPosition, spheres) -> set[str]:
+    """The circles of ``spheres`` whose region-tree edge differs."""
     circles: set[str] = set()
-    regions: set[str] = set()
     for s in spheres:
         old, new = before.trees[s].edges, after.trees[s].edges
-        for cid in old.keys() | new.keys():
-            if old.get(cid) != new.get(cid):
-                circles.add(cid)
-                regions.update(old.get(cid, ()), new.get(cid, ()))
-    return circles, regions
+        circles.update(cid for cid in old.keys() | new.keys() if old.get(cid) != new.get(cid))
+    return circles
 
 
 def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> dict:
@@ -546,13 +516,16 @@ class Tally:
 
 def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, index, delta: Delta, tally: Tally,
                     hes_at) -> list[str]:
-    """``validate_step(before, after)`` for a step that reports its ``Delta``.
+    """``validate_position(after)`` for a step from a valid ``before`` that reports its ``Delta``.
 
-    ``index`` and ``tally`` are ``after``'s ``circle_slots()`` and ``Tally``,
-    ``before_index`` is ``before``'s index and ``hes_at`` the graph's
-    ``half_edges_by_pants()``.  The scope comes from the delta, and the
-    global checks read the tally and ``_same_joins``; only a step that
-    changes how the piece graph joins gets the full walk.
+    The one step check: it returns the same list, in the same order, but
+    skips the graph check and re-checks only what the step can have
+    changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()`` and
+    ``Tally``, ``before_index`` is ``before``'s index and ``hes_at`` the
+    graph's ``half_edges_by_pants()``.  The scope comes from the delta
+    (``_delta_scope``), and the global checks read the tally and
+    ``_same_joins``; only a step that changes how the piece graph joins
+    gets the full walk.
     """
     scope = _delta_scope(before, after, index, delta)
     return _validate(after, index, *scope, step=(before, before_index, delta, tally, hes_at))

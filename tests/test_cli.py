@@ -126,6 +126,29 @@ def test_missing_file_is_diagnostic(capsys, tmp_path):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--rank", "3", "-o", "{bad}"],
+        ["normalize", "t1", "-o", "{bad}"],
+        ["normalize", "t1", "--trace", "{bad}"],
+        ["decorate", "t0", "-o", "{bad}"],
+        ["perturb", "t0", "-o", "{bad}"],
+        ["export-dot", "t0", "-o", "{bad}"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a not in ("t0", "t1", "{bad}")),
+)
+def test_write_failure_is_diagnostic(files, capsys, argv):
+    """An output path in a missing directory ends in one error line, not a traceback."""
+    tmp, paths = files
+    bad = str(tmp / "no" / "such" / "dir" / "out")
+    fill = {"t0": str(paths["t0"]), "t1": str(paths["t1"]), "{bad}": bad}
+    assert main([fill.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+
+
 def test_klein_decorate_fails(files, capsys):
     tmp, paths = files
     assert main(["decorate", str(paths["klein"])]) == 1

@@ -1,10 +1,12 @@
-"""The step check: ``validate_step`` against ``validate_position``.
+"""The step check: ``position._validate_delta`` against ``validate_position``.
 
 ``normalize`` and ``perturb`` fully validate only their input and their
 last step's result, and check every step in between with
-``validate_step``, which re-checks only what the step changed.  These
-tests pin that the two checks agree, on real steps and on mutants of
-them, and that the callers keep to the two full checks.
+``_validate_delta``, which re-checks only what the step's ``Delta`` says
+it changed.  These tests pin that the two checks agree, on real steps and
+on mutants of them; that a move's delta gives the same scope as one found
+by comparing the two positions by value; and that the callers keep to
+the two full checks.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from normaltori.position import (
     is_normal,
     is_normal_piece,
     validate_position,
-    validate_step,
 )
 from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
 
@@ -213,49 +214,10 @@ def _mutate(rng, t):
     return out
 
 
-def test_validate_step_matches_validate_position():
-    """Identical problem lists on every corpus step and on mutants of them."""
-    steps = _corpus_steps()
-    for before, after in steps:
-        assert validate_step(before, after) == validate_position(after) == []
-        assert all(map(is_normal_piece, after.pieces.values())) == is_normal(after)[0]
-    rng = random.Random(5)
-    mutants = rejected = 0
-    seen = set()
-    for before, after in steps:
-        for _ in range(4):
-            mutant = _mutate(rng, after)
-            want = validate_position(mutant)
-            assert validate_step(before, mutant) == want
-            mutants += 1
-            rejected += bool(want)
-            for problem in want:
-                for tag in ("side anchors conflict", "monodromy", "disconnected", "region tree"):
-                    if tag in problem:
-                        seen.add(tag)
-    assert mutants >= 600
-    assert rejected * 3 >= mutants
-    assert seen == {"side anchors conflict", "monodromy", "disconnected", "region tree"}
-    print(f"validate_step == validate_position on {len(steps)} steps, {mutants} mutants ({rejected} rejected)")
-
-
-def test_validate_step_falls_back_on_another_graph():
-    g = build_standard(3)
-    t = random_normal_torus(g, 1, 6)
-    other = t.clone()
-    other.graph = build_standard(3)
-    other.graph.incidence.popitem()
-    assert validate_step(t, other) == validate_position(other) != []
-
-
 def _sorted_moves(t):
-    """Reference for ``find_moves``: every move with its sort key, sorted; caps after slides.
-
-    Also says whether some piece end has slides both with distinct far
-    pieces and with one far piece, where that part of the key decides.
-    """
+    """Reference for ``find_moves``: every move with its sort key, sorted; caps after slides."""
     index = t.circle_slots()
-    slides, caps, far_kinds = [], [], {}
+    slides, caps = [], []
     for pid, piece in t.pieces.items():
         by_he = {}
         for slot in piece.boundary:
@@ -265,13 +227,8 @@ def _sorted_moves(t):
             for c1 in cids:
                 for c2 in cids:
                     shared = set(tree.adjacent(c1)) & set(tree.adjacent(c2))
-                    if c1 >= c2 or not shared:
-                        continue
-                    far1, _ = end_slot(t, index, c1, 1 - he.end)
-                    far2, _ = end_slot(t, index, c2, 1 - he.end)
-                    far_same = 1 if far1.id == far2.id else 0
-                    far_kinds.setdefault((pid, he), set()).add(far_same)
-                    slides.append(((pid, he.sphere, he.end, far_same, c1, c2), Slide(pid, he, c1, c2, min(shared))))
+                    if c1 < c2 and shared:
+                        slides.append(((pid, he.sphere, he.end, c1, c2), Slide(pid, he, c1, c2, min(shared))))
         if not is_boundary_parallel_disk(piece):
             continue
         slot = piece.boundary[0]
@@ -279,14 +236,13 @@ def _sorted_moves(t):
         far, _ = end_slot(t, index, slot.circle, 1 - slot.half_edge.end)
         if tree.is_leaf(_ball_region(t, piece)) and len(far.boundary) >= 2:
             caps.append(((pid, slot.circle), Cap(pid, slot.circle)))
-    ordered = [mv for _, mv in sorted(slides, key=lambda kv: kv[0])] + [mv for _, mv in sorted(caps, key=lambda kv: kv[0])]
-    return ordered, any(len(kinds) == 2 for kinds in far_kinds.values())
+    return [mv for _, mv in sorted(slides, key=lambda kv: kv[0])] + [mv for _, mv in sorted(caps, key=lambda kv: kv[0])]
 
 
 def test_normalize_takes_the_first_move():
     """``normalize`` is the walk through ``find_moves(t)[0]``, whose order is the sorted one."""
     rng = random.Random(8)
-    cases = mixed = 0
+    cases = 0
     for rank in range(2, 7):
         for g in (build_standard(rank), random_cubic(rank, 40 + rank)):
             base = random_normal_torus(g, rank, 3)
@@ -294,24 +250,22 @@ def test_normalize_takes_the_first_move():
                 messy = perturb(base, 7 * rank + k, k)
                 walk, cur = [], messy
                 while found := find_moves(cur):
-                    assert found == _sorted_moves(cur)[0]
-                    for _ in range(3):  # swapped far ends put both kinds of slide at one piece end
+                    assert found == _sorted_moves(cur)
+                    for _ in range(3):  # swapped far ends change which piece a slide bands
                         swapped = cur.clone()
                         _swap_far_ends(rng, swapped)
-                        want, both = _sorted_moves(swapped)
-                        assert find_moves(swapped) == want
-                        mixed += both
+                        assert find_moves(swapped) == _sorted_moves(swapped)
                     nxt = apply_move(cur, found[0])
                     walk.append((found[0].describe(cur), intersection_vector(cur), intersection_vector(nxt)))
                     cur = nxt
-                assert _sorted_moves(cur)[0] == []
+                assert _sorted_moves(cur) == []
                 result = normalize(messy)
                 assert [(r.description, r.counts_before, r.counts_after) for r in result.trace] == walk
                 assert len(walk) == k
                 assert dumps(position_to_json(result.position)) == dumps(position_to_json(cur))
                 assert dumps(normal_torus_to_json(result.torus)) == dumps(normal_torus_to_json(to_normal_torus(cur)))
                 cases += 1
-    assert cases == 20 and mixed > 0
+    assert cases == 20
 
 
 @pytest.fixture
@@ -376,16 +330,26 @@ def _corpus_deltas():
             nxt, nxt_index, delta = oracle._apply_inverse(current, cand, index)
             yield cand[0], current, index, nxt, nxt_index, delta
             current, index = nxt, nxt_index
-        while (move := next(moves._moves(current), None)) is not None:
+        while (move := next(moves._moves(current, index), None)) is not None:
             nxt, nxt_index, delta = moves._apply(current, move, index)
             yield type(move).__name__, current, index, nxt, nxt_index, delta
             current, index = nxt, nxt_index
 
 
+def _by_value_delta(before, after):
+    """The ``Delta`` from ``before`` to ``after`` found by comparing every id by value.
+
+    Its ``_delta_scope`` is the reference that a move's own delta is pinned
+    against: it cannot under-report what a step touched.
+    """
+    every = (before.pieces.keys() | after.pieces.keys(), before.circles.keys() | after.circles.keys())
+    return position._diff(before, after, *every, after.graph.sphere_edges)
+
+
 def test_deltas_match_the_by_value_step():
-    """On every corpus step the delta, the carried index, the move table and the candidate cache agree with fresh builds."""
+    """On every corpus step the delta, the carried index, the moves and the candidate cache agree with fresh builds."""
     walked = fallbacks = 0
-    table = cache = tally = last = None
+    cache = tally = last = None
     kinds = set()
     by_value = iter(_corpus_steps())
     for kind, before, index, after, carried, delta in _corpus_deltas():
@@ -394,13 +358,12 @@ def test_deltas_match_the_by_value_step():
         fresh = after.circle_slots()
         assert _same_slots(carried) == _same_slots(fresh)
         assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
-        assert position._delta_scope(before, after, carried, delta) == position._step_scope(before, after, fresh)
+        want_scope = position._delta_scope(before, after, fresh, _by_value_delta(before, after))
+        assert position._delta_scope(before, after, carried, delta) == want_scope
+        assert list(moves._moves(after, carried)) == find_moves(after)
         if before is not last:  # a new corpus instance
-            table = moves._MoveTable(before, index)
             cache = oracle._Candidates(before, index, before.graph.half_edges_by_pants())
             tally = position.Tally.of(before)
-        table.update(before, after, carried, delta)
-        assert table.first() == next(moves._moves(after), None)
         cache.update(before, after, carried, delta)
         assert cache.list() == _inverse_candidates(after)
         tally = tally.stepped(before, after, delta)
@@ -417,30 +380,43 @@ def test_deltas_match_the_by_value_step():
     print(f"deltas match on {walked} steps; {fallbacks} fell back to the full walk")
 
 
+def _validate_by_value(before, after):
+    """(``_validate_delta`` of the step from a valid ``before`` to ``after``, whether it fell back to the full walk).
+
+    The delta is found by value, so ``after`` may be any edited clone.
+    """
+    index, after_index = before.circle_slots(), after.circle_slots()
+    delta = _by_value_delta(before, after)
+    tally = position.Tally.of(before).stepped(before, after, delta)
+    got = position._validate_delta(before, index, after, after_index, delta, tally, after.graph.half_edges_by_pants())
+    return got, not position._same_joins(after, after_index, before, index, delta)
+
+
 def test_validate_delta_matches_validate_position_on_mutants():
-    """The local global checks agree with the full ones on mutants, whose delta is found by value."""
-    rng = random.Random(6)
-    mutants = rejected = fallbacks = 0
-    seen = set()
-    for before, after in _corpus_steps():
-        index = before.circle_slots()
-        tally = position.Tally.of(before)
-        for _ in range(4):
-            mutant = _mutate(rng, after)
-            every = (before.pieces.keys() | mutant.pieces.keys(), before.circles.keys() | mutant.circles.keys())
-            delta = position._diff(before, mutant, *every, mutant.graph.sphere_edges)
-            mutant_index = mutant.circle_slots()
-            got = position._validate_delta(before, index, mutant, mutant_index, delta, tally.stepped(before, mutant, delta),
-                                           mutant.graph.half_edges_by_pants())
-            want = validate_position(mutant)
-            assert got == want
-            mutants += 1
-            rejected += bool(want)
-            fallbacks += not position._same_joins(mutant, mutant_index, before, index, delta)
-            seen.update(tag for problem in want for tag in ("monodromy", "disconnected", "betti", "euler") if tag in problem)
-    assert mutants >= 600 and rejected * 3 >= mutants
-    assert {"monodromy", "disconnected"} <= seen
-    print(f"_validate_delta == validate_position on {mutants} mutants ({rejected} rejected, {fallbacks} fell back)")
+    """Identical problem lists on every corpus step and on mutants of them, each mutant's delta found by value."""
+    steps = _corpus_steps()
+    for before, after in steps:
+        assert _validate_by_value(before, after)[0] == validate_position(after) == []
+        assert all(map(is_normal_piece, after.pieces.values())) == is_normal(after)[0]
+    tags = ("side anchors conflict", "monodromy", "disconnected", "region tree")
+    for seed in (5, 6):
+        rng = random.Random(seed)
+        mutants = rejected = fallbacks = 0
+        seen = set()
+        for before, after in steps:
+            for _ in range(4):
+                mutant = _mutate(rng, after)
+                got, fell_back = _validate_by_value(before, mutant)
+                want = validate_position(mutant)
+                assert got == want
+                mutants += 1
+                rejected += bool(want)
+                fallbacks += fell_back
+                seen.update(tag for problem in want for tag in tags if tag in problem)
+        assert mutants >= 600 and rejected * 3 >= mutants
+        assert seen == set(tags)
+        print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "
+              f"({rejected} rejected, {fallbacks} fell back)")
 
 
 def test_step_scope_does_not_grow_with_the_torus():

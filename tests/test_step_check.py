@@ -392,31 +392,42 @@ def _validate_by_value(before, after):
     return got, not position._same_joins(after, after_index, before, index, delta)
 
 
-def test_validate_delta_matches_validate_position_on_mutants():
-    """Identical problem lists on every corpus step and on mutants of them, each mutant's delta found by value."""
+_TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
+
+
+def _check_mutants(steps, seed):
+    """Four mutants of each step's result, drawn with ``seed``: ``_validate_delta`` must give ``validate_position``'s list."""
+    rng = random.Random(seed)
+    mutants = rejected = fallbacks = 0
+    seen = set()
+    for before, after in steps:
+        for _ in range(4):
+            mutant = _mutate(rng, after)
+            got, fell_back = _validate_by_value(before, mutant)
+            want = validate_position(mutant)
+            assert got == want
+            mutants += 1
+            rejected += bool(want)
+            fallbacks += fell_back
+            seen.update(tag for problem in want for tag in _TAGS if tag in problem)
+    assert mutants >= 600 and rejected * 3 >= mutants
+    assert seen == set(_TAGS)
+    print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "
+          f"({rejected} rejected, {fallbacks} fell back)")
+
+
+def test_validate_step_matches_validate_position():
+    """The step check gives the full check's list on every corpus step and on seed 5's mutants of them."""
     steps = _corpus_steps()
     for before, after in steps:
         assert _validate_by_value(before, after)[0] == validate_position(after) == []
         assert all(map(is_normal_piece, after.pieces.values())) == is_normal(after)[0]
-    tags = ("side anchors conflict", "monodromy", "disconnected", "region tree")
-    for seed in (5, 6):
-        rng = random.Random(seed)
-        mutants = rejected = fallbacks = 0
-        seen = set()
-        for before, after in steps:
-            for _ in range(4):
-                mutant = _mutate(rng, after)
-                got, fell_back = _validate_by_value(before, mutant)
-                want = validate_position(mutant)
-                assert got == want
-                mutants += 1
-                rejected += bool(want)
-                fallbacks += fell_back
-                seen.update(tag for problem in want for tag in tags if tag in problem)
-        assert mutants >= 600 and rejected * 3 >= mutants
-        assert seen == set(tags)
-        print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "
-              f"({rejected} rejected, {fallbacks} fell back)")
+    _check_mutants(steps, 5)
+
+
+def test_validate_delta_matches_validate_position_on_mutants():
+    """The same on seed 6's mutants, each mutant's delta found by value."""
+    _check_mutants(_corpus_steps(), 6)
 
 
 def test_step_scope_does_not_grow_with_the_torus():

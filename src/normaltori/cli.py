@@ -9,6 +9,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -38,7 +39,7 @@ EXIT_DISTINCT = 3
 def _read(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     return serialize.load_any(text)
 
@@ -255,7 +256,9 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="normaltori",
         description="Normal forms and decorated-graph invariants of essential tori "

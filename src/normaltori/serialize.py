@@ -278,14 +278,70 @@ def _expect(obj: Any, kind: str) -> None:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as JSON with sorted keys and two-space indents, then a newline.
+
+    The text is byte for byte ``json.dumps(obj, sort_keys=True, indent=2)``,
+    which runs the pure-Python encoder whenever it indents; here strings are
+    quoted by the C quoting function and the rest is one recursive walk.  It
+    takes dicts with str keys, lists, str, int, bool and None, and raises
+    ``TypeError`` on anything else.
+    """
+    out: list[str] = []
+    _dump(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dump(value, newline: str, put) -> None:
+    """Append the JSON text of ``value`` to ``put``; nested lines start with ``newline``."""
+    if isinstance(value, str):
+        put(_quote(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep)
+            put(_quote(key))
+            put(": ")
+            _dump(value[key], inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _dump(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_any(text: str):
     """Parse any known payload kind; returns (kind, value)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("top-level JSON value must be an object")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from normaltori.cli import main
+from normaltori.cli import build_parser, main
 from normaltori.fixtures import make_klein, make_t0, make_t1
 from normaltori.serialize import dumps, position_to_json
 
@@ -99,8 +99,6 @@ def test_readme_commands_parse():
     import shlex
     from pathlib import Path
 
-    from normaltori.cli import build_parser
-
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("normaltori ")]
@@ -124,6 +122,40 @@ def test_unknown_flag_rejected():
 def test_missing_file_is_diagnostic(capsys, tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(b"\xff\xfe{}", "cannot read {path}: "), (b"[" * 200_000 + b"]" * 200_000, "not valid JSON: ")],
+    ids=["not UTF-8", "nested too deep"],
+)
+def test_undecodable_file_is_diagnostic(tmp_path, capsys, content, message):
+    """A file that is not UTF-8, or nests deeper than the parser recurses, ends in one error line."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
+
+
+def test_parser_reuse_keeps_no_state(files, capsys):
+    """Calls in one process share one parser; no option value carries over to the next call."""
+    tmp, paths = files
+    assert build_parser() is build_parser()
+    trace = tmp / "trace.log"
+    assert main(["normalize", str(paths["t1"]), "-o", str(tmp / "norm.json"), "--trace", str(trace)]) == 0
+    trace.unlink()
+    capsys.readouterr()
+    assert main(["normalize", str(paths["t1"])]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out.split("normalized in")[0])["kind"] == "normal_torus"
+    assert "slide" in err and not trace.exists()
+    sides = []
+    for flags in (["--base-side", "B"], []):
+        out = tmp / "dec.json"
+        assert main(["decorate", str(paths["t0"]), "-o", str(out), *flags]) == 0
+        sides.append(json.loads(out.read_text())["base"]["side"])
+    assert sides == ["B", "A"]
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ traceback, and a rejection must say why and write nothing.
 from __future__ import annotations
 
 import copy
+import json
 import random
 from collections import Counter
 
@@ -91,7 +92,9 @@ def test_mutants_never_escape_the_cli(tmp_path, capsys):
     for i in range(MUTANTS):
         source = sources[i % len(sources)]
         operator = OPERATORS[(i // len(sources)) % len(OPERATORS)]
-        src.write_text(dumps(_mutate(source, rng, operator)), encoding="utf-8")
+        # a mutant may hold a float, which the package's writer refuses, so the stdlib writes it
+        mutant = json.dumps(_mutate(source, rng, operator), sort_keys=True, indent=2) + "\n"
+        src.write_text(mutant, encoding="utf-8")
         command = rng.choice(COMMANDS)
         argv = [command, str(src)]
         if command == "compare":

@@ -5,11 +5,12 @@ import re
 
 import pytest
 
+from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t1, make_t2
 from normaltori.graphs import build_standard, random_cubic
 from normaltori.moves import normalize
 from normaltori.normal_graph import canonicalize, decorate, to_normal_torus
-from normaltori.oracle import random_normal_torus
+from normaltori.oracle import minimality_experiment, random_normal_torus
 from normaltori.position import validate_position
 from normaltori import serialize
 from normaltori.serialize import (
@@ -120,7 +121,7 @@ def test_schema_errors():
         graph_from_json(ends)
 
 
-def test_written_files_load_back_unchanged():
+def test_written_files_load_back_unchanged(tmp_path, monkeypatch):
     positions = [make_t0(), normalize(make_t1()).torus.position, make_t2()]
     positions += [random_normal_torus(build_standard(3), 0, 12), random_normal_torus(random_cubic(4, 7), 1, 12)]
     writers = {
@@ -129,13 +130,39 @@ def test_written_files_load_back_unchanged():
         "normal_torus": normal_torus_to_json,
         "decorated_graph": decorated_to_json,
     }
+    payloads = []
     for t in positions:
         nt = to_normal_torus(t)
         d = decorate(nt, max(nt.nodes), "B")
-        for payload in graph_to_json(t.graph), position_to_json(t), normal_torus_to_json(nt), decorated_to_json(d):
-            text = dumps(payload)
+        payloads += graph_to_json(t.graph), position_to_json(t), normal_torus_to_json(nt), decorated_to_json(d)
+    payloads.append(minimality_experiment(make_t0(), 6, 3).to_json())
+    # the fuzz summary is built inside the command, so take it on its way to the writer
+    monkeypatch.setattr(serialize, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
+    assert main(["fuzz", "--trials", "12", "--rank", "2", "--seed", "5", "-o", str(tmp_path / "fuzz.json")]) == 0
+    assert [p["kind"] for p in payloads[-2:]] == ["fuzz_report", "fuzz_summary"]
+    for payload in payloads:
+        text = dumps(payload)
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        if payload["kind"] in writers:
             kind, value = load_any(text)
             assert dumps(writers[kind](value)) == text
+
+
+def test_dumps_matches_the_reference_on_edge_values():
+    values = [
+        {"c²": "naïve \"quoted\" back\\slash", "ctl": "\x00\x1f\t\n\r\x7f", "ünïcode": "\U0001f600 \u2028"},
+        {"empty dict": {}, "empty list": [], "nested": [[], [{}], {"a": []}]},
+        {"true": True, "one": 1, "list": [True, 1, False, 0, None]},
+        {"neg": -7, "big": 2**200, "-big": -(3**150), "zero": 0},
+        [],
+        "top",
+    ]
+    for value in values:
+        assert dumps(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    # no file holds a float, a set or a non-str key, so they are refused rather than guessed at
+    for bad in ({"x": 1.5}, {"x": {1, 2}}, {1: "a"}, [{"ok": [0.0]}]):
+        with pytest.raises(TypeError):
+            dumps(bad)
 
 
 def test_decorated_file_with_a_flipped_sign_rejected():

@@ -40,7 +40,6 @@ from .position import (
     fresh_id,
     is_boundary_parallel_disk,
     is_normal,
-    total_intersections,
     validate_position,
     xor_side,
 )
@@ -398,8 +397,8 @@ class NormalizeResult:
 def normalize(t: TorusPosition) -> NormalizeResult:
     """Drive the position to normal form with the first applicable move.
 
-    Raises when the input is invalid or disjoint from the sphere system
-    (nothing to normalize), when a fixpoint is reached that is not normal,
+    Raises when the input is invalid (a valid position has a piece, so it
+    meets the sphere system), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
     geometrically inconsistent input).  The input and the normal result get
     ``validate_position``; every move before the last gets the one step
@@ -420,8 +419,6 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     the carried index, and checks its result with ``_validate_delta`` over
     the move's ``Delta``.
     """
-    if total_intersections(t) == 0:
-        raise NormalizeError("disjoint from the sphere system: nothing to normalize")
     trace: list[MoveRecord] = []
     index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
     current, tally = t, Tally.of(t)

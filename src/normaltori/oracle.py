@@ -597,7 +597,7 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
     outcomes: set[str] = set()
     stuck = 0
     explored = 0
-    seen: set[str] = set()
+    seen: set[tuple] = set()
     stack = [t]
     while stack:
         cur = stack.pop()
@@ -619,75 +619,73 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
     return ConfluenceResult(len(outcomes) == 1 and stuck == 0, sorted(outcomes), stuck, explored)
 
 
-def _state_key(t: TorusPosition) -> str:
-    """State fingerprint: ids renamed in the order of refined colours.
+def _state_key(t: TorusPosition) -> tuple:
+    """State fingerprint: the position with ids renamed in the order of refined colours.
 
     Colours come from 1-dim Weisfeiler-Leman refinement over pieces,
     circles and regions: each round a colour's signature is its previous
-    colour plus its neighbours' colours, and every kind's distinct
-    signatures are interned to their ranks, so colours stay small ints.
-    The key spells out the whole position under the renaming, so two
-    states share a key only if they are isomorphic and the search never
-    gives a wrong answer; the colours decide only how often isomorphic
-    states are told apart, i.e. how much exploration is duplicated.
+    colour plus its neighbours' colours, interned to its rank among its
+    kind's distinct signatures.  A signature starts with the old colour,
+    so a round that splits no class gives back the old colours, and so
+    would every later round: refinement stops after 4 rounds or once no
+    kind's colour count grew, and skips a kind whose colours are already
+    all distinct.  Half-edges enter as their rank in sorted order, which
+    keeps every sort and so every colour.  The key is a tuple spelling out
+    the position under the renaming, so two states share a key only if
+    they are isomorphic and the search never gives a wrong answer; the
+    colours decide only how much exploration is duplicated.
     """
-    piece_color = _intern(
-        {pid: (p.pants, p.genus, tuple(sorted(p.uncrossed.items()))) for pid, p in t.pieces.items()}
-    )
-    circle_color = _intern({cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()})
-    index = t.circle_slots()
-    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
-    region_color = _intern(
-        {r: (s, len(nbrs[s].get(r, ()))) for s, tree in t.trees.items() for r in tree.regions}
-    )
+    he_rank = {he: i for i, he in enumerate(sorted(t.graph.incidence))}
+    piece_init, slots, ends = {}, {}, defaultdict(list)
+    for pid, p in t.pieces.items():
+        piece_init[pid] = (p.pants, p.genus, tuple(sorted(p.uncrossed.items())))
+        slots[pid] = [(he_rank[slot.half_edge], slot.circle, slot.region_a) for slot in p.boundary]
+        for slot in p.boundary:
+            ends[slot.circle].append((slot.half_edge.end, pid))
+    # circle -> (its ends in circle_slots order, stably sorted by end; its two regions)
+    circles = {cid: (sorted(ends[cid], key=lambda e: e[0]), *t.trees[c.sphere].edges[cid])
+               for cid, c in t.circles.items()}
+    region_init, inc = {}, {}
+    for s, tree in t.trees.items():
+        nbrs = tree.neighbors()
+        for r in tree.regions:
+            inc[r] = [c for c, _ in nbrs.get(r, ())]
+            region_init[r] = (s, len(inc[r]))
+    circle_init = {cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()}
+    # piece, circle and region colours, and how many distinct ones of each
+    (pc, n_p), (cc, n_c), (rc, n_r) = _intern(piece_init), _intern(circle_init), _intern(region_init)
     for _ in range(4):
-        new_piece = {}
-        for pid, p in t.pieces.items():
-            sig = tuple(
-                sorted((slot.half_edge, circle_color[slot.circle], region_color[slot.region_a]) for slot in p.boundary)
-            )
-            new_piece[pid] = (piece_color[pid], sig)
-        new_circle = {}
-        for cid in t.circles:
-            ends = tuple(
-                (slot.half_edge.end, piece_color[piece.id]) for piece, slot in sorted(
-                    index.get(cid, []), key=lambda ps: ps[1].half_edge.end
-                )
-            )
-            a, b = t.trees[t.circles[cid].sphere].edges[cid]
-            new_circle[cid] = (circle_color[cid], ends, tuple(sorted((region_color[a], region_color[b]))))
-        new_region = {}
-        for s, tree in t.trees.items():
-            for r in tree.regions:
-                inc = tuple(sorted(circle_color[c] for c, _ in nbrs[s].get(r, ())))
-                new_region[r] = (region_color[r], inc)
-        piece_color, circle_color, region_color = _intern(new_piece), _intern(new_circle), _intern(new_region)
-    rename_p = {pid: f"P{i}" for i, pid in enumerate(sorted(t.pieces, key=lambda x: (piece_color[x], x)))}
-    rename_c = {cid: f"C{i}" for i, cid in enumerate(sorted(t.circles, key=lambda x: (circle_color[x], x)))}
-    rename_r = {}
-    for s in sorted(t.trees):
-        for i, r in enumerate(sorted(t.trees[s].regions, key=lambda x: (region_color[x], x))):
-            rename_r[r] = f"R{s}.{i}"
-    parts = []
-    for pid in sorted(t.pieces, key=lambda x: rename_p[x]):
-        p = t.pieces[pid]
-        slots = sorted(
-            (slot.half_edge, rename_c[slot.circle], rename_r[slot.region_a]) for slot in p.boundary
+        counts = n_p, n_c, n_r
+        (pc, n_p), (cc, n_c), (rc, n_r) = (
+            (pc, n_p) if n_p == len(pc) else _intern(
+                {pid: (pc[pid], tuple(sorted([(h, cc[c], rc[r]) for h, c, r in sl]))) for pid, sl in slots.items()}
+            ),
+            (cc, n_c) if n_c == len(cc) else _intern(
+                {cid: (cc[cid], tuple([(e, pc[pid]) for e, pid in es]), tuple(sorted((rc[a], rc[b]))))
+                 for cid, (es, a, b) in circles.items()}
+            ),
+            (rc, n_r) if n_r == len(rc) else _intern(
+                {r: (rc[r], tuple(sorted([cc[c] for c in cs]))) for r, cs in inc.items()}
+            ),
         )
-        unc = tuple(sorted((he, side) for he, side in p.uncrossed.items()))
-        parts.append(str((rename_p[pid], p.pants, p.genus, slots, unc)))
-    for cid in sorted(t.circles, key=lambda x: rename_c[x]):
-        a, b = t.trees[t.circles[cid].sphere].edges[cid]
-        parts.append(
-            str((rename_c[cid], t.circles[cid].sphere, t.transport[cid], tuple(sorted((rename_r[a], rename_r[b])))))
-        )
-    return "&".join(parts)
+        if (n_p, n_c, n_r) == counts:
+            break
+    circle_order = [cid for _, cid in sorted(zip(cc.values(), cc))]
+    new_c = {cid: i for i, cid in enumerate(circle_order)}
+    new_r = {r: (s, i) for s in sorted(t.trees)
+             for i, (_, r) in enumerate(sorted([(rc[x], x) for x in t.trees[s].regions]))}
+    return (
+        tuple((piece_init[pid], tuple(sorted([(h, new_c[c], new_r[r]) for h, c, r in slots[pid]])))
+              for _, pid in sorted(zip(pc.values(), pc))),
+        tuple((t.circles[cid].sphere, t.transport[cid], tuple(sorted([new_r[r] for r in circles[cid][1:]])))
+              for cid in circle_order),
+    )
 
 
-def _intern(signatures: dict) -> dict[str, int]:
-    """Replace each signature with its rank among the distinct signatures."""
+def _intern(signatures: dict) -> tuple[dict, int]:
+    """Replace each signature with its rank among the distinct signatures; also return their number."""
     rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
-    return {x: rank[sig] for x, sig in signatures.items()}
+    return {x: rank[sig] for x, sig in signatures.items()}, len(rank)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,8 @@ def validate_position(t: TorusPosition) -> list[str]:
     problems = validate_graph(t.graph)
     if problems:
         return problems
+    if not t.pieces:
+        return ["position has no pieces"]
     everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), set()
     return _validate(t, t.circle_slots(), *everything)
 

@@ -1,8 +1,20 @@
 from __future__ import annotations
 
-from normaltori.fixtures import theta_graph
-from normaltori.graphs import HalfEdge, SphereGraph
-from normaltori.position import SIDE_A, BoundarySlot, Circle, Piece, RegionTree, TorusPosition, end_slot
+from typing import Iterator
+
+from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2, theta_graph
+from normaltori.graphs import HalfEdge, SphereGraph, build_standard
+from normaltori.oracle import perturb, random_normal_torus
+from normaltori.position import (
+    SIDE_A,
+    BoundarySlot,
+    Circle,
+    Piece,
+    RegionTree,
+    TorusPosition,
+    end_slot,
+    total_intersections,
+)
 
 
 def is_loop(g: SphereGraph, sphere: str) -> bool:
@@ -53,3 +65,25 @@ def make_u_tubes() -> TorusPosition:
         "s2": RegionTree("s2", {"r4"}, {}),
     }
     return TorusPosition(g, pieces, circles, trees, {"ca": True, "cb": True})
+
+
+def criterion_3_inputs() -> Iterator[tuple[str, TorusPosition]]:
+    """(label, position) for each exhaustive search of acceptance criterion 3.
+
+    The fixtures, then seeded perturbations of t0 and t2 and of random
+    normal tori at ranks 2-4, keeping those of at most 12 circles.
+    """
+    for base in (make_t0(), make_t1(), make_t2(), make_t0_with_dome()):
+        yield "fixture", base
+    for base_maker, seeds in ((make_t0, 40), (make_t2, 40)):
+        base = base_maker()
+        for seed in range(seeds):
+            p = perturb(base, 10_000 + seed, (seed % 4) + 1)
+            if total_intersections(p) <= 12:
+                yield f"{base_maker.__name__} seed {seed}", p
+    for rank in (2, 3, 4):
+        g = build_standard(rank)
+        for seed in range(45):
+            p = perturb(random_normal_torus(g, seed, 4), 20_000 + seed, (seed % 3) + 1)
+            if total_intersections(p) <= 12:
+                yield f"rank {rank} seed {seed}", p

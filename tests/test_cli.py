@@ -193,6 +193,23 @@ def test_oracle_commands_validate_input(files, capsys, command):
     assert capsys.readouterr().err == "error: monodromy nontrivial on cycle (F0,F1)\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "decorate", "compare", "confluence"])
+def test_position_without_pieces_is_diagnostic(tmp_path, capsys, command):
+    """No pieces and no circles: one error line, where decorating it raised from ``min()``."""
+    from normaltori.fixtures import theta_graph
+    from normaltori.position import RegionTree, TorusPosition
+
+    g = theta_graph()
+    trees = {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
+    path = tmp_path / "empty.json"
+    path.write_text(dumps(position_to_json(TorusPosition(g, {}, {}, trees, {}))), encoding="utf-8")
+    argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
+    assert main(argv) == 1
+    # validate lists problems bare; the other commands prefix their one error
+    prefix = "" if command == "validate" else "error: "
+    assert capsys.readouterr().err == prefix + "position has no pieces\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

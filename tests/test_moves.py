@@ -141,7 +141,7 @@ def test_normalize_rejects_empty_position():
     g = theta_graph()
     trees = {s: RegionTree(s, {f"e{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
     empty = TorusPosition(g, {}, {}, trees, {})
-    with pytest.raises(NormalizeError, match="disjoint"):
+    with pytest.raises(NormalizeError, match="position has no pieces"):
         normalize(empty)
 
 

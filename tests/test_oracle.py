@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import is_loop
+from conftest import criterion_3_inputs, is_loop
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard, random_cubic
 from normaltori.moves import find_moves, normalize
@@ -107,6 +107,111 @@ def test_confluence_explored_counts(k, explored):
     result = confluence_search(perturb(make_t2(), 3, k))
     assert result.confluent
     assert result.explored == explored
+
+
+def _reference_colours(t) -> list[tuple[dict, dict, dict]]:
+    """Piece, circle and region colours before and after each of 4 refinement rounds.
+
+    The colour refinement of the string-building state key that
+    ``oracle._state_key`` replaced: it always runs 4 rounds and rebuilds
+    every incidence each round.
+    """
+    piece_color = _reference_intern(
+        {pid: (p.pants, p.genus, tuple(sorted(p.uncrossed.items()))) for pid, p in t.pieces.items()}
+    )
+    circle_color = _reference_intern({cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()})
+    index = t.circle_slots()
+    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
+    region_color = _reference_intern(
+        {r: (s, len(nbrs[s].get(r, ()))) for s, tree in t.trees.items() for r in tree.regions}
+    )
+    rounds = [(piece_color, circle_color, region_color)]
+    for _ in range(4):
+        new_piece = {}
+        for pid, p in t.pieces.items():
+            sig = tuple(
+                sorted((slot.half_edge, circle_color[slot.circle], region_color[slot.region_a]) for slot in p.boundary)
+            )
+            new_piece[pid] = (piece_color[pid], sig)
+        new_circle = {}
+        for cid in t.circles:
+            ends = tuple(
+                (slot.half_edge.end, piece_color[piece.id]) for piece, slot in sorted(
+                    index.get(cid, []), key=lambda ps: ps[1].half_edge.end
+                )
+            )
+            a, b = t.trees[t.circles[cid].sphere].edges[cid]
+            new_circle[cid] = (circle_color[cid], ends, tuple(sorted((region_color[a], region_color[b]))))
+        new_region = {}
+        for s, tree in t.trees.items():
+            for r in tree.regions:
+                inc = tuple(sorted(circle_color[c] for c, _ in nbrs[s].get(r, ())))
+                new_region[r] = (region_color[r], inc)
+        piece_color, circle_color, region_color = (
+            _reference_intern(new_piece), _reference_intern(new_circle), _reference_intern(new_region)
+        )
+        rounds.append((piece_color, circle_color, region_color))
+    return rounds
+
+
+def _reference_state_key(t, piece_color, circle_color, region_color) -> str:
+    """The string the replaced state key built from its final colours."""
+    rename_p = {pid: f"P{i}" for i, pid in enumerate(sorted(t.pieces, key=lambda x: (piece_color[x], x)))}
+    rename_c = {cid: f"C{i}" for i, cid in enumerate(sorted(t.circles, key=lambda x: (circle_color[x], x)))}
+    rename_r = {}
+    for s in sorted(t.trees):
+        for i, r in enumerate(sorted(t.trees[s].regions, key=lambda x: (region_color[x], x))):
+            rename_r[r] = f"R{s}.{i}"
+    parts = []
+    for pid in sorted(t.pieces, key=lambda x: rename_p[x]):
+        p = t.pieces[pid]
+        slots = sorted(
+            (slot.half_edge, rename_c[slot.circle], rename_r[slot.region_a]) for slot in p.boundary
+        )
+        unc = tuple(sorted((he, side) for he, side in p.uncrossed.items()))
+        parts.append(str((rename_p[pid], p.pants, p.genus, slots, unc)))
+    for cid in sorted(t.circles, key=lambda x: rename_c[x]):
+        a, b = t.trees[t.circles[cid].sphere].edges[cid]
+        parts.append(
+            str((rename_c[cid], t.circles[cid].sphere, t.transport[cid], tuple(sorted((rename_r[a], rename_r[b])))))
+        )
+    return "&".join(parts)
+
+
+def _reference_intern(signatures: dict) -> dict:
+    rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
+    return {x: rank[sig] for x, sig in signatures.items()}
+
+
+def test_state_key_partitions_like_the_reference(monkeypatch):
+    """On every state popped by criterion 3's searches: key equal <=> reference key equal.
+
+    States are compared across searches on one graph too, which sees more
+    pairs than the searches' own dedup does.
+    """
+    from normaltori import oracle
+
+    key = oracle._state_key
+    popped = []  # (graph, state, key)
+
+    def recording_key(t):
+        popped.append((tuple(sorted(t.graph.incidence.items())), t, key(t)))
+        return popped[-1][2]
+
+    monkeypatch.setattr(oracle, "_state_key", recording_key)
+    explored = sum(confluence_search(p).explored for _, p in criterion_3_inputs())
+    assert explored == 1508
+    new_to_old, old_to_new, stops = {}, {}, set()
+    for graph, t, k in popped:
+        rounds = _reference_colours(t)
+        counts = [tuple(len(set(colors.values())) for colors in r) for r in rounds]
+        # Equal counts mean equal colours, which is why the key may stop there.
+        assert all(rounds[i] == rounds[i - 1] for i in range(1, 5) if counts[i] == counts[i - 1])
+        stops.add(next((i for i in range(1, 4) if counts[i] == counts[i - 1]), 4))
+        new, old = (graph, k), (graph, _reference_state_key(t, *rounds[-1]))
+        assert new_to_old.setdefault(new, old) == old, "the key merges states the reference tells apart"
+        assert old_to_new.setdefault(old, new) == new, "the key splits a class of the reference"
+    assert {1, 4} <= stops, "both the early stop and the full 4 rounds are exercised"
 
 
 def test_confluence_matches_normalize_result():

@@ -27,7 +27,7 @@ from .normal_graph import (
     to_normal_torus,
 )
 from .oracle import _perturb, confluence_search, minimality_experiment, random_normal_torus, roundtrip_report
-from .position import PositionError, intersection_vector, validate_position
+from .position import PositionError, _checked, intersection_vector, validate_position
 from .serialize import SchemaError
 
 EXIT_OK = 0
@@ -76,14 +76,6 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
-
-
-def _checked(t):
-    """The position itself, once ``validate_position`` finds nothing wrong with it."""
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("; ".join(problems))
-    return t
 
 
 def _normal_torus(kind, value, what):
@@ -245,7 +237,7 @@ def cmd_export_dot(args) -> int:
     if kind == "sphere_graph":
         dot = serialize.graph_to_dot(value)
     elif kind == "position":
-        dot = serialize.position_to_dot(value)
+        dot = serialize.position_to_dot(_checked(value))
     elif kind == "normal_torus":
         dot = serialize.normal_torus_to_dot(value)
     elif kind == "decorated_graph":

@@ -27,20 +27,18 @@ from .position import (
     SIDE_B,
     BoundarySlot,
     Circle,
-    Delta,
     Piece,
     PositionError,
     RegionTree,
     Tally,
     TorusPosition,
-    _diff,
-    _reindexed,
-    _validate_delta,
+    _all_regions,
+    _checked,
+    _step,
     end_slot,
     fresh_id,
     is_boundary_parallel_disk,
     is_normal,
-    validate_position,
     xor_side,
 )
 
@@ -146,15 +144,6 @@ def apply_move(t: TorusPosition, move: Move) -> TorusPosition:
     return _move(t, move, t.circle_slots())[0]
 
 
-def _apply(t: TorusPosition, move: Move, index) -> tuple[TorusPosition, dict, Delta]:
-    """``apply_move`` that also returns the result's ``circle_slots()`` and the ``Delta``.
-
-    ``index`` is ``t.circle_slots()``; the new index is updated from it.
-    """
-    out, pieces, circles, sphere = _move(t, move, index)
-    return out, _reindexed(index, t, out, pieces), _diff(t, out, pieces, circles, (sphere,))
-
-
 def _move(t: TorusPosition, move: Move, index):
     """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
     if isinstance(move, Slide):
@@ -216,7 +205,7 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
 
     out = t.shallow_copy()
     new_cid = fresh_id("c", out.circles)
-    merged_region = fresh_id("r", {r for tr in out.trees.values() for r in tr.regions})
+    merged_region = fresh_id("r", _all_regions(out))
 
     # an anchor lies next to its own circle, so the anchors on the merged
     # regions all sit at circles of this tree; the pieces holding them get
@@ -400,24 +389,22 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     Raises when the input is invalid (a valid position has a piece, so it
     meets the sphere system), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
-    geometrically inconsistent input).  The input and the normal result get
-    ``validate_position``; every move before the last gets the one step
-    check, ``_validate_delta``, scoped by the move's ``Delta``, which finds
-    the same problems.
+    geometrically inconsistent input).  The input gets
+    ``validate_position``; every move's result is checked by the one step
+    routine, ``position._step``, which fully validates the normal result
+    and checks each one before it with ``_validate_delta``, scoped by the
+    move's ``Delta``, which finds the same problems.
     """
-    problems = validate_position(t)
-    if problems:
-        raise NormalizeError("invalid position: " + "; ".join(problems))
-    return _normalize(t)
+    return _normalize(_checked(t, "invalid position: ", NormalizeError))
 
 
 def _normalize(t: TorusPosition) -> NormalizeResult:
     """``normalize`` of a position already known to be valid.
 
-    Each step carries the ``circle_slots()`` index and the ``Tally`` from
-    the one before, takes its move afresh as the first of ``_moves`` over
-    the carried index, and checks its result with ``_validate_delta`` over
-    the move's ``Delta``.
+    Takes each move afresh as the first of ``_moves`` over the index that
+    ``position._step`` carries, with the ``Tally``, from the step before.
+    A move must lower the total by one and raise no sphere's count; those
+    counts are checked before the step's problems.
     """
     trace: list[MoveRecord] = []
     index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
@@ -425,20 +412,13 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     # a normal piece has no move: it meets each sphere end at most once and
     # is no boundary-parallel disk, so the walk ends once every piece is normal
     while tally.abnormal and (move := next(_moves(current, index), None)) is not None:
-        nxt, nxt_index, delta = _apply(current, move, index)
-        nxt_tally = tally.stepped(current, nxt, delta)
+        nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, hes_at, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
             raise NormalizeError(f"move {move} changed the total by {sum(after.values()) - sum(before.values())}")
         for s, n in after.items():
             if n > before[s]:
                 raise NormalizeError(f"move {move} increased the count on {s}")
-        # a move that reaches normal form is the last one, so its result
-        # gets the full check; the ones before it are checked by step
-        if nxt_tally.abnormal == 0:
-            problems = validate_position(nxt)
-        else:
-            problems = _validate_delta(current, index, nxt, nxt_index, delta, nxt_tally, hes_at)
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))

@@ -81,6 +81,8 @@ class NormalTorus:
 
 
 def to_normal_torus(t: TorusPosition) -> NormalTorus:
+    if not t.pieces:  # is_normal finds no violation in it, and decorate needs a node
+        raise PositionError("position has no pieces")
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("not normal: " + "; ".join(violations))

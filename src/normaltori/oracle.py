@@ -38,17 +38,16 @@ from .position import (
     RegionTree,
     Tally,
     TorusPosition,
-    _diff,
+    _all_regions,
+    _checked,
     _edge_changes,
-    _reindexed,
-    _validate_delta,
+    _step,
     end_slot,
     fresh_id,
     intersection_vector,
     is_normal,
     side_masks,
     total_intersections,
-    validate_position,
 )
 from .serialize import dumps, position_to_json
 
@@ -79,10 +78,7 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     else:
         raise PositionError("failed to sample a closed immersed walk")
     nodes = _grow_branches(g, rng, walk, size_bound)
-    t = _assemble(g, nodes)
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("generator produced invalid position: " + "; ".join(problems))
+    t = _checked(_assemble(g, nodes), "generator produced invalid position: ")
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("generator produced non-normal position: " + "; ".join(violations))
@@ -255,28 +251,28 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 
     The result is valid, homotopic to the input by construction, and its
     total intersection count is exactly ``k`` larger.  The input must be
-    valid; it is checked once, before any draw.  The last inverse move's
-    result gets ``validate_position`` and each earlier one the step check
-    scoped by the inverse move's ``Delta``.
+    valid; it is checked once, before any draw.  Every inverse move's
+    result is checked by the one step routine, ``position._step``, which
+    fully validates the last one and checks each one before it with
+    ``_validate_delta``, scoped by the inverse move's ``Delta``.
     """
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("invalid position: " + "; ".join(problems))
-    return _perturb(t, seed, k)
+    return _perturb(_checked(t, "invalid position: "), seed, k)
 
 
 def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     """``perturb`` of a position already known to be valid.
 
-    Each step carries the ``circle_slots()`` index, the ``Tally`` and the
-    candidate cache from the one before.  A rejected candidate means a
-    bookkeeping bug, so it raises.  The last result gets the full check,
-    each earlier one ``_validate_delta`` over the inverse move's ``Delta``.
+    Carries the candidate cache from step to step, and the index and the
+    ``Tally`` through ``position._step``.  A rejected candidate means a
+    bookkeeping bug, so it raises.  An inverse move leaves a
+    boundary-parallel disk, so no result is normal, and ``_step`` checks
+    in full only the one it is told is last.  A step's problems are
+    checked before its total.
     """
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
-    current, index, tally = t, t.circle_slots(), None
+    current, index, tally = t, t.circle_slots(), Tally.of(t)
     hes_at = t.graph.half_edges_by_pants()
     cache = _Candidates(t, index, hes_at)
     for i in range(k):
@@ -286,16 +282,10 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
         cand = candidates[rng.randrange(len(candidates))]
         last = i == k - 1
         try:
-            # the last result gets the full check, so it needs no delta
-            nxt, nxt_index, delta = (_inverse(current, cand, index)[0], None, None) if last else \
-                _apply_inverse(current, cand, index)
+            moved = _inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        if last:
-            problems = validate_position(nxt)
-        else:
-            tally = (tally or Tally.of(current)).stepped(current, nxt, delta)
-            problems = _validate_delta(current, index, nxt, nxt_index, delta, tally, hes_at)
+        nxt, nxt_index, delta, tally, problems = _step(current, index, tally, hes_at, moved, last)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
@@ -306,15 +296,6 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     return current
 
 
-def _apply_inverse(t: TorusPosition, cand: tuple, index) -> tuple[TorusPosition, dict, Delta]:
-    """Apply one inverse move; also return the result's ``circle_slots()`` and the ``Delta``.
-
-    ``index`` is ``t.circle_slots()``; the new index is updated from it.
-    """
-    out, pieces, circles, sphere = _inverse(t, cand, index)
-    return out, _reindexed(index, t, out, pieces), _diff(t, out, pieces, circles, (sphere,))
-
-
 def _inverse(t: TorusPosition, cand: tuple, index):
     """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
     if cand[0] == "dome":
@@ -322,10 +303,6 @@ def _inverse(t: TorusPosition, cand: tuple, index):
     if cand[0] == "finger":
         return _apply_inverse_finger(t, *cand[1:])
     raise PositionError(f"unknown inverse move {cand[0]}")
-
-
-def _all_regions(t: TorusPosition) -> set[str]:
-    return {r for tree in t.trees.values() for r in tree.regions}
 
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
@@ -739,9 +716,7 @@ def _trials(t: TorusPosition, trials: int, k_max: int, seed: int, stride: int) -
     """
     if trials < 0 or k_max < 0:
         raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("invalid position: " + "; ".join(problems))
+    _checked(t, "invalid position: ")
     for i in range(trials):
         trial_seed = seed + stride * i
         k = (i % k_max) + 1 if k_max >= 1 else 0

@@ -14,11 +14,14 @@ assumes the surface is in normal form - transient states
 mid-normalization (several circles of one piece on one sphere end,
 positive genus, boundary-parallel disks) are all representable.
 
-Inside ``normalize`` and ``perturb`` each step reports a ``Delta``, and
-the loop carries the ``circle_slots()`` index and a ``Tally`` from step
-to step.  ``_validate_delta``, the one step check, takes its scope from
-the delta; the tests pin that scope equal to the one found by comparing
-the two positions by value.
+``_step`` is the one step routine of ``normalize`` and ``perturb``.  It
+takes a move's or an inverse move's raw result and returns the result's
+``circle_slots()`` index, its ``Delta`` and its ``Tally``, each updated
+from the step before, with the result's problems: from
+``validate_position`` for a loop's last step or a normal result, else
+from ``_validate_delta``, the one step check.  That check takes its scope
+from the delta; the tests pin that scope equal to the one found by
+comparing the two positions by value.
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ class TorusPosition:
         Built afresh on each call and never stored on the position: tests
         edit positions in place, so a kept index would go stale.  Callers
         that look up many circles build it once and read it with
-        ``end_slot``.  Inside ``normalize`` and ``perturb`` each step
-        updates the index from its ``Delta`` (``_reindexed``) instead of
-        building it again; the tests pin the update equal to a fresh build.
+        ``end_slot``.  Inside ``normalize`` and ``perturb`` each ``_step``
+        updates the index (``_reindexed``) instead of building it again;
+        the tests pin the update equal to a fresh build.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
@@ -203,6 +206,11 @@ def end_slot(
         if slot.half_edge == he:
             return piece, slot
     raise PositionError(f"circle {cid} has no piece at {he.label()}")
+
+
+def _all_regions(t: TorusPosition) -> set[str]:
+    """Every region id of every sphere's tree, for allocating a fresh one."""
+    return {r for tree in t.trees.values() for r in tree.regions}
 
 
 def euler_characteristic(t: TorusPosition) -> int:
@@ -237,10 +245,13 @@ def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
     return _walk_piece_graph(t.pieces, _piece_edges(t, index))[3]
 
 
-def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
-    """(circle, piece, piece, flip) per circle with two slots, in circle order."""
+def _piece_edges(t: TorusPosition, index, circles=None) -> list[tuple[str, str, str, bool]]:
+    """(circle, piece, piece, flip) per circle of ``t`` with two slots, in circle order.
+
+    ``circles`` limits the edges to those circles; ids ``t`` lacks are skipped.
+    """
     edges = []
-    for cid in sorted(t.circles):
+    for cid in sorted(t.circles if circles is None else t.circles.keys() & circles):
         pair = index.get(cid, ())
         if len(pair) == 2:
             (piece_a, _), (piece_b, _) = pair
@@ -252,15 +263,19 @@ def _walk_piece_graph(nodes, edges):
     """(nodes reached from the least node, side bits, BFS tree, first bad cycle).
 
     The one walk over a piece graph: ``_validate`` and
-    ``monodromy_certificate`` read it off a position's circles,
-    ``normal_graph.decorate`` and ``normal_graph._axis_cycle`` off a normal
-    torus's crossings.  ``edges`` holds
-    (circle, node, node, flip) in circle order.  A node's side bit is its
-    flip parity along the tree path from its component's least node; the
-    tree maps a node to (its parent, the circle joining them), or None at
-    that least node.  The bad cycle is the nodes of the first cycle with an
-    odd flip count, or None.  The walk finishes the least node's component
-    past a bad cycle, so the count stays exact, and stops there.
+    ``monodromy_certificate`` read it off a position's circles, ``_joins``
+    off a step's changed circles, ``normal_graph.decorate`` and
+    ``normal_graph._axis_cycle`` off a normal torus's crossings.  ``edges``
+    holds (circle, node, node, flip) in circle order; an endpoint of an
+    edge that is no self-loop is a node even when ``nodes`` lacks it.  The
+    side bits list each component's nodes together, starting from its
+    least node; a node's bit is its flip parity along the tree path from
+    there.  The tree maps a
+    node to (its parent, the circle joining them), or None at a least node,
+    the only one with no parent.  The bad cycle is the nodes of the first
+    cycle with an odd flip count, or None.  The walk always finishes the
+    least node's component, so the count stays exact, and stops after the
+    first component that ends with a bad cycle found.
     """
     adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
     bad = None
@@ -269,8 +284,8 @@ def _walk_piece_graph(nodes, edges):
             if flip and bad is None:
                 bad = [a]
             continue
-        adj[a].append((b, flip, cid))
-        adj[b].append((a, flip, cid))
+        adj.setdefault(a, []).append((b, flip, cid))
+        adj.setdefault(b, []).append((a, flip, cid))
     side: dict[str, bool] = {}
     parent: dict[str, tuple[str, str] | None] = {}
     reached = 0
@@ -281,9 +296,8 @@ def _walk_piece_graph(nodes, edges):
             break
         side[start] = False
         parent[start] = None
-        queue = deque([start])
-        while queue:
-            n = queue.popleft()
+        queue = [start]
+        for n in queue:  # breadth first: the list grows as it is read
             for other, flip, cid in adj[n]:
                 want = side[n] ^ flip
                 if other not in side:
@@ -321,6 +335,14 @@ def validate_position(t: TorusPosition) -> list[str]:
         return ["position has no pieces"]
     everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), set()
     return _validate(t, t.circle_slots(), *everything)
+
+
+def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> TorusPosition:
+    """``t`` itself once ``validate_position`` finds nothing, else ``error`` of ``prefix`` and the problems."""
+    problems = validate_position(t)
+    if problems:
+        raise error(prefix + "; ".join(problems))
+    return t
 
 
 @dataclass
@@ -533,6 +555,29 @@ def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, i
     return _validate(after, index, *scope, step=(before, before_index, delta, tally, hes_at))
 
 
+def _step(before: TorusPosition, index, tally: Tally, hes_at, moved, last: bool = False):
+    """(after, its index, ``Delta``, ``Tally``, problems) of one step from a valid ``before``.
+
+    The one step routine of ``normalize`` and ``perturb``.  ``moved`` is a
+    move's or an inverse move's raw result: (after, ids of the pieces and
+    circles it replaced, the sphere whose tree it replaced).  ``index`` and
+    ``tally`` are ``before``'s ``circle_slots()`` and ``Tally``, and
+    ``hes_at`` is the graph's ``half_edges_by_pants()``; the result's are
+    updated from them.  The problems are ``validate_position(after)``,
+    found in full for a loop's ``last`` step or a normal result and by
+    ``_validate_delta`` otherwise.
+    """
+    after, pieces, circles, sphere = moved
+    after_index = _reindexed(index, before, after, pieces)
+    delta = _diff(before, after, pieces, circles, (sphere,))
+    after_tally = tally.stepped(before, after, delta)
+    if last or not after_tally.abnormal:
+        problems = validate_position(after)
+    else:
+        problems = _validate_delta(before, index, after, after_index, delta, after_tally, hes_at)
+    return after, after_index, delta, after_tally, problems
+
+
 def _joins(t: TorusPosition, index, inner: set[str], circles: set[str]):
     """How the piece subgraph over ``circles`` joins the pieces outside ``inner``.
 
@@ -540,36 +585,19 @@ def _joins(t: TorusPosition, index, inner: set[str], circles: set[str]):
     circle of ``circles`` with two slots.  Returns (boundary piece -> (least
     boundary piece of its component, flip parity between the two)), the
     number of components with no boundary piece, and whether some cycle has
-    an odd flip count.
+    an odd flip count; the first two are read only when it is False.  An
+    endpoint of a self-loop alone is no node.
     """
-    adj: dict[str, list[tuple[str, bool]]] = {pid: [] for pid in inner & t.pieces.keys()}
-    odd = False
-    for cid in circles:
-        pair = index.get(cid, ()) if cid in t.circles else ()
-        if len(pair) != 2:
-            continue
-        (a, _), (b, _) = pair
-        flip = not t.transport.get(cid, True)
-        if a.id == b.id:
-            odd |= flip
-            continue
-        adj.setdefault(a.id, []).append((b.id, flip))
-        adj.setdefault(b.id, []).append((a.id, flip))
-    side: dict[str, bool] = {}
+    edges = _piece_edges(t, index, circles)
+    _, side, parent, bad = _walk_piece_graph(inner & t.pieces.keys(), edges)
+    components: list[list[str]] = []
+    for n in side:  # each component's nodes come together, its least node first
+        if parent[n] is None:
+            components.append([])
+        components[-1].append(n)
     at: dict[str, tuple[str, bool]] = {}
     free = 0
-    for start in adj:
-        if start in side:
-            continue
-        side[start] = False
-        component = [start]
-        for n in component:
-            for other, flip in adj[n]:
-                if other not in side:
-                    side[other] = side[n] ^ flip
-                    component.append(other)
-                elif side[other] != side[n] ^ flip:
-                    odd = True
+    for component in components:
         boundary = [n for n in component if n not in inner]
         if not boundary:
             free += 1
@@ -577,7 +605,7 @@ def _joins(t: TorusPosition, index, inner: set[str], circles: set[str]):
         root = min(boundary)
         for n in boundary:
             at[n] = (root, side[n] ^ side[root])
-    return at, free, odd
+    return at, free, bad is not None
 
 
 def _same_joins(t: TorusPosition, index, before: TorusPosition, before_index, delta: Delta) -> bool:

@@ -19,10 +19,9 @@ from .position import (
     BoundarySlot,
     Circle,
     Piece,
-    PositionError,
     RegionTree,
     TorusPosition,
-    validate_position,
+    _checked,
 )
 
 FORMAT = 1
@@ -207,11 +206,7 @@ def normal_torus_from_json(obj: dict) -> NormalTorus:
 
 def _derived_torus(obj: dict, path) -> NormalTorus:
     """The normal torus of the position embedded in ``obj``, once that validates."""
-    t = _position(_field(obj, "position", dict, path), (path, "position"))
-    problems = validate_position(t)
-    if problems:
-        raise PositionError("; ".join(problems))
-    return to_normal_torus(t)
+    return to_normal_torus(_checked(_position(_field(obj, "position", dict, path), (path, "position"))))
 
 
 def _check_written(obj: dict, written: dict, path) -> None:

@@ -193,21 +193,34 @@ def test_oracle_commands_validate_input(files, capsys, command):
     assert capsys.readouterr().err == "error: monodromy nontrivial on cycle (F0,F1)\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "decorate", "compare", "confluence"])
-def test_position_without_pieces_is_diagnostic(tmp_path, capsys, command):
-    """No pieces and no circles: one error line, where decorating it raised from ``min()``."""
+_COMMANDS = ["validate", "decorate", "compare", "confluence", "export-dot"]
+
+
+@pytest.mark.parametrize(
+    "command, closed",
+    [(c, False) for c in _COMMANDS] + [(c, True) for c in _COMMANDS],
+    ids=_COMMANDS + [f"closed-{c}" for c in _COMMANDS],
+)
+def test_position_without_pieces_is_diagnostic(tmp_path, capsys, command, closed):
+    """No pieces and no circles, or one closed genus-1 piece T: one error line.
+
+    Decorating the first raised from ``min()``, and ``export-dot`` drew both.
+    """
     from normaltori.fixtures import theta_graph
-    from normaltori.position import RegionTree, TorusPosition
+    from normaltori.position import Piece, RegionTree, TorusPosition
 
     g = theta_graph()
     trees = {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
+    pieces = {"T": Piece("T", "p0", 1, [], {he: "A" for he in g.half_edges_at("p0")})} if closed else {}
     path = tmp_path / "empty.json"
-    path.write_text(dumps(position_to_json(TorusPosition(g, {}, {}, trees, {}))), encoding="utf-8")
+    path.write_text(dumps(position_to_json(TorusPosition(g, pieces, {}, trees, {}))), encoding="utf-8")
     argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
     assert main(argv) == 1
+    out = capsys.readouterr()
     # validate lists problems bare; the other commands prefix their one error
     prefix = "" if command == "validate" else "error: "
-    assert capsys.readouterr().err == prefix + "position has no pieces\n"
+    assert out.err == prefix + ("piece T is closed (no boundary)" if closed else "position has no pieces") + "\n"
+    assert out.out == ""
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,20 @@ from normaltori.normal_graph import (
 from normaltori.position import PositionError
 
 
+def test_position_without_pieces_raises_position_error():
+    """Decorating or searching it raised ``ValueError`` from ``min()``; ``to_normal_torus`` now rejects it."""
+    from normaltori.fixtures import theta_graph
+    from normaltori.oracle import confluence_search
+    from normaltori.position import RegionTree, TorusPosition
+
+    g = theta_graph()
+    empty = TorusPosition(g, {}, {}, {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}, {})
+    with pytest.raises(PositionError, match=r"^position has no pieces$"):
+        decorate(to_normal_torus(empty))
+    with pytest.raises(PositionError, match=r"^position has no pieces$"):
+        confluence_search(empty)
+
+
 def test_to_normal_torus_t0():
     nt = to_normal_torus(make_t0())
     assert {nid: kind for nid, (_, kind) in nt.nodes.items()} == {

@@ -3,10 +3,11 @@
 ``normalize`` and ``perturb`` fully validate only their input and their
 last step's result, and check every step in between with
 ``_validate_delta``, which re-checks only what the step's ``Delta`` says
-it changed.  These tests pin that the two checks agree, on real steps and
-on mutants of them; that a move's delta gives the same scope as one found
-by comparing the two positions by value; and that the callers keep to
-the two full checks.
+it changed; ``position._step`` makes that choice for both.  These tests
+pin that the two checks agree, on real steps and on mutants of them;
+that a move's delta gives the same scope as one found by comparing the
+two positions by value; that the step check's ``_joins`` agrees with a
+walk of its own; and that the callers keep to the two full checks.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
 
 
 def _apply_inverse(t, cand):
-    """The position ``oracle._apply_inverse`` steps to."""
-    return oracle._apply_inverse(t, cand, t.circle_slots())[0]
+    """The position ``oracle._inverse`` steps to."""
+    return oracle._inverse(t, cand, t.circle_slots())[0]
 
 
 def _corpus_steps():
@@ -278,7 +279,7 @@ def full_checks(monkeypatch):
         return full(t)
 
     full = position.validate_position
-    for module in (position, moves, oracle, cli):
+    for module in (position, cli):
         monkeypatch.setattr(module, "validate_position", counted)
     return calls
 
@@ -316,23 +317,27 @@ def _same_slots(index):
 
 
 def _corpus_deltas():
-    """Every step of ``_corpus_steps`` made by the twins that report their delta.
+    """Every step of ``_corpus_steps`` made by ``position._step``, as ``perturb`` and ``normalize`` make it.
 
     Yields (the kind of step, before, its index, after, the carried index,
-    delta), the kind being ``dome``, ``finger``, ``Slide`` or ``Cap``.
+    delta, the carried tally, the step's problems), the kind being
+    ``dome``, ``finger``, ``Slide`` or ``Cap``.
     """
     for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
         rng = random.Random(60_000 + instances)
-        current, index = base, base.circle_slots()
+        current, index, tally = base, base.circle_slots(), position.Tally.of(base)
+        hes_at = g.half_edges_by_pants()
         for _ in range((instances % 4) + 1):
             candidates = _inverse_candidates(current)
             cand = candidates[rng.randrange(len(candidates))]
-            nxt, nxt_index, delta = oracle._apply_inverse(current, cand, index)
-            yield cand[0], current, index, nxt, nxt_index, delta
+            nxt, nxt_index, delta, tally, problems = position._step(
+                current, index, tally, hes_at, oracle._inverse(current, cand, index))
+            yield cand[0], current, index, nxt, nxt_index, delta, tally, problems
             current, index = nxt, nxt_index
         while (move := next(moves._moves(current, index), None)) is not None:
-            nxt, nxt_index, delta = moves._apply(current, move, index)
-            yield type(move).__name__, current, index, nxt, nxt_index, delta
+            nxt, nxt_index, delta, tally, problems = position._step(
+                current, index, tally, hes_at, moves._move(current, move, index))
+            yield type(move).__name__, current, index, nxt, nxt_index, delta, tally, problems
             current, index = nxt, nxt_index
 
 
@@ -349,10 +354,10 @@ def _by_value_delta(before, after):
 def test_deltas_match_the_by_value_step():
     """On every corpus step the delta, the carried index, the moves and the candidate cache agree with fresh builds."""
     walked = fallbacks = 0
-    cache = tally = last = None
+    cache = last = None
     kinds = set()
     by_value = iter(_corpus_steps())
-    for kind, before, index, after, carried, delta in _corpus_deltas():
+    for kind, before, index, after, carried, delta, tally, problems in _corpus_deltas():
         _, want_after = next(by_value)
         assert dumps(position_to_json(after)) == dumps(position_to_json(want_after))
         fresh = after.circle_slots()
@@ -363,13 +368,11 @@ def test_deltas_match_the_by_value_step():
         assert list(moves._moves(after, carried)) == find_moves(after)
         if before is not last:  # a new corpus instance
             cache = oracle._Candidates(before, index, before.graph.half_edges_by_pants())
-            tally = position.Tally.of(before)
         cache.update(before, after, carried, delta)
         assert cache.list() == _inverse_candidates(after)
-        tally = tally.stepped(before, after, delta)
         assert tally == position.Tally.of(after)
         hes_at = after.graph.half_edges_by_pants()
-        assert position._validate_delta(before, index, after, carried, delta, tally, hes_at) == []
+        assert problems == position._validate_delta(before, index, after, carried, delta, tally, hes_at) == []
         fallbacks += not position._same_joins(after, carried, before, index, delta)
         walked += 1
         kinds.add(kind)
@@ -430,6 +433,74 @@ def test_validate_delta_matches_validate_position_on_mutants():
     _check_mutants(_corpus_steps(), 6)
 
 
+def _reference_joins(t, index, inner, circles):
+    """``position._joins`` with a parity walk of its own: the reference for the one on ``_walk_piece_graph``."""
+    adj = {pid: [] for pid in inner & t.pieces.keys()}
+    odd = False
+    for cid in circles:
+        pair = index.get(cid, ()) if cid in t.circles else ()
+        if len(pair) != 2:
+            continue
+        (a, _), (b, _) = pair
+        flip = not t.transport.get(cid, True)
+        if a.id == b.id:
+            odd |= flip
+            continue
+        adj.setdefault(a.id, []).append((b.id, flip))
+        adj.setdefault(b.id, []).append((a.id, flip))
+    side, at, free = {}, {}, 0
+    for start in adj:
+        if start in side:
+            continue
+        side[start] = False
+        component = [start]
+        for n in component:
+            for other, flip in adj[n]:
+                if other not in side:
+                    side[other] = side[n] ^ flip
+                    component.append(other)
+                elif side[other] != side[n] ^ flip:
+                    odd = True
+        boundary = [n for n in component if n not in inner]
+        if not boundary:
+            free += 1
+            continue
+        root = min(boundary)
+        for n in boundary:
+            at[n] = (root, side[n] ^ side[root])
+    return at, free, odd
+
+
+def test_joins_match_the_reference(monkeypatch):
+    """Both sides of ``_same_joins`` on every corpus step and seed 5's mutants join as the reference walk says."""
+    calls = []
+    real = position._joins
+
+    def checked(t, index, inner, circles):
+        got, want = real(t, index, inner, circles), _reference_joins(t, index, inner, circles)
+        assert got[2] == want[2]  # the odd flags
+        if not want[2]:
+            assert got[:2] == want[:2]  # (at, free)
+        calls.append(want)
+        return got
+
+    monkeypatch.setattr(position, "_joins", checked)
+    steps = 0  # the step check inside ``_step`` calls ``_joins`` too
+    for _, before, index, after, carried, delta, _, _ in _corpus_deltas():
+        position._same_joins(after, carried, before, index, delta)
+        steps += 1
+    rng = random.Random(5)  # the mutants of ``_check_mutants(steps, 5)``
+    for before, after in _corpus_steps():
+        for _ in range(4):
+            mutant = _mutate(rng, after)
+            position._same_joins(mutant, mutant.circle_slots(), before, before.circle_slots(),
+                                 _by_value_delta(before, mutant))
+    odd = sum(want[2] for want in calls)
+    assert steps >= 150 and len(calls) >= 2 * (steps + 4 * steps) and odd
+    assert any(free for _, free, _ in calls) and any(len({root for root, _ in at.values()}) > 1 for at, _, _ in calls)
+    print(f"_joins == reference on {len(calls)} calls over {steps} steps, {odd} with an odd cycle")
+
+
 def test_step_scope_does_not_grow_with_the_torus():
     """On the ladder's smallest and largest probe, the delta scope per step stays under one bound.
 
@@ -447,8 +518,7 @@ def test_step_scope_does_not_grow_with_the_torus():
             return real(before, before_index, after, index, delta, tally, hes_at)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moves, "_validate_delta", record)
-            mp.setattr(oracle, "_validate_delta", record)
+            mp.setattr(position, "_validate_delta", record)
             base = random_normal_torus(build_standard(r), 1, sb)
             assert len(normalize(perturb(base, 7, k)).trace) == k
         assert len(sizes) == 2 * (k - 1)

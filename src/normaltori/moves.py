@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .graphs import HalfEdge
-from .normal_graph import NormalTorus, to_normal_torus
+from .normal_graph import NormalTorus, _normal_torus
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -94,14 +94,18 @@ def find_moves(t: TorusPosition) -> list[Move]:
     Slides come first (piece id, half-edge, then circle-id pairs), caps
     after (piece id).
     """
-    return list(_moves(t, t.circle_slots()))
+    return list(_moves(t, t.circle_slots(), t.pieces))
 
 
-def _moves(t: TorusPosition, index) -> Iterator[Move]:
-    """The moves of ``find_moves``, lazily and in its order; ``index`` is ``t.circle_slots()``."""
-    for pid in sorted(t.pieces):
+def _moves(t: TorusPosition, index, pieces) -> Iterator[Move]:
+    """The moves of ``find_moves`` from the given piece ids, lazily and in its order; ``index`` is ``t.circle_slots()``.
+
+    Only a non-normal piece (``Tally.abnormal``) has a move.
+    """
+    pieces = sorted(pieces)
+    for pid in pieces:
         yield from _slides(t, pid)
-    for pid in sorted(t.pieces):
+    for pid in pieces:
         cap = _cap(t, index, pid)
         if cap is not None:
             yield cap
@@ -401,17 +405,16 @@ def normalize(t: TorusPosition) -> NormalizeResult:
 def _normalize(t: TorusPosition) -> NormalizeResult:
     """``normalize`` of a position already known to be valid.
 
-    Takes each move afresh as the first of ``_moves`` over the index that
-    ``position._step`` carries, with the ``Tally``, from the step before.
+    Takes each move afresh as the first of ``_moves`` from the non-normal
+    pieces of the ``Tally``, over the index, both carried by ``position._step``
+    from the step before; the normal torus is built from the last index.
     A move must lower the total by one and raise no sphere's count; those
     counts are checked before the step's problems.
     """
     trace: list[MoveRecord] = []
     index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
     current, tally = t, Tally.of(t)
-    # a normal piece has no move: it meets each sphere end at most once and
-    # is no boundary-parallel disk, so the walk ends once every piece is normal
-    while tally.abnormal and (move := next(_moves(current, index), None)) is not None:
+    while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
         nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, hes_at, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
@@ -426,4 +429,4 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     ok, violations = is_normal(current)
     if not ok:
         raise NormalizeError("stuck non-normal: " + "; ".join(violations))
-    return NormalizeResult(current, to_normal_torus(current), trace)
+    return NormalizeResult(current, _normal_torus(current, index), trace)

@@ -28,7 +28,6 @@ from .position import (
     TorusPosition,
     _tree_cycle,
     _walk_piece_graph,
-    end_slot,
     is_normal,
     piece_kind,
     xor_side,
@@ -81,22 +80,32 @@ class NormalTorus:
 
 
 def to_normal_torus(t: TorusPosition) -> NormalTorus:
-    if not t.pieces:  # is_normal finds no violation in it, and decorate needs a node
-        raise PositionError("position has no pieces")
+    """The graph of a normal position; raises ``PositionError`` when ``t`` has no pieces or is not normal."""
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("not normal: " + "; ".join(violations))
+    return _normal_torus(t, t.circle_slots())
+
+
+def _normal_torus(t: TorusPosition, index) -> NormalTorus:
+    """``to_normal_torus`` of a position known to be normal, reading each circle's nodes off ``index``.
+
+    ``index`` is ``t.circle_slots()`` or one that ``normalize`` carries.
+    """
+    if not t.pieces:  # is_normal finds no violation in it, and decorate needs a node
+        raise PositionError("position has no pieces")
     nodes = {}
     for pid, piece in t.pieces.items():
         kind = piece_kind(piece)
         assert kind is not None
         nodes[pid] = (piece.pants, kind)
-    index = t.circle_slots()
     crossings = {}
     for cid, circle in t.circles.items():
-        n0 = end_slot(t, index, cid, 0)[0].id
-        n1 = end_slot(t, index, cid, 1)[0].id
-        crossings[cid] = (circle.sphere, n0, n1)
+        ends = {slot.half_edge.end: piece.id for piece, slot in index.get(cid, ())
+                if slot.half_edge.sphere == circle.sphere}
+        if len(ends) != 2:
+            raise PositionError(f"circle {cid} does not pass through sphere {circle.sphere}")
+        crossings[cid] = (circle.sphere, ends[0], ends[1])
     leaves = [
         LeafStub(pid, he)
         for pid, piece in t.pieces.items()
@@ -220,35 +229,37 @@ def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
     return (n1, HalfEdge(sphere, 1)) if n0 == node else (n0, HalfEdge(sphere, 0))
 
 
-def _branch_codes(nt: NormalTorus, att, axis: list[str], axis_edges: list[str], signs) -> dict[str, tuple[str, str]]:
+def _branch_codes(nt: NormalTorus, att, labels, axis: list[str], axis_edges: list[str],
+                  signs) -> dict[str, tuple[str, str]]:
     """Codes of what hangs off the axis, as (code, code with every sign flipped).
 
     A hanging node maps to its subtree's code ``pants<entry|payloads>``, an
     axis node to its payloads alone: per other half-edge in sorted order,
     ``he:sign`` at a leaf stub (``he:leaf`` when ``signs`` is None) or
     ``he:(code)`` through a crossing.  Only the axis nodes and their
-    children are kept; deeper codes live inside their parents'.
+    children are kept; deeper codes live inside their parents'.  ``labels``
+    maps each half-edge to its ``label()``.
     """
     cut = set(axis_edges)
     codes: dict[str, tuple[str, str]] = {}
     for node in axis:
         plain, flipped = [], []
         for he, (what, ident) in sorted(att[node].items()):
-            label = he.label()
+            label = labels[he]
             if what == "leaf":
                 sign = "leaf" if signs is None else signs[LeafStub(node, he)]
                 plain.append(f"{label}:{sign}")
                 flipped.append(f"{label}:{_FLIPPED[sign]}")
             elif ident not in cut:
                 child = _across(nt, node, ident)
-                code, code_flipped = codes[child[0]] = _hanging_code(nt, att, cut, signs, child)
+                code, code_flipped = codes[child[0]] = _hanging_code(nt, att, labels, cut, signs, child)
                 plain.append(f"{label}:({code})")
                 flipped.append(f"{label}:({code_flipped})")
         codes[node] = (";".join(plain), ";".join(flipped))
     return codes
 
 
-def _hanging_code(nt: NormalTorus, att, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
+def _hanging_code(nt: NormalTorus, att, labels, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
     """Both codes of the subtree hanging at ``root``: a node and the half-edge it is entered by.
 
     The walk keeps its own stack, so deep branches cost no recursion.  It
@@ -270,14 +281,14 @@ def _hanging_code(nt: NormalTorus, att, cut: set[str], signs, root: tuple[str, H
             flipped.append(top[1])
             continue
         node, entry = top
-        parts: list = [f"{nt.nodes[node][0]}<{entry.label()}|"]
+        parts: list = [f"{nt.nodes[node][0]}<{labels[entry]}|"]
         sep = ""
         for he, (what, ident) in sorted(att[node].items()):
             if what == "leaf":
                 sign = "leaf" if signs is None else signs[LeafStub(node, he)]
-                parts.append((f"{sep}{he.label()}:{sign}", f"{sep}{he.label()}:{_FLIPPED[sign]}"))
+                parts.append((f"{sep}{labels[he]}:{sign}", f"{sep}{labels[he]}:{_FLIPPED[sign]}"))
             elif he != entry and ident not in cut:
-                parts += (f"{sep}{he.label()}:(", _across(nt, node, ident), ")")
+                parts += (f"{sep}{labels[he]}:(", _across(nt, node, ident), ")")
             else:
                 continue
             sep = ";"
@@ -299,9 +310,10 @@ def canonicalize(d: DecoratedGraph) -> str:
     """
     nt = d.torus
     nodes, edges = _axis_cycle(nt)
-    branches = _branch_codes(nt, nt.attachments(), nodes, edges, d.signs)
+    labels = {he: he.label() for he in nt.graph.incidence}
+    branches = _branch_codes(nt, nt.attachments(), labels, nodes, edges, d.signs)
     outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt, nodes, edges)]
-    heads = [(nt.nodes[node][0], outs[i - 1].other().label(), outs[i].label(), branches[node]) for i, node in enumerate(nodes)]
+    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], branches[node]) for i, node in enumerate(nodes)]
     best = None
     for flip in (0, 1):
         forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
@@ -332,7 +344,7 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     """
     nodes, edges = _axis_cycle(nt)
     att = nt.attachments()
-    codes = _branch_codes(nt, att, nodes, edges, None)
+    codes = _branch_codes(nt, att, {he: he.label() for he in nt.graph.incidence}, nodes, edges, None)
     branches: dict[str, list[str]] = {}
     for node in nodes:
         hanging = [ident for _, (what, ident) in sorted(att[node].items()) if what == "crossing" and ident not in edges]

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .graphs import HalfEdge, SphereGraph
 from .moves import _normalize, apply_move, find_moves
-from .normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
+from .normal_graph import _normal_torus, bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -587,7 +587,7 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
         if not moves:
             ok, _ = is_normal(cur)
             if ok:
-                outcomes.add(canonicalize(decorate(to_normal_torus(cur))))
+                outcomes.add(canonicalize(decorate(_normal_torus(cur, cur.circle_slots()))))
             else:
                 stuck += 1
             continue

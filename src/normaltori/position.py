@@ -333,7 +333,7 @@ def validate_position(t: TorusPosition) -> list[str]:
         return problems
     if not t.pieces:
         return ["position has no pieces"]
-    everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), set()
+    everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), None
     return _validate(t, t.circle_slots(), *everything)
 
 
@@ -499,15 +499,15 @@ def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> di
 class Tally:
     """Sums over a whole position that a step updates from its ``Delta``.
 
-    ``counts`` is the intersection vector, ``euler`` the Euler sum, and
-    ``genus`` and ``abnormal`` count the pieces of nonzero genus and the
-    pieces that are not normal pieces (``is_normal_piece``).
+    ``counts`` is the intersection vector, ``euler`` the Euler sum, ``genus``
+    counts the pieces of nonzero genus, and ``abnormal`` holds the ids of
+    the pieces that are not normal pieces (``is_normal_piece``).
     """
 
     counts: dict[str, int]
     euler: int
     genus: int
-    abnormal: int
+    abnormal: set[str]
 
     @classmethod
     def of(cls, t: TorusPosition) -> "Tally":
@@ -516,7 +516,7 @@ class Tally:
             intersection_vector(t),
             euler_characteristic(t),
             sum(p.genus != 0 for p in pieces),
-            sum(not is_normal_piece(p) for p in pieces),
+            {p.id for p in pieces if not is_normal_piece(p)},
         )
 
     def stepped(self, before: TorusPosition, after: TorusPosition, delta: Delta) -> "Tally":
@@ -528,13 +528,14 @@ class Tally:
             if cid in after.circles:
                 sphere = after.circles[cid].sphere
                 counts[sphere] = counts.get(sphere, 0) + 1
-        euler, genus, abnormal = self.euler, self.genus, self.abnormal
+        euler, genus, abnormal = self.euler, self.genus, self.abnormal - delta.pieces
         for pid in delta.pieces:
             for piece, sign in ((before.pieces.get(pid), -1), (after.pieces.get(pid), 1)):
                 if piece is not None:
                     euler += sign * piece.euler()
                     genus += sign * (piece.genus != 0)
-                    abnormal += sign * (not is_normal_piece(piece))
+            if pid in after.pieces and not is_normal_piece(after.pieces[pid]):
+                abnormal.add(pid)
         return Tally(counts, euler, genus, abnormal)
 
 
@@ -635,18 +636,19 @@ def _same_joins(t: TorusPosition, index, before: TorusPosition, before_index, de
     return all(old_at.get(n, (n, False)) == new_at.get(n, (n, False)) for n in old_at.keys() | new_at.keys())
 
 
-def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends: set, step=None) -> list[str]:
+def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends, step=None) -> list[str]:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
     ``index`` is ``t.circle_slots()``.  The per-item checks run in id
     order (spheres in graph order), and the global checks and the side
-    anchors at ``ends`` and at every end on a given sphere only once those
-    found nothing, so any scope that holds every item with a problem gives
-    the same list.  ``step`` is (before, its index, ``Delta``, ``t``'s
-    ``Tally``, the graph's ``half_edges_by_pants()``) for the result of a
-    step from a valid ``before``: the per-sphere counts, the Euler sum and
-    the genus verdict are then read off the tally, and connectivity and
-    monodromy need the full walk only when ``_same_joins`` cannot tell.
+    anchors at ``ends`` (None: every end of every piece) and at every end
+    on a given sphere only once those found nothing, so any scope that
+    holds every item with a problem gives the same list.  ``step`` is
+    (before, its index, ``Delta``, ``t``'s ``Tally``, the graph's
+    ``half_edges_by_pants()``) for the result of a step from a valid
+    ``before``: the per-sphere counts, the Euler sum and the genus verdict
+    are then read off the tally, and connectivity and monodromy need the
+    full walk only when ``_same_joins`` cannot tell.
     """
     if step is None:
         hes_at, tally = t.graph.half_edges_by_pants(), None
@@ -655,8 +657,9 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     problems = []
     for pid in sorted(pieces):
         problems.extend(_piece_problems(t, pid, hes_at))
+    known = set(t.graph.sphere_edges)
     for cid in sorted(circles):
-        problems.extend(_circle_problems(t, cid, index, hes_at))
+        problems.extend(_circle_problems(t, cid, index, hes_at, known))
     counts = tally.counts if tally else Counter(c.sphere for c in t.circles.values())
     nbrs: dict[str, dict] = {}
     problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts, nbrs))
@@ -683,11 +686,11 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if bad_cycle is not None:
         problems.append("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")")
 
-    # the trees are valid by now, so a sphere's edges are its circles
-    ends = ends | {
-        (piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
-        for piece, slot in index[cid]
-    }
+    if ends is None:
+        ends = {(pid, slot.half_edge) for pid, piece in t.pieces.items() for slot in piece.boundary}
+    else:  # the trees are valid by now, so a sphere's edges are its circles
+        ends = ends | {(piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
+                       for piece, slot in index[cid]}
     problems.extend(_validate_side_anchors(t, ends, nbrs))
     return problems
 
@@ -731,9 +734,9 @@ def _piece_problems(t: TorusPosition, pid: str, hes_at) -> list[str]:
     return problems
 
 
-def _circle_problems(t: TorusPosition, cid: str, index, hes_at) -> list[str]:
+def _circle_problems(t: TorusPosition, cid: str, index, hes_at, spheres: set[str]) -> list[str]:
     circle = t.circles[cid]
-    if circle.sphere not in t.graph.sphere_edges:
+    if circle.sphere not in spheres:
         return [f"circle {cid} on unknown sphere {circle.sphere}"]
     problems = []
     # slots of pieces in an unknown pants are not counted, as their piece
@@ -794,23 +797,25 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
     that side; so every ``region_a`` must read A in the piece's side map
-    at that end.  Checks the given (piece, end) pairs, in order, with one
-    ``side_masks`` walk per sphere end for all its pieces.  Runs only on
-    positions whose circles and trees passed the other checks, where each
+    at that end.  Checks the given (piece, end) pairs, in order, grouping
+    each piece's slots by end once, with one ``side_masks`` walk per sphere
+    end for all its pieces.  Runs only on positions whose circles and trees passed the other checks, where each
     circle end holds one slot, so the pieces' bits never share a circle.
     ``nbrs`` holds trees' ``neighbors()`` by sphere; it gains the missing ones.
     """
     problems: list = []
     bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
+    last = None
     for pid, he in sorted(ends):
-        slots = [slot for slot in t.pieces[pid].boundary if slot.half_edge == he]
-        edges = t.trees[he.sphere].edges
-        stray = [slot for slot in slots if slot.region_a not in edges[slot.circle]]
-        for slot in stray:
-            problems.append(f"piece {pid} slot at {slot.circle} anchors a non-adjacent region")
-        if not stray and len(slots) > 1:  # a lone anchor cannot conflict
+        if pid != last:  # a piece's ends come together
+            at, last = _anchors_by_end(t.pieces[pid]), pid
+        anchors, edges = at[he], t.trees[he.sphere].edges
+        stray = [cid for cid, region in anchors if region not in edges[cid]]
+        for cid in stray:
+            problems.append(f"piece {pid} slot at {cid} anchors a non-adjacent region")
+        if not stray and len(anchors) > 1:  # a lone anchor cannot conflict
             bits[he][pid] = 1 << len(bits[he])
-            problems.append((pid, he, slots))  # decided below, once the masks are known
+            problems.append((pid, he, anchors))  # decided below, once the masks are known
     if not bits:
         return problems
     for he in bits:
@@ -822,8 +827,8 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
         if type(problem) is str:
             out.append(problem)
             continue
-        pid, he, slots = problem
-        if any(masks[he][slot.region_a] & bits[he][pid] for slot in slots):
+        pid, he, anchors = problem
+        if any(masks[he][region] & bits[he][pid] for _, region in anchors):
             out.append(f"piece {pid} side anchors conflict at {he.label()}")
     return out
 

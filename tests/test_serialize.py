@@ -188,6 +188,9 @@ def test_normal_torus_graph_must_be_its_positions_graph():
     obj["graph"]["format"] = True
     with pytest.raises(SchemaError, match=re.escape("graph.format: has true, the position gives 1")):
         normal_torus_from_json(obj)
+    obj["graph"]["format"] = 1.0
+    with pytest.raises(SchemaError, match=re.escape("graph.format: has 1.0, the position gives 1")):
+        normal_torus_from_json(obj)
 
 
 def test_normal_torus_file_without_position_rejected():

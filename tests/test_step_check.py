@@ -334,7 +334,7 @@ def _corpus_deltas():
                 current, index, tally, hes_at, oracle._inverse(current, cand, index))
             yield cand[0], current, index, nxt, nxt_index, delta, tally, problems
             current, index = nxt, nxt_index
-        while (move := next(moves._moves(current, index), None)) is not None:
+        while (move := next(moves._moves(current, index, tally.abnormal), None)) is not None:
             nxt, nxt_index, delta, tally, problems = position._step(
                 current, index, tally, hes_at, moves._move(current, move, index))
             yield type(move).__name__, current, index, nxt, nxt_index, delta, tally, problems
@@ -365,7 +365,8 @@ def test_deltas_match_the_by_value_step():
         assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
         want_scope = position._delta_scope(before, after, fresh, _by_value_delta(before, after))
         assert position._delta_scope(before, after, carried, delta) == want_scope
-        assert list(moves._moves(after, carried)) == find_moves(after)
+        assert list(moves._moves(after, carried, after.pieces)) == find_moves(after)
+        assert list(moves._moves(after, carried, tally.abnormal)) == find_moves(after)
         if before is not last:  # a new corpus instance
             cache = oracle._Candidates(before, index, before.graph.half_edges_by_pants())
         cache.update(before, after, carried, delta)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 
@@ -42,38 +43,48 @@ class Attachment(NamedTuple):
     slot: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphereGraph:
     """Cubic multigraph: vertices are pants, edges are spheres.
 
     ``incidence`` maps each of the 2E half-edges to a (pants, slot) pair.
     Valid graphs are trivalent, connected and have betti number exactly
     ``rank`` (forcing V = 2n-2 and E = 3n-3).
+
+    An immutable value, which ``copy.deepcopy`` returns as is: two tuples, a
+    read-only ``incidence`` copy and ``by_pants``, the read-only table of each
+    pants' half-edges in slot order, built once, with an entry (maybe empty)
+    for every pants that ``p_vertices`` or ``incidence`` names.
     """
 
     rank: int
-    p_vertices: list[str]
-    sphere_edges: list[str]
-    incidence: dict[HalfEdge, Attachment]
+    p_vertices: tuple[str, ...]
+    sphere_edges: tuple[str, ...]
+    incidence: Mapping[HalfEdge, Attachment]
+    by_pants: Mapping[str, tuple[HalfEdge, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        incidence = MappingProxyType(dict(self.incidence))
+        at: dict[str, list[HalfEdge]] = {p: [] for p in self.p_vertices}
+        for att, he in sorted((att, he) for he, att in incidence.items()):
+            at.setdefault(att.pants, []).append(he)
+        object.__setattr__(self, "p_vertices", tuple(self.p_vertices))
+        object.__setattr__(self, "sphere_edges", tuple(self.sphere_edges))
+        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "by_pants", MappingProxyType({p: tuple(hes) for p, hes in at.items()}))
+
+    def __deepcopy__(self, memo) -> "SphereGraph":
+        return self
+
+    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
+        return SphereGraph, (self.rank, self.p_vertices, self.sphere_edges, dict(self.incidence))
 
     def pants_of(self, he: HalfEdge) -> str:
         return self.incidence[he].pants
 
-    def half_edges_at(self, pants: str) -> list[HalfEdge]:
-        """The three half-edges at one pants, ordered by slot."""
-        at = [(att.slot, he) for he, att in self.incidence.items() if att.pants == pants]
-        return [he for _, he in sorted(at)]
-
-    def half_edges_by_pants(self) -> dict[str, list[HalfEdge]]:
-        """Pants -> ``half_edges_at(pants)``, for every pants in one pass.
-
-        Built afresh on each call and never stored, since graphs are edited
-        in place; callers that look up many pants build it once.
-        """
-        table: dict[str, list[HalfEdge]] = {p: [] for p in self.p_vertices}
-        for att, he in sorted((att, he) for he, att in self.incidence.items()):
-            table.setdefault(att.pants, []).append(he)
-        return table
+    def half_edges_at(self, pants: str) -> tuple[HalfEdge, ...]:
+        """The half-edges at one pants, ordered by slot: three in a valid graph, none at an unknown pants."""
+        return self.by_pants.get(pants, ())
 
     def ends_of(self, sphere: str) -> tuple[str, str]:
         return (self.pants_of(HalfEdge(sphere, 0)), self.pants_of(HalfEdge(sphere, 1)))

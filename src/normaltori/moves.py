@@ -412,10 +412,9 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     counts are checked before the step's problems.
     """
     trace: list[MoveRecord] = []
-    index, hes_at = t.circle_slots(), t.graph.half_edges_by_pants()
-    current, tally = t, Tally.of(t)
+    index, current, tally = t.circle_slots(), t, Tally.of(t)
     while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
-        nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, hes_at, _move(current, move, index))
+        nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
             raise NormalizeError(f"move {move} changed the total by {sum(after.values()) - sum(before.values())}")

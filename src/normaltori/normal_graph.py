@@ -67,8 +67,8 @@ class NormalTorus:
     def attachments(self) -> dict[str, dict[HalfEdge, tuple[str, str]]]:
         """Node -> half-edge -> ("crossing"|"leaf", id); must fill all three.
 
-        Built afresh on each call and never stored, since graphs are edited
-        in place; a node with nothing attached maps to an empty dict.
+        Built afresh on each call and never stored, since the torus's dicts
+        can be edited in place; a node with nothing attached maps to an empty dict.
         """
         att: dict[str, dict[HalfEdge, tuple[str, str]]] = defaultdict(dict)
         for cid, (sphere, n0, n1) in self.crossings.items():
@@ -105,6 +105,8 @@ def _normal_torus(t: TorusPosition, index) -> NormalTorus:
                 if slot.half_edge.sphere == circle.sphere}
         if len(ends) != 2:
             raise PositionError(f"circle {cid} does not pass through sphere {circle.sphere}")
+        if cid not in t.transport:  # decorate reads every circle's bit
+            raise PositionError(f"circle {cid} missing side transport bit")
         crossings[cid] = (circle.sphere, ends[0], ends[1])
     leaves = [
         LeafStub(pid, he)
@@ -120,10 +122,8 @@ def _check_normal_torus(nt: NormalTorus) -> None:
     """Raise ``PositionError`` unless ``nt`` is the graph of a normal torus."""
     by_kind = defaultdict(int)
     att = nt.attachments()
-    hes_at = nt.graph.half_edges_by_pants()
     for node, (pants, kind) in nt.nodes.items():
-        want = set(hes_at.get(pants, ()))
-        if set(att[node]) != want:
+        if set(att[node]) != set(nt.graph.by_pants.get(pants, ())):
             raise PositionError(f"node {node} does not immerse onto its pants tripod")
         by_kind[kind] += 1
     if by_kind["disk"] != by_kind["pants"]:

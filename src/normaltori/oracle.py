@@ -273,8 +273,7 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
     current, index, tally = t, t.circle_slots(), Tally.of(t)
-    hes_at = t.graph.half_edges_by_pants()
-    cache = _Candidates(t, index, hes_at)
+    cache = _Candidates(t, index)
     for i in range(k):
         candidates = cache.list()
         if not candidates:
@@ -285,7 +284,7 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
             moved = _inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        nxt, nxt_index, delta, tally, problems = _step(current, index, tally, hes_at, moved, last)
+        nxt, nxt_index, delta, tally, problems = _step(current, index, tally, moved, last)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
@@ -307,7 +306,7 @@ def _inverse(t: TorusPosition, cand: tuple, index):
 
 def _inverse_candidates(t: TorusPosition) -> list[tuple]:
     """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
-    return _Candidates(t, t.circle_slots(), t.graph.half_edges_by_pants()).list()
+    return _Candidates(t, t.circle_slots()).list()
 
 
 class _Candidates:
@@ -335,8 +334,7 @@ class _Candidates:
     or moved in their tree.
     """
 
-    def __init__(self, t: TorusPosition, index, hes_at):
-        self.hes_at = hes_at  # the graph's half_edges_by_pants()
+    def __init__(self, t: TorusPosition, index):
         self.bits: dict[str, dict[str, int]] = defaultdict(dict)  # pants -> piece -> its bit
         for pid in sorted(t.pieces):
             self._join(t.pieces[pid])
@@ -385,7 +383,7 @@ class _Candidates:
             if new is not None:
                 bit = self._join(new)
                 walk.update(slot.half_edge for slot in new.boundary)
-                walk.update(he for he in self.hes_at[new.pants] if he not in self.masks)  # a pants it opens
+                walk.update(he for he in after.graph.by_pants[new.pants] if he not in self.masks)  # a pants it opens
                 _shifts_of(shifts, new, bit, True)
         circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)
         # a changed piece's fingers also read its first anchor, wherever that now lies

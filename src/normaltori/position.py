@@ -167,8 +167,8 @@ class TorusPosition:
     transport: dict[str, bool]
 
     def clone(self) -> "TorusPosition":
-        """A deep copy that shares only the graph, safe to edit in place."""
-        return copy.deepcopy(self, {id(self.graph): self.graph})
+        """A deep copy, safe to edit in place; it shares the graph, an immutable value."""
+        return copy.deepcopy(self)
 
     def shallow_copy(self) -> "TorusPosition":
         """New dicts holding the same items, for a move to replace some of them."""
@@ -232,17 +232,15 @@ def piece_graph_betti(t: TorusPosition) -> int:
     return len(t.circles) - len(t.pieces) + 1
 
 
-def monodromy_certificate(t: TorusPosition, index=None) -> list[str] | None:
+def monodromy_certificate(t: TorusPosition) -> list[str] | None:
     """None when a global co-orientation exists, else pieces of a bad cycle.
 
     Flip bits (not transport) form a Z/2 cochain on the piece graph; the
     surface is two-sided exactly when it is a coboundary.  A failure on a
     self-loop circle or a non-tree edge is reported as the pieces along the
-    offending cycle.  ``index`` is the position's ``circle_slots()``, for
-    callers that already built it.
+    offending cycle.
     """
-    index = t.circle_slots() if index is None else index
-    return _walk_piece_graph(t.pieces, _piece_edges(t, index))[3]
+    return _walk_piece_graph(t.pieces, _piece_edges(t, t.circle_slots()))[3]
 
 
 def _piece_edges(t: TorusPosition, index, circles=None) -> list[tuple[str, str, str, bool]]:
@@ -539,34 +537,32 @@ class Tally:
         return Tally(counts, euler, genus, abnormal)
 
 
-def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, index, delta: Delta, tally: Tally,
-                    hes_at) -> list[str]:
+def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, index, delta: Delta,
+                    tally: Tally) -> list[str]:
     """``validate_position(after)`` for a step from a valid ``before`` that reports its ``Delta``.
 
     The one step check: it returns the same list, in the same order, but
     skips the graph check and re-checks only what the step can have
     changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()`` and
-    ``Tally``, ``before_index`` is ``before``'s index and ``hes_at`` the
-    graph's ``half_edges_by_pants()``.  The scope comes from the delta
-    (``_delta_scope``), and the global checks read the tally and
-    ``_same_joins``; only a step that changes how the piece graph joins
+    ``Tally``, and ``before_index`` is ``before``'s index.  The scope comes
+    from the delta (``_delta_scope``), and the global checks read the tally
+    and ``_same_joins``; only a step that changes how the piece graph joins
     gets the full walk.
     """
     scope = _delta_scope(before, after, index, delta)
-    return _validate(after, index, *scope, step=(before, before_index, delta, tally, hes_at))
+    return _validate(after, index, *scope, step=(before, before_index, delta, tally))
 
 
-def _step(before: TorusPosition, index, tally: Tally, hes_at, moved, last: bool = False):
+def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False):
     """(after, its index, ``Delta``, ``Tally``, problems) of one step from a valid ``before``.
 
     The one step routine of ``normalize`` and ``perturb``.  ``moved`` is a
     move's or an inverse move's raw result: (after, ids of the pieces and
     circles it replaced, the sphere whose tree it replaced).  ``index`` and
-    ``tally`` are ``before``'s ``circle_slots()`` and ``Tally``, and
-    ``hes_at`` is the graph's ``half_edges_by_pants()``; the result's are
-    updated from them.  The problems are ``validate_position(after)``,
-    found in full for a loop's ``last`` step or a normal result and by
-    ``_validate_delta`` otherwise.
+    ``tally`` are ``before``'s ``circle_slots()`` and ``Tally``; the
+    result's are updated from them.  The problems are
+    ``validate_position(after)``, found in full for a loop's ``last`` step
+    or a normal result and by ``_validate_delta`` otherwise.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
@@ -575,7 +571,7 @@ def _step(before: TorusPosition, index, tally: Tally, hes_at, moved, last: bool 
     if last or not after_tally.abnormal:
         problems = validate_position(after)
     else:
-        problems = _validate_delta(before, index, after, after_index, delta, after_tally, hes_at)
+        problems = _validate_delta(before, index, after, after_index, delta, after_tally)
     return after, after_index, delta, after_tally, problems
 
 
@@ -644,22 +640,18 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     anchors at ``ends`` (None: every end of every piece) and at every end
     on a given sphere only once those found nothing, so any scope that
     holds every item with a problem gives the same list.  ``step`` is
-    (before, its index, ``Delta``, ``t``'s ``Tally``, the graph's
-    ``half_edges_by_pants()``) for the result of a step from a valid
-    ``before``: the per-sphere counts, the Euler sum and the genus verdict
-    are then read off the tally, and connectivity and monodromy need the
-    full walk only when ``_same_joins`` cannot tell.
+    (before, its index, ``Delta``, ``t``'s ``Tally``) for the result of a
+    step from a valid ``before``: the per-sphere counts, the Euler sum and
+    the genus verdict are then read off the tally, and connectivity and
+    monodromy need the full walk only when ``_same_joins`` cannot tell.
     """
-    if step is None:
-        hes_at, tally = t.graph.half_edges_by_pants(), None
-    else:
-        before, before_index, delta, tally, hes_at = step
+    before, before_index, delta, tally = step or (None, None, None, None)
     problems = []
     for pid in sorted(pieces):
-        problems.extend(_piece_problems(t, pid, hes_at))
+        problems.extend(_piece_problems(t, pid))
     known = set(t.graph.sphere_edges)
     for cid in sorted(circles):
-        problems.extend(_circle_problems(t, cid, index, hes_at, known))
+        problems.extend(_circle_problems(t, cid, index, known))
     counts = tally.counts if tally else Counter(c.sphere for c in t.circles.values())
     nbrs: dict[str, dict] = {}
     problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts, nbrs))
@@ -695,19 +687,19 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     return problems
 
 
-def _piece_problems(t: TorusPosition, pid: str, hes_at) -> list[str]:
+def _piece_problems(t: TorusPosition, pid: str) -> list[str]:
     piece = t.pieces[pid]
     problems = []
     if piece.id != pid:
         problems.append(f"piece key {pid} disagrees with id {piece.id}")
-    if piece.pants not in hes_at:
+    pants_hes = t.graph.by_pants.get(piece.pants)
+    if pants_hes is None:
         problems.append(f"piece {pid} in unknown pants {piece.pants}")
         return problems
     if piece.genus < 0:
         problems.append(f"piece {pid} has negative genus")
     if not piece.boundary:
         problems.append(f"piece {pid} is closed (no boundary)")
-    pants_hes = hes_at[piece.pants]
     for slot in piece.boundary:
         if slot.circle not in t.circles:
             problems.append(f"piece {pid} references unknown circle {slot.circle}")
@@ -734,14 +726,14 @@ def _piece_problems(t: TorusPosition, pid: str, hes_at) -> list[str]:
     return problems
 
 
-def _circle_problems(t: TorusPosition, cid: str, index, hes_at, spheres: set[str]) -> list[str]:
+def _circle_problems(t: TorusPosition, cid: str, index, spheres: set[str]) -> list[str]:
     circle = t.circles[cid]
     if circle.sphere not in spheres:
         return [f"circle {cid} on unknown sphere {circle.sphere}"]
     problems = []
     # slots of pieces in an unknown pants are not counted, as their piece
     # check stops before reading them
-    ends = [slot.half_edge for piece, slot in index.get(cid, ()) if piece.pants in hes_at]
+    ends = [slot.half_edge for piece, slot in index.get(cid, ()) if piece.pants in t.graph.by_pants]
     if len(ends) == 1:
         problems.append(f"circle {cid} has one incident piece")
     elif len(ends) != 2:

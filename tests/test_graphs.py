@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normaltori.fixtures import make_t0
 from normaltori.graphs import (
     Attachment,
     GraphError,
@@ -14,6 +19,7 @@ from normaltori.graphs import (
     random_cubic,
     validate_graph,
 )
+from normaltori.serialize import graph_from_json, graph_to_json
 
 
 def test_standard_rank2_is_theta():
@@ -49,9 +55,8 @@ def test_standard_euler_counts(n):
 
 def test_validator_flags_missing_edge():
     g = build_standard(2)
-    g.sphere_edges.remove("s2")
-    del g.incidence[HalfEdge("s2", 0)]
-    del g.incidence[HalfEdge("s2", 1)]
+    incidence = {he: att for he, att in g.incidence.items() if he.sphere != "s2"}
+    g = SphereGraph(g.rank, g.p_vertices, [s for s in g.sphere_edges if s != "s2"], incidence)
     problems = validate_graph(g)
     assert any("p0 has 2 half-edges" in p for p in problems)
 
@@ -132,3 +137,70 @@ def test_word_letter_orientation():
 
 def test_random_cubic_rank4_seed7_valid():
     assert validate_graph(random_cubic(4, 7)) == []
+
+
+def _scan(g: SphereGraph, pants: str) -> list[HalfEdge]:
+    """The per-pants scan that the graph's table replaced: the half-edges at ``pants``, by slot."""
+    at = [(att.slot, he) for he, att in g.incidence.items() if att.pants == pants]
+    return [he for _, he in sorted(at)]
+
+
+def _assert_table_matches_scan(g: SphereGraph) -> None:
+    named = {att.pants for att in g.incidence.values()}
+    assert g.by_pants.keys() == {*g.p_vertices, *named}
+    for pants in {*g.p_vertices, *named, "nowhere"}:
+        assert list(g.half_edges_at(pants)) == _scan(g, pants)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_half_edges_at_matches_the_scan_on_standard_graphs(n):
+    _assert_table_matches_scan(build_standard(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=2, max_value=8), seed=st.integers(min_value=0, max_value=10_000))
+def test_half_edges_at_matches_the_scan_on_random_graphs(n, seed):
+    _assert_table_matches_scan(random_cubic(n, seed))
+
+
+@pytest.mark.parametrize("pants, slot, counts", [
+    ("p1", 3, {"p0": 2, "p1": 4}),  # one end moved onto another pants
+    ("q9", 0, {"p0": 2, "q9": 1}),  # one end at a pants the graph does not list
+])
+def test_half_edges_at_matches_the_scan_on_loaded_malformed_graphs(pants, slot, counts):
+    obj = graph_to_json(build_standard(3))
+    obj["edges"][0]["ends"][0] = {"p": pants, "slot": slot}
+    g = graph_from_json(obj)
+    assert {p: len(g.half_edges_at(p)) for p in counts} == counts
+    assert validate_graph(g) != []
+    _assert_table_matches_scan(g)
+
+
+def test_graph_is_an_immutable_value():
+    g = build_standard(3)
+    for name, value in (("rank", 4), ("p_vertices", ()), ("sphere_edges", ()), ("incidence", {}), ("by_pants", {})):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    he = HalfEdge("s0", 0)
+    with pytest.raises(TypeError):
+        g.incidence[he] = Attachment("p1", 0)
+    with pytest.raises(TypeError):
+        del g.incidence[he]
+    with pytest.raises(TypeError):
+        g.by_pants["p0"] = ()
+    assert copy.deepcopy(g) is g
+    assert pickle.loads(pickle.dumps(g)) == g
+    t = make_t0()
+    assert t.clone().graph is t.graph
+
+
+def test_graph_from_lists_equals_graph_from_tuples():
+    g = build_standard(3)
+    incidence = dict(g.incidence)
+    from_lists = SphereGraph(3, list(g.p_vertices), list(g.sphere_edges), incidence)
+    from_tuples = SphereGraph(3, tuple(g.p_vertices), tuple(g.sphere_edges), dict(g.incidence))
+    assert from_lists == from_tuples == g
+    assert type(from_lists.p_vertices) is tuple and type(from_lists.sphere_edges) is tuple
+    incidence[HalfEdge("s0", 0)] = Attachment("p3", 0)  # the graph keeps its own copy
+    assert from_lists == g
+    assert from_lists.half_edges_at("p0") == g.half_edges_at("p0")

@@ -72,6 +72,15 @@ def test_decorate_t2_disk_signs_opposite():
     assert disk_signs == ["+", "-"]
 
 
+@pytest.mark.parametrize("make", [make_t0, make_t2])
+def test_missing_transport_bit_raises_position_error(make):
+    """A normal position without a circle's transport bit raised ``KeyError`` from ``decorate``."""
+    t = make()
+    del t.transport["c0"]
+    with pytest.raises(PositionError, match=r"^circle c0 missing side transport bit$"):
+        decorate(to_normal_torus(t))
+
+
 def test_decorate_klein_rejected():
     nt = to_normal_torus(make_klein())
     with pytest.raises(KleinBottleError, match="Klein"):

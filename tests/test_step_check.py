@@ -326,17 +326,16 @@ def _corpus_deltas():
     for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
         rng = random.Random(60_000 + instances)
         current, index, tally = base, base.circle_slots(), position.Tally.of(base)
-        hes_at = g.half_edges_by_pants()
         for _ in range((instances % 4) + 1):
             candidates = _inverse_candidates(current)
             cand = candidates[rng.randrange(len(candidates))]
             nxt, nxt_index, delta, tally, problems = position._step(
-                current, index, tally, hes_at, oracle._inverse(current, cand, index))
+                current, index, tally, oracle._inverse(current, cand, index))
             yield cand[0], current, index, nxt, nxt_index, delta, tally, problems
             current, index = nxt, nxt_index
         while (move := next(moves._moves(current, index, tally.abnormal), None)) is not None:
             nxt, nxt_index, delta, tally, problems = position._step(
-                current, index, tally, hes_at, moves._move(current, move, index))
+                current, index, tally, moves._move(current, move, index))
             yield type(move).__name__, current, index, nxt, nxt_index, delta, tally, problems
             current, index = nxt, nxt_index
 
@@ -368,12 +367,11 @@ def test_deltas_match_the_by_value_step():
         assert list(moves._moves(after, carried, after.pieces)) == find_moves(after)
         assert list(moves._moves(after, carried, tally.abnormal)) == find_moves(after)
         if before is not last:  # a new corpus instance
-            cache = oracle._Candidates(before, index, before.graph.half_edges_by_pants())
+            cache = oracle._Candidates(before, index)
         cache.update(before, after, carried, delta)
         assert cache.list() == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
-        hes_at = after.graph.half_edges_by_pants()
-        assert problems == position._validate_delta(before, index, after, carried, delta, tally, hes_at) == []
+        assert problems == position._validate_delta(before, index, after, carried, delta, tally) == []
         fallbacks += not position._same_joins(after, carried, before, index, delta)
         walked += 1
         kinds.add(kind)
@@ -392,7 +390,7 @@ def _validate_by_value(before, after):
     index, after_index = before.circle_slots(), after.circle_slots()
     delta = _by_value_delta(before, after)
     tally = position.Tally.of(before).stepped(before, after, delta)
-    got = position._validate_delta(before, index, after, after_index, delta, tally, after.graph.half_edges_by_pants())
+    got = position._validate_delta(before, index, after, after_index, delta, tally)
     return got, not position._same_joins(after, after_index, before, index, delta)
 
 
@@ -513,10 +511,10 @@ def test_step_scope_does_not_grow_with_the_torus():
     for r, sb, k in ((6, 16, 32), (12, 64, 256)):
         sizes, misses = [], [0]
 
-        def record(before, before_index, after, index, delta, tally, hes_at, real=position._validate_delta):
+        def record(before, before_index, after, index, delta, tally, real=position._validate_delta):
             sizes.append(sum(map(len, position._delta_scope(before, after, index, delta)[:3])))
             misses[0] += not position._same_joins(after, index, before, before_index, delta)
-            return real(before, before_index, after, index, delta, tally, hes_at)
+            return real(before, before_index, after, index, delta, tally)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(position, "_validate_delta", record)

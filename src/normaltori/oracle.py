@@ -262,12 +262,12 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     """``perturb`` of a position already known to be valid.
 
-    Carries the candidate cache from step to step, and the index and the
-    ``Tally`` through ``position._step``.  A rejected candidate means a
-    bookkeeping bug, so it raises.  An inverse move leaves a
-    boundary-parallel disk, so no result is normal, and ``_step`` checks
-    in full only the one it is told is last.  A step's problems are
-    checked before its total.
+    Carries the index and the ``Tally`` through ``position._step``, and
+    the candidate cache, which redoes what each step's ``Delta`` touched,
+    from step to step.  A rejected candidate means a bookkeeping bug, so
+    it raises.  An inverse move leaves a boundary-parallel disk, so no
+    result is normal, and ``_step`` checks in full only the one it is
+    told is last.  A step's problems are checked before its total.
     """
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
@@ -322,121 +322,77 @@ class _Candidates:
     the admissible regions are those whose mask matches the mask at the
     piece's first anchor (a collar point next to its own circle, where
     every other piece of the pants sees it) outside the piece's own bit,
-    which is constant at an end it does not cross.  Only equality of masks
-    matters, so a piece keeps its bit for as long as it lives.
+    which is constant at an end it does not cross.
 
-    After a step, ``update`` walks the masks again, and takes the tree's
-    ``neighbors()`` again, only at the sphere ends whose tree changed or
-    where a piece's slots or label changed.  A piece that joins or leaves
-    a pants sets or clears its bit at the ends it does not cross, with no
-    walk.  Fingers are rebuilt for the pieces of every pants with a
-    changed end, and domes for the circles that changed, changed holders
-    or moved in their tree.
+    The fingers of a pants depend only on its pieces and on the region
+    trees at its three sphere ends, so a pants is redone whole or not at all:
+    its pieces get bits in the order of their ids, each of its ends gets
+    one mask walk, and every piece in it gets its fingers again.  After a
+    step, ``update`` redoes the pants that held or hold a changed piece
+    and the pants at both ends of a sphere whose tree changed, and the
+    domes of the circles that changed, changed holders or moved in their
+    tree.
     """
 
     def __init__(self, t: TorusPosition, index):
-        self.bits: dict[str, dict[str, int]] = defaultdict(dict)  # pants -> piece -> its bit
-        for pid in sorted(t.pieces):
-            self._join(t.pieces[pid])
-        self.nbrs: dict[str, dict] = {}
-        self.masks: dict[HalfEdge, dict[str, int]] = {}
-        self.groups: dict[HalfEdge, dict[int, list[str]]] = {}  # regions by mask
+        self.members: dict[str, set[str]] = defaultdict(set)  # pants -> ids of its pieces
+        for pid, piece in t.pieces.items():
+            self.members[piece.pants].add(pid)
         self.domes: dict[str, list[tuple]] = {}
         self.fingers: dict[str, list[tuple]] = {}
-        ends = {he for s in t.trees for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
-        self._refresh(t, index, t.circles.keys(), t.trees.keys(), ends, {}, ())
-
-    def _join(self, piece: Piece) -> int:
-        """Give a piece the least bit its pants has free."""
-        mates = self.bits[piece.pants]
-        taken, bit = set(mates.values()), 1
-        while bit in taken:
-            bit <<= 1
-        mates[piece.id] = bit
-        return bit
+        self._refresh(t, index, t.circles.keys(), set(self.members))
 
     def list(self) -> list[tuple]:
         domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
         return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
 
     def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
-        walk = {he for s in delta.spheres for he in (HalfEdge(s, 0), HalfEdge(s, 1))}
-        walk.update(he for _, he in delta.ends)
-        shifts: dict[HalfEdge, list[tuple[int, bool]]] = defaultdict(list)
-        moved = []
+        pants = {after.graph.pants_of(HalfEdge(s, end)) for s in delta.spheres for end in (0, 1)}
         for pid in delta.pieces:
             old, new = before.pieces.get(pid), after.pieces.get(pid)
-            if old is None or new is None or old.pants != new.pants:
-                moved.append((old, new))
-                continue
-            walk.update(he for he in old.uncrossed.keys() | new.uncrossed.keys()
-                        if old.uncrossed.get(he) != new.uncrossed.get(he))
-        # leaving pieces first, so that a bit is clear before it is given again
-        for old, new in moved:
             if old is not None:
-                bit = self.bits[old.pants].pop(old.id)
-                walk.update(slot.half_edge for slot in old.boundary)
-                _shifts_of(shifts, old, bit, False)
-                if new is None:
-                    del self.fingers[old.id]
-        for old, new in moved:
+                self.members[old.pants].discard(pid)
+                self.fingers.pop(pid, None)
+                pants.add(old.pants)
             if new is not None:
-                bit = self._join(new)
-                walk.update(slot.half_edge for slot in new.boundary)
-                walk.update(he for he in after.graph.by_pants[new.pants] if he not in self.masks)  # a pants it opens
-                _shifts_of(shifts, new, bit, True)
+                self.members[new.pants].add(pid)
+                pants.add(new.pants)
         circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)
-        # a changed piece's fingers also read its first anchor, wherever that now lies
-        self._refresh(after, index, circles, delta.spheres, walk, shifts, delta.pieces & after.pieces.keys())
+        self._refresh(after, index, circles, pants)
 
-    def _refresh(self, t: TorusPosition, index, circles, spheres, walk: set[HalfEdge], shifts, pieces) -> None:
-        """Rebuild the domes of ``circles`` and the tree neighbors of ``spheres``; walk the
-        masks at ``walk`` and apply ``shifts`` (end -> (bit, set or clear)) elsewhere; then
-        rebuild the fingers of ``pieces`` and of every piece in a pants with a changed end."""
+    def _refresh(self, t: TorusPosition, index, circles, pants: set[str]) -> None:
+        """Rebuild the domes of ``circles`` and the fingers of every piece in ``pants``."""
         for cid in circles:
             self.domes.pop(cid, None)
             if cid in t.circles:
                 self.domes[cid] = _domes(t, index, cid)
-        for s in spheres:
-            self.nbrs[s] = t.trees[s].neighbors()
-        pieces = set(pieces)
-        for he in walk | shifts.keys():
-            bits = self.bits.get(t.graph.pants_of(he))
+        nbrs: dict[str, dict] = {}  # sphere -> its tree's neighbors, shared by the pants at its two ends
+        for p in pants:
+            bits = {pid: 1 << i for i, pid in enumerate(sorted(self.members[p]))}
             if not bits:
-                self.masks.pop(he, None)
-                self.groups.pop(he, None)
                 continue
-            if he in walk or he not in self.masks:
-                masks = side_masks(t, he, bits, self.nbrs[he.sphere])
-                groups: dict[int, list[str]] = {}
-                for region in sorted(t.trees[he.sphere].regions):
-                    groups.setdefault(masks[region], []).append(region)
-            else:  # the bit of a piece that does not cross here is the same over every region
-                masks, groups = self.masks[he], self.groups[he]
-                for bit, on in shifts[he]:
-                    masks = {r: m | bit if on else m & ~bit for r, m in masks.items()}
-                    groups = {m | bit if on else m & ~bit: regions for m, regions in groups.items()}
-            self.masks[he], self.groups[he] = masks, groups
-            pieces.update(bits)
-        for pid in pieces:
-            self.fingers[pid] = self._fingers(t.pieces[pid])
-
-    def _fingers(self, piece: Piece) -> list[tuple]:
-        bit = self.bits[piece.pants][piece.id]
-        anchor = piece.boundary[0]
-        at_anchor = self.masks[anchor.half_edge][anchor.region_a] & ~bit
-        out = []
-        for he in sorted(piece.uncrossed):
-            own = bit if piece.uncrossed[he] == SIDE_B else 0
-            out.extend(("finger", piece.id, he, region) for region in self.groups[he].get(at_anchor | own, ()))
-        return out
+            masks, groups = {}, {}
+            for he in t.graph.by_pants[p]:
+                tree = t.trees[he.sphere]
+                if he.sphere not in nbrs:
+                    nbrs[he.sphere] = tree.neighbors()
+                masks[he] = side_masks(t, he, bits, nbrs[he.sphere])
+                groups[he] = {}  # regions by mask
+                for region in sorted(tree.regions):
+                    groups[he].setdefault(masks[he][region], []).append(region)
+            for pid, bit in bits.items():
+                self.fingers[pid] = _fingers(t.pieces[pid], bit, masks, groups)
 
 
-def _shifts_of(shifts, piece: Piece, bit: int, on: bool) -> None:
-    """Record that ``piece``'s bit is set (``on``) or cleared at each end it labels B."""
-    for he, side in piece.uncrossed.items():
-        if side == SIDE_B:
-            shifts[he].append((bit, on))
+def _fingers(piece: Piece, bit: int, masks, groups) -> list[tuple]:
+    """The fingers of one piece, from the masks and region groups of its pants' ends."""
+    anchor = piece.boundary[0]
+    at_anchor = masks[anchor.half_edge][anchor.region_a] & ~bit
+    out = []
+    for he in sorted(piece.uncrossed):
+        own = bit if piece.uncrossed[he] == SIDE_B else 0
+        out.extend(("finger", piece.id, he, region) for region in groups[he].get(at_anchor | own, ()))
+    return out
 
 
 def _domes(t: TorusPosition, index, cid: str) -> list[tuple]:
@@ -569,6 +525,8 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
         raise PositionError(
             f"state space too large: {total_intersections(t)} circles exceeds bound {depth_bound}"
         )
+    if missing := sorted(t.circles.keys() - t.transport.keys()):  # the state key reads every circle's bit
+        raise PositionError(f"circle {missing[0]} missing side transport bit")
     outcomes: set[str] = set()
     stuck = 0
     explored = 0

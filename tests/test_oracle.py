@@ -230,6 +230,15 @@ def test_confluence_depth_guard():
         confluence_search(t, depth_bound=2)
 
 
+@pytest.mark.parametrize("make", [make_t0, make_t2])
+def test_confluence_rejects_a_missing_transport_bit(make):
+    """A position without a circle's transport bit raised ``KeyError`` from the state key."""
+    t = make()
+    del t.transport["c0"]
+    with pytest.raises(PositionError, match=r"^circle c0 missing side transport bit$"):
+        confluence_search(t)
+
+
 def test_minimality_experiment_passes():
     report = minimality_experiment(make_t0(), 40, 5, seed=7)
     assert report.passed()

@@ -382,6 +382,34 @@ def test_deltas_match_the_by_value_step():
     print(f"deltas match on {walked} steps; {fallbacks} fell back to the full walk")
 
 
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
+    """Along 64-move ``_perturb`` chains the updated cache lists what a fresh build lists, at every step.
+
+    Three chains per graph, on ``build_standard(rank)`` and a ``random_cubic``
+    graph of the same rank; each chain's torus grows by one circle a step,
+    so later steps update a cache far larger than the corpus's.
+    """
+    kinds = set()
+    for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
+        for seed in range(3):
+            current = random_normal_torus(g, 10 * rank + seed, 2 * rank)
+            index, tally = current.circle_slots(), position.Tally.of(current)
+            cache, rng = oracle._Candidates(current, index), random.Random(seed)
+            for _ in range(64):
+                candidates = cache.list()
+                assert candidates == _inverse_candidates(current)
+                cand = candidates[rng.randrange(len(candidates))]
+                nxt, index, delta, tally, problems = position._step(
+                    current, index, tally, oracle._inverse(current, cand, index))
+                assert problems == []
+                cache.update(current, nxt, index, delta)
+                current = nxt
+                kinds.add(cand[0])
+            assert cache.list() == _inverse_candidates(current)
+    assert kinds == {"dome", "finger"}
+
+
 def _validate_by_value(before, after):
     """(``_validate_delta`` of the step from a valid ``before`` to ``after``, whether it fell back to the full walk).
 

@@ -6,7 +6,10 @@ piece (sitting over its pants), one crossing edge per intersection circle
 sphere a piece does not cross.  The graph is connected with first Betti
 number one; its unique cycle is the projection of the invariant axis of
 the covering translation the torus carries, and the hanging trees are
-finite decorations on that axis.
+finite decorations on that axis.  A ``NormalTorus`` is an immutable value
+that derives all of this once, when it is built: what is attached to each
+node, the side bits of the one walk over its crossings, and the axis.  A
+graph that is not one cycle with trees hanging off it is rejected there.
 
 A choice of transverse orientation signs every leaf stub; the resulting
 decorated graph, up to graph isomorphism over the sphere graph and a
@@ -18,12 +21,15 @@ rotation, its direction, and the global flip remain to minimize over.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .graphs import GeneratorLabeling, HalfEdge, SphereGraph
 from .position import (
     SIDE_A,
+    SIDE_B,
     PositionError,
     TorusPosition,
     _tree_cycle,
@@ -48,7 +54,7 @@ class LeafStub:
     half_edge: HalfEdge
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalTorus:
     """Betti-1 graph of a normal torus, immersed into the sphere graph.
 
@@ -56,31 +62,77 @@ class NormalTorus:
     id to (sphere, node at end 0, node at end 1).  ``position`` is the
     normal position all of this is derived from (``to_normal_torus``); its
     side labels and transport bits are what ``decorate`` reads.
+
+    An immutable value, with read-only copies of ``nodes`` and ``crossings``,
+    that derives once: ``attachments`` (node -> half-edge ->
+    ("crossing"|"leaf", id)); the ``side`` bits and ``bad`` cycle of the
+    walk over the crossings, flipped where transport is False; and the
+    ``axis`` (nodes, crossings), crossing i joining node i to node i+1: the
+    one crossing outside the walk's tree closed through it, from its least
+    node along the lesser of that node's axis crossings.  It raises
+    ``PositionError`` unless every node immerses onto its pants tripod,
+    disk and pants nodes are equally many, the position holds a transport
+    bit for every crossing and the walk reaches every node and leaves out
+    exactly one crossing.
     """
 
     graph: SphereGraph
-    nodes: dict[str, tuple[str, str]]
-    crossings: dict[str, tuple[str, str, str]]
-    leaves: list[LeafStub]
+    nodes: Mapping[str, tuple[str, str]]
+    crossings: Mapping[str, tuple[str, str, str]]
+    leaves: tuple[LeafStub, ...]
     position: TorusPosition
+    attachments: Mapping[str, Mapping[HalfEdge, tuple[str, str]]] = field(init=False, repr=False, compare=False)
+    side: Mapping[str, bool] = field(init=False, repr=False, compare=False)
+    bad: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
+    axis: tuple[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
-    def attachments(self) -> dict[str, dict[HalfEdge, tuple[str, str]]]:
-        """Node -> half-edge -> ("crossing"|"leaf", id); must fill all three.
+    def __post_init__(self) -> None:
+        nodes, crossings, leaves = MappingProxyType(dict(self.nodes)), MappingProxyType(dict(self.crossings)), tuple(self.leaves)
+        att: dict[str, dict[HalfEdge, tuple[str, str]]] = {node: {} for node in nodes}
+        for cid, (sphere, n0, n1) in crossings.items():
+            att.setdefault(n0, {})[HalfEdge(sphere, 0)] = ("crossing", cid)
+            att.setdefault(n1, {})[HalfEdge(sphere, 1)] = ("crossing", cid)
+        for leaf in leaves:
+            att.setdefault(leaf.node, {})[leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
+        for node, (pants, _) in nodes.items():
+            if set(att[node]) != set(self.graph.by_pants.get(pants, ())):
+                raise PositionError(f"node {node} does not immerse onto its pants tripod")
+        by_kind = Counter(kind for _, kind in nodes.values())
+        if by_kind["disk"] != by_kind["pants"]:
+            raise PositionError("disk and pants node counts differ")
+        transport = self.position.transport
+        missing = sorted(crossings.keys() - transport.keys())  # the walk reads every crossing's bit
+        if missing:
+            raise PositionError(f"circle {missing[0]} missing side transport bit")
+        edges = [(cid, n0, n1, not transport[cid]) for cid, (_, n0, n1) in sorted(crossings.items())]
+        reached, side, parent, bad = _walk_piece_graph(nodes, edges)
+        tree = {link[1] for link in parent.values() if link is not None}
+        extra = [cid for cid in sorted(crossings) if cid not in tree]
+        if not extra:
+            raise PositionError("no cycle found: graph is a tree")
+        if len(extra) > 1 or reached != len(nodes):
+            raise PositionError("cycle extraction failed")
+        _, a, b = crossings[extra[0]]
+        cycle, cut = _tree_cycle(parent, b, a)
+        cut.append(extra[0])
+        i = cycle.index(min(cycle))
+        cycle, cut = cycle[i:] + cycle[:i], cut[i:] + cut[:i]
+        if cut[-1] < cut[0]:
+            cycle, cut = cycle[:1] + cycle[:0:-1], cut[::-1]
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "attachments", MappingProxyType({n: MappingProxyType(a) for n, a in att.items()}))
+        object.__setattr__(self, "side", MappingProxyType(side))
+        object.__setattr__(self, "bad", None if bad is None else tuple(bad))
+        object.__setattr__(self, "axis", (tuple(cycle), tuple(cut)))
 
-        Built afresh on each call and never stored, since the torus's dicts
-        can be edited in place; a node with nothing attached maps to an empty dict.
-        """
-        att: dict[str, dict[HalfEdge, tuple[str, str]]] = defaultdict(dict)
-        for cid, (sphere, n0, n1) in self.crossings.items():
-            att[n0][HalfEdge(sphere, 0)] = ("crossing", cid)
-            att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
-        for leaf in self.leaves:
-            att[leaf.node][leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
-        return att
+    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
+        return NormalTorus, (self.graph, dict(self.nodes), dict(self.crossings), self.leaves, self.position)
 
 
 def to_normal_torus(t: TorusPosition) -> NormalTorus:
-    """The graph of a normal position; raises ``PositionError`` when ``t`` has no pieces or is not normal."""
+    """The graph of a normal position; raises ``PositionError`` when ``t`` has no pieces, is not normal or its graph is not one cycle with trees hanging off it."""
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("not normal: " + "; ".join(violations))
@@ -105,31 +157,9 @@ def _normal_torus(t: TorusPosition, index) -> NormalTorus:
                 if slot.half_edge.sphere == circle.sphere}
         if len(ends) != 2:
             raise PositionError(f"circle {cid} does not pass through sphere {circle.sphere}")
-        if cid not in t.transport:  # decorate reads every circle's bit
-            raise PositionError(f"circle {cid} missing side transport bit")
         crossings[cid] = (circle.sphere, ends[0], ends[1])
-    leaves = [
-        LeafStub(pid, he)
-        for pid, piece in t.pieces.items()
-        for he in sorted(piece.uncrossed)
-    ]
-    nt = NormalTorus(t.graph, nodes, crossings, leaves, t)
-    _check_normal_torus(nt)
-    return nt
-
-
-def _check_normal_torus(nt: NormalTorus) -> None:
-    """Raise ``PositionError`` unless ``nt`` is the graph of a normal torus."""
-    by_kind = defaultdict(int)
-    att = nt.attachments()
-    for node, (pants, kind) in nt.nodes.items():
-        if set(att[node]) != set(nt.graph.by_pants.get(pants, ())):
-            raise PositionError(f"node {node} does not immerse onto its pants tripod")
-        by_kind[kind] += 1
-    if by_kind["disk"] != by_kind["pants"]:
-        raise PositionError("disk and pants node counts differ")
-    if len(nt.crossings) - len(nt.nodes) + 1 != 1:
-        raise PositionError("normal torus graph is not betti 1")
+    leaves = [LeafStub(pid, he) for pid, piece in t.pieces.items() for he in sorted(piece.uncrossed)]
+    return NormalTorus(t.graph, nodes, crossings, leaves, t)
 
 
 @dataclass
@@ -145,31 +175,26 @@ class DecoratedGraph:
 def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SIDE_A) -> DecoratedGraph:
     """Propagate a transverse orientation and sign the leaves.
 
-    The base piece's chosen side is declared positive; the side bits of the
-    piece-graph walk carry that across every crossing.  Fails with
+    The base piece's chosen side, A or B, is declared positive; the torus's
+    side bits carry that across every crossing.  Fails with
     ``KleinBottleError``, naming the pieces of the walk's bad cycle, when
     the transport bits have nontrivial monodromy.  Flipping ``base_side``
     flips every sign.
     """
-    t = nt.position
+    t, side = nt.position, nt.side
     if base_piece is None:
         base_piece = min(nt.nodes)
     if base_piece not in nt.nodes:
         raise PositionError(f"unknown base piece {base_piece}")
-    _, side, _, bad = _walk_crossings(nt)
-    if bad is not None:
-        raise KleinBottleError("nontrivial monodromy on cycle (" + ",".join(bad) + ") (Klein bottle)")
+    if base_side not in (SIDE_A, SIDE_B):
+        raise PositionError(f"base side must be {SIDE_A} or {SIDE_B}, got {base_side!r}")
+    if nt.bad is not None:
+        raise KleinBottleError("nontrivial monodromy on cycle (" + ",".join(nt.bad) + ") (Klein bottle)")
     signs = {}
     for leaf in nt.leaves:
         plus = xor_side(base_side, side[leaf.node] != side[base_piece])
         signs[leaf] = PLUS if t.pieces[leaf.node].uncrossed[leaf.half_edge] == plus else MINUS
     return DecoratedGraph(nt, signs, base_piece, base_side)
-
-
-def _walk_crossings(nt: NormalTorus):
-    """``position._walk_piece_graph`` over the crossings, flipped where transport is False."""
-    edges = [(cid, n0, n1, not nt.position.transport[cid]) for cid, (_, n0, n1) in sorted(nt.crossings.items())]
-    return _walk_piece_graph(nt.nodes, edges)
 
 
 def sides(d: DecoratedGraph) -> tuple[list[LeafStub], list[LeafStub]]:
@@ -189,38 +214,13 @@ def bounds_solid_torus(d: DecoratedGraph) -> bool:
     return not pos or not neg
 
 
-def _axis_cycle(nt: NormalTorus) -> tuple[list[str], list[str]]:
-    """The unique cycle: alternating node and crossing ids, aligned.
-
-    Returns (nodes, edges) with edges[i] joining nodes[i] to nodes[i+1]
-    (cyclically).  The cycle is the one crossing outside the piece-graph
-    walk's tree, closed through that tree; it starts at its least node and
-    leaves it along the lesser of that node's two cycle crossings.
-    """
-    reached, _, parent, _ = _walk_crossings(nt)
-    tree = {link[1] for link in parent.values() if link is not None}
-    extra = [cid for cid in sorted(nt.crossings) if cid not in tree]
-    if not extra:
-        raise PositionError("no cycle found: graph is a tree")
-    if len(extra) > 1 or reached != len(nt.nodes):
-        raise PositionError("cycle extraction failed")
-    _, a, b = nt.crossings[extra[0]]
-    nodes, edges = _tree_cycle(parent, b, a)
-    edges.append(extra[0])
-    i = nodes.index(min(nodes))
-    nodes, edges = nodes[i:] + nodes[:i], edges[i:] + edges[:i]
-    if edges[-1] < edges[0]:
-        nodes, edges = nodes[:1] + nodes[:0:-1], edges[::-1]
-    return nodes, edges
-
-
-def _oriented_steps(nt: NormalTorus, nodes: list[str], edges: list[str]) -> list[tuple[str, int]]:
-    """Cycle traversal as [(crossing, from_end), ...].
+def _oriented_steps(nt: NormalTorus) -> list[tuple[str, int]]:
+    """The axis traversed as [(crossing, from_end), ...].
 
     Step i runs from node i to node i+1 (cyclically) leaving through the
     sphere end ``from_end``; a self-loop crossing is left through end 0.
     """
-    return [(cid, 0 if nt.crossings[cid][1] == node else 1) for node, cid in zip(nodes, edges)]
+    return [(cid, 0 if nt.crossings[cid][1] == node else 1) for node, cid in zip(*nt.axis)]
 
 
 def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
@@ -229,8 +229,7 @@ def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
     return (n1, HalfEdge(sphere, 1)) if n0 == node else (n0, HalfEdge(sphere, 0))
 
 
-def _branch_codes(nt: NormalTorus, att, labels, axis: list[str], axis_edges: list[str],
-                  signs) -> dict[str, tuple[str, str]]:
+def _branch_codes(nt: NormalTorus, labels, signs) -> dict[str, tuple[str, str]]:
     """Codes of what hangs off the axis, as (code, code with every sign flipped).
 
     A hanging node maps to its subtree's code ``pants<entry|payloads>``, an
@@ -240,11 +239,12 @@ def _branch_codes(nt: NormalTorus, att, labels, axis: list[str], axis_edges: lis
     children are kept; deeper codes live inside their parents'.  ``labels``
     maps each half-edge to its ``label()``.
     """
+    axis, axis_edges = nt.axis
     cut = set(axis_edges)
     codes: dict[str, tuple[str, str]] = {}
     for node in axis:
         plain, flipped = [], []
-        for he, (what, ident) in sorted(att[node].items()):
+        for he, (what, ident) in sorted(nt.attachments[node].items()):
             label = labels[he]
             if what == "leaf":
                 sign = "leaf" if signs is None else signs[LeafStub(node, he)]
@@ -252,14 +252,14 @@ def _branch_codes(nt: NormalTorus, att, labels, axis: list[str], axis_edges: lis
                 flipped.append(f"{label}:{_FLIPPED[sign]}")
             elif ident not in cut:
                 child = _across(nt, node, ident)
-                code, code_flipped = codes[child[0]] = _hanging_code(nt, att, labels, cut, signs, child)
+                code, code_flipped = codes[child[0]] = _hanging_code(nt, labels, cut, signs, child)
                 plain.append(f"{label}:({code})")
                 flipped.append(f"{label}:({code_flipped})")
         codes[node] = (";".join(plain), ";".join(flipped))
     return codes
 
 
-def _hanging_code(nt: NormalTorus, att, labels, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
+def _hanging_code(nt: NormalTorus, labels, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
     """Both codes of the subtree hanging at ``root``: a node and the half-edge it is entered by.
 
     The walk keeps its own stack, so deep branches cost no recursion.  It
@@ -268,6 +268,7 @@ def _hanging_code(nt: NormalTorus, att, labels, cut: set[str], signs, root: tupl
     its whole code.  The strings are joined once, so a deep chain costs
     linear time.
     """
+    att = nt.attachments
     plain, flipped = [], []
     stack: list = [root]
     while stack:
@@ -309,11 +310,10 @@ def canonicalize(d: DecoratedGraph) -> str:
     half-edges; each rotation is a slice of one doubled string.
     """
     nt = d.torus
-    nodes, edges = _axis_cycle(nt)
     labels = {he: he.label() for he in nt.graph.incidence}
-    branches = _branch_codes(nt, nt.attachments(), labels, nodes, edges, d.signs)
-    outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt, nodes, edges)]
-    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], branches[node]) for i, node in enumerate(nodes)]
+    branches = _branch_codes(nt, labels, d.signs)
+    outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt)]
+    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], branches[node]) for i, node in enumerate(nt.axis[0])]
     best = None
     for flip in (0, 1):
         forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
@@ -342,16 +342,15 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     Branch codes here are unsigned (structure only); signs live on the
     decorated graph.
     """
-    nodes, edges = _axis_cycle(nt)
-    att = nt.attachments()
-    codes = _branch_codes(nt, att, {he: he.label() for he in nt.graph.incidence}, nodes, edges, None)
+    nodes, edges = nt.axis
+    codes = _branch_codes(nt, {he: he.label() for he in nt.graph.incidence}, None)
     branches: dict[str, list[str]] = {}
     for node in nodes:
-        hanging = [ident for _, (what, ident) in sorted(att[node].items()) if what == "crossing" and ident not in edges]
+        hanging = [ident for _, (what, ident) in sorted(nt.attachments[node].items()) if what == "crossing" and ident not in edges]
         subtrees = [codes[_across(nt, node, ident)[0]][0] for ident in hanging]
         if subtrees:
             branches[node] = subtrees
-    return nodes, branches
+    return list(nodes), branches
 
 
 def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, int]]:
@@ -363,10 +362,8 @@ def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, i
     cyclically reduced and nonempty; it is normalized to the least rotation
     of itself or its inverse.
     """
-    nodes, edges = _axis_cycle(nt)
-    steps = _oriented_steps(nt, nodes, edges)
     word: list[tuple[int, int]] = []
-    for cid, from_end in steps:
+    for cid, from_end in _oriented_steps(nt):
         sphere = nt.crossings[cid][0]
         letter = labeling.word_letter(sphere, from_end)
         if letter is not None:

@@ -328,10 +328,10 @@ class _Candidates:
     trees at its three sphere ends, so a pants is redone whole or not at all:
     its pieces get bits in the order of their ids, each of its ends gets
     one mask walk, and every piece in it gets its fingers again.  After a
-    step, ``update`` redoes the pants that held or hold a changed piece
-    and the pants at both ends of a sphere whose tree changed, and the
-    domes of the circles that changed, changed holders or moved in their
-    tree.
+    step, ``update`` redoes the pants that held or hold a changed piece,
+    and the domes of the circles that changed, changed holders or moved in
+    their tree.  A step that changes a sphere's tree changes a piece at
+    each of its ends, so no pants next to a changed tree is missed.
     """
 
     def __init__(self, t: TorusPosition, index):
@@ -347,7 +347,7 @@ class _Candidates:
         return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
 
     def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
-        pants = {after.graph.pants_of(HalfEdge(s, end)) for s in delta.spheres for end in (0, 1)}
+        pants = set()
         for pid in delta.pieces:
             old, new = before.pieces.get(pid), after.pieces.get(pid)
             if old is not None:

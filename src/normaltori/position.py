@@ -262,18 +262,17 @@ def _walk_piece_graph(nodes, edges):
 
     The one walk over a piece graph: ``_validate`` and
     ``monodromy_certificate`` read it off a position's circles, ``_joins``
-    off a step's changed circles, ``normal_graph.decorate`` and
-    ``normal_graph._axis_cycle`` off a normal torus's crossings.  ``edges``
-    holds (circle, node, node, flip) in circle order; an endpoint of an
-    edge that is no self-loop is a node even when ``nodes`` lacks it.  The
-    side bits list each component's nodes together, starting from its
-    least node; a node's bit is its flip parity along the tree path from
-    there.  The tree maps a
-    node to (its parent, the circle joining them), or None at a least node,
-    the only one with no parent.  The bad cycle is the nodes of the first
-    cycle with an odd flip count, or None.  The walk always finishes the
-    least node's component, so the count stays exact, and stops after the
-    first component that ends with a bad cycle found.
+    off a step's changed circles, and ``normal_graph.NormalTorus`` off its
+    crossings, once, when it is built.  ``edges`` holds (circle, node,
+    node, flip) in circle order; an endpoint of an edge that is no
+    self-loop is a node even when ``nodes`` lacks it.  The side bits list
+    each component's nodes together, starting from its least node; a
+    node's bit is its flip parity along the tree path from there.  The tree
+    maps a node to (its parent, the circle joining them), or None at a
+    least node, the only one with no parent.  The bad cycle is the nodes of
+    the first cycle with an odd flip count, or None.  The walk always
+    finishes the least node's component, so the count stays exact, and
+    stops after the first component that ends with a bad cycle found.
     """
     adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
     bad = None

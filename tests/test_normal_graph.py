@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
-from normaltori.graphs import label_generators
+from normaltori.graphs import HalfEdge, label_generators
 from normaltori.normal_graph import (
     KleinBottleError,
+    LeafStub,
     axis_word,
     bounds_solid_torus,
     canonicalize,
@@ -216,11 +220,94 @@ def test_fundamental_domain_t0_t2():
 
 
 def test_canonical_form_of_a_tree_is_an_error():
-    # A normal torus edited in memory is not re-checked; with an axis crossing gone its graph is a tree.
+    # With the axis crossing c0 cut into two leaf stubs the graph is a tree, which building it rejects.
     nt = to_normal_torus(make_t2())
-    del nt.crossings["c0"]
+    sphere, n0, n1 = nt.crossings["c0"]
+    crossings = {cid: ends for cid, ends in nt.crossings.items() if cid != "c0"}
+    leaves = nt.leaves + (LeafStub(n0, HalfEdge(sphere, 0)), LeafStub(n1, HalfEdge(sphere, 1)))
     with pytest.raises(PositionError, match="no cycle found"):
-        canonicalize(decorate(nt))
+        dataclasses.replace(nt, crossings=crossings, leaves=leaves)
+
+
+def _lose_a_leaf():
+    t = make_t0()
+    del t.pieces["F0"].uncrossed[HalfEdge("s2", 1)]
+    return to_normal_torus(t)
+
+
+def _make_f0_a_disk():
+    nt = to_normal_torus(make_t0())
+    return dataclasses.replace(nt, nodes={**nt.nodes, "F0": ("p0", "disk")})
+
+
+def _cut_c0():
+    nt = to_normal_torus(make_t0())
+    leaves = nt.leaves + (LeafStub("F0", HalfEdge("s0", 0)), LeafStub("F1", HalfEdge("s0", 1)))
+    return dataclasses.replace(nt, crossings={"c1": nt.crossings["c1"]}, leaves=leaves)
+
+
+def _join_the_leaves(bit=True):
+    nt = to_normal_torus(make_t0())
+    if bit is not None:
+        nt.position.transport["c2"] = bit
+    return dataclasses.replace(nt, crossings={**nt.crossings, "c2": ("s2", "F1", "F0")}, leaves=())
+
+
+def _two_copies():
+    nt = to_normal_torus(make_t0())
+    nt.position.transport.update({cid + "'": bit for cid, bit in nt.position.transport.items()})
+    return dataclasses.replace(
+        nt,
+        nodes={**nt.nodes, **{n + "'": v for n, v in nt.nodes.items()}},
+        crossings={**nt.crossings, **{c + "'": (s, a + "'", b + "'") for c, (s, a, b) in nt.crossings.items()}},
+        leaves=nt.leaves + tuple(LeafStub(leaf.node + "'", leaf.half_edge) for leaf in nt.leaves),
+    )
+
+
+@pytest.mark.parametrize("build, message", [
+    (_lose_a_leaf, r"^node F0 does not immerse onto its pants tripod$"),
+    (_make_f0_a_disk, r"^disk and pants node counts differ$"),
+    (_cut_c0, r"^no cycle found: graph is a tree$"),
+    (lambda: _join_the_leaves(None), r"^circle c2 missing side transport bit$"),
+    (_join_the_leaves, r"^cycle extraction failed$"),  # two cycles
+    (_two_copies, r"^cycle extraction failed$"),  # betti number one, but disconnected
+], ids=["immersion", "disk-pants-count", "tree", "transport-bit", "two-cycles", "two-copies"])
+def test_building_a_torus_checks_its_graph(build, message):
+    """Each check that building a torus runs, reached from t0's graph edited one way."""
+    with pytest.raises(PositionError, match=message):
+        build()
+
+
+def test_a_built_torus_is_read_not_derived_again(monkeypatch):
+    """Once built, a torus is immutable and its readers run no walk over it; its attachments are a field."""
+    from normaltori import normal_graph
+
+    nt = to_normal_torus(make_t2())
+
+    def walk(*args):
+        raise AssertionError("a built torus was walked again")
+
+    monkeypatch.setattr(normal_graph, "_walk_piece_graph", walk)
+    d = decorate(nt)
+    canonicalize(d)
+    fundamental_domain(nt)
+    axis_word(nt, label_generators(nt.graph))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        nt.nodes = {}
+    for mapping in (nt.nodes, nt.crossings, nt.attachments, nt.attachments["F0"], nt.side):
+        with pytest.raises(TypeError):
+            mapping["F9"] = None
+    assert type(nt.leaves) is tuple
+    monkeypatch.undo()
+    again = pickle.loads(pickle.dumps(nt))
+    assert (again.nodes, again.crossings, again.leaves, again.axis) == (nt.nodes, nt.crossings, nt.leaves, nt.axis)
+
+
+@pytest.mark.parametrize("side", ["C", None, "a"])
+def test_decorate_rejects_a_base_side_other_than_a_or_b(side):
+    """Any other side signed every leaf "-", so t2, which bounds no solid torus, read as bounding one."""
+    with pytest.raises(PositionError, match="base side must be A or B"):
+        decorate(to_normal_torus(make_t2()), None, side)
 
 
 def test_axis_words_fixture():

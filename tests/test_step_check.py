@@ -21,7 +21,7 @@ from test_acceptance import _fuzz_corpus
 from normaltori import cli, moves, oracle, position
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.graphs import build_standard, random_cubic
+from normaltori.graphs import HalfEdge, build_standard, random_cubic
 from normaltori.moves import Cap, Slide, _ball_region, apply_move, find_moves, normalize
 from normaltori.normal_graph import to_normal_torus
 from normaltori.oracle import (
@@ -316,6 +316,16 @@ def _same_slots(index):
     return {cid: sorted(pairs, key=lambda ps: (ps[0].id, ps[1].half_edge)) for cid, pairs in index.items()}
 
 
+def _ends_hold_a_changed_piece(before, after, delta) -> bool:
+    """Each end of every sphere in ``delta.spheres`` is a pants that holds a piece of ``delta.pieces``, before or after.
+
+    ``oracle._Candidates.update`` redoes only those pants, so a step that
+    broke this would leave stale fingers next to a changed tree.
+    """
+    pants = {t.pieces[pid].pants for t in (before, after) for pid in delta.pieces if pid in t.pieces}
+    return all(after.graph.pants_of(HalfEdge(s, end)) in pants for s in delta.spheres for end in (0, 1))
+
+
 def _corpus_deltas():
     """Every step of ``_corpus_steps`` made by ``position._step``, as ``perturb`` and ``normalize`` make it.
 
@@ -368,6 +378,7 @@ def test_deltas_match_the_by_value_step():
         assert list(moves._moves(after, carried, tally.abnormal)) == find_moves(after)
         if before is not last:  # a new corpus instance
             cache = oracle._Candidates(before, index)
+        assert _ends_hold_a_changed_piece(before, after, delta)
         cache.update(before, after, carried, delta)
         assert cache.list() == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
@@ -403,6 +414,7 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
                 nxt, index, delta, tally, problems = position._step(
                     current, index, tally, oracle._inverse(current, cand, index))
                 assert problems == []
+                assert _ends_hold_a_changed_piece(current, nxt, delta)
                 cache.update(current, nxt, index, delta)
                 current = nxt
                 kinds.add(cand[0])

@@ -201,7 +201,7 @@ def _assemble(g: SphereGraph, nodes: list[_Node]) -> TorusPosition:
             if cid is not None:
                 by_circle[cid].append((node, he))
     circles: dict[str, Circle] = {}
-    trees: dict[str, RegionTree] = {}
+    edges: dict[str, dict[str, tuple[str, str]]] = {}  # sphere -> its tree's edges
     center: dict[str, str] = {}
     region_counter = 0
 
@@ -212,17 +212,14 @@ def _assemble(g: SphereGraph, nodes: list[_Node]) -> TorusPosition:
         return rid
 
     for s in g.sphere_edges:
-        rid = new_region()
-        center[s] = rid
-        trees[s] = RegionTree(s, {rid}, {})
+        center[s], edges[s] = new_region(), {}
     for cid in sorted(by_circle):
         ends = by_circle[cid]
         assert len(ends) == 2
         sphere = ends[0][1].sphere
         circles[cid] = Circle(cid, sphere)
-        leaf = new_region()
-        trees[sphere].regions.add(leaf)
-        trees[sphere].edges[cid] = (center[sphere], leaf)
+        edges[sphere][cid] = (center[sphere], new_region())
+    trees = {s: RegionTree(s, {center[s], *(leaf for _, leaf in edges[s].values())}, edges[s]) for s in g.sphere_edges}
 
     pieces: dict[str, Piece] = {}
     for node in nodes:
@@ -317,7 +314,7 @@ class _Candidates:
     region, so both endpoints must lie in the same complementary
     component; in a pants, components are cut out by the (separating)
     pieces, so it suffices that every other piece of the pants sees both
-    endpoints on one side.  One mask walk per sphere end (``side_masks``)
+    endpoints on one side.  One mask pass per sphere end (``side_masks``)
     gives every region the sides of all pieces of that pants at once, so
     the admissible regions are those whose mask matches the mask at the
     piece's first anchor (a collar point next to its own circle, where
@@ -327,7 +324,7 @@ class _Candidates:
     The fingers of a pants depend only on its pieces and on the region
     trees at its three sphere ends, so a pants is redone whole or not at all:
     its pieces get bits in the order of their ids, each of its ends gets
-    one mask walk, and every piece in it gets its fingers again.  After a
+    one mask pass, and every piece in it gets its fingers again.  After a
     step, ``update`` redoes the pants that held or hold a changed piece,
     and the domes of the circles that changed, changed holders or moved in
     their tree.  A step that changes a sphere's tree changes a piece at
@@ -366,7 +363,6 @@ class _Candidates:
             self.domes.pop(cid, None)
             if cid in t.circles:
                 self.domes[cid] = _domes(t, index, cid)
-        nbrs: dict[str, dict] = {}  # sphere -> its tree's neighbors, shared by the pants at its two ends
         for p in pants:
             bits = {pid: 1 << i for i, pid in enumerate(sorted(self.members[p]))}
             if not bits:
@@ -374,9 +370,7 @@ class _Candidates:
             masks, groups = {}, {}
             for he in t.graph.by_pants[p]:
                 tree = t.trees[he.sphere]
-                if he.sphere not in nbrs:
-                    nbrs[he.sphere] = tree.neighbors()
-                masks[he] = side_masks(t, he, bits, nbrs[he.sphere])
+                masks[he] = side_masks(t, he, bits)
                 groups[he] = {}  # regions by mask
                 for region in sorted(tree.regions):
                     groups[he].setdefault(masks[he][region], []).append(region)
@@ -580,9 +574,8 @@ def _state_key(t: TorusPosition) -> tuple:
                for cid, c in t.circles.items()}
     region_init, inc = {}, {}
     for s, tree in t.trees.items():
-        nbrs = tree.neighbors()
         for r in tree.regions:
-            inc[r] = [c for c, _ in nbrs.get(r, ())]
+            inc[r] = [c for c, _ in tree.neighbors.get(r, ())]
             region_init[r] = (s, len(inc[r]))
     circle_init = {cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()}
     # piece, circle and region colours, and how many distinct ones of each

@@ -5,12 +5,13 @@ connected pieces inside each pants, intersection circles on each sphere,
 the tree of complementary regions each sphere's circles cut out, and the
 side bookkeeping needed to transport a co-orientation across circles.
 
-Positions are treated as immutable values.  A move builds its result from
-one ``shallow_copy`` of its input and replaces each piece, circle or
-region tree it changes with a new object, never editing one; the result
-shares every unchanged item with its input.  Code that edits a position
-in place (the tests do) must edit a ``clone`` of it.  Nothing here
-assumes the surface is in normal form - transient states
+Positions are treated as immutable values.  A move builds its result
+from one ``shallow_copy`` of its input and replaces each piece, circle
+or region tree it changes with a new object, never editing one; the
+result shares every unchanged item with its input.  Region trees are
+immutable values that copies share, so code that edits a position in
+place (the tests do) edits the pieces, circles and dicts of a ``clone``.
+Nothing here assumes the surface is in normal form - transient states
 mid-normalization (several circles of one piece on one sphere end,
 positive genus, boundary-parallel disks) are all representable.
 
@@ -27,8 +28,10 @@ comparing the two positions by value.
 from __future__ import annotations
 
 import copy
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .graphs import HalfEdge, SphereGraph, validate_graph
 
@@ -115,13 +118,48 @@ class Piece:
         return Piece(self.id, self.pants, self.genus, boundary, self.uncrossed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionTree:
-    """Complementary regions of one sphere's circles; circles are the edges."""
+    """Complementary regions of one sphere's circles; circles are the edges.
+
+    An immutable value, which ``copy.deepcopy`` returns as is, with a
+    frozenset of ``regions`` and a read-only copy of ``edges``.  Built once:
+    ``neighbors``, region -> ((circle, region across it), ...) in edge
+    order, and ``walk``, the breadth-first walk from the least region as
+    (parent, circle, region) steps, the root's (None, None, root) first.
+    Building never raises; ``validate_position`` reports a malformed tree.
+    """
 
     sphere: str
-    regions: set[str]
-    edges: dict[str, tuple[str, str]] = field(default_factory=dict)
+    regions: frozenset[str]
+    edges: Mapping[str, tuple[str, str]] = field(default_factory=dict)
+    neighbors: Mapping[str, tuple[tuple[str, str], ...]] = field(init=False, repr=False, compare=False)
+    walk: tuple[tuple[str | None, str | None, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        regions, edges = frozenset(self.regions), MappingProxyType(dict(self.edges))
+        nbrs: dict[str, list[tuple[str, str]]] = {}
+        for cid, (a, b) in edges.items():
+            nbrs.setdefault(a, []).append((cid, b))
+            if b != a:
+                nbrs.setdefault(b, []).append((cid, a))
+        walk = [(None, None, min(regions))] if regions else []
+        seen = {r for _, _, r in walk}
+        for _, _, r in walk:  # breadth first: the list grows as it is read
+            for cid, q in nbrs.get(r, ()):
+                if q not in seen:
+                    seen.add(q)
+                    walk.append((r, cid, q))
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "neighbors", MappingProxyType({r: tuple(across) for r, across in nbrs.items()}))
+        object.__setattr__(self, "walk", tuple(walk))
+
+    def __deepcopy__(self, memo) -> "RegionTree":
+        return self
+
+    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
+        return RegionTree, (self.sphere, self.regions, dict(self.edges))
 
     def adjacent(self, circle: str) -> tuple[str, str]:
         return self.edges[circle]
@@ -130,24 +168,9 @@ class RegionTree:
         a, b = self.edges[circle]
         return b if region == a else a
 
-    def neighbors(self) -> dict[str, list[tuple[str, str]]]:
-        """Region -> [(circle, region across it)], in edge order."""
-        nbrs: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for cid, (a, b) in self.edges.items():
-            nbrs[a].append((cid, b))
-            if b != a:
-                nbrs[b].append((cid, a))
-        return nbrs
-
     def is_leaf(self, region: str) -> bool:
-        """Whether exactly one circle borders ``region``; stops at the second."""
-        seen = False
-        for a, b in self.edges.values():
-            if region == a or region == b:
-                if seen:
-                    return False
-                seen = True
-        return seen
+        """Whether exactly one circle borders ``region``."""
+        return len(self.neighbors.get(region, ())) == 1
 
 
 @dataclass
@@ -179,12 +202,12 @@ class TorusPosition:
     def circle_slots(self) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
         """Circle id -> every (piece, slot) glued to it, in piece then slot order.
 
-        Built afresh on each call and never stored on the position: tests
-        edit positions in place, so a kept index would go stale.  Callers
-        that look up many circles build it once and read it with
+        Built afresh on each call and never stored on the position: tests edit
+        the pieces of a clone in place, so a kept index would go stale.
+        Callers that look up many circles build it once and read it with
         ``end_slot``.  Inside ``normalize`` and ``perturb`` each ``_step``
-        updates the index (``_reindexed``) instead of building it again;
-        the tests pin the update equal to a fresh build.
+        updates the index (``_reindexed``) instead of building it again; the
+        tests pin the update equal to a fresh build.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
@@ -652,8 +675,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     for cid in sorted(circles):
         problems.extend(_circle_problems(t, cid, index, known))
     counts = tally.counts if tally else Counter(c.sphere for c in t.circles.values())
-    nbrs: dict[str, dict] = {}
-    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts, nbrs))
+    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts))
     if problems:
         return problems
 
@@ -682,7 +704,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     else:  # the trees are valid by now, so a sphere's edges are its circles
         ends = ends | {(piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
                        for piece, slot in index[cid]}
-    problems.extend(_validate_side_anchors(t, ends, nbrs))
+    problems.extend(_validate_side_anchors(t, ends))
     return problems
 
 
@@ -744,11 +766,8 @@ def _circle_problems(t: TorusPosition, cid: str, index, spheres: set[str]) -> li
     return problems
 
 
-def _validate_trees(t: TorusPosition, spheres: list[str], counts, nbrs: dict) -> list[str]:
-    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles.
-
-    Leaves each walked tree's ``neighbors()`` in ``nbrs``, by sphere.
-    """
+def _validate_trees(t: TorusPosition, spheres: list[str], counts) -> list[str]:
+    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles."""
     problems = []
     for s in spheres:
         tree = t.trees.get(s)
@@ -763,36 +782,25 @@ def _validate_trees(t: TorusPosition, spheres: list[str], counts, nbrs: dict) ->
         if len(tree.regions) != len(tree.edges) + 1:
             problems.append(f"region tree of {s} has {len(tree.regions)} regions for {len(tree.edges)} circles")
             continue
-        if not tree.regions:
-            problems.append(f"region tree of {s} empty")
-            continue
         for cid, (a, b) in tree.edges.items():
             if a not in tree.regions or b not in tree.regions or a == b:
                 problems.append(f"region tree edge {cid} of {s} malformed")
-        around = nbrs[s] = tree.neighbors()
-        start = min(tree.regions)
-        reached, stack = {start}, [start]
-        while stack:
-            for _, q in around.get(stack.pop(), ()):
-                if q not in reached:
-                    reached.add(q)
-                    stack.append(q)
-        if tree.regions - reached:
+        if tree.regions - {r for _, _, r in tree.walk}:
             problems.append(f"region tree of {s} disconnected")
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nbrs: dict) -> list[str]:
+def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
     """Per piece and sphere end, region-side anchors must be consistent.
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
     that side; so every ``region_a`` must read A in the piece's side map
     at that end.  Checks the given (piece, end) pairs, in order, grouping
-    each piece's slots by end once, with one ``side_masks`` walk per sphere
-    end for all its pieces.  Runs only on positions whose circles and trees passed the other checks, where each
-    circle end holds one slot, so the pieces' bits never share a circle.
-    ``nbrs`` holds trees' ``neighbors()`` by sphere; it gains the missing ones.
+    each piece's slots by end once, with one ``side_masks`` pass per sphere
+    end for all its pieces.  Runs only on positions whose circles and trees
+    passed the other checks, where each circle end holds one slot, so the
+    pieces' bits never share a circle.
     """
     problems: list = []
     bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
@@ -809,10 +817,7 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
             problems.append((pid, he, anchors))  # decided below, once the masks are known
     if not bits:
         return problems
-    for he in bits:
-        if he.sphere not in nbrs:
-            nbrs[he.sphere] = t.trees[he.sphere].neighbors()
-    masks = {he: side_masks(t, he, mates, nbrs[he.sphere]) for he, mates in bits.items()}
+    masks = {he: side_masks(t, he, mates) for he, mates in bits.items()}
     out = []
     for problem in problems:
         if type(problem) is str:
@@ -824,17 +829,16 @@ def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]], nb
     return out
 
 
-def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int], nbrs) -> dict[str, int]:
+def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int]) -> dict[str, int]:
     """Region -> sides of many pieces of ``he``'s pants at once, as an int.
 
     ``bits`` gives each piece its own bit, set in a region's mask when the
-    collar over that region at ``he`` lies on the piece's B side.  One walk
-    from the least region flips a piece's bit across each circle it owns at
-    ``he``.  Each piece that crosses ``he`` is then re-based so that its
+    collar over that region at ``he`` lies on the piece's B side.  One pass
+    over the tree's ``walk`` flips a piece's bit across each circle it owns
+    at ``he``.  Each piece that crosses ``he`` is then re-based so that its
     first anchor there reads A; a piece that does not takes its
     ``uncrossed`` label.  The region tree must be a tree.
     """
-    tree = t.trees[he.sphere]
     flips: dict[str, int] = {}
     anchors: dict[str, str] = {}
     for pid, bit in bits.items():
@@ -842,15 +846,9 @@ def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int], nbrs) -> di
             if slot.half_edge == he:
                 flips[slot.circle] = bit
                 anchors.setdefault(pid, slot.region_a)
-    start = min(tree.regions)
-    mask = {start: 0}
-    queue = deque([start])
-    while queue:
-        r = queue.popleft()
-        for cid, q in nbrs.get(r, ()):
-            if q not in mask:
-                mask[q] = mask[r] ^ flips.get(cid, 0)
-                queue.append(q)
+    mask: dict[str, int] = {}
+    for parent, cid, r in t.trees[he.sphere].walk:  # the root comes first, with no parent and no circle
+        mask[r] = mask.get(parent, 0) ^ flips.get(cid, 0)
     base = 0
     for pid, bit in bits.items():
         if pid in anchors:
@@ -873,7 +871,7 @@ def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) ->
     there.  A sphere end the piece does not cross carries its ``uncrossed``
     label over every region.
     """
-    mask = side_masks(t, he, {piece.id: 1}, t.trees[he.sphere].neighbors()).get(region)
+    mask = side_masks(t, he, {piece.id: 1}).get(region)
     if mask is None:
         raise PositionError(f"region {region} not on sphere {he.sphere}")
     return SIDE_B if mask else SIDE_A

@@ -67,6 +67,13 @@ def _items(obj, key, kind: type, path, count: int | None = None) -> list:
     return [(_field(items, i, kind, path), (path, i)) for i in range(len(items))]
 
 
+def _put(into: dict, key, value, path) -> None:
+    """``into[key] = value``, or ``SchemaError`` at ``path``, where ``key`` was read, if ``into`` has it."""
+    if key in into:
+        raise SchemaError(_at(path, f"repeats {_shown(key._asdict() if type(key) is HalfEdge else key)}"))
+    into[key] = value
+
+
 def _he_json(he: HalfEdge) -> dict:
     return {"sphere": he.sphere, "end": he.end}
 
@@ -148,29 +155,34 @@ def position_from_json(obj: dict) -> TorusPosition:
 def _position(obj: dict, path) -> TorusPosition:
     _expect(obj, "position")
     g = _graph(_field(obj, "graph", dict, path), (path, "graph"))
-    circles = {}
+    circles: dict[str, Circle] = {}
     for c, at in _items(obj, "circles", dict, path):
         cid = _field(c, "id", str, at)
-        circles[cid] = Circle(cid, _field(c, "sphere", str, at))
-    pieces = {}
+        _put(circles, cid, Circle(cid, _field(c, "sphere", str, at)), (at, "id"))
+    pieces: dict[str, Piece] = {}
     for p, at in _items(obj, "pieces", dict, path):
         boundary = [
             BoundarySlot(_field(s, "circle", str, s_at), _half_edge(s, s_at), _field(s, "region_a", str, s_at))
             for s, s_at in _items(p, "boundary", dict, at)
         ]
-        sides = {
-            _half_edge(u, u_at): _field(u, "side", str, u_at) for u, u_at in _items(p, "uncrossed", dict, at)
-        }
+        sides: dict[HalfEdge, str] = {}
+        for u, u_at in _items(p, "uncrossed", dict, at):
+            _put(sides, _half_edge(u, u_at), _field(u, "side", str, u_at), (u_at, "half_edge"))
         pid, pants, genus = _field(p, "id", str, at), _field(p, "pants", str, at), _field(p, "genus", int, at)
-        pieces[pid] = Piece(pid, pants, genus, boundary, sides)
-    trees = {}
+        _put(pieces, pid, Piece(pid, pants, genus, boundary, sides), (at, "id"))
+    trees: dict[str, RegionTree] = {}
     for tr, at in _items(obj, "region_trees", dict, path):
-        edges = {}
+        edges: dict[str, tuple[str, str]] = {}
         for e, e_at in _items(tr, "edges", dict, at):
             (a, _), (b, _) = _items(e, "regions", str, e_at, 2)
-            edges[_field(e, "circle", str, e_at)] = (a, b)
+            _put(edges, _field(e, "circle", str, e_at), (a, b), (e_at, "circle"))
         s = _field(tr, "sphere", str, at)
-        trees[s] = RegionTree(s, {r for r, _ in _items(tr, "regions", str, at)}, edges)
+        regions: dict[str, None] = {}
+        for r, r_at in _items(tr, "regions", str, at):
+            _put(regions, r, None, r_at)
+        if s not in g.sphere_edges:
+            raise SchemaError(_at((at, "sphere"), f"no sphere {_shown(s)} in the graph"))
+        _put(trees, s, RegionTree(s, regions.keys(), edges), (at, "sphere"))
     bits = _field(obj, "side_transport", dict, path)
     transport = {cid: _field(bits, cid, bool, (path, "side_transport")) for cid in bits}
     return TorusPosition(g, pieces, circles, trees, transport)

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 import test_step_check
 from conftest import make_u_tubes
 
 from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2
-from normaltori.graphs import HalfEdge
+from normaltori.graphs import HalfEdge, build_standard, random_cubic
 from normaltori.moves import Cap, MoveError, NormalizeError, Slide, apply_move, find_moves, normalize
 from normaltori.normal_graph import canonicalize, decorate, equivalent, to_normal_torus
+from normaltori.oracle import perturb, random_normal_torus
 from normaltori.position import (
+    RegionTree,
     euler_characteristic,
     intersection_vector,
     is_normal,
@@ -201,3 +205,48 @@ def test_apply_move_is_pure(monkeypatch):
     monkeypatch.setattr(test_step_check, "_apply_inverse", checked("inverse", test_step_check._apply_inverse))
     assert len(test_step_check._corpus_steps()) == sum(steps.values())
     assert steps["move"] and steps["inverse"] and shared
+
+
+def _renamed_regions(t, rng):
+    """A clone of ``t`` with every region renamed through a random bijection onto fresh ids."""
+    regions = sorted(r for tree in t.trees.values() for r in tree.regions)
+    names = [f"q{i}" for i in range(len(regions))]
+    rng.shuffle(names)
+    rename = dict(zip(regions, names))
+    out = t.clone()
+    out.trees = {
+        s: RegionTree(s, {rename[r] for r in tree.regions},
+                      {cid: (rename[a], rename[b]) for cid, (a, b) in tree.edges.items()})
+        for s, tree in t.trees.items()
+    }
+    for piece in out.pieces.values():
+        for slot in piece.boundary:
+            slot.region_a = rename[slot.region_a]
+    return out
+
+
+def test_region_names_do_not_matter():
+    """Normalize takes as many moves of the same kinds to the same counts and canonical code under any region renaming.
+
+    Confluence ``explored`` counts are not compared: the state key breaks
+    colour ties by id, so they may move under a renaming.
+    """
+    rng = random.Random(20)
+    cases = 0
+    for rank in (2, 3, 4):
+        for g in (build_standard(rank), random_cubic(rank, 11 * rank)):
+            for seed in range(10):
+                base = random_normal_torus(g, seed, 2 + rank)
+                for k in (1, 4, 9):
+                    messy = perturb(base, 100 * rank + 10 * seed + k, k)
+                    renamed = _renamed_regions(messy, rng)
+                    assert validate_position(renamed) == []
+                    assert {r for tree in renamed.trees.values() for r in tree.regions}.isdisjoint(
+                        {r for tree in messy.trees.values() for r in tree.regions})
+                    want, got = normalize(messy), normalize(renamed)
+                    assert [type(r.move) for r in got.trace] == [type(r.move) for r in want.trace]
+                    assert len(got.trace) == k
+                    assert intersection_vector(got.position) == intersection_vector(want.position)
+                    assert canonicalize(decorate(got.torus)) == canonicalize(decorate(want.torus))
+                    cases += 1
+    assert cases == 180

@@ -121,9 +121,8 @@ def _reference_colours(t) -> list[tuple[dict, dict, dict]]:
     )
     circle_color = _reference_intern({cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()})
     index = t.circle_slots()
-    nbrs = {s: tree.neighbors() for s, tree in t.trees.items()}
     region_color = _reference_intern(
-        {r: (s, len(nbrs[s].get(r, ()))) for s, tree in t.trees.items() for r in tree.regions}
+        {r: (s, len(tree.neighbors.get(r, ()))) for s, tree in t.trees.items() for r in tree.regions}
     )
     rounds = [(piece_color, circle_color, region_color)]
     for _ in range(4):
@@ -143,9 +142,9 @@ def _reference_colours(t) -> list[tuple[dict, dict, dict]]:
             a, b = t.trees[t.circles[cid].sphere].edges[cid]
             new_circle[cid] = (circle_color[cid], ends, tuple(sorted((region_color[a], region_color[b]))))
         new_region = {}
-        for s, tree in t.trees.items():
+        for tree in t.trees.values():
             for r in tree.regions:
-                inc = tuple(sorted(circle_color[c] for c, _ in nbrs[s].get(r, ())))
+                inc = tuple(sorted(circle_color[c] for c, _ in tree.neighbors.get(r, ())))
                 new_region[r] = (region_color[r], inc)
         piece_color, circle_color, region_color = (
             _reference_intern(new_piece), _reference_intern(new_circle), _reference_intern(new_region)
@@ -416,7 +415,7 @@ def test_inverse_candidates_match_side_of_region():
         assert cands == _candidates_by_side_of_region(t)
         loops += any(is_loop(t.graph, s) for s in t.graph.sphere_edges)
         nested += any(
-            sum(len(across) > 1 for across in tree.neighbors().values()) > 1 for tree in t.trees.values()
+            sum(len(across) > 1 for across in tree.neighbors.values()) > 1 for tree in t.trees.values()
         )
         flipped += not all(t.transport.values())
         reachable = sum(len(t.trees[he.sphere].regions) for p in t.pieces.values() for he in p.uncrossed)

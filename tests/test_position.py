@@ -1,16 +1,23 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
+from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
 
 import normaltori
-from conftest import is_loop, piece_at
+from conftest import criterion_3_inputs, is_loop, piece_at
+from test_acceptance import _fuzz_corpus
+
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
 from normaltori.graphs import HalfEdge, build_standard
+from normaltori.normal_graph import to_normal_torus
 from normaltori.position import (
     SIDE_A,
     SIDE_B,
@@ -176,9 +183,13 @@ def test_side_anchor_conflict_behind_an_anchored_region():
 
 _VALIDATE_MALFORMED = """
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.position import validate_position
+from normaltori.position import RegionTree, validate_position
 t = make_t0()
-t.trees["s0"].edges["c0"] = ("r0", "rX")
+for ends in (("r0", "rX"), ("r0", "r0")):
+    t.trees["s0"] = RegionTree("s0", {"r0", "r1"}, {"c0": ends})
+    print(validate_position(t))
+t = make_t0()
+t.trees["s2"] = RegionTree("s2", set(), {})
 print(validate_position(t))
 t = make_t2()
 t.pieces["F2"].uncrossed.clear()
@@ -195,6 +206,78 @@ def test_validate_output_independent_of_hash_seed():
                               capture_output=True, text=True, timeout=60, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1
-    tree_problems, uncrossed_problems = outputs.pop().splitlines()
-    assert "region tree edge c0 of s0 malformed" in tree_problems
+    foreign, loop, no_regions, uncrossed_problems = outputs.pop().splitlines()
+    assert foreign == loop == str(["region tree edge c0 of s0 malformed", "region tree of s0 disconnected"])
+    assert no_regions == str(["region tree of s2 has 0 regions for 0 circles"])
     assert uncrossed_problems.count("missing uncrossed side") == 2
+
+
+def _reference_neighbors(tree) -> dict:
+    """The per-call ``RegionTree.neighbors()`` body that the stored field replaced."""
+    nbrs = defaultdict(list)
+    for cid, (a, b) in tree.edges.items():
+        nbrs[a].append((cid, b))
+        if b != a:
+            nbrs[b].append((cid, a))
+    return nbrs
+
+
+def _reference_walk(tree) -> list:
+    """The per-call deque BFS of ``side_masks`` from the least region, as (parent, circle, region) steps."""
+    if not tree.regions:
+        return []
+    nbrs = _reference_neighbors(tree)
+    start = min(tree.regions)
+    walk, queue = [(None, None, start)], deque([start])
+    reached = {start}
+    while queue:
+        r = queue.popleft()
+        for cid, q in nbrs.get(r, ()):
+            if q not in reached:
+                reached.add(q)
+                walk.append((r, cid, q))
+                queue.append(q)
+    return walk
+
+
+def _reference_is_leaf(tree, region: str) -> bool:
+    """The edge scan that ``RegionTree.is_leaf`` ran per call."""
+    seen = False
+    for a, b in tree.edges.values():
+        if region == a or region == b:
+            if seen:
+                return False
+            seen = True
+    return seen
+
+
+def test_a_region_tree_is_an_immutable_value_built_once():
+    """The stored ``neighbors``, ``walk`` and ``is_leaf`` read what the per-call code computed."""
+    positions = [p for _, p in criterion_3_inputs()] + [t for _, _, t in _fuzz_corpus(per_graph=4)]
+    trees = [tree for t in positions for tree in t.trees.values()]
+    trees += [RegionTree("s0", {"r0", "r1"}, {"c0": ends}) for ends in (("r0", "rX"), ("r0", "r0"))]
+    trees.append(RegionTree("s2", set(), {}))
+    nested = 0
+    for tree in trees:
+        reference = _reference_neighbors(tree)
+        assert dict(tree.neighbors) == {r: tuple(across) for r, across in reference.items()}
+        assert list(tree.walk) == _reference_walk(tree)
+        for region in tree.regions | set(reference) | {"r-none"}:
+            assert tree.is_leaf(region) == _reference_is_leaf(tree, region)
+        nested += any(parent is not None and parent != tree.walk[0][2] for parent, _, _ in tree.walk)
+    assert len(trees) > 1000 and nested
+
+    t = make_t2()
+    tree = t.trees["s0"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.regions = set()
+    for mapping in (tree.edges, tree.neighbors):
+        with pytest.raises(TypeError):
+            mapping["r9"] = None
+    assert type(tree.regions) is frozenset
+    assert copy.deepcopy(tree) is tree
+    assert all(t.clone().trees[s] is t.trees[s] for s in t.trees)
+    again = pickle.loads(pickle.dumps(tree))
+    assert (again, again.neighbors, again.walk) == (tree, tree.neighbors, tree.walk)
+    nt = to_normal_torus(t)
+    assert pickle.loads(pickle.dumps(nt)).position.trees == nt.position.trees

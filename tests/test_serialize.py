@@ -121,6 +121,41 @@ def test_schema_errors():
         graph_from_json(ends)
 
 
+def _repeat(obj, where):
+    """Append the first item of the list at ``where``, a path of keys and indices, to that list again."""
+    items = obj
+    for key in where:
+        items = items[key]
+    items.append(items[0])
+
+
+_REPEATED = {
+    "tree": (lambda t: _repeat(t, ["region_trees"]), 'region_trees[3].sphere: repeats "s0"'),
+    "piece": (lambda t: _repeat(t, ["pieces"]), 'pieces[2].id: repeats "F0"'),
+    "circle": (lambda t: _repeat(t, ["circles"]), 'circles[2].id: repeats "c0"'),
+    "region": (lambda t: _repeat(t, ["region_trees", 0, "regions"]), 'region_trees[0].regions[2]: repeats "r0"'),
+    "tree-edge": (lambda t: _repeat(t, ["region_trees", 0, "edges"]),
+                  'region_trees[0].edges[1].circle: repeats "c0"'),
+    "uncrossed": (lambda t: _repeat(t, ["pieces", 0, "uncrossed"]),
+                  'pieces[0].uncrossed[1].half_edge: repeats {"end": 1, "sphere": "s2"}'),
+    "foreign-sphere": (lambda t: t["region_trees"].append({"sphere": "s9", "regions": ["r9"], "edges": []}),
+                       'region_trees[3].sphere: no sphere "s9" in the graph'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED))
+def test_position_reader_rejects_repeated_entries(case, tmp_path, capsys):
+    """A repeated entry, or a tree of a sphere the graph lacks, is an error, not silently dropped."""
+    edit, where = _REPEATED[case]
+    obj = position_to_json(make_t0())
+    edit(obj)
+    path = tmp_path / f"{case}.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: malformed position: {where}\n")
+
+
 def test_written_files_load_back_unchanged(tmp_path, monkeypatch):
     positions = [make_t0(), normalize(make_t1()).torus.position, make_t2()]
     positions += [random_normal_torus(build_standard(3), 0, 12), random_normal_torus(random_cubic(4, 7), 1, 12)]

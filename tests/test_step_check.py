@@ -34,6 +34,7 @@ from normaltori.oracle import (
 from normaltori.position import (
     BoundarySlot,
     Circle,
+    RegionTree,
     end_slot,
     intersection_vector,
     is_boundary_parallel_disk,
@@ -80,12 +81,13 @@ def _slot(rng, t):
 def _drop_circle(rng, t):
     """Remove a circle everywhere but in the pieces, keeping its tree a tree."""
     cid = _pick(rng, t.circles)
-    tree = t.trees[t.circles.pop(cid).sphere]
+    sphere = t.circles.pop(cid).sphere
+    tree = t.trees[sphere]
     t.transport.pop(cid)
-    keep, gone = tree.edges.pop(cid)
-    tree.regions.discard(gone)
-    for other, (a, b) in tree.edges.items():
-        tree.edges[other] = (keep if a == gone else a, keep if b == gone else b)
+    keep, gone = tree.edges[cid]
+    edges = {other: (keep if a == gone else a, keep if b == gone else b)
+             for other, (a, b) in tree.edges.items() if other != cid}
+    t.trees[sphere] = RegionTree(sphere, tree.regions - {gone}, edges)
 
 
 def _swap_far_ends(rng, t):
@@ -112,7 +114,9 @@ def _swap_tree_edges(rng, t):
     if spheres:
         tree = t.trees[_pick(rng, spheres)]
         c1, c2 = rng.sample(sorted(tree.edges), 2)
-        tree.edges[c1], tree.edges[c2] = tree.edges[c2], tree.edges[c1]
+        edges = dict(tree.edges)
+        edges[c1], edges[c2] = edges[c2], edges[c1]
+        t.trees[tree.sphere] = RegionTree(tree.sphere, tree.regions, edges)
 
 
 def _genus(rng, t):
@@ -165,15 +169,19 @@ def _transport(rng, t):
 def _tree_edge(rng, t):
     tree = t.trees[_pick(rng, t.trees)]
     if tree.edges:
-        tree.edges[_pick(rng, tree.edges)] = (_pick(rng, tree.regions), _pick(rng, tree.regions))
+        # regions, then the circle: the draw order that the pinned mutant counts rest on
+        ends = _pick(rng, tree.regions), _pick(rng, tree.regions)
+        edges = {**tree.edges, _pick(rng, tree.edges): ends}
+        t.trees[tree.sphere] = RegionTree(tree.sphere, tree.regions, edges)
 
 
 def _tree_region(rng, t):
     tree = t.trees[_pick(rng, t.trees)]
     if rng.random() < 0.5 or len(tree.regions) == 1:
-        tree.regions.add("rX")
+        regions = tree.regions | {"rX"}
     else:
-        tree.regions.discard(_pick(rng, tree.regions))
+        regions = tree.regions - {_pick(rng, tree.regions)}
+    t.trees[tree.sphere] = RegionTree(tree.sphere, regions, tree.edges)
 
 
 def _circle_sphere(rng, t):
@@ -186,8 +194,8 @@ def _add_circle(rng, t):
     t.transport["cX"] = True
     if rng.random() < 0.5:
         tree = t.trees[sphere]
-        tree.edges["cX"] = (_pick(rng, tree.regions), "rX")
-        tree.regions.add("rX")
+        edges = {**tree.edges, "cX": (_pick(rng, tree.regions), "rX")}
+        t.trees[sphere] = RegionTree(sphere, tree.regions | {"rX"}, edges)
 
 
 def _add_piece(rng, t):

@@ -409,7 +409,9 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     pieces of the ``Tally``, over the index, both carried by ``position._step``
     from the step before; the normal torus is built from the last index.
     A move must lower the total by one and raise no sphere's count; those
-    counts are checked before the step's problems.
+    counts are checked before the step's problems.  Once no move is left,
+    the stuck verdict is the tally's set of non-normal pieces; ``is_normal``
+    runs only to name them.
     """
     trace: list[MoveRecord] = []
     index, current, tally = t.circle_slots(), t, Tally.of(t)
@@ -425,7 +427,6 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
         current, index, tally = nxt, nxt_index, nxt_tally
-    ok, violations = is_normal(current)
-    if not ok:
-        raise NormalizeError("stuck non-normal: " + "; ".join(violations))
+    if tally.abnormal:  # exactly the pieces ``is_normal`` finds a violation in
+        raise NormalizeError("stuck non-normal: " + "; ".join(is_normal(current)[1]))
     return NormalizeResult(current, _normal_torus(current, index), trace)

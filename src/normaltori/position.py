@@ -21,8 +21,9 @@ takes a move's or an inverse move's raw result and returns the result's
 from the step before, with the result's problems: from
 ``validate_position`` for a loop's last step or a normal result, else
 from ``_validate_delta``, the one step check.  That check takes its scope
-from the delta; the tests pin that scope equal to the one found by
-comparing the two positions by value.
+from the delta and walks the whole piece graph, as the full check does;
+the tests pin that scope equal to the one found by comparing the two
+positions by value.
 """
 
 from __future__ import annotations
@@ -266,13 +267,10 @@ def monodromy_certificate(t: TorusPosition) -> list[str] | None:
     return _walk_piece_graph(t.pieces, _piece_edges(t, t.circle_slots()))[3]
 
 
-def _piece_edges(t: TorusPosition, index, circles=None) -> list[tuple[str, str, str, bool]]:
-    """(circle, piece, piece, flip) per circle of ``t`` with two slots, in circle order.
-
-    ``circles`` limits the edges to those circles; ids ``t`` lacks are skipped.
-    """
+def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
+    """(circle, piece, piece, flip) per circle of ``t`` with two slots, in circle order."""
     edges = []
-    for cid in sorted(t.circles if circles is None else t.circles.keys() & circles):
+    for cid in sorted(t.circles):
         pair = index.get(cid, ())
         if len(pair) == 2:
             (piece_a, _), (piece_b, _) = pair
@@ -283,9 +281,9 @@ def _piece_edges(t: TorusPosition, index, circles=None) -> list[tuple[str, str, 
 def _walk_piece_graph(nodes, edges):
     """(nodes reached from the least node, side bits, BFS tree, first bad cycle).
 
-    The one walk over a piece graph: ``_validate`` and
-    ``monodromy_certificate`` read it off a position's circles, ``_joins``
-    off a step's changed circles, and ``normal_graph.NormalTorus`` off its
+    The one walk over a piece graph: ``_validate`` (for the full check and
+    the step check alike) and ``monodromy_certificate`` read it off a
+    position's circles, and ``normal_graph.NormalTorus`` off its
     crossings, once, when it is built.  ``edges`` holds (circle, node,
     node, flip) in circle order; an endpoint of an edge that is no
     self-loop is a node even when ``nodes`` lacks it.  The side bits list
@@ -559,20 +557,18 @@ class Tally:
         return Tally(counts, euler, genus, abnormal)
 
 
-def _validate_delta(before: TorusPosition, before_index, after: TorusPosition, index, delta: Delta,
-                    tally: Tally) -> list[str]:
+def _validate_delta(before: TorusPosition, after: TorusPosition, index, delta: Delta, tally: Tally) -> list[str]:
     """``validate_position(after)`` for a step from a valid ``before`` that reports its ``Delta``.
 
     The one step check: it returns the same list, in the same order, but
-    skips the graph check and re-checks only what the step can have
-    changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()`` and
-    ``Tally``, and ``before_index`` is ``before``'s index.  The scope comes
-    from the delta (``_delta_scope``), and the global checks read the tally
-    and ``_same_joins``; only a step that changes how the piece graph joins
-    gets the full walk.
+    skips the graph check and re-checks per item only what the step can
+    have changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()``
+    and ``Tally``.  The scope comes from the delta (``_delta_scope``), the
+    per-sphere counts, the Euler sum and the genus verdict from the tally,
+    and connectivity and monodromy from the same full walk of the piece
+    graph that ``validate_position`` makes.
     """
-    scope = _delta_scope(before, after, index, delta)
-    return _validate(after, index, *scope, step=(before, before_index, delta, tally))
+    return _validate(after, index, *_delta_scope(before, after, index, delta), tally)
 
 
 def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False):
@@ -593,81 +589,24 @@ def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False)
     if last or not after_tally.abnormal:
         problems = validate_position(after)
     else:
-        problems = _validate_delta(before, index, after, after_index, delta, after_tally)
+        problems = _validate_delta(before, after, after_index, delta, after_tally)
     return after, after_index, delta, after_tally, problems
 
 
-def _joins(t: TorusPosition, index, inner: set[str], circles: set[str]):
-    """How the piece subgraph over ``circles`` joins the pieces outside ``inner``.
-
-    The subgraph holds the pieces of ``inner`` that ``t`` has and every
-    circle of ``circles`` with two slots.  Returns (boundary piece -> (least
-    boundary piece of its component, flip parity between the two)), the
-    number of components with no boundary piece, and whether some cycle has
-    an odd flip count; the first two are read only when it is False.  An
-    endpoint of a self-loop alone is no node.
-    """
-    edges = _piece_edges(t, index, circles)
-    _, side, parent, bad = _walk_piece_graph(inner & t.pieces.keys(), edges)
-    components: list[list[str]] = []
-    for n in side:  # each component's nodes come together, its least node first
-        if parent[n] is None:
-            components.append([])
-        components[-1].append(n)
-    at: dict[str, tuple[str, bool]] = {}
-    free = 0
-    for component in components:
-        boundary = [n for n in component if n not in inner]
-        if not boundary:
-            free += 1
-            continue
-        root = min(boundary)
-        for n in boundary:
-            at[n] = (root, side[n] ^ side[root])
-    return at, free, bad is not None
-
-
-def _same_joins(t: TorusPosition, index, before: TorusPosition, before_index, delta: Delta) -> bool:
-    """Whether a step on a valid ``before`` keeps ``t``'s piece graph connected and two-sided.
-
-    The changed circles are those added, removed, with a new transport bit
-    or with a new holder; the inner pieces are the changed pieces that
-    hold one, with every circle they hold.  Outside these both piece
-    graphs are one shared rest, which meets each inner part only at
-    pieces outside it (the boundary).  If both parts join the boundary
-    alike (same components, same flip parity between pieces of a
-    component), leave the same number of components off it, and the new
-    part has no odd cycle, then ``t`` has as many components as ``before``
-    and is as two-sided.  A piece whose sides a step swaps is inner, so
-    the parities see no gauge change.  False means the full walk must
-    decide.
-    """
-    circles = delta.circles | delta.transport | delta.rewired
-    inner = {pid for pid in delta.pieces if pid not in before.pieces or pid not in t.pieces}
-    inner.update(piece.id for cid in circles for piece, _ in before_index.get(cid, ()) if piece.id in delta.pieces)
-    inner.update(piece.id for cid in circles for piece, _ in index.get(cid, ()) if piece.id in delta.pieces)
-    circles |= _owned_circles(before, t, inner)
-    old_at, *old = _joins(before, before_index, inner, circles)
-    new_at, *new = _joins(t, index, inner, circles)
-    if new[1] or old != new:
-        return False
-    return all(old_at.get(n, (n, False)) == new_at.get(n, (n, False)) for n in old_at.keys() | new_at.keys())
-
-
-def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends, step=None) -> list[str]:
+def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends,
+              tally: Tally | None = None) -> list[str]:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
     ``index`` is ``t.circle_slots()``.  The per-item checks run in id
     order (spheres in graph order), and the global checks and the side
     anchors at ``ends`` (None: every end of every piece) and at every end
     on a given sphere only once those found nothing, so any scope that
-    holds every item with a problem gives the same list.  ``step`` is
-    (before, its index, ``Delta``, ``t``'s ``Tally``) for the result of a
-    step from a valid ``before``: the per-sphere counts, the Euler sum and
-    the genus verdict are then read off the tally, and connectivity and
-    monodromy need the full walk only when ``_same_joins`` cannot tell.
+    holds every item with a problem gives the same list.  ``tally`` is
+    ``t``'s ``Tally`` for the result of a step from a valid position: the
+    per-sphere counts, the Euler sum and the genus verdict are then read
+    off it.  Connectivity and monodromy always come from the one
+    ``_walk_piece_graph`` over every piece.
     """
-    before, before_index, delta, tally = step or (None, None, None, None)
     problems = []
     for pid in sorted(pieces):
         problems.extend(_piece_problems(t, pid))
@@ -683,12 +622,8 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    if tally and _same_joins(t, index, before, before_index, delta):
-        connected, bad_cycle = True, None
-    else:
-        reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
-        connected = not t.pieces or reached == len(t.pieces)
-    if not connected:
+    reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
+    if reached != len(t.pieces):
         problems.append("piece graph disconnected")
 
     flat = tally.genus == 0 if tally else all(p.genus == 0 for p in t.pieces.values())

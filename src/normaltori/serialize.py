@@ -105,14 +105,16 @@ def graph_from_json(obj: dict) -> SphereGraph:
 def _graph(obj: dict, path) -> SphereGraph:
     _expect(obj, "sphere_graph")
     incidence: dict[HalfEdge, Attachment] = {}
-    sphere_edges = []
+    sphere_edges: dict[str, None] = {}
     for edge, at in _items(obj, "edges", dict, path):
         s = _field(edge, "id", str, at)
-        sphere_edges.append(s)
+        _put(sphere_edges, s, None, (at, "id"))
         for end, (e, e_at) in enumerate(_items(edge, "ends", dict, at, 2)):
             incidence[HalfEdge(s, end)] = Attachment(_field(e, "p", str, e_at), _field(e, "slot", int, e_at))
-    p_vertices = [p for p, _ in _items(obj, "p_vertices", str, path)]
-    return SphereGraph(_field(obj, "rank", int, path), p_vertices, sphere_edges, incidence)
+    p_vertices: dict[str, None] = {}
+    for p, p_at in _items(obj, "p_vertices", str, path):
+        _put(p_vertices, p, None, p_at)
+    return SphereGraph(_field(obj, "rank", int, path), tuple(p_vertices), tuple(sphere_edges), incidence)
 
 
 def position_to_json(t: TorusPosition) -> dict:

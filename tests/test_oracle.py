@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from conftest import criterion_3_inputs, is_loop
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard, random_cubic
-from normaltori.moves import find_moves, normalize
-from normaltori.normal_graph import bounds_solid_torus, decorate, equivalent, to_normal_torus
+from normaltori.moves import Slide, apply_move, find_moves, normalize
+from normaltori.normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from normaltori.oracle import (
     confluence_search,
     minimality_experiment,
@@ -421,3 +423,42 @@ def test_inverse_candidates_match_side_of_region():
         reachable = sum(len(t.trees[he.sphere].regions) for p in t.pieces.values() for he in p.uncrossed)
         narrowed += sum(c[0] == "finger" for c in cands) < reachable
     assert loops and nested and flipped and narrowed
+
+
+def _regauging_slides(t, trace) -> int:
+    """How many slides of ``trace``, replayed from ``t``, flip the transport bit of a circle they keep."""
+    count = 0
+    for record in trace:
+        nxt = apply_move(t, record.move)
+        kept = t.circles.keys() & nxt.circles.keys()
+        count += type(record.move) is Slide and any(t.transport[c] != nxt.transport[c] for c in kept)
+        t = nxt
+    return count
+
+
+def test_gauge_flips_do_not_matter():
+    """Swapping the sides of any one piece of a perturbed torus changes no verdict of ``normalize``.
+
+    The flipped position is the same surface with other labels and bits,
+    so it is valid, and ``normalize`` takes it in as many moves to the same
+    intersection vector and canonical code.  A flipped bit reaches the
+    slides: some slide must regauge a far piece and so flip the bit of a
+    circle it keeps, a branch that all-True generated bits never take.
+    """
+    flips = regauging = 0
+    for rank in range(2, 6):
+        for g, seed, k in product((build_standard(rank), random_cubic(rank, 3 * rank)), (rank, rank + 20), (3, 7, 12)):
+            messy = perturb(random_normal_torus(g, seed, 2 + rank), 10 * seed + k, k)
+            want = normalize(messy)
+            code = canonicalize(decorate(want.torus))
+            for pid in sorted(messy.pieces):
+                flipped = _flip_gauge(messy, pid)
+                assert validate_position(flipped) == []
+                got = normalize(flipped)
+                assert len(got.trace) == len(want.trace) == k
+                assert intersection_vector(got.position) == intersection_vector(want.position)
+                assert canonicalize(decorate(got.torus)) == code
+                regauging += _regauging_slides(flipped, got.trace)
+                flips += 1
+    assert regauging
+    print(f"{flips} gauge flips, {regauging} slides that regauge a kept circle")

@@ -140,6 +140,8 @@ _REPEATED = {
                   'pieces[0].uncrossed[1].half_edge: repeats {"end": 1, "sphere": "s2"}'),
     "foreign-sphere": (lambda t: t["region_trees"].append({"sphere": "s9", "regions": ["r9"], "edges": []}),
                        'region_trees[3].sphere: no sphere "s9" in the graph'),
+    "graph-pants": (lambda t: _repeat(t, ["graph", "p_vertices"]), 'graph.p_vertices[2]: repeats "p0"'),
+    "graph-sphere": (lambda t: _repeat(t, ["graph", "edges"]), 'graph.edges[3].id: repeats "s0"'),
 }
 
 
@@ -154,6 +156,19 @@ def test_position_reader_rejects_repeated_entries(case, tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: malformed position: {where}\n")
+
+
+@pytest.mark.parametrize("key, where", [("p_vertices", 'p_vertices[4]: repeats "p0"'),
+                                        ("edges", 'edges[6].id: repeats "s0"')])
+def test_graph_reader_rejects_repeated_pants_and_spheres(key, where, tmp_path, capsys):
+    """A pants or a sphere listed twice in a graph file is named, not counted into the betti number."""
+    obj = graph_to_json(build_standard(3))
+    _repeat(obj, [key])
+    path = tmp_path / "g.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: malformed sphere_graph: {where}\n")
 
 
 def test_written_files_load_back_unchanged(tmp_path, monkeypatch):

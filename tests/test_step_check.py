@@ -2,12 +2,13 @@
 
 ``normalize`` and ``perturb`` fully validate only their input and their
 last step's result, and check every step in between with
-``_validate_delta``, which re-checks only what the step's ``Delta`` says
-it changed; ``position._step`` makes that choice for both.  These tests
-pin that the two checks agree, on real steps and on mutants of them;
-that a move's delta gives the same scope as one found by comparing the
-two positions by value; that the step check's ``_joins`` agrees with a
-walk of its own; and that the callers keep to the two full checks.
+``_validate_delta``, which re-checks per item only what the step's
+``Delta`` says it changed, reads the global sums off the ``Tally`` and
+walks the whole piece graph as the full check does; ``position._step``
+makes that choice for both.  These tests pin that the two checks agree,
+on real steps and on mutants of them; that a move's delta gives the same
+scope as one found by comparing the two positions by value; and that the
+callers keep to the two full checks.
 """
 
 from __future__ import annotations
@@ -370,7 +371,7 @@ def _by_value_delta(before, after):
 
 def test_deltas_match_the_by_value_step():
     """On every corpus step the delta, the carried index, the moves and the candidate cache agree with fresh builds."""
-    walked = fallbacks = 0
+    walked = 0
     cache = last = None
     kinds = set()
     by_value = iter(_corpus_steps())
@@ -390,15 +391,13 @@ def test_deltas_match_the_by_value_step():
         cache.update(before, after, carried, delta)
         assert cache.list() == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
-        assert problems == position._validate_delta(before, index, after, carried, delta, tally) == []
-        fallbacks += not position._same_joins(after, carried, before, index, delta)
+        assert problems == position._validate_delta(before, after, carried, delta, tally) == []
         walked += 1
         kinds.add(kind)
         last = after
     assert next(by_value, None) is None
     assert kinds == {"dome", "finger", "Slide", "Cap"}
-    assert fallbacks == 0
-    print(f"deltas match on {walked} steps; {fallbacks} fell back to the full walk")
+    print(f"deltas match on {walked} steps")
 
 
 @pytest.mark.parametrize("rank", range(2, 7))
@@ -431,15 +430,13 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
 
 
 def _validate_by_value(before, after):
-    """(``_validate_delta`` of the step from a valid ``before`` to ``after``, whether it fell back to the full walk).
+    """``_validate_delta`` of the step from a valid ``before`` to ``after``.
 
     The delta is found by value, so ``after`` may be any edited clone.
     """
-    index, after_index = before.circle_slots(), after.circle_slots()
     delta = _by_value_delta(before, after)
     tally = position.Tally.of(before).stepped(before, after, delta)
-    got = position._validate_delta(before, index, after, after_index, delta, tally)
-    return got, not position._same_joins(after, after_index, before, index, delta)
+    return position._validate_delta(before, after, after.circle_slots(), delta, tally)
 
 
 _TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
@@ -448,29 +445,27 @@ _TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
 def _check_mutants(steps, seed):
     """Four mutants of each step's result, drawn with ``seed``: ``_validate_delta`` must give ``validate_position``'s list."""
     rng = random.Random(seed)
-    mutants = rejected = fallbacks = 0
+    mutants = rejected = 0
     seen = set()
     for before, after in steps:
         for _ in range(4):
             mutant = _mutate(rng, after)
-            got, fell_back = _validate_by_value(before, mutant)
             want = validate_position(mutant)
-            assert got == want
+            assert _validate_by_value(before, mutant) == want
             mutants += 1
             rejected += bool(want)
-            fallbacks += fell_back
             seen.update(tag for problem in want for tag in _TAGS if tag in problem)
     assert mutants >= 600 and rejected * 3 >= mutants
     assert seen == set(_TAGS)
     print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "
-          f"({rejected} rejected, {fallbacks} fell back)")
+          f"({rejected} rejected)")
 
 
 def test_validate_step_matches_validate_position():
     """The step check gives the full check's list on every corpus step and on seed 5's mutants of them."""
     steps = _corpus_steps()
     for before, after in steps:
-        assert _validate_by_value(before, after)[0] == validate_position(after) == []
+        assert _validate_by_value(before, after) == validate_position(after) == []
         assert all(map(is_normal_piece, after.pieces.values())) == is_normal(after)[0]
     _check_mutants(steps, 5)
 
@@ -480,74 +475,6 @@ def test_validate_delta_matches_validate_position_on_mutants():
     _check_mutants(_corpus_steps(), 6)
 
 
-def _reference_joins(t, index, inner, circles):
-    """``position._joins`` with a parity walk of its own: the reference for the one on ``_walk_piece_graph``."""
-    adj = {pid: [] for pid in inner & t.pieces.keys()}
-    odd = False
-    for cid in circles:
-        pair = index.get(cid, ()) if cid in t.circles else ()
-        if len(pair) != 2:
-            continue
-        (a, _), (b, _) = pair
-        flip = not t.transport.get(cid, True)
-        if a.id == b.id:
-            odd |= flip
-            continue
-        adj.setdefault(a.id, []).append((b.id, flip))
-        adj.setdefault(b.id, []).append((a.id, flip))
-    side, at, free = {}, {}, 0
-    for start in adj:
-        if start in side:
-            continue
-        side[start] = False
-        component = [start]
-        for n in component:
-            for other, flip in adj[n]:
-                if other not in side:
-                    side[other] = side[n] ^ flip
-                    component.append(other)
-                elif side[other] != side[n] ^ flip:
-                    odd = True
-        boundary = [n for n in component if n not in inner]
-        if not boundary:
-            free += 1
-            continue
-        root = min(boundary)
-        for n in boundary:
-            at[n] = (root, side[n] ^ side[root])
-    return at, free, odd
-
-
-def test_joins_match_the_reference(monkeypatch):
-    """Both sides of ``_same_joins`` on every corpus step and seed 5's mutants join as the reference walk says."""
-    calls = []
-    real = position._joins
-
-    def checked(t, index, inner, circles):
-        got, want = real(t, index, inner, circles), _reference_joins(t, index, inner, circles)
-        assert got[2] == want[2]  # the odd flags
-        if not want[2]:
-            assert got[:2] == want[:2]  # (at, free)
-        calls.append(want)
-        return got
-
-    monkeypatch.setattr(position, "_joins", checked)
-    steps = 0  # the step check inside ``_step`` calls ``_joins`` too
-    for _, before, index, after, carried, delta, _, _ in _corpus_deltas():
-        position._same_joins(after, carried, before, index, delta)
-        steps += 1
-    rng = random.Random(5)  # the mutants of ``_check_mutants(steps, 5)``
-    for before, after in _corpus_steps():
-        for _ in range(4):
-            mutant = _mutate(rng, after)
-            position._same_joins(mutant, mutant.circle_slots(), before, before.circle_slots(),
-                                 _by_value_delta(before, mutant))
-    odd = sum(want[2] for want in calls)
-    assert steps >= 150 and len(calls) >= 2 * (steps + 4 * steps) and odd
-    assert any(free for _, free, _ in calls) and any(len({root for root, _ in at.values()}) > 1 for at, _, _ in calls)
-    print(f"_joins == reference on {len(calls)} calls over {steps} steps, {odd} with an odd cycle")
-
-
 def test_step_scope_does_not_grow_with_the_torus():
     """On the ladder's smallest and largest probe, the delta scope per step stays under one bound.
 
@@ -555,20 +482,19 @@ def test_step_scope_does_not_grow_with_the_torus():
     for (r, sb, k) = (6, 16, 32) and (12, 64, 256): 48 and 321 circles at
     the peak.  A step's scope counts its pieces, circles and spheres.
     """
-    largest, fallbacks = {}, {}
+    largest = {}
     for r, sb, k in ((6, 16, 32), (12, 64, 256)):
-        sizes, misses = [], [0]
+        sizes = []
 
-        def record(before, before_index, after, index, delta, tally, real=position._validate_delta):
+        def record(before, after, index, delta, tally, real=position._validate_delta):
             sizes.append(sum(map(len, position._delta_scope(before, after, index, delta)[:3])))
-            misses[0] += not position._same_joins(after, index, before, before_index, delta)
-            return real(before, before_index, after, index, delta, tally)
+            return real(before, after, index, delta, tally)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(position, "_validate_delta", record)
             base = random_normal_torus(build_standard(r), 1, sb)
             assert len(normalize(perturb(base, 7, k)).trace) == k
         assert len(sizes) == 2 * (k - 1)
-        largest[r, sb, k], fallbacks[r, sb, k] = max(sizes), misses[0]
+        largest[r, sb, k] = max(sizes)
     assert all(size <= 16 for size in largest.values()), largest
-    print(f"largest scope per step: {largest}; steps that fell back to the full walk: {fallbacks}")
+    print(f"largest scope per step: {largest}")

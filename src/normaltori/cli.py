@@ -15,9 +15,8 @@ from pathlib import Path
 
 from . import serialize
 from .graphs import GraphError, build_standard, label_generators, random_cubic, validate_graph
-from .moves import NormalizeError, normalize
+from .moves import normalize
 from .normal_graph import (
-    KleinBottleError,
     axis_word,
     bounds_solid_torus,
     decorate,
@@ -81,11 +80,11 @@ def non_negative_int(text: str) -> int:
 def _normal_torus(kind, value, what):
     """The checked normal torus of a position, normal_torus or decorated_graph file.
 
-    A position must validate and be normal; the other two kinds were derived
-    from their own position when they were loaded.
+    A position must validate and be normal (``to_normal_torus``); the other
+    two kinds were derived from their own position when they were loaded.
     """
     if kind == "position":
-        return to_normal_torus(_checked(value))
+        return to_normal_torus(value)
     if kind == "normal_torus":
         return value
     if kind == "decorated_graph":
@@ -204,8 +203,7 @@ def cmd_fuzz(args) -> int:
 
 def cmd_confluence(args) -> int:
     kind, value = _read(args.input)
-    t = _checked(_want_position(kind, value, "confluence"))
-    result = confluence_search(t, args.depth)
+    result = confluence_search(_want_position(kind, value, "confluence"), args.depth)
     print(
         f"confluent: {result.confluent}; outcomes: {len(result.outcomes)}; "
         f"stuck: {result.stuck}; states explored: {result.explored}"
@@ -215,7 +213,7 @@ def cmd_confluence(args) -> int:
 
 def cmd_minimality(args) -> int:
     kind, value = _read(args.input)
-    t = _checked(_want_position(kind, value, "minimality"))
+    t = _want_position(kind, value, "minimality")
     report = minimality_experiment(t, args.trials, args.depth, seed=args.seed)
     if args.output:
         _write(args.output, report.to_json())
@@ -225,8 +223,8 @@ def cmd_minimality(args) -> int:
 
 def cmd_perturb(args) -> int:
     kind, value = _read(args.input)
-    t = _checked(_want_position(kind, value, "perturb"))
-    out = _perturb(t, args.seed, args.count)
+    t = _want_position(kind, value, "perturb")
+    out = _perturb(t, _checked(t), args.seed, args.count)
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))
     return EXIT_OK
@@ -237,7 +235,8 @@ def cmd_export_dot(args) -> int:
     if kind == "sphere_graph":
         dot = serialize.graph_to_dot(value)
     elif kind == "position":
-        dot = serialize.position_to_dot(_checked(value))
+        _checked(value)
+        dot = serialize.position_to_dot(value)
     elif kind == "normal_torus":
         dot = serialize.normal_torus_to_dot(value)
     elif kind == "decorated_graph":
@@ -331,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, GraphError, PositionError, NormalizeError, KleinBottleError) as exc:
+    except (SchemaError, GraphError, PositionError) as exc:  # MoveError, NormalizeError and KleinBottleError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
 

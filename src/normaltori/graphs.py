@@ -52,9 +52,11 @@ class SphereGraph:
     ``rank`` (forcing V = 2n-2 and E = 3n-3).
 
     An immutable value, which ``copy.deepcopy`` returns as is: two tuples, a
-    read-only ``incidence`` copy and ``by_pants``, the read-only table of each
-    pants' half-edges in slot order, built once, with an entry (maybe empty)
-    for every pants that ``p_vertices`` or ``incidence`` names.
+    read-only ``incidence`` copy and, built once, ``by_pants``, the read-only
+    table of each pants' half-edges in slot order, with an entry (maybe
+    empty) for every pants that ``p_vertices`` or ``incidence`` names, and
+    ``problems``, one message per violated invariant, which
+    ``validate_graph`` returns.  Building never raises.
     """
 
     rank: int
@@ -62,6 +64,7 @@ class SphereGraph:
     sphere_edges: tuple[str, ...]
     incidence: Mapping[HalfEdge, Attachment]
     by_pants: Mapping[str, tuple[HalfEdge, ...]] = field(init=False, repr=False, compare=False)
+    problems: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         incidence = MappingProxyType(dict(self.incidence))
@@ -72,6 +75,44 @@ class SphereGraph:
         object.__setattr__(self, "sphere_edges", tuple(self.sphere_edges))
         object.__setattr__(self, "incidence", incidence)
         object.__setattr__(self, "by_pants", MappingProxyType({p: tuple(hes) for p, hes in at.items()}))
+        problems: list[str] = []
+        if self.rank < 2:
+            problems.append(f"rank {self.rank} below 2")
+        seen: dict[tuple[str, int], HalfEdge] = {}
+        counts = {p: 0 for p in self.p_vertices}
+        for he, att in incidence.items():
+            if he.sphere not in self.sphere_edges:
+                problems.append(f"half-edge {he.label()} references unknown sphere")
+                continue
+            if att.pants not in counts:
+                problems.append(f"half-edge {he.label()} attached to unknown pants {att.pants}")
+                continue
+            counts[att.pants] += 1
+            key = (att.pants, att.slot)
+            if key in seen:
+                problems.append(f"slot {att.slot} of {att.pants} used twice")
+            seen[key] = he
+            if att.slot not in (0, 1, 2):
+                problems.append(f"half-edge {he.label()} uses slot {att.slot} outside 0..2")
+        for s in self.sphere_edges:
+            for end in (0, 1):
+                if HalfEdge(s, end) not in incidence:
+                    problems.append(f"sphere {s} missing end {end}")
+        for p, c in counts.items():
+            if c != 3:
+                problems.append(f"P-vertex {p} has {c} half-edges")
+        v, e = len(self.p_vertices), len(self.sphere_edges)
+        if e - v + 1 != self.rank:
+            problems.append(f"betti number {e - v + 1} differs from rank {self.rank}")
+        if v and not problems:
+            neighbors: dict[str, set[str]] = {p: set() for p in self.p_vertices}
+            for s in self.sphere_edges:
+                a, b = self.ends_of(s)
+                neighbors[a].add(b)
+                neighbors[b].add(a)
+            if len(reachable(neighbors, self.p_vertices[0])) != v:
+                problems.append("graph disconnected")
+        object.__setattr__(self, "problems", tuple(problems))
 
     def __deepcopy__(self, memo) -> "SphereGraph":
         return self
@@ -126,41 +167,8 @@ def build_standard(n: int) -> SphereGraph:
 
 
 def validate_graph(g: SphereGraph) -> list[str]:
-    """Check all structural invariants; returns one message per violation."""
-    problems: list[str] = []
-    if g.rank < 2:
-        problems.append(f"rank {g.rank} below 2")
-    seen: dict[tuple[str, int], HalfEdge] = {}
-    counts = {p: 0 for p in g.p_vertices}
-    for he, att in g.incidence.items():
-        if he.sphere not in g.sphere_edges:
-            problems.append(f"half-edge {he.label()} references unknown sphere")
-            continue
-        if att.pants not in counts:
-            problems.append(f"half-edge {he.label()} attached to unknown pants {att.pants}")
-            continue
-        counts[att.pants] += 1
-        key = (att.pants, att.slot)
-        if key in seen:
-            problems.append(f"slot {att.slot} of {att.pants} used twice")
-        seen[key] = he
-        if att.slot not in (0, 1, 2):
-            problems.append(f"half-edge {he.label()} uses slot {att.slot} outside 0..2")
-    for s in g.sphere_edges:
-        for end in (0, 1):
-            if HalfEdge(s, end) not in g.incidence:
-                problems.append(f"sphere {s} missing end {end}")
-    for p, c in counts.items():
-        if c != 3:
-            problems.append(f"P-vertex {p} has {c} half-edges")
-    v, e = len(g.p_vertices), len(g.sphere_edges)
-    if e - v + 1 != g.rank:
-        problems.append(f"betti number {e - v + 1} differs from rank {g.rank}")
-    if v and not problems:
-        reached = _component_of(g, g.p_vertices[0])
-        if len(reached) != v:
-            problems.append("graph disconnected")
-    return problems
+    """One message per violated structural invariant, as the graph found them when it was built."""
+    return list(g.problems)
 
 
 def reachable(neighbors: Mapping[str, Iterable[str]], start: str) -> set[str]:
@@ -173,15 +181,6 @@ def reachable(neighbors: Mapping[str, Iterable[str]], start: str) -> set[str]:
                 reached.add(q)
                 queue.append(q)
     return reached
-
-
-def _component_of(g: SphereGraph, start: str) -> set[str]:
-    neighbors: dict[str, set[str]] = {p: set() for p in g.p_vertices}
-    for s in g.sphere_edges:
-        a, b = g.ends_of(s)
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    return reachable(neighbors, start)
 
 
 def random_cubic(n: int, seed: int) -> SphereGraph:
@@ -207,7 +206,7 @@ def random_cubic(n: int, seed: int) -> SphereGraph:
             incidence[HalfEdge(s, 0)] = Attachment(*order[i])
             incidence[HalfEdge(s, 1)] = Attachment(*order[i + 1])
         g = SphereGraph(n, p_vertices, sphere_edges, incidence)
-        if len(_component_of(g, p_vertices[0])) == len(p_vertices):
+        if not g.problems:  # a pairing of the stubs can only be disconnected
             return g
     raise GraphError("failed to sample a connected cubic graph")
 

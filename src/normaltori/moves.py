@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .graphs import HalfEdge
-from .normal_graph import NormalTorus, _normal_torus
+from .normal_graph import NormalTorus
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -399,11 +399,11 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     and checks each one before it with ``_validate_delta``, scoped by the
     move's ``Delta``, which finds the same problems.
     """
-    return _normalize(_checked(t, "invalid position: ", NormalizeError))
+    return _normalize(t, _checked(t, "invalid position: ", NormalizeError))
 
 
-def _normalize(t: TorusPosition) -> NormalizeResult:
-    """``normalize`` of a position already known to be valid.
+def _normalize(t: TorusPosition, index) -> NormalizeResult:
+    """``normalize`` of a position already known to be valid; ``index`` is its ``circle_slots()``.
 
     Takes each move afresh as the first of ``_moves`` from the non-normal
     pieces of the ``Tally``, over the index, both carried by ``position._step``
@@ -414,7 +414,7 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
     runs only to name them.
     """
     trace: list[MoveRecord] = []
-    index, current, tally = t.circle_slots(), t, Tally.of(t)
+    current, tally = t, Tally.of(t)
     while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
         nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
@@ -429,4 +429,4 @@ def _normalize(t: TorusPosition) -> NormalizeResult:
         current, index, tally = nxt, nxt_index, nxt_tally
     if tally.abnormal:  # exactly the pieces ``is_normal`` finds a violation in
         raise NormalizeError("stuck non-normal: " + "; ".join(is_normal(current)[1]))
-    return NormalizeResult(current, _normal_torus(current, index), trace)
+    return NormalizeResult(current, NormalTorus(current, index), trace)

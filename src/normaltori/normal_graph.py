@@ -7,9 +7,9 @@ sphere a piece does not cross.  The graph is connected with first Betti
 number one; its unique cycle is the projection of the invariant axis of
 the covering translation the torus carries, and the hanging trees are
 finite decorations on that axis.  A ``NormalTorus`` is an immutable value
-that derives all of this once, when it is built: what is attached to each
-node, the side bits of the one walk over its crossings, and the axis.  A
-graph that is not one cycle with trees hanging off it is rejected there.
+that derives all of this once, from a valid normal position, when it is
+built: what is attached to each node, the side bits of the one walk over
+its crossings, and the axis.  ``to_normal_torus`` checks the position.
 
 A choice of transverse orientation signs every leaf stub; the resulting
 decorated graph, up to graph isomorphism over the sphere graph and a
@@ -21,7 +21,6 @@ rotation, its direction, and the global flip remain to minimize over.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -30,8 +29,10 @@ from .graphs import GeneratorLabeling, HalfEdge, SphereGraph
 from .position import (
     SIDE_A,
     SIDE_B,
+    KleinBottleError,  # re-exported: ``to_normal_torus`` raises it
     PositionError,
     TorusPosition,
+    _checked,
     _tree_cycle,
     _walk_piece_graph,
     is_normal,
@@ -44,10 +45,6 @@ MINUS = "-"
 _FLIPPED = {PLUS: MINUS, MINUS: PLUS, "leaf": "leaf"}
 
 
-class KleinBottleError(PositionError):
-    """Side transport has nontrivial monodromy: the surface is one-sided."""
-
-
 @dataclass(frozen=True)
 class LeafStub:
     node: str
@@ -58,108 +55,77 @@ class LeafStub:
 class NormalTorus:
     """Betti-1 graph of a normal torus, immersed into the sphere graph.
 
-    ``nodes`` maps a node id to (pants, kind); ``crossings`` maps a circle
-    id to (sphere, node at end 0, node at end 1).  ``position`` is the
-    normal position all of this is derived from (``to_normal_torus``); its
-    side labels and transport bits are what ``decorate`` reads.
-
-    An immutable value, with read-only copies of ``nodes`` and ``crossings``,
-    that derives once: ``attachments`` (node -> half-edge ->
-    ("crossing"|"leaf", id)); the ``side`` bits and ``bad`` cycle of the
-    walk over the crossings, flipped where transport is False; and the
-    ``axis`` (nodes, crossings), crossing i joining node i to node i+1: the
-    one crossing outside the walk's tree closed through it, from its least
-    node along the lesser of that node's axis crossings.  It raises
-    ``PositionError`` unless every node immerses onto its pants tripod,
-    disk and pants nodes are equally many, the position holds a transport
-    bit for every crossing and the walk reaches every node and leaves out
-    exactly one crossing.
+    Derived from ``position``, which must be valid and normal
+    (``to_normal_torus`` builds one checked), and its ``index``,
+    ``circle_slots()``, built when not given.  An immutable value that
+    derives once: its ``graph``; ``nodes``, node id -> (pants, kind), one
+    per piece; ``crossings``, circle id -> (sphere, node at end 0, node at
+    end 1); ``leaves``, a stub per sphere end a piece does not cross;
+    ``attachments`` (node -> half-edge -> ("crossing"|"leaf", id)); the
+    ``side`` bits of the walk over the crossings, flipped where transport
+    is False; and the ``axis`` (nodes, crossings), crossing i joining node
+    i to node i+1: the one crossing outside the walk's tree (the piece
+    graph is connected with betti number one) closed through it, from its
+    least node along the lesser of that node's axis crossings.
     """
 
-    graph: SphereGraph
-    nodes: Mapping[str, tuple[str, str]]
-    crossings: Mapping[str, tuple[str, str, str]]
-    leaves: tuple[LeafStub, ...]
     position: TorusPosition
+    index: dict | None = field(default=None, repr=False, compare=False)
+    graph: SphereGraph = field(init=False, repr=False, compare=False)
+    nodes: Mapping[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
+    crossings: Mapping[str, tuple[str, str, str]] = field(init=False, repr=False, compare=False)
+    leaves: tuple[LeafStub, ...] = field(init=False, repr=False, compare=False)
     attachments: Mapping[str, Mapping[HalfEdge, tuple[str, str]]] = field(init=False, repr=False, compare=False)
     side: Mapping[str, bool] = field(init=False, repr=False, compare=False)
-    bad: tuple[str, ...] | None = field(init=False, repr=False, compare=False)
     axis: tuple[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes, crossings, leaves = MappingProxyType(dict(self.nodes)), MappingProxyType(dict(self.crossings)), tuple(self.leaves)
+        t = self.position
+        index = t.circle_slots() if self.index is None else self.index
+        nodes = {pid: (piece.pants, piece_kind(piece)) for pid, piece in t.pieces.items()}
+        ends = {cid: {slot.half_edge.end: piece.id for piece, slot in pairs} for cid, pairs in index.items()}
+        crossings = {cid: (c.sphere, ends[cid][0], ends[cid][1]) for cid, c in t.circles.items()}
+        leaves = tuple(LeafStub(pid, he) for pid, piece in t.pieces.items() for he in sorted(piece.uncrossed))
         att: dict[str, dict[HalfEdge, tuple[str, str]]] = {node: {} for node in nodes}
         for cid, (sphere, n0, n1) in crossings.items():
-            att.setdefault(n0, {})[HalfEdge(sphere, 0)] = ("crossing", cid)
-            att.setdefault(n1, {})[HalfEdge(sphere, 1)] = ("crossing", cid)
+            att[n0][HalfEdge(sphere, 0)] = ("crossing", cid)
+            att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
         for leaf in leaves:
-            att.setdefault(leaf.node, {})[leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
-        for node, (pants, _) in nodes.items():
-            if set(att[node]) != set(self.graph.by_pants.get(pants, ())):
-                raise PositionError(f"node {node} does not immerse onto its pants tripod")
-        by_kind = Counter(kind for _, kind in nodes.values())
-        if by_kind["disk"] != by_kind["pants"]:
-            raise PositionError("disk and pants node counts differ")
-        transport = self.position.transport
-        missing = sorted(crossings.keys() - transport.keys())  # the walk reads every crossing's bit
-        if missing:
-            raise PositionError(f"circle {missing[0]} missing side transport bit")
-        edges = [(cid, n0, n1, not transport[cid]) for cid, (_, n0, n1) in sorted(crossings.items())]
-        reached, side, parent, bad = _walk_piece_graph(nodes, edges)
+            att[leaf.node][leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
+        edges = [(cid, n0, n1, not t.transport[cid]) for cid, (_, n0, n1) in sorted(crossings.items())]
+        _, side, parent, _ = _walk_piece_graph(nodes, edges)
         tree = {link[1] for link in parent.values() if link is not None}
-        extra = [cid for cid in sorted(crossings) if cid not in tree]
-        if not extra:
-            raise PositionError("no cycle found: graph is a tree")
-        if len(extra) > 1 or reached != len(nodes):
-            raise PositionError("cycle extraction failed")
-        _, a, b = crossings[extra[0]]
+        extra = next(cid for cid in sorted(crossings) if cid not in tree)
+        _, a, b = crossings[extra]
         cycle, cut = _tree_cycle(parent, b, a)
-        cut.append(extra[0])
+        cut.append(extra)
         i = cycle.index(min(cycle))
         cycle, cut = cycle[i:] + cycle[:i], cut[i:] + cut[:i]
         if cut[-1] < cut[0]:
             cycle, cut = cycle[:1] + cycle[:0:-1], cut[::-1]
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "graph", t.graph)
+        object.__setattr__(self, "nodes", MappingProxyType(nodes))
+        object.__setattr__(self, "crossings", MappingProxyType(crossings))
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "attachments", MappingProxyType({n: MappingProxyType(a) for n, a in att.items()}))
         object.__setattr__(self, "side", MappingProxyType(side))
-        object.__setattr__(self, "bad", None if bad is None else tuple(bad))
         object.__setattr__(self, "axis", (tuple(cycle), tuple(cut)))
 
-    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
-        return NormalTorus, (self.graph, dict(self.nodes), dict(self.crossings), self.leaves, self.position)
+    def __reduce__(self):  # a read-only mapping cannot be pickled; the position can
+        return NormalTorus, (self.position,)
 
 
 def to_normal_torus(t: TorusPosition) -> NormalTorus:
-    """The graph of a normal position; raises ``PositionError`` when ``t`` has no pieces, is not normal or its graph is not one cycle with trees hanging off it."""
+    """The checked way to build a ``NormalTorus``: ``t`` must pass ``validate_position``, then be normal.
+
+    ``KleinBottleError`` if nontrivial monodromy is the only problem.
+    """
+    index = _checked(t)
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("not normal: " + "; ".join(violations))
-    return _normal_torus(t, t.circle_slots())
-
-
-def _normal_torus(t: TorusPosition, index) -> NormalTorus:
-    """``to_normal_torus`` of a position known to be normal, reading each circle's nodes off ``index``.
-
-    ``index`` is ``t.circle_slots()`` or one that ``normalize`` carries.
-    """
-    if not t.pieces:  # is_normal finds no violation in it, and decorate needs a node
-        raise PositionError("position has no pieces")
-    nodes = {}
-    for pid, piece in t.pieces.items():
-        kind = piece_kind(piece)
-        assert kind is not None
-        nodes[pid] = (piece.pants, kind)
-    crossings = {}
-    for cid, circle in t.circles.items():
-        ends = {slot.half_edge.end: piece.id for piece, slot in index.get(cid, ())
-                if slot.half_edge.sphere == circle.sphere}
-        if len(ends) != 2:
-            raise PositionError(f"circle {cid} does not pass through sphere {circle.sphere}")
-        crossings[cid] = (circle.sphere, ends[0], ends[1])
-    leaves = [LeafStub(pid, he) for pid, piece in t.pieces.items() for he in sorted(piece.uncrossed)]
-    return NormalTorus(t.graph, nodes, crossings, leaves, t)
+    return NormalTorus(t, index)
 
 
 @dataclass
@@ -176,10 +142,10 @@ def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SI
     """Propagate a transverse orientation and sign the leaves.
 
     The base piece's chosen side, A or B, is declared positive; the torus's
-    side bits carry that across every crossing.  Fails with
-    ``KleinBottleError``, naming the pieces of the walk's bad cycle, when
-    the transport bits have nontrivial monodromy.  Flipping ``base_side``
-    flips every sign.
+    side bits carry that across every crossing.  A ``NormalTorus`` comes
+    from a valid position, whose transport has trivial monodromy, so this
+    fails only on a base piece the torus lacks or a base side other than A
+    or B.  Flipping ``base_side`` flips every sign.
     """
     t, side = nt.position, nt.side
     if base_piece is None:
@@ -188,8 +154,6 @@ def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SI
         raise PositionError(f"unknown base piece {base_piece}")
     if base_side not in (SIDE_A, SIDE_B):
         raise PositionError(f"base side must be {SIDE_A} or {SIDE_B}, got {base_side!r}")
-    if nt.bad is not None:
-        raise KleinBottleError("nontrivial monodromy on cycle (" + ",".join(nt.bad) + ") (Klein bottle)")
     signs = {}
     for leaf in nt.leaves:
         plus = xor_side(base_side, side[leaf.node] != side[base_piece])

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .graphs import HalfEdge, SphereGraph
 from .moves import _normalize, apply_move, find_moves
-from .normal_graph import _normal_torus, bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
+from .normal_graph import NormalTorus, bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -78,7 +78,8 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     else:
         raise PositionError("failed to sample a closed immersed walk")
     nodes = _grow_branches(g, rng, walk, size_bound)
-    t = _checked(_assemble(g, nodes), "generator produced invalid position: ")
+    t = _assemble(g, nodes)
+    _checked(t, "generator produced invalid position: ")
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("generator produced non-normal position: " + "; ".join(violations))
@@ -253,11 +254,11 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     fully validates the last one and checks each one before it with
     ``_validate_delta``, scoped by the inverse move's ``Delta``.
     """
-    return _perturb(_checked(t, "invalid position: "), seed, k)
+    return _perturb(t, _checked(t, "invalid position: "), seed, k)
 
 
-def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
-    """``perturb`` of a position already known to be valid.
+def _perturb(t: TorusPosition, index, seed: int, k: int) -> TorusPosition:
+    """``perturb`` of a position already known to be valid; ``index`` is its ``circle_slots()``.
 
     Carries the index and the ``Tally`` through ``position._step``, and
     the candidate cache, which redoes what each step's ``Delta`` touched,
@@ -269,7 +270,7 @@ def _perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
-    current, index, tally = t, t.circle_slots(), Tally.of(t)
+    current, tally = t, Tally.of(t)
     cache = _Candidates(t, index)
     for i in range(k):
         candidates = cache.list()
@@ -513,14 +514,15 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
     """Explore every maximal move sequence; compare terminal decorations.
 
     Exhaustive (the total count strictly decreases, so the reachable state
-    space is a finite DAG); refuses inputs above ``depth_bound`` circles.
+    space is a finite DAG); refuses inputs above ``depth_bound`` circles,
+    then ones that ``validate_position`` rejects (``position._checked``).
+    Moves keep a position valid, so every normal end state has a torus.
     """
     if total_intersections(t) > depth_bound:
         raise PositionError(
             f"state space too large: {total_intersections(t)} circles exceeds bound {depth_bound}"
         )
-    if missing := sorted(t.circles.keys() - t.transport.keys()):  # the state key reads every circle's bit
-        raise PositionError(f"circle {missing[0]} missing side transport bit")
+    _checked(t)
     outcomes: set[str] = set()
     stuck = 0
     explored = 0
@@ -537,7 +539,7 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
         if not moves:
             ok, _ = is_normal(cur)
             if ok:
-                outcomes.add(canonicalize(decorate(_normal_torus(cur, cur.circle_slots()))))
+                outcomes.add(canonicalize(decorate(NormalTorus(cur))))
             else:
                 stuck += 1
             continue
@@ -657,20 +659,20 @@ class FuzzReport:
         }
 
 
-def _trials(t: TorusPosition, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
+def _trials(t: TorusPosition, index, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
     """Seed, k, perturbed position and normalize result of each perturb-then-normalize trial.
 
     Trial i perturbs ``t`` by (i mod ``k_max``) + 1 inverse moves, none when
-    ``k_max`` is 0.  ``t`` is validated once, up front.
+    ``k_max`` is 0.  ``t`` is already validated, and ``index`` is the
+    ``circle_slots()`` it was validated with.
     """
     if trials < 0 or k_max < 0:
         raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
-    _checked(t, "invalid position: ")
     for i in range(trials):
         trial_seed = seed + stride * i
         k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed = _perturb(t, trial_seed, k)
-        yield trial_seed, k, perturbed, _normalize(perturbed)
+        perturbed = _perturb(t, index, trial_seed, k)
+        yield trial_seed, k, perturbed, _normalize(perturbed, perturbed.circle_slots())
 
 
 def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:
@@ -678,15 +680,17 @@ def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int =
 
     Each trial perturbs the normal position by at most ``k_max`` inverse
     moves and renormalizes; the normalized counts must equal the original
-    ones sphere by sphere, and never exceed the perturbed counts.
+    ones sphere by sphere, and never exceed the perturbed counts.  ``t`` is
+    validated first (``position._checked``), then checked to be normal.
     """
+    index = _checked(t)
     ok, violations = is_normal(t)
     if not ok:
         raise PositionError("minimality experiment needs a normal position: " + "; ".join(violations))
     base = intersection_vector(t)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 1):
+    for trial_seed, k, perturbed, result in _trials(t, index, trials, k_max, seed, 1):
         after = intersection_vector(result.position)
         messed = intersection_vector(perturbed)
         bad = []
@@ -706,12 +710,13 @@ def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int =
 
 
 def roundtrip_report(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:
-    """Perturb/normalize round trips: decoration and solid-torus stability."""
-    base_dec = decorate(to_normal_torus(t))
+    """Perturb/normalize round trips: decoration and solid-torus stability; ``to_normal_torus`` validates ``t``."""
+    nt = to_normal_torus(t)
+    base_dec = decorate(nt)
     base_solid = bounds_solid_torus(base_dec)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 7919):
+    for trial_seed, k, perturbed, result in _trials(t, nt.index, trials, k_max, seed, 7919):
         dec = decorate(result.torus)
         if not equivalent(dec, base_dec):
             report.failures.append(

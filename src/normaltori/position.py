@@ -44,6 +44,14 @@ class PositionError(ValueError):
     """Raised when an operation's structural precondition fails."""
 
 
+class KleinBottleError(PositionError):
+    """Side transport has nontrivial monodromy: the surface is one-sided."""
+
+
+class _Monodromy(str):
+    """The problem of a bad cycle that the piece-graph walk found, as ``_checked`` tells it from the others."""
+
+
 def flip_side(side: str) -> str:
     return SIDE_B if side == SIDE_A else SIDE_A
 
@@ -344,23 +352,27 @@ def _tree_cycle(parent, a: str, b: str) -> tuple[list[str], list[str]]:
     return nodes, [parent[x][1] for x in up] + [parent[x][1] for x in down]
 
 
-def validate_position(t: TorusPosition) -> list[str]:
-    """All structural invariants; empty list when the position is valid."""
+def validate_position(t: TorusPosition, index=None) -> list[str]:
+    """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``."""
     problems = validate_graph(t.graph)
     if problems:
         return problems
     if not t.pieces:
         return ["position has no pieces"]
     everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), None
-    return _validate(t, t.circle_slots(), *everything)
+    return _validate(t, t.circle_slots() if index is None else index, *everything)
 
 
-def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> TorusPosition:
-    """``t`` itself once ``validate_position`` finds nothing, else ``error`` of ``prefix`` and the problems."""
-    problems = validate_position(t)
-    if problems:
-        raise error(prefix + "; ".join(problems))
-    return t
+def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> dict:
+    """The one validation boundary: ``t.circle_slots()``, for the caller to hand on, once ``t`` is valid.
+
+    Else ``error`` of ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad cycle is the only one.
+    """
+    index = t.circle_slots()
+    if problems := validate_position(t, index):
+        one_sided = len(problems) == 1 and type(problems[0]) is _Monodromy
+        raise (KleinBottleError if one_sided else error)(prefix + "; ".join(problems))
+    return index
 
 
 @dataclass
@@ -632,7 +644,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
             problems.append(f"piece graph betti {piece_graph_betti(t)} not 1")
 
     if bad_cycle is not None:
-        problems.append("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")")
+        problems.append(_Monodromy("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")"))
 
     if ends is None:
         ends = {(pid, slot.half_edge) for pid, piece in t.pieces.items() for slot in piece.boundary}

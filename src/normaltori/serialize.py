@@ -21,7 +21,6 @@ from .position import (
     Piece,
     RegionTree,
     TorusPosition,
-    _checked,
 )
 
 FORMAT = 1
@@ -220,7 +219,7 @@ def normal_torus_from_json(obj: dict) -> NormalTorus:
 
 def _derived_torus(obj: dict, path) -> NormalTorus:
     """The normal torus of the position embedded in ``obj``, once that validates."""
-    return to_normal_torus(_checked(_position(_field(obj, "position", dict, path), (path, "position"))))
+    return to_normal_torus(_position(_field(obj, "position", dict, path), (path, "position")))
 
 
 def _check_written(obj: dict, written: dict, path) -> None:

@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import random
+import re
 
 import pytest
 
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
-from normaltori.graphs import HalfEdge, label_generators
+from normaltori.graphs import HalfEdge, build_standard, label_generators, random_cubic
 from normaltori.normal_graph import (
     KleinBottleError,
-    LeafStub,
     axis_word,
     bounds_solid_torus,
     canonicalize,
@@ -20,7 +21,16 @@ from normaltori.normal_graph import (
     sides,
     to_normal_torus,
 )
-from normaltori.position import PositionError
+from normaltori.oracle import confluence_search, random_normal_torus
+from normaltori.position import (
+    BoundarySlot,
+    Circle,
+    Piece,
+    PositionError,
+    RegionTree,
+    is_normal,
+    validate_position,
+)
 
 
 def test_position_without_pieces_raises_position_error():
@@ -86,9 +96,9 @@ def test_missing_transport_bit_raises_position_error(make):
 
 
 def test_decorate_klein_rejected():
-    nt = to_normal_torus(make_klein())
-    with pytest.raises(KleinBottleError, match="Klein"):
-        decorate(nt)
+    """Nontrivial monodromy is the Klein bottle's one problem, so it gets no torus to decorate."""
+    with pytest.raises(KleinBottleError, match=r"^monodromy nontrivial on cycle \(F0,F1\)$"):
+        to_normal_torus(make_klein())
 
 
 def test_canonical_form_flip_invariant():
@@ -219,63 +229,113 @@ def test_fundamental_domain_t0_t2():
     assert len(branches2["F0"]) == 1
 
 
+def _uncross(t, cid, sides):
+    """Take circle ``cid`` out of ``t``: each piece it joined gets the side ``sides[piece]`` at that sphere end instead."""
+    sphere = t.circles.pop(cid).sphere
+    del t.transport[cid]
+    for pid, side in sides.items():
+        piece = t.pieces[pid]
+        (slot,) = [slot for slot in piece.boundary if slot.circle == cid]
+        piece.boundary.remove(slot)
+        piece.uncrossed[slot.half_edge] = side
+    tree = t.trees[sphere]
+    t.trees[sphere] = RegionTree(sphere, tree.regions - {tree.edges[cid][1]}, {c: e for c, e in tree.edges.items() if c != cid})
+
+
 def test_canonical_form_of_a_tree_is_an_error():
-    # With the axis crossing c0 cut into two leaf stubs the graph is a tree, which building it rejects.
-    nt = to_normal_torus(make_t2())
-    sphere, n0, n1 = nt.crossings["c0"]
-    crossings = {cid: ends for cid, ends in nt.crossings.items() if cid != "c0"}
-    leaves = nt.leaves + (LeafStub(n0, HalfEdge(sphere, 0)), LeafStub(n1, HalfEdge(sphere, 1)))
-    with pytest.raises(PositionError, match="no cycle found"):
-        dataclasses.replace(nt, crossings=crossings, leaves=leaves)
+    """t2 with its axis circle c0 taken out is normal, but its piece graph is a tree: a sphere, which has no torus."""
+    t = make_t2()
+    _uncross(t, "c0", {"F0": "A", "F1": "B"})
+    assert is_normal(t)[0]
+    with pytest.raises(PositionError, match=r"^total euler characteristic 2 nonzero$"):
+        canonicalize(decorate(to_normal_torus(t)))
 
 
-def _lose_a_leaf():
-    t = make_t0()
+def _lose_a_leaf(t):
     del t.pieces["F0"].uncrossed[HalfEdge("s2", 1)]
-    return to_normal_torus(t)
 
 
-def _make_f0_a_disk():
-    nt = to_normal_torus(make_t0())
-    return dataclasses.replace(nt, nodes={**nt.nodes, "F0": ("p0", "disk")})
+def _make_f0_a_disk(t):
+    piece = t.pieces["F0"]
+    piece.boundary = [slot for slot in piece.boundary if slot.circle != "c1"]
+    piece.uncrossed[HalfEdge("s1", 0)] = "B"
 
 
-def _cut_c0():
-    nt = to_normal_torus(make_t0())
-    leaves = nt.leaves + (LeafStub("F0", HalfEdge("s0", 0)), LeafStub("F1", HalfEdge("s0", 1)))
-    return dataclasses.replace(nt, crossings={"c1": nt.crossings["c1"]}, leaves=leaves)
+def _cut_c0(t):
+    _uncross(t, "c0", {"F0": "B", "F1": "B"})
 
 
-def _join_the_leaves(bit=True):
-    nt = to_normal_torus(make_t0())
+def _join_the_leaves(t, bit=True):
+    """A circle c2 on s2 joins F0 and F1 where t0 has two leaves."""
+    for pid, end in (("F0", 1), ("F1", 0)):
+        piece = t.pieces[pid]
+        del piece.uncrossed[HalfEdge("s2", end)]
+        piece.boundary.append(BoundarySlot("c2", HalfEdge("s2", end), "r4"))
+    t.circles["c2"] = Circle("c2", "s2")
+    t.trees["s2"] = RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")})
     if bit is not None:
-        nt.position.transport["c2"] = bit
-    return dataclasses.replace(nt, crossings={**nt.crossings, "c2": ("s2", "F1", "F0")}, leaves=())
+        t.transport["c2"] = bit
 
 
-def _two_copies():
-    nt = to_normal_torus(make_t0())
-    nt.position.transport.update({cid + "'": bit for cid, bit in nt.position.transport.items()})
-    return dataclasses.replace(
-        nt,
-        nodes={**nt.nodes, **{n + "'": v for n, v in nt.nodes.items()}},
-        crossings={**nt.crossings, **{c + "'": (s, a + "'", b + "'") for c, (s, a, b) in nt.crossings.items()}},
-        leaves=nt.leaves + tuple(LeafStub(leaf.node + "'", leaf.half_edge) for leaf in nt.leaves),
-    )
+def _two_copies(t):
+    """A second copy of t0, parallel to the first: c0' and c1' next to c0 and c1, on their B sides."""
+    for pid, pants, end in (("F0", "p0", 0), ("F1", "p1", 1)):
+        t.pieces[pid + "'"] = Piece(pid + "'", pants, 0, [
+            BoundarySlot("c0'", HalfEdge("s0", end), "r1"),
+            BoundarySlot("c1'", HalfEdge("s1", end), "r3"),
+        ], dict(t.pieces[pid].uncrossed))
+    t.circles.update({"c0'": Circle("c0'", "s0"), "c1'": Circle("c1'", "s1")})
+    t.trees["s0"] = RegionTree("s0", {"r0", "r1", "r6"}, {"c0": ("r0", "r1"), "c0'": ("r1", "r6")})
+    t.trees["s1"] = RegionTree("s1", {"r2", "r3", "r7"}, {"c1": ("r2", "r3"), "c1'": ("r3", "r7")})
+    t.transport.update({"c0'": True, "c1'": True})
 
 
-@pytest.mark.parametrize("build, message", [
-    (_lose_a_leaf, r"^node F0 does not immerse onto its pants tripod$"),
-    (_make_f0_a_disk, r"^disk and pants node counts differ$"),
-    (_cut_c0, r"^no cycle found: graph is a tree$"),
-    (lambda: _join_the_leaves(None), r"^circle c2 missing side transport bit$"),
-    (_join_the_leaves, r"^cycle extraction failed$"),  # two cycles
-    (_two_copies, r"^cycle extraction failed$"),  # betti number one, but disconnected
+@pytest.mark.parametrize("edit, message", [
+    (_lose_a_leaf, "piece F0 missing uncrossed side at s2@p0"),
+    (_make_f0_a_disk, "circle c1 has one incident piece"),
+    (_cut_c0, "total euler characteristic 2 nonzero"),  # a tree: two disks, no pants
+    (lambda t: _join_the_leaves(t, None), "circle c2 missing side transport bit"),
+    (_join_the_leaves, "total euler characteristic -2 nonzero"),  # two cycles
+    (_two_copies, "piece graph disconnected"),  # betti number one, but disconnected
 ], ids=["immersion", "disk-pants-count", "tree", "transport-bit", "two-cycles", "two-copies"])
-def test_building_a_torus_checks_its_graph(build, message):
-    """Each check that building a torus runs, reached from t0's graph edited one way."""
-    with pytest.raises(PositionError, match=message):
-        build()
+def test_building_a_torus_checks_its_graph(edit, message):
+    """t0 edited one way so that its graph does not immerse or is not one cycle with trees: still normal, and ``to_normal_torus`` rejects it with validate's one message."""
+    t = make_t0()
+    edit(t)
+    assert is_normal(t)[0]
+    assert validate_position(t) == [message]
+    with pytest.raises(PositionError, match="^" + re.escape(message) + "$"):
+        to_normal_torus(t)
+
+
+def test_the_library_accepts_only_what_validate_accepts():
+    """Mutants that ``is_normal`` accepts and ``validate_position`` rejects get no torus and no confluence outcome.
+
+    120 mutants (``_mutate`` of ``tests/test_step_check.py``) of each of 48
+    bases: ranks 2-4, ``build_standard(rank)`` and ``random_cubic(rank,
+    rank)``, seeds 0-7, size bound 4.  ``to_normal_torus`` and
+    ``confluence_search`` must each raise ``PositionError`` with validate's
+    problems; any other exception fails the test.
+    """
+    from test_step_check import _mutate
+
+    rng = random.Random(0)
+    kept = 0
+    for rank in (2, 3, 4):
+        for g in (build_standard(rank), random_cubic(rank, rank)):
+            for seed in range(8):
+                base = random_normal_torus(g, seed, 4)
+                for _ in range(120):
+                    mutant = _mutate(rng, base)
+                    problems = validate_position(mutant)
+                    if not problems or not is_normal(mutant)[0]:
+                        continue
+                    kept += 1
+                    for call in (to_normal_torus, confluence_search):
+                        with pytest.raises(PositionError) as caught:
+                            call(mutant)
+                        assert str(caught.value) == "; ".join(problems)
+    assert kept == 3288
 
 
 def test_a_built_torus_is_read_not_derived_again(monkeypatch):

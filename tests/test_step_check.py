@@ -283,9 +283,9 @@ def full_checks(monkeypatch):
     """Counts ``validate_position`` calls through every binding callers use."""
     calls = []
 
-    def counted(t):
+    def counted(t, *index):
         calls.append(t)
-        return full(t)
+        return full(t, *index)
 
     full = position.validate_position
     for module in (position, cli):

@@ -224,7 +224,7 @@ def cmd_minimality(args) -> int:
 def cmd_perturb(args) -> int:
     kind, value = _read(args.input)
     t = _want_position(kind, value, "perturb")
-    out = _perturb(t, _checked(t), args.seed, args.count)
+    out, _ = _perturb(t, _checked(t), args.seed, args.count)
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))
     return EXIT_OK

@@ -254,11 +254,11 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     fully validates the last one and checks each one before it with
     ``_validate_delta``, scoped by the inverse move's ``Delta``.
     """
-    return _perturb(t, _checked(t, "invalid position: "), seed, k)
+    return _perturb(t, _checked(t, "invalid position: "), seed, k)[0]
 
 
-def _perturb(t: TorusPosition, index, seed: int, k: int) -> TorusPosition:
-    """``perturb`` of a position already known to be valid; ``index`` is its ``circle_slots()``.
+def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition, dict]:
+    """``perturb`` of a position known to be valid, and the result's index; ``index`` is ``t``'s ``circle_slots()``.
 
     Carries the index and the ``Tally`` through ``position._step``, and
     the candidate cache, which redoes what each step's ``Delta`` touched,
@@ -290,7 +290,7 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> TorusPosition:
         if not last:
             cache.update(current, nxt, nxt_index, delta)
         current, index = nxt, nxt_index
-    return current
+    return current, index
 
 
 def _inverse(t: TorusPosition, cand: tuple, index):
@@ -664,15 +664,16 @@ def _trials(t: TorusPosition, index, trials: int, k_max: int, seed: int, stride:
 
     Trial i perturbs ``t`` by (i mod ``k_max``) + 1 inverse moves, none when
     ``k_max`` is 0.  ``t`` is already validated, and ``index`` is the
-    ``circle_slots()`` it was validated with.
+    ``circle_slots()`` it was validated with; each trial normalizes over
+    the index that ``_perturb`` carried.
     """
     if trials < 0 or k_max < 0:
         raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
     for i in range(trials):
         trial_seed = seed + stride * i
         k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed = _perturb(t, index, trial_seed, k)
-        yield trial_seed, k, perturbed, _normalize(perturbed, perturbed.circle_slots())
+        perturbed, perturbed_index = _perturb(t, index, trial_seed, k)
+        yield trial_seed, k, perturbed, _normalize(perturbed, perturbed_index)
 
 
 def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:

@@ -19,11 +19,11 @@ positive genus, boundary-parallel disks) are all representable.
 takes a move's or an inverse move's raw result and returns the result's
 ``circle_slots()`` index, its ``Delta`` and its ``Tally``, each updated
 from the step before, with the result's problems: from
-``validate_position`` for a loop's last step or a normal result, else
-from ``_validate_delta``, the one step check.  That check takes its scope
-from the delta and walks the whole piece graph, as the full check does;
-the tests pin that scope equal to the one found by comparing the two
-positions by value.
+``validate_position``, over the carried index, for a loop's last step or
+a normal result, else from ``_validate_delta``, the one step check.
+That check takes its scope from the delta and walks the whole piece
+graph, as the full check does; the tests pin that scope equal to the one
+found by comparing the two positions by value.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class Piece:
 
     def euler(self) -> int:
         return 2 - 2 * self.genus - len(self.boundary)
-
-    def crossed_half_edges(self) -> set[HalfEdge]:
-        return {slot.half_edge for slot in self.boundary}
 
     def circles(self) -> set[str]:
         return {slot.circle for slot in self.boundary}
@@ -215,8 +212,9 @@ class TorusPosition:
         the pieces of a clone in place, so a kept index would go stale.
         Callers that look up many circles build it once and read it with
         ``end_slot``.  Inside ``normalize`` and ``perturb`` each ``_step``
-        updates the index (``_reindexed``) instead of building it again; the
-        tests pin the update equal to a fresh build.
+        updates the index (``_reindexed``) instead of building it again, and
+        fully checks a loop's last step with it; the tests pin the update
+        equal to a fresh build, up to the order of a circle's pairs.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
@@ -591,15 +589,17 @@ def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False)
     circles it replaced, the sphere whose tree it replaced).  ``index`` and
     ``tally`` are ``before``'s ``circle_slots()`` and ``Tally``; the
     result's are updated from them.  The problems are
-    ``validate_position(after)``, found in full for a loop's ``last`` step
-    or a normal result and by ``_validate_delta`` otherwise.
+    ``validate_position(after)``, found in full with the updated index for
+    a loop's ``last`` step or a normal result, and by ``_validate_delta``
+    otherwise.  The full check finds a circle's pairs by end, never by
+    place, so the order the update leaves them in does not matter.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
     delta = _diff(before, after, pieces, circles, (sphere,))
     after_tally = tally.stepped(before, after, delta)
     if last or not after_tally.abnormal:
-        problems = validate_position(after)
+        problems = validate_position(after, after_index)
     else:
         problems = _validate_delta(before, after, after_index, delta, after_tally)
     return after, after_index, delta, after_tally, problems
@@ -609,15 +609,16 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
               tally: Tally | None = None) -> list[str]:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
-    ``index`` is ``t.circle_slots()``.  The per-item checks run in id
-    order (spheres in graph order), and the global checks and the side
-    anchors at ``ends`` (None: every end of every piece) and at every end
-    on a given sphere only once those found nothing, so any scope that
-    holds every item with a problem gives the same list.  ``tally`` is
-    ``t``'s ``Tally`` for the result of a step from a valid position: the
-    per-sphere counts, the Euler sum and the genus verdict are then read
-    off it.  Connectivity and monodromy always come from the one
-    ``_walk_piece_graph`` over every piece.
+    ``index`` is ``t.circle_slots()``.  The passes run in this order: per
+    piece and per circle in id order, per tree in graph order, then, only
+    once those found nothing, the Euler sum, the one walk and the betti
+    number, and last the side anchors, piece by piece, at ``ends`` (None:
+    every end of every piece) and at every end on a given sphere.  So any
+    scope that holds every item with a problem gives the same list.
+    ``tally`` is ``t``'s ``Tally`` for the result of a step from a valid
+    position: the per-sphere counts, the Euler sum and the genus verdict
+    are then read off it.  Connectivity and monodromy always come from the
+    one ``_walk_piece_graph`` over every piece.
     """
     problems = []
     for pid in sorted(pieces):
@@ -646,9 +647,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if bad_cycle is not None:
         problems.append(_Monodromy("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")"))
 
-    if ends is None:
-        ends = {(pid, slot.half_edge) for pid, piece in t.pieces.items() for slot in piece.boundary}
-    else:  # the trees are valid by now, so a sphere's edges are its circles
+    if ends is not None:  # the trees are valid by now, so a sphere's edges are its circles
         ends = ends | {(piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
                        for piece, slot in index[cid]}
     problems.extend(_validate_side_anchors(t, ends))
@@ -668,19 +667,18 @@ def _piece_problems(t: TorusPosition, pid: str) -> list[str]:
         problems.append(f"piece {pid} has negative genus")
     if not piece.boundary:
         problems.append(f"piece {pid} is closed (no boundary)")
+    crossed = set()
     for slot in piece.boundary:
-        if slot.circle not in t.circles:
+        he = slot.half_edge
+        crossed.add(he)
+        circle = t.circles.get(slot.circle)
+        if circle is None:
             problems.append(f"piece {pid} references unknown circle {slot.circle}")
             continue
-        if slot.half_edge not in pants_hes:
-            problems.append(
-                f"piece {pid} boundary at {slot.half_edge.label()} outside its pants"
-            )
-        if t.circles[slot.circle].sphere != slot.half_edge.sphere:
-            problems.append(
-                f"piece {pid} attaches circle {slot.circle} to the wrong sphere"
-            )
-    crossed = piece.crossed_half_edges()
+        if he not in pants_hes:
+            problems.append(f"piece {pid} boundary at {he.label()} outside its pants")
+        if circle.sphere != he.sphere:
+            problems.append(f"piece {pid} attaches circle {slot.circle} to the wrong sphere")
     for he in pants_hes:
         if he not in crossed and he not in piece.uncrossed:
             problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
@@ -701,12 +699,16 @@ def _circle_problems(t: TorusPosition, cid: str, index, spheres: set[str]) -> li
     problems = []
     # slots of pieces in an unknown pants are not counted, as their piece
     # check stops before reading them
-    ends = [slot.half_edge for piece, slot in index.get(cid, ()) if piece.pants in t.graph.by_pants]
+    pairs, known = index.get(cid, ()), t.graph.by_pants
+    if len(pairs) == 2 and pairs[0][0].pants in known and pairs[1][0].pants in known:
+        ends = (pairs[0][1].half_edge.end, pairs[1][1].half_edge.end)
+    else:
+        ends = tuple(slot.half_edge.end for piece, slot in pairs if piece.pants in known)
     if len(ends) == 1:
         problems.append(f"circle {cid} has one incident piece")
     elif len(ends) != 2:
         problems.append(f"circle {cid} has {len(ends)} incident boundary slots")
-    elif {he.end for he in ends} != {0, 1}:
+    elif ends not in ((0, 1), (1, 0)):  # the ends as a set are not {0, 1}
         problems.append(f"circle {cid} does not pass through sphere {circle.sphere}")
     if cid not in t.transport:
         problems.append(f"circle {cid} missing side transport bit")
@@ -737,31 +739,35 @@ def _validate_trees(t: TorusPosition, spheres: list[str], counts) -> list[str]:
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
+def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]] | None) -> list[str]:
     """Per piece and sphere end, region-side anchors must be consistent.
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
     that side; so every ``region_a`` must read A in the piece's side map
-    at that end.  Checks the given (piece, end) pairs, in order, grouping
-    each piece's slots by end once, with one ``side_masks`` pass per sphere
-    end for all its pieces.  Runs only on positions whose circles and trees
-    passed the other checks, where each circle end holds one slot, so the
-    pieces' bits never share a circle.
+    at that end.  Checks the given (piece, end) pairs, or every end of
+    every piece when ``ends`` is None, piece by piece in id order and each
+    piece's ends in half-edge order, grouping its slots by end once, with
+    one ``side_masks`` pass per sphere end for all its pieces.  Runs only
+    on positions whose circles and trees passed the other checks, where
+    each circle end holds one slot, so the pieces' bits never share a
+    circle.
     """
     problems: list = []
     bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
-    last = None
-    for pid, he in sorted(ends):
-        if pid != last:  # a piece's ends come together
-            at, last = _anchors_by_end(t.pieces[pid]), pid
-        anchors, edges = at[he], t.trees[he.sphere].edges
-        stray = [cid for cid, region in anchors if region not in edges[cid]]
-        for cid in stray:
-            problems.append(f"piece {pid} slot at {cid} anchors a non-adjacent region")
-        if not stray and len(anchors) > 1:  # a lone anchor cannot conflict
-            bits[he][pid] = 1 << len(bits[he])
-            problems.append((pid, he, anchors))  # decided below, once the masks are known
+    for pid in sorted(t.pieces) if ends is None else sorted({pid for pid, _ in ends}):
+        at = _anchors_by_end(t.pieces[pid])
+        for he in sorted(at):
+            if ends is not None and (pid, he) not in ends:
+                continue
+            anchors, edges, stray = at[he], t.trees[he.sphere].edges, False
+            for cid, region in anchors:
+                if region not in edges[cid]:
+                    stray = True
+                    problems.append(f"piece {pid} slot at {cid} anchors a non-adjacent region")
+            if not stray and len(anchors) > 1:  # a lone anchor cannot conflict
+                bits[he][pid] = 1 << len(bits[he])
+                problems.append((pid, he, anchors))  # decided below, once the masks are known
     if not bits:
         return problems
     masks = {he: side_masks(t, he, mates) for he, mates in bits.items()}

@@ -217,11 +217,19 @@ MUTATIONS = (
 )
 
 
-def _mutate(rng, t):
-    """A clone of ``t`` with one mutation drawn from ``MUTATIONS``."""
+def _mutate(rng, t, mutations=MUTATIONS):
+    """A clone of ``t`` with one mutation drawn from ``mutations``."""
     out = t.clone()
-    rng.choice(MUTATIONS)(rng, out)
+    rng.choice(mutations)(rng, out)
     return out
+
+
+def _mutants(steps, seed, mutations=MUTATIONS):
+    """(before, mutant) for four mutants of each step's result, drawn from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    for before, after in steps:
+        for _ in range(4):
+            yield before, _mutate(rng, after, mutations)
 
 
 def _sorted_moves(t):
@@ -318,6 +326,37 @@ def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
     full_checks.clear()
     assert main(["perturb", str(path), "--count", "1", "-o", str(tmp_path / "out.json")]) == 0
     assert len(full_checks) == 2  # the input and the inverse move's result
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Counts ``TorusPosition.circle_slots`` builds."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return build(t)
+
+    build = position.TorusPosition.circle_slots
+    monkeypatch.setattr(position.TorusPosition, "circle_slots", counted)
+    return calls
+
+
+def test_each_checked_input_builds_one_index(index_builds):
+    """The index that validated the input is carried through every step, perturbed or normalized, and into the torus."""
+    base = random_normal_torus(build_standard(4), 3, 6)
+    index_builds.clear()
+    messy = perturb(base, 11, 5)
+    assert len(index_builds) == 1
+    index_builds.clear()
+    assert len(normalize(messy).trace) == 5
+    assert len(index_builds) == 1
+    index_builds.clear()
+    assert minimality_experiment(make_t0(), 10, 3).passed()
+    assert len(index_builds) == 1
+    index_builds.clear()
+    assert roundtrip_report(make_t2(), 10, 3).passed()
+    assert len(index_builds) == 1
 
 
 def _same_slots(index):
@@ -444,17 +483,14 @@ _TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
 
 def _check_mutants(steps, seed):
     """Four mutants of each step's result, drawn with ``seed``: ``_validate_delta`` must give ``validate_position``'s list."""
-    rng = random.Random(seed)
     mutants = rejected = 0
     seen = set()
-    for before, after in steps:
-        for _ in range(4):
-            mutant = _mutate(rng, after)
-            want = validate_position(mutant)
-            assert _validate_by_value(before, mutant) == want
-            mutants += 1
-            rejected += bool(want)
-            seen.update(tag for problem in want for tag in _TAGS if tag in problem)
+    for before, mutant in _mutants(steps, seed):
+        want = validate_position(mutant)
+        assert _validate_by_value(before, mutant) == want
+        mutants += 1
+        rejected += bool(want)
+        seen.update(tag for problem in want for tag in _TAGS if tag in problem)
     assert mutants >= 600 and rejected * 3 >= mutants
     assert seen == set(_TAGS)
     print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "

@@ -8,15 +8,18 @@ first Betti number equals the rank n of the free fundamental group.
 
 Edges are handled through half-edges (sphere ends) so that loops - a sphere
 whose two sides are glued to the same pants - need no special casing.
+
+``walk`` is the one breadth-first walk over a graph given as (edge, node,
+node, flip) edges: the sphere graph's connectivity check, the spanning
+tree of ``label_generators`` and every walk over a piece graph read it.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 
 class GraphError(ValueError):
@@ -104,14 +107,8 @@ class SphereGraph:
         v, e = len(self.p_vertices), len(self.sphere_edges)
         if e - v + 1 != self.rank:
             problems.append(f"betti number {e - v + 1} differs from rank {self.rank}")
-        if v and not problems:
-            neighbors: dict[str, set[str]] = {p: set() for p in self.p_vertices}
-            for s in self.sphere_edges:
-                a, b = self.ends_of(s)
-                neighbors[a].add(b)
-                neighbors[b].add(a)
-            if len(reachable(neighbors, self.p_vertices[0])) != v:
-                problems.append("graph disconnected")
+        if v and not problems and walk(self.p_vertices, self._edges())[0] != v:
+            problems.append("graph disconnected")
         object.__setattr__(self, "problems", tuple(problems))
 
     def __deepcopy__(self, memo) -> "SphereGraph":
@@ -129,6 +126,10 @@ class SphereGraph:
 
     def ends_of(self, sphere: str) -> tuple[str, str]:
         return (self.pants_of(HalfEdge(sphere, 0)), self.pants_of(HalfEdge(sphere, 1)))
+
+    def _edges(self) -> list[tuple[str, str, str, bool]]:
+        """(sphere, pants at end 0, pants at end 1, no flip) per sphere, in sphere id order: ``walk``'s edges."""
+        return [(s, *self.ends_of(s), False) for s in sorted(self.sphere_edges)]
 
 
 def build_standard(n: int) -> SphereGraph:
@@ -171,16 +172,73 @@ def validate_graph(g: SphereGraph) -> list[str]:
     return list(g.problems)
 
 
-def reachable(neighbors: Mapping[str, Iterable[str]], start: str) -> set[str]:
-    """Everything reachable from ``start``; a node missing from ``neighbors`` has none."""
-    reached = {start}
-    queue = deque([start])
-    while queue:
-        for q in neighbors.get(queue.popleft(), ()):
-            if q not in reached:
-                reached.add(q)
-                queue.append(q)
-    return reached
+def walk(nodes, edges):
+    """(nodes reached from the least node, side bits, BFS tree, first bad cycle).
+
+    The one breadth-first walk over a graph, read by ``SphereGraph`` (its
+    connectivity) and ``label_generators`` (its spanning tree) off the
+    sphere graph, by the full check, the step check and
+    ``monodromy_certificate`` off a position's piece graph, and by
+    ``NormalTorus`` off its crossings, once, when it is built.  ``edges``
+    holds (edge, node, node, flip) in edge id order, and each node's
+    edges are read in that order; an endpoint of an edge that is no
+    self-loop is a node even when ``nodes`` lacks it.  The side bits list
+    each component's nodes together, starting from its least node; a
+    node's bit is its flip parity along the tree path from there.  The tree
+    maps a node to (its parent, the edge joining them), or None at a least
+    node, the only one with no parent; self-loops are never tree edges.
+    The bad cycle is the nodes of the first cycle with an odd flip count,
+    or None.  The walk always finishes the least node's component, so the
+    count stays exact, and stops after the first component that ends with
+    a bad cycle found.
+    """
+    adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
+    bad = None
+    for eid, a, b, flip in edges:
+        if a == b:
+            if flip and bad is None:
+                bad = [a]
+            continue
+        adj.setdefault(a, []).append((b, flip, eid))
+        adj.setdefault(b, []).append((a, flip, eid))
+    side: dict[str, bool] = {}
+    parent: dict[str, tuple[str, str] | None] = {}
+    reached = 0
+    for start in sorted(adj):
+        if start in side:
+            continue
+        if reached and bad is not None:
+            break
+        side[start] = False
+        parent[start] = None
+        queue = [start]
+        for n in queue:  # breadth first: the list grows as it is read
+            for other, flip, eid in adj[n]:
+                want = side[n] ^ flip
+                if other not in side:
+                    side[other] = want
+                    parent[other] = (n, eid)
+                    queue.append(other)
+                elif side[other] != want and bad is None:
+                    bad = tree_path(parent, n, other)[0]
+        reached = reached or len(side)
+    return reached, side, parent, bad
+
+
+def tree_path(parent, a: str, b: str) -> tuple[list[str], list[str]]:
+    """The path from ``a`` to ``b`` in ``walk``'s tree: its nodes, and the edge joining each to the next."""
+    def chain(x: str) -> list[str]:
+        out = [x]
+        while parent[x] is not None:
+            x = parent[x][0]
+            out.append(x)
+        return out
+    ca, cb = chain(a), chain(b)
+    seen = set(ca)
+    common = next(x for x in cb if x in seen)
+    up, down = ca[: ca.index(common)], cb[: cb.index(common)][::-1]
+    nodes = up + [common] + down
+    return nodes, [parent[x][1] for x in up] + [parent[x][1] for x in down]
 
 
 def random_cubic(n: int, seed: int) -> SphereGraph:
@@ -234,39 +292,15 @@ class GeneratorLabeling:
 def label_generators(g: SphereGraph) -> GeneratorLabeling:
     """Deterministic free-group basis from the dual graph.
 
-    Breadth-first spanning tree rooted at the least pants id, scanning edges
-    in id order; the n non-tree edges get generators x1..xn in id order,
-    oriented from the lesser towards the greater pants (loops from end 0).
+    ``walk``'s breadth-first spanning tree, rooted at the least pants id,
+    scanning edges in id order; the n non-tree edges get generators x1..xn
+    in id order, oriented from the lesser towards the greater pants (loops
+    from end 0).
     """
     problems = validate_graph(g)
     if problems:
         raise GraphError("; ".join(problems))
-    root = min(g.p_vertices)
-    tree: set[str] = set()
-    reached = {root}
-    frontier = deque([root])
-    by_pants: dict[str, list[str]] = {p: [] for p in g.p_vertices}
-    for s in sorted(g.sphere_edges):
-        a, b = g.ends_of(s)
-        by_pants[a].append(s)
-        if b != a:
-            by_pants[b].append(s)
-    while frontier:
-        p = frontier.popleft()
-        for s in by_pants[p]:
-            a, b = g.ends_of(s)
-            q = b if a == p else a
-            if q not in reached:
-                reached.add(q)
-                tree.add(s)
-                frontier.append(q)
-    labels: dict[str, tuple[int, int]] = {}
-    idx = 1
-    for s in sorted(g.sphere_edges):
-        if s in tree:
-            continue
-        a, b = g.ends_of(s)
-        tail = 0 if (a <= b) else 1
-        labels[s] = (idx, tail)
-        idx += 1
-    return GeneratorLabeling(tree, labels)
+    edges = g._edges()
+    tree = {link[1] for link in walk(g.p_vertices, edges)[2].values() if link is not None}
+    cotree = [(s, a, b) for s, a, b, _ in edges if s not in tree]
+    return GeneratorLabeling(tree, {s: (i, 0 if a <= b else 1) for i, (s, a, b) in enumerate(cotree, 1)})

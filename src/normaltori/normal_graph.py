@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .graphs import GeneratorLabeling, HalfEdge, SphereGraph
+from .graphs import GeneratorLabeling, HalfEdge, SphereGraph, tree_path, walk
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -33,8 +33,6 @@ from .position import (
     PositionError,
     TorusPosition,
     _checked,
-    _tree_cycle,
-    _walk_piece_graph,
     is_normal,
     piece_kind,
     xor_side,
@@ -93,11 +91,11 @@ class NormalTorus:
         for leaf in leaves:
             att[leaf.node][leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
         edges = [(cid, n0, n1, not t.transport[cid]) for cid, (_, n0, n1) in sorted(crossings.items())]
-        _, side, parent, _ = _walk_piece_graph(nodes, edges)
+        _, side, parent, _ = walk(nodes, edges)
         tree = {link[1] for link in parent.values() if link is not None}
         extra = next(cid for cid in sorted(crossings) if cid not in tree)
         _, a, b = crossings[extra]
-        cycle, cut = _tree_cycle(parent, b, a)
+        cycle, cut = tree_path(parent, b, a)
         cut.append(extra)
         i = cycle.index(min(cycle))
         cycle, cut = cycle[i:] + cycle[:i], cut[i:] + cut[:i]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
-from .graphs import HalfEdge, SphereGraph, validate_graph
+from .graphs import HalfEdge, SphereGraph, validate_graph, walk
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -270,7 +270,7 @@ def monodromy_certificate(t: TorusPosition) -> list[str] | None:
     self-loop circle or a non-tree edge is reported as the pieces along the
     offending cycle.
     """
-    return _walk_piece_graph(t.pieces, _piece_edges(t, t.circle_slots()))[3]
+    return walk(t.pieces, _piece_edges(t, t.circle_slots()))[3]
 
 
 def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
@@ -282,72 +282,6 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
             (piece_a, _), (piece_b, _) = pair
             edges.append((cid, piece_a.id, piece_b.id, not t.transport.get(cid, True)))
     return edges
-
-
-def _walk_piece_graph(nodes, edges):
-    """(nodes reached from the least node, side bits, BFS tree, first bad cycle).
-
-    The one walk over a piece graph: ``_validate`` (for the full check and
-    the step check alike) and ``monodromy_certificate`` read it off a
-    position's circles, and ``normal_graph.NormalTorus`` off its
-    crossings, once, when it is built.  ``edges`` holds (circle, node,
-    node, flip) in circle order; an endpoint of an edge that is no
-    self-loop is a node even when ``nodes`` lacks it.  The side bits list
-    each component's nodes together, starting from its least node; a
-    node's bit is its flip parity along the tree path from there.  The tree
-    maps a node to (its parent, the circle joining them), or None at a
-    least node, the only one with no parent.  The bad cycle is the nodes of
-    the first cycle with an odd flip count, or None.  The walk always
-    finishes the least node's component, so the count stays exact, and
-    stops after the first component that ends with a bad cycle found.
-    """
-    adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
-    bad = None
-    for cid, a, b, flip in edges:
-        if a == b:
-            if flip and bad is None:
-                bad = [a]
-            continue
-        adj.setdefault(a, []).append((b, flip, cid))
-        adj.setdefault(b, []).append((a, flip, cid))
-    side: dict[str, bool] = {}
-    parent: dict[str, tuple[str, str] | None] = {}
-    reached = 0
-    for start in sorted(adj):
-        if start in side:
-            continue
-        if reached and bad is not None:
-            break
-        side[start] = False
-        parent[start] = None
-        queue = [start]
-        for n in queue:  # breadth first: the list grows as it is read
-            for other, flip, cid in adj[n]:
-                want = side[n] ^ flip
-                if other not in side:
-                    side[other] = want
-                    parent[other] = (n, cid)
-                    queue.append(other)
-                elif side[other] != want and bad is None:
-                    bad = _tree_cycle(parent, n, other)[0]
-        reached = reached or len(side)
-    return reached, side, parent, bad
-
-
-def _tree_cycle(parent, a: str, b: str) -> tuple[list[str], list[str]]:
-    """The tree path from ``a`` to ``b``: its nodes, and the circle joining each to the next."""
-    def chain(x: str) -> list[str]:
-        out = [x]
-        while parent[x] is not None:
-            x = parent[x][0]
-            out.append(x)
-        return out
-    ca, cb = chain(a), chain(b)
-    seen = set(ca)
-    common = next(x for x in cb if x in seen)
-    up, down = ca[: ca.index(common)], cb[: cb.index(common)][::-1]
-    nodes = up + [common] + down
-    return nodes, [parent[x][1] for x in up] + [parent[x][1] for x in down]
 
 
 def validate_position(t: TorusPosition, index=None) -> list[str]:
@@ -618,7 +552,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     ``tally`` is ``t``'s ``Tally`` for the result of a step from a valid
     position: the per-sphere counts, the Euler sum and the genus verdict
     are then read off it.  Connectivity and monodromy always come from the
-    one ``_walk_piece_graph`` over every piece.
+    one ``graphs.walk`` over every piece.
     """
     problems = []
     for pid in sorted(pieces):
@@ -635,7 +569,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
-    reached, _, _, bad_cycle = _walk_piece_graph(t.pieces, _piece_edges(t, index))
+    reached, _, _, bad_cycle = walk(t.pieces, _piece_edges(t, index))
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
 

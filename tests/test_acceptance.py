@@ -184,6 +184,8 @@ def test_criterion_6_structural_invariants():
         assert kinds.count("disk") == kinds.count("pants")
         word = axis_word(nt, lab)
         assert word, "axis word must be nonempty"
+        # label_generators shares no code with canonicalize: an independent oracle of the class
+        assert word == axis_word(to_normal_torus(base), lab), "perturbing then normalizing changed the axis word"
         instances += 1
     klein = make_klein()
     problems = validate_position(klein)
@@ -200,7 +202,7 @@ def test_criterion_6_structural_invariants():
         assert "stuck non-normal" in str(exc)
     print(
         f"PASS criterion 6: invariants held across {instances} traces "
-        f"({moves_checked} moves); Klein-bottle input rejected"
+        f"({moves_checked} moves), each ending on its base's axis word; Klein-bottle input rejected"
     )
 
 

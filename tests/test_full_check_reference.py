@@ -138,7 +138,7 @@ def _reference_validate(t) -> list[str]:
     chi = euler_characteristic(t)
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
-    reached, _, _, bad_cycle = position._walk_piece_graph(t.pieces, position._piece_edges(t, index))
+    reached, _, _, bad_cycle = position.walk(t.pieces, position._piece_edges(t, index))
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
     if all(p.genus == 0 for p in t.pieces.values()) and not problems:

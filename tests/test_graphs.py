@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -204,3 +206,86 @@ def test_graph_from_lists_equals_graph_from_tuples():
     incidence[HalfEdge("s0", 0)] = Attachment("p3", 0)  # the graph keeps its own copy
     assert from_lists == g
     assert from_lists.half_edges_at("p0") == g.half_edges_at("p0")
+
+
+def _parent_connected(g: SphereGraph) -> bool:
+    """The connectivity check the one graph walk replaced: a deque BFS over neighbour sets from the first pants."""
+    neighbors: dict[str, set[str]] = {p: set() for p in g.p_vertices}
+    for s in g.sphere_edges:
+        a, b = g.ends_of(s)
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    reached = {g.p_vertices[0]}
+    queue = deque(reached)
+    while queue:
+        for q in neighbors.get(queue.popleft(), ()):
+            if q not in reached:
+                reached.add(q)
+                queue.append(q)
+    return len(reached) == len(g.p_vertices)
+
+
+def _parent_labeling(g: SphereGraph) -> tuple[set[str], dict[str, tuple[int, int]]]:
+    """The spanning tree and labels of ``label_generators``' own deque BFS, which the one graph walk replaced."""
+    root = min(g.p_vertices)
+    tree: set[str] = set()
+    reached = {root}
+    frontier = deque([root])
+    by_pants: dict[str, list[str]] = {p: [] for p in g.p_vertices}
+    for s in sorted(g.sphere_edges):
+        a, b = g.ends_of(s)
+        by_pants[a].append(s)
+        if b != a:
+            by_pants[b].append(s)
+    while frontier:
+        p = frontier.popleft()
+        for s in by_pants[p]:
+            a, b = g.ends_of(s)
+            q = b if a == p else a
+            if q not in reached:
+                reached.add(q)
+                tree.add(s)
+                frontier.append(q)
+    labels: dict[str, tuple[int, int]] = {}
+    idx = 1
+    for s in sorted(g.sphere_edges):
+        if s in tree:
+            continue
+        a, b = g.ends_of(s)
+        labels[s] = (idx, 0 if a <= b else 1)
+        idx += 1
+    return tree, labels
+
+
+def _stub_pairing(n: int, rng: random.Random) -> SphereGraph:
+    """A cubic multigraph of betti ``n`` from one shuffled pairing of its stubs, connected or not."""
+    p_vertices = [f"p{i}" for i in range(2 * n - 2)]
+    stubs = [(p, slot) for p in p_vertices for slot in range(3)]
+    rng.shuffle(stubs)
+    incidence = {}
+    for i in range(0, len(stubs), 2):
+        incidence[HalfEdge(f"s{i // 2}", 0)] = Attachment(*stubs[i])
+        incidence[HalfEdge(f"s{i // 2}", 1)] = Attachment(*stubs[i + 1])
+    return SphereGraph(n, p_vertices, [f"s{i}" for i in range(3 * n - 3)], incidence)
+
+
+def test_the_graph_walk_reads_what_the_parent_searches_read():
+    """Connectivity, spanning tree and labels off ``graphs.walk`` equal the two deque searches it replaced."""
+    rng = random.Random(24)
+    grid = [build_standard(n) for n in range(2, 13)]
+    grid += [random_cubic(n, seed) for n in range(2, 13) for seed in range(50)]
+    grid += [_stub_pairing(n, rng) for n in range(2, 9) for _ in range(300)]
+    disconnected = 0
+    for g in grid:
+        connected = _parent_connected(g)
+        assert g.problems == (() if connected else ("graph disconnected",))
+        if not connected:
+            disconnected += 1
+            with pytest.raises(GraphError, match="graph disconnected"):
+                label_generators(g)
+            continue
+        lab = label_generators(g)
+        assert (lab.spanning_tree, lab.labels) == _parent_labeling(g)
+        assert list(lab.labels) == sorted(lab.labels)
+    assert len(grid) == 2661
+    assert disconnected > 0

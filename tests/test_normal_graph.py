@@ -8,7 +8,7 @@ import re
 import pytest
 
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
-from normaltori.graphs import HalfEdge, build_standard, label_generators, random_cubic
+from normaltori.graphs import HalfEdge, SphereGraph, build_standard, label_generators, random_cubic
 from normaltori.normal_graph import (
     KleinBottleError,
     axis_word,
@@ -21,13 +21,16 @@ from normaltori.normal_graph import (
     sides,
     to_normal_torus,
 )
-from normaltori.oracle import confluence_search, random_normal_torus
+from normaltori.moves import normalize
+from normaltori.oracle import confluence_search, perturb, random_normal_torus
 from normaltori.position import (
     BoundarySlot,
     Circle,
     Piece,
     PositionError,
     RegionTree,
+    TorusPosition,
+    intersection_vector,
     is_normal,
     validate_position,
 )
@@ -347,7 +350,7 @@ def test_a_built_torus_is_read_not_derived_again(monkeypatch):
     def walk(*args):
         raise AssertionError("a built torus was walked again")
 
-    monkeypatch.setattr(normal_graph, "_walk_piece_graph", walk)
+    monkeypatch.setattr(normal_graph, "walk", walk)
     d = decorate(nt)
     canonicalize(d)
     fundamental_domain(nt)
@@ -405,6 +408,66 @@ def test_word_normalization_least_rotation():
         [rotated[i:] + rotated[:i] for i in range(len(rotated))],
         key=lambda w: [(i, 0 if s > 0 else 1) for i, s in w],
     )
+
+
+def _swapped_ends(t: TorusPosition, sphere: str) -> TorusPosition:
+    """``t`` with ``sphere``'s ends 0 and 1 swapped in the graph and in every slot and ``uncrossed`` key.
+
+    The trees, transport bits and side anchors stay as they are.
+    """
+    def swap(he: HalfEdge) -> HalfEdge:
+        return he.other() if he.sphere == sphere else he
+
+    g = t.graph
+    graph = SphereGraph(g.rank, g.p_vertices, g.sphere_edges, {swap(he): att for he, att in g.incidence.items()})
+    pieces = {
+        pid: Piece(pid, p.pants, p.genus, [BoundarySlot(s.circle, swap(s.half_edge), s.region_a) for s in p.boundary],
+                   {swap(he): side for he, side in p.uncrossed.items()})
+        for pid, p in t.pieces.items()
+    }
+    return TorusPosition(graph, pieces, dict(t.circles), dict(t.trees), dict(t.transport))
+
+
+def test_swapping_a_spheres_ends_keeps_the_axis_word():
+    """Which end of a sphere is end 0 is a label: normalize, the intersection vector and the axis word ignore it.
+
+    On a loop sphere the swap reverses the generator ``label_generators``
+    reads off it (a loop is oriented from end 0), so that letter is
+    inverted and the word normalized again.  The handcuff graph
+    ``random_cubic(2, 0)`` has two loops and tori that read both.
+    """
+    from normaltori.normal_graph import _least_rotation
+
+    cases = []
+    for rank in range(2, 6):
+        for g in (build_standard(rank), random_cubic(rank, 3 * rank)):
+            for seed in (rank, rank + 20):
+                cases.append((g, perturb(random_normal_torus(g, seed, 2 + rank), 10 * seed + 5, 5)))
+    handcuff = random_cubic(2, 0)
+    for seed in range(12):
+        cases.append((handcuff, perturb(random_normal_torus(handcuff, seed, 5), seed, 5)))
+    swaps = inverted = changed = 0
+    for g, messy in cases:
+        want = normalize(messy)
+        lab = label_generators(g)
+        word = axis_word(want.torus, lab)
+        for sphere in g.sphere_edges:
+            swapped = _swapped_ends(messy, sphere)
+            assert validate_position(swapped) == []
+            got = normalize(swapped)
+            assert len(got.trace) == len(want.trace)
+            assert intersection_vector(got.position) == intersection_vector(want.position)
+            expected = word
+            a, b = g.ends_of(sphere)
+            if a == b and sphere in lab.labels:
+                idx = lab.labels[sphere][0]
+                expected = _least_rotation([(i, -sign if i == idx else sign) for i, sign in word])
+                inverted += 1
+            assert axis_word(got.torus, label_generators(swapped.graph)) == expected
+            changed += expected != word
+            swaps += 1
+    assert swaps == 156 and inverted > 0 and changed > 0
+    print(f"{swaps} end swaps, {inverted} on labelled loops, {changed} axis words inverted")
 
 
 def test_counts_match_node_types():

@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .graphs import HalfEdge, SphereGraph
+from .graphs import GraphError, HalfEdge, SphereGraph, validate_graph
 from .moves import _normalize, apply_move, find_moves
 from .normal_graph import NormalTorus, bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
@@ -59,12 +59,17 @@ from .serialize import dumps, position_to_json
 def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> TorusPosition:
     """A random normal torus position over ``g``, reproducible per seed.
 
-    Samples an immersed closed walk in the dual graph (the axis), then
-    spends the remaining piece budget growing branch trees off axis nodes;
-    every branch bottoms out in disks, so disk and pants counts balance
-    automatically.  Circles sharing a sphere are arranged side by side
-    (star-shaped region tree) and all transport bits are trivial.
+    Checks ``g`` first and raises ``GraphError`` with ``validate_graph``'s
+    problems, as ``label_generators`` does.  Samples an immersed closed
+    walk in the dual graph (the axis), then spends the rest of the piece
+    budget growing branches off axis nodes, depth first (``_grow_branches``);
+    every branch ends in disks.  Circles sharing a sphere sit side by side
+    (a star-shaped region tree) and every transport bit is trivial
+    (``_assemble``).
     """
+    problems = validate_graph(g)
+    if problems:
+        raise GraphError("; ".join(problems))
     if size_bound < 1:
         raise PositionError("size bound must allow at least one piece")
     rng = random.Random(seed)
@@ -77,8 +82,7 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
             break
     else:
         raise PositionError("failed to sample a closed immersed walk")
-    nodes = _grow_branches(g, rng, walk, size_bound)
-    t = _assemble(g, nodes)
+    t = _assemble(g, _grow_branches(g, rng, walk, size_bound))
     _checked(t, "generator produced invalid position: ")
     ok, violations = is_normal(t)
     if not ok:
@@ -107,137 +111,74 @@ def _sample_axis(g: SphereGraph, rng: random.Random, size_bound: int) -> list[Ha
 
 @dataclass
 class _Node:
-    """Scratch node while assembling: half-edge -> circle id or leaf marker."""
+    """Scratch piece while assembling: its circle at each half-edge it crosses; one absent or None is uncrossed."""
 
     id: str
     pants: str
-    ports: dict[HalfEdge, str | None] = field(default_factory=dict)  # circle id or None=leaf
+    ports: dict[HalfEdge, str | None] = field(default_factory=dict)
 
 
-def _grow_branches(g, rng, walk: list[HalfEdge], size_bound: int) -> list[_Node]:
-    nodes: list[_Node] = []
-    counter = 0
+def _grow_branches(g: SphereGraph, rng: random.Random, walk: list[HalfEdge], size_bound: int) -> list[_Node]:
+    """The axis nodes along ``walk``, then branches grown depth first while the budget lasts.
 
-    def new_circle() -> str:
-        nonlocal counter
-        cid = f"c{counter}"
-        counter += 1
-        return cid
-
+    Axis node ``Fi`` leaves through ``walk[i]`` on circle ``ci``.  Each
+    axis node, in walk order, draws whether to grow a branch at its free
+    end (a walk immersed in a valid graph leaves it one), once the budget
+    allows one more piece.  ``branch(node, he)`` puts circle ``cj`` at
+    ``he`` and piece ``Fj`` beyond it, ``j`` being the number of pieces
+    so far, spends one piece and draws the new piece's kind: pants (two
+    pieces left, probability 0.2), whose two children grow in sorted
+    half-edge order; cylinder (one left, 0.5), whose exit is drawn from
+    its other ends in sorted order; else disk.  A draw is made only once
+    its budget test passes.
+    """
     k = len(walk)
-    for i, exit_he in enumerate(walk):
-        pants = g.pants_of(exit_he)
-        node = _Node(f"F{i}", pants)
-        nodes.append(node)
-    axis_cids = []
-    for _ in walk:
-        axis_cids.append(new_circle())
-    for i, exit_he in enumerate(walk):
-        entry_he = walk[(i - 1) % k].other()
-        node = nodes[i]
-        node.ports[exit_he] = axis_cids[i]
-        node.ports[entry_he] = axis_cids[(i - 1) % k]
-        for he in g.half_edges_at(node.pants):
-            if he not in node.ports:
-                node.ports[he] = None
-
+    nodes = [_Node(f"F{i}", g.pants_of(he), {he: f"c{i}", walk[i - 1].other(): f"c{(i - 1) % k}"})
+             for i, he in enumerate(walk)]
     budget = size_bound - k
-    next_piece = k
 
-    def grow(entry_he: HalfEdge) -> None:
-        """One branch node entered through ``entry_he``; recurses on budget."""
-        nonlocal budget, next_piece
-        pants = g.pants_of(entry_he)
-        node = _Node(f"F{next_piece}", pants)
-        next_piece += 1
-        nodes.append(node)
+    def branch(node: _Node, he: HalfEdge) -> None:
+        nonlocal budget
+        j, entry = len(nodes), he.other()
+        node.ports[he] = f"c{j}"
+        child = _Node(f"F{j}", g.pants_of(entry), {entry: f"c{j}"})
+        nodes.append(child)
         budget -= 1
-        entry_cid = pending_cid.pop()
-        node.ports[entry_he] = entry_cid
-        rest = [he for he in g.half_edges_at(pants) if he != entry_he]
+        rest = sorted(h for h in g.half_edges_at(child.pants) if h != entry)
         if budget >= 2 and rng.random() < 0.2:
-            kinds = "pants"
+            for h in rest:
+                branch(child, h)
         elif budget >= 1 and rng.random() < 0.5:
-            kinds = "cylinder"
-        else:
-            kinds = "disk"
-        if kinds == "disk":
-            for he in rest:
-                node.ports[he] = None
-            return
-        if kinds == "cylinder":
-            exit_he = rng.choice(sorted(rest))
-            other = [he for he in rest if he != exit_he][0]
-            node.ports[other] = None
-            cid = new_circle()
-            node.ports[exit_he] = cid
-            pending_cid.append(cid)
-            grow(exit_he.other())
-            return
-        for he in sorted(rest):
-            cid = new_circle()
-            node.ports[he] = cid
-            pending_cid.append(cid)
-            grow(he.other())
+            branch(child, rng.choice(rest))
 
-    pending_cid: list[str] = []
-    for i in list(range(k)):
-        node = nodes[i]
-        free = [he for he, v in node.ports.items() if v is None]
-        if not free or budget < 1:
-            continue
-        if rng.random() < 0.5:
-            he = free[0]
-            cid = new_circle()
-            node.ports[he] = cid
-            pending_cid.append(cid)
-            grow(he.other())
+    for node in nodes[:k]:
+        if budget >= 1 and rng.random() < 0.5:
+            branch(node, next(he for he in g.half_edges_at(node.pants) if he not in node.ports))
     return nodes
 
 
 def _assemble(g: SphereGraph, nodes: list[_Node]) -> TorusPosition:
-    by_circle: dict[str, list[tuple[_Node, HalfEdge]]] = defaultdict(list)
+    """The position of ``nodes``, each circle held by two of them.
+
+    Sphere ``g.sphere_edges[i]``'s tree is a star on centre ``ri`` with a
+    leaf per circle, the leaves named on in sorted circle-id order.  Every
+    slot faces its centre, a piece's uncrossed ends take sides A then B in
+    sorted order, and every transport bit is trivial.
+    """
+    sphere_of = {cid: he.sphere for node in nodes for he, cid in node.ports.items() if cid is not None}
+    center = {s: f"r{i}" for i, s in enumerate(g.sphere_edges)}
+    edges = {s: {} for s in g.sphere_edges}
+    for i, (cid, s) in enumerate(sorted(sphere_of.items()), len(center)):
+        edges[s][cid] = (center[s], f"r{i}")
+    trees = {s: RegionTree(s, {center[s], *(leaf for _, leaf in edges[s].values())}, edges[s]) for s in edges}
+    pieces = {}
     for node in nodes:
-        for he, cid in node.ports.items():
-            if cid is not None:
-                by_circle[cid].append((node, he))
-    circles: dict[str, Circle] = {}
-    edges: dict[str, dict[str, tuple[str, str]]] = {}  # sphere -> its tree's edges
-    center: dict[str, str] = {}
-    region_counter = 0
-
-    def new_region() -> str:
-        nonlocal region_counter
-        rid = f"r{region_counter}"
-        region_counter += 1
-        return rid
-
-    for s in g.sphere_edges:
-        center[s], edges[s] = new_region(), {}
-    for cid in sorted(by_circle):
-        ends = by_circle[cid]
-        assert len(ends) == 2
-        sphere = ends[0][1].sphere
-        circles[cid] = Circle(cid, sphere)
-        edges[sphere][cid] = (center[sphere], new_region())
-    trees = {s: RegionTree(s, {center[s], *(leaf for _, leaf in edges[s].values())}, edges[s]) for s in g.sphere_edges}
-
-    pieces: dict[str, Piece] = {}
-    for node in nodes:
-        boundary = []
-        uncrossed = {}
-        free = sorted(he for he, v in node.ports.items() if v is None)
-        for he in sorted(node.ports):
-            cid = node.ports[he]
-            if cid is not None:
-                boundary.append(BoundarySlot(cid, he, center[he.sphere]))
-        if len(free) == 2:
-            uncrossed = {free[0]: SIDE_A, free[1]: SIDE_B}
-        elif len(free) == 1:
-            uncrossed = {free[0]: SIDE_A}
-        pieces[node.id] = Piece(node.id, node.pants, 0, boundary, uncrossed)
-    transport = {cid: True for cid in circles}
-    return TorusPosition(g, pieces, circles, trees, transport)
+        free = sorted(he for he in g.half_edges_at(node.pants) if node.ports.get(he) is None)
+        boundary = [BoundarySlot(cid, he, center[he.sphere])
+                    for he, cid in sorted(node.ports.items()) if cid is not None]
+        pieces[node.id] = Piece(node.id, node.pants, 0, boundary, dict(zip(free, (SIDE_A, SIDE_B))))
+    circles = {cid: Circle(cid, sphere_of[cid]) for cid in sorted(sphere_of)}
+    return TorusPosition(g, pieces, circles, trees, {cid: True for cid in circles})
 
 
 # ---------------------------------------------------------------------------
@@ -446,15 +387,7 @@ def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: st
         cid, host_he, (BoundarySlot(c_keep, host_he, rx if o else r_y),)
     )
 
-    pants = t.graph.pants_of(host_he)
-    others = [he for he in t.graph.half_edges_at(pants) if he != host_he]
-    out.pieces[dome_id] = Piece(
-        dome_id,
-        pants,
-        0,
-        [BoundarySlot(c_dome, host_he, rx if dome_label == SIDE_A else r_fp)],
-        {he: dome_label for he in others},
-    )
+    out.pieces[dome_id] = _disk(t, dome_id, c_dome, host_he, dome_label, rx, r_fp)
     return out, {near.id, host.id, dome_id}, {cid, c_dome, c_keep}, sphere
 
 
@@ -485,17 +418,18 @@ def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str)
     # The finger's cavity opens to the grown piece's far side, while the
     # dome's away side continues the near side across the sphere; with a
     # trivial transport bit the dome therefore reuses the host's label.
-    dome_he = he.other()
-    pants = t.graph.pants_of(dome_he)
-    others = [h for h in t.graph.half_edges_at(pants) if h != dome_he]
-    out.pieces[dome_id] = Piece(
-        dome_id,
-        pants,
-        0,
-        [BoundarySlot(c_new, dome_he, region if label == SIDE_A else leaf)],
-        {h: label for h in others},
-    )
+    out.pieces[dome_id] = _disk(t, dome_id, c_new, he.other(), label, region, leaf)
     return out, {pid, dome_id}, {c_new}, sphere
+
+
+def _disk(t: TorusPosition, pid: str, cid: str, he: HalfEdge, side: str, near: str, far: str) -> Piece:
+    """The shed disk: bounded by ``cid`` at ``he``, with its pants' other ends uncrossed on ``side``.
+
+    Its slot's side-A region is ``near`` when ``side`` is A, else ``far``.
+    """
+    pants = t.graph.pants_of(he)
+    others = {h: side for h in t.graph.half_edges_at(pants) if h != he}
+    return Piece(pid, pants, 0, [BoundarySlot(cid, he, near if side == SIDE_A else far)], others)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .position import (
     Piece,
     RegionTree,
     TorusPosition,
+    _piece_edges,
 )
 
 FORMAT = 1
@@ -369,13 +370,18 @@ def load_any(text: str):
     return kind, loaders[kind](obj)
 
 
+def _dot(text: str) -> str:
+    """``text`` as a DOT quoted string: backslash and quote escaped, a newline as ``\\n``."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def graph_to_dot(g: SphereGraph) -> str:
     lines = ["graph sphere_system {", "  node [shape=circle];"]
     for p in g.p_vertices:
-        lines.append(f'  "{p}";')
+        lines.append(f"  {_dot(p)};")
     for s in g.sphere_edges:
         a, b = g.ends_of(s)
-        lines.append(f'  "{a}" -- "{b}" [label="{s}"];')
+        lines.append(f"  {_dot(a)} -- {_dot(b)} [label={_dot(s)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -384,13 +390,11 @@ def position_to_dot(t: TorusPosition) -> str:
     """Piece graph: pieces as nodes, intersection circles as edges."""
     lines = ["graph piece_graph {", "  node [shape=box];"]
     for pid, piece in sorted(t.pieces.items()):
-        lines.append(f'  "{pid}" [label="{pid}\\n{piece.pants} g={piece.genus}"];')
-    index = t.circle_slots()
-    for cid in sorted(t.circles):
-        slots = index.get(cid, [])
-        if len(slots) == 2:
-            (pa, _), (pb, _) = slots
-            lines.append(f'  "{pa.id}" -- "{pb.id}" [label="{cid}@{t.circles[cid].sphere}"];')
+        label = _dot(f"{pid}\n{piece.pants} g={piece.genus}")
+        lines.append(f"  {_dot(pid)} [label={label}];")
+    for cid, a, b, _ in _piece_edges(t, t.circle_slots()):
+        label = _dot(f"{cid}@{t.circles[cid].sphere}")
+        lines.append(f"  {_dot(a)} -- {_dot(b)} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -402,13 +406,15 @@ def normal_torus_to_dot(nt: NormalTorus, signs=None) -> str:
     lines = ["graph normal_torus {"]
     for nid, (pants, kind) in sorted(nt.nodes.items()):
         shape = _SHAPES.get(kind, "box")
-        lines.append(f'  "{nid}" [shape={shape} label="{nid}\\n{pants} {kind}"];')
+        label = _dot(f"{nid}\n{pants} {kind}")
+        lines.append(f"  {_dot(nid)} [shape={shape} label={label}];")
     for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
-        lines.append(f'  "{n0}" -- "{n1}" [label="{cid}@{sphere}"];')
+        label = _dot(f"{cid}@{sphere}")
+        lines.append(f"  {_dot(n0)} -- {_dot(n1)} [label={label}];")
     for i, leaf in enumerate(sorted(nt.leaves, key=_leaf_key)):
         sign = signs.get(leaf, "") if signs else ""
-        label = f"{leaf.half_edge.label()} {sign}".strip()
-        lines.append(f'  "leaf{i}" [shape=plaintext label="{label}"];')
-        lines.append(f'  "{leaf.node}" -- "leaf{i}" [style=dashed];')
+        label, name = _dot(f"{leaf.half_edge.label()} {sign}".strip()), _dot(f"leaf{i}")
+        lines.append(f"  {name} [shape=plaintext label={label}];")
+        lines.append(f"  {_dot(leaf.node)} -- {name} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
 
 from conftest import criterion_3_inputs, is_loop
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.graphs import build_standard, random_cubic
+from normaltori.graphs import GraphError, SphereGraph, build_standard, random_cubic, validate_graph
 from normaltori.moves import Slide, apply_move, find_moves, normalize
 from normaltori.normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from normaltori.oracle import (
@@ -24,6 +25,13 @@ from normaltori.position import (
     total_intersections,
     validate_position,
 )
+from normaltori.serialize import dumps, position_to_json
+
+# SHA-256 of every generated position's JSON over the grid in
+# ``test_generated_positions_are_pinned``: ids, region names and draw
+# order included.  A change to how the generator draws must list the old
+# and the new value.
+GENERATED = "5f248993627b57de74c55d8d930f033e354e6018f60c1daeb898bd4d301ba786"
 
 
 def test_random_normal_torus_smallest_is_two_cylinders():
@@ -40,6 +48,26 @@ def test_random_normal_torus_deterministic():
     b = random_normal_torus(g, 17, 5)
     assert intersection_vector(a) == intersection_vector(b)
     assert equivalent(decorate(to_normal_torus(a)), decorate(to_normal_torus(b)))
+
+
+def test_generated_positions_are_pinned():
+    digest = hashlib.sha256()
+    for rank in range(2, 9):
+        for g in (build_standard(rank), random_cubic(rank, rank), random_cubic(rank, rank + 7)):
+            for bound, seed in product((1, 2, 4, 8, 16, 64, 256), range(3)):
+                digest.update(dumps(position_to_json(random_normal_torus(g, seed, bound))).encode())
+    assert digest.hexdigest() == GENERATED
+
+
+def test_random_normal_torus_rejects_an_invalid_graph():
+    g = build_standard(2)
+    bad = SphereGraph(g.rank, (*g.p_vertices, "p9"), g.sphere_edges, g.incidence)
+    want = "; ".join(validate_graph(bad))
+    assert "P-vertex p9 has 0 half-edges" in want
+    for seed in range(6):
+        with pytest.raises(GraphError) as info:
+            random_normal_torus(bad, seed)
+        assert str(info.value) == want
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])

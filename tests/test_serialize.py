@@ -265,3 +265,46 @@ def test_dot_exports_mention_everything():
     d = decorate(to_normal_torus(t), "F2", "A")
     sdot = serialize.normal_torus_to_dot(d.torus, d.signs)
     assert "+" in sdot and "-" in sdot
+
+
+_QUOTED = r'"(?:[^"\\\n]|\\.)*"'
+_DOT_LINE = re.compile(rf'  (?:{_QUOTED}|node)(?: -- {_QUOTED})?(?: \[(?:\w+=(?:{_QUOTED}|\w+) ?)+\])?;')
+
+
+def _dot_lines(text: str) -> list[list[str]]:
+    """The quoted strings of each statement of a DOT export, unescaped; fails on a line that is not DOT."""
+    lines = text.splitlines()
+    assert re.fullmatch(r"graph \w+ \{", lines[0]) and lines[-1] == "}"
+    for line in lines[1:-1]:
+        assert _DOT_LINE.fullmatch(line), line
+    unescape = {"n": "\n"}
+    return [[re.sub(r"\\(.)", lambda m: unescape.get(m[1], m[1]), q[1:-1]) for q in re.findall(_QUOTED, line)]
+            for line in lines[1:-1]]
+
+
+def test_dot_exports_escape_ids(tmp_path, capsys):
+    piece, sphere, pants = 'F0"x\\', "s0\\", 'p"0'
+    text = dumps(position_to_json(make_t0()))
+    for old, new in (("F0", piece), ("s0", sphere), ("p0", pants)):
+        text = text.replace(json.dumps(old), json.dumps(new))
+    odd, dec, graph = tmp_path / "odd.json", tmp_path / "dec.json", tmp_path / "graph.json"
+    odd.write_text(text, encoding="utf-8")
+    graph.write_text(dumps(json.loads(text)["graph"]), encoding="utf-8")
+    assert main(["validate", str(odd)]) == 0
+    assert main(["decorate", str(odd), "-o", str(dec)]) == 0
+    exported = {}
+    for path in (graph, odd, dec):
+        capsys.readouterr()
+        assert main(["export-dot", str(path)]) == 0
+        exported[path] = _dot_lines(capsys.readouterr().out)
+    assert exported[graph] == [[], [pants], ["p1"], [pants, "p1", sphere], [pants, "p1", "s1"], ["p1", pants, "s2"]]
+    assert exported[odd] == [
+        [],
+        [piece, f"{piece}\n{pants} g=0"],
+        ["F1", "F1\np1 g=0"],
+        [piece, "F1", f"c0@{sphere}"],
+        [piece, "F1", "c1@s1"],
+    ]
+    assert [piece, f"{piece}\n{pants} cylinder"] in exported[dec]
+    assert [piece, "F1", f"c0@{sphere}"] in exported[dec]
+    assert [piece, "leaf0"] in exported[dec]

@@ -330,40 +330,16 @@ def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, i
         letter = labeling.word_letter(sphere, from_end)
         if letter is not None:
             word.append(letter)
-    reduced = _cyclic_reduce(word)
-    if reduced != word or not reduced:
+    if not word or any(a == (b[0], -b[1]) for a, b in zip(word, word[1:] + word[:1])):
         raise PositionError("axis word failed to be cyclically reduced and nonempty")
     return _least_rotation(word)
 
 
-def _cyclic_reduce(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = list(word)
-    changed = True
-    while changed and out:
-        changed = False
-        for i in range(len(out)):
-            j = (i + 1) % len(out)
-            if i != j and out[i][0] == out[j][0] and out[i][1] == -out[j][1]:
-                for k in sorted((i, j), reverse=True):
-                    del out[k]
-                changed = True
-                break
-    return out
-
-
-def _letter_key(letter: tuple[int, int]) -> tuple[int, int]:
-    idx, sign = letter
-    return (idx, 0 if sign > 0 else 1)
-
-
 def _least_rotation(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    inverse = [(idx, -s) for idx, s in reversed(word)]
-    candidates = []
-    for w in (word, inverse):
-        for r in range(len(w)):
-            candidates.append(tuple(w[r:] + w[:r]))
-    best = min(candidates, key=lambda w: [_letter_key(x) for x in w])
-    return list(best)
+    """The least rotation of ``word`` or its inverse, letters ordered by index and then x before x^-1."""
+    inverse = [(idx, -sign) for idx, sign in reversed(word)]
+    rotations = (w[r:] + w[:r] for w in (word, inverse) for r in range(len(w)))
+    return min(rotations, key=lambda w: [(idx, -sign) for idx, sign in w])
 
 
 def format_word(word: list[tuple[int, int]]) -> str:

@@ -243,11 +243,6 @@ def _inverse(t: TorusPosition, cand: tuple, index):
     raise PositionError(f"unknown inverse move {cand[0]}")
 
 
-def _inverse_candidates(t: TorusPosition) -> list[tuple]:
-    """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
-    return _Candidates(t, t.circle_slots()).list()
-
-
 class _Candidates:
     """The inverse moves of a valid position, kept per item across the steps of one perturbation.
 

@@ -262,17 +262,6 @@ def piece_graph_betti(t: TorusPosition) -> int:
     return len(t.circles) - len(t.pieces) + 1
 
 
-def monodromy_certificate(t: TorusPosition) -> list[str] | None:
-    """None when a global co-orientation exists, else pieces of a bad cycle.
-
-    Flip bits (not transport) form a Z/2 cochain on the piece graph; the
-    surface is two-sided exactly when it is a coboundary.  A failure on a
-    self-loop circle or a non-tree edge is reported as the pieces along the
-    offending cycle.
-    """
-    return walk(t.pieces, _piece_edges(t, t.circle_slots()))[3]
-
-
 def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
     """(circle, piece, piece, flip) per circle of ``t`` with two slots, in circle order."""
     edges = []
@@ -461,25 +450,19 @@ def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> di
 class Tally:
     """Sums over a whole position that a step updates from its ``Delta``.
 
-    ``counts`` is the intersection vector, ``euler`` the Euler sum, ``genus``
-    counts the pieces of nonzero genus, and ``abnormal`` holds the ids of
-    the pieces that are not normal pieces (``is_normal_piece``).
+    ``counts`` is the intersection vector, ``euler`` the Euler sum, and
+    ``abnormal`` holds the ids of the pieces that break the normal-piece
+    rule (``is_normal_piece``).
     """
 
     counts: dict[str, int]
     euler: int
-    genus: int
     abnormal: set[str]
 
     @classmethod
     def of(cls, t: TorusPosition) -> "Tally":
-        pieces = t.pieces.values()
-        return cls(
-            intersection_vector(t),
-            euler_characteristic(t),
-            sum(p.genus != 0 for p in pieces),
-            {p.id for p in pieces if not is_normal_piece(p)},
-        )
+        abnormal = {p.id for p in t.pieces.values() if not is_normal_piece(p)}
+        return cls(intersection_vector(t), euler_characteristic(t), abnormal)
 
     def stepped(self, before: TorusPosition, after: TorusPosition, delta: Delta) -> "Tally":
         """The tally of ``after``, from this one of ``before``."""
@@ -490,15 +473,14 @@ class Tally:
             if cid in after.circles:
                 sphere = after.circles[cid].sphere
                 counts[sphere] = counts.get(sphere, 0) + 1
-        euler, genus, abnormal = self.euler, self.genus, self.abnormal - delta.pieces
+        euler, abnormal = self.euler, self.abnormal - delta.pieces
         for pid in delta.pieces:
             for piece, sign in ((before.pieces.get(pid), -1), (after.pieces.get(pid), 1)):
                 if piece is not None:
                     euler += sign * piece.euler()
-                    genus += sign * (piece.genus != 0)
             if pid in after.pieces and not is_normal_piece(after.pieces[pid]):
                 abnormal.add(pid)
-        return Tally(counts, euler, genus, abnormal)
+        return Tally(counts, euler, abnormal)
 
 
 def _validate_delta(before: TorusPosition, after: TorusPosition, index, delta: Delta, tally: Tally) -> list[str]:
@@ -508,9 +490,9 @@ def _validate_delta(before: TorusPosition, after: TorusPosition, index, delta: D
     skips the graph check and re-checks per item only what the step can
     have changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()``
     and ``Tally``.  The scope comes from the delta (``_delta_scope``), the
-    per-sphere counts, the Euler sum and the genus verdict from the tally,
-    and connectivity and monodromy from the same full walk of the piece
-    graph that ``validate_position`` makes.
+    per-sphere counts and the Euler sum from the tally, and connectivity
+    and monodromy from the same full walk of the piece graph that
+    ``validate_position`` makes.
     """
     return _validate(after, index, *_delta_scope(before, after, index, delta), tally)
 
@@ -545,14 +527,18 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
 
     ``index`` is ``t.circle_slots()``.  The passes run in this order: per
     piece and per circle in id order, per tree in graph order, then, only
-    once those found nothing, the Euler sum, the one walk and the betti
-    number, and last the side anchors, piece by piece, at ``ends`` (None:
-    every end of every piece) and at every end on a given sphere.  So any
-    scope that holds every item with a problem gives the same list.
+    once those found nothing, the Euler sum, the stray transport bits and
+    the one walk, and last the side anchors, piece by piece, at ``ends``
+    (None: every end of every piece) and at every end on a given sphere.
+    So any scope that holds every item with a problem gives the same list.
     ``tally`` is ``t``'s ``Tally`` for the result of a step from a valid
-    position: the per-sphere counts, the Euler sum and the genus verdict
-    are then read off it.  Connectivity and monodromy always come from the
-    one ``graphs.walk`` over every piece.
+    position: the per-sphere counts and the Euler sum are then read off it.
+    Connectivity and monodromy always come from the one ``graphs.walk``
+    over every piece.
+
+    Once the per-item checks pass, each circle has two slots and its bit:
+    the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
+    it fixes betti number 1, and a stray bit shows as more bits than circles.
     """
     problems = []
     for pid in sorted(pieces):
@@ -569,14 +555,13 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
+    if len(t.transport) > len(t.circles):
+        stray = sorted(t.transport.keys() - t.circles.keys())
+        problems.extend(f"side transport bit of unknown circle {cid}" for cid in stray)
+
     reached, _, _, bad_cycle = walk(t.pieces, _piece_edges(t, index))
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
-
-    flat = tally.genus == 0 if tally else all(p.genus == 0 for p in t.pieces.values())
-    if flat and not problems:
-        if piece_graph_betti(t) != 1:
-            problems.append(f"piece graph betti {piece_graph_betti(t)} not 1")
 
     if bad_cycle is not None:
         problems.append(_Monodromy("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")"))
@@ -767,70 +752,58 @@ def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) ->
 DISK = "disk"
 CYLINDER = "cylinder"
 PANTS = "pants"
+_KINDS = {1: DISK, 2: CYLINDER, 3: PANTS}
+
+
+def _fault(piece: Piece) -> str | None:
+    """The first normal-piece rule that ``piece`` breaks, or None; the one statement of the rule.
+
+    In order: genus 0 (``"genus"``); no sphere end met twice (``"doubled"``);
+    a disk separates the two boundary spheres it misses, with opposite
+    uncrossed labels, or it is parallel into its own sphere (``"parallel"``);
+    one to three boundary circles (``"count"``).
+    """
+    if piece.genus != 0:
+        return "genus"
+    crossed = [slot.half_edge for slot in piece.boundary]
+    if len(set(crossed)) != len(crossed):
+        return "doubled"
+    if len(crossed) == 1:
+        return None if len(set(piece.uncrossed.values())) == 2 else "parallel"
+    return None if len(crossed) in (2, 3) else "count"
 
 
 def piece_kind(piece: Piece) -> str | None:
-    """Normal-form kind of a piece, or None when it fits none of them."""
-    if piece.genus != 0:
-        return None
-    crossed = [slot.half_edge for slot in piece.boundary]
-    if len(crossed) != len(set(crossed)):
-        return None
-    if len(crossed) == 1:
-        return DISK
-    if len(crossed) == 2:
-        return CYLINDER
-    if len(crossed) == 3:
-        return PANTS
-    return None
+    """Normal-form kind of a piece, or None when it fits none of them; a boundary-parallel disk is a disk."""
+    return None if _fault(piece) in ("genus", "doubled") else _KINDS.get(len(piece.boundary))
 
 
 def is_normal_piece(piece: Piece) -> bool:
-    """A disk, cylinder or pants piece, and an essential one if a disk.
-
-    True exactly for the pieces ``is_normal`` finds no violation in; it
-    skips building the messages, for callers that only need the verdict.
-    """
-    kind = piece_kind(piece)
-    return kind is not None and (kind != DISK or len(set(piece.uncrossed.values())) == 2)
+    """Whether ``piece`` keeps the normal-piece rule (``_fault``), the verdict ``is_normal`` names violations of."""
+    return _fault(piece) is None
 
 
 def is_normal(t: TorusPosition) -> tuple[bool, list[str]]:
-    """Normal form: every piece a disk, a cylinder or a pants piece.
+    """Normal form: every piece keeps the normal-piece rule (``_fault``).
 
-    Disks must additionally be essential, i.e. separate the two boundary
-    spheres they miss (opposite uncrossed side labels); a disk with both
-    of them on one side is parallel into its own sphere.
+    Violations name pieces by key, in key order: each doubled end, or else the one rule broken.
     """
     violations = []
     for pid, piece in sorted(t.pieces.items()):
-        if piece.genus != 0:
+        fault = _fault(piece)
+        if fault == "genus":
             violations.append(f"piece {pid} has genus {piece.genus}")
-            continue
-        seen: dict[HalfEdge, int] = defaultdict(int)
-        for slot in piece.boundary:
-            seen[slot.half_edge] += 1
-        doubled = False
-        for he, k in sorted(seen.items()):
-            if k > 1:
-                violations.append(f"piece {pid} meets half-edge ({t.half_edge_label(he)}) twice")
-                doubled = True
-        if doubled:
-            continue
-        b = len(piece.boundary)
-        if b == 1:
-            sides = sorted(piece.uncrossed.values())
-            if len(set(sides)) != 2:
-                violations.append(f"disk {pid} boundary-parallel")
-        elif b not in (2, 3):
-            violations.append(f"piece {pid} has {b} boundary circles")
+        elif fault == "doubled":
+            seen = Counter(slot.half_edge for slot in piece.boundary)
+            violations.extend(f"piece {pid} meets half-edge ({t.half_edge_label(he)}) twice"
+                              for he, k in sorted(seen.items()) if k > 1)
+        elif fault == "parallel":
+            violations.append(f"disk {pid} boundary-parallel")
+        elif fault == "count":
+            violations.append(f"piece {pid} has {len(piece.boundary)} boundary circles")
     return (not violations, violations)
 
 
 def is_boundary_parallel_disk(piece: Piece) -> bool:
-    return (
-        piece.genus == 0
-        and len(piece.boundary) == 1
-        and len(set(piece.uncrossed.values())) == 1
-        and len(piece.uncrossed) == 2
-    )
+    """A disk that breaks the normal-piece rule only by being parallel into its sphere, with both other ends labelled."""
+    return _fault(piece) == "parallel" and len(piece.uncrossed) == 2

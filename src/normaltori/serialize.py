@@ -8,6 +8,7 @@ lists in id order.  Loaders take every value through one typed reader,
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -411,9 +412,11 @@ def normal_torus_to_dot(nt: NormalTorus, signs=None) -> str:
     for cid, (sphere, n0, n1) in sorted(nt.crossings.items()):
         label = _dot(f"{cid}@{sphere}")
         lines.append(f"  {_dot(n0)} -- {_dot(n1)} [label={label}];")
-    for i, leaf in enumerate(sorted(nt.leaves, key=_leaf_key)):
+    # leaf0, leaf1, ... in one pass, skipping node ids; fresh_id per leaf would rescan from leaf0
+    names = (f"leaf{k}" for k in itertools.count() if f"leaf{k}" not in nt.nodes)
+    for leaf, name in zip(sorted(nt.leaves, key=_leaf_key), names):
         sign = signs.get(leaf, "") if signs else ""
-        label, name = _dot(f"{leaf.half_edge.label()} {sign}".strip()), _dot(f"leaf{i}")
+        label, name = _dot(f"{leaf.half_edge.label()} {sign}".strip()), _dot(name)
         lines.append(f"  {name} [shape=plaintext label={label}];")
         lines.append(f"  {_dot(leaf.node)} -- {name} [style=dashed];")
     lines.append("}")

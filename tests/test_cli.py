@@ -276,6 +276,18 @@ def test_fuzz_command(capsys):
     assert "0 failures" in capsys.readouterr().out
 
 
+def test_stray_transport_bit_rejected(tmp_path, capsys):
+    """A ``side_transport`` bit of a circle the file lacks fails ``validate``, and ``normalize`` writes nothing."""
+    obj = position_to_json(make_t0())
+    obj["side_transport"]["c9"] = False
+    path, out = tmp_path / "stray.json", tmp_path / "out.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "side transport bit of unknown circle c9\n"
+    assert main(["normalize", str(path), "-o", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_export_dot(files, capsys):
     tmp, paths = files
     assert main(["export-dot", str(paths["t0"])]) == 0

@@ -9,6 +9,12 @@ read each slot once (the one edit: ``Piece.crossed_half_edges()``, since
 removed, is written out), builds a reference ``validate_position`` from
 them and the package's global checks, and pins both checks to its list,
 message for message and in order.
+
+The reference keeps the betti-number check that the package dropped as
+unreachable: once the per-item checks pass, a zero Euler sum with every
+genus 0 already means betti number 1, so the pins passing on every mutant
+is the evidence that the check never fired.  It also checks for transport
+bits of no circle, as the package's global pass does.
 """
 
 from __future__ import annotations
@@ -138,6 +144,8 @@ def _reference_validate(t) -> list[str]:
     chi = euler_characteristic(t)
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
+    for cid in sorted(t.transport.keys() - t.circles.keys()):
+        problems.append(f"side transport bit of unknown circle {cid}")
     reached, _, _, bad_cycle = position.walk(t.pieces, position._piece_edges(t, index))
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")

@@ -429,7 +429,7 @@ def _candidates_by_side_of_region(t):
 
 
 def test_inverse_candidates_match_side_of_region():
-    from normaltori.oracle import _inverse_candidates
+    from test_step_check import _inverse_candidates
 
     corpus = []
     for rank in range(2, 7):

@@ -16,7 +16,7 @@ from conftest import criterion_3_inputs, is_loop, piece_at
 from test_acceptance import _fuzz_corpus
 
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
-from normaltori.graphs import HalfEdge, build_standard
+from normaltori.graphs import HalfEdge, build_standard, walk
 from normaltori.normal_graph import to_normal_torus
 from normaltori.position import (
     SIDE_A,
@@ -26,6 +26,7 @@ from normaltori.position import (
     Piece,
     RegionTree,
     TorusPosition,
+    _piece_edges,
     euler_characteristic,
     intersection_vector,
     is_normal,
@@ -113,6 +114,17 @@ def test_closed_piece_rejected():
     assert any("closed" in p for p in problems)
 
 
+def test_stray_transport_bits_rejected():
+    """A transport bit of no circle is named, in sorted id order, by the full check and the step check alike."""
+    from test_step_check import _validate_by_value
+
+    base = make_t0()
+    t = base.clone()
+    t.transport.update({"c9": False, "c10": True})
+    want = ["side transport bit of unknown circle c10", "side transport bit of unknown circle c9"]
+    assert validate_position(t) == _validate_by_value(base, t) == want
+
+
 def test_side_of_region_flips_across_own_circles():
     t = make_t0()
     f0 = t.pieces["F0"]
@@ -122,9 +134,18 @@ def test_side_of_region_flips_across_own_circles():
     assert side_of_region(t, f0, HalfEdge("s2", 1), "r4") == SIDE_A
 
 
-def test_monodromy_trivial_for_fixtures():
-    from normaltori.position import monodromy_certificate
+def monodromy_certificate(t: TorusPosition) -> list[str] | None:
+    """None when a global co-orientation exists, else pieces of a bad cycle.
 
+    Flip bits (not transport) form a Z/2 cochain on the piece graph; the
+    surface is two-sided exactly when it is a coboundary.  A failure on a
+    self-loop circle or a non-tree edge is reported as the pieces along the
+    offending cycle.
+    """
+    return walk(t.pieces, _piece_edges(t, t.circle_slots()))[3]
+
+
+def test_monodromy_trivial_for_fixtures():
     assert monodromy_certificate(make_t0()) is None
     assert monodromy_certificate(make_t2()) is None
     assert monodromy_certificate(make_klein()) is not None
@@ -134,7 +155,6 @@ def test_transport_flip_detected_on_self_loop():
     # one-cylinder torus over a loop sphere; flipped bit means one-sided
     from normaltori.graphs import random_cubic
     from normaltori.oracle import random_normal_torus
-    from normaltori.position import monodromy_certificate
 
     g = random_cubic(2, 0)
     loops = [s for s in g.sphere_edges if is_loop(g, s)]

@@ -308,3 +308,23 @@ def test_dot_exports_escape_ids(tmp_path, capsys):
     assert [piece, f"{piece}\n{pants} cylinder"] in exported[dec]
     assert [piece, "F1", f"c0@{sphere}"] in exported[dec]
     assert [piece, "leaf0"] in exported[dec]
+
+
+def test_dot_leaf_names_clear_of_piece_ids(tmp_path, capsys):
+    """t0 with ``F1`` renamed ``leaf0``: each leaf stub gets a node of its own, named past the piece ids."""
+    text = dumps(position_to_json(make_t0())).replace(json.dumps("F1"), json.dumps("leaf0"))
+    renamed, dec = tmp_path / "renamed.json", tmp_path / "dec.json"
+    renamed.write_text(text, encoding="utf-8")
+    assert main(["decorate", str(renamed), "-o", str(dec)]) == 0
+    capsys.readouterr()
+    assert main(["export-dot", str(dec)]) == 0
+    assert _dot_lines(capsys.readouterr().out) == [
+        ["F0", "F0\np0 cylinder"],
+        ["leaf0", "leaf0\np1 cylinder"],
+        ["F0", "leaf0", "c0@s0"],
+        ["F0", "leaf0", "c1@s1"],
+        ["leaf1", "s2@1 +"],
+        ["F0", "leaf1"],
+        ["leaf2", "s2@0 +"],
+        ["leaf0", "leaf2"],
+    ]

@@ -26,7 +26,6 @@ from normaltori.graphs import HalfEdge, build_standard, random_cubic
 from normaltori.moves import Cap, Slide, _ball_region, apply_move, find_moves, normalize
 from normaltori.normal_graph import to_normal_torus
 from normaltori.oracle import (
-    _inverse_candidates,
     minimality_experiment,
     perturb,
     random_normal_torus,
@@ -44,6 +43,11 @@ from normaltori.position import (
     validate_position,
 )
 from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
+
+
+def _inverse_candidates(t):
+    """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
+    return oracle._Candidates(t, t.circle_slots()).list()
 
 
 def _apply_inverse(t, cand):

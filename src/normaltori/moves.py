@@ -397,7 +397,7 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     ``validate_position``; every move's result is checked by the one step
     routine, ``position._step``, which fully validates the normal result
     and checks each one before it with ``_validate_delta``, scoped by the
-    move's ``Delta``, which finds the same problems.
+    ids the move reports it replaced, which finds the same problems.
     """
     return _normalize(t, _checked(t, "invalid position: ", NormalizeError))
 
@@ -416,7 +416,7 @@ def _normalize(t: TorusPosition, index) -> NormalizeResult:
     trace: list[MoveRecord] = []
     current, tally = t, Tally.of(t)
     while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
-        nxt, nxt_index, _, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
+        nxt, nxt_index, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
             raise NormalizeError(f"move {move} changed the total by {sum(after.values()) - sum(before.values())}")

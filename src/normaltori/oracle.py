@@ -32,7 +32,6 @@ from .position import (
     SIDE_B,
     BoundarySlot,
     Circle,
-    Delta,
     Piece,
     PositionError,
     RegionTree,
@@ -40,7 +39,6 @@ from .position import (
     TorusPosition,
     _all_regions,
     _checked,
-    _edge_changes,
     _step,
     end_slot,
     fresh_id,
@@ -193,7 +191,8 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     valid; it is checked once, before any draw.  Every inverse move's
     result is checked by the one step routine, ``position._step``, which
     fully validates the last one and checks each one before it with
-    ``_validate_delta``, scoped by the inverse move's ``Delta``.
+    ``_validate_delta``, scoped by the ids the inverse move reports it
+    replaced.
     """
     return _perturb(t, _checked(t, "invalid position: "), seed, k)[0]
 
@@ -202,11 +201,12 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition,
     """``perturb`` of a position known to be valid, and the result's index; ``index`` is ``t``'s ``circle_slots()``.
 
     Carries the index and the ``Tally`` through ``position._step``, and
-    the candidate cache, which redoes what each step's ``Delta`` touched,
-    from step to step.  A rejected candidate means a bookkeeping bug, so
-    it raises.  An inverse move leaves a boundary-parallel disk, so no
-    result is normal, and ``_step`` checks in full only the one it is
-    told is last.  A step's problems are checked before its total.
+    the candidate cache, which redoes what each inverse move reports it
+    replaced, from step to step.  A rejected candidate means a
+    bookkeeping bug, so it raises.  An inverse move leaves a
+    boundary-parallel disk, so no result is normal, and ``_step`` checks
+    in full only the one it is told is last.  A step's problems are
+    checked before its total.
     """
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
@@ -223,13 +223,13 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition,
             moved = _inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        nxt, nxt_index, delta, tally, problems = _step(current, index, tally, moved, last)
+        nxt, nxt_index, tally, problems = _step(current, index, tally, moved, last)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
             raise PositionError(f"inverse move {cand} did not raise the total by one")
         if not last:
-            cache.update(current, nxt, nxt_index, delta)
+            cache.update(current, nxt_index, moved)
         current, index = nxt, nxt_index
     return current, index
 
@@ -262,10 +262,12 @@ class _Candidates:
     trees at its three sphere ends, so a pants is redone whole or not at all:
     its pieces get bits in the order of their ids, each of its ends gets
     one mask pass, and every piece in it gets its fingers again.  After a
-    step, ``update`` redoes the pants that held or hold a changed piece,
-    and the domes of the circles that changed, changed holders or moved in
-    their tree.  A step that changes a sphere's tree changes a piece at
-    each of its ends, so no pants next to a changed tree is missed.
+    step, ``update`` reads the move's report: it redoes the pants that
+    held or hold a reported piece, and the domes of the reported circles,
+    of every circle a reported piece held or holds, and of every circle
+    whose edge in the reported sphere's tree changed.  A step that changes
+    a sphere's tree reports a piece at each of its ends, so no pants next
+    to a changed tree is missed.
     """
 
     def __init__(self, t: TorusPosition, index):
@@ -280,18 +282,23 @@ class _Candidates:
         domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
         return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
 
-    def update(self, before: TorusPosition, after: TorusPosition, index, delta: Delta) -> None:
-        pants = set()
-        for pid in delta.pieces:
+    def update(self, before: TorusPosition, index, moved) -> None:
+        """Redo what a step from ``before`` changed; ``moved`` is its move's report, ``index`` the result's."""
+        after, pieces, circles, sphere = moved
+        circles, pants = set(circles), set()
+        for pid in pieces:
             old, new = before.pieces.get(pid), after.pieces.get(pid)
             if old is not None:
                 self.members[old.pants].discard(pid)
                 self.fingers.pop(pid, None)
                 pants.add(old.pants)
+                circles |= old.circles()
             if new is not None:
                 self.members[new.pants].add(pid)
                 pants.add(new.pants)
-        circles = delta.circles | delta.rewired | _edge_changes(before, after, delta.spheres)
+                circles |= new.circles()
+        old_edges, new_edges = before.trees[sphere].edges, after.trees[sphere].edges
+        circles.update(cid for cid in old_edges.keys() | new_edges.keys() if old_edges.get(cid) != new_edges.get(cid))
         self._refresh(after, index, circles, pants)
 
     def _refresh(self, t: TorusPosition, index, circles, pants: set[str]) -> None:

@@ -16,14 +16,16 @@ mid-normalization (several circles of one piece on one sphere end,
 positive genus, boundary-parallel disks) are all representable.
 
 ``_step`` is the one step routine of ``normalize`` and ``perturb``.  It
-takes a move's or an inverse move's raw result and returns the result's
-``circle_slots()`` index, its ``Delta`` and its ``Tally``, each updated
-from the step before, with the result's problems: from
+takes a move's or an inverse move's raw result, which reports the ids of
+the pieces, circles and region tree it replaced, and returns the
+result's ``circle_slots()`` index and its ``Tally``, each updated from
+the step before over those ids, with the result's problems: from
 ``validate_position``, over the carried index, for a loop's last step or
 a normal result, else from ``_validate_delta``, the one step check.
-That check takes its scope from the delta and walks the whole piece
-graph, as the full check does; the tests pin that scope equal to the one
-found by comparing the two positions by value.
+That check takes its scope from the move's report (``_delta_scope``)
+and walks the whole piece graph, as the full check does; the tests pin
+that scope equal to the one found by comparing every id of the two
+positions by value.
 """
 
 from __future__ import annotations
@@ -258,10 +260,6 @@ def total_intersections(t: TorusPosition) -> int:
     return len(t.circles)
 
 
-def piece_graph_betti(t: TorusPosition) -> int:
-    return len(t.circles) - len(t.pieces) + 1
-
-
 def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
     """(circle, piece, piece, flip) per circle of ``t`` with two slots, in circle order."""
     edges = []
@@ -296,78 +294,25 @@ def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) ->
     return index
 
 
-@dataclass
-class Delta:
-    """What one step changed, by id.
-
-    ``pieces`` and ``circles`` hold the ids added, removed or changed by
-    value; ``transport`` the circles of the result whose transport bit
-    changed; ``spheres`` those whose region tree changed; ``ends`` the
-    (piece, sphere end) pairs of the result whose slots changed; and
-    ``rewired`` the circles that a changed piece gained or lost a slot of
-    at some sphere end, i.e. whose holders changed.
-    """
-
-    pieces: set[str]
-    circles: set[str]
-    transport: set[str]
-    spheres: set[str]
-    ends: set[tuple[str, HalfEdge]]
-    rewired: set[str]
-
-
-def _diff(before: TorusPosition, after: TorusPosition, pieces, circles, spheres) -> Delta:
-    """The ``Delta`` from ``before`` to ``after``, comparing only the given ids by value.
-
-    Every other id must hold the same item in both positions: a move
-    passes the ids it replaced; passing every id finds the delta by value.
-    """
-    changed, ends, rewired = set(), set(), set()
-    for pid in pieces:
-        old, new = before.pieces.get(pid), after.pieces.get(pid)
-        if old is new or old == new:
-            continue
-        changed.add(pid)
-        if old is None or new is None:  # every slot of an added or removed piece changed
-            rewired.update(slot.circle for slot in (old or new).boundary)
-            if new is not None:
-                ends.update((pid, slot.half_edge) for slot in new.boundary)
-            continue
-        old_at, new_at = _anchors_by_end(old), _anchors_by_end(new)
-        for he in old_at.keys() | new_at.keys():
-            a, b = old_at.get(he, []), new_at.get(he, [])
-            if a == b:
-                continue
-            if b:
-                ends.add((pid, he))
-            a, b = [cid for cid, _ in a], [cid for cid, _ in b]
-            if a != b:  # a circle listed twice changes its slot count, so take all then
-                rewired.update(set(a) ^ set(b) if len(set(a)) == len(a) and len(set(b)) == len(b) else {*a, *b})
-    return Delta(
-        changed,
-        {cid for cid in circles if before.circles.get(cid) != after.circles.get(cid)},
-        {cid for cid in circles if cid in after.circles and before.transport.get(cid) != after.transport.get(cid)},
-        {s for s in spheres if before.trees.get(s) != after.trees.get(s)},
-        ends,
-        rewired,
-    )
-
-
-def _delta_scope(before: TorusPosition, after: TorusPosition, index, delta: Delta):
+def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres):
     """(pieces, circles, spheres, ends) of ``after`` whose checks can differ from ``before``'s.
 
-    Each check reads only its own item and what the item references, so an
-    item outside the scope reads what it read in the valid ``before`` and
-    finds nothing:
+    ``pieces``, ``circles`` and ``spheres`` are the ids a step replaced, as
+    a move reports them, or every id; only these are compared by value, so
+    every other id must hold the same item in both positions.  Each check
+    reads only its own item and what the item references, so an item
+    outside the scope reads what it read in the valid ``before`` and finds
+    nothing:
 
     * pieces: added, or changed in more than their slots' anchors (a piece
       check reads no anchor), or referencing a circle that was added,
       removed or changed (``index``, ``after.circle_slots()``, finds the
       unchanged ones, which reference it in ``after`` too);
     * circles: added, changed or with a changed transport bit, every
-      circle whose holders changed at some sphere end, and every circle of
-      a piece added, removed or moved to another pants, before or after (a
-      circle check reads its slots' ends and their pieces' pants);
+      circle that a changed piece gained or lost a slot of at some sphere
+      end (its holders changed), and every circle of a piece added,
+      removed or moved to another pants, before or after (a circle check
+      reads its slots' ends and their pieces' pants);
     * spheres: a changed region tree, or an added, removed or changed
       circle on it before or after (a tree check reads the tree and the
       circles on its sphere);
@@ -376,16 +321,33 @@ def _delta_scope(before: TorusPosition, after: TorusPosition, index, delta: Delt
       slots at one end and that sphere's tree, so it runs on these ends
       and on every end at a scoped sphere.
     """
-    pieces = {pid for pid in delta.pieces if _outline(before.pieces.get(pid)) != _outline(after.pieces.get(pid))}
-    moved = {pid for pid in pieces if pid not in before.pieces or pid not in after.pieces
-             or before.pieces[pid].pants != after.pieces[pid].pants}
-    circles = delta.circles | delta.transport | delta.rewired | _owned_circles(before, after, moved)
-    spheres = set(delta.spheres)
+    scope, circle_scope, ends = set(), set(), set()
+    for pid in pieces:
+        old, new = before.pieces.get(pid), after.pieces.get(pid)
+        if old is new or old == new:
+            continue
+        if _outline(old) != _outline(new):
+            scope.add(pid)
+            if old is None or new is None or old.pants != new.pants:
+                circle_scope.update(cid for piece in (old, new) if piece for cid in piece.circles())
+        old_at, new_at = (_anchors_by_end(piece) if piece else {} for piece in (old, new))
+        for he in old_at.keys() | new_at.keys():
+            a, b = old_at.get(he, []), new_at.get(he, [])
+            if a == b:
+                continue
+            if b:
+                ends.add((pid, he))
+            a, b = [cid for cid, _ in a], [cid for cid, _ in b]
+            if a != b:  # a circle listed twice changes its slot count, so take all then
+                circle_scope.update(set(a) ^ set(b) if len(set(a)) == len(a) and len(set(b)) == len(b) else {*a, *b})
+    changed = {cid for cid in circles if before.circles.get(cid) != after.circles.get(cid)}
+    circle_scope |= changed | {cid for cid in circles if before.transport.get(cid) != after.transport.get(cid)}
+    sphere_scope = {s for s in spheres if before.trees.get(s) != after.trees.get(s)}
     for t in (before, after):
-        spheres.update(t.circles[cid].sphere for cid in delta.circles & t.circles.keys())
-    for cid in delta.circles:
-        pieces.update(piece.id for piece, _ in index.get(cid, ()))
-    return pieces & after.pieces.keys(), circles & after.circles.keys(), spheres, delta.ends
+        sphere_scope.update(t.circles[cid].sphere for cid in changed & t.circles.keys())
+    for cid in changed:
+        scope.update(piece.id for piece, _ in index.get(cid, ()))
+    return scope & after.pieces.keys(), circle_scope & after.circles.keys(), sphere_scope, ends
 
 
 def _outline(piece: Piece | None):
@@ -401,24 +363,6 @@ def _anchors_by_end(piece: Piece) -> dict[HalfEdge, list[tuple[str, str]]]:
     for slot in piece.boundary:
         by_he.setdefault(slot.half_edge, []).append((slot.circle, slot.region_a))
     return by_he
-
-
-def _owned_circles(before: TorusPosition, after: TorusPosition, pieces: set[str]) -> set[str]:
-    """The circles that the given pieces own, before or after a step."""
-    circles: set[str] = set()
-    for t in (before, after):
-        for pid in pieces & t.pieces.keys():
-            circles |= t.pieces[pid].circles()
-    return circles
-
-
-def _edge_changes(before: TorusPosition, after: TorusPosition, spheres) -> set[str]:
-    """The circles of ``spheres`` whose region-tree edge differs."""
-    circles: set[str] = set()
-    for s in spheres:
-        old, new = before.trees[s].edges, after.trees[s].edges
-        circles.update(cid for cid in old.keys() | new.keys() if old.get(cid) != new.get(cid))
-    return circles
 
 
 def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> dict:
@@ -448,7 +392,7 @@ def _reindexed(index, before: TorusPosition, after: TorusPosition, pieces) -> di
 
 @dataclass
 class Tally:
-    """Sums over a whole position that a step updates from its ``Delta``.
+    """Sums over a whole position that a step updates from the ids its move replaced.
 
     ``counts`` is the intersection vector, ``euler`` the Euler sum, and
     ``abnormal`` holds the ids of the pieces that break the normal-piece
@@ -464,17 +408,20 @@ class Tally:
         abnormal = {p.id for p in t.pieces.values() if not is_normal_piece(p)}
         return cls(intersection_vector(t), euler_characteristic(t), abnormal)
 
-    def stepped(self, before: TorusPosition, after: TorusPosition, delta: Delta) -> "Tally":
-        """The tally of ``after``, from this one of ``before``."""
+    def stepped(self, before: TorusPosition, after: TorusPosition, pieces, circles) -> "Tally":
+        """The tally of ``after``, from this one of ``before``; ``pieces`` and ``circles`` hold every id that differs.
+
+        Each id is taken out as it was and put back as it is, so an unchanged one adds nothing.
+        """
         counts = dict(self.counts)
-        for cid in delta.circles:
+        for cid in circles:
             if cid in before.circles:
                 counts[before.circles[cid].sphere] -= 1
             if cid in after.circles:
                 sphere = after.circles[cid].sphere
                 counts[sphere] = counts.get(sphere, 0) + 1
-        euler, abnormal = self.euler, self.abnormal - delta.pieces
-        for pid in delta.pieces:
+        euler, abnormal = self.euler, self.abnormal - pieces
+        for pid in pieces:
             for piece, sign in ((before.pieces.get(pid), -1), (after.pieces.get(pid), 1)):
                 if piece is not None:
                     euler += sign * piece.euler()
@@ -483,42 +430,44 @@ class Tally:
         return Tally(counts, euler, abnormal)
 
 
-def _validate_delta(before: TorusPosition, after: TorusPosition, index, delta: Delta, tally: Tally) -> list[str]:
-    """``validate_position(after)`` for a step from a valid ``before`` that reports its ``Delta``.
+def _validate_delta(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres,
+                    tally: Tally) -> list[str]:
+    """``validate_position(after)`` for a step from a valid ``before`` that replaced the given ids.
 
     The one step check: it returns the same list, in the same order, but
     skips the graph check and re-checks per item only what the step can
-    have changed.  ``index`` and ``tally`` are ``after``'s ``circle_slots()``
-    and ``Tally``.  The scope comes from the delta (``_delta_scope``), the
-    per-sphere counts and the Euler sum from the tally, and connectivity
-    and monodromy from the same full walk of the piece graph that
-    ``validate_position`` makes.
+    have changed.  ``pieces``, ``circles`` and ``spheres`` are a move's
+    report of what it replaced (or every id); ``index`` and ``tally`` are
+    ``after``'s ``circle_slots()`` and ``Tally``.  The scope comes from the
+    report (``_delta_scope``), the per-sphere counts and the Euler sum from
+    the tally, and connectivity and monodromy from the same full walk of
+    the piece graph that ``validate_position`` makes.
     """
-    return _validate(after, index, *_delta_scope(before, after, index, delta), tally)
+    return _validate(after, index, *_delta_scope(before, after, index, pieces, circles, spheres), tally)
 
 
 def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False):
-    """(after, its index, ``Delta``, ``Tally``, problems) of one step from a valid ``before``.
+    """(after, its index, its ``Tally``, its problems) of one step from a valid ``before``.
 
     The one step routine of ``normalize`` and ``perturb``.  ``moved`` is a
-    move's or an inverse move's raw result: (after, ids of the pieces and
-    circles it replaced, the sphere whose tree it replaced).  ``index`` and
-    ``tally`` are ``before``'s ``circle_slots()`` and ``Tally``; the
-    result's are updated from them.  The problems are
-    ``validate_position(after)``, found in full with the updated index for
-    a loop's ``last`` step or a normal result, and by ``_validate_delta``
+    move's or an inverse move's raw result, its report of what it changed:
+    (after, ids of the pieces and circles it replaced, the sphere whose
+    tree it replaced).  ``index`` and ``tally`` are ``before``'s
+    ``circle_slots()`` and ``Tally``; the result's are updated from them
+    over the reported ids.  The problems are ``validate_position(after)``,
+    found in full with the updated index for a loop's ``last`` step or a
+    normal result, and by ``_validate_delta``, scoped by the report,
     otherwise.  The full check finds a circle's pairs by end, never by
     place, so the order the update leaves them in does not matter.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
-    delta = _diff(before, after, pieces, circles, (sphere,))
-    after_tally = tally.stepped(before, after, delta)
+    after_tally = tally.stepped(before, after, pieces, circles)
     if last or not after_tally.abnormal:
         problems = validate_position(after, after_index)
     else:
-        problems = _validate_delta(before, after, after_index, delta, after_tally)
-    return after, after_index, delta, after_tally, problems
+        problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
+    return after, after_index, after_tally, problems
 
 
 def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends,

@@ -30,11 +30,15 @@ from normaltori.oracle import confluence_search, minimality_experiment, perturb,
 from normaltori.position import (
     intersection_vector,
     is_normal,
-    piece_graph_betti,
     validate_position,
 )
 
 RANKS = (2, 3, 4)
+
+
+def piece_graph_betti(t) -> int:
+    """First betti number of the piece graph: circles are its edges, pieces its vertices."""
+    return len(t.circles) - len(t.pieces) + 1
 
 
 def _graphs_for(rank: int):

@@ -10,10 +10,11 @@ removed, is written out), builds a reference ``validate_position`` from
 them and the package's global checks, and pins both checks to its list,
 message for message and in order.
 
-The reference keeps the betti-number check that the package dropped as
-unreachable: once the per-item checks pass, a zero Euler sum with every
-genus 0 already means betti number 1, so the pins passing on every mutant
-is the evidence that the check never fired.  It also checks for transport
+The reference keeps, with its own ``piece_graph_betti``, the
+betti-number check that the package dropped as unreachable: once the
+per-item checks pass, a zero Euler sum with every genus 0 already means
+betti number 1, so the pins passing on every mutant is the evidence
+that the check never fired.  It also checks for transport
 bits of no circle, as the package's global pass does.
 """
 
@@ -32,7 +33,6 @@ from normaltori.position import (
     BoundarySlot,
     _anchors_by_end,
     euler_characteristic,
-    piece_graph_betti,
     side_masks,
     validate_position,
 )
@@ -122,6 +122,10 @@ def _validate_side_anchors(t, ends: set[tuple[str, HalfEdge]]) -> list[str]:
         if any(masks[he][region] & bits[he][pid] for _, region in anchors):
             out.append(f"piece {pid} side anchors conflict at {he.label()}")
     return out
+
+
+def piece_graph_betti(t) -> int:
+    return len(t.circles) - len(t.pieces) + 1
 
 
 def _reference_validate(t) -> list[str]:

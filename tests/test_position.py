@@ -13,7 +13,7 @@ import pytest
 
 import normaltori
 from conftest import criterion_3_inputs, is_loop, piece_at
-from test_acceptance import _fuzz_corpus
+from test_acceptance import _fuzz_corpus, piece_graph_betti
 
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
 from normaltori.graphs import HalfEdge, build_standard, walk
@@ -30,7 +30,6 @@ from normaltori.position import (
     euler_characteristic,
     intersection_vector,
     is_normal,
-    piece_graph_betti,
     side_of_region,
     total_intersections,
     validate_position,

@@ -2,13 +2,13 @@
 
 ``normalize`` and ``perturb`` fully validate only their input and their
 last step's result, and check every step in between with
-``_validate_delta``, which re-checks per item only what the step's
-``Delta`` says it changed, reads the global sums off the ``Tally`` and
-walks the whole piece graph as the full check does; ``position._step``
-makes that choice for both.  These tests pin that the two checks agree,
-on real steps and on mutants of them; that a move's delta gives the same
-scope as one found by comparing the two positions by value; and that the
-callers keep to the two full checks.
+``_validate_delta``, which re-checks per item only what can have changed
+among the ids the move reports it replaced, reads the global sums off the
+``Tally`` and walks the whole piece graph as the full check does;
+``position._step`` makes that choice for both.  These tests pin that the
+two checks agree, on real steps and on mutants of them; that a move's
+report holds every id that differs by value and gives the same scope as
+every id does; and that the callers keep to the two full checks.
 """
 
 from __future__ import annotations
@@ -368,22 +368,24 @@ def _same_slots(index):
     return {cid: sorted(pairs, key=lambda ps: (ps[0].id, ps[1].half_edge)) for cid, pairs in index.items()}
 
 
-def _ends_hold_a_changed_piece(before, after, delta) -> bool:
-    """Each end of every sphere in ``delta.spheres`` is a pants that holds a piece of ``delta.pieces``, before or after.
+def _ends_hold_a_changed_piece(before, moved) -> bool:
+    """Each end of the sphere a move reports is a pants that holds a piece it reports, before or after.
 
     ``oracle._Candidates.update`` redoes only those pants, so a step that
     broke this would leave stale fingers next to a changed tree.
     """
-    pants = {t.pieces[pid].pants for t in (before, after) for pid in delta.pieces if pid in t.pieces}
-    return all(after.graph.pants_of(HalfEdge(s, end)) in pants for s in delta.spheres for end in (0, 1))
+    after, pieces, _, sphere = moved
+    pants = {t.pieces[pid].pants for t in (before, after) for pid in pieces if pid in t.pieces}
+    return all(after.graph.pants_of(HalfEdge(sphere, end)) in pants for end in (0, 1))
 
 
 def _corpus_deltas():
     """Every step of ``_corpus_steps`` made by ``position._step``, as ``perturb`` and ``normalize`` make it.
 
-    Yields (the kind of step, before, its index, after, the carried index,
-    delta, the carried tally, the step's problems), the kind being
-    ``dome``, ``finger``, ``Slide`` or ``Cap``.
+    Yields (the kind of step, before, its index, the move's report, the
+    carried index, the carried tally, the step's problems), the kind being
+    ``dome``, ``finger``, ``Slide`` or ``Cap`` and the report (after, ids
+    of the pieces and circles replaced, the sphere whose tree was replaced).
     """
     for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
         rng = random.Random(60_000 + instances)
@@ -391,56 +393,72 @@ def _corpus_deltas():
         for _ in range((instances % 4) + 1):
             candidates = _inverse_candidates(current)
             cand = candidates[rng.randrange(len(candidates))]
-            nxt, nxt_index, delta, tally, problems = position._step(
-                current, index, tally, oracle._inverse(current, cand, index))
-            yield cand[0], current, index, nxt, nxt_index, delta, tally, problems
+            moved = oracle._inverse(current, cand, index)
+            nxt, nxt_index, tally, problems = position._step(current, index, tally, moved)
+            yield cand[0], current, index, moved, nxt_index, tally, problems
             current, index = nxt, nxt_index
         while (move := next(moves._moves(current, index, tally.abnormal), None)) is not None:
-            nxt, nxt_index, delta, tally, problems = position._step(
-                current, index, tally, moves._move(current, move, index))
-            yield type(move).__name__, current, index, nxt, nxt_index, delta, tally, problems
+            moved = moves._move(current, move, index)
+            nxt, nxt_index, tally, problems = position._step(current, index, tally, moved)
+            yield type(move).__name__, current, index, moved, nxt_index, tally, problems
             current, index = nxt, nxt_index
 
 
-def _by_value_delta(before, after):
-    """The ``Delta`` from ``before`` to ``after`` found by comparing every id by value.
+def _every_id(before, after):
+    """(pieces, circles, spheres): every id of either position, a report that names everything.
 
-    Its ``_delta_scope`` is the reference that a move's own delta is pinned
-    against: it cannot under-report what a step touched.
+    Its ``_delta_scope`` is the reference that a move's own report is
+    pinned against: it cannot under-report what a step touched.
     """
-    every = (before.pieces.keys() | after.pieces.keys(), before.circles.keys() | after.circles.keys())
-    return position._diff(before, after, *every, after.graph.sphere_edges)
+    return (before.pieces.keys() | after.pieces.keys(), before.circles.keys() | after.circles.keys(),
+            after.graph.sphere_edges)
+
+
+def _assert_reports_every_change(before, moved):
+    """Every piece, circle (item or transport bit) and region tree that differs by value is in the move's report."""
+    after, pieces, circles, sphere = moved
+    every_piece, every_circle, every_sphere = _every_id(before, after)
+    changed = (
+        {pid for pid in every_piece if before.pieces.get(pid) != after.pieces.get(pid)},
+        {cid for cid in every_circle if before.circles.get(cid) != after.circles.get(cid)
+         or before.transport.get(cid) != after.transport.get(cid)},
+        {s for s in every_sphere if before.trees.get(s) != after.trees.get(s)},
+    )
+    for found, reported in zip(changed, (pieces, circles, {sphere})):
+        assert found <= set(reported), f"changed but not reported: {sorted(found - set(reported))}"
 
 
 def test_deltas_match_the_by_value_step():
-    """On every corpus step the delta, the carried index, the moves and the candidate cache agree with fresh builds."""
+    """Every corpus step's report holds every change; its scope, the index, the moves and the cache match fresh builds."""
     walked = 0
     cache = last = None
     kinds = set()
     by_value = iter(_corpus_steps())
-    for kind, before, index, after, carried, delta, tally, problems in _corpus_deltas():
+    for kind, before, index, moved, carried, tally, problems in _corpus_deltas():
+        after, pieces, circles, sphere = moved
+        _assert_reports_every_change(before, moved)
         _, want_after = next(by_value)
         assert dumps(position_to_json(after)) == dumps(position_to_json(want_after))
         fresh = after.circle_slots()
         assert _same_slots(carried) == _same_slots(fresh)
         assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
-        want_scope = position._delta_scope(before, after, fresh, _by_value_delta(before, after))
-        assert position._delta_scope(before, after, carried, delta) == want_scope
+        want_scope = position._delta_scope(before, after, fresh, *_every_id(before, after))
+        assert position._delta_scope(before, after, carried, pieces, circles, (sphere,)) == want_scope
         assert list(moves._moves(after, carried, after.pieces)) == find_moves(after)
         assert list(moves._moves(after, carried, tally.abnormal)) == find_moves(after)
         if before is not last:  # a new corpus instance
             cache = oracle._Candidates(before, index)
-        assert _ends_hold_a_changed_piece(before, after, delta)
-        cache.update(before, after, carried, delta)
+        assert _ends_hold_a_changed_piece(before, moved)
+        cache.update(before, carried, moved)
         assert cache.list() == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
-        assert problems == position._validate_delta(before, after, carried, delta, tally) == []
+        assert problems == position._validate_delta(before, after, carried, pieces, circles, (sphere,), tally) == []
         walked += 1
         kinds.add(kind)
         last = after
     assert next(by_value, None) is None
     assert kinds == {"dome", "finger", "Slide", "Cap"}
-    print(f"deltas match on {walked} steps")
+    print(f"reports hold every change and match on {walked} steps")
 
 
 @pytest.mark.parametrize("rank", range(2, 7))
@@ -449,7 +467,9 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
 
     Three chains per graph, on ``build_standard(rank)`` and a ``random_cubic``
     graph of the same rank; each chain's torus grows by one circle a step,
-    so later steps update a cache far larger than the corpus's.
+    so later steps update a cache far larger than the corpus's.  Every
+    inverse move's report holds every change, and the carried tally is a
+    fresh one.
     """
     kinds = set()
     for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
@@ -461,11 +481,13 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
                 candidates = cache.list()
                 assert candidates == _inverse_candidates(current)
                 cand = candidates[rng.randrange(len(candidates))]
-                nxt, index, delta, tally, problems = position._step(
-                    current, index, tally, oracle._inverse(current, cand, index))
+                moved = oracle._inverse(current, cand, index)
+                _assert_reports_every_change(current, moved)
+                nxt, index, tally, problems = position._step(current, index, tally, moved)
                 assert problems == []
-                assert _ends_hold_a_changed_piece(current, nxt, delta)
-                cache.update(current, nxt, index, delta)
+                assert tally == position.Tally.of(nxt)
+                assert _ends_hold_a_changed_piece(current, moved)
+                cache.update(current, index, moved)
                 current = nxt
                 kinds.add(cand[0])
             assert cache.list() == _inverse_candidates(current)
@@ -475,11 +497,11 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
 def _validate_by_value(before, after):
     """``_validate_delta`` of the step from a valid ``before`` to ``after``.
 
-    The delta is found by value, so ``after`` may be any edited clone.
+    It is given every id (``_every_id``), so ``after`` may be any edited clone.
     """
-    delta = _by_value_delta(before, after)
-    tally = position.Tally.of(before).stepped(before, after, delta)
-    return position._validate_delta(before, after, after.circle_slots(), delta, tally)
+    every = _every_id(before, after)
+    tally = position.Tally.of(before).stepped(before, after, *every[:2])
+    return position._validate_delta(before, after, after.circle_slots(), *every, tally)
 
 
 _TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
@@ -511,24 +533,27 @@ def test_validate_step_matches_validate_position():
 
 
 def test_validate_delta_matches_validate_position_on_mutants():
-    """The same on seed 6's mutants, each mutant's delta found by value."""
+    """The same on seed 6's mutants, each mutant checked over every id."""
     _check_mutants(_corpus_steps(), 6)
 
 
 def test_step_scope_does_not_grow_with_the_torus():
-    """On the ladder's smallest and largest probe, the delta scope per step stays under one bound.
+    """On the ladder's smallest and largest probe, the step scope stays under one bound.
 
     The probe is ``normalize(perturb(random_normal_torus(build_standard(r), 1, sb), 7, k))``
     for (r, sb, k) = (6, 16, 32) and (12, 64, 256): 48 and 321 circles at
-    the peak.  A step's scope counts its pieces, circles and spheres.
+    the peak.  A step's scope counts its pieces, circles and spheres; it is
+    taken over every id, and the move's report must give the same one.
     """
     largest = {}
     for r, sb, k in ((6, 16, 32), (12, 64, 256)):
         sizes = []
 
-        def record(before, after, index, delta, tally, real=position._validate_delta):
-            sizes.append(sum(map(len, position._delta_scope(before, after, index, delta)[:3])))
-            return real(before, after, index, delta, tally)
+        def record(before, after, index, pieces, circles, spheres, tally, real=position._validate_delta):
+            scope = position._delta_scope(before, after, index, *_every_id(before, after))
+            assert position._delta_scope(before, after, index, pieces, circles, spheres) == scope
+            sizes.append(sum(map(len, scope[:3])))
+            return real(before, after, index, pieces, circles, spheres, tally)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(position, "_validate_delta", record)

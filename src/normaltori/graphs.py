@@ -177,19 +177,19 @@ def walk(nodes, edges):
 
     The one breadth-first walk over a graph, read by ``SphereGraph`` (its
     connectivity) and ``label_generators`` (its spanning tree) off the
-    sphere graph, by the full check and the step check off a position's
-    piece graph, and by ``NormalTorus`` off its crossings, once, when it is
-    built.  ``edges`` holds (edge, node, node, flip) in edge id order, and
-    each node's edges are read in that order; an endpoint of an edge that
-    is no self-loop is a node even when ``nodes`` lacks it.  The side bits list
-    each component's nodes together, starting from its least node; a
-    node's bit is its flip parity along the tree path from there.  The tree
-    maps a node to (its parent, the edge joining them), or None at a least
-    node, the only one with no parent; self-loops are never tree edges.
-    The bad cycle is the nodes of the first cycle with an odd flip count,
-    or None.  The walk always finishes the least node's component, so the
-    count stays exact, and stops after the first component that ends with
-    a bad cycle found.
+    sphere graph, and by the full check, the step check and ``NormalTorus``
+    (once, when built) off ``position._piece_edges``.  ``edges`` holds
+    (edge, node, node, flip) in edge id order, and each node's edges are
+    read in that order, whichever endpoint is listed first; an endpoint of
+    an edge that is no self-loop is a node even when ``nodes`` lacks it.
+    The side bits list each component's nodes together, starting from its
+    least node; a node's bit is its flip parity along the tree path from
+    there.  The tree maps a node to (its parent, the edge joining them), or
+    None at a least node, the only one with no parent; self-loops are never
+    tree edges.  The bad cycle is the nodes of the first cycle with an odd
+    flip count, or None.  The walk always finishes the least node's
+    component, so the count stays exact, and stops after the first component
+    that ends with a bad cycle found.
     """
     adj: dict[str, list[tuple[str, bool, str]]] = {n: [] for n in nodes}
     bad = None

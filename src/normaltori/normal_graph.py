@@ -9,7 +9,8 @@ the covering translation the torus carries, and the hanging trees are
 finite decorations on that axis.  A ``NormalTorus`` is an immutable value
 that derives all of this once, from a valid normal position, when it is
 built: what is attached to each node, the side bits of the one walk over
-its crossings, and the axis.  ``to_normal_torus`` checks the position.
+its piece graph, and the axis.  ``to_normal_torus`` checks the position,
+and one stack walker, ``_code``, reads the trees hanging off the axis.
 
 A choice of transverse orientation signs every leaf stub; the resulting
 decorated graph, up to graph isomorphism over the sphere graph and a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import GeneratorLabeling, HalfEdge, SphereGraph, tree_path, walk
 from .position import (
@@ -33,6 +34,7 @@ from .position import (
     PositionError,
     TorusPosition,
     _checked,
+    _piece_edges,
     is_normal,
     piece_kind,
     xor_side,
@@ -43,8 +45,9 @@ MINUS = "-"
 _FLIPPED = {PLUS: MINUS, MINUS: PLUS, "leaf": "leaf"}
 
 
-@dataclass(frozen=True)
-class LeafStub:
+class LeafStub(NamedTuple):
+    """A sphere end a piece does not cross; leaves sort by node, then half-edge."""
+
     node: str
     half_edge: HalfEdge
 
@@ -59,12 +62,13 @@ class NormalTorus:
     derives once: its ``graph``; ``nodes``, node id -> (pants, kind), one
     per piece; ``crossings``, circle id -> (sphere, node at end 0, node at
     end 1); ``leaves``, a stub per sphere end a piece does not cross;
-    ``attachments`` (node -> half-edge -> ("crossing"|"leaf", id)); the
-    ``side`` bits of the walk over the crossings, flipped where transport
-    is False; and the ``axis`` (nodes, crossings), crossing i joining node
-    i to node i+1: the one crossing outside the walk's tree (the piece
-    graph is connected with betti number one) closed through it, from its
-    least node along the lesser of that node's axis crossings.
+    ``attachments`` (node -> half-edge -> ("crossing", circle id) or
+    ("leaf", stub)); the ``side`` bits of the walk over
+    ``position._piece_edges``, flipped where transport is False; and the
+    ``axis`` (nodes, crossings), crossing i joining node i to node i+1:
+    the one crossing outside the walk's tree (the piece graph is connected
+    with betti number one) closed through it, from its least node along
+    the lesser of that node's axis crossings.
     """
 
     position: TorusPosition
@@ -73,7 +77,7 @@ class NormalTorus:
     nodes: Mapping[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
     crossings: Mapping[str, tuple[str, str, str]] = field(init=False, repr=False, compare=False)
     leaves: tuple[LeafStub, ...] = field(init=False, repr=False, compare=False)
-    attachments: Mapping[str, Mapping[HalfEdge, tuple[str, str]]] = field(init=False, repr=False, compare=False)
+    attachments: Mapping[str, Mapping[HalfEdge, tuple]] = field(init=False, repr=False, compare=False)
     side: Mapping[str, bool] = field(init=False, repr=False, compare=False)
     axis: tuple[tuple[str, ...], tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
@@ -84,14 +88,13 @@ class NormalTorus:
         ends = {cid: {slot.half_edge.end: piece.id for piece, slot in pairs} for cid, pairs in index.items()}
         crossings = {cid: (c.sphere, ends[cid][0], ends[cid][1]) for cid, c in t.circles.items()}
         leaves = tuple(LeafStub(pid, he) for pid, piece in t.pieces.items() for he in sorted(piece.uncrossed))
-        att: dict[str, dict[HalfEdge, tuple[str, str]]] = {node: {} for node in nodes}
+        att: dict[str, dict[HalfEdge, tuple]] = {node: {} for node in nodes}
         for cid, (sphere, n0, n1) in crossings.items():
             att[n0][HalfEdge(sphere, 0)] = ("crossing", cid)
             att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
         for leaf in leaves:
-            att[leaf.node][leaf.half_edge] = ("leaf", leaf.node + "/" + leaf.half_edge.label())
-        edges = [(cid, n0, n1, not t.transport[cid]) for cid, (_, n0, n1) in sorted(crossings.items())]
-        _, side, parent, _ = walk(nodes, edges)
+            att[leaf.node][leaf.half_edge] = ("leaf", leaf)
+        _, side, parent, _ = walk(nodes, _piece_edges(t, index))
         tree = {link[1] for link in parent.values() if link is not None}
         extra = next(cid for cid in sorted(crossings) if cid not in tree)
         _, a, b = crossings[extra]
@@ -161,13 +164,9 @@ def decorate(nt: NormalTorus, base_piece: str | None = None, base_side: str = SI
 
 def sides(d: DecoratedGraph) -> tuple[list[LeafStub], list[LeafStub]]:
     """The leaves on the positive and the negative side of the torus."""
-    pos = sorted((l for l in d.signs if d.signs[l] == PLUS), key=_leaf_key)
-    neg = sorted((l for l in d.signs if d.signs[l] == MINUS), key=_leaf_key)
+    pos = sorted(l for l in d.signs if d.signs[l] == PLUS)
+    neg = sorted(l for l in d.signs if d.signs[l] == MINUS)
     return pos, neg
-
-
-def _leaf_key(leaf: LeafStub):
-    return (leaf.node, leaf.half_edge)
 
 
 def bounds_solid_torus(d: DecoratedGraph) -> bool:
@@ -191,48 +190,26 @@ def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
     return (n1, HalfEdge(sphere, 1)) if n0 == node else (n0, HalfEdge(sphere, 0))
 
 
-def _branch_codes(nt: NormalTorus, labels, signs) -> dict[str, tuple[str, str]]:
-    """Codes of what hangs off the axis, as (code, code with every sign flipped).
+def _code(nt: NormalTorus, labels, cut, signs, node: str, entry: HalfEdge | None = None) -> tuple[str, str]:
+    """Both codes of ``node``'s decorations, as (code, code with every sign flipped).
 
-    A hanging node maps to its subtree's code ``pants<entry|payloads>``, an
-    axis node to its payloads alone: per other half-edge in sorted order,
-    ``he:sign`` at a leaf stub (``he:leaf`` when ``signs`` is None) or
-    ``he:(code)`` through a crossing.  Only the axis nodes and their
-    children are kept; deeper codes live inside their parents'.  ``labels``
-    maps each half-edge to its ``label()``.
-    """
-    axis, axis_edges = nt.axis
-    cut = set(axis_edges)
-    codes: dict[str, tuple[str, str]] = {}
-    for node in axis:
-        plain, flipped = [], []
-        for he, (what, ident) in sorted(nt.attachments[node].items()):
-            label = labels[he]
-            if what == "leaf":
-                sign = "leaf" if signs is None else signs[LeafStub(node, he)]
-                plain.append(f"{label}:{sign}")
-                flipped.append(f"{label}:{_FLIPPED[sign]}")
-            elif ident not in cut:
-                child = _across(nt, node, ident)
-                code, code_flipped = codes[child[0]] = _hanging_code(nt, labels, cut, signs, child)
-                plain.append(f"{label}:({code})")
-                flipped.append(f"{label}:({code_flipped})")
-        codes[node] = (";".join(plain), ";".join(flipped))
-    return codes
-
-
-def _hanging_code(nt: NormalTorus, labels, cut: set[str], signs, root: tuple[str, HalfEdge]) -> tuple[str, str]:
-    """Both codes of the subtree hanging at ``root``: a node and the half-edge it is entered by.
+    Per half-edge in sorted order other than ``entry`` and the axis
+    crossings in ``cut``: ``he:sign`` at a leaf stub (``he:leaf`` when
+    ``signs`` is None) or ``he:(code)`` through a crossing, joined by
+    ``;``.  An axis node is a root with no ``entry`` and gives these
+    payloads alone; a hanging node, entered by ``entry``, wraps them as
+    ``pants<entry|payloads>``.  ``labels`` maps each half-edge to its
+    ``label()``.
 
     The walk keeps its own stack, so deep branches cost no recursion.  It
     emits each fragment once, in order: a string common to both codes, a
-    (plain, flipped) pair at a leaf stub, or a child node that stands for
-    its whole code.  The strings are joined once, so a deep chain costs
-    linear time.
+    (plain, flipped) pair at a leaf stub, or a child (node, entry) that
+    stands for its whole code.  The strings are joined once, so a deep
+    chain costs linear time.
     """
     att = nt.attachments
     plain, flipped = [], []
-    stack: list = [root]
+    stack: list = [(node, entry)]
     while stack:
         top = stack.pop()
         if type(top) is str:  # common to both codes
@@ -244,18 +221,19 @@ def _hanging_code(nt: NormalTorus, labels, cut: set[str], signs, root: tuple[str
             flipped.append(top[1])
             continue
         node, entry = top
-        parts: list = [f"{nt.nodes[node][0]}<{labels[entry]}|"]
+        parts: list = [] if entry is None else [f"{nt.nodes[node][0]}<{labels[entry]}|"]
         sep = ""
         for he, (what, ident) in sorted(att[node].items()):
             if what == "leaf":
-                sign = "leaf" if signs is None else signs[LeafStub(node, he)]
+                sign = "leaf" if signs is None else signs[ident]
                 parts.append((f"{sep}{labels[he]}:{sign}", f"{sep}{labels[he]}:{_FLIPPED[sign]}"))
             elif he != entry and ident not in cut:
                 parts += (f"{sep}{labels[he]}:(", _across(nt, node, ident), ")")
             else:
                 continue
             sep = ";"
-        parts.append(">")
+        if entry is not None:
+            parts.append(">")
         stack.extend(reversed(parts))
     return "".join(plain), "".join(flipped)
 
@@ -273,9 +251,10 @@ def canonicalize(d: DecoratedGraph) -> str:
     """
     nt = d.torus
     labels = {he: he.label() for he in nt.graph.incidence}
-    branches = _branch_codes(nt, labels, d.signs)
+    cut = set(nt.axis[1])
     outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt)]
-    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], branches[node]) for i, node in enumerate(nt.axis[0])]
+    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], _code(nt, labels, cut, d.signs, node))
+             for i, node in enumerate(nt.axis[0])]
     best = None
     for flip in (0, 1):
         forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
@@ -305,11 +284,11 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     decorated graph.
     """
     nodes, edges = nt.axis
-    codes = _branch_codes(nt, {he: he.label() for he in nt.graph.incidence}, None)
+    labels, cut = {he: he.label() for he in nt.graph.incidence}, set(edges)
     branches: dict[str, list[str]] = {}
     for node in nodes:
-        hanging = [ident for _, (what, ident) in sorted(nt.attachments[node].items()) if what == "crossing" and ident not in edges]
-        subtrees = [codes[_across(nt, node, ident)[0]][0] for ident in hanging]
+        hanging = [ident for _, (what, ident) in sorted(nt.attachments[node].items()) if what == "crossing" and ident not in cut]
+        subtrees = [_code(nt, labels, cut, None, *_across(nt, node, ident))[0] for ident in hanging]
         if subtrees:
             branches[node] = subtrees
     return list(nodes), branches

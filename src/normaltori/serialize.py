@@ -13,7 +13,7 @@ import json
 from typing import Any
 
 from .graphs import Attachment, HalfEdge, SphereGraph
-from .normal_graph import DecoratedGraph, NormalTorus, _leaf_key, decorate, to_normal_torus
+from .normal_graph import DecoratedGraph, NormalTorus, decorate, to_normal_torus
 from .position import (
     SIDE_A,
     SIDE_B,
@@ -207,7 +207,7 @@ def _derived_json(nt: NormalTorus) -> dict:
         ],
         "leaves": [
             {"node": leaf.node, "half_edge": _he_json(leaf.half_edge)}
-            for leaf in sorted(nt.leaves, key=_leaf_key)
+            for leaf in sorted(nt.leaves)
         ],
     }
 
@@ -265,7 +265,7 @@ def decorated_to_json(d: DecoratedGraph) -> dict:
 def _signs_json(d: DecoratedGraph) -> list:
     return [
         {"node": leaf.node, "half_edge": _he_json(leaf.half_edge), "sign": d.signs[leaf]}
-        for leaf in sorted(d.signs, key=_leaf_key)
+        for leaf in sorted(d.signs)
     ]
 
 
@@ -414,7 +414,7 @@ def normal_torus_to_dot(nt: NormalTorus, signs=None) -> str:
         lines.append(f"  {_dot(n0)} -- {_dot(n1)} [label={label}];")
     # leaf0, leaf1, ... in one pass, skipping node ids; fresh_id per leaf would rescan from leaf0
     names = (f"leaf{k}" for k in itertools.count() if f"leaf{k}" not in nt.nodes)
-    for leaf, name in zip(sorted(nt.leaves, key=_leaf_key), names):
+    for leaf, name in zip(sorted(nt.leaves), names):
         sign = signs.get(leaf, "") if signs else ""
         label, name = _dot(f"{leaf.half_edge.label()} {sign}".strip()), _dot(name)
         lines.append(f"  {name} [shape=plaintext label={label}];")

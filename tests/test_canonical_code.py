@@ -1,4 +1,4 @@
-"""Pinned canonical codes, and hanging branches deeper than the recursion limit.
+"""Pinned canonical codes, the walk a normal torus reads, and hanging branches deeper than the recursion limit.
 
 The digests below hold every byte of every code and fundamental domain of
 a seeded corpus.  Canonical codes are compared across runs and versions,
@@ -15,11 +15,11 @@ import tracemalloc
 from conftest import is_loop
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.graphs import HalfEdge, build_standard, random_cubic
+from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
 from normaltori.moves import normalize
 from normaltori.normal_graph import canonicalize, decorate, fundamental_domain, to_normal_torus
 from normaltori.oracle import _assemble, _Node, perturb, random_normal_torus
-from normaltori.position import is_normal, validate_position
+from normaltori.position import _piece_edges, is_normal, validate_position
 from normaltori.serialize import dumps, position_to_json
 
 PINNED = {
@@ -62,6 +62,41 @@ def test_canonical_codes_are_pinned():
     assert loop_graphs > 0
     digests = {group: hashlib.sha256("\n".join(rows).encode()).hexdigest() for group, rows in lines.items()}
     assert digests == PINNED
+
+
+def _crossing_edges(nt):
+    """Frozen reference, the end-oriented crossing list: (circle, node at end 0, node at end 1, flip) in circle order."""
+    return [(cid, n0, n1, not nt.position.transport[cid]) for cid, (_, n0, n1) in sorted(nt.crossings.items())]
+
+
+def _ladder_tori():
+    """Perturbed, then normalized tori on ranks 3 to 12, as the benchmark's ladder draws them."""
+    for rank, bound, k in ((3, 8, 8), (6, 32, 16), (12, 64, 16)):
+        for g in (build_standard(rank), random_cubic(rank, rank)):
+            for seed in range(2):
+                yield normalize(perturb(random_normal_torus(g, seed, bound), seed, k)).torus
+
+
+def test_the_piece_graph_walk_equals_the_crossing_walk():
+    """``NormalTorus`` walks ``_piece_edges``, whose edges list their pieces as ``circle_slots`` does, not by end.
+
+    ``walk`` reads each node's edges in edge id order whichever endpoint is
+    listed first, so the side bits and the tree, and with them the axis,
+    are those of the old end-oriented crossing list.
+    """
+    tori = [nt for _, _, nt, _ in _corpus()] + list(_ladder_tori())
+    swapped = 0
+    for nt in tori:
+        edges = _piece_edges(nt.position, nt.index)
+        old = _crossing_edges(nt)
+        assert [(cid, {a, b}, flip) for cid, a, b, flip in edges] == [(cid, {a, b}, flip) for cid, a, b, flip in old]
+        swapped += sum(new[1:3] != was[1:3] for new, was in zip(edges, old))
+        _, side, parent, bad = walk(nt.nodes, edges)
+        _, old_side, old_parent, old_bad = walk(nt.nodes, old)
+        assert (side, parent, bad) == (old_side, old_parent, old_bad)
+        assert list(side.items()) == list(old_side.items()) and side == nt.side
+    # the two lists differ in which endpoint comes first on some edges
+    assert swapped > 0
 
 
 def _deep_chain(depth: int):

@@ -120,6 +120,27 @@ def test_inapplicable_slide_rejected():
         apply_move(t0, Slide("F0", HalfEdge("s0", 0), "c0", "c1", "r0"))
 
 
+@pytest.mark.parametrize(
+    "make, move, message",
+    [
+        (make_t0, Slide("F9", HalfEdge("s0", 0), "c0", "c1", "r0"), "inapplicable move: missing piece or circle"),
+        (make_t0, Slide("F0", HalfEdge("s0", 0), "c0", "c0", "r0"), "inapplicable move: need two distinct circles"),
+        (make_t1, Slide("F1b", HalfEdge("s0", 0), "c0a", "c0b", "r0"), "inapplicable move: F1b lacks both circles at s0@0"),
+        (make_t1, Slide("F0", HalfEdge("s0", 0), "c0a", "c0b", "r1"), "inapplicable move: region not shared by both circles"),
+        (make_t0, Cap("F0", "c0"), "inapplicable move: F0 is not a boundary-parallel disk"),
+        (make_t0_with_dome, Cap("F2", "c0"), "inapplicable move: F2 not attached to c0"),
+        (make_t0, "noop", "unknown move 'noop'"),
+    ],
+)
+def test_apply_move_names_why_a_move_is_inapplicable(make, move, message):
+    t = make()
+    before = dumps(position_to_json(t))
+    with pytest.raises(MoveError) as caught:
+        apply_move(t, move)
+    assert str(caught.value) == message
+    assert dumps(position_to_json(t)) == before
+
+
 def test_normalize_t1():
     result = normalize(make_t1())
     assert len(result.trace) == 1

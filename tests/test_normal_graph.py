@@ -373,6 +373,21 @@ def test_decorate_rejects_a_base_side_other_than_a_or_b(side):
         decorate(to_normal_torus(make_t2()), None, side)
 
 
+def test_decorate_rejects_a_base_piece_the_torus_lacks():
+    with pytest.raises(PositionError) as caught:
+        decorate(to_normal_torus(make_t0()), "F9")
+    assert str(caught.value) == "unknown base piece F9"
+
+
+def test_equivalent_rejects_two_sphere_graphs():
+    d0 = decorate(to_normal_torus(make_t0()))
+    d3 = decorate(to_normal_torus(random_normal_torus(build_standard(3), 0, 3)))
+    for a, b in ((d0, d3), (d3, d0)):
+        with pytest.raises(PositionError) as caught:
+            equivalent(a, b)
+        assert str(caught.value) == "decorated graphs live over different sphere graphs"
+
+
 def test_axis_words_fixture():
     lab = label_generators(make_t0().graph)
     w0 = axis_word(to_normal_torus(make_t0()), lab)

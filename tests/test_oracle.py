@@ -70,6 +70,12 @@ def test_random_normal_torus_rejects_an_invalid_graph():
         assert str(info.value) == want
 
 
+def test_random_normal_torus_rejects_a_size_bound_below_one():
+    with pytest.raises(PositionError) as info:
+        random_normal_torus(build_standard(2), 0, 0)
+    assert str(info.value) == "size bound must allow at least one piece"
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_random_normal_torus_always_normal(rank):
     g = build_standard(rank)

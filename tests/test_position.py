@@ -24,6 +24,7 @@ from normaltori.position import (
     BoundarySlot,
     Circle,
     Piece,
+    PositionError,
     RegionTree,
     TorusPosition,
     _piece_edges,
@@ -122,6 +123,19 @@ def test_stray_transport_bits_rejected():
     t.transport.update({"c9": False, "c10": True})
     want = ["side transport bit of unknown circle c10", "side transport bit of unknown circle c9"]
     assert validate_position(t) == _validate_by_value(base, t) == want
+
+
+def test_a_piece_stored_under_another_key_is_named():
+    t = make_t0().clone()
+    t.pieces["F9"] = t.pieces.pop("F0")
+    assert validate_position(t) == ["piece key F9 disagrees with id F0"]
+
+
+def test_side_of_region_rejects_a_region_off_the_sphere():
+    t = make_t0()
+    with pytest.raises(PositionError) as caught:
+        side_of_region(t, t.pieces["F0"], HalfEdge("s0", 0), "r9")
+    assert str(caught.value) == "region r9 not on sphere s0"
 
 
 def test_side_of_region_flips_across_own_circles():

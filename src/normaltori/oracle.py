@@ -235,91 +235,81 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition,
 
 
 def _inverse(t: TorusPosition, cand: tuple, index):
-    """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
-    if cand[0] == "dome":
-        return _apply_inverse_dome(t, index, *cand[1:])
-    if cand[0] == "finger":
-        return _apply_inverse_finger(t, *cand[1:])
-    raise PositionError(f"unknown inverse move {cand[0]}")
+    """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced) of a dome or finger."""
+    return _apply_inverse_dome(t, index, *cand[1:]) if cand[0] == "dome" else _apply_inverse_finger(t, *cand[1:])
 
 
 class _Candidates:
-    """The inverse moves of a valid position, kept per item across the steps of one perturbation.
+    """The inverse moves of a valid position, kept across the steps of one perturbation.
 
-    Domes are kept per circle and fingers per piece.  A finger's arc runs
-    inside one pants from the piece to the sphere collar over the target
-    region, so both endpoints must lie in the same complementary
-    component; in a pants, components are cut out by the (separating)
-    pieces, so it suffices that every other piece of the pants sees both
-    endpoints on one side.  One mask pass per sphere end (``side_masks``)
-    gives every region the sides of all pieces of that pants at once, so
-    the admissible regions are those whose mask matches the mask at the
-    piece's first anchor (a collar point next to its own circle, where
-    every other piece of the pants sees it) outside the piece's own bit,
-    which is constant at an end it does not cross.
+    Two tables: the domes of each circle, and per pants, the fingers of
+    each of its pieces.  A finger's arc runs inside one pants from the
+    piece to the sphere collar over the target region, so both endpoints
+    must lie in the same complementary component; in a pants, components
+    are cut out by the (separating) pieces, so it suffices that every other
+    piece of the pants sees both endpoints on one side.  One mask pass per
+    sphere end (``side_masks``) gives every region the sides of all pieces
+    of that pants at once, so the admissible regions are those whose mask
+    matches the mask at the piece's first anchor (a collar point next to
+    its own circle, where every other piece of the pants sees it) outside
+    the piece's own bit, which is constant at an end it does not cross.
 
-    The fingers of a pants depend only on its pieces and on the region
-    trees at its three sphere ends, so a pants is redone whole or not at all:
-    its pieces get bits in the order of their ids, each of its ends gets
-    one mask pass, and every piece in it gets its fingers again.  After a
-    step, ``update`` reads the move's report: it redoes the pants that
-    held or hold a reported piece, and the domes of the reported circles,
-    of every circle a reported piece held or holds, and of every circle
-    whose edge in the reported sphere's tree changed.  A step that changes
-    a sphere's tree reports a piece at each of its ends, so no pants next
-    to a changed tree is missed.
+    So a pants is redone whole: its pieces get bits in the order of their
+    ids, and each of its ends one mask pass.  ``update`` reads a step's
+    reported pieces and sphere: each reported piece leaves its old pants'
+    table and joins its new one, and every pants that held or holds one is
+    redone, as are the domes of every circle it held or holds and of every
+    circle on the reported sphere's tree.  That misses nothing: domes read
+    only the pieces at a circle's ends and its two regions, every changed
+    piece is reported, and a step replaces only the reported sphere's tree.
     """
 
     def __init__(self, t: TorusPosition, index):
-        self.members: dict[str, set[str]] = defaultdict(set)  # pants -> ids of its pieces
-        for pid, piece in t.pieces.items():
-            self.members[piece.pants].add(pid)
         self.domes: dict[str, list[tuple]] = {}
-        self.fingers: dict[str, list[tuple]] = {}
-        self._refresh(t, index, t.circles.keys(), set(self.members))
+        self.fingers: dict[str, dict[str, list[tuple]]] = defaultdict(dict)
+        for pid, piece in t.pieces.items():
+            self.fingers[piece.pants][pid] = []
+        self._refresh(t, index, t.circles.keys(), list(self.fingers))
 
     def list(self) -> list[tuple]:
         domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
-        return domes + [cand for pid in sorted(self.fingers) for cand in self.fingers[pid]]
+        fingers = {pid: cands for table in self.fingers.values() for pid, cands in table.items()}
+        return domes + [cand for pid in sorted(fingers) for cand in fingers[pid]]
 
     def update(self, before: TorusPosition, index, moved) -> None:
         """Redo what a step from ``before`` changed; ``moved`` is its move's report, ``index`` the result's."""
-        after, pieces, circles, sphere = moved
-        circles, pants = set(circles), set()
+        after, pieces, _, sphere = moved
+        circles, pants = set(after.trees[sphere].edges), set()
         for pid in pieces:
             old, new = before.pieces.get(pid), after.pieces.get(pid)
             if old is not None:
-                self.members[old.pants].discard(pid)
-                self.fingers.pop(pid, None)
+                del self.fingers[old.pants][pid]
                 pants.add(old.pants)
                 circles |= old.circles()
             if new is not None:
-                self.members[new.pants].add(pid)
+                self.fingers[new.pants][pid] = []
                 pants.add(new.pants)
                 circles |= new.circles()
-        old_edges, new_edges = before.trees[sphere].edges, after.trees[sphere].edges
-        circles.update(cid for cid in old_edges.keys() | new_edges.keys() if old_edges.get(cid) != new_edges.get(cid))
         self._refresh(after, index, circles, pants)
 
-    def _refresh(self, t: TorusPosition, index, circles, pants: set[str]) -> None:
+    def _refresh(self, t: TorusPosition, index, circles, pants) -> None:
         """Rebuild the domes of ``circles`` and the fingers of every piece in ``pants``."""
         for cid in circles:
             self.domes.pop(cid, None)
-            if cid in t.circles:
-                self.domes[cid] = _domes(t, index, cid)
+            if cid in t.circles and index[cid][0][0].id != index[cid][1][0].id:  # none if one piece holds both ends
+                regions = sorted(t.trees[t.circles[cid].sphere].adjacent(cid))
+                self.domes[cid] = [("dome", cid, host_end, rx) for host_end in (0, 1) for rx in regions]
         for p in pants:
-            bits = {pid: 1 << i for i, pid in enumerate(sorted(self.members[p]))}
-            if not bits:
-                continue
+            table = self.fingers[p]
+            bits = {pid: 1 << i for i, pid in enumerate(sorted(table))}
             masks, groups = {}, {}
             for he in t.graph.by_pants[p]:
-                tree = t.trees[he.sphere]
                 masks[he] = side_masks(t, he, bits)
                 groups[he] = {}  # regions by mask
-                for region in sorted(tree.regions):
+                for region in sorted(t.trees[he.sphere].regions):
                     groups[he].setdefault(masks[he][region], []).append(region)
             for pid, bit in bits.items():
-                self.fingers[pid] = _fingers(t.pieces[pid], bit, masks, groups)
+                table[pid] = _fingers(t.pieces[pid], bit, masks, groups)
 
 
 def _fingers(piece: Piece, bit: int, masks, groups) -> list[tuple]:
@@ -331,15 +321,6 @@ def _fingers(piece: Piece, bit: int, masks, groups) -> list[tuple]:
         own = bit if piece.uncrossed[he] == SIDE_B else 0
         out.extend(("finger", piece.id, he, region) for region in groups[he].get(at_anchor | own, ()))
     return out
-
-
-def _domes(t: TorusPosition, index, cid: str) -> list[tuple]:
-    """The dome splits of one circle: none when one piece holds both its ends."""
-    (p0, _), (p1, _) = index[cid]  # one slot at each end
-    if p0.id == p1.id:
-        return []
-    a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
-    return [("dome", cid, host_end, rx) for host_end in (0, 1) for rx in sorted((a, b))]
 
 
 def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: str):

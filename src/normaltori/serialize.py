@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from typing import Any
 
 from .graphs import Attachment, HalfEdge, SphereGraph
@@ -368,7 +369,29 @@ def load_any(text: str):
     }
     if type(kind) is not str or kind not in loaders:
         raise SchemaError(f"unknown kind {kind!r}")
+    position = obj if kind == "position" else obj.get("position")
+    if isinstance(position, dict) and type(position.get("side_transport")) is dict:
+        path = kind if position is obj else (kind, "position")
+        _no_repeat(text, position["side_transport"], (path, "side_transport"))
     return kind, loaders[kind](obj)
+
+
+_SIDE_TRANSPORT = re.compile(r'"side_transport"\s*:\s*(?=\{)')
+_PAIRS = json.JSONDecoder(object_pairs_hook=list)
+
+
+def _no_repeat(text: str, bits: dict, path) -> None:
+    """``SchemaError`` at ``path`` if the ``side_transport`` object that ``json.loads`` read as ``bits`` repeats a key.
+
+    ``json.loads`` keeps a repeated key's last value, so each object under a
+    ``side_transport`` key is read again from ``text`` as a list of pairs.
+    """
+    for match in _SIDE_TRANSPORT.finditer(text):
+        pairs = _PAIRS.raw_decode(text, match.end())[0]
+        if len(pairs) > len(bits) and dict(pairs) == bits:
+            seen: dict[str, None] = {}
+            for key, _ in pairs:
+                _put(seen, key, None, path)
 
 
 def _dot(text: str) -> str:

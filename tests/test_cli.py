@@ -5,8 +5,9 @@ import json
 import pytest
 
 from normaltori.cli import build_parser, main
-from normaltori.fixtures import make_klein, make_t0, make_t1
-from normaltori.serialize import dumps, position_to_json
+from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
+from normaltori.normal_graph import to_normal_torus
+from normaltori.serialize import dumps, normal_torus_to_dot, normal_torus_to_json, position_to_json
 
 
 @pytest.fixture
@@ -292,6 +293,27 @@ def test_export_dot(files, capsys):
     tmp, paths = files
     assert main(["export-dot", str(paths["t0"])]) == 0
     assert "piece_graph" in capsys.readouterr().out
+
+
+def test_normal_torus_file_reads_like_its_position(tmp_path, capsys):
+    """``decorate``, ``axis-word`` and ``export-dot`` on a normal_torus file give what its position file gives.
+
+    ``export-dot`` draws the decorated graph of a normal torus, not the position.
+    """
+    t = make_t2()
+    nt = to_normal_torus(t)
+    files = {"position": tmp_path / "t2.json", "normal_torus": tmp_path / "t2-nt.json"}
+    files["position"].write_text(dumps(position_to_json(t)), encoding="utf-8")
+    files["normal_torus"].write_text(dumps(normal_torus_to_json(nt)), encoding="utf-8")
+    outputs = {}
+    for kind, path in files.items():
+        decorated = tmp_path / f"{kind}-dec.json"
+        runs = [["decorate", str(path), "-o", str(decorated)], ["axis-word", str(path)]]
+        outputs[kind] = [(main(argv), capsys.readouterr()) for argv in runs] + [decorated.read_bytes()]
+    assert outputs["normal_torus"] == outputs["position"]
+    assert outputs["position"][0][0] == outputs["position"][1][0] == 0
+    assert main(["export-dot", str(files["normal_torus"])]) == 0
+    assert capsys.readouterr().out == normal_torus_to_dot(nt)
 
 
 def test_output_not_written_on_invalid_input(files, tmp_path, capsys):

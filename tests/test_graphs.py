@@ -88,6 +88,22 @@ def test_random_cubic_is_valid_and_deterministic(n, seed):
     assert validate_graph(g1) == []
 
 
+def test_random_cubic_rank1_rejected():
+    with pytest.raises(GraphError, match="rank below 2 unsupported"):
+        random_cubic(1, 0)
+
+
+def test_validator_flags_low_rank_foreign_sphere_and_missing_end():
+    g = build_standard(2)
+    low = SphereGraph(1, g.p_vertices, g.sphere_edges, g.incidence)
+    assert validate_graph(low) == ["rank 1 below 2", "betti number 2 differs from rank 1"]
+    foreign = SphereGraph(2, g.p_vertices, g.sphere_edges, {**g.incidence, HalfEdge("s9", 0): Attachment("p0", 0)})
+    assert validate_graph(foreign) == ["half-edge s9@0 references unknown sphere"]
+    incidence = {he: att for he, att in g.incidence.items() if he != HalfEdge("s1", 1)}
+    open_end = SphereGraph(2, g.p_vertices, g.sphere_edges, incidence)
+    assert validate_graph(open_end) == ["sphere s1 missing end 1", "P-vertex p1 has 2 half-edges"]
+
+
 def test_random_cubic_rank2_shape():
     g = random_cubic(2, 0)
     assert len(g.p_vertices) == 2

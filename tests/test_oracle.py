@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import criterion_3_inputs, is_loop
+from normaltori import moves
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import GraphError, SphereGraph, build_standard, random_cubic, validate_graph
 from normaltori.moves import Slide, apply_move, find_moves, normalize
@@ -25,7 +26,7 @@ from normaltori.position import (
     total_intersections,
     validate_position,
 )
-from normaltori.serialize import dumps, position_to_json
+from normaltori.serialize import dumps, load_any, position_to_json
 
 # SHA-256 of every generated position's JSON over the grid in
 # ``test_generated_positions_are_pinned``: ids, region names and draw
@@ -496,3 +497,50 @@ def test_gauge_flips_do_not_matter():
                 flips += 1
     assert regauging
     print(f"{flips} gauge flips, {regauging} slides that regauge a kept circle")
+
+
+def _outcome(experiment, t, seed: int):
+    """``"raised"``, or the kinds of the failures ``experiment`` records on ``t``; each counterexample must be valid."""
+    try:
+        report = experiment(t, 6, 3, seed=seed)
+    except PositionError:
+        return "raised"
+    for failure in report.failures:
+        kind, position = load_any(failure.counterexample)
+        assert kind == "position" and validate_position(position) == []
+    return {failure.kind for failure in report.failures}
+
+
+@pytest.mark.parametrize("bug", ["inverted merged bit", "wrong cap side"])
+def test_the_experiments_catch_planted_bugs(bug, monkeypatch):
+    """Two wrong move rules, each caught on every base by an error or a recorded failure with a counterexample.
+
+    The merged circle of a slide gets the inverted transport bit, or a cap
+    takes the disk's other side for its ball.  Unplanted, every base passes
+    both experiments; the wrong cap side is caught by a raise on some bases
+    and by each experiment's recorded failure on others.
+    """
+    bases = [(seed, random_normal_torus(build_standard(rank), seed, 8)) for rank in (2, 3, 4) for seed in range(4)]
+    experiments = (minimality_experiment, roundtrip_report)
+    assert all(_outcome(experiment, t, seed) == set() for seed, t in bases for experiment in experiments)
+    slide, ball = moves._apply_slide, moves._ball_region
+
+    def inverted_bit(t, m, index):
+        out, pieces, circles, sphere = slide(t, m, index)
+        (merged,) = circles - t.circles.keys()
+        out.transport[merged] = not out.transport[merged]
+        return out, pieces, circles, sphere
+
+    def other_side(t, disk):
+        slot = disk.boundary[0]
+        return t.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ball(t, disk))
+
+    if bug == "inverted merged bit":
+        monkeypatch.setattr(moves, "_apply_slide", inverted_bit)
+    else:
+        monkeypatch.setattr(moves, "_ball_region", other_side)
+    outcomes = [[_outcome(experiment, t, seed) for experiment in experiments] for seed, t in bases]
+    assert all(any(outcome) for outcome in outcomes)
+    if bug == "wrong cap side":
+        recorded = set().union(*(o for row in outcomes for o in row if o != "raised"))
+        assert recorded == {"minimality", "roundtrip"}

@@ -119,6 +119,10 @@ def test_schema_errors():
     want = "malformed sphere_graph: edges[0].ends: expected 2 items, got 3"
     with pytest.raises(SchemaError, match=re.escape(want)):
         graph_from_json(ends)
+    with pytest.raises(SchemaError, match="^top-level JSON value must be an object$"):
+        load_any("[]")
+    with pytest.raises(SchemaError, match="^expected a JSON object for sphere_graph$"):
+        graph_from_json([])
 
 
 def _repeat(obj, where):
@@ -156,6 +160,26 @@ def test_position_reader_rejects_repeated_entries(case, tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: malformed position: {where}\n")
+
+
+_WRITTEN_FROM_T0 = {
+    "position": (lambda: position_to_json(make_t0()), "side_transport"),
+    "normal_torus": (lambda: normal_torus_to_json(to_normal_torus(make_t0())), "position.side_transport"),
+    "decorated_graph": (lambda: decorated_to_json(decorate(to_normal_torus(make_t0()))), "position.side_transport"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITTEN_FROM_T0))
+def test_repeated_transport_bit_rejected(kind, tmp_path, capsys):
+    """A circle listed twice in ``side_transport`` is named, though ``json.loads`` keeps only the last bit."""
+    write, where = _WRITTEN_FROM_T0[kind]
+    text = dumps(write())
+    assert text.count('"side_transport": {') == 1 and '"c0": true' in text
+    path = tmp_path / "repeat.json"
+    path.write_text(text.replace('"side_transport": {', '"side_transport": {"c0": false,'), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f'error: malformed {kind}: {where}: repeats "c0"\n')
 
 
 @pytest.mark.parametrize("key, where", [("p_vertices", 'p_vertices[4]: repeats "p0"'),

@@ -220,7 +220,7 @@ def cmd_minimality(args) -> int:
 
 def cmd_perturb(args) -> int:
     t = _want_position(*_read(args.input), "perturb")
-    out, _ = _perturb(t, _checked(t), args.seed, args.count)
+    out = _perturb(t, *_checked(t), args.seed, args.count)[0]
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))
     return EXIT_OK

@@ -399,22 +399,23 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     and checks each one before it with ``_validate_delta``, scoped by the
     ids the move reports it replaced, which finds the same problems.
     """
-    return _normalize(t, _checked(t, "invalid position: ", NormalizeError))
+    return _normalize(t, *_checked(t, "invalid position: ", NormalizeError))
 
 
-def _normalize(t: TorusPosition, index) -> NormalizeResult:
-    """``normalize`` of a position already known to be valid; ``index`` is its ``circle_slots()``.
+def _normalize(t: TorusPosition, index, tally: Tally) -> NormalizeResult:
+    """``normalize`` of a position already known to be valid; ``index`` and ``tally`` are its ``circle_slots()`` and ``Tally``.
 
     Takes each move afresh as the first of ``_moves`` from the non-normal
     pieces of the ``Tally``, over the index, both carried by ``position._step``
-    from the step before; the normal torus is built from the last index.
+    from the step before; the normal torus is built from the last index and
+    the walk of the last full check, which the tally holds.
     A move must lower the total by one and raise no sphere's count; those
     counts are checked before the step's problems.  Once no move is left,
     the stuck verdict is the tally's set of non-normal pieces; ``is_normal``
     runs only to name them.
     """
     trace: list[MoveRecord] = []
-    current, tally = t, Tally.of(t)
+    current = t
     while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
         nxt, nxt_index, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
         before, after = tally.counts, nxt_tally.counts
@@ -429,4 +430,4 @@ def _normalize(t: TorusPosition, index) -> NormalizeResult:
         current, index, tally = nxt, nxt_index, nxt_tally
     if tally.abnormal:  # exactly the pieces ``is_normal`` finds a violation in
         raise NormalizeError("stuck non-normal: " + "; ".join(is_normal(current)[1]))
-    return NormalizeResult(current, NormalTorus(current, index), trace)
+    return NormalizeResult(current, NormalTorus(current, index, (tally.side, tally.tree)), trace)

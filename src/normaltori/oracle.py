@@ -81,10 +81,8 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     else:
         raise PositionError("failed to sample a closed immersed walk")
     t = _assemble(g, _grow_branches(g, rng, walk, size_bound))
-    _checked(t, "generator produced invalid position: ")
-    ok, violations = is_normal(t)
-    if not ok:
-        raise PositionError("generator produced non-normal position: " + "; ".join(violations))
+    if _checked(t, "generator produced invalid position: ")[1].abnormal:
+        raise PositionError("generator produced non-normal position: " + "; ".join(is_normal(t)[1]))
     return t
 
 
@@ -194,11 +192,11 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     ``_validate_delta``, scoped by the ids the inverse move reports it
     replaced.
     """
-    return _perturb(t, _checked(t, "invalid position: "), seed, k)[0]
+    return _perturb(t, *_checked(t, "invalid position: "), seed, k)[0]
 
 
-def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition, dict]:
-    """``perturb`` of a position known to be valid, and the result's index; ``index`` is ``t``'s ``circle_slots()``.
+def _perturb(t: TorusPosition, index, tally: Tally, seed: int, k: int) -> tuple[TorusPosition, dict, Tally]:
+    """``perturb`` of a position known to be valid, and the result's index and ``Tally``; ``index`` and ``tally`` are ``t``'s.
 
     Carries the index and the ``Tally`` through ``position._step``, and
     the candidate cache, which redoes what each inverse move reports it
@@ -211,7 +209,7 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition,
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
-    current, tally = t, Tally.of(t)
+    current = t
     cache = _Candidates(t, index)
     for i in range(k):
         candidates = cache.list()
@@ -231,7 +229,7 @@ def _perturb(t: TorusPosition, index, seed: int, k: int) -> tuple[TorusPosition,
         if not last:
             cache.update(current, nxt_index, moved)
         current, index = nxt, nxt_index
-    return current, index
+    return current, index, tally
 
 
 def _inverse(t: TorusPosition, cand: tuple, index):
@@ -576,21 +574,21 @@ class FuzzReport:
         }
 
 
-def _trials(t: TorusPosition, index, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
+def _trials(t: TorusPosition, index, tally: Tally, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
     """Seed, k, perturbed position and normalize result of each perturb-then-normalize trial.
 
     Trial i perturbs ``t`` by (i mod ``k_max``) + 1 inverse moves, none when
-    ``k_max`` is 0.  ``t`` is already validated, and ``index`` is the
-    ``circle_slots()`` it was validated with; each trial normalizes over
-    the index that ``_perturb`` carried.
+    ``k_max`` is 0.  ``t`` is already validated, and ``index`` and ``tally``
+    are the ``circle_slots()`` and ``Tally`` it was validated with; each
+    trial normalizes over the index and tally that ``_perturb`` carried.
     """
     if trials < 0 or k_max < 0:
         raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
     for i in range(trials):
         trial_seed = seed + stride * i
         k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed, perturbed_index = _perturb(t, index, trial_seed, k)
-        yield trial_seed, k, perturbed, _normalize(perturbed, perturbed_index)
+        perturbed, *carried = _perturb(t, index, tally, trial_seed, k)
+        yield trial_seed, k, perturbed, _normalize(perturbed, *carried)
 
 
 def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:
@@ -601,14 +599,13 @@ def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int =
     ones sphere by sphere, and never exceed the perturbed counts.  ``t`` is
     validated first (``position._checked``), then checked to be normal.
     """
-    index = _checked(t)
-    ok, violations = is_normal(t)
-    if not ok:
-        raise PositionError("minimality experiment needs a normal position: " + "; ".join(violations))
+    index, tally = _checked(t)
+    if tally.abnormal:
+        raise PositionError("minimality experiment needs a normal position: " + "; ".join(is_normal(t)[1]))
     base = intersection_vector(t)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, index, trials, k_max, seed, 1):
+    for trial_seed, k, perturbed, result in _trials(t, index, tally, trials, k_max, seed, 1):
         after = intersection_vector(result.position)
         messed = intersection_vector(perturbed)
         bad = []
@@ -634,7 +631,7 @@ def roundtrip_report(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -
     base_solid = bounds_solid_torus(base_dec)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, nt.index, trials, k_max, seed, 7919):
+    for trial_seed, k, perturbed, result in _trials(t, nt.index, Tally.of(t, *nt.walked), trials, k_max, seed, 7919):
         dec = decorate(result.torus)
         if not equivalent(dec, base_dec):
             report.failures.append(

@@ -22,10 +22,12 @@ result's ``circle_slots()`` index and its ``Tally``, each updated from
 the step before over those ids, with the result's problems: from
 ``validate_position``, over the carried index, for a loop's last step or
 a normal result, else from ``_validate_delta``, the one step check.
-That check takes its scope from the move's report (``_delta_scope``)
-and walks the whole piece graph, as the full check does; the tests pin
-that scope equal to the one found by comparing every id of the two
-positions by value.
+That check takes its scope from the move's report (``_delta_scope``);
+the tests pin that scope equal to the one found by comparing every id of
+the two positions by value.  For connectivity and monodromy it carries
+the tally's side bits, the last walk's, over the edges the step changed
+(``_certified``), and walks the whole piece graph, as the full check
+does, only when that certificate cannot prove there is no problem.
 """
 
 from __future__ import annotations
@@ -52,6 +54,12 @@ class KleinBottleError(PositionError):
 
 class _Monodromy(str):
     """The problem of a bad cycle that the piece-graph walk found, as ``_checked`` tells it from the others."""
+
+
+class _Problems(list):
+    """A check's problems, with the ``side`` bits and ``tree`` of its walk over the piece graph (a certificate leaves no tree)."""
+
+    side = tree = None
 
 
 def flip_side(side: str) -> str:
@@ -272,7 +280,10 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
 
 
 def validate_position(t: TorusPosition, index=None) -> list[str]:
-    """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``."""
+    """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``.
+
+    Once the check gets to the piece graph, the list is a ``_Problems`` that holds the walk's side bits and tree.
+    """
     problems = validate_graph(t.graph)
     if problems:
         return problems
@@ -282,16 +293,18 @@ def validate_position(t: TorusPosition, index=None) -> list[str]:
     return _validate(t, t.circle_slots() if index is None else index, *everything)
 
 
-def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> dict:
-    """The one validation boundary: ``t.circle_slots()``, for the caller to hand on, once ``t`` is valid.
+def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> tuple[dict, "Tally"]:
+    """The one validation boundary: ``t.circle_slots()`` and ``t``'s ``Tally``, for the caller to hand on, once ``t`` is valid.
 
-    Else ``error`` of ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad cycle is the only one.
+    The tally holds the side bits and tree of the check's walk.  Else ``error``
+    of ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad
+    cycle is the only one.
     """
     index = t.circle_slots()
     if problems := validate_position(t, index):
         one_sided = len(problems) == 1 and type(problems[0]) is _Monodromy
         raise (KleinBottleError if one_sided else error)(prefix + "; ".join(problems))
-    return index
+    return index, Tally.of(t, problems.side, problems.tree)
 
 
 def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres):
@@ -396,22 +409,30 @@ class Tally:
 
     ``counts`` is the intersection vector, ``euler`` the Euler sum, and
     ``abnormal`` holds the ids of the pieces that break the normal-piece
-    rule (``is_normal_piece``).
+    rule (``is_normal_piece``).  ``side`` (piece -> bit; a removed piece's
+    may linger) and ``tree`` are the side bits and the tree of the last
+    walk over the piece graph, carried from step to step and never edited:
+    ``stepped`` hands on the bits as they are, and ``_step`` puts its
+    check's in their place, walked or certified (``_certified``; no tree
+    then).  None when not known; they take no part in equality.
     """
 
     counts: dict[str, int]
     euler: int
     abnormal: set[str]
+    side: dict[str, bool] | None = field(default=None, compare=False, repr=False)
+    tree: dict | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, t: TorusPosition) -> "Tally":
+    def of(cls, t: TorusPosition, side=None, tree=None) -> "Tally":
         abnormal = {p.id for p in t.pieces.values() if not is_normal_piece(p)}
-        return cls(intersection_vector(t), euler_characteristic(t), abnormal)
+        return cls(intersection_vector(t), euler_characteristic(t), abnormal, side, tree)
 
     def stepped(self, before: TorusPosition, after: TorusPosition, pieces, circles) -> "Tally":
         """The tally of ``after``, from this one of ``before``; ``pieces`` and ``circles`` hold every id that differs.
 
         Each id is taken out as it was and put back as it is, so an unchanged one adds nothing.
+        The side bits are handed on as they are, still ``before``'s.
         """
         counts = dict(self.counts)
         for cid in circles:
@@ -427,7 +448,7 @@ class Tally:
                     euler += sign * piece.euler()
             if pid in after.pieces and not is_normal_piece(after.pieces[pid]):
                 abnormal.add(pid)
-        return Tally(counts, euler, abnormal)
+        return Tally(counts, euler, abnormal, self.side)
 
 
 def _validate_delta(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres,
@@ -438,12 +459,15 @@ def _validate_delta(before: TorusPosition, after: TorusPosition, index, pieces, 
     skips the graph check and re-checks per item only what the step can
     have changed.  ``pieces``, ``circles`` and ``spheres`` are a move's
     report of what it replaced (or every id); ``index`` and ``tally`` are
-    ``after``'s ``circle_slots()`` and ``Tally``.  The scope comes from the
-    report (``_delta_scope``), the per-sphere counts and the Euler sum from
-    the tally, and connectivity and monodromy from the same full walk of
-    the piece graph that ``validate_position`` makes.
+    ``after``'s ``circle_slots()`` and ``Tally``, whose side bits are still
+    ``before``'s.  The scope comes from the report (``_delta_scope``), the
+    per-sphere counts and the Euler sum from the tally, and connectivity
+    and monodromy from a certificate (``_certified``) that carries the side
+    bits over the edges the step changed, or, when it cannot prove there
+    is no problem, from the full walk of the piece graph that
+    ``validate_position`` makes.
     """
-    return _validate(after, index, *_delta_scope(before, after, index, pieces, circles, spheres), tally)
+    return _validate(after, index, *_delta_scope(before, after, index, pieces, circles, spheres), tally, before)
 
 
 def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False):
@@ -458,7 +482,8 @@ def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False)
     found in full with the updated index for a loop's ``last`` step or a
     normal result, and by ``_validate_delta``, scoped by the report,
     otherwise.  The full check finds a circle's pairs by end, never by
-    place, so the order the update leaves them in does not matter.
+    place, so the order the update leaves them in does not matter.  A valid
+    result's tally takes the side bits (and tree) that its check left.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
@@ -467,29 +492,93 @@ def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False)
         problems = validate_position(after, after_index)
     else:
         problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
+    if not problems:
+        after_tally.side, after_tally.tree = problems.side, problems.tree
     return after, after_index, after_tally, problems
 
 
+_SEARCH_BUDGET = 64  # pieces a certificate's search may reach
+
+
+def _certified(before: TorusPosition, pieces, circles, t: TorusPosition, index, side) -> dict | None:
+    """``t``'s side bits, carried from ``before``'s ``side`` over a step, once they prove ``t``'s piece graph sound; else None.
+
+    ``pieces`` and ``circles`` are the step's scope (``_delta_scope``),
+    whose per-item checks passed, and ``index`` is ``t.circle_slots()``.
+    An edge is a circle's two holders and its flip (``_piece_edges``).  The
+    scope holds every circle whose edge changed and every piece that is new
+    or gained or lost a circle, so any other edge joins two kept pieces as
+    in ``before``, where it agreed with the bits.  Each new piece takes its
+    bit through a scoped edge; every scoped edge must agree with the bits,
+    and a search of ``t`` from the least target must meet every target (a
+    scoped piece or a holder of a scoped edge) within ``_SEARCH_BUDGET``
+    pieces: a path of ``before`` that the step cut leaves the kept part at
+    a target.  Anything else gives None, and the full walk decides.
+    """
+    if side is None:
+        return None
+    edges = []
+    for cid in circles:
+        (a, _), (b, _) = index[cid]
+        edges.append((a.id, b.id, not t.transport[cid]))
+    targets = {pid for a, b, _ in edges for pid in (a, b)} | pieces
+    bits, unset = side, {pid for pid in pieces if pid not in before.pieces}  # unset: the new pieces
+    if unset:  # a copy, so that no earlier tally's bits change
+        bits = dict(side)
+        for pid in unset:
+            bits.pop(pid, None)
+    while unset:
+        took = {other: bits[known] ^ flip for a, b, flip in edges
+                for known, other in ((a, b), (b, a)) if other in unset and known in bits}
+        if not took:
+            return None
+        bits.update(took)
+        unset -= took.keys()
+    if any(bits[a] ^ bits[b] != flip for a, b, flip in edges):
+        return None
+    return bits if not targets or _reaches(t, index, targets) else None
+
+
+def _reaches(t: TorusPosition, index, targets: set) -> bool:
+    """Whether a breadth-first search of ``t``'s piece graph from the least target meets every target within ``_SEARCH_BUDGET`` pieces."""
+    start = min(targets)
+    left, seen, queue = targets - {start}, {start}, [start]
+    for pid in queue:
+        if not left or len(seen) > _SEARCH_BUDGET:
+            break
+        for slot in t.pieces[pid].boundary:
+            for piece, _ in index[slot.circle]:
+                if piece.id not in seen:
+                    seen.add(piece.id)
+                    left.discard(piece.id)
+                    queue.append(piece.id)
+    return not left
+
+
 def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends,
-              tally: Tally | None = None) -> list[str]:
+              tally: Tally | None = None, before: TorusPosition | None = None) -> _Problems:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
     ``index`` is ``t.circle_slots()``.  The passes run in this order: per
     piece and per circle in id order, per tree in graph order, then, only
     once those found nothing, the Euler sum, the stray transport bits and
-    the one walk, and last the side anchors, piece by piece, at ``ends``
-    (None: every end of every piece) and at every end on a given sphere.
-    So any scope that holds every item with a problem gives the same list.
-    ``tally`` is ``t``'s ``Tally`` for the result of a step from a valid
-    position: the per-sphere counts and the Euler sum are then read off it.
-    Connectivity and monodromy always come from the one ``graphs.walk``
-    over every piece.
+    the piece graph's connectivity and monodromy, and last the side
+    anchors, piece by piece, at ``ends`` (None: every end of every piece)
+    and at every end on a given sphere.  So any scope that holds every
+    item with a problem gives the same list.  ``tally`` is ``t``'s
+    ``Tally`` for the result of a step from a valid ``before``, with
+    ``before``'s side bits: the per-sphere counts and the Euler sum are
+    then read off it, and a certificate (``_certified``) carries the bits
+    over the scope.  Without a step, or when the certificate cannot prove
+    there is no problem, connectivity and monodromy come from the one
+    ``graphs.walk`` over every piece.  The list holds the bits and the
+    walk's tree.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
     it fixes betti number 1, and a stray bit shows as more bits than circles.
     """
-    problems = []
+    problems = _Problems()
     for pid in sorted(pieces):
         problems.extend(_piece_problems(t, pid))
     known = set(t.graph.sphere_edges)
@@ -508,7 +597,12 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
         stray = sorted(t.transport.keys() - t.circles.keys())
         problems.extend(f"side transport bit of unknown circle {cid}" for cid in stray)
 
-    reached, _, _, bad_cycle = walk(t.pieces, _piece_edges(t, index))
+    side = None if before is None else _certified(before, pieces, circles, t, index, tally.side)
+    if side is None:
+        reached, side, tree, bad_cycle = walk(t.pieces, _piece_edges(t, index))
+    else:
+        reached, tree, bad_cycle = len(t.pieces), None, None
+    problems.side, problems.tree = side, tree
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
 

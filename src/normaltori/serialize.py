@@ -383,11 +383,24 @@ _PAIRS = json.JSONDecoder(object_pairs_hook=list)
 def _no_repeat(text: str, bits: dict, path) -> None:
     """``SchemaError`` at ``path`` if the ``side_transport`` object that ``json.loads`` read as ``bits`` repeats a key.
 
-    ``json.loads`` keeps a repeated key's last value, so each object under a
-    ``side_transport`` key is read again from ``text`` as a list of pairs.
+    ``json.loads`` keeps a repeated key's last value, so the object is read
+    again from ``text`` as a list of pairs.  A key can be spelled other than
+    plainly only with a backslash escape, so a text without one has its
+    objects under plain ``side_transport`` keys read again; any other is
+    read whole, once, down ``path``.
     """
-    for match in _SIDE_TRANSPORT.finditer(text):
-        pairs = _PAIRS.raw_decode(text, match.end())[0]
+    if "\\" not in text:
+        found = (_PAIRS.raw_decode(text, match.end())[0] for match in _SIDE_TRANSPORT.finditer(text))
+    else:
+        keys, at = [], path
+        while type(at) is tuple:
+            at, key = at
+            keys.insert(0, key)
+        pairs = _PAIRS.decode(text)
+        for key in keys:
+            pairs = dict(pairs)[key]  # a repeated key's last value, as ``json.loads`` keeps it
+        found = [pairs]
+    for pairs in found:
         if len(pairs) > len(bits) and dict(pairs) == bits:
             seen: dict[str, None] = {}
             for key, _ in pairs:

@@ -182,6 +182,24 @@ def test_repeated_transport_bit_rejected(kind, tmp_path, capsys):
     assert (out, err) == ("", f'error: malformed {kind}: {where}: repeats "c0"\n')
 
 
+@pytest.mark.parametrize("decoy", [False, True], ids=["alone", "after-a-plain-copy"])
+@pytest.mark.parametrize("kind", sorted(_WRITTEN_FROM_T0))
+def test_repeated_transport_bit_under_an_escaped_key_rejected(kind, decoy, tmp_path, capsys):
+    """The same, with the ``side_transport`` key spelled with a JSON escape, alone or after a plain key with its bits."""
+    write, where = _WRITTEN_FROM_T0[kind]
+    text = dumps(write())
+    start = text.index('"side_transport": {')
+    block = text[start:text.index("}", start) + 1]
+    escaped = block.replace('"side_transport": {', '"side\\u005ftransport": {"c0": false,')
+    text = text.replace(block, (block + ", " if decoy else "") + escaped)
+    assert ("side_transport" in text) == decoy and json.loads(text)
+    path = tmp_path / "repeat.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f'error: malformed {kind}: {where}: repeats "c0"\n')
+
+
 @pytest.mark.parametrize("key, where", [("p_vertices", 'p_vertices[4]: repeats "p0"'),
                                         ("edges", 'edges[6].id: repeats "s0"')])
 def test_graph_reader_rejects_repeated_pants_and_spheres(key, where, tmp_path, capsys):

@@ -4,27 +4,32 @@
 last step's result, and check every step in between with
 ``_validate_delta``, which re-checks per item only what can have changed
 among the ids the move reports it replaced, reads the global sums off the
-``Tally`` and walks the whole piece graph as the full check does;
+``Tally`` and carries the tally's side bits over the edges the step
+changed (``position._certified``), falling back to the full check's walk
+of the whole piece graph when that certificate cannot prove the step;
 ``position._step`` makes that choice for both.  These tests pin that the
 two checks agree, on real steps and on mutants of them; that a move's
 report holds every id that differs by value and gives the same scope as
-every id does; and that the callers keep to the two full checks.
+every id does; how often the certificate proves a step and that its
+fallbacks find the problems; that the carried bits are a walk's; and that
+the callers keep to the two full checks and the normal torus to their walks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import random
 
 import pytest
 from test_acceptance import _fuzz_corpus
 
-from normaltori import cli, moves, oracle, position
+from normaltori import cli, moves, normal_graph, oracle, position
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.graphs import HalfEdge, build_standard, random_cubic
+from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
 from normaltori.moves import Cap, Slide, _ball_region, apply_move, find_moves, normalize
-from normaltori.normal_graph import to_normal_torus
+from normaltori.normal_graph import NormalTorus, to_normal_torus
 from normaltori.oracle import (
     minimality_experiment,
     perturb,
@@ -363,6 +368,55 @@ def test_each_checked_input_builds_one_index(index_builds):
     assert len(index_builds) == 1
 
 
+@pytest.fixture
+def piece_walks(monkeypatch):
+    """Counts ``graphs.walk`` calls over a piece graph, through the bindings of ``position`` and ``normal_graph``."""
+    calls = []
+
+    def counted(nodes, edges):
+        calls.append(nodes)
+        return real(nodes, edges)
+
+    real = position.walk
+    for module in (position, normal_graph):
+        monkeypatch.setattr(module, "walk", counted)
+    return calls
+
+
+def test_the_torus_reads_the_last_checks_walk(piece_walks):
+    """Only full checks walk the piece graph, and a normal torus reads the walk of the check before it.
+
+    The torus built alone walks once itself, and the same ``side``, ``axis``
+    and file come out either way.
+    """
+    base = random_normal_torus(build_standard(4), 3, 6)
+    piece_walks.clear()
+    messy = perturb(base, 11, 5)
+    assert len(piece_walks) == 2  # the input's check and the last inverse move's
+    piece_walks.clear()
+    result = normalize(messy)
+    assert len(result.trace) == 5
+    assert len(piece_walks) == 2  # the input's check and the normal result's
+    piece_walks.clear()
+    nt = to_normal_torus(result.position)
+    assert len(piece_walks) == 1  # the check's
+    piece_walks.clear()
+    alone = NormalTorus(result.position)
+    assert len(piece_walks) == 1
+    for handed in (result.torus, nt):
+        assert dict(handed.side) == dict(alone.side)
+        assert handed.axis == alone.axis
+        assert dumps(normal_torus_to_json(handed)) == dumps(normal_torus_to_json(alone))
+
+
+def test_certificate_counts_on_the_corpus():
+    """The certificate proves every step check of the corpus: none falls back to the full walk."""
+    with _certificates() as verdicts:
+        for *_, problems in _corpus_deltas():
+            assert problems == []
+    assert (verdicts.count(True), verdicts.count(False)) == (144, 0)
+
+
 def _same_slots(index):
     """A ``circle_slots`` index with each circle's pairs in one order, for comparing two builds."""
     return {cid: sorted(pairs, key=lambda ps: (ps[0].id, ps[1].half_edge)) for cid, pairs in index.items()}
@@ -389,7 +443,7 @@ def _corpus_deltas():
     """
     for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
         rng = random.Random(60_000 + instances)
-        current, index, tally = base, base.circle_slots(), position.Tally.of(base)
+        current, (index, tally) = base, position._checked(base)
         for _ in range((instances % 4) + 1):
             candidates = _inverse_candidates(current)
             cand = candidates[rng.randrange(len(candidates))]
@@ -468,14 +522,14 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
     Three chains per graph, on ``build_standard(rank)`` and a ``random_cubic``
     graph of the same rank; each chain's torus grows by one circle a step,
     so later steps update a cache far larger than the corpus's.  Every
-    inverse move's report holds every change, and the carried tally is a
-    fresh one.
+    inverse move's report holds every change, the carried tally is a
+    fresh one, and its side bits are a fresh walk's, up to one flip.
     """
     kinds = set()
     for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
         for seed in range(3):
             current = random_normal_torus(g, 10 * rank + seed, 2 * rank)
-            index, tally = current.circle_slots(), position.Tally.of(current)
+            index, tally = position._checked(current)
             cache, rng = oracle._Candidates(current, index), random.Random(seed)
             for _ in range(64):
                 candidates = cache.list()
@@ -486,6 +540,7 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
                 nxt, index, tally, problems = position._step(current, index, tally, moved)
                 assert problems == []
                 assert tally == position.Tally.of(nxt)
+                assert _walked_up_to_a_flip(tally.side, nxt)
                 assert _ends_hold_a_changed_piece(current, moved)
                 cache.update(current, index, moved)
                 current = nxt
@@ -497,30 +552,66 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
 def _validate_by_value(before, after):
     """``_validate_delta`` of the step from a valid ``before`` to ``after``.
 
-    It is given every id (``_every_id``), so ``after`` may be any edited clone.
+    It is given every id (``_every_id``), so ``after`` may be any edited
+    clone, and ``before``'s tally with the side bits of its full check, so
+    the certificate runs as it does in a step.
     """
     every = _every_id(before, after)
-    tally = position.Tally.of(before).stepped(before, after, *every[:2])
+    tally = position._checked(before)[1].stepped(before, after, *every[:2])
     return position._validate_delta(before, after, after.circle_slots(), *every, tally)
+
+
+@contextlib.contextmanager
+def _certificates():
+    """The verdict of each ``position._certified`` call while open: True if it proved its step, False if it fell back."""
+    verdicts, real = [], position._certified
+
+    def recording(*args):
+        bits = real(*args)
+        verdicts.append(bits is not None)
+        return bits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(position, "_certified", recording)
+        yield verdicts
+
+
+def _walked_up_to_a_flip(carried, t) -> bool:
+    """Whether the carried side bits of ``t``'s pieces are a fresh walk's, all flipped or none."""
+    walked = walk(t.pieces, position._piece_edges(t, t.circle_slots()))[1]
+    flip = carried[min(walked)] != walked[min(walked)]
+    return {pid: carried[pid] ^ flip for pid in t.pieces} == walked
 
 
 _TAGS = ("side anchors conflict", "monodromy", "disconnected", "region tree")
 
 
 def _check_mutants(steps, seed):
-    """Four mutants of each step's result, drawn with ``seed``: ``_validate_delta`` must give ``validate_position``'s list."""
-    mutants = rejected = 0
-    seen = set()
-    for before, mutant in _mutants(steps, seed):
-        want = validate_position(mutant)
-        assert _validate_by_value(before, mutant) == want
-        mutants += 1
-        rejected += bool(want)
-        seen.update(tag for problem in want for tag in _TAGS if tag in problem)
+    """Four mutants of each step's result, drawn with ``seed``: ``_validate_delta`` must give ``validate_position``'s list.
+
+    Among the mutants whose certificate fell back, some must give a list,
+    with both a disconnected piece graph and a bad cycle among them.
+    """
+    mutants = rejected = caught = 0
+    seen, caught_tags = set(), set()
+    with _certificates() as verdicts:
+        for before, mutant in _mutants(steps, seed):
+            want = validate_position(mutant)
+            asked = len(verdicts)
+            assert _validate_by_value(before, mutant) == want
+            mutants += 1
+            rejected += bool(want)
+            tags = {tag for problem in want for tag in _TAGS if tag in problem}
+            seen |= tags
+            if want and verdicts[asked:] == [False]:
+                caught += 1
+                caught_tags |= tags
     assert mutants >= 600 and rejected * 3 >= mutants
     assert seen == set(_TAGS)
+    assert caught and {"disconnected", "monodromy"} <= caught_tags
     print(f"seed {seed}: _validate_delta == validate_position on {len(steps)} steps, {mutants} mutants "
-          f"({rejected} rejected)")
+          f"({rejected} rejected, {caught} of them after the certificate fell back; "
+          f"{verdicts.count(True)} certified, {verdicts.count(False)} fell back)")
 
 
 def test_validate_step_matches_validate_position():

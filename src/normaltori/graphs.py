@@ -178,10 +178,9 @@ def walk(nodes, edges):
     The one breadth-first walk over a graph, read by ``SphereGraph`` (its
     connectivity) and ``label_generators`` (its spanning tree) off the
     sphere graph, and off ``position._piece_edges`` by the full check, by
-    the step check when its certificate falls back, and by a
-    ``NormalTorus`` handed no walk; a full check's side bits and tree go
-    on in a ``Tally`` to later step checks and to the normal torus that
-    ``normalize`` and ``to_normal_torus`` build.  ``edges`` holds
+    the step check when its certificate falls back, and by every
+    ``NormalTorus``; a check's side bits go on in a ``Tally`` to later
+    step checks.  ``edges`` holds
     (edge, node, node, flip) in edge id order, and each node's edges are
     read in that order, whichever endpoint is listed first; an endpoint of
     an edge that is no self-loop is a node even when ``nodes`` lacks it.

@@ -394,10 +394,10 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     meets the sphere system), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
     geometrically inconsistent input).  The input gets
-    ``validate_position``; every move's result is checked by the one step
-    routine, ``position._step``, which fully validates the normal result
-    and checks each one before it with ``_validate_delta``, scoped by the
-    ids the move reports it replaced, which finds the same problems.
+    ``validate_position``; every move's result, the normal one included,
+    is checked by the one step routine, ``position._step``, with
+    ``_validate_delta``, scoped by the ids the move reports it replaced,
+    which finds the same problems.
     """
     return _normalize(t, *_checked(t, "invalid position: ", NormalizeError))
 
@@ -408,7 +408,7 @@ def _normalize(t: TorusPosition, index, tally: Tally) -> NormalizeResult:
     Takes each move afresh as the first of ``_moves`` from the non-normal
     pieces of the ``Tally``, over the index, both carried by ``position._step``
     from the step before; the normal torus is built from the last index and
-    the walk of the last full check, which the tally holds.
+    walks its piece graph itself.
     A move must lower the total by one and raise no sphere's count; those
     counts are checked before the step's problems.  Once no move is left,
     the stuck verdict is the tally's set of non-normal pieces; ``is_normal``
@@ -430,4 +430,4 @@ def _normalize(t: TorusPosition, index, tally: Tally) -> NormalizeResult:
         current, index, tally = nxt, nxt_index, nxt_tally
     if tally.abnormal:  # exactly the pieces ``is_normal`` finds a violation in
         raise NormalizeError("stuck non-normal: " + "; ".join(is_normal(current)[1]))
-    return NormalizeResult(current, NormalTorus(current, index, (tally.side, tally.tree)), trace)
+    return NormalizeResult(current, NormalTorus(current, index), trace)

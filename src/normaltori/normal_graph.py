@@ -9,9 +9,8 @@ the covering translation the torus carries, and the hanging trees are
 finite decorations on that axis.  A ``NormalTorus`` is an immutable value
 that derives all of this once, from a valid normal position, when it is
 built: what is attached to each node, the side bits of the one walk over
-its piece graph (the walk of the check before it, when handed on), and
-the axis.  ``to_normal_torus`` checks the position, and one stack
-walker, ``_code``, reads the trees hanging off the axis.
+its piece graph, and the axis.  ``to_normal_torus`` checks the position,
+and one stack walker, ``_code``, reads the trees hanging off the axis.
 
 A choice of transverse orientation signs every leaf stub; the resulting
 decorated graph, up to graph isomorphism over the sphere graph and a
@@ -58,14 +57,13 @@ class NormalTorus:
     """Betti-1 graph of a normal torus, immersed into the sphere graph.
 
     Derived from ``position``, which must be valid and normal
-    (``to_normal_torus`` builds one checked), its ``index``,
-    ``circle_slots()``, and ``walked``, the (side bits, tree) of a
-    ``graphs.walk`` over ``position._piece_edges`` that a full check
-    already made; each is built when not given, as ``normalize`` and
-    ``to_normal_torus`` hand on their check's.  An immutable value that
-    derives once: its ``graph``; ``nodes``, node id -> (pants, kind), one
-    per piece; ``crossings``, circle id -> (sphere, node at end 0, node at
-    end 1); ``leaves``, a stub per sphere end a piece does not cross;
+    (``to_normal_torus`` builds one checked), and its ``index``,
+    ``circle_slots()``, built when not given, as ``normalize`` and
+    ``to_normal_torus`` hand on theirs.  An immutable value that derives
+    once, from one ``graphs.walk`` over ``position._piece_edges``: its
+    ``graph``; ``nodes``, node id -> (pants, kind), one per piece;
+    ``crossings``, circle id -> (sphere, node at end 0, node at end 1);
+    ``leaves``, a stub per sphere end a piece does not cross;
     ``attachments`` (node -> half-edge -> ("crossing", circle id) or
     ("leaf", stub)); the walk's ``side`` bits, flipped where transport is
     False; and the ``axis`` (nodes, crossings), crossing i joining node i
@@ -76,7 +74,6 @@ class NormalTorus:
 
     position: TorusPosition
     index: dict | None = field(default=None, repr=False, compare=False)
-    walked: tuple | None = field(default=None, repr=False, compare=False)
     graph: SphereGraph = field(init=False, repr=False, compare=False)
     nodes: Mapping[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
     crossings: Mapping[str, tuple[str, str, str]] = field(init=False, repr=False, compare=False)
@@ -98,7 +95,7 @@ class NormalTorus:
             att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
         for leaf in leaves:
             att[leaf.node][leaf.half_edge] = ("leaf", leaf)
-        side, parent = self.walked or walk(nodes, _piece_edges(t, index))[1:3]
+        _, side, parent, _ = walk(nodes, _piece_edges(t, index))
         tree = {link[1] for link in parent.values() if link is not None}
         extra = next(cid for cid in sorted(crossings) if cid not in tree)
         _, a, b = crossings[extra]
@@ -109,7 +106,6 @@ class NormalTorus:
         if cut[-1] < cut[0]:
             cycle, cut = cycle[:1] + cycle[:0:-1], cut[::-1]
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "walked", (side, parent))
         object.__setattr__(self, "graph", t.graph)
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "crossings", MappingProxyType(crossings))
@@ -130,7 +126,7 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
     index, tally = _checked(t)
     if tally.abnormal:
         raise PositionError("not normal: " + "; ".join(is_normal(t)[1]))
-    return NormalTorus(t, index, (tally.side, tally.tree))
+    return NormalTorus(t, index)
 
 
 @dataclass

@@ -187,10 +187,9 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
     The result is valid, homotopic to the input by construction, and its
     total intersection count is exactly ``k`` larger.  The input must be
     valid; it is checked once, before any draw.  Every inverse move's
-    result is checked by the one step routine, ``position._step``, which
-    fully validates the last one and checks each one before it with
-    ``_validate_delta``, scoped by the ids the inverse move reports it
-    replaced.
+    result, the last one included, is checked by the one step routine,
+    ``position._step``, with ``_validate_delta``, scoped by the ids the
+    inverse move reports it replaced.
     """
     return _perturb(t, *_checked(t, "invalid position: "), seed, k)[0]
 
@@ -201,10 +200,8 @@ def _perturb(t: TorusPosition, index, tally: Tally, seed: int, k: int) -> tuple[
     Carries the index and the ``Tally`` through ``position._step``, and
     the candidate cache, which redoes what each inverse move reports it
     replaced, from step to step.  A rejected candidate means a
-    bookkeeping bug, so it raises.  An inverse move leaves a
-    boundary-parallel disk, so no result is normal, and ``_step`` checks
-    in full only the one it is told is last.  A step's problems are
-    checked before its total.
+    bookkeeping bug, so it raises.  The cache is not refreshed after the
+    last draw.  A step's problems are checked before its total.
     """
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
@@ -216,17 +213,16 @@ def _perturb(t: TorusPosition, index, tally: Tally, seed: int, k: int) -> tuple[
         if not candidates:
             raise PositionError("no applicable inverse move")
         cand = candidates[rng.randrange(len(candidates))]
-        last = i == k - 1
         try:
             moved = _inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        nxt, nxt_index, tally, problems = _step(current, index, tally, moved, last)
+        nxt, nxt_index, tally, problems = _step(current, index, tally, moved)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
             raise PositionError(f"inverse move {cand} did not raise the total by one")
-        if not last:
+        if i + 1 < k:
             cache.update(current, nxt_index, moved)
         current, index = nxt, nxt_index
     return current, index, tally
@@ -631,7 +627,7 @@ def roundtrip_report(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -
     base_solid = bounds_solid_torus(base_dec)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, nt.index, Tally.of(t, *nt.walked), trials, k_max, seed, 7919):
+    for trial_seed, k, perturbed, result in _trials(t, nt.index, Tally.of(t, nt.side), trials, k_max, seed, 7919):
         dec = decorate(result.torus)
         if not equivalent(dec, base_dec):
             report.failures.append(

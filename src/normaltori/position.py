@@ -19,15 +19,15 @@ positive genus, boundary-parallel disks) are all representable.
 takes a move's or an inverse move's raw result, which reports the ids of
 the pieces, circles and region tree it replaced, and returns the
 result's ``circle_slots()`` index and its ``Tally``, each updated from
-the step before over those ids, with the result's problems: from
-``validate_position``, over the carried index, for a loop's last step or
-a normal result, else from ``_validate_delta``, the one step check.
-That check takes its scope from the move's report (``_delta_scope``);
-the tests pin that scope equal to the one found by comparing every id of
-the two positions by value.  For connectivity and monodromy it carries
-the tally's side bits, the last walk's, over the edges the step changed
-(``_certified``), and walks the whole piece graph, as the full check
-does, only when that certificate cannot prove there is no problem.
+the step before over those ids, with the result's problems from
+``_validate_delta``, the one check of a step's result, the last one and
+a normal one included.  That check takes its scope from the move's
+report (``_delta_scope``); the tests pin that scope equal to the one
+found by comparing every id of the two positions by value.  For
+connectivity and monodromy it carries the tally's side bits, the last
+walk's, over the edges the step changed (``_certified``), and walks the
+whole piece graph, as the full check does, only when that certificate
+cannot prove there is no problem.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class _Monodromy(str):
 
 
 class _Problems(list):
-    """A check's problems, with the ``side`` bits and ``tree`` of its walk over the piece graph (a certificate leaves no tree)."""
+    """A check's problems, with the ``side`` bits of its walk over the piece graph, or of its certificate."""
 
-    side = tree = None
+    side = None
 
 
 def flip_side(side: str) -> str:
@@ -222,9 +222,9 @@ class TorusPosition:
         the pieces of a clone in place, so a kept index would go stale.
         Callers that look up many circles build it once and read it with
         ``end_slot``.  Inside ``normalize`` and ``perturb`` each ``_step``
-        updates the index (``_reindexed``) instead of building it again, and
-        fully checks a loop's last step with it; the tests pin the update
-        equal to a fresh build, up to the order of a circle's pairs.
+        updates the index (``_reindexed``) instead of building it again; the
+        tests pin the update equal to a fresh build, up to the order of a
+        circle's pairs.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
@@ -282,7 +282,7 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
 def validate_position(t: TorusPosition, index=None) -> list[str]:
     """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``.
 
-    Once the check gets to the piece graph, the list is a ``_Problems`` that holds the walk's side bits and tree.
+    Once the check gets to the piece graph, the list is a ``_Problems`` that holds the walk's side bits.
     """
     problems = validate_graph(t.graph)
     if problems:
@@ -296,7 +296,7 @@ def validate_position(t: TorusPosition, index=None) -> list[str]:
 def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> tuple[dict, "Tally"]:
     """The one validation boundary: ``t.circle_slots()`` and ``t``'s ``Tally``, for the caller to hand on, once ``t`` is valid.
 
-    The tally holds the side bits and tree of the check's walk.  Else ``error``
+    The tally holds the side bits of the check's walk.  Else ``error``
     of ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad
     cycle is the only one.
     """
@@ -304,7 +304,7 @@ def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) ->
     if problems := validate_position(t, index):
         one_sided = len(problems) == 1 and type(problems[0]) is _Monodromy
         raise (KleinBottleError if one_sided else error)(prefix + "; ".join(problems))
-    return index, Tally.of(t, problems.side, problems.tree)
+    return index, Tally.of(t, problems.side)
 
 
 def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres):
@@ -410,23 +410,22 @@ class Tally:
     ``counts`` is the intersection vector, ``euler`` the Euler sum, and
     ``abnormal`` holds the ids of the pieces that break the normal-piece
     rule (``is_normal_piece``).  ``side`` (piece -> bit; a removed piece's
-    may linger) and ``tree`` are the side bits and the tree of the last
-    walk over the piece graph, carried from step to step and never edited:
-    ``stepped`` hands on the bits as they are, and ``_step`` puts its
-    check's in their place, walked or certified (``_certified``; no tree
-    then).  None when not known; they take no part in equality.
+    may linger) holds the side bits of the last walk over the piece graph,
+    carried from step to step and never edited: ``stepped`` hands them on
+    as they are, and ``_step`` puts its check's in their place, walked or
+    certified (``_certified``).  None when not known; they take no part in
+    equality.
     """
 
     counts: dict[str, int]
     euler: int
     abnormal: set[str]
     side: dict[str, bool] | None = field(default=None, compare=False, repr=False)
-    tree: dict | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, t: TorusPosition, side=None, tree=None) -> "Tally":
+    def of(cls, t: TorusPosition, side=None) -> "Tally":
         abnormal = {p.id for p in t.pieces.values() if not is_normal_piece(p)}
-        return cls(intersection_vector(t), euler_characteristic(t), abnormal, side, tree)
+        return cls(intersection_vector(t), euler_characteristic(t), abnormal, side)
 
     def stepped(self, before: TorusPosition, after: TorusPosition, pieces, circles) -> "Tally":
         """The tally of ``after``, from this one of ``before``; ``pieces`` and ``circles`` hold every id that differs.
@@ -470,7 +469,7 @@ def _validate_delta(before: TorusPosition, after: TorusPosition, index, pieces, 
     return _validate(after, index, *_delta_scope(before, after, index, pieces, circles, spheres), tally, before)
 
 
-def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False):
+def _step(before: TorusPosition, index, tally: Tally, moved):
     """(after, its index, its ``Tally``, its problems) of one step from a valid ``before``.
 
     The one step routine of ``normalize`` and ``perturb``.  ``moved`` is a
@@ -479,21 +478,16 @@ def _step(before: TorusPosition, index, tally: Tally, moved, last: bool = False)
     tree it replaced).  ``index`` and ``tally`` are ``before``'s
     ``circle_slots()`` and ``Tally``; the result's are updated from them
     over the reported ids.  The problems are ``validate_position(after)``,
-    found in full with the updated index for a loop's ``last`` step or a
-    normal result, and by ``_validate_delta``, scoped by the report,
-    otherwise.  The full check finds a circle's pairs by end, never by
-    place, so the order the update leaves them in does not matter.  A valid
-    result's tally takes the side bits (and tree) that its check left.
+    found by ``_validate_delta``, scoped by the report, for every step, the
+    last one and a normal result included.  A valid result's tally takes
+    the side bits that its check left.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
     after_tally = tally.stepped(before, after, pieces, circles)
-    if last or not after_tally.abnormal:
-        problems = validate_position(after, after_index)
-    else:
-        problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
+    problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
     if not problems:
-        after_tally.side, after_tally.tree = problems.side, problems.tree
+        after_tally.side = problems.side
     return after, after_index, after_tally, problems
 
 
@@ -571,8 +565,7 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     then read off it, and a certificate (``_certified``) carries the bits
     over the scope.  Without a step, or when the certificate cannot prove
     there is no problem, connectivity and monodromy come from the one
-    ``graphs.walk`` over every piece.  The list holds the bits and the
-    walk's tree.
+    ``graphs.walk`` over every piece.  The list holds the bits.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
@@ -599,10 +592,10 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
 
     side = None if before is None else _certified(before, pieces, circles, t, index, tally.side)
     if side is None:
-        reached, side, tree, bad_cycle = walk(t.pieces, _piece_edges(t, index))
+        reached, side, _, bad_cycle = walk(t.pieces, _piece_edges(t, index))
     else:
-        reached, tree, bad_cycle = len(t.pieces), None, None
-    problems.side, problems.tree = side, tree
+        reached, bad_cycle = len(t.pieces), None
+    problems.side = side
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
 
@@ -646,7 +639,7 @@ def _piece_problems(t: TorusPosition, pid: str) -> list[str]:
             problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
     for he, side in piece.uncrossed.items():
         if he in crossed:
-            problems.append(f"piece {pid} has uncrossed entry at crossed {t.half_edge_label(he)}")
+            problems.append(f"piece {pid} has uncrossed entry at crossed {he.label()}")
         if he not in pants_hes:
             problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
         if side not in (SIDE_A, SIDE_B):

@@ -7,7 +7,8 @@ import pytest
 from normaltori.cli import build_parser, main
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
 from normaltori.normal_graph import to_normal_torus
-from normaltori.serialize import dumps, normal_torus_to_dot, normal_torus_to_json, position_to_json
+from normaltori.position import validate_position
+from normaltori.serialize import dumps, load_any, normal_torus_to_dot, normal_torus_to_json, position_to_json
 
 
 @pytest.fixture
@@ -287,6 +288,21 @@ def test_stray_transport_bit_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "side transport bit of unknown circle c9\n"
     assert main(["normalize", str(path), "-o", str(out)]) == 1
     assert not out.exists()
+
+
+def test_uncrossed_entry_at_a_half_edge_the_graph_lacks_is_named(tmp_path, capsys):
+    """A slot and an uncrossed entry at the same sphere end the graph lacks are named by the end, never a traceback."""
+    obj = position_to_json(make_t0())
+    piece = obj["pieces"][0]
+    piece["boundary"][0]["half_edge"] = {"sphere": "s9", "end": 0}
+    piece["uncrossed"].append({"half_edge": {"sphere": "s9", "end": 0}, "side": "A"})
+    problems = validate_position(load_any(dumps(obj))[1])
+    assert "piece F0 has uncrossed entry at crossed s9@0" in problems
+    path = tmp_path / "foreign-end.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    assert main(["decorate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + "; ".join(problems) + "\n"
 
 
 def test_export_dot(files, capsys):

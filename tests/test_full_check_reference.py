@@ -69,7 +69,7 @@ def _piece_problems(t, pid: str) -> list[str]:
             problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
     for he, side in piece.uncrossed.items():
         if he in crossed:
-            problems.append(f"piece {pid} has uncrossed entry at crossed {t.half_edge_label(he)}")
+            problems.append(f"piece {pid} has uncrossed entry at crossed {he.label()}")
         if he not in pants_hes:
             problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
         if side not in (SIDE_A, SIDE_B):

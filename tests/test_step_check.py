@@ -1,18 +1,18 @@
 """The step check: ``position._validate_delta`` against ``validate_position``.
 
-``normalize`` and ``perturb`` fully validate only their input and their
-last step's result, and check every step in between with
-``_validate_delta``, which re-checks per item only what can have changed
-among the ids the move reports it replaced, reads the global sums off the
-``Tally`` and carries the tally's side bits over the edges the step
-changed (``position._certified``), falling back to the full check's walk
-of the whole piece graph when that certificate cannot prove the step;
-``position._step`` makes that choice for both.  These tests pin that the
-two checks agree, on real steps and on mutants of them; that a move's
-report holds every id that differs by value and gives the same scope as
-every id does; how often the certificate proves a step and that its
-fallbacks find the problems; that the carried bits are a walk's; and that
-the callers keep to the two full checks and the normal torus to their walks.
+``normalize`` and ``perturb`` fully validate only their input, and check
+every step's result, the last one and a normal one included, with
+``_validate_delta`` through ``position._step``.  It re-checks per item only
+what can have changed among the ids the move reports it replaced, reads
+the global sums off the ``Tally`` and carries the tally's side bits over
+the edges the step changed (``position._certified``), falling back to
+the full check's walk of the whole piece graph when that certificate
+cannot prove the step.  These tests pin that the two checks agree, on
+real steps and on mutants of them; that a move's report holds every id
+that differs by value and gives the same scope as every id does; how
+often the certificate proves a step and that its fallbacks find the
+problems; that the carried bits are a walk's; and that the callers keep
+to the one full check of their input and each normal torus to its own walk.
 """
 
 from __future__ import annotations
@@ -314,27 +314,27 @@ def test_full_checks_only_at_the_ends(full_checks):
     base = random_normal_torus(build_standard(4), 3, 6)
     full_checks.clear()
     messy = perturb(base, 11, 5)
-    assert len(full_checks) == 2  # the input and the last inverse move's result
+    assert len(full_checks) == 1  # the input; the step check checks the last inverse move's result
     full_checks.clear()
     assert len(normalize(messy).trace) == 5
-    assert len(full_checks) == 2  # the input and the last move's result
+    assert len(full_checks) == 1  # the input; the step check checks the normal result
     full_checks.clear()
     assert normalize(base).trace == []
     assert len(full_checks) == 1  # the input, already normal
 
 
 def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
-    """The base once, then one full check per perturbed and per normalized position."""
+    """The base once; every perturbed and normalized position is a step's result, which the step check checks."""
     assert minimality_experiment(make_t0(), 10, 3).passed()
-    assert len(full_checks) == 21
+    assert len(full_checks) == 1
     full_checks.clear()
     assert roundtrip_report(make_t2(), 10, 3).passed()
-    assert len(full_checks) == 21
+    assert len(full_checks) == 1
     path = tmp_path / "t0.json"
     path.write_text(dumps(position_to_json(make_t0())), encoding="utf-8")
     full_checks.clear()
     assert main(["perturb", str(path), "--count", "1", "-o", str(tmp_path / "out.json")]) == 0
-    assert len(full_checks) == 2  # the input and the inverse move's result
+    assert len(full_checks) == 1  # the input
 
 
 @pytest.fixture
@@ -383,23 +383,24 @@ def piece_walks(monkeypatch):
     return calls
 
 
-def test_the_torus_reads_the_last_checks_walk(piece_walks):
-    """Only full checks walk the piece graph, and a normal torus reads the walk of the check before it.
+def test_the_input_check_and_each_torus_walk_once(piece_walks):
+    """The piece graph is walked by the input's full check and by each normal torus, once each; no step walks it.
 
-    The torus built alone walks once itself, and the same ``side``, ``axis``
-    and file come out either way.
+    Every torus walks itself, whichever way it is built, and the same
+    ``side``, ``axis`` and file come out from ``normalize``,
+    ``to_normal_torus`` and a torus built alone.
     """
     base = random_normal_torus(build_standard(4), 3, 6)
     piece_walks.clear()
     messy = perturb(base, 11, 5)
-    assert len(piece_walks) == 2  # the input's check and the last inverse move's
+    assert len(piece_walks) == 1  # the input's check
     piece_walks.clear()
     result = normalize(messy)
     assert len(result.trace) == 5
-    assert len(piece_walks) == 2  # the input's check and the normal result's
+    assert len(piece_walks) == 2  # the input's check and the torus's
     piece_walks.clear()
     nt = to_normal_torus(result.position)
-    assert len(piece_walks) == 1  # the check's
+    assert len(piece_walks) == 2  # the check's and the torus's
     piece_walks.clear()
     alone = NormalTorus(result.position)
     assert len(piece_walks) == 1
@@ -414,7 +415,7 @@ def test_certificate_counts_on_the_corpus():
     with _certificates() as verdicts:
         for *_, problems in _corpus_deltas():
             assert problems == []
-    assert (verdicts.count(True), verdicts.count(False)) == (144, 0)
+    assert (verdicts.count(True), verdicts.count(False)) == (180, 0)
 
 
 def _same_slots(index):
@@ -650,7 +651,7 @@ def test_step_scope_does_not_grow_with_the_torus():
             mp.setattr(position, "_validate_delta", record)
             base = random_normal_torus(build_standard(r), 1, sb)
             assert len(normalize(perturb(base, 7, k)).trace) == k
-        assert len(sizes) == 2 * (k - 1)
+        assert len(sizes) == 2 * k
         largest[r, sb, k] = max(sizes)
     assert all(size <= 16 for size in largest.values()), largest
     print(f"largest scope per step: {largest}")

@@ -428,6 +428,9 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
     space is a finite DAG); refuses inputs above ``depth_bound`` circles,
     then ones that ``validate_position`` rejects (``position._checked``).
     Moves keep a position valid, so every normal end state has a torus.
+    Each state popped gets one ``_state_key``; a key seen before skips
+    the state, and ``explored`` counts the distinct keys, so it is fixed
+    by how the key partitions states, not by how it computes them.
     """
     if total_intersections(t) > depth_bound:
         raise PositionError(
@@ -462,69 +465,84 @@ def confluence_search(t: TorusPosition, depth_bound: int = 12) -> ConfluenceResu
 def _state_key(t: TorusPosition) -> tuple:
     """State fingerprint: the position with ids renamed in the order of refined colours.
 
-    Colours come from 1-dim Weisfeiler-Leman refinement over pieces,
-    circles and regions: each round a colour's signature is its previous
-    colour plus its neighbours' colours, interned to its rank among its
-    kind's distinct signatures.  A signature starts with the old colour,
-    so a round that splits no class gives back the old colours, and so
-    would every later round: refinement stops after 4 rounds or once no
-    kind's colour count grew, and skips a kind whose colours are already
-    all distinct.  Half-edges enter as their rank in sorted order, which
-    keeps every sort and so every colour.  The key is a tuple spelling out
-    the position under the renaming, so two states share a key only if
-    they are isomorphic and the search never gives a wrong answer; the
+    Each piece, circle and region gets an index, its place in the dicts
+    (a region id two spheres share is one region, the last tree's); every
+    table is a list by index, and ids come back only to break ties between
+    equal colours, so dict order never reaches the key.  Colours come from
+    1-dim Weisfeiler-Leman refinement: each round a colour's signature is
+    its previous colour plus its neighbours' colours, interned to its rank
+    among its kind's distinct signatures.  A signature starts with the old
+    colour, so a kind whose count did not grow kept its colours.  Pieces
+    read circles and regions, circles read pieces and regions, regions
+    read circles; a round recomputes a kind only if its colours are not
+    all distinct and a kind it reads grew in the round before (any kind,
+    in the first round), since otherwise it would split nothing and come
+    out as it went in.  So colours and the stop round (after 4 rounds, or
+    once no kind grew) are those of refining every kind every round.
+    Half-edges enter as their rank in sorted order, which keeps every sort
+    and so every colour.  The key is a tuple spelling out the position
+    under the renaming, pinned by ``tests/test_state_key_reference.py``
+    to a frozen copy keyed by id throughout; two states share a key only if they
+    are isomorphic, so the search never gives a wrong answer, and the
     colours decide only how much exploration is duplicated.
     """
     he_rank = {he: i for i, he in enumerate(sorted(t.graph.incidence))}
-    piece_init, slots, ends = {}, {}, defaultdict(list)
-    for pid, p in t.pieces.items():
-        piece_init[pid] = (p.pants, p.genus, tuple(sorted(p.uncrossed.items())))
-        slots[pid] = [(he_rank[slot.half_edge], slot.circle, slot.region_a) for slot in p.boundary]
+    pids, cids = list(t.pieces), list(t.circles)
+    c_at = {cid: i for i, cid in enumerate(cids)}
+    # region -> (its sphere, the indices of the circles it borders)
+    regions = {r: (s, [c_at[c] for c, _ in tree.neighbors.get(r, ())]) for s, tree in t.trees.items() for r in tree.regions}
+    r_at = {r: i for i, r in enumerate(regions)}
+    piece_init, slots, ends = [], [], [[] for _ in cids]
+    for i, p in enumerate(t.pieces.values()):
+        piece_init.append((p.pants, p.genus, tuple(sorted(p.uncrossed.items()))))
+        sl = []
         for slot in p.boundary:
-            ends[slot.circle].append((slot.half_edge.end, pid))
-    # circle -> (its ends in circle_slots order, stably sorted by end; its two regions)
-    circles = {cid: (sorted(ends[cid], key=lambda e: e[0]), *t.trees[c.sphere].edges[cid])
-               for cid, c in t.circles.items()}
-    region_init, inc = {}, {}
-    for s, tree in t.trees.items():
-        for r in tree.regions:
-            inc[r] = [c for c, _ in tree.neighbors.get(r, ())]
-            region_init[r] = (s, len(inc[r]))
-    circle_init = {cid: (c.sphere, t.transport[cid]) for cid, c in t.circles.items()}
+            c = c_at[slot.circle]
+            sl.append((he_rank[slot.half_edge], c, r_at[slot.region_a]))
+            ends[c].append((slot.half_edge.end, i))
+        slots.append(sl)
+    # circle -> (its ends in circle_slots order, sorted by end, stably as they come by piece; its two regions)
+    circles = []
+    for (cid, c), es in zip(t.circles.items(), ends):
+        a, b = t.trees[c.sphere].edges[cid]
+        circles.append((sorted(es), r_at[a], r_at[b]))
+    inc = [cs for _, cs in regions.values()]
     # piece, circle and region colours, and how many distinct ones of each
-    (pc, n_p), (cc, n_c), (rc, n_r) = _intern(piece_init), _intern(circle_init), _intern(region_init)
+    pc, n_p = _intern(piece_init)
+    cc, n_c = _intern([(c.sphere, t.transport[cid]) for cid, c in t.circles.items()])
+    rc, n_r = _intern([(s, len(cs)) for s, cs in regions.values()])
+    grew_p = grew_c = grew_r = True
     for _ in range(4):
         counts = n_p, n_c, n_r
         (pc, n_p), (cc, n_c), (rc, n_r) = (
-            (pc, n_p) if n_p == len(pc) else _intern(
-                {pid: (pc[pid], tuple(sorted([(h, cc[c], rc[r]) for h, c, r in sl]))) for pid, sl in slots.items()}
-            ),
-            (cc, n_c) if n_c == len(cc) else _intern(
-                {cid: (cc[cid], tuple([(e, pc[pid]) for e, pid in es]), tuple(sorted((rc[a], rc[b]))))
-                 for cid, (es, a, b) in circles.items()}
-            ),
-            (rc, n_r) if n_r == len(rc) else _intern(
-                {r: (rc[r], tuple(sorted([cc[c] for c in cs]))) for r, cs in inc.items()}
-            ),
+            _intern([(pc[i], tuple(sorted([(h, cc[c], rc[r]) for h, c, r in sl]))) for i, sl in enumerate(slots)])
+            if n_p < len(pc) and (grew_c or grew_r) else (pc, n_p),
+            _intern([(cc[i], tuple([(e, pc[j]) for e, j in es]), tuple(sorted((rc[a], rc[b]))))
+                     for i, (es, a, b) in enumerate(circles)])
+            if n_c < len(cc) and (grew_p or grew_r) else (cc, n_c),
+            _intern([(rc[i], tuple(sorted([cc[c] for c in cs]))) for i, cs in enumerate(inc)])
+            if n_r < len(rc) and grew_c else (rc, n_r),
         )
-        if (n_p, n_c, n_r) == counts:
+        grew_p, grew_c, grew_r = n_p > counts[0], n_c > counts[1], n_r > counts[2]
+        if not (grew_p or grew_c or grew_r):
             break
-    circle_order = [cid for _, cid in sorted(zip(cc.values(), cc))]
-    new_c = {cid: i for i, cid in enumerate(circle_order)}
-    new_r = {r: (s, i) for s in sorted(t.trees)
-             for i, (_, r) in enumerate(sorted([(rc[x], x) for x in t.trees[s].regions]))}
+    circle_order = [i for _, _, i in sorted(zip(cc, cids, range(len(cids))))]
+    new_c = {i: rank for rank, i in enumerate(circle_order)}
+    new_r = {r_at[r]: (s, i) for s in sorted(t.trees)
+             for i, (_, r) in enumerate(sorted([(rc[r_at[x]], x) for x in t.trees[s].regions]))}
     return (
-        tuple((piece_init[pid], tuple(sorted([(h, new_c[c], new_r[r]) for h, c, r in slots[pid]])))
-              for _, pid in sorted(zip(pc.values(), pc))),
-        tuple((t.circles[cid].sphere, t.transport[cid], tuple(sorted([new_r[r] for r in circles[cid][1:]])))
-              for cid in circle_order),
+        tuple((piece_init[i], tuple(sorted([(h, new_c[c], new_r[r]) for h, c, r in slots[i]])))
+              for _, _, i in sorted(zip(pc, pids, range(len(pids))))),
+        tuple((t.circles[cids[i]].sphere, t.transport[cids[i]], tuple(sorted([new_r[r] for r in circles[i][1:]])))
+              for i in circle_order),
     )
 
 
-def _intern(signatures: dict) -> tuple[dict, int]:
+def _intern(signatures: list) -> tuple[list, int]:
     """Replace each signature with its rank among the distinct signatures; also return their number."""
-    rank = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
-    return {x: rank[sig] for x, sig in signatures.items()}, len(rank)
+    distinct = sorted(set(signatures))
+    rank = dict(zip(distinct, range(len(distinct))))
+    return [rank[sig] for sig in signatures], len(rank)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ from normaltori.oracle import perturb, random_normal_torus  # noqa: E402
 ROWS = ((16, 64), (64, 64), (256, 64), (256, 256))  # (size bound, k): bases of 4, 65, 256 and 256 circles
 
 
+def _repeat(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _best_ms(call, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -59,7 +66,7 @@ def _counted(call) -> tuple[int, int]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="timed runs per call; the best is printed")
+    parser.add_argument("--repeat", type=_repeat, default=3, help="timed runs per call; the best is printed")
     args = parser.parse_args(argv)
     g = build_standard(12)
     print("base circles  k    perturb ms/move  normalize ms/move")

@@ -540,9 +540,12 @@ def _state_key(t: TorusPosition) -> tuple:
 
 def _intern(signatures: list) -> tuple[list, int]:
     """Replace each signature with its rank among the distinct signatures; also return their number."""
-    distinct = sorted(set(signatures))
-    rank = dict(zip(distinct, range(len(distinct))))
-    return [rank[sig] for sig in signatures], len(rank)
+    colours, rank, prev = [0] * len(signatures), -1, None
+    for i in sorted(range(len(signatures)), key=signatures.__getitem__):  # equal ones come in a run; none is hashed
+        if signatures[i] != prev:
+            rank, prev = rank + 1, signatures[i]
+        colours[i] = rank
+    return colours, rank + 1
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,10 @@ def _perturb(t: TorusPosition, index, tally: Tally, seed: int, k: int) -> tuple[
     current = t
     cache = _Candidates(t, index)
     for i in range(k):
-        candidates = cache.list()
-        if not candidates:
+        count = cache.count()
+        if not count:
             raise PositionError("no applicable inverse move")
-        cand = candidates[rng.randrange(len(candidates))]
+        cand = cache.pick(rng.randrange(count))
         try:
             moved = _inverse(current, cand, index)
         except PositionError as exc:  # MoveError included
@@ -265,10 +265,22 @@ class _Candidates:
             self.fingers[piece.pants][pid] = []
         self._refresh(t, index, t.circles.keys(), list(self.fingers))
 
-    def list(self) -> list[tuple]:
-        domes = [cand for cid in sorted(self.domes) for cand in self.domes[cid]]
+    def count(self) -> int:
+        fingers = sum(len(cands) for table in self.fingers.values() for cands in table.values())
+        return sum(map(len, self.domes.values())) + fingers
+
+    def pick(self, i: int) -> tuple:
+        """The ``i``-th candidate, ``0 <= i < count()``: domes by circle id, then fingers by piece id."""
+        for cid in sorted(self.domes):
+            if i < len(self.domes[cid]):
+                return self.domes[cid][i]
+            i -= len(self.domes[cid])
         fingers = {pid: cands for table in self.fingers.values() for pid, cands in table.items()}
-        return domes + [cand for pid in sorted(fingers) for cand in fingers[pid]]
+        for pid in sorted(fingers):
+            if i < len(fingers[pid]):
+                return fingers[pid][i]
+            i -= len(fingers[pid])
+        raise IndexError(i)
 
     def update(self, before: TorusPosition, index, moved) -> None:
         """Redo what a step from ``before`` changed; ``moved`` is its move's report, ``index`` the result's."""

@@ -2,8 +2,9 @@
 
 All payloads carry ``"format": 1`` and a ``"kind"`` tag so CLI commands can
 sniff what they were given.  Serialization is deterministic: keys sorted,
-lists in id order.  Loaders take every value through one typed reader,
-``_field``; a normal torus or decorated graph is derived from its position.
+lists in id order.  Loaders check every value's exact JSON type where they
+read it, and word a message (``_field``) only where a check fails; a normal
+torus or decorated graph is derived from its position.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _field(obj, key, kind: type, path):
     """``obj[key]`` if it is exactly a ``kind``; ``path`` leads to ``obj``.
 
     ``obj`` is a dict, or a list read by index.  Nothing is coerced (a bool
-    is not an int), and the message is only built when the value is rejected.
+    is not an int).  The readers below check each value in place and call
+    this only where a check fails, so that it words the message.
     """
     try:
         value = obj[key]
@@ -60,13 +62,21 @@ def _field(obj, key, kind: type, path):
     return value
 
 
-def _items(obj, key, kind: type, path, count: int | None = None) -> list:
-    """The ``kind`` items of the list ``obj[key]`` (``count`` of them if given), each with its path."""
+def _items(obj: dict, key, kind: type, path, count: int | None = None) -> list:
+    """The list ``obj[key]`` if it holds only ``kind`` items (``count`` of them if given).
+
+    A wrong list is rejected at its own type, then its item count, then
+    its first item of the wrong type.
+    """
+    items = obj.get(key)
+    if type(items) is list and (count is None or len(items) == count) and all(type(v) is kind for v in items):
+        return items
     items = _field(obj, key, list, path)
     if count is not None and len(items) != count:
         raise SchemaError(_at((path, key), f"expected {count} items, got {len(items)}"))
-    path = (path, key)
-    return [(_field(items, i, kind, path), (path, i)) for i in range(len(items))]
+    for i in range(len(items)):
+        _field(items, i, kind, (path, key))
+    return items
 
 
 def _put(into: dict, key, value, path) -> None:
@@ -74,6 +84,16 @@ def _put(into: dict, key, value, path) -> None:
     if key in into:
         raise SchemaError(_at(path, f"repeats {_shown(key._asdict() if type(key) is HalfEdge else key)}"))
     into[key] = value
+
+
+def _no_repeats(values: list, path) -> dict:
+    """``values`` as the keys of a dict, or ``SchemaError`` at the first item that repeats one before it."""
+    seen = dict.fromkeys(values)
+    if len(seen) < len(values):
+        seen = {}
+        for i, value in enumerate(values):
+            _put(seen, value, None, (path, i))
+    return seen
 
 
 def _he_json(he: HalfEdge) -> dict:
@@ -108,15 +128,20 @@ def _graph(obj: dict, path) -> SphereGraph:
     _expect(obj, "sphere_graph")
     incidence: dict[HalfEdge, Attachment] = {}
     sphere_edges: dict[str, None] = {}
-    for edge, at in _items(obj, "edges", dict, path):
-        s = _field(edge, "id", str, at)
-        _put(sphere_edges, s, None, (at, "id"))
-        for end, (e, e_at) in enumerate(_items(edge, "ends", dict, at, 2)):
-            incidence[HalfEdge(s, end)] = Attachment(_field(e, "p", str, e_at), _field(e, "slot", int, e_at))
-    p_vertices: dict[str, None] = {}
-    for p, p_at in _items(obj, "p_vertices", str, path):
-        _put(p_vertices, p, None, p_at)
-    return SphereGraph(_field(obj, "rank", int, path), tuple(p_vertices), tuple(sphere_edges), incidence)
+    for i, edge in enumerate(_items(obj, "edges", dict, path)):
+        if type(s := edge.get("id")) is not str or s in sphere_edges:
+            at = ((path, "edges"), i)
+            _put(sphere_edges, _field(edge, "id", str, at), None, (at, "id"))
+        sphere_edges[s] = None
+        for end, e in enumerate(_items(edge, "ends", dict, ((path, "edges"), i), 2)):
+            if type(p := e.get("p")) is not str or type(slot := e.get("slot")) is not int:
+                at = ((((path, "edges"), i), "ends"), end)
+                _field(e, "p", str, at), _field(e, "slot", int, at)
+            incidence[HalfEdge(s, end)] = Attachment(p, slot)
+    p_vertices = _no_repeats(_items(obj, "p_vertices", str, path), (path, "p_vertices"))
+    if type(rank := obj.get("rank")) is not int:
+        _field(obj, "rank", int, path)
+    return SphereGraph(rank, tuple(p_vertices), tuple(sphere_edges), incidence)
 
 
 def position_to_json(t: TorusPosition) -> dict:
@@ -157,39 +182,77 @@ def position_from_json(obj: dict) -> TorusPosition:
 
 
 def _position(obj: dict, path) -> TorusPosition:
+    """The position ``obj``, each value checked in place as it is read.
+
+    Where a check fails, the values it covers are read again, left to right,
+    through ``_items``, ``_field`` and ``_put``, and the first that fails
+    raises: a list's type, item count and item types come before any item's
+    fields, and the sections go graph, circles, pieces, region trees, transport.
+    """
     _expect(obj, "position")
-    g = _graph(_field(obj, "graph", dict, path), (path, "graph"))
+    if type(g := obj.get("graph")) is not dict:
+        _field(obj, "graph", dict, path)
+    g = _graph(g, (path, "graph"))
     circles: dict[str, Circle] = {}
-    for c, at in _items(obj, "circles", dict, path):
-        cid = _field(c, "id", str, at)
-        _put(circles, cid, Circle(cid, _field(c, "sphere", str, at)), (at, "id"))
+    for i, c in enumerate(_items(obj, "circles", dict, path)):
+        if type(cid := c.get("id")) is not str or type(sphere := c.get("sphere")) is not str or cid in circles:
+            at = ((path, "circles"), i)
+            _field(c, "id", str, at), _field(c, "sphere", str, at), _put(circles, cid, None, (at, "id"))
+        circles[cid] = Circle(cid, sphere)
     pieces: dict[str, Piece] = {}
-    for p, at in _items(obj, "pieces", dict, path):
-        boundary = [
-            BoundarySlot(_field(s, "circle", str, s_at), _half_edge(s, s_at), _field(s, "region_a", str, s_at))
-            for s, s_at in _items(p, "boundary", dict, at)
-        ]
+    for i, p in enumerate(_items(obj, "pieces", dict, path)):
+        # a slot or uncrossed entry that fails a check words the first problem of its list, then its own
+        if type(slots := p.get("boundary")) is not list:
+            _items(p, "boundary", dict, ((path, "pieces"), i))
+        boundary = []
+        for j, slot in enumerate(slots):
+            if not (type(slot) is dict and type(cid := slot.get("circle")) is str
+                    and type(he := slot.get("half_edge")) is dict and type(sphere := he.get("sphere")) is str
+                    and type(end := he.get("end")) is int and type(region_a := slot.get("region_a")) is str):
+                _items(p, "boundary", dict, ((path, "pieces"), i))
+                at = ((((path, "pieces"), i), "boundary"), j)
+                _field(slot, "circle", str, at), _half_edge(slot, at), _field(slot, "region_a", str, at)
+            boundary.append(BoundarySlot(cid, HalfEdge(sphere, end), region_a))
+        if type(uncrossed := p.get("uncrossed")) is not list:
+            _items(p, "uncrossed", dict, ((path, "pieces"), i))
         sides: dict[HalfEdge, str] = {}
-        for u, u_at in _items(p, "uncrossed", dict, at):
-            _put(sides, _half_edge(u, u_at), _field(u, "side", str, u_at), (u_at, "half_edge"))
-        pid, pants, genus = _field(p, "id", str, at), _field(p, "pants", str, at), _field(p, "genus", int, at)
-        _put(pieces, pid, Piece(pid, pants, genus, boundary, sides), (at, "id"))
+        for j, u in enumerate(uncrossed):
+            if not (type(u) is dict and type(he := u.get("half_edge")) is dict
+                    and type(sphere := he.get("sphere")) is str and type(end := he.get("end")) is int
+                    and type(side := u.get("side")) is str and (sphere, end) not in sides):
+                _items(p, "uncrossed", dict, ((path, "pieces"), i))
+                at = ((((path, "pieces"), i), "uncrossed"), j)
+                _put(sides, _half_edge(u, at), _field(u, "side", str, at), (at, "half_edge"))
+            sides[HalfEdge(sphere, end)] = side
+        pid, pants, genus = p.get("id"), p.get("pants"), p.get("genus")
+        if type(pid) is not str or type(pants) is not str or type(genus) is not int or pid in pieces:
+            at = ((path, "pieces"), i)
+            _field(p, "id", str, at), _field(p, "pants", str, at), _field(p, "genus", int, at)
+            _put(pieces, pid, None, (at, "id"))
+        pieces[pid] = Piece(pid, pants, genus, boundary, sides)
     trees: dict[str, RegionTree] = {}
-    for tr, at in _items(obj, "region_trees", dict, path):
+    for i, tr in enumerate(_items(obj, "region_trees", dict, path)):
+        at = ((path, "region_trees"), i)
         edges: dict[str, tuple[str, str]] = {}
-        for e, e_at in _items(tr, "edges", dict, at):
-            (a, _), (b, _) = _items(e, "regions", str, e_at, 2)
-            _put(edges, _field(e, "circle", str, e_at), (a, b), (e_at, "circle"))
-        s = _field(tr, "sphere", str, at)
-        regions: dict[str, None] = {}
-        for r, r_at in _items(tr, "regions", str, at):
-            _put(regions, r, None, r_at)
+        for j, e in enumerate(_items(tr, "edges", dict, at)):
+            ends, cid = e.get("regions"), e.get("circle")
+            if not (type(ends) is list and len(ends) == 2 and type(a := ends[0]) is str and type(b := ends[1]) is str
+                    and type(cid) is str and cid not in edges):
+                e_at = ((at, "edges"), j)
+                _items(e, "regions", str, e_at, 2), _field(e, "circle", str, e_at)
+                _put(edges, cid, None, (e_at, "circle"))
+            edges[cid] = (a, b)
+        if type(s := tr.get("sphere")) is not str:
+            _field(tr, "sphere", str, at)
+        regions = _no_repeats(_items(tr, "regions", str, at), (at, "regions"))
         if s not in g.sphere_edges:
             raise SchemaError(_at((at, "sphere"), f"no sphere {_shown(s)} in the graph"))
         _put(trees, s, RegionTree(s, regions.keys(), edges), (at, "sphere"))
-    bits = _field(obj, "side_transport", dict, path)
-    transport = {cid: _field(bits, cid, bool, (path, "side_transport")) for cid in bits}
-    return TorusPosition(g, pieces, circles, trees, transport)
+    if type(bits := obj.get("side_transport")) is not dict or not all(type(v) is bool for v in bits.values()):
+        bits = _field(obj, "side_transport", dict, path)
+        for cid in bits:
+            _field(bits, cid, bool, (path, "side_transport"))
+    return TorusPosition(g, pieces, circles, trees, dict(bits))
 
 
 def normal_torus_to_json(nt: NormalTorus) -> dict:
@@ -222,7 +285,9 @@ def normal_torus_from_json(obj: dict) -> NormalTorus:
 
 def _derived_torus(obj: dict, path) -> NormalTorus:
     """The normal torus of the position embedded in ``obj``, once that validates."""
-    return to_normal_torus(_position(_field(obj, "position", dict, path), (path, "position")))
+    if type(position := obj.get("position")) is not dict:
+        _field(obj, "position", dict, path)
+    return to_normal_torus(_position(position, (path, "position")))
 
 
 def _check_written(obj: dict, written: dict, path) -> None:
@@ -274,8 +339,11 @@ def decorated_from_json(obj: dict) -> DecoratedGraph:
     _expect(obj, "decorated_graph")
     path = "decorated_graph"
     nt = _derived_torus(obj, path)
-    base = _field(obj, "base", dict, path)
-    piece, side = _field(base, "piece", str, (path, "base")), _field(base, "side", str, (path, "base"))
+    base = obj.get("base")
+    if type(base) is not dict or type(base.get("piece")) is not str or type(base.get("side")) is not str:
+        base = _field(obj, "base", dict, path)
+        _field(base, "piece", str, (path, "base")), _field(base, "side", str, (path, "base"))
+    piece, side = base["piece"], base["side"]
     if piece not in nt.nodes or side not in (SIDE_A, SIDE_B):
         raise SchemaError(_at((path, "base"), f"needs a node and side A or B, got {_shown(base)}"))
     d = decorate(nt, piece, side)

@@ -17,7 +17,10 @@ def _load(name: str):
     return module
 
 
-@pytest.mark.parametrize("probe, first_work", [("chain_probe", "build_standard"), ("confluence_probe", "perturb")])
+@pytest.mark.parametrize(
+    "probe, first_work",
+    [("chain_probe", "build_standard"), ("confluence_probe", "perturb"), ("load_probe", "build_standard")],
+)
 @pytest.mark.parametrize("repeat", ["0", "-2"])
 def test_probes_reject_a_repeat_below_one(probe, first_work, repeat, monkeypatch, capsys):
     """A best of no runs was ``inf`` ms, after every chain had run."""

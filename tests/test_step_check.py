@@ -52,7 +52,12 @@ from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
 
 def _inverse_candidates(t):
     """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
-    return oracle._Candidates(t, t.circle_slots()).list()
+    return _listed(oracle._Candidates(t, t.circle_slots()))
+
+
+def _listed(cache):
+    """Every candidate of a perturb candidate cache, in the order ``pick`` reads them by index."""
+    return [cache.pick(i) for i in range(cache.count())]
 
 
 def _apply_inverse(t, cand):
@@ -505,7 +510,7 @@ def test_deltas_match_the_by_value_step():
             cache = oracle._Candidates(before, index)
         assert _ends_hold_a_changed_piece(before, moved)
         cache.update(before, carried, moved)
-        assert cache.list() == _inverse_candidates(after)
+        assert _listed(cache) == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
         assert problems == position._validate_delta(before, after, carried, pieces, circles, (sphere,), tally) == []
         walked += 1
@@ -533,7 +538,7 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
             index, tally = position._checked(current)
             cache, rng = oracle._Candidates(current, index), random.Random(seed)
             for _ in range(64):
-                candidates = cache.list()
+                candidates = _listed(cache)
                 assert candidates == _inverse_candidates(current)
                 cand = candidates[rng.randrange(len(candidates))]
                 moved = oracle._inverse(current, cand, index)
@@ -546,7 +551,7 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
                 cache.update(current, index, moved)
                 current = nxt
                 kinds.add(cand[0])
-            assert cache.list() == _inverse_candidates(current)
+            assert _listed(cache) == _inverse_candidates(current)
     assert kinds == {"dome", "finger"}
 
 

@@ -28,6 +28,12 @@ connectivity and monodromy it carries the tally's side bits, the last
 walk's, over the edges the step changed (``_certified``), and walks the
 whole piece graph, as the full check does, only when that certificate
 cannot prove there is no problem.
+
+The full check of an input, ``validate_position`` (through ``_checked``),
+tests each piece, circle and region tree in place and calls the function
+that words an item's problems only where its test fails; the same passes
+sum the input's ``Tally`` and pick the few pieces whose side anchors can
+conflict, so a valid input costs no message and one pass over each kind.
 """
 
 from __future__ import annotations
@@ -57,9 +63,13 @@ class _Monodromy(str):
 
 
 class _Problems(list):
-    """A check's problems, with the ``side`` bits of its walk over the piece graph, or of its certificate."""
+    """A check's problems, with the ``side`` bits of its walk over the piece graph, or of its certificate.
+
+    A full check that finds nothing also leaves the position's ``tally``.
+    """
 
     side = None
+    tally = None
 
 
 def flip_side(side: str) -> str:
@@ -282,29 +292,31 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
 def validate_position(t: TorusPosition, index=None) -> list[str]:
     """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``.
 
-    Once the check gets to the piece graph, the list is a ``_Problems`` that holds the walk's side bits.
+    Once the check gets past the graph, the list is a ``_Problems``: it holds
+    the walk's side bits once the check gets to the piece graph, and, when
+    it finds nothing, ``t``'s ``Tally``, summed in the same per-item passes.
     """
     problems = validate_graph(t.graph)
     if problems:
         return problems
     if not t.pieces:
         return ["position has no pieces"]
-    everything = set(t.pieces), set(t.circles), set(t.graph.sphere_edges), None
-    return _validate(t, t.circle_slots() if index is None else index, *everything)
+    return _validate(t, t.circle_slots() if index is None else index, t.pieces, t.circles, t.graph.sphere_edges)
 
 
 def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> tuple[dict, "Tally"]:
     """The one validation boundary: ``t.circle_slots()`` and ``t``'s ``Tally``, for the caller to hand on, once ``t`` is valid.
 
-    The tally holds the side bits of the check's walk.  Else ``error``
-    of ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad
+    The tally is the one that the check's passes summed (equal to
+    ``Tally.of``), with the side bits of its walk.  Else ``error`` of
+    ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad
     cycle is the only one.
     """
     index = t.circle_slots()
     if problems := validate_position(t, index):
         one_sided = len(problems) == 1 and type(problems[0]) is _Monodromy
         raise (KleinBottleError if one_sided else error)(prefix + "; ".join(problems))
-    return index, Tally.of(t, problems.side)
+    return index, problems.tally
 
 
 def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres):
@@ -409,7 +421,8 @@ class Tally:
 
     ``counts`` is the intersection vector, ``euler`` the Euler sum, and
     ``abnormal`` holds the ids of the pieces that break the normal-piece
-    rule (``is_normal_piece``).  ``side`` (piece -> bit; a removed piece's
+    rule (``is_normal_piece``).  An input's tally is summed by the passes
+    of its full check (``_checked``); ``of`` sums one afresh.  ``side`` (piece -> bit; a removed piece's
     may linger) holds the side bits of the last walk over the piece graph,
     carried from step to step and never edited: ``stepped`` hands them on
     as they are, and ``_step`` puts its check's in their place, walked or
@@ -549,7 +562,7 @@ def _reaches(t: TorusPosition, index, targets: set) -> bool:
     return not left
 
 
-def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, ends,
+def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
               tally: Tally | None = None, before: TorusPosition | None = None) -> _Problems:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
@@ -557,32 +570,97 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     piece and per circle in id order, per tree in graph order, then, only
     once those found nothing, the Euler sum, the stray transport bits and
     the piece graph's connectivity and monodromy, and last the side
-    anchors, piece by piece, at ``ends`` (None: every end of every piece)
-    and at every end on a given sphere.  So any scope that holds every
-    item with a problem gives the same list.  ``tally`` is ``t``'s
-    ``Tally`` for the result of a step from a valid ``before``, with
-    ``before``'s side bits: the per-sphere counts and the Euler sum are
-    then read off it, and a certificate (``_certified``) carries the bits
-    over the scope.  Without a step, or when the certificate cannot prove
-    there is no problem, connectivity and monodromy come from the one
-    ``graphs.walk`` over every piece.  The list holds the bits.
+    anchors, piece by piece.  Each item is tested in place and worded
+    (``_piece_problems``, ``_circle_problems``, ``_validate_trees``,
+    ``_validate_side_anchors``) only where its test, at least as strict,
+    fails, so any scope that holds every item with a problem gives the
+    same list.  Without ``tally``, the full check: the passes also sum
+    ``t``'s ``Tally``, which the list holds if it finds nothing, and the
+    walk's edges, and the anchors are read only at the ends of pieces with
+    a non-adjacent anchor or two slots at one end.  With ``tally``, ``t``'s
+    for a step from a valid ``before`` with ``before``'s side bits, the
+    step check: counts and Euler sum come from the tally, trees are checked
+    at ``spheres`` and where an added region id is shared (``_sharing``),
+    a certificate (``_certified``) carries the bits, or else the walk
+    decides, and anchors are read at ``ends`` and on the given spheres.
+    The list holds the bits.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
     it fixes betti number 1, and a stray bit shows as more bits than circles.
     """
+    full = tally is None
     problems = _Problems()
+    by_pants, circle_of, trees = t.graph.by_pants, t.circles, t.trees
+    euler, abnormal, loud, adjacent = 0, set(), [], {}
+    if full:  # each circle's two regions, read in the piece pass to find the anchors worth checking
+        for s in t.graph.sphere_edges:
+            if s in trees:
+                adjacent.update(trees[s].edges)
     for pid in sorted(pieces):
-        problems.extend(_piece_problems(t, pid))
-    known = set(t.graph.sphere_edges)
+        piece = t.pieces[pid]
+        boundary, uncrossed, hes = piece.boundary, piece.uncrossed, by_pants.get(piece.pants)
+        crossed = {slot.half_edge for slot in boundary}
+        sound = (piece.id == pid and hes is not None and piece.genus >= 0 and len(boundary) > 0
+                 and len(crossed) + len(uncrossed) == len(hes))
+        astray = False  # an anchor at a region that its circle does not border
+        for slot in boundary if sound else ():
+            he, circle = slot.half_edge, circle_of.get(slot.circle)
+            if circle is None or circle.sphere != he.sphere or he not in hes:
+                sound = False
+                break
+            if full and slot.region_a not in adjacent.get(slot.circle, ()):
+                astray = True
+        for he, side in uncrossed.items() if sound else ():
+            if he in crossed or he not in hes or side not in (SIDE_A, SIDE_B):
+                sound = False
+        if not sound:
+            problems.extend(_piece_problems(t, pid))
+        if full:
+            euler += piece.euler()
+            if _fault(piece) is not None:
+                abnormal.add(pid)
+            if astray or len(crossed) < len(boundary):
+                loud.append(pid)
+
+    known, edges = set(t.graph.sphere_edges), []
+    counts = dict.fromkeys(t.graph.sphere_edges, 0) if full else tally.counts
     for cid in sorted(circles):
-        problems.extend(_circle_problems(t, cid, index, known))
-    counts = tally.counts if tally else Counter(c.sphere for c in t.circles.values())
-    problems.extend(_validate_trees(t, [s for s in t.graph.sphere_edges if s in spheres], counts))
+        circle, pairs = circle_of[cid], index.get(cid, ())
+        sound = len(pairs) == 2 and circle.sphere in known and cid in t.transport
+        if sound:
+            (a, slot_a), (b, slot_b) = pairs
+            sound = (a.pants in by_pants and b.pants in by_pants
+                     and (slot_a.half_edge.end, slot_b.half_edge.end) in ((0, 1), (1, 0)))
+        if not sound:
+            problems.extend(_circle_problems(t, cid, index, known))
+        if full:
+            if sound:
+                edges.append((cid, a.id, b.id, not t.transport[cid]))
+            if circle.sphere in counts:
+                counts[circle.sphere] += 1
+
+    sharing, seen = set() if full else _sharing(before, t, spheres), set()
+    for s in t.graph.sphere_edges:
+        if not (full or s in spheres or s in sharing):
+            continue
+        tree = trees.get(s)
+        sound = (tree is not None and len(tree.edges) == counts.get(s, 0)
+                 and len(tree.regions) == len(tree.edges) + 1 == len(tree.walk))
+        for cid, (x, y) in tree.edges.items() if sound else ():
+            circle = circle_of.get(cid)
+            if circle is None or circle.sphere != s or x == y or x not in tree.regions or y not in tree.regions:
+                sound = False
+                break
+        if tree is not None and full:
+            sound = sound and seen.isdisjoint(tree.regions)
+            seen.update(tree.regions)
+        if not sound or s in sharing:
+            problems.extend(_validate_trees(t, [s], counts))
     if problems:
         return problems
 
-    chi = tally.euler if tally else euler_characteristic(t)
+    chi = euler if full else tally.euler
     if chi != 0:
         problems.append(f"total euler characteristic {chi} nonzero")
 
@@ -590,9 +668,9 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
         stray = sorted(t.transport.keys() - t.circles.keys())
         problems.extend(f"side transport bit of unknown circle {cid}" for cid in stray)
 
-    side = None if before is None else _certified(before, pieces, circles, t, index, tally.side)
+    side = None if full else _certified(before, pieces, circles, t, index, tally.side)
     if side is None:
-        reached, side, _, bad_cycle = walk(t.pieces, _piece_edges(t, index))
+        reached, side, _, bad_cycle = walk(t.pieces, edges if full else _piece_edges(t, index))
     else:
         reached, bad_cycle = len(t.pieces), None
     problems.side = side
@@ -602,11 +680,33 @@ def _validate(t: TorusPosition, index, pieces: set, circles: set, spheres: set, 
     if bad_cycle is not None:
         problems.append(_Monodromy("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")"))
 
-    if ends is not None:  # the trees are valid by now, so a sphere's edges are its circles
+    if full:
+        ends = {(pid, slot.half_edge) for pid in loud for slot in t.pieces[pid].boundary}
+    else:  # the trees are valid by now, so a sphere's edges are its circles
         ends = ends | {(piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
                        for piece, slot in index[cid]}
-    problems.extend(_validate_side_anchors(t, ends))
+    if faults := _anchor_faults(t, ends):
+        problems.extend(_validate_side_anchors(t, faults))
+    if full and not problems:
+        problems.tally = Tally(counts, chi, abnormal, side)
     return problems
+
+
+def _sharing(before: TorusPosition, t: TorusPosition, spheres) -> set[str]:
+    """Every sphere whose tree shares a region id that a step from the valid ``before`` added to a tree at ``spheres``.
+
+    ``before``'s trees share no id, so only such an id can be shared in ``t``.
+    """
+    out = set()
+    for s in spheres:
+        tree, old = t.trees.get(s), before.trees.get(s)
+        if tree is None or tree is old:
+            continue
+        for r in tree.regions - old.regions if old is not None else tree.regions:
+            holders = [e for e in t.graph.sphere_edges if e in t.trees and r in t.trees[e].regions]
+            if len(holders) > 1:
+                out.update(holders)
+    return out
 
 
 def _piece_problems(t: TorusPosition, pid: str) -> list[str]:
@@ -671,13 +771,22 @@ def _circle_problems(t: TorusPosition, cid: str, index, spheres: set[str]) -> li
 
 
 def _validate_trees(t: TorusPosition, spheres: list[str], counts) -> list[str]:
-    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles."""
+    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles.
+
+    A region id of a tree that an earlier sphere's tree (in graph order) holds too is named, in id order.
+    """
     problems = []
+    order = t.graph.sphere_edges
     for s in spheres:
         tree = t.trees.get(s)
         if tree is None:
             problems.append(f"sphere {s} missing region tree")
             continue
+        earlier = [(e, t.trees[e].regions) for e in order[:order.index(s)] if e in t.trees]
+        for r in sorted(tree.regions):
+            owner = next((e for e, regions in earlier if r in regions), None)
+            if owner is not None:
+                problems.append(f"region {r} of {s} also in the tree of {owner}")
         if len(tree.edges) != counts.get(s, 0) or any(
             cid not in t.circles or t.circles[cid].sphere != s for cid in tree.edges
         ):
@@ -694,47 +803,51 @@ def _validate_trees(t: TorusPosition, spheres: list[str], counts) -> list[str]:
     return problems
 
 
-def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]] | None) -> list[str]:
-    """Per piece and sphere end, region-side anchors must be consistent.
+def _anchor_faults(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> set[tuple[str, HalfEdge]]:
+    """The given (piece, sphere end) pairs whose region-side anchors are inconsistent: the test that ``_validate_side_anchors`` words.
 
     Walking on a sphere, seen from the collar on one of its two sides,
     crosses a piece's wall exactly at that piece's circles attached on
-    that side; so every ``region_a`` must read A in the piece's side map
-    at that end.  Checks the given (piece, end) pairs, or every end of
-    every piece when ``ends`` is None, piece by piece in id order and each
-    piece's ends in half-edge order, grouping its slots by end once, with
-    one ``side_masks`` pass per sphere end for all its pieces.  Runs only
-    on positions whose circles and trees passed the other checks, where
-    each circle end holds one slot, so the pieces' bits never share a
-    circle.
+    that side; so every ``region_a`` must border its circle and read A in
+    the piece's side map at that end.  A lone anchor cannot conflict; the
+    others are read off one ``side_masks`` pass per sphere end for all its
+    pieces, each with its own bit.  Runs only on positions whose circles
+    and trees passed the other checks, where each circle end holds one
+    slot, so the pieces' bits never share a circle, and a pair's verdict
+    does not depend on the other pairs given.
     """
-    problems: list = []
-    bits: dict[HalfEdge, dict[str, int]] = defaultdict(dict)
-    for pid in sorted(t.pieces) if ends is None else sorted({pid for pid, _ in ends}):
-        at = _anchors_by_end(t.pieces[pid])
-        for he in sorted(at):
-            if ends is not None and (pid, he) not in ends:
+    faults, bits, anchors_at = set(), defaultdict(dict), {}
+    for pid in {pid for pid, _ in ends}:
+        for he, anchors in _anchors_by_end(t.pieces[pid]).items():
+            if (pid, he) not in ends:
                 continue
-            anchors, edges, stray = at[he], t.trees[he.sphere].edges, False
-            for cid, region in anchors:
-                if region not in edges[cid]:
-                    stray = True
-                    problems.append(f"piece {pid} slot at {cid} anchors a non-adjacent region")
-            if not stray and len(anchors) > 1:  # a lone anchor cannot conflict
+            edges = t.trees[he.sphere].edges
+            if any(region not in edges[cid] for cid, region in anchors):
+                faults.add((pid, he))
+            elif len(anchors) > 1:
                 bits[he][pid] = 1 << len(bits[he])
-                problems.append((pid, he, anchors))  # decided below, once the masks are known
-    if not bits:
-        return problems
-    masks = {he: side_masks(t, he, mates) for he, mates in bits.items()}
-    out = []
-    for problem in problems:
-        if type(problem) is str:
-            out.append(problem)
-            continue
-        pid, he, anchors = problem
-        if any(masks[he][region] & bits[he][pid] for _, region in anchors):
-            out.append(f"piece {pid} side anchors conflict at {he.label()}")
-    return out
+                anchors_at[pid, he] = anchors
+    for he, mates in bits.items():
+        masks = side_masks(t, he, mates)
+        faults.update((pid, he) for pid, bit in mates.items() if any(masks[r] & bit for _, r in anchors_at[pid, he]))
+    return faults
+
+
+def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
+    """The anchor problems of the given (piece, sphere end) pairs (``_anchor_faults``).
+
+    Piece by piece in id order and each piece's ends in half-edge order:
+    each non-adjacent anchor in slot order, or else one conflict.
+    """
+    problems = []
+    for pid, he in sorted(_anchor_faults(t, ends)):
+        edges = t.trees[he.sphere].edges
+        strays = [slot.circle for slot in t.pieces[pid].boundary
+                  if slot.half_edge == he and slot.region_a not in edges[slot.circle]]
+        problems.extend(f"piece {pid} slot at {cid} anchors a non-adjacent region" for cid in strays)
+        if not strays:
+            problems.append(f"piece {pid} side anchors conflict at {he.label()}")
+    return problems
 
 
 def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int]) -> dict[str, int]:
@@ -801,12 +914,12 @@ def _fault(piece: Piece) -> str | None:
     """
     if piece.genus != 0:
         return "genus"
-    crossed = [slot.half_edge for slot in piece.boundary]
-    if len(set(crossed)) != len(crossed):
-        return "doubled"
-    if len(crossed) == 1:
+    n = len(piece.boundary)
+    if n == 1:  # one slot meets no end twice
         return None if len(set(piece.uncrossed.values())) == 2 else "parallel"
-    return None if len(crossed) in (2, 3) else "count"
+    if len({slot.half_edge for slot in piece.boundary}) != n:
+        return "doubled"
+    return None if n == 2 or n == 3 else "count"
 
 
 def piece_kind(piece: Piece) -> str | None:

@@ -87,3 +87,22 @@ def criterion_3_inputs() -> Iterator[tuple[str, TorusPosition]]:
             p = perturb(random_normal_torus(g, seed, 4), 20_000 + seed, (seed % 3) + 1)
             if total_intersections(p) <= 12:
                 yield f"rank {rank} seed {seed}", p
+
+
+def shared_region_ids(t: TorusPosition, sphere: str, onto: str) -> TorusPosition:
+    """``t`` with ``sphere``'s regions renamed, in id order, to those of ``onto``, in its tree and in every anchor.
+
+    The region ids of a position are unique across spheres, so the result's
+    trees share the renamed ids, and each sphere's tree is otherwise as it was.
+    """
+    rename = dict(zip(sorted(t.trees[sphere].regions), sorted(t.trees[onto].regions)))
+    tree = t.trees[sphere]
+    trees = dict(t.trees)
+    trees[sphere] = RegionTree(sphere, {rename.get(r, r) for r in tree.regions},
+                               {c: (rename.get(a, a), rename.get(b, b)) for c, (a, b) in tree.edges.items()})
+    pieces = {}
+    for pid, p in t.pieces.items():
+        boundary = [BoundarySlot(s.circle, s.half_edge, rename.get(s.region_a, s.region_a) if s.half_edge.sphere == sphere
+                                 else s.region_a) for s in p.boundary]
+        pieces[pid] = Piece(p.id, p.pants, p.genus, boundary, dict(p.uncrossed))
+    return TorusPosition(t.graph, pieces, dict(t.circles), trees, dict(t.transport))

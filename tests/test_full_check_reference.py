@@ -10,6 +10,11 @@ removed, is written out), builds a reference ``validate_position`` from
 them and the package's global checks, and pins both checks to its list,
 message for message and in order.
 
+It also keeps its own ``_validate_trees``, as the package's read before
+it named region ids that two spheres' trees share, with that check added
+over a dict of each id's first sphere, where the package's scans the
+earlier trees.
+
 The reference keeps, with its own ``piece_graph_betti``, the
 betti-number check that the package dropped as unreachable: once the
 per-item checks pass, a zero Euler sum with every genus 0 already means
@@ -31,6 +36,7 @@ from normaltori.position import (
     SIDE_A,
     SIDE_B,
     BoundarySlot,
+    RegionTree,
     _anchors_by_end,
     euler_characteristic,
     side_masks,
@@ -124,6 +130,36 @@ def _validate_side_anchors(t, ends: set[tuple[str, HalfEdge]]) -> list[str]:
     return out
 
 
+def _validate_trees(t, spheres, counts) -> list[str]:
+    """``position._validate_trees`` as it read before it named shared region ids, with that check after a missing tree's."""
+    problems = []
+    holder = {}
+    for s in spheres:
+        tree = t.trees.get(s)
+        if tree is None:
+            problems.append(f"sphere {s} missing region tree")
+            continue
+        for r in sorted(tree.regions):
+            if r in holder:
+                problems.append(f"region {r} of {s} also in the tree of {holder[r]}")
+            else:
+                holder[r] = s
+        if len(tree.edges) != counts.get(s, 0) or any(
+            cid not in t.circles or t.circles[cid].sphere != s for cid in tree.edges
+        ):
+            problems.append(f"region tree of {s} does not list exactly its circles")
+            continue
+        if len(tree.regions) != len(tree.edges) + 1:
+            problems.append(f"region tree of {s} has {len(tree.regions)} regions for {len(tree.edges)} circles")
+            continue
+        for cid, (a, b) in tree.edges.items():
+            if a not in tree.regions or b not in tree.regions or a == b:
+                problems.append(f"region tree edge {cid} of {s} malformed")
+        if tree.regions - {r for _, _, r in tree.walk}:
+            problems.append(f"region tree of {s} disconnected")
+    return problems
+
+
 def piece_graph_betti(t) -> int:
     return len(t.circles) - len(t.pieces) + 1
 
@@ -142,7 +178,7 @@ def _reference_validate(t) -> list[str]:
     for cid in sorted(t.circles):
         problems.extend(_circle_problems(t, cid, index, known))
     counts = Counter(c.sphere for c in t.circles.values())
-    problems.extend(position._validate_trees(t, list(t.graph.sphere_edges), counts))
+    problems.extend(_validate_trees(t, list(t.graph.sphere_edges), counts))
     if problems:
         return problems
     chi = euler_characteristic(t)
@@ -180,6 +216,20 @@ def _strand_reversed_slots(rng, t):
         slot.region_a = "rX"
 
 
+def _share_region_id(rng, t):
+    """Rename one region of one sphere's tree, and its anchors there, to a region id of another sphere's tree."""
+    spheres = sorted(t.trees)
+    a, b = rng.sample(spheres, 2)
+    r, q = _pick(rng, t.trees[a].regions), _pick(rng, t.trees[b].regions)
+    tree = t.trees[b]
+    edges = {cid: tuple(r if x == q else x for x in ends) for cid, ends in tree.edges.items()}
+    t.trees[b] = RegionTree(b, (tree.regions - {q}) | {r}, edges)
+    for piece in t.pieces.values():
+        for slot in piece.boundary:
+            if slot.half_edge.sphere == b and slot.region_a == q:
+                slot.region_a = r
+
+
 # the step-check mutations, a quarter of out-of-pants slots and a seventh of
 # stranded anchors; the step-check tests draw from ``MUTATIONS`` alone, so
 # their mutants and counts stay as they are
@@ -197,6 +247,7 @@ def _check_against_reference(steps, seed, mutations=MUTATIONS) -> Counter:
         seen["rejected"] += bool(want)
         seen["outside"] += any("outside its pants" in problem for problem in want)
         seen["stranded"] += sum("anchors a non-adjacent region" in problem for problem in want) > 1
+        seen["shared"] += any("also in the tree of" in problem for problem in want)
     return seen
 
 
@@ -214,6 +265,13 @@ def test_full_check_matches_the_reference_on_out_of_pants_slots():
     seen = _check_against_reference(_corpus_steps(), 7, _MUTATIONS)
     assert seen["outside"] >= 150 and seen["stranded"] >= 50
     print(f"seed 7: {dict(seen)}")
+
+
+def test_full_check_matches_the_reference_on_shared_region_ids():
+    """Seed 8 adds ``_share_region_id``, a region id moved onto another sphere's tree, to the step-check mutations."""
+    seen = _check_against_reference(_corpus_steps(), 8, MUTATIONS + (_share_region_id,) * 7)
+    assert seen["shared"] >= 150
+    print(f"seed 8: {dict(seen)}")
 
 
 def test_a_slot_at_end_two_keeps_every_problem():

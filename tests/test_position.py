@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import normaltori
-from conftest import criterion_3_inputs, is_loop, piece_at
+from conftest import criterion_3_inputs, is_loop, piece_at, shared_region_ids
 from test_acceptance import _fuzz_corpus, piece_graph_betti
 
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
@@ -27,7 +27,9 @@ from normaltori.position import (
     PositionError,
     RegionTree,
     TorusPosition,
+    _checked,
     _piece_edges,
+    _validate_delta,
     euler_characteristic,
     intersection_vector,
     is_normal,
@@ -314,3 +316,22 @@ def test_a_region_tree_is_an_immutable_value_built_once():
     assert (again, again.neighbors, again.walk) == (tree, tree.neighbors, tree.walk)
     nt = to_normal_torus(t)
     assert pickle.loads(pickle.dumps(nt)).position.trees == nt.position.trees
+
+
+def test_region_ids_that_two_spheres_share_are_rejected():
+    """A region id held by two spheres' trees is named once per id, at the later sphere in graph order.
+
+    t2 with s1's regions renamed to s0's, and with s0's renamed to s1's:
+    either way s1 comes later.  The step check from t2 finds the same list
+    when the move's report names only the pieces and the sphere it
+    renamed, also when that sphere is the earlier one.
+    """
+    t2 = make_t2()
+    tally = _checked(t2)[1]
+    for sphere, onto, shared in (("s1", "s0", ("r0", "r1")), ("s0", "s1", ("r2", "r3"))):
+        t = shared_region_ids(t2, sphere, onto)
+        want = [f"region {r} of s1 also in the tree of s0" for r in shared]
+        assert validate_position(t) == want
+        pieces = {pid for pid in t.pieces if t.pieces[pid] != t2.pieces[pid]}
+        stepped = tally.stepped(t2, t, pieces, ())
+        assert _validate_delta(t2, t, t.circle_slots(), pieces, (), (sphere,), stepped) == want

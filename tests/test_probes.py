@@ -19,7 +19,8 @@ def _load(name: str):
 
 @pytest.mark.parametrize(
     "probe, first_work",
-    [("chain_probe", "build_standard"), ("confluence_probe", "perturb"), ("load_probe", "build_standard")],
+    [("chain_probe", "build_standard"), ("check_probe", "build_standard"), ("confluence_probe", "perturb"),
+     ("load_probe", "build_standard")],
 )
 @pytest.mark.parametrize("repeat", ["0", "-2"])
 def test_probes_reject_a_repeat_below_one(probe, first_work, repeat, monkeypatch, capsys):

@@ -10,9 +10,12 @@ kinds that can split, spells the same tuple on:
 
 * every state popped by criterion 3's searches;
 * every state popped by searches shaped like the confluence-exhaust
-  workload: t0 and t2 perturbed by 3 to 5 inverse moves, 5-circle bases
-  at ranks 2-4 perturbed by 2 and 3, and t2 with two spheres' regions
-  sharing ids;
+  workload: t0 and t2 perturbed by 3 to 5 inverse moves, and 5-circle
+  bases at ranks 2-4 perturbed by 2 and 3;
+* states whose trees share region ids, which ``validate_position``
+  rejects, so no search pops them: t2 and t2 perturbed by 3 with s1's
+  regions renamed to s0's, and every state popped by the search of the
+  perturbed t2, renamed so;
 * copies of all of those whose ``pieces``, ``circles``, ``trees``,
   ``transport`` and each tree's ``edges`` list their items in reverse, so
   that an index leaking the dicts' order into the key shows.
@@ -24,13 +27,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from conftest import criterion_3_inputs
+from conftest import criterion_3_inputs, shared_region_ids
 
 from normaltori import oracle
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard
 from normaltori.oracle import confluence_search, perturb, random_normal_torus
-from normaltori.position import BoundarySlot, Piece, RegionTree, TorusPosition, total_intersections
+from normaltori.position import RegionTree, TorusPosition, total_intersections
 
 
 # ---------------------------------------------------------------------------
@@ -109,19 +112,6 @@ def _intern(signatures: dict) -> tuple[dict, int]:
 # corpus
 
 
-def _shared_region_ids() -> TorusPosition:
-    """t2 with the regions of s1 renamed to those of s0: still valid, and the key reads them as one region each."""
-    t = make_t2()
-    rename = dict(zip(sorted(t.trees["s1"].regions), sorted(t.trees["s0"].regions)))
-    tree = t.trees["s1"]
-    t.trees["s1"] = RegionTree("s1", {rename[r] for r in tree.regions},
-                               {c: (rename[a], rename[b]) for c, (a, b) in tree.edges.items()})
-    for pid, p in t.pieces.items():
-        boundary = [BoundarySlot(s.circle, s.half_edge, rename.get(s.region_a, s.region_a)) for s in p.boundary]
-        t.pieces[pid] = Piece(p.id, p.pants, p.genus, boundary, p.uncrossed)
-    return t
-
-
 def _workload_shaped() -> list[TorusPosition]:
     """Small searches of the confluence-exhaust shapes, each of at most 12 circles."""
     inputs = [perturb(make(), seed, k) for make in (make_t0, make_t2) for seed, k in ((1, 3), (2, 4), (3, 5))]
@@ -129,8 +119,6 @@ def _workload_shaped() -> list[TorusPosition]:
         bases = (random_normal_torus(build_standard(rank), seed, 5) for seed in range(40))
         base = next(b for b in bases if len(b.circles) == 5)
         inputs += [perturb(base, 7, k) for k in (2, 3)]
-    shared = _shared_region_ids()
-    inputs += [shared, perturb(shared, 5, 3)]
     return [t for t in inputs if total_intersections(t) <= 12]
 
 
@@ -176,3 +164,13 @@ def test_key_matches_the_frozen_key_on_workload_shaped_searches(monkeypatch):
     states = _popped(_workload_shaped(), monkeypatch)
     assert len(states) > 200
     _assert_keys_match(states)
+
+
+def test_key_matches_the_frozen_key_on_shared_region_ids(monkeypatch):
+    """Keyed directly: the check rejects these states, so no search pops them; the perturbed one is renamed after perturbing."""
+    perturbed = perturb(make_t2(), 5, 3)
+    popped = _popped([perturbed], monkeypatch)
+    states = [make_t2(), perturbed] + [t for t, _ in popped]
+    shared = [shared_region_ids(t, "s1", "s0") for t in states]
+    assert len(shared) > 20
+    _assert_keys_match([(t, oracle._state_key(t)) for t in shared])

@@ -127,16 +127,16 @@ def cmd_validate(args) -> int:
 def cmd_normalize(args) -> int:
     t = _want_position(*_read(args.input), "normalize")
     result = normalize(t)
-    _write(args.output, serialize.normal_torus_to_json(result.torus))
     lines = []
     for record in result.trace:
         before = " ".join(f"{s}:{n}" for s, n in sorted(record.counts_before.items()))
         after = " ".join(f"{s}:{n}" for s, n in sorted(record.counts_after.items()))
         lines.append(f"{record.description} | before {before} | after {after}")
     trace_text = "\n".join(lines) + ("\n" if lines else "")
-    if args.trace:
+    if args.trace:  # before the output, so a failed trace write leaves no output file
         _write_file(args.trace, trace_text)
-    else:
+    _write(args.output, serialize.normal_torus_to_json(result.torus))
+    if not args.trace:
         sys.stderr.write(trace_text)
     print(f"normalized in {len(result.trace)} moves")
     return EXIT_OK
@@ -229,6 +229,9 @@ def cmd_perturb(args) -> int:
 def cmd_export_dot(args) -> int:
     kind, value = _read(args.input)
     if kind == "sphere_graph":
+        problems = validate_graph(value)
+        if problems:
+            raise GraphError("; ".join(problems))
         dot = serialize.graph_to_dot(value)
     elif kind == "position":
         _checked(value)

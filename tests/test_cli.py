@@ -5,10 +5,18 @@ import json
 import pytest
 
 from normaltori.cli import build_parser, main
-from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
+from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2, theta_graph
+from normaltori.graphs import validate_graph
 from normaltori.normal_graph import to_normal_torus
 from normaltori.position import validate_position
-from normaltori.serialize import dumps, load_any, normal_torus_to_dot, normal_torus_to_json, position_to_json
+from normaltori.serialize import (
+    dumps,
+    graph_to_json,
+    load_any,
+    normal_torus_to_dot,
+    normal_torus_to_json,
+    position_to_json,
+)
 
 
 @pytest.fixture
@@ -166,21 +174,27 @@ def test_parser_reuse_keeps_no_state(files, capsys):
         ["graph", "--rank", "3", "-o", "{bad}"],
         ["normalize", "t1", "-o", "{bad}"],
         ["normalize", "t1", "--trace", "{bad}"],
+        ["normalize", "t1", "-o", "{good}", "--trace", "{bad}"],
         ["decorate", "t0", "-o", "{bad}"],
         ["perturb", "t0", "-o", "{bad}"],
         ["export-dot", "t0", "-o", "{bad}"],
     ],
-    ids=lambda argv: " ".join(a for a in argv if a not in ("t0", "t1", "{bad}")),
+    ids=lambda argv: " ".join(a for a in argv if a not in ("t0", "t1", "{bad}", "{good}")),
 )
 def test_write_failure_is_diagnostic(files, capsys, argv):
-    """An output path in a missing directory ends in one error line, not a traceback."""
+    """An output path in a missing directory ends in one error line, not a traceback.
+
+    An exit 1 writes no ``-o`` file, even when only the ``--trace`` path is bad.
+    """
     tmp, paths = files
     bad = str(tmp / "no" / "such" / "dir" / "out")
-    fill = {"t0": str(paths["t0"]), "t1": str(paths["t1"]), "{bad}": bad}
+    good = tmp / "out.json"
+    fill = {"t0": str(paths["t0"]), "t1": str(paths["t1"]), "{bad}": bad, "{good}": str(good)}
     assert main([fill.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"error: cannot write {bad}: ") and err.count("\n") == 1
+    assert not good.exists()
 
 
 def test_klein_decorate_fails(files, capsys):
@@ -309,6 +323,30 @@ def test_export_dot(files, capsys):
     tmp, paths = files
     assert main(["export-dot", str(paths["t0"])]) == 0
     assert "piece_graph" in capsys.readouterr().out
+
+
+def _rank_three(g):
+    g["rank"] = 3
+
+
+def _unknown_pants(g):
+    g["edges"][0]["ends"][0]["p"] = "p9"
+
+
+@pytest.mark.parametrize("edit", [_rank_three, _unknown_pants], ids=["rank 3", "unknown pants"])
+def test_export_dot_rejects_an_invalid_graph(tmp_path, capsys, edit):
+    """``export-dot`` draws a sphere graph only when ``validate`` accepts it, and writes no ``-o`` file otherwise."""
+    obj = graph_to_json(theta_graph())
+    edit(obj)
+    path = tmp_path / "theta.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    problems = validate_graph(load_any(path.read_text(encoding="utf-8"))[1])
+    assert problems
+    out = tmp_path / "theta.dot"
+    assert main(["export-dot", str(path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: " + "; ".join(problems) + "\n"
+    assert not out.exists()
+    assert main(["validate", str(path)]) == 1
 
 
 def test_normal_torus_file_reads_like_its_position(tmp_path, capsys):

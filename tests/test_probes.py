@@ -1,4 +1,4 @@
-"""The probes under ``tools/`` reject a run count below 1 before doing any work."""
+"""``tools/probe.py`` rejects a bad run count, an option its probe lacks and a checkout with no package, before doing any work."""
 
 from __future__ import annotations
 
@@ -7,31 +7,52 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+PROBE = Path(__file__).resolve().parent.parent / "tools" / "probe.py"
+# each timed probe and the call that starts its work
+TIMED = [("chain", "graphs", "build_standard"), ("check", "graphs", "build_standard"),
+         ("confluence", "oracle", "perturb"), ("load", "graphs", "build_standard")]
 
 
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+def _load(monkeypatch, part="graphs", first_work="build_standard"):
+    """The probe script as a module, with the call that starts a probe's work failing the test."""
+    spec = importlib.util.spec_from_file_location("probe", PROBE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize(
-    "probe, first_work",
-    [("chain_probe", "build_standard"), ("check_probe", "build_standard"), ("confluence_probe", "perturb"),
-     ("load_probe", "build_standard")],
-)
-@pytest.mark.parametrize("repeat", ["0", "-2"])
-def test_probes_reject_a_repeat_below_one(probe, first_work, repeat, monkeypatch, capsys):
-    """A best of no runs was ``inf`` ms, after every chain had run."""
-    module = _load(probe)
 
     def no_work(*args):
         raise AssertionError("the probe started work")
 
-    monkeypatch.setattr(module, first_work, no_work)
+    monkeypatch.setattr(getattr(module.THIS, part), first_work, no_work)
+    return module
+
+
+@pytest.mark.parametrize(
+    "probe, part, first_work",
+    [pytest.param(probe, part, first_work, id=f"{probe}_probe-{first_work}") for probe, part, first_work in TIMED],
+)
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_probes_reject_a_repeat_below_one(probe, part, first_work, repeat, monkeypatch, capsys):
+    """A best of no runs was ``inf`` ms, after every chain had run."""
+    module = _load(monkeypatch, part, first_work)
     with pytest.raises(SystemExit) as exit_info:
-        module.main(["--repeat", repeat])
+        module.main([probe, "--repeat", repeat])
     assert exit_info.value.code == 2
     assert "--repeat: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--repeat", "1"], ["--against", "."]], ids=["--repeat", "--against"])
+def test_the_bug_probe_has_no_timed_cells_to_repeat_or_compare(option, monkeypatch, capsys):
+    module = _load(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["bugs", *option])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe", [probe for probe, _, _ in TIMED])
+def test_against_needs_a_checkout_with_the_package(probe, tmp_path, monkeypatch, capsys):
+    module = _load(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main([probe, "--against", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"--against: no package at {tmp_path.resolve() / 'src' / 'normaltori'}" in capsys.readouterr().err

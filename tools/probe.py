@@ -1,0 +1,330 @@
+"""Layer probes: the step checks along a chain, the full check, the confluence search, the loader and planted bugs.
+
+    python3 tools/probe.py {chain,check,confluence,load} [--repeat N] [--against PATH]
+    python3 tools/probe.py bugs
+
+Run from the root of a checkout; the package is imported from ``src/``.
+A timed probe prints a row per input shape, with the best of ``--repeat``
+runs of each timed call (by default chain 3, check 15, confluence 3, load
+20), then a counts line, taken in one more run of each row, outside the
+timings, with a module function swapped for a recording version.  The
+counts depend only on the code, so runs under two hash seeds print the
+same counts line; the timings depend on the machine.
+
+``--against PATH`` also loads the ``src/normaltori`` of the checkout at
+PATH, under another module name.  Each tree draws a row's inputs with its
+own generator, at the same seeds, and the two trees' calls are timed in
+turn, interleaved, run by run; each timed cell prints this tree's time,
+the other's and their ratio (this over the other).  Timing two trees in
+one process this way keeps the machine's speed swings out of the ratio.
+The counts come from this tree only.
+"""
+
+import argparse
+import importlib.util
+import json
+import sys
+from functools import partial
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256))  # chain: (size bound, k), bases of 4, 65, 256 and 256 circles
+# check: (rank, size bound, k), the normalize-ladder workload's rungs, and the functions that word a problem
+CHECK_ROWS = ((2, 8, 4), (3, 16, 16), (4, 16, 24), (6, 48, 8), (8, 96, 4), (10, 160, 2), (12, 256, 1))
+WORDING = ("_piece_problems", "_circle_problems", "_validate_trees", "_validate_side_anchors")
+# confluence: (label, k, perturb seeds); the label's first word names the base
+CONFLUENCE_ROWS = (
+    ("t0", 3, range(8)), ("t0", 4, range(8)), ("t0", 5, range(8)), ("t2", 3, range(8)), ("t2", 4, range(8)),
+    ("rank2-std", 2, range(8)), ("rank2-std", 3, range(8)), ("rank3-rnd", 2, range(8)), ("rank3-rnd", 3, range(8)),
+    ("rank4-std", 2, range(8)), ("rank4-std", 3, range(8)), ("t2 reach", 9, range(3)))
+BASES = {"t0": lambda tree: tree.fixtures.make_t0(), "t2": lambda tree: tree.fixtures.make_t2(),
+         "rank2-std": lambda tree: _five_circles(tree, tree.graphs.build_standard(2)),
+         "rank3-rnd": lambda tree: _five_circles(tree, tree.graphs.random_cubic(3, 1)),
+         "rank4-std": lambda tree: _five_circles(tree, tree.graphs.build_standard(4))}
+LOAD_ROWS = ((3, 16), (4, 32), (6, 64), (8, 128))  # load: (rank, size bound), as cli-files draws its bases
+KINDS = {"position": lambda tree, t: tree.serialize.position_to_json(t),
+         "normal_torus": lambda tree, t: tree.serialize.normal_torus_to_json(tree.normal_graph.to_normal_torus(t)),
+         "decorated_graph": lambda tree, t: tree.serialize.decorated_to_json(
+             tree.normal_graph.decorate(tree.normal_graph.to_normal_torus(t)))}
+RANKS, SEEDS, BOUND, KS = (2, 3, 4, 6), range(10), 8, (4, 16, 48)  # bugs: the grid of round trips
+
+
+def _tree(package: str):
+    """The package named ``package``, with each module that the probes call imported."""
+    for part in ("fixtures", "graphs", "moves", "normal_graph", "oracle", "position", "serialize"):
+        importlib.import_module(f"{package}.{part}")
+    return sys.modules[package]
+
+
+THIS = _tree("normaltori")
+
+
+def _repeat(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
+def _against(path: str):
+    """The ``src/normaltori`` package of the checkout at ``path``, imported as ``normaltori_against``."""
+    package = Path(path).resolve() / "src" / "normaltori"
+    if not (package / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"no package at {package}")
+    spec = importlib.util.spec_from_file_location("normaltori_against", package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return _tree(spec.name)
+
+
+def _best(calls, repeat: int, scale: float = 1000) -> list[float]:
+    """The best of ``repeat`` runs of each call, in s times ``scale``; calls take turns, first one first, then last."""
+    best = [float("inf")] * len(calls)
+    for run in range(repeat):
+        for i in range(len(calls)) if run % 2 == 0 else reversed(range(len(calls))):
+            start = perf_counter()
+            calls[i]()
+            best[i] = min(best[i], perf_counter() - start)
+    return [scale * b for b in best]
+
+
+def _cell(times: list[float], width: int, digits: int) -> str:
+    """This tree's time in ``width`` columns; with a second tree, also the other's time and the ratio of the two."""
+    cell = f"{times[0]:>{width}.{digits}f}"
+    if len(times) == 2:
+        cell += f" {times[1]:>{width}.{digits}f} {times[0] / times[1]:>6.3f}"
+    return cell
+
+
+def _swapped(call, module, patch: dict):
+    """``call()`` with ``module``'s functions named in ``patch`` swapped for the given versions, restored after."""
+    real = {name: getattr(module, name) for name in patch}
+    vars(module).update(patch)
+    try:
+        return call()
+    finally:
+        vars(module).update(real)
+
+
+def _recorded(call, module, *names: str) -> tuple:
+    """(``call()``, the calls of ``module``'s functions ``names`` during it as (arguments, result) pairs in order)."""
+    calls = []
+
+    def recorded(real, *args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+    return _swapped(call, module, {name: partial(recorded, getattr(module, name)) for name in names}), calls
+
+
+def _each(call, items) -> None:
+    for item in items:
+        call(item)
+
+
+def chain(trees, repeat: int) -> None:
+    """Per-move cost of ``perturb`` and ``normalize`` along one chain, as the torus grows.
+
+    Each row draws ``random_normal_torus(build_standard(12), 1, bound)``,
+    perturbs it by ``k`` inverse moves with seed 7 and normalizes the result;
+    it prints the base's circles, ``k`` and each call's time in ms per move.
+    Counted, per call: the step checks whose certificate
+    (``position._certified``) proved the step, and those that fell back to
+    the full walk.
+    """
+    print("base circles  k    perturb ms/move  normalize ms/move")
+    counts = []
+    for bound, k in CHAIN_ROWS:
+        bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(12), 1, bound) for tree in trees]
+        perturbs = [partial(tree.oracle.perturb, base, 7, k) for tree, base in zip(trees, bases)]
+        normalizes = [partial(tree.moves.normalize, messy()) for tree, messy in zip(trees, perturbs)]
+        circles = len(bases[0].circles)
+        print(f"{circles:>12}  {k:<4} {_cell(_best(perturbs, repeat, 1000 / k), 15, 2)}"
+              f"  {_cell(_best(normalizes, repeat, 1000 / k), 17, 2)}")
+        for name, call in (("perturb", perturbs[0]), ("normalize", normalizes[0])):
+            _, steps = _recorded(call, THIS.position, "_certified")
+            fell_back = sum(bits is None for _, bits in steps)
+            counts.append(f"{circles}/{k} {name} {len(steps) - fell_back}/{fell_back}")
+    print("counts (certified/fell back): " + ", ".join(counts))
+
+
+def check(trees, repeat: int) -> None:
+    """Cost of the full check on inputs like the normalize-ladder bench workload's, and its wording on them.
+
+    Each row takes a rung of the normalize-ladder workload (rank, size bound
+    and k), draws ``random_normal_torus(build_standard(rank), 1, bound)`` and
+    perturbs it by ``k`` inverse moves with seed 7; ``validate_position`` and
+    ``position._checked`` are timed on the result, in ms.  Counted, in one
+    ``_checked`` per row: the calls of the four functions that word a problem
+    (``_piece_problems``, ``_circle_problems``, ``_validate_trees`` and
+    ``_validate_side_anchors``); a valid input needs none.
+    """
+    print("rank  circles  k    validate_position ms        _checked ms")
+    counts = []
+    for rank, bound, k in CHECK_ROWS:
+        bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 1, bound) for tree in trees]
+        inputs = [tree.oracle.perturb(base, 7, k) for tree, base in zip(trees, bases)]
+        validate = _best([partial(tree.position.validate_position, t) for tree, t in zip(trees, inputs)], repeat)
+        checked = _best([partial(tree.position._checked, t) for tree, t in zip(trees, inputs)], repeat)
+        t = inputs[0]
+        print(f"{rank:>4}  {len(t.circles):>7}  {k:<3}  {_cell(validate, 8, 3):>24}  {_cell(checked, 8, 3):>24}")
+        _, wordings = _recorded(partial(THIS.position._checked, t), THIS.position, *WORDING)
+        counts.append(f"{rank}/{len(t.circles)}/{k} {len(wordings)}")
+    print("counts (wording calls per full check): " + ", ".join(counts))
+
+
+def _five_circles(tree, g):
+    """The first of ``random_normal_torus(g, seed, 5)``, seed 0 up, with 5 circles."""
+    return next(t for t in (tree.oracle.random_normal_torus(g, seed, 5) for seed in range(64)) if len(t.circles) == 5)
+
+
+def confluence(trees, repeat: int) -> None:
+    """Cost of the exhaustive confluence search and of its state key, per search shape.
+
+    The rows follow the confluence-exhaust workload's shapes: the fixtures t0
+    and t2, and 5-circle bases on ``build_standard(2)``, ``random_cubic(3, 1)``
+    and ``build_standard(4)``, each perturbed by ``k`` inverse moves with seeds
+    0 to 7; one reach row perturbs t2 by 9 moves, to 12 circles, the bound of
+    acceptance criterion 3, with seeds 0 to 2.  A row prints its searches,
+    the state keys computed (one per state popped, recorded at
+    ``oracle._state_key``), the states explored, the share of popped states
+    that were duplicates, and the time in ms per search and in us per key,
+    the key timed alone on the row's popped states.
+    """
+    print("row           k  circles  searches   keys  explored  dup share  ms/search  us/key")
+    counts = []
+    for label, k, seeds in CONFLUENCE_ROWS:
+        rows = []
+        for tree in trees:
+            inputs = [tree.oracle.perturb(BASES[label.split()[0]](tree), seed, k) for seed in seeds]
+            explored, keys = _recorded(lambda: sum(tree.oracle.confluence_search(t).explored for t in inputs),
+                                       tree.oracle, "_state_key")
+            rows.append((tree, inputs, [args[0] for args, _ in keys], explored))
+        searches = _best([partial(_each, tree.oracle.confluence_search, inputs) for tree, inputs, _, _ in rows],
+                         repeat, 1e3 / len(seeds))
+        keys = _best([partial(_each, tree.oracle._state_key, popped) for tree, _, popped, _ in rows], repeat, 1e6)
+        per_key = [s / len(popped) for s, (_, _, popped, _) in zip(keys, rows)]
+        _, inputs, popped, explored = rows[0]
+        circles = max(len(t.circles) for t in inputs)
+        print(f"{label:<12} {k:>2} {circles:>8} {len(inputs):>9} {len(popped):>6} {explored:>9}"
+              f" {1 - explored / len(popped):>10.3f} {_cell(searches, 10, 2)} {_cell(per_key, 7, 1)}")
+        counts.append(f"{label}/{k} {len(inputs)}/{len(popped)}/{explored}")
+    print("counts (searches/keys/explored): " + ", ".join(counts))
+
+
+def load(trees, repeat: int) -> None:
+    """Cost of loading position, normal_torus and decorated_graph files, as the torus grows.
+
+    Each row draws ``random_normal_torus(build_standard(rank), 3, bound)`` at
+    the sizes of the cli-files bench workload's bases (ranks 3, 4, 6 and 8,
+    bounds 16, 32, 64 and 128), writes it as each file kind and times three
+    calls on that text, in ms: ``json.loads``, the typed reader of the file's
+    position (``serialize._position`` on the parsed position object) and
+    ``serialize.load_any``, which for a normal_torus or decorated_graph file
+    also derives the torus and checks the written sections.  Counted, in one
+    ``load_any`` per row: the calls of ``serialize._field``, which words a
+    wrong or missing value; a valid file needs none.
+    """
+    print("kind             circles  json.loads ms  reader ms  load_any ms")
+    counts = []
+    for rank, bound in LOAD_ROWS:
+        bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 3, bound) for tree in trees]
+        circles = len(bases[0].circles)
+        for kind, to_json in KINDS.items():
+            texts = [tree.serialize.dumps(to_json(tree, t)) for tree, t in zip(trees, bases)]
+            positions = [obj if kind == "position" else obj["position"] for obj in map(json.loads, texts)]
+            parse = _best([partial(json.loads, text) for text in texts], repeat)
+            read = _best([partial(tree.serialize._position, p, kind) for tree, p in zip(trees, positions)], repeat)
+            loaded = _best([partial(tree.serialize.load_any, text) for tree, text in zip(trees, texts)], repeat)
+            print(f"{kind:<16} {circles:>7}  {_cell(parse, 13, 3)}  {_cell(read, 9, 3)}  {_cell(loaded, 11, 3)}")
+            _, fields = _recorded(partial(THIS.serialize.load_any, texts[0]), THIS.serialize, "_field")
+            counts.append(f"{kind}/{circles} {len(fields)}")
+    print("counts (_field calls per load): " + ", ".join(counts))
+
+
+def _inverted_bit(t, m, index, slide=THIS.moves._apply_slide):
+    out, pieces, circles, sphere = slide(t, m, index)
+    (merged,) = circles - t.circles.keys()
+    out.transport[merged] = not out.transport[merged]
+    return out, pieces, circles, sphere
+
+
+def _other_side(t, disk, ball=THIS.moves._ball_region):
+    slot = disk.boundary[0]
+    return t.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ball(t, disk))
+
+
+def _cases():
+    """(base, its canonical code, seed, k) of every case, drawn and coded unplanted."""
+    for rank in RANKS:
+        for seed in SEEDS:
+            for g in (THIS.graphs.build_standard(rank), THIS.graphs.random_cubic(rank, seed)):
+                base = THIS.oracle.random_normal_torus(g, seed, BOUND)
+                torus = THIS.normal_graph.to_normal_torus(base)
+                code = THIS.normal_graph.canonicalize(THIS.normal_graph.decorate(torus))
+                for k in KS:
+                    yield base, code, seed, k
+
+
+def _outcome(base, code, seed: int, k: int) -> str:
+    try:
+        torus = THIS.moves.normalize(THIS.oracle.perturb(base, seed, k)).torus
+    except THIS.position.PositionError:
+        return "raised"
+    return "same" if THIS.normal_graph.canonicalize(THIS.normal_graph.decorate(torus)) == code else "silent"
+
+
+def bugs() -> int:
+    """How the step checks meet two planted move bugs, over a fixed grid of round trips.
+
+    Each case draws ``random_normal_torus(g, seed, 8)`` on ``build_standard(rank)``
+    or ``random_cubic(rank, seed)``, for ranks 2, 3, 4 and 6 and seeds 0-9,
+    perturbs it by ``k`` inverse moves (4, 16 and 48) with that seed, and
+    normalizes the result: 240 cases.  A case either raises, or ends in a
+    torus with the base's canonical code ("same"), or ends in another code
+    with no error ("silent").  The grid runs once unplanted and once with each
+    bug of ``tests/test_oracle.py::test_the_experiments_catch_planted_bugs``
+    swapped into ``moves``: a slide that gives its merged circle the inverted
+    transport bit, and a cap that takes the disk's other side for its ball.
+    One row per plant; the rows depend only on the code.  Exit status 1 when
+    the unplanted row is not every case the same.
+    """
+    plants = {"unplanted": {}, "inverted merged bit": {"_apply_slide": _inverted_bit},
+              "wrong cap side": {"_ball_region": _other_side}}
+    cases = list(_cases())
+    rows = {}
+    print(f"{'plant':<20} raised  same  silent  (of {len(cases)})")
+    for plant, patch in plants.items():
+        outcomes = _swapped(lambda: [_outcome(*case) for case in cases], THIS.moves, patch)
+        rows[plant] = [outcomes.count(kind) for kind in ("raised", "same", "silent")]
+        print(f"{plant:<20} {rows[plant][0]:>6} {rows[plant][1]:>5} {rows[plant][2]:>7}")
+    return 0 if rows["unplanted"] == [0, len(cases), 0] else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    probes = parser.add_subparsers(dest="name", required=True, metavar="PROBE")
+    for probe, repeat in ((chain, 3), (check, 15), (confluence, 3), (load, 20)):
+        sub = probes.add_parser(probe.__name__, help=probe.__doc__.splitlines()[0])
+        sub.add_argument("--repeat", type=_repeat, default=repeat, help="timed runs per call; the best is printed")
+        sub.add_argument("--against", type=_against, metavar="PATH",
+                         help="a second checkout, timed in turn with this one")
+        sub.set_defaults(probe=probe)
+    probes.add_parser("bugs", help=bugs.__doc__.splitlines()[0])
+    args = parser.parse_args(argv)
+    if args.name == "bugs":
+        return bugs()
+    trees = [THIS]
+    if args.against:
+        trees.append(args.against)
+        print("each timed cell: this tree's time, the other's and their ratio (this over the other)")
+    args.probe(trees, args.repeat)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,10 +30,10 @@ whole piece graph, as the full check does, only when that certificate
 cannot prove there is no problem.
 
 The full check of an input, ``validate_position`` (through ``_checked``),
-tests each piece, circle and region tree in place and calls the function
-that words an item's problems only where its test fails; the same passes
-sum the input's ``Tally`` and pick the few pieces whose side anchors can
-conflict, so a valid input costs no message and one pass over each kind.
+shares ``_validate`` with the step check, where each rule of a piece,
+circle or region tree is one test that words its own problem; the same
+passes sum the input's ``Tally`` and pick the few pieces whose side anchors
+can conflict, so a valid input costs no message and one pass over each kind.
 """
 
 from __future__ import annotations
@@ -566,24 +566,23 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
               tally: Tally | None = None, before: TorusPosition | None = None) -> _Problems:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
-    ``index`` is ``t.circle_slots()``.  The passes run in this order: per
-    piece and per circle in id order, per tree in graph order, then, only
-    once those found nothing, the Euler sum, the stray transport bits and
-    the piece graph's connectivity and monodromy, and last the side
-    anchors, piece by piece.  Each item is tested in place and worded
-    (``_piece_problems``, ``_circle_problems``, ``_validate_trees``,
-    ``_validate_side_anchors``) only where its test, at least as strict,
-    fails, so any scope that holds every item with a problem gives the
-    same list.  Without ``tally``, the full check: the passes also sum
-    ``t``'s ``Tally``, which the list holds if it finds nothing, and the
-    walk's edges, and the anchors are read only at the ends of pieces with
-    a non-adjacent anchor or two slots at one end.  With ``tally``, ``t``'s
-    for a step from a valid ``before`` with ``before``'s side bits, the
-    step check: counts and Euler sum come from the tally, trees are checked
-    at ``spheres`` and where an added region id is shared (``_sharing``),
-    a certificate (``_certified``) carries the bits, or else the walk
-    decides, and anchors are read at ``ends`` and on the given spheres.
-    The list holds the bits.
+    ``index`` is ``t.circle_slots()``.  The passes run in this order: per piece
+    and per circle in id order, per tree in graph order, then, only once those
+    found nothing, the Euler sum, the stray transport bits and the piece
+    graph's connectivity and monodromy, and last the side anchors, piece by
+    piece.  Each rule is one test that words its own problem where it fails;
+    only the side anchors are tested first (``_anchor_faults``) and worded
+    after (``_validate_side_anchors``), so any scope that holds every item
+    with a problem gives the same list.  Without ``tally``, the full check: the
+    passes also sum ``t``'s ``Tally``, which the list holds if it finds
+    nothing, and the walk's edges, and the anchors are read only at the ends
+    of pieces with a non-adjacent anchor or two slots at one end.  With
+    ``tally``, ``t``'s for a step from a valid ``before`` with ``before``'s
+    side bits, the step check: counts and Euler sum come from the tally, trees
+    are checked at ``spheres`` and where an added region id is shared
+    (``_sharing``), a certificate (``_certified``) carries the bits, or else
+    the walk decides, and anchors are read at ``ends`` and on the given
+    spheres.  The list holds the bits.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
@@ -591,7 +590,7 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     """
     full = tally is None
     problems = _Problems()
-    by_pants, circle_of, trees = t.graph.by_pants, t.circles, t.trees
+    by_pants, circle_of, trees, transport = t.graph.by_pants, t.circles, t.trees, t.transport
     euler, abnormal, loud, adjacent = 0, set(), [], {}
     if full:  # each circle's two regions, read in the piece pass to find the anchors worth checking
         for s in t.graph.sphere_edges:
@@ -601,24 +600,40 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
         piece = t.pieces[pid]
         boundary, uncrossed, hes = piece.boundary, piece.uncrossed, by_pants.get(piece.pants)
         crossed = {slot.half_edge for slot in boundary}
-        sound = (piece.id == pid and hes is not None and piece.genus >= 0 and len(boundary) > 0
-                 and len(crossed) + len(uncrossed) == len(hes))
         astray = False  # an anchor at a region that its circle does not border
-        for slot in boundary if sound else ():
-            he, circle = slot.half_edge, circle_of.get(slot.circle)
-            if circle is None or circle.sphere != he.sphere or he not in hes:
-                sound = False
-                break
-            if full and slot.region_a not in adjacent.get(slot.circle, ()):
-                astray = True
-        for he, side in uncrossed.items() if sound else ():
-            if he in crossed or he not in hes or side not in (SIDE_A, SIDE_B):
-                sound = False
-        if not sound:
-            problems.extend(_piece_problems(t, pid))
+        if piece.id != pid:
+            problems.append(f"piece key {pid} disagrees with id {piece.id}")
+        if hes is None:
+            problems.append(f"piece {pid} in unknown pants {piece.pants}")
+        else:
+            if piece.genus < 0:
+                problems.append(f"piece {pid} has negative genus")
+            if not boundary:
+                problems.append(f"piece {pid} is closed (no boundary)")
+            for slot in boundary:
+                he, circle = slot.half_edge, circle_of.get(slot.circle)
+                if circle is None:
+                    problems.append(f"piece {pid} references unknown circle {slot.circle}")
+                    continue
+                if he not in hes:
+                    problems.append(f"piece {pid} boundary at {he.label()} outside its pants")
+                if circle.sphere != he.sphere:
+                    problems.append(f"piece {pid} attaches circle {slot.circle} to the wrong sphere")
+                if full and slot.region_a not in adjacent.get(slot.circle, ()):
+                    astray = True
+            for he in hes:
+                if he not in crossed and he not in uncrossed:
+                    problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
+            for he, side in uncrossed.items():
+                if he in crossed:
+                    problems.append(f"piece {pid} has uncrossed entry at crossed {he.label()}")
+                if he not in hes:
+                    problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
+                if side not in (SIDE_A, SIDE_B):
+                    problems.append(f"piece {pid} side label {side!r} invalid")
         if full:
             euler += piece.euler()
-            if _fault(piece) is not None:
+            if _fault(piece, crossed) is not None:
                 abnormal.add(pid)
             if astray or len(crossed) < len(boundary):
                 loud.append(pid)
@@ -627,36 +642,61 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     counts = dict.fromkeys(t.graph.sphere_edges, 0) if full else tally.counts
     for cid in sorted(circles):
         circle, pairs = circle_of[cid], index.get(cid, ())
-        sound = len(pairs) == 2 and circle.sphere in known and cid in t.transport
-        if sound:
-            (a, slot_a), (b, slot_b) = pairs
-            sound = (a.pants in by_pants and b.pants in by_pants
-                     and (slot_a.half_edge.end, slot_b.half_edge.end) in ((0, 1), (1, 0)))
-        if not sound:
-            problems.extend(_circle_problems(t, cid, index, known))
+        if circle.sphere not in known:
+            problems.append(f"circle {cid} on unknown sphere {circle.sphere}")
+            continue
         if full:
-            if sound:
-                edges.append((cid, a.id, b.id, not t.transport[cid]))
-            if circle.sphere in counts:
-                counts[circle.sphere] += 1
+            counts[circle.sphere] += 1
+        if len(pairs) != 2 or pairs[0][0].pants not in by_pants or pairs[1][0].pants not in by_pants:
+            # slots of pieces in an unknown pants are not counted, as their piece check stops before reading them
+            pairs = [pair for pair in pairs if pair[0].pants in by_pants]
+        if len(pairs) == 1:
+            problems.append(f"circle {cid} has one incident piece")
+        elif len(pairs) != 2:
+            problems.append(f"circle {cid} has {len(pairs)} incident boundary slots")
+        else:
+            (a, slot_a), (b, slot_b) = pairs
+            if (slot_a.half_edge.end, slot_b.half_edge.end) not in ((0, 1), (1, 0)):  # as a set, not {0, 1}
+                problems.append(f"circle {cid} does not pass through sphere {circle.sphere}")
+            elif full and cid in transport:
+                edges.append((cid, a.id, b.id, not transport[cid]))
+        if cid not in transport:
+            problems.append(f"circle {cid} missing side transport bit")
 
+    order = t.graph.sphere_edges
     sharing, seen = set() if full else _sharing(before, t, spheres), set()
-    for s in t.graph.sphere_edges:
+    for i, s in enumerate(order):
         if not (full or s in spheres or s in sharing):
             continue
         tree = trees.get(s)
-        sound = (tree is not None and len(tree.edges) == counts.get(s, 0)
-                 and len(tree.regions) == len(tree.edges) + 1 == len(tree.walk))
-        for cid, (x, y) in tree.edges.items() if sound else ():
+        if tree is None:
+            problems.append(f"sphere {s} missing region tree")
+            continue
+        regions, tree_edges = tree.regions, tree.edges
+        if not seen.isdisjoint(regions) if full else s in sharing:  # name each shared id at its later sphere
+            for r in sorted(regions):
+                owner = next((e for e in order[:i] if e in trees and r in trees[e].regions), None)
+                if owner is not None:
+                    problems.append(f"region {r} of {s} also in the tree of {owner}")
+        if full:
+            seen.update(regions)
+        listed, malformed = len(tree_edges) == counts.get(s, 0), []
+        for cid, (x, y) in tree_edges.items() if listed else ():
             circle = circle_of.get(cid)
-            if circle is None or circle.sphere != s or x == y or x not in tree.regions or y not in tree.regions:
-                sound = False
+            if circle is None or circle.sphere != s:
+                listed = False
                 break
-        if tree is not None and full:
-            sound = sound and seen.isdisjoint(tree.regions)
-            seen.update(tree.regions)
-        if not sound or s in sharing:
-            problems.extend(_validate_trees(t, [s], counts))
+            if x == y or x not in regions or y not in regions:
+                malformed.append(cid)
+        if not listed:
+            problems.append(f"region tree of {s} does not list exactly its circles")
+        elif len(regions) != len(tree_edges) + 1:
+            problems.append(f"region tree of {s} has {len(regions)} regions for {len(tree_edges)} circles")
+        else:
+            problems.extend(f"region tree edge {cid} of {s} malformed" for cid in malformed)
+            # with no malformed edge the walk stays inside the regions, so only a short walk misses one
+            if regions - {r for _, _, r in tree.walk} if malformed else len(tree.walk) != len(regions):
+                problems.append(f"region tree of {s} disconnected")
     if problems:
         return problems
 
@@ -709,100 +749,6 @@ def _sharing(before: TorusPosition, t: TorusPosition, spheres) -> set[str]:
     return out
 
 
-def _piece_problems(t: TorusPosition, pid: str) -> list[str]:
-    piece = t.pieces[pid]
-    problems = []
-    if piece.id != pid:
-        problems.append(f"piece key {pid} disagrees with id {piece.id}")
-    pants_hes = t.graph.by_pants.get(piece.pants)
-    if pants_hes is None:
-        problems.append(f"piece {pid} in unknown pants {piece.pants}")
-        return problems
-    if piece.genus < 0:
-        problems.append(f"piece {pid} has negative genus")
-    if not piece.boundary:
-        problems.append(f"piece {pid} is closed (no boundary)")
-    crossed = set()
-    for slot in piece.boundary:
-        he = slot.half_edge
-        crossed.add(he)
-        circle = t.circles.get(slot.circle)
-        if circle is None:
-            problems.append(f"piece {pid} references unknown circle {slot.circle}")
-            continue
-        if he not in pants_hes:
-            problems.append(f"piece {pid} boundary at {he.label()} outside its pants")
-        if circle.sphere != he.sphere:
-            problems.append(f"piece {pid} attaches circle {slot.circle} to the wrong sphere")
-    for he in pants_hes:
-        if he not in crossed and he not in piece.uncrossed:
-            problems.append(f"piece {pid} missing uncrossed side at {t.half_edge_label(he)}")
-    for he, side in piece.uncrossed.items():
-        if he in crossed:
-            problems.append(f"piece {pid} has uncrossed entry at crossed {he.label()}")
-        if he not in pants_hes:
-            problems.append(f"piece {pid} uncrossed entry at {he.label()} outside its pants")
-        if side not in (SIDE_A, SIDE_B):
-            problems.append(f"piece {pid} side label {side!r} invalid")
-    return problems
-
-
-def _circle_problems(t: TorusPosition, cid: str, index, spheres: set[str]) -> list[str]:
-    circle = t.circles[cid]
-    if circle.sphere not in spheres:
-        return [f"circle {cid} on unknown sphere {circle.sphere}"]
-    problems = []
-    # slots of pieces in an unknown pants are not counted, as their piece
-    # check stops before reading them
-    pairs, known = index.get(cid, ()), t.graph.by_pants
-    if len(pairs) == 2 and pairs[0][0].pants in known and pairs[1][0].pants in known:
-        ends = (pairs[0][1].half_edge.end, pairs[1][1].half_edge.end)
-    else:
-        ends = tuple(slot.half_edge.end for piece, slot in pairs if piece.pants in known)
-    if len(ends) == 1:
-        problems.append(f"circle {cid} has one incident piece")
-    elif len(ends) != 2:
-        problems.append(f"circle {cid} has {len(ends)} incident boundary slots")
-    elif ends not in ((0, 1), (1, 0)):  # the ends as a set are not {0, 1}
-        problems.append(f"circle {cid} does not pass through sphere {circle.sphere}")
-    if cid not in t.transport:
-        problems.append(f"circle {cid} missing side transport bit")
-    return problems
-
-
-def _validate_trees(t: TorusPosition, spheres: list[str], counts) -> list[str]:
-    """Tree checks of the given spheres; ``counts`` maps a sphere to its number of circles.
-
-    A region id of a tree that an earlier sphere's tree (in graph order) holds too is named, in id order.
-    """
-    problems = []
-    order = t.graph.sphere_edges
-    for s in spheres:
-        tree = t.trees.get(s)
-        if tree is None:
-            problems.append(f"sphere {s} missing region tree")
-            continue
-        earlier = [(e, t.trees[e].regions) for e in order[:order.index(s)] if e in t.trees]
-        for r in sorted(tree.regions):
-            owner = next((e for e, regions in earlier if r in regions), None)
-            if owner is not None:
-                problems.append(f"region {r} of {s} also in the tree of {owner}")
-        if len(tree.edges) != counts.get(s, 0) or any(
-            cid not in t.circles or t.circles[cid].sphere != s for cid in tree.edges
-        ):
-            problems.append(f"region tree of {s} does not list exactly its circles")
-            continue
-        if len(tree.regions) != len(tree.edges) + 1:
-            problems.append(f"region tree of {s} has {len(tree.regions)} regions for {len(tree.edges)} circles")
-            continue
-        for cid, (a, b) in tree.edges.items():
-            if a not in tree.regions or b not in tree.regions or a == b:
-                problems.append(f"region tree edge {cid} of {s} malformed")
-        if tree.regions - {r for _, _, r in tree.walk}:
-            problems.append(f"region tree of {s} disconnected")
-    return problems
-
-
 def _anchor_faults(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> set[tuple[str, HalfEdge]]:
     """The given (piece, sphere end) pairs whose region-side anchors are inconsistent: the test that ``_validate_side_anchors`` words.
 
@@ -833,14 +779,14 @@ def _anchor_faults(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> set[tup
     return faults
 
 
-def _validate_side_anchors(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> list[str]:
-    """The anchor problems of the given (piece, sphere end) pairs (``_anchor_faults``).
+def _validate_side_anchors(t: TorusPosition, faults: set[tuple[str, HalfEdge]]) -> list[str]:
+    """The anchor problems of the given (piece, sphere end) pairs, each of which failed ``_anchor_faults``.
 
     Piece by piece in id order and each piece's ends in half-edge order:
     each non-adjacent anchor in slot order, or else one conflict.
     """
     problems = []
-    for pid, he in sorted(_anchor_faults(t, ends)):
+    for pid, he in sorted(faults):
         edges = t.trees[he.sphere].edges
         strays = [slot.circle for slot in t.pieces[pid].boundary
                   if slot.half_edge == he and slot.region_a not in edges[slot.circle]]
@@ -898,26 +844,37 @@ def side_of_region(t: TorusPosition, piece: Piece, he: HalfEdge, region: str) ->
     return SIDE_B if mask else SIDE_A
 
 
+def _pants_components(t: TorusPosition, pants: str) -> int:
+    """How many complementary components the pieces in ``pants`` cut it into, as seen at its three sphere ends.
+
+    Each piece gets its own bit, and each distinct ``side_masks`` value over
+    the ends' regions is one component.  An embedded torus has pieces + 1.
+    """
+    bits = {pid: 1 << i for i, pid in enumerate(sorted(pid for pid, p in t.pieces.items() if p.pants == pants))}
+    return len({mask for he in t.graph.by_pants[pants] for mask in side_masks(t, he, bits).values()})
+
+
 DISK = "disk"
 CYLINDER = "cylinder"
 PANTS = "pants"
 _KINDS = {1: DISK, 2: CYLINDER, 3: PANTS}
 
 
-def _fault(piece: Piece) -> str | None:
+def _fault(piece: Piece, crossed: set[HalfEdge] | None = None) -> str | None:
     """The first normal-piece rule that ``piece`` breaks, or None; the one statement of the rule.
 
     In order: genus 0 (``"genus"``); no sphere end met twice (``"doubled"``);
     a disk separates the two boundary spheres it misses, with opposite
     uncrossed labels, or it is parallel into its own sphere (``"parallel"``);
-    one to three boundary circles (``"count"``).
+    one to three boundary circles (``"count"``).  ``crossed``, the set of
+    the piece's slots' sphere ends, is built here unless the caller has it.
     """
     if piece.genus != 0:
         return "genus"
     n = len(piece.boundary)
     if n == 1:  # one slot meets no end twice
         return None if len(set(piece.uncrossed.values())) == 2 else "parallel"
-    if len({slot.half_edge for slot in piece.boundary}) != n:
+    if len({slot.half_edge for slot in piece.boundary} if crossed is None else crossed) != n:
         return "doubled"
     return None if n == 2 or n == 3 else "count"
 

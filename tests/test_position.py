@@ -6,7 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,9 @@ from conftest import criterion_3_inputs, is_loop, piece_at, shared_region_ids
 from test_acceptance import _fuzz_corpus, piece_graph_betti
 
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
-from normaltori.graphs import HalfEdge, build_standard, walk
+from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
 from normaltori.normal_graph import to_normal_torus
+from normaltori.oracle import random_normal_torus
 from normaltori.position import (
     SIDE_A,
     SIDE_B,
@@ -28,6 +29,7 @@ from normaltori.position import (
     RegionTree,
     TorusPosition,
     _checked,
+    _pants_components,
     _piece_edges,
     _validate_delta,
     euler_characteristic,
@@ -335,3 +337,30 @@ def test_region_ids_that_two_spheres_share_are_rejected():
         pieces = {pid for pid in t.pieces if t.pieces[pid] != t2.pieces[pid]}
         stepped = tally.stepped(t2, t, pieces, ())
         assert _validate_delta(t2, t, t.circle_slots(), pieces, (), (sphere,), stepped) == want
+
+
+def _components_piece_by_piece(t, pants) -> int:
+    """The distinct patterns of the pants' pieces' sides over every region at each of its ends, one ``side_of_region`` at a time."""
+    pieces = [piece for _, piece in sorted(t.pieces.items()) if piece.pants == pants]
+    return len({tuple(side_of_region(t, piece, he, r) for piece in pieces)
+                for he in t.graph.by_pants[pants] for r in t.trees[he.sphere].regions})
+
+
+def test_pants_components_count_the_complementary_components():
+    """t2's p1 holds 4 components for 2 pieces; the other fixtures hold pieces + 1; draws agree with a piece-by-piece count."""
+    t2 = make_t2()
+    assert (_pants_components(t2, "p1"), Counter(p.pants for p in t2.pieces.values())["p1"]) == (4, 2)
+    for make in (make_t0, make_t1, make_t0_with_dome):
+        t = make()
+        pieces = Counter(piece.pants for piece in t.pieces.values())
+        assert all(_pants_components(t, pants) == pieces[pants] + 1 for pants in t.graph.by_pants)
+    draws = [random_normal_torus(g, seed, bound) for rank in (2, 3, 4) for seed in range(4) for bound in (2, 6)
+             for g in (build_standard(rank), random_cubic(rank, seed))]
+    unembedded = 0
+    for t in draws:
+        pieces = Counter(piece.pants for piece in t.pieces.values())
+        for pants in t.graph.by_pants:
+            count = _pants_components(t, pants)
+            assert count == _components_piece_by_piece(t, pants)
+            unembedded += count != pieces[pants] + 1
+    assert unembedded  # the sample holds pants that do not embed

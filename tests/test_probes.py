@@ -49,6 +49,15 @@ def test_the_bug_probe_has_no_timed_cells_to_repeat_or_compare(option, monkeypat
     assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--repeat", "1"], ["--against", "."]], ids=["--repeat", "--against"])
+def test_the_embed_probe_has_no_timed_cells_to_repeat_or_compare(option, monkeypatch, capsys):
+    module = _load(monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["embed", *option])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("probe", [probe for probe, _, _ in TIMED])
 def test_against_needs_a_checkout_with_the_package(probe, tmp_path, monkeypatch, capsys):
     module = _load(monkeypatch)

@@ -1,7 +1,7 @@
-"""Layer probes: the step checks along a chain, the full check, the confluence search, the loader and planted bugs.
+"""Layer probes: the step checks along a chain, the full check, the confluence search, the loader, planted bugs and embeddability.
 
     python3 tools/probe.py {chain,check,confluence,load} [--repeat N] [--against PATH]
-    python3 tools/probe.py bugs
+    python3 tools/probe.py {bugs,embed}
 
 Run from the root of a checkout; the package is imported from ``src/``.
 A timed probe prints a row per input shape, with the best of ``--repeat``
@@ -17,13 +17,15 @@ own generator, at the same seeds, and the two trees' calls are timed in
 turn, interleaved, run by run; each timed cell prints this tree's time,
 the other's and their ratio (this over the other).  Timing two trees in
 one process this way keeps the machine's speed swings out of the ratio.
-The counts come from this tree only.
+The counts come from this tree only.  ``bugs`` and ``embed`` have no timed
+cells and take neither option.
 """
 
 import argparse
 import importlib.util
 import json
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -31,9 +33,9 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256))  # chain: (size bound, k), bases of 4, 65, 256 and 256 circles
-# check: (rank, size bound, k), the normalize-ladder workload's rungs, and the functions that word a problem
+# check: (rank, size bound, k), the normalize-ladder workload's rungs, and the function that words an anchor problem
 CHECK_ROWS = ((2, 8, 4), (3, 16, 16), (4, 16, 24), (6, 48, 8), (8, 96, 4), (10, 160, 2), (12, 256, 1))
-WORDING = ("_piece_problems", "_circle_problems", "_validate_trees", "_validate_side_anchors")
+WORDING = ("_validate_side_anchors",)
 # confluence: (label, k, perturb seeds); the label's first word names the base
 CONFLUENCE_ROWS = (
     ("t0", 3, range(8)), ("t0", 4, range(8)), ("t0", 5, range(8)), ("t2", 3, range(8)), ("t2", 4, range(8)),
@@ -49,6 +51,9 @@ KINDS = {"position": lambda tree, t: tree.serialize.position_to_json(t),
          "decorated_graph": lambda tree, t: tree.serialize.decorated_to_json(
              tree.normal_graph.decorate(tree.normal_graph.to_normal_torus(t)))}
 RANKS, SEEDS, BOUND, KS = (2, 3, 4, 6), range(10), 8, (4, 16, 48)  # bugs: the grid of round trips
+# embed: the grid's ranks, bounds and seeds, and the bound ladder's
+GRID_RANKS, GRID_BOUNDS, GRID_SEEDS = range(2, 7), (2, 4, 6), range(30)
+LADDER_RANKS, LADDER_BOUNDS, LADDER_SEEDS = (3, 6, 12), (4, 8, 16, 32, 64, 128), range(20)
 
 
 def _tree(package: str):
@@ -159,9 +164,9 @@ def check(trees, repeat: int) -> None:
     and k), draws ``random_normal_torus(build_standard(rank), 1, bound)`` and
     perturbs it by ``k`` inverse moves with seed 7; ``validate_position`` and
     ``position._checked`` are timed on the result, in ms.  Counted, in one
-    ``_checked`` per row: the calls of the four functions that word a problem
-    (``_piece_problems``, ``_circle_problems``, ``_validate_trees`` and
-    ``_validate_side_anchors``); a valid input needs none.
+    ``_checked`` per row: the calls of ``_validate_side_anchors``, the one
+    function that words a problem apart from its test (every other rule
+    words its own); a valid input needs none.
     """
     print("rank  circles  k    validate_position ms        _checked ms")
     counts = []
@@ -225,11 +230,14 @@ def load(trees, repeat: int) -> None:
     calls on that text, in ms: ``json.loads``, the typed reader of the file's
     position (``serialize._position`` on the parsed position object) and
     ``serialize.load_any``, which for a normal_torus or decorated_graph file
-    also derives the torus and checks the written sections.  Counted, in one
-    ``load_any`` per row: the calls of ``serialize._field``, which words a
-    wrong or missing value; a valid file needs none.
+    also derives the torus and checks the written sections.  Both trees
+    parse the same bytes with the same standard library, so ``json.loads``
+    is timed for this tree only.  Counted, in one ``load_any`` per row: the
+    calls of ``serialize._field``, which words a wrong or missing value; a
+    valid file needs none.
     """
-    print("kind             circles  json.loads ms  reader ms  load_any ms")
+    parse_header = "json.loads ms" if len(trees) == 1 else "json.loads ms (this tree only)"
+    print(f"kind             circles  {parse_header}  reader ms  load_any ms")
     counts = []
     for rank, bound in LOAD_ROWS:
         bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 3, bound) for tree in trees]
@@ -237,10 +245,10 @@ def load(trees, repeat: int) -> None:
         for kind, to_json in KINDS.items():
             texts = [tree.serialize.dumps(to_json(tree, t)) for tree, t in zip(trees, bases)]
             positions = [obj if kind == "position" else obj["position"] for obj in map(json.loads, texts)]
-            parse = _best([partial(json.loads, text) for text in texts], repeat)
+            parse = _best([partial(json.loads, texts[0])], repeat)
             read = _best([partial(tree.serialize._position, p, kind) for tree, p in zip(trees, positions)], repeat)
             loaded = _best([partial(tree.serialize.load_any, text) for tree, text in zip(trees, texts)], repeat)
-            print(f"{kind:<16} {circles:>7}  {_cell(parse, 13, 3)}  {_cell(read, 9, 3)}  {_cell(loaded, 11, 3)}")
+            print(f"{kind:<16} {circles:>7}  {_cell(parse, len(parse_header), 3)}  {_cell(read, 9, 3)}  {_cell(loaded, 11, 3)}")
             _, fields = _recorded(partial(THIS.serialize.load_any, texts[0]), THIS.serialize, "_field")
             counts.append(f"{kind}/{circles} {len(fields)}")
     print("counts (_field calls per load): " + ", ".join(counts))
@@ -305,6 +313,36 @@ def bugs() -> int:
     return 0 if rows["unplanted"] == [0, len(cases), 0] else 1
 
 
+def _embedded(t) -> bool:
+    """Whether every pants of ``t`` holds one more complementary component than pieces."""
+    pieces = Counter(piece.pants for piece in t.pieces.values())
+    return all(THIS.position._pants_components(t, pants) == pieces[pants] + 1 for pants in t.graph.by_pants)
+
+
+def embed() -> int:
+    """How many drawn tori embed: each pants holds pieces + 1 complementary components (``position._pants_components``).
+
+    The grid draws ``random_normal_torus(g, seed, bound)`` on ``build_standard(rank)``
+    and ``random_cubic(rank, rank)``, for ranks 2-6, bounds 2, 4 and 6 and seeds
+    0-29: 900 draws, of which it prints how many fail.  The bound ladder
+    draws on ``build_standard(rank)`` and ``random_cubic(rank, seed)``, each at
+    seeds 0-19, for ranks 3, 6 and 12 and bounds 4 to 128, and prints how
+    many of each cell's 40 draws embed.  Both depend only on the code.
+    """
+    graphs = [g for rank in GRID_RANKS for g in (THIS.graphs.build_standard(rank), THIS.graphs.random_cubic(rank, rank))]
+    draws = [THIS.oracle.random_normal_torus(g, seed, bound) for g in graphs for bound in GRID_BOUNDS for seed in GRID_SEEDS]
+    print(f"failing draws on the grid: {sum(not _embedded(t) for t in draws)} of {len(draws)}")
+    print(f"embedded draws of {2 * len(LADDER_SEEDS)} per cell")
+    print("rank / bound" + "".join(f"{bound:>6}" for bound in LADDER_BOUNDS))
+    for rank in LADDER_RANKS:
+        standard = THIS.graphs.build_standard(rank)
+        cells = [sum(_embedded(THIS.oracle.random_normal_torus(g, seed, bound))
+                     for seed in LADDER_SEEDS for g in (standard, THIS.graphs.random_cubic(rank, seed)))
+                 for bound in LADDER_BOUNDS]
+        print(f"{rank:>12}" + "".join(f"{cell:>6}" for cell in cells))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     probes = parser.add_subparsers(dest="name", required=True, metavar="PROBE")
@@ -314,10 +352,11 @@ def main(argv=None) -> int:
         sub.add_argument("--against", type=_against, metavar="PATH",
                          help="a second checkout, timed in turn with this one")
         sub.set_defaults(probe=probe)
-    probes.add_parser("bugs", help=bugs.__doc__.splitlines()[0])
+    for probe in (bugs, embed):
+        probes.add_parser(probe.__name__, help=probe.__doc__.splitlines()[0]).set_defaults(probe=probe)
     args = parser.parse_args(argv)
-    if args.name == "bugs":
-        return bugs()
+    if "repeat" not in vars(args):  # a probe with no timed cells
+        return args.probe()
     trees = [THIS]
     if args.against:
         trees.append(args.against)

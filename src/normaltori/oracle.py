@@ -71,11 +71,15 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     if size_bound < 1:
         raise PositionError("size bound must allow at least one piece")
     rng = random.Random(seed)
+    starts = sorted(g.p_vertices)
+    # (pants, entry) -> sorted [(exit, arrival, next pants)]: the exits an immersed walk may take, drawn from by index
+    options = {(p, entry): sorted((he, he.other(), g.pants_of(he.other())) for he in hes if he != entry)
+               for p, hes in g.by_pants.items() for entry in (None, *hes)}
     for attempt in range(800):
         # graphs of larger girth may not close any walk within the piece
         # budget; after enough failures let the axis run longer
         max_len = size_bound if attempt < 400 else size_bound + 2 * len(g.p_vertices)
-        walk = _sample_axis(g, rng, max_len)
+        walk = _sample_axis(starts, options, rng, max_len)
         if walk is not None:
             break
     else:
@@ -86,20 +90,20 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     return t
 
 
-def _sample_axis(g: SphereGraph, rng: random.Random, size_bound: int) -> list[HalfEdge] | None:
-    """A closed walk as a list of exit half-edges, immersed at every visit."""
-    start = rng.choice(sorted(g.p_vertices))
+def _sample_axis(starts: list[str], options: dict, rng: random.Random, size_bound: int) -> list[HalfEdge] | None:
+    """A closed walk as a list of exit half-edges, immersed at every visit.
+
+    ``starts`` holds the pants in sorted order and ``options`` each pants'
+    exits by entry (None at the start), as ``random_normal_torus`` builds them.
+    """
+    start = rng.choice(starts)
     length = rng.randint(1, max(1, size_bound))
     current = start
     entry: HalfEdge | None = None
     steps: list[HalfEdge] = []
     for _ in range(length):
-        options = [he for he in g.half_edges_at(current) if he != entry]
-        exit_he = rng.choice(sorted(options))
+        exit_he, entry, current = rng.choice(options[current, entry])
         steps.append(exit_he)
-        arrival = exit_he.other()
-        current = g.pants_of(arrival)
-        entry = arrival
     if current != start or entry == steps[0]:
         return None
     return steps

@@ -80,15 +80,24 @@ def xor_side(side: str, flip: bool) -> str:
     return flip_side(side) if flip else side
 
 
+_NAMES: dict[str, tuple[str, ...]] = {}  # prefix -> (prefix0, prefix1, ...), as far as any call has needed
+
+
 def fresh_id(prefix: str, used) -> str:
     """Smallest ``prefix<k>`` not in ``used``; deterministic allocation.
 
-    ``used`` is probed by membership only, so pass a set or a dict.
+    ``used`` is probed by membership only, so pass a set or a dict.  The
+    names are scanned from ``prefix0`` in a tuple kept per prefix, built
+    once and replaced by a longer one only when a scan runs past its end,
+    so a probe formats no name.  A tuple depends on its prefix alone, so
+    every caller may share it.
     """
-    k = 0
-    while f"{prefix}{k}" in used:
-        k += 1
-    return f"{prefix}{k}"
+    names = _NAMES.get(prefix, ())
+    while True:
+        for name in names:
+            if name not in used:
+                return name
+        names = _NAMES[prefix] = names + tuple(f"{prefix}{k}" for k in range(len(names), 2 * len(names) + 16))
 
 
 @dataclass
@@ -342,16 +351,17 @@ def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, cir
       circle on it before or after (a tree check reads the tree and the
       circles on its sphere);
     * ends: (piece, sphere end) pairs of added or changed pieces whose
-      slots at that end changed.  A side-anchor check reads one piece's
-      slots at one end and that sphere's tree, so it runs on these ends
-      and on every end at a scoped sphere.
+      slots at that end changed, each mapped to those slots' (circle,
+      anchor) in ``after``.  A side-anchor check reads one piece's slots at
+      one end and that sphere's tree, so it runs on these ends and on every
+      end at a scoped sphere.
     """
-    scope, circle_scope, ends = set(), set(), set()
+    scope, circle_scope, ends = set(), set(), {}
     for pid in pieces:
         old, new = before.pieces.get(pid), after.pieces.get(pid)
-        if old is new or old == new:
+        if old is new:
             continue
-        if _outline(old) != _outline(new):
+        if _reshaped(old, new):
             scope.add(pid)
             if old is None or new is None or old.pants != new.pants:
                 circle_scope.update(cid for piece in (old, new) if piece for cid in piece.circles())
@@ -361,7 +371,7 @@ def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, cir
             if a == b:
                 continue
             if b:
-                ends.add((pid, he))
+                ends[pid, he] = b
             a, b = [cid for cid, _ in a], [cid for cid, _ in b]
             if a != b:  # a circle listed twice changes its slot count, so take all then
                 circle_scope.update(set(a) ^ set(b) if len(set(a)) == len(a) and len(set(b)) == len(b) else {*a, *b})
@@ -375,11 +385,14 @@ def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, cir
     return scope & after.pieces.keys(), circle_scope & after.circles.keys(), sphere_scope, ends
 
 
-def _outline(piece: Piece | None):
-    """What a piece check reads of a piece: all of it but its slots' anchors."""
-    if piece is None:
-        return None
-    return piece.id, piece.pants, piece.genus, [(s.circle, s.half_edge) for s in piece.boundary], piece.uncrossed
+def _reshaped(old: Piece | None, new: Piece | None) -> bool:
+    """Whether ``old`` and ``new`` differ in what a piece check reads of a piece: all of it but its slots' anchors."""
+    if old is None or new is None:
+        return True
+    if old.id != new.id or old.pants != new.pants or old.genus != new.genus or old.uncrossed != new.uncrossed:
+        return True
+    return len(old.boundary) != len(new.boundary) or any(
+        a.circle != b.circle or a.half_edge != b.half_edge for a, b in zip(old.boundary, new.boundary))
 
 
 def _anchors_by_end(piece: Piece) -> dict[HalfEdge, list[tuple[str, str]]]:
@@ -581,8 +594,9 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     side bits, the step check: counts and Euler sum come from the tally, trees
     are checked at ``spheres`` and where an added region id is shared
     (``_sharing``), a certificate (``_certified``) carries the bits, or else
-    the walk decides, and anchors are read at ``ends`` and on the given
-    spheres.  The list holds the bits.
+    the walk decides, and anchors are read at every end of the given
+    spheres, off the index in one pass over each tree's circles, and at
+    the other ``ends``, as ``_delta_scope`` maps them.  The list holds the bits.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
@@ -721,11 +735,14 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
         problems.append(_Monodromy("monodromy nontrivial on cycle (" + ",".join(bad_cycle) + ")"))
 
     if full:
-        ends = {(pid, slot.half_edge) for pid in loud for slot in t.pieces[pid].boundary}
-    else:  # the trees are valid by now, so a sphere's edges are its circles
-        ends = ends | {(piece.id, slot.half_edge) for s in spheres for cid in t.trees[s].edges
-                       for piece, slot in index[cid]}
-    if faults := _anchor_faults(t, ends):
+        anchors = {(pid, he): pairs for pid in loud for he, pairs in _anchors_by_end(t.pieces[pid]).items()}
+    else:  # the trees are valid by now, so a sphere's edges are its circles, and the index holds their slots
+        anchors = {end: pairs for end, pairs in ends.items() if end[1].sphere not in spheres}
+        for s in spheres:
+            for cid in t.trees[s].edges:
+                for piece, slot in index[cid]:
+                    anchors.setdefault((piece.id, slot.half_edge), []).append((cid, slot.region_a))
+    if faults := _anchor_faults(t, anchors):
         problems.extend(_validate_side_anchors(t, faults))
     if full and not problems:
         problems.tally = Tally(counts, chi, abnormal, side)
@@ -749,33 +766,32 @@ def _sharing(before: TorusPosition, t: TorusPosition, spheres) -> set[str]:
     return out
 
 
-def _anchor_faults(t: TorusPosition, ends: set[tuple[str, HalfEdge]]) -> set[tuple[str, HalfEdge]]:
-    """The given (piece, sphere end) pairs whose region-side anchors are inconsistent: the test that ``_validate_side_anchors`` words.
+def _anchor_faults(t: TorusPosition,
+                   anchors: dict[tuple[str, HalfEdge], list[tuple[str, str]]]) -> set[tuple[str, HalfEdge]]:
+    """The (piece, sphere end) pairs whose region-side anchors are inconsistent: the test that ``_validate_side_anchors`` words.
 
-    Walking on a sphere, seen from the collar on one of its two sides,
-    crosses a piece's wall exactly at that piece's circles attached on
-    that side; so every ``region_a`` must border its circle and read A in
-    the piece's side map at that end.  A lone anchor cannot conflict; the
-    others are read off one ``side_masks`` pass per sphere end for all its
-    pieces, each with its own bit.  Runs only on positions whose circles
-    and trees passed the other checks, where each circle end holds one
-    slot, so the pieces' bits never share a circle, and a pair's verdict
-    does not depend on the other pairs given.
+    ``anchors`` maps each pair to test to every (circle, ``region_a``) of
+    the piece's slots at that end, in any order.  Walking on a sphere, seen
+    from the collar on one of its two sides, crosses a piece's wall exactly
+    at that piece's circles attached on that side; so every ``region_a``
+    must border its circle and read A in the piece's side map at that end.
+    A lone anchor cannot conflict; the others are read off one
+    ``side_masks`` pass per sphere end for all its pieces, each with its own
+    bit.  Runs only on positions whose circles and trees passed the other
+    checks, where each circle end holds one slot, so the pieces' bits never
+    share a circle, and a pair's verdict does not depend on the other pairs
+    given.
     """
-    faults, bits, anchors_at = set(), defaultdict(dict), {}
-    for pid in {pid for pid, _ in ends}:
-        for he, anchors in _anchors_by_end(t.pieces[pid]).items():
-            if (pid, he) not in ends:
-                continue
-            edges = t.trees[he.sphere].edges
-            if any(region not in edges[cid] for cid, region in anchors):
-                faults.add((pid, he))
-            elif len(anchors) > 1:
-                bits[he][pid] = 1 << len(bits[he])
-                anchors_at[pid, he] = anchors
+    faults, bits = set(), defaultdict(dict)
+    for (pid, he), pairs in anchors.items():
+        edges = t.trees[he.sphere].edges
+        if any(region not in edges[cid] for cid, region in pairs):
+            faults.add((pid, he))
+        elif len(pairs) > 1:
+            bits[he][pid] = 1 << len(bits[he])
     for he, mates in bits.items():
         masks = side_masks(t, he, mates)
-        faults.update((pid, he) for pid, bit in mates.items() if any(masks[r] & bit for _, r in anchors_at[pid, he]))
+        faults.update((pid, he) for pid, bit in mates.items() if any(masks[r] & bit for _, r in anchors[pid, he]))
     return faults
 
 

@@ -33,6 +33,7 @@ from normaltori.position import (
     _piece_edges,
     _validate_delta,
     euler_characteristic,
+    fresh_id,
     intersection_vector,
     is_normal,
     side_of_region,
@@ -364,3 +365,34 @@ def test_pants_components_count_the_complementary_components():
             assert count == _components_piece_by_piece(t, pants)
             unembedded += count != pieces[pants] + 1
     assert unembedded  # the sample holds pants that do not embed
+
+
+def _scanned_id(prefix, used) -> str:
+    """The least ``prefix<k>`` not in ``used``, scanning from ``prefix0`` and formatting each name."""
+    k = 0
+    while f"{prefix}{k}" in used:
+        k += 1
+    return f"{prefix}{k}"
+
+
+def test_fresh_id_is_the_least_unused_id_whatever_its_name_list_holds(monkeypatch):
+    """``fresh_id`` equals a plain scan from 0, for sets and dicts, odd names and other prefixes, before and after its names grow."""
+    names = {}
+    monkeypatch.setattr("normaltori.position._NAMES", names)  # no earlier call has grown the names
+    cases = [
+        ("c", set()),
+        ("c", {f"c{k}" for k in range(40)}),
+        ("c", {"c0", "c1", "c3"}),  # a hole
+        ("c", dict.fromkeys(["c0", "c2"], None)),
+        ("c", {"c01", "c00", "cx", "c", "c0"}),  # zero-padded and non-numeric ids are not c1
+        ("r", {"c0", "c1", "F0", "r1"}),  # another prefix's names
+        ("F", {f"c{k}" for k in range(100)} | {"F0", "F1"}),
+        ("c", {f"c{k}" for k in range(200)}),
+    ]
+    grown_past = []
+    for prefix, used in cases:
+        known = len(names.get(prefix, ()))
+        answer = fresh_id(prefix, used)
+        assert answer == _scanned_id(prefix, used)
+        grown_past.append(int(answer[len(prefix):]) < known)
+    assert grown_past == [False, False, True, True, True, False, False, False]

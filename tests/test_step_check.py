@@ -56,8 +56,20 @@ def _inverse_candidates(t):
 
 
 def _listed(cache):
-    """Every candidate of a perturb candidate cache, in the order ``pick`` reads them by index."""
-    return [cache.pick(i) for i in range(cache.count())]
+    """Every candidate of a perturb candidate cache, in the order ``pick`` reads them by index: domes by circle id, then fingers by piece id.
+
+    Listed off the tables in one pass; ``pick`` must agree at the first and
+    last index and at a sample seeded by the count (a ``pick`` per index
+    would cost a pass per candidate).
+    """
+    fingers = {pid: cands for table in cache.fingers.values() for pid, cands in table.items()}
+    listed = [cand for cid in sorted(cache.domes) for cand in cache.domes[cid]]
+    listed += [cand for pid in sorted(fingers) for cand in fingers[pid]]
+    assert cache.count() == len(listed)
+    if listed:
+        sample = random.Random(len(listed)).sample(range(len(listed)), min(5, len(listed)))
+        assert all(cache.pick(i) == listed[i] for i in {0, len(listed) - 1, *sample})
+    return listed
 
 
 def _apply_inverse(t, cand):

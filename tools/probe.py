@@ -32,7 +32,8 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256))  # chain: (size bound, k), bases of 4, 65, 256 and 256 circles
+# chain: (size bound, k), bases of 4, 65, 256, 256, 256 and 1 024 circles
+CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256), (256, 1024), (1024, 256))
 # check: (rank, size bound, k), the normalize-ladder workload's rungs, and the function that words an anchor problem
 CHECK_ROWS = ((2, 8, 4), (3, 16, 16), (4, 16, 24), (6, 48, 8), (8, 96, 4), (10, 160, 2), (12, 256, 1))
 WORDING = ("_validate_side_anchors",)

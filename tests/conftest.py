@@ -1,7 +1,12 @@
+"""Helpers that the tests import, and that ``tools/probe.py`` imports after ``src/``: standard library only, no pytest."""
+
 from __future__ import annotations
 
+import contextlib
+import sys
 from typing import Iterator
 
+from normaltori import moves
 from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2, theta_graph
 from normaltori.graphs import HalfEdge, SphereGraph, build_standard
 from normaltori.oracle import perturb, random_normal_torus
@@ -106,3 +111,62 @@ def shared_region_ids(t: TorusPosition, sphere: str, onto: str) -> TorusPosition
                                  else s.region_a) for s in p.boundary]
         pieces[pid] = Piece(p.id, p.pants, p.genus, boundary, dict(p.uncrossed))
     return TorusPosition(t.graph, pieces, dict(t.circles), trees, dict(t.transport))
+
+
+@contextlib.contextmanager
+def swapped(fn, new):
+    """While open, ``new`` stands for the function or method ``fn`` wherever its callers find it.
+
+    A method is swapped on its class.  A function is swapped at every
+    binding that a module of its package holds of it: the defining module's,
+    each by-name import's and the package namespace's, as ``bench/tracer.py``
+    binds its layers.  Every binding is restored on exit.
+    """
+    module = sys.modules[fn.__module__]
+    owner, _, name = fn.__qualname__.rpartition(".")
+    if owner:
+        bindings = [(getattr(module, owner), name)]
+    else:
+        package = fn.__module__.partition(".")[0]
+        bindings = [(m, key) for m_name, m in list(sys.modules.items())
+                    if m is not None and (m_name == package or m_name.startswith(package + "."))
+                    for key, value in vars(m).items() if value is fn]
+    assert bindings, f"{fn.__qualname__} is bound nowhere, so its calls would go unseen"
+    for where, key in bindings:
+        setattr(where, key, new)
+    try:
+        yield
+    finally:
+        for where, key in bindings:
+            setattr(where, key, fn)
+
+
+@contextlib.contextmanager
+def recorded(fn, keep=lambda args, result: (args, result)):
+    """While open, ``fn``'s calls, swapped in as ``swapped`` does: a list of ``keep(arguments, result)``, in call order."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(keep(args, result))
+        return result
+    with swapped(fn, recording):
+        yield calls
+
+
+def _inverted_bit(t, m, index, slide=moves._apply_slide):
+    out, pieces, circles, sphere = slide(t, m, index)
+    (merged,) = circles - t.circles.keys()
+    out.transport[merged] = not out.transport[merged]
+    return out, pieces, circles, sphere
+
+
+def _other_side(t, disk, ball=moves._ball_region):
+    slot = disk.boundary[0]
+    return t.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ball(t, disk))
+
+
+# Two planted move bugs, (the move rule, its wrong version) by name: a slide that gives
+# its merged circle the inverted transport bit, and a cap that takes the disk's other side for its ball
+PLANTS = {"inverted merged bit": (moves._apply_slide, _inverted_bit),
+          "wrong cap side": (moves._ball_region, _other_side)}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from conftest import make_u_tubes
 
 from normaltori.cli import build_parser, main
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2, theta_graph
@@ -276,6 +277,14 @@ def test_perturb_and_confluence(files, capsys, tmp_path):
     assert main(["perturb", str(paths["t0"]), "--seed", "3", "--count", "2", "-o", str(out)]) == 0
     assert main(["confluence", str(out)]) == 0
     assert "confluent: True" in capsys.readouterr().out
+
+
+def test_confluence_of_a_stuck_position(tmp_path, capsys):
+    """The u-tubes' searches end in two stuck states: not confluent, exit 1."""
+    path = tmp_path / "u-tubes.json"
+    path.write_text(dumps(position_to_json(make_u_tubes())), encoding="utf-8")
+    assert main(["confluence", str(path)]) == 1
+    assert capsys.readouterr().out == "confluent: False; outcomes: 0; stuck: 2; states explored: 3\n"
 
 
 def test_minimality_command(files, capsys, tmp_path):

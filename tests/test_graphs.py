@@ -20,6 +20,7 @@ from normaltori.graphs import (
     label_generators,
     random_cubic,
     validate_graph,
+    walk,
 )
 from normaltori.serialize import graph_from_json, graph_to_json
 
@@ -283,6 +284,13 @@ def _stub_pairing(n: int, rng: random.Random) -> SphereGraph:
         incidence[HalfEdge(f"s{i // 2}", 0)] = Attachment(*stubs[i])
         incidence[HalfEdge(f"s{i // 2}", 1)] = Attachment(*stubs[i + 1])
     return SphereGraph(n, p_vertices, [f"s{i}" for i in range(3 * n - 3)], incidence)
+
+
+def test_walk_stops_after_a_component_with_a_bad_cycle():
+    """The least node's component holds an odd cycle, so the walk stops there and leaves c and d unreached."""
+    reached, side, _, bad = walk(["a", "b", "c", "d"], [("e1", "a", "b", True), ("e2", "a", "b", False),
+                                                         ("e3", "c", "d", False)])
+    assert (reached, list(side), bad) == (2, ["a", "b"], ["a", "b"])
 
 
 def test_the_graph_walk_reads_what_the_parent_searches_read():

@@ -13,6 +13,7 @@ a fresh walk's.
 
 from __future__ import annotations
 
+from conftest import recorded
 from test_step_check import _corpus_steps, _validate_by_value
 
 from normaltori import position
@@ -21,23 +22,17 @@ from normaltori.graphs import walk
 from normaltori.position import Tally, validate_position
 
 
-def test_a_valid_input_words_nothing(monkeypatch):
+def test_a_valid_input_words_nothing():
     """Neither check calls ``_validate_side_anchors`` on a corpus step's result; an anchor off its circle does."""
-    calls, real = [], position._validate_side_anchors
-
-    def recording(t, ends):
-        calls.append(ends)
-        return real(t, ends)
-
-    monkeypatch.setattr(position, "_validate_side_anchors", recording)
-    steps = _corpus_steps()
-    for before, after in steps:
-        assert validate_position(after) == []
-        assert _validate_by_value(before, after) == []
-    assert calls == [] and len(steps) == 180
-    t = make_t0()
-    t.pieces["F0"].boundary[0].region_a = "rX"
-    assert validate_position(t) == ["piece F0 slot at c0 anchors a non-adjacent region"]
+    with recorded(position._validate_side_anchors) as calls:
+        steps = _corpus_steps()
+        for before, after in steps:
+            assert validate_position(after) == []
+            assert _validate_by_value(before, after) == []
+        assert calls == [] and len(steps) == 180
+        t = make_t0()
+        t.pieces["F0"].boundary[0].region_a = "rX"
+        assert validate_position(t) == ["piece F0 slot at c0 anchors a non-adjacent region"]
     assert len(calls) == 1
 
 

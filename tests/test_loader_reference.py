@@ -22,6 +22,7 @@ import json
 from collections.abc import Mapping
 
 import pytest
+from conftest import recorded
 
 from normaltori import cli, serialize
 from normaltori.fixtures import make_t0, make_t2
@@ -282,13 +283,11 @@ def test_every_edit_loads_as_the_frozen_reader_loads_it(texts, monkeypatch):
     print(f"{len(texts)} edited files, {rejected} rejected with a schema message")
 
 
-def test_a_valid_file_words_no_message(monkeypatch):
+def test_a_valid_file_words_no_message():
     """Each valid file loads with no call of ``_field``, which only words a rejected value."""
-    calls = []
-    real = serialize._field
-    monkeypatch.setattr(serialize, "_field", lambda *args: calls.append(args[1]) or real(*args))
-    for obj in _files() + [json.loads(_reordered_text())]:
-        serialize.load_any(json.dumps(obj))
+    with recorded(serialize._field) as calls:
+        for obj in _files() + [json.loads(_reordered_text())]:
+            serialize.load_any(json.dumps(obj))
     assert calls == []
 
 

@@ -6,9 +6,10 @@ import random
 import re
 
 import pytest
+from conftest import swapped
 
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
-from normaltori.graphs import HalfEdge, SphereGraph, build_standard, label_generators, random_cubic
+from normaltori.graphs import HalfEdge, SphereGraph, build_standard, label_generators, random_cubic, walk
 from normaltori.normal_graph import (
     KleinBottleError,
     axis_word,
@@ -341,27 +342,25 @@ def test_the_library_accepts_only_what_validate_accepts():
     assert kept == 3288
 
 
-def test_a_built_torus_is_read_not_derived_again(monkeypatch):
+def test_a_built_torus_is_read_not_derived_again():
     """Once built, a torus is immutable and its readers run no walk over it; its attachments are a field."""
-    from normaltori import normal_graph
-
     nt = to_normal_torus(make_t2())
+    labeling = label_generators(nt.graph)  # a walk over the sphere graph
 
-    def walk(*args):
+    def no_walk(*args):
         raise AssertionError("a built torus was walked again")
 
-    monkeypatch.setattr(normal_graph, "walk", walk)
-    d = decorate(nt)
-    canonicalize(d)
-    fundamental_domain(nt)
-    axis_word(nt, label_generators(nt.graph))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        nt.nodes = {}
-    for mapping in (nt.nodes, nt.crossings, nt.attachments, nt.attachments["F0"], nt.side):
-        with pytest.raises(TypeError):
-            mapping["F9"] = None
-    assert type(nt.leaves) is tuple
-    monkeypatch.undo()
+    with swapped(walk, no_walk):
+        d = decorate(nt)
+        canonicalize(d)
+        fundamental_domain(nt)
+        axis_word(nt, labeling)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nt.nodes = {}
+        for mapping in (nt.nodes, nt.crossings, nt.attachments, nt.attachments["F0"], nt.side):
+            with pytest.raises(TypeError):
+                mapping["F9"] = None
+        assert type(nt.leaves) is tuple
     again = pickle.loads(pickle.dumps(nt))
     assert (again.nodes, again.crossings, again.leaves, again.axis) == (nt.nodes, nt.crossings, nt.leaves, nt.axis)
 

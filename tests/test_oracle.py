@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from itertools import product
 
 import pytest
 
-from conftest import criterion_3_inputs, is_loop
-from normaltori import moves
+from conftest import PLANTS, criterion_3_inputs, is_loop, make_u_tubes, recorded, swapped
+from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import GraphError, SphereGraph, build_standard, random_cubic, validate_graph
 from normaltori.moves import Slide, apply_move, find_moves, normalize
 from normaltori.normal_graph import bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from normaltori.oracle import (
+    ConfluenceResult,
     confluence_search,
     minimality_experiment,
     perturb,
@@ -146,6 +148,11 @@ def test_confluence_explored_counts(k, explored):
     assert result.explored == explored
 
 
+def test_confluence_counts_stuck_end_states():
+    """The u-tubes' one move leads to two end states that admit no move and are not normal: stuck, so not confluent."""
+    assert confluence_search(make_u_tubes()) == ConfluenceResult(False, [], 2, 3)
+
+
 def _reference_colours(t) -> list[tuple[dict, dict, dict]]:
     """Piece, circle and region colours before and after each of 4 refinement rounds.
 
@@ -219,7 +226,7 @@ def _reference_intern(signatures: dict) -> dict:
     return {x: rank[sig] for x, sig in signatures.items()}
 
 
-def test_state_key_partitions_like_the_reference(monkeypatch):
+def test_state_key_partitions_like_the_reference():
     """On every state popped by criterion 3's searches: key equal <=> reference key equal.
 
     States are compared across searches on one graph too, which sees more
@@ -227,15 +234,10 @@ def test_state_key_partitions_like_the_reference(monkeypatch):
     """
     from normaltori import oracle
 
-    key = oracle._state_key
-    popped = []  # (graph, state, key)
-
-    def recording_key(t):
-        popped.append((tuple(sorted(t.graph.incidence.items())), t, key(t)))
-        return popped[-1][2]
-
-    monkeypatch.setattr(oracle, "_state_key", recording_key)
-    explored = sum(confluence_search(p).explored for _, p in criterion_3_inputs())
+    # (graph, state, key) per popped state
+    with recorded(oracle._state_key,
+                  lambda args, key: (tuple(sorted(args[0].graph.incidence.items())), args[0], key)) as popped:
+        explored = sum(confluence_search(p).explored for _, p in criterion_3_inputs())
     assert explored == 1508
     new_to_old, old_to_new, stops = {}, {}, set()
     for graph, t, k in popped:
@@ -511,8 +513,8 @@ def _outcome(experiment, t, seed: int):
     return {failure.kind for failure in report.failures}
 
 
-@pytest.mark.parametrize("bug", ["inverted merged bit", "wrong cap side"])
-def test_the_experiments_catch_planted_bugs(bug, monkeypatch):
+@pytest.mark.parametrize("bug", list(PLANTS))
+def test_the_experiments_catch_planted_bugs(bug):
     """Two wrong move rules, each caught on every base by an error or a recorded failure with a counterexample.
 
     The merged circle of a slide gets the inverted transport bit, or a cap
@@ -523,24 +525,35 @@ def test_the_experiments_catch_planted_bugs(bug, monkeypatch):
     bases = [(seed, random_normal_torus(build_standard(rank), seed, 8)) for rank in (2, 3, 4) for seed in range(4)]
     experiments = (minimality_experiment, roundtrip_report)
     assert all(_outcome(experiment, t, seed) == set() for seed, t in bases for experiment in experiments)
-    slide, ball = moves._apply_slide, moves._ball_region
-
-    def inverted_bit(t, m, index):
-        out, pieces, circles, sphere = slide(t, m, index)
-        (merged,) = circles - t.circles.keys()
-        out.transport[merged] = not out.transport[merged]
-        return out, pieces, circles, sphere
-
-    def other_side(t, disk):
-        slot = disk.boundary[0]
-        return t.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ball(t, disk))
-
-    if bug == "inverted merged bit":
-        monkeypatch.setattr(moves, "_apply_slide", inverted_bit)
-    else:
-        monkeypatch.setattr(moves, "_ball_region", other_side)
-    outcomes = [[_outcome(experiment, t, seed) for experiment in experiments] for seed, t in bases]
+    with swapped(*PLANTS[bug]):
+        outcomes = [[_outcome(experiment, t, seed) for experiment in experiments] for seed, t in bases]
     assert all(any(outcome) for outcome in outcomes)
     if bug == "wrong cap side":
-        recorded = set().union(*(o for row in outcomes for o in row if o != "raised"))
-        assert recorded == {"minimality", "roundtrip"}
+        kinds = set().union(*(o for row in outcomes for o in row if o != "raised"))
+        assert kinds == {"minimality", "roundtrip"}
+
+
+def test_a_failing_report_writes_its_failures(tmp_path, capsys):
+    """Under the wrong cap side, these bases give failing reports, not raises; each entry's counterexample is a valid position.
+
+    ``minimality -o`` exits 1 and writes the report's entries.
+    """
+    failing = [(minimality_experiment, 3, 1), (minimality_experiment, 4, 1), (minimality_experiment, 4, 3),
+               (roundtrip_report, 3, 2)]
+    with swapped(*PLANTS["wrong cap side"]):
+        for experiment, rank, seed in failing:
+            t = random_normal_torus(build_standard(rank), seed, 8)
+            entries = experiment(t, 6, 3, seed=seed).to_json()["failures"]
+            assert entries
+            for entry in entries:
+                assert set(entry) == {"seed", "failure_kind", "detail", "counterexample"}
+                assert entry["failure_kind"] == experiment.__name__.split("_")[0] and entry["detail"]
+                kind, position = load_any(entry["counterexample"])
+                assert kind == "position" and validate_position(position) == []
+            if experiment is minimality_experiment:
+                path, out = tmp_path / "base.json", tmp_path / "report.json"
+                path.write_text(dumps(position_to_json(t)), encoding="utf-8")
+                argv = ["minimality", str(path), "--trials", "6", "--depth", "3", "--seed", str(seed), "-o", str(out)]
+                assert main(argv) == 1
+                assert capsys.readouterr().out == f"minimality: 6 trials, {len(entries)} failures\n"
+                assert json.loads(out.read_text(encoding="utf-8"))["failures"] == entries

@@ -4,6 +4,7 @@ import json
 import re
 
 import pytest
+from conftest import recorded
 
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t1, make_t2
@@ -213,7 +214,7 @@ def test_graph_reader_rejects_repeated_pants_and_spheres(key, where, tmp_path, c
     assert (out, err) == ("", f"error: malformed sphere_graph: {where}\n")
 
 
-def test_written_files_load_back_unchanged(tmp_path, monkeypatch):
+def test_written_files_load_back_unchanged(tmp_path):
     positions = [make_t0(), normalize(make_t1()).torus.position, make_t2()]
     positions += [random_normal_torus(build_standard(3), 0, 12), random_normal_torus(random_cubic(4, 7), 1, 12)]
     writers = {
@@ -229,8 +230,9 @@ def test_written_files_load_back_unchanged(tmp_path, monkeypatch):
         payloads += graph_to_json(t.graph), position_to_json(t), normal_torus_to_json(nt), decorated_to_json(d)
     payloads.append(minimality_experiment(make_t0(), 6, 3).to_json())
     # the fuzz summary is built inside the command, so take it on its way to the writer
-    monkeypatch.setattr(serialize, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
-    assert main(["fuzz", "--trials", "12", "--rank", "2", "--seed", "5", "-o", str(tmp_path / "fuzz.json")]) == 0
+    with recorded(dumps) as written:
+        assert main(["fuzz", "--trials", "12", "--rank", "2", "--seed", "5", "-o", str(tmp_path / "fuzz.json")]) == 0
+    payloads += [args[0] for args, _ in written]
     assert [p["kind"] for p in payloads[-2:]] == ["fuzz_report", "fuzz_summary"]
     for payload in payloads:
         text = dumps(payload)

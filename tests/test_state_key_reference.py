@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from conftest import criterion_3_inputs, shared_region_ids
+from conftest import criterion_3_inputs, recorded, shared_region_ids
 
 from normaltori import oracle
 from normaltori.fixtures import make_t0, make_t2
@@ -131,19 +131,11 @@ def _reversed(t: TorusPosition) -> TorusPosition:
     return TorusPosition(t.graph, flip(t.pieces), flip(t.circles), trees, flip(t.transport))
 
 
-def _popped(inputs, monkeypatch) -> list[tuple[TorusPosition, tuple]]:
+def _popped(inputs) -> list[tuple[TorusPosition, tuple]]:
     """(state, its key) for every state the searches of ``inputs`` popped."""
-    popped = []
-    key = oracle._state_key
-
-    def recording_key(t):
-        popped.append((t, key(t)))
-        return popped[-1][1]
-
-    monkeypatch.setattr(oracle, "_state_key", recording_key)
-    for t in inputs:
-        confluence_search(t)
-    monkeypatch.undo()
+    with recorded(oracle._state_key, lambda args, key: (args[0], key)) as popped:
+        for t in inputs:
+            confluence_search(t)
     return popped
 
 
@@ -154,22 +146,22 @@ def _assert_keys_match(popped):
         assert oracle._state_key(flipped) == _state_key(flipped)
 
 
-def test_key_matches_the_frozen_key_on_criterion_3(monkeypatch):
-    states = _popped((p for _, p in criterion_3_inputs()), monkeypatch)
+def test_key_matches_the_frozen_key_on_criterion_3():
+    states = _popped(p for _, p in criterion_3_inputs())
     assert len(states) > 1508  # every explored state, and the duplicates popped besides
     _assert_keys_match(states)
 
 
-def test_key_matches_the_frozen_key_on_workload_shaped_searches(monkeypatch):
-    states = _popped(_workload_shaped(), monkeypatch)
+def test_key_matches_the_frozen_key_on_workload_shaped_searches():
+    states = _popped(_workload_shaped())
     assert len(states) > 200
     _assert_keys_match(states)
 
 
-def test_key_matches_the_frozen_key_on_shared_region_ids(monkeypatch):
+def test_key_matches_the_frozen_key_on_shared_region_ids():
     """Keyed directly: the check rejects these states, so no search pops them; the perturbed one is renamed after perturbing."""
     perturbed = perturb(make_t2(), 5, 3)
-    popped = _popped([perturbed], monkeypatch)
+    popped = _popped([perturbed])
     states = [make_t2(), perturbed] + [t for t, _ in popped]
     shared = [shared_region_ids(t, "s1", "s0") for t in states]
     assert len(shared) > 20

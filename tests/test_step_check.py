@@ -17,14 +17,14 @@ to the one full check of their input and each normal torus to its own walk.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import random
 
 import pytest
+from conftest import recorded
 from test_acceptance import _fuzz_corpus
 
-from normaltori import cli, moves, normal_graph, oracle, position
+from normaltori import moves, oracle, position
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
@@ -313,18 +313,10 @@ def test_normalize_takes_the_first_move():
 
 
 @pytest.fixture
-def full_checks(monkeypatch):
-    """Counts ``validate_position`` calls through every binding callers use."""
-    calls = []
-
-    def counted(t, *index):
-        calls.append(t)
-        return full(t, *index)
-
-    full = position.validate_position
-    for module in (position, cli):
-        monkeypatch.setattr(module, "validate_position", counted)
-    return calls
+def full_checks():
+    """The ``validate_position`` calls, through every binding callers use."""
+    with recorded(position.validate_position) as calls:
+        yield calls
 
 
 def test_full_checks_only_at_the_ends(full_checks):
@@ -354,73 +346,46 @@ def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
     assert len(full_checks) == 1  # the input
 
 
-@pytest.fixture
-def index_builds(monkeypatch):
-    """Counts ``TorusPosition.circle_slots`` builds."""
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return build(t)
-
-    build = position.TorusPosition.circle_slots
-    monkeypatch.setattr(position.TorusPosition, "circle_slots", counted)
-    return calls
-
-
-def test_each_checked_input_builds_one_index(index_builds):
+def test_each_checked_input_builds_one_index():
     """The index that validated the input is carried through every step, perturbed or normalized, and into the torus."""
     base = random_normal_torus(build_standard(4), 3, 6)
-    index_builds.clear()
-    messy = perturb(base, 11, 5)
-    assert len(index_builds) == 1
-    index_builds.clear()
-    assert len(normalize(messy).trace) == 5
-    assert len(index_builds) == 1
-    index_builds.clear()
-    assert minimality_experiment(make_t0(), 10, 3).passed()
-    assert len(index_builds) == 1
-    index_builds.clear()
-    assert roundtrip_report(make_t2(), 10, 3).passed()
-    assert len(index_builds) == 1
+    with recorded(position.TorusPosition.circle_slots) as index_builds:
+        messy = perturb(base, 11, 5)
+        assert len(index_builds) == 1
+        index_builds.clear()
+        assert len(normalize(messy).trace) == 5
+        assert len(index_builds) == 1
+        index_builds.clear()
+        assert minimality_experiment(make_t0(), 10, 3).passed()
+        assert len(index_builds) == 1
+        index_builds.clear()
+        assert roundtrip_report(make_t2(), 10, 3).passed()
+        assert len(index_builds) == 1
 
 
-@pytest.fixture
-def piece_walks(monkeypatch):
-    """Counts ``graphs.walk`` calls over a piece graph, through the bindings of ``position`` and ``normal_graph``."""
-    calls = []
-
-    def counted(nodes, edges):
-        calls.append(nodes)
-        return real(nodes, edges)
-
-    real = position.walk
-    for module in (position, normal_graph):
-        monkeypatch.setattr(module, "walk", counted)
-    return calls
-
-
-def test_the_input_check_and_each_torus_walk_once(piece_walks):
+def test_the_input_check_and_each_torus_walk_once():
     """The piece graph is walked by the input's full check and by each normal torus, once each; no step walks it.
 
     Every torus walks itself, whichever way it is built, and the same
     ``side``, ``axis`` and file come out from ``normalize``,
-    ``to_normal_torus`` and a torus built alone.
+    ``to_normal_torus`` and a torus built alone.  A sphere graph is walked
+    once, when built, so on a built graph every ``graphs.walk`` is over a
+    piece graph.
     """
     base = random_normal_torus(build_standard(4), 3, 6)
-    piece_walks.clear()
-    messy = perturb(base, 11, 5)
-    assert len(piece_walks) == 1  # the input's check
-    piece_walks.clear()
-    result = normalize(messy)
-    assert len(result.trace) == 5
-    assert len(piece_walks) == 2  # the input's check and the torus's
-    piece_walks.clear()
-    nt = to_normal_torus(result.position)
-    assert len(piece_walks) == 2  # the check's and the torus's
-    piece_walks.clear()
-    alone = NormalTorus(result.position)
-    assert len(piece_walks) == 1
+    with recorded(walk) as piece_walks:
+        messy = perturb(base, 11, 5)
+        assert len(piece_walks) == 1  # the input's check
+        piece_walks.clear()
+        result = normalize(messy)
+        assert len(result.trace) == 5
+        assert len(piece_walks) == 2  # the input's check and the torus's
+        piece_walks.clear()
+        nt = to_normal_torus(result.position)
+        assert len(piece_walks) == 2  # the check's and the torus's
+        piece_walks.clear()
+        alone = NormalTorus(result.position)
+        assert len(piece_walks) == 1
     for handed in (result.torus, nt):
         assert dict(handed.side) == dict(alone.side)
         assert handed.axis == alone.axis
@@ -579,19 +544,9 @@ def _validate_by_value(before, after):
     return position._validate_delta(before, after, after.circle_slots(), *every, tally)
 
 
-@contextlib.contextmanager
 def _certificates():
     """The verdict of each ``position._certified`` call while open: True if it proved its step, False if it fell back."""
-    verdicts, real = [], position._certified
-
-    def recording(*args):
-        bits = real(*args)
-        verdicts.append(bits is not None)
-        return bits
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(position, "_certified", recording)
-        yield verdicts
+    return recorded(position._certified, lambda args, bits: bits is not None)
 
 
 def _walked_up_to_a_flip(carried, t) -> bool:
@@ -656,16 +611,13 @@ def test_step_scope_does_not_grow_with_the_torus():
     """
     largest = {}
     for r, sb, k in ((6, 16, 32), (12, 64, 256)):
-        sizes = []
-
-        def record(before, after, index, pieces, circles, spheres, tally, real=position._validate_delta):
+        def scope_size(args, _):
+            before, after, index, *reported = args[:6]
             scope = position._delta_scope(before, after, index, *_every_id(before, after))
-            assert position._delta_scope(before, after, index, pieces, circles, spheres) == scope
-            sizes.append(sum(map(len, scope[:3])))
-            return real(before, after, index, pieces, circles, spheres, tally)
+            assert position._delta_scope(before, after, index, *reported) == scope
+            return sum(map(len, scope[:3]))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(position, "_validate_delta", record)
+        with recorded(position._validate_delta, scope_size) as sizes:
             base = random_normal_torus(build_standard(r), 1, sb)
             assert len(normalize(perturb(base, 7, k)).trace) == k
         assert len(sizes) == 2 * k

@@ -3,7 +3,9 @@
     python3 tools/probe.py {chain,check,confluence,load} [--repeat N] [--against PATH]
     python3 tools/probe.py {bugs,embed}
 
-Run from the root of a checkout; the package is imported from ``src/``.
+Run from the root of a checkout; the package is imported from ``src/``,
+and then the call recorder (``recorded``) and the planted move bugs
+(``PLANTS``) from ``tests/conftest.py``, which the tests import too.
 A timed probe prints a row per input shape, with the best of ``--repeat``
 runs of each timed call (by default chain 3, check 15, confluence 3, load
 20), then a counts line, taken in one more run of each row, outside the
@@ -22,6 +24,7 @@ cells and take neither option.
 """
 
 import argparse
+import contextlib
 import importlib.util
 import json
 import sys
@@ -30,13 +33,13 @@ from functools import partial
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path[:0] = [str(Path(__file__).resolve().parent.parent / part) for part in ("src", "tests")]
+from conftest import PLANTS, recorded, swapped  # noqa: E402  (imports normaltori from src/)
 
 # chain: (size bound, k), bases of 4, 65, 256, 256, 256 and 1 024 circles
 CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256), (256, 1024), (1024, 256))
-# check: (rank, size bound, k), the normalize-ladder workload's rungs, and the function that words an anchor problem
+# check: (rank, size bound, k), the normalize-ladder workload's rungs
 CHECK_ROWS = ((2, 8, 4), (3, 16, 16), (4, 16, 24), (6, 48, 8), (8, 96, 4), (10, 160, 2), (12, 256, 1))
-WORDING = ("_validate_side_anchors",)
 # confluence: (label, k, perturb seeds); the label's first word names the base
 CONFLUENCE_ROWS = (
     ("t0", 3, range(8)), ("t0", 4, range(8)), ("t0", 5, range(8)), ("t2", 3, range(8)), ("t2", 4, range(8)),
@@ -106,27 +109,6 @@ def _cell(times: list[float], width: int, digits: int) -> str:
     return cell
 
 
-def _swapped(call, module, patch: dict):
-    """``call()`` with ``module``'s functions named in ``patch`` swapped for the given versions, restored after."""
-    real = {name: getattr(module, name) for name in patch}
-    vars(module).update(patch)
-    try:
-        return call()
-    finally:
-        vars(module).update(real)
-
-
-def _recorded(call, module, *names: str) -> tuple:
-    """(``call()``, the calls of ``module``'s functions ``names`` during it as (arguments, result) pairs in order)."""
-    calls = []
-
-    def recorded(real, *args):
-        result = real(*args)
-        calls.append((args, result))
-        return result
-    return _swapped(call, module, {name: partial(recorded, getattr(module, name)) for name in names}), calls
-
-
 def _each(call, items) -> None:
     for item in items:
         call(item)
@@ -152,9 +134,9 @@ def chain(trees, repeat: int) -> None:
         print(f"{circles:>12}  {k:<4} {_cell(_best(perturbs, repeat, 1000 / k), 15, 2)}"
               f"  {_cell(_best(normalizes, repeat, 1000 / k), 17, 2)}")
         for name, call in (("perturb", perturbs[0]), ("normalize", normalizes[0])):
-            _, steps = _recorded(call, THIS.position, "_certified")
-            fell_back = sum(bits is None for _, bits in steps)
-            counts.append(f"{circles}/{k} {name} {len(steps) - fell_back}/{fell_back}")
+            with recorded(THIS.position._certified, lambda args, bits: bits is not None) as certified:
+                call()
+            counts.append(f"{circles}/{k} {name} {certified.count(True)}/{certified.count(False)}")
     print("counts (certified/fell back): " + ", ".join(counts))
 
 
@@ -178,7 +160,8 @@ def check(trees, repeat: int) -> None:
         checked = _best([partial(tree.position._checked, t) for tree, t in zip(trees, inputs)], repeat)
         t = inputs[0]
         print(f"{rank:>4}  {len(t.circles):>7}  {k:<3}  {_cell(validate, 8, 3):>24}  {_cell(checked, 8, 3):>24}")
-        _, wordings = _recorded(partial(THIS.position._checked, t), THIS.position, *WORDING)
+        with recorded(THIS.position._validate_side_anchors) as wordings:
+            THIS.position._checked(t)
         counts.append(f"{rank}/{len(t.circles)}/{k} {len(wordings)}")
     print("counts (wording calls per full check): " + ", ".join(counts))
 
@@ -207,9 +190,9 @@ def confluence(trees, repeat: int) -> None:
         rows = []
         for tree in trees:
             inputs = [tree.oracle.perturb(BASES[label.split()[0]](tree), seed, k) for seed in seeds]
-            explored, keys = _recorded(lambda: sum(tree.oracle.confluence_search(t).explored for t in inputs),
-                                       tree.oracle, "_state_key")
-            rows.append((tree, inputs, [args[0] for args, _ in keys], explored))
+            with recorded(tree.oracle._state_key, lambda args, key: args[0]) as popped:
+                explored = sum(tree.oracle.confluence_search(t).explored for t in inputs)
+            rows.append((tree, inputs, popped, explored))
         searches = _best([partial(_each, tree.oracle.confluence_search, inputs) for tree, inputs, _, _ in rows],
                          repeat, 1e3 / len(seeds))
         keys = _best([partial(_each, tree.oracle._state_key, popped) for tree, _, popped, _ in rows], repeat, 1e6)
@@ -250,21 +233,10 @@ def load(trees, repeat: int) -> None:
             read = _best([partial(tree.serialize._position, p, kind) for tree, p in zip(trees, positions)], repeat)
             loaded = _best([partial(tree.serialize.load_any, text) for tree, text in zip(trees, texts)], repeat)
             print(f"{kind:<16} {circles:>7}  {_cell(parse, len(parse_header), 3)}  {_cell(read, 9, 3)}  {_cell(loaded, 11, 3)}")
-            _, fields = _recorded(partial(THIS.serialize.load_any, texts[0]), THIS.serialize, "_field")
+            with recorded(THIS.serialize._field) as fields:
+                THIS.serialize.load_any(texts[0])
             counts.append(f"{kind}/{circles} {len(fields)}")
     print("counts (_field calls per load): " + ", ".join(counts))
-
-
-def _inverted_bit(t, m, index, slide=THIS.moves._apply_slide):
-    out, pieces, circles, sphere = slide(t, m, index)
-    (merged,) = circles - t.circles.keys()
-    out.transport[merged] = not out.transport[merged]
-    return out, pieces, circles, sphere
-
-
-def _other_side(t, disk, ball=THIS.moves._ball_region):
-    slot = disk.boundary[0]
-    return t.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ball(t, disk))
 
 
 def _cases():
@@ -296,19 +268,19 @@ def bugs() -> int:
     normalizes the result: 240 cases.  A case either raises, or ends in a
     torus with the base's canonical code ("same"), or ends in another code
     with no error ("silent").  The grid runs once unplanted and once with each
-    bug of ``tests/test_oracle.py::test_the_experiments_catch_planted_bugs``
-    swapped into ``moves``: a slide that gives its merged circle the inverted
-    transport bit, and a cap that takes the disk's other side for its ball.
+    bug of ``PLANTS`` (``tests/conftest.py``, which
+    ``tests/test_oracle.py::test_the_experiments_catch_planted_bugs`` plants
+    too) swapped into ``moves``: a slide that gives its merged circle the
+    inverted transport bit, and a cap that takes the disk's other side for its ball.
     One row per plant; the rows depend only on the code.  Exit status 1 when
     the unplanted row is not every case the same.
     """
-    plants = {"unplanted": {}, "inverted merged bit": {"_apply_slide": _inverted_bit},
-              "wrong cap side": {"_ball_region": _other_side}}
     cases = list(_cases())
     rows = {}
     print(f"{'plant':<20} raised  same  silent  (of {len(cases)})")
-    for plant, patch in plants.items():
-        outcomes = _swapped(lambda: [_outcome(*case) for case in cases], THIS.moves, patch)
+    for plant in ("unplanted", *PLANTS):
+        with swapped(*PLANTS[plant]) if plant in PLANTS else contextlib.nullcontext():
+            outcomes = [_outcome(*case) for case in cases]
         rows[plant] = [outcomes.count(kind) for kind in ("raised", "same", "silent")]
         print(f"{plant:<20} {rows[plant][0]:>6} {rows[plant][1]:>5} {rows[plant][2]:>7}")
     return 0 if rows["unplanted"] == [0, len(cases), 0] else 1

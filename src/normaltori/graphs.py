@@ -177,13 +177,13 @@ def walk(nodes, edges):
 
     The one breadth-first walk over a graph, read by ``SphereGraph`` (its
     connectivity) and ``label_generators`` (its spanning tree) off the
-    sphere graph, and off ``position._piece_edges`` by the full check, by
-    the step check when its certificate falls back, and by every
-    ``NormalTorus``; a check's side bits go on in a ``Tally`` to later
-    step checks.  ``edges`` holds
-    (edge, node, node, flip) in edge id order, and each node's edges are
-    read in that order, whichever endpoint is listed first; an endpoint of
-    an edge that is no self-loop is a node even when ``nodes`` lacks it.
+    sphere graph, off ``position._piece_edges`` by the full check and by
+    the step check when its certificate falls back, and off the same edges,
+    listed in its own pass over the circles, by every ``NormalTorus``; a
+    check's side bits go on in a ``Tally`` to later step checks.  ``edges``
+    holds (edge, node, node, flip) in edge id order, and each node's edges
+    are read in that order, whichever endpoint is listed first; an endpoint
+    of an edge that is no self-loop is a node even when ``nodes`` lacks it.
     The side bits list each component's nodes together, starting from its
     least node; a node's bit is its flip parity along the tree path from
     there.  The tree maps a node to (its parent, the edge joining them), or

@@ -34,7 +34,6 @@ from .position import (
     PositionError,
     TorusPosition,
     _checked,
-    _piece_edges,
     is_normal,
     piece_kind,
     xor_side,
@@ -60,8 +59,9 @@ class NormalTorus:
     (``to_normal_torus`` builds one checked), and its ``index``,
     ``circle_slots()``, built when not given, as ``normalize`` and
     ``to_normal_torus`` hand on theirs.  An immutable value that derives
-    once, from one ``graphs.walk`` over ``position._piece_edges``: its
-    ``graph``; ``nodes``, node id -> (pants, kind), one per piece;
+    once, in one pass over the pieces and one over the circles (which lists
+    the piece graph's edges for one ``graphs.walk``): its ``graph``;
+    ``nodes``, node id -> (pants, kind), one per piece;
     ``crossings``, circle id -> (sphere, node at end 0, node at end 1);
     ``leaves``, a stub per sphere end a piece does not cross;
     ``attachments`` (node -> half-edge -> ("crossing", circle id) or
@@ -85,19 +85,23 @@ class NormalTorus:
     def __post_init__(self) -> None:
         t = self.position
         index = t.circle_slots() if self.index is None else self.index
-        nodes = {pid: (piece.pants, piece_kind(piece)) for pid, piece in t.pieces.items()}
-        ends = {cid: {slot.half_edge.end: piece.id for piece, slot in pairs} for cid, pairs in index.items()}
-        crossings = {cid: (c.sphere, ends[cid][0], ends[cid][1]) for cid, c in t.circles.items()}
-        leaves = tuple(LeafStub(pid, he) for pid, piece in t.pieces.items() for he in sorted(piece.uncrossed))
-        att: dict[str, dict[HalfEdge, tuple]] = {node: {} for node in nodes}
-        for cid, (sphere, n0, n1) in crossings.items():
-            att[n0][HalfEdge(sphere, 0)] = ("crossing", cid)
-            att[n1][HalfEdge(sphere, 1)] = ("crossing", cid)
-        for leaf in leaves:
-            att[leaf.node][leaf.half_edge] = ("leaf", leaf)
-        _, side, parent, _ = walk(nodes, _piece_edges(t, index))
+        nodes, leaves, att, crossings, edges = {}, [], {}, {}, []
+        for pid, piece in t.pieces.items():
+            nodes[pid] = (piece.pants, piece_kind(piece))
+            here = att[pid] = {}
+            for he in sorted(piece.uncrossed):
+                leaves.append(LeafStub(pid, he))
+                here[he] = ("leaf", leaves[-1])
+        for cid in t.circles:
+            (p, at_p), (q, at_q) = index[cid]
+            n0, n1 = (q.id, p.id) if at_p.half_edge.end else (p.id, q.id)
+            crossings[cid] = (at_p.half_edge.sphere, n0, n1)
+            att[p.id][at_p.half_edge] = att[q.id][at_q.half_edge] = ("crossing", cid)
+            edges.append((cid, n0, n1, not t.transport.get(cid, True)))
+        edges.sort()  # the walk reads the edges in circle id order
+        _, side, parent, _ = walk(nodes, edges)
         tree = {link[1] for link in parent.values() if link is not None}
-        extra = next(cid for cid in sorted(crossings) if cid not in tree)
+        extra = next(cid for cid, _, _, _ in edges if cid not in tree)
         _, a, b = crossings[extra]
         cycle, cut = tree_path(parent, b, a)
         cut.append(extra)
@@ -109,7 +113,7 @@ class NormalTorus:
         object.__setattr__(self, "graph", t.graph)
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "crossings", MappingProxyType(crossings))
-        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "leaves", tuple(leaves))
         object.__setattr__(self, "attachments", MappingProxyType({n: MappingProxyType(a) for n, a in att.items()}))
         object.__setattr__(self, "side", MappingProxyType(side))
         object.__setattr__(self, "axis", (tuple(cycle), tuple(cut)))
@@ -175,19 +179,15 @@ def bounds_solid_torus(d: DecoratedGraph) -> bool:
     return not pos or not neg
 
 
-def _oriented_steps(nt: NormalTorus) -> list[tuple[str, int]]:
-    """The axis traversed as [(crossing, from_end), ...].
-
-    Step i runs from node i to node i+1 (cyclically) leaving through the
-    sphere end ``from_end``; a self-loop crossing is left through end 0.
-    """
-    return [(cid, 0 if nt.crossings[cid][1] == node else 1) for node, cid in zip(*nt.axis)]
-
-
 def _across(nt: NormalTorus, node: str, cid: str) -> tuple[str, HalfEdge]:
     """The node at the far end of crossing ``cid`` from ``node``, and the half-edge it is entered by."""
     sphere, n0, n1 = nt.crossings[cid]
     return (n1, HalfEdge(sphere, 1)) if n0 == node else (n0, HalfEdge(sphere, 0))
+
+
+def _leaf(sep: str, label: str, sign: str) -> tuple[str, str]:
+    """A leaf stub's fragment of both codes: ``label:sign`` and ``label:flipped sign``, after ``sep``."""
+    return f"{sep}{label}:{sign}", f"{sep}{label}:{_FLIPPED[sign]}"
 
 
 def _code(nt: NormalTorus, labels, cut, signs, node: str, entry: HalfEdge | None = None) -> tuple[str, str]:
@@ -225,8 +225,7 @@ def _code(nt: NormalTorus, labels, cut, signs, node: str, entry: HalfEdge | None
         sep = ""
         for he, (what, ident) in sorted(att[node].items()):
             if what == "leaf":
-                sign = "leaf" if signs is None else signs[ident]
-                parts.append((f"{sep}{labels[he]}:{sign}", f"{sep}{labels[he]}:{_FLIPPED[sign]}"))
+                parts.append(_leaf(sep, labels[he], "leaf" if signs is None else signs[ident]))
             elif he != entry and ident not in cut:
                 parts += (f"{sep}{labels[he]}:(", _across(nt, node, ident), ")")
             else:
@@ -247,26 +246,51 @@ def canonicalize(d: DecoratedGraph) -> str:
     and every rotation.  An axis has no intrinsic direction, since g and
     g^-1 generate the same edge group of its Z-splitting.  Reversing the
     axis reverses its node order and swaps each token's in and out
-    half-edges; each rotation is a slice of one doubled string.
+    half-edges.  ``_code`` walks only the axis nodes with a hanging branch,
+    and ``_least_code`` compares only the rotations at least tokens.
     """
-    nt = d.torus
+    nt, signs = d.torus, d.signs
     labels = {he: he.label() for he in nt.graph.incidence}
-    cut = set(nt.axis[1])
-    outs = [HalfEdge(nt.crossings[cid][0], end) for cid, end in _oriented_steps(nt)]
-    heads = [(nt.nodes[node][0], labels[outs[i - 1].other()], labels[outs[i]], _code(nt, labels, cut, d.signs, node))
-             for i, node in enumerate(nt.axis[0])]
-    best = None
+    nodes, cut = nt.axis
+    cuts = set(cut)
+    heads = []
+    for i, node in enumerate(nodes):
+        he_in, he_out, plain, flipped = None, None, [], []
+        for he, (what, ident) in sorted(nt.attachments[node].items()):
+            if what == "leaf":
+                leaf = _leaf(";" if plain else "", labels[he], signs[ident])
+                plain.append(leaf[0])
+                flipped.append(leaf[1])
+            elif ident == cut[i] and he_out is None:  # a self-loop axis leaves through end 0, which sorts first
+                he_out = labels[he]
+            elif ident == cut[i - 1]:
+                he_in = labels[he]
+        simple = len(nt.attachments[node]) == len(plain) + 2  # leaves and two axis half-edges: no hanging branch
+        payloads = ("".join(plain), "".join(flipped)) if simple else _code(nt, labels, cuts, signs, node)
+        heads.append((nt.nodes[node][0], he_in, he_out, payloads))
+    codes = []
     for flip in (0, 1):
         forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
         backward = [f"{pants}[{he_out}>{he_in}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
-        for tokens in (forward, backward[:1] + backward[:0:-1]):
-            doubled = "|".join(tokens + tokens)
-            size, start = len(doubled) // 2, 0
-            for token in tokens:
-                code = doubled[start:start + size]
-                if best is None or code < best:
-                    best = code
-                start += len(token) + 1
+        codes += map(_least_code, (forward, backward[:1] + backward[:0:-1]))
+    return min(codes)
+
+
+def _least_code(tokens: list[str]) -> str:
+    """The least rotation of ``tokens`` joined by ``|``, a slice of the doubled string.
+
+    Only the starts at tokens that begin with the least token are compared:
+    a start at any other token differs from one at the least token within
+    that token, and is greater.
+    """
+    least, doubled = min(tokens), "|".join(tokens + tokens)
+    size, start, best = len(doubled) // 2, 0, None
+    for token in tokens:
+        if token.startswith(least):
+            code = doubled[start:start + size]
+            if best is None or code < best:
+                best = code
+        start += len(token) + 1
     return best
 
 
@@ -304,10 +328,9 @@ def axis_word(nt: NormalTorus, labeling: GeneratorLabeling) -> list[tuple[int, i
     of itself or its inverse.
     """
     word: list[tuple[int, int]] = []
-    for cid, from_end in _oriented_steps(nt):
-        sphere = nt.crossings[cid][0]
-        letter = labeling.word_letter(sphere, from_end)
-        if letter is not None:
+    for node, cid in zip(*nt.axis):  # leaving ``node`` through its end; a self-loop through end 0
+        sphere, n0, _ = nt.crossings[cid]
+        if (letter := labeling.word_letter(sphere, 0 if n0 == node else 1)) is not None:
             word.append(letter)
     if not word or any(a == (b[0], -b[1]) for a, b in zip(word, word[1:] + word[:1])):
         raise PositionError("axis word failed to be cyclically reduced and nonempty")
@@ -322,7 +345,4 @@ def _least_rotation(word: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def format_word(word: list[tuple[int, int]]) -> str:
-    parts = []
-    for idx, sign in word:
-        parts.append(f"x{idx}" if sign > 0 else f"x{idx}^-1")
-    return " ".join(parts)
+    return " ".join(f"x{idx}" if sign > 0 else f"x{idx}^-1" for idx, sign in word)

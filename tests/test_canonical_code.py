@@ -1,4 +1,4 @@
-"""Pinned canonical codes, the walk a normal torus reads, and hanging branches deeper than the recursion limit.
+"""Pinned canonical codes, the walk a normal torus reads, the least rotation, and hanging branches deeper than the recursion limit.
 
 The digests below hold every byte of every code and fundamental domain of
 a seeded corpus.  Canonical codes are compared across runs and versions,
@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 import tracemalloc
 
-from conftest import is_loop
+from conftest import is_loop, recorded
+from normaltori import normal_graph
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
 from normaltori.moves import normalize
-from normaltori.normal_graph import canonicalize, decorate, fundamental_domain, to_normal_torus
+from normaltori.normal_graph import _least_code, canonicalize, decorate, fundamental_domain, to_normal_torus
 from normaltori.oracle import _assemble, _Node, perturb, random_normal_torus
 from normaltori.position import _piece_edges, is_normal, validate_position
 from normaltori.serialize import dumps, position_to_json
@@ -78,11 +80,12 @@ def _ladder_tori():
 
 
 def test_the_piece_graph_walk_equals_the_crossing_walk():
-    """``NormalTorus`` walks ``_piece_edges``, whose edges list their pieces as ``circle_slots`` does, not by end.
+    """The full check walks ``_piece_edges``, whose edges list their pieces as ``circle_slots`` does, not by end.
 
-    ``walk`` reads each node's edges in edge id order whichever endpoint is
-    listed first, so the side bits and the tree, and with them the axis,
-    are those of the old end-oriented crossing list.
+    ``NormalTorus`` walks the end-oriented crossing list.  ``walk`` reads
+    each node's edges in edge id order whichever endpoint is listed first,
+    so the two walks give the same side bits and tree, and with them the
+    same axis.
     """
     tori = [nt for _, _, nt, _ in _corpus()] + list(_ladder_tori())
     swapped = 0
@@ -97,6 +100,62 @@ def test_the_piece_graph_walk_equals_the_crossing_walk():
         assert list(side.items()) == list(old_side.items()) and side == nt.side
     # the two lists differ in which endpoint comes first on some edges
     assert swapped > 0
+
+
+def _slice_scan(tokens):
+    """Frozen reference, the least rotation as every axis-length slice of the doubled string, each compared."""
+    doubled = "|".join(tokens + tokens)
+    size, start, best = len(doubled) // 2, 0, None
+    for token in tokens:
+        code = doubled[start:start + size]
+        if best is None or code < best:
+            best = code
+        start += len(token) + 1
+    return best
+
+
+def _at_least_token(tokens):
+    """The least of the rotations that start at the least token itself: exact only when that token is no proper prefix."""
+    doubled, least = "|".join(tokens + tokens), min(tokens)
+    starts = [sum(len(token) + 1 for token in tokens[:r]) for r in range(len(tokens))]
+    return min(doubled[start:start + len(doubled) // 2] for start, token in zip(starts, tokens) if token == least)
+
+
+def _token_lists():
+    """Seeded token lists over ``ab[]|!``: prefixes of one word among other words, repeated as periods, m from 1."""
+    rng = random.Random(39)
+    for _ in range(4000):
+        word = "".join(rng.choice("ab[]|!") for _ in range(rng.randint(1, 6)))
+        pool = [word[:k] for k in range(1, len(word) + 1)]
+        pool += ["".join(rng.choice("ab[]|!") for _ in range(rng.randint(1, 4))) for _ in range(2)]
+        yield [rng.choice(pool) for _ in range(rng.randint(1, 4))] * rng.randint(1, 3)
+    yield ["p[x>y|+]", "p[x>y|+]q[u>v|-]"]  # the least start is the longer token's
+
+
+def test_the_least_rotation_equals_the_slice_scan_on_token_lists():
+    lists = list(_token_lists())
+    for tokens in lists:
+        assert _least_code(tokens) == _slice_scan(tokens), tokens
+    assert {1, 2} <= {len(tokens) for tokens in lists}
+    # the lists reach periodic tokens and the starts at longer tokens that begin with the least one
+    assert sum(len(set(tokens)) < len(tokens) for tokens in lists) > 1000
+    assert sum(_at_least_token(tokens) != _slice_scan(tokens) for tokens in lists) > 500
+
+
+def test_the_least_rotation_equals_the_slice_scan_on_drawn_graphs():
+    calls = 0
+    for rank in range(2, 7):
+        for seed in range(4):
+            for g in (build_standard(rank), random_cubic(rank, seed)):
+                for bound in (4, 16, 64):
+                    nt = to_normal_torus(random_normal_torus(g, seed, bound))
+                    for side in "AB":
+                        with recorded(normal_graph._least_code) as rotations:
+                            code = canonicalize(decorate(nt, None, side))
+                        assert [result for _, result in rotations] == [_slice_scan(*args) for args, _ in rotations]
+                        assert code == min(result for _, result in rotations)
+                        calls += len(rotations)
+    assert calls == 4 * 5 * 4 * 2 * 3 * 2
 
 
 def _deep_chain(depth: int):

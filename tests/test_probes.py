@@ -10,7 +10,7 @@ import pytest
 PROBE = Path(__file__).resolve().parent.parent / "tools" / "probe.py"
 # each timed probe and the call that starts its work
 TIMED = [("chain", "graphs", "build_standard"), ("check", "graphs", "build_standard"),
-         ("confluence", "oracle", "perturb"), ("load", "graphs", "build_standard")]
+         ("code", "graphs", "build_standard"), ("confluence", "oracle", "perturb"), ("load", "graphs", "build_standard")]
 
 
 def _load(monkeypatch, part="graphs", first_work="build_standard"):

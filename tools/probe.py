@@ -1,17 +1,18 @@
-"""Layer probes: the step checks along a chain, the full check, the confluence search, the loader, planted bugs and embeddability.
+"""Layer probes: the step checks along a chain, the full check, the canonical code, the confluence search, the loader, planted bugs and embeddability.
 
-    python3 tools/probe.py {chain,check,confluence,load} [--repeat N] [--against PATH]
+    python3 tools/probe.py {chain,check,code,confluence,load} [--repeat N] [--against PATH]
     python3 tools/probe.py {bugs,embed}
 
 Run from the root of a checkout; the package is imported from ``src/``,
 and then the call recorder (``recorded``) and the planted move bugs
 (``PLANTS``) from ``tests/conftest.py``, which the tests import too.
 A timed probe prints a row per input shape, with the best of ``--repeat``
-runs of each timed call (by default chain 3, check 15, confluence 3, load
-20), then a counts line, taken in one more run of each row, outside the
-timings, with a module function swapped for a recording version.  The
-counts depend only on the code, so runs under two hash seeds print the
-same counts line; the timings depend on the machine.
+runs of each timed call (by default chain 3, check 15, code 15,
+confluence 3, load 20), then a counts line, taken in one more run of
+each row, outside the timings, with a module function swapped for a
+recording version.  The counts depend only on the code, so runs under
+two hash seeds print the same counts line; the timings depend on the
+machine.
 
 ``--against PATH`` also loads the ``src/normaltori`` of the checkout at
 PATH, under another module name.  Each tree draws a row's inputs with its
@@ -38,7 +39,7 @@ from conftest import PLANTS, recorded, swapped  # noqa: E402  (imports normaltor
 
 # chain: (size bound, k), bases of 4, 65, 256, 256, 256 and 1 024 circles
 CHAIN_ROWS = ((16, 64), (64, 64), (256, 64), (256, 256), (256, 1024), (1024, 256))
-# check: (rank, size bound, k), the normalize-ladder workload's rungs
+# check and code: (rank, size bound, k), the normalize-ladder workload's rungs
 CHECK_ROWS = ((2, 8, 4), (3, 16, 16), (4, 16, 24), (6, 48, 8), (8, 96, 4), (10, 160, 2), (12, 256, 1))
 # confluence: (label, k, perturb seeds); the label's first word names the base
 CONFLUENCE_ROWS = (
@@ -164,6 +165,38 @@ def check(trees, repeat: int) -> None:
             THIS.position._checked(t)
         counts.append(f"{rank}/{len(t.circles)}/{k} {len(wordings)}")
     print("counts (wording calls per full check): " + ", ".join(counts))
+
+
+def code(trees, repeat: int) -> None:
+    """Cost of the last leg of the pipeline: the normal torus, its decoration and its canonical code.
+
+    Each row takes the ``check`` probe's input (a normalize-ladder rung,
+    perturbed by ``k`` inverse moves with seed 7) and normalizes it; on the
+    normal position it times ``NormalTorus(position, index)``, with a fresh
+    ``circle_slots()`` index, ``decorate`` on that torus and ``canonicalize``
+    on the decorated graph, in ms.  Counted, per row: the axis nodes, the
+    nodes and the leaves of the torus, and the calls of ``normal_graph._code``
+    in one ``canonicalize``.
+    """
+    print("rank  circles  k     NormalTorus ms            decorate ms        canonicalize ms")
+    counts = []
+    for rank, bound, k in CHECK_ROWS:
+        bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 1, bound) for tree in trees]
+        normal = [tree.moves.normalize(tree.oracle.perturb(base, 7, k)).position for tree, base in zip(trees, bases)]
+        indexes = [t.circle_slots() for t in normal]
+        tori = [tree.normal_graph.NormalTorus(t, index) for tree, t, index in zip(trees, normal, indexes)]
+        decorated = [tree.normal_graph.decorate(nt) for tree, nt in zip(trees, tori)]
+        build = _best([partial(tree.normal_graph.NormalTorus, t, index)
+                       for tree, t, index in zip(trees, normal, indexes)], repeat)
+        signs = _best([partial(tree.normal_graph.decorate, nt) for tree, nt in zip(trees, tori)], repeat)
+        spell = _best([partial(tree.normal_graph.canonicalize, d) for tree, d in zip(trees, decorated)], repeat)
+        t, nt = normal[0], tori[0]
+        print(f"{rank:>4}  {len(t.circles):>7}  {k:<3} {_cell(build, 8, 3):>22} {_cell(signs, 8, 3):>22}"
+              f" {_cell(spell, 8, 3):>22}")
+        with recorded(THIS.normal_graph._code) as walks:
+            THIS.normal_graph.canonicalize(decorated[0])
+        counts.append(f"{rank}/{len(t.circles)}/{k} {len(nt.axis[0])}/{len(nt.nodes)}/{len(nt.leaves)}/{len(walks)}")
+    print("counts (axis nodes/nodes/leaves/_code calls per canonicalize): " + ", ".join(counts))
 
 
 def _five_circles(tree, g):
@@ -319,7 +352,7 @@ def embed() -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     probes = parser.add_subparsers(dest="name", required=True, metavar="PROBE")
-    for probe, repeat in ((chain, 3), (check, 15), (confluence, 3), (load, 20)):
+    for probe, repeat in ((chain, 3), (check, 15), (code, 15), (confluence, 3), (load, 20)):
         sub = probes.add_parser(probe.__name__, help=probe.__doc__.splitlines()[0])
         sub.add_argument("--repeat", type=_repeat, default=repeat, help="timed runs per call; the best is printed")
         sub.add_argument("--against", type=_against, metavar="PATH",

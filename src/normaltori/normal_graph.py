@@ -30,12 +30,12 @@ from .graphs import GeneratorLabeling, HalfEdge, SphereGraph, tree_path, walk
 from .position import (
     SIDE_A,
     SIDE_B,
+    _KINDS,
     KleinBottleError,  # re-exported: ``to_normal_torus`` raises it
     PositionError,
     TorusPosition,
     _checked,
     is_normal,
-    piece_kind,
     xor_side,
 )
 
@@ -87,7 +87,7 @@ class NormalTorus:
         index = t.circle_slots() if self.index is None else self.index
         nodes, leaves, att, crossings, edges = {}, [], {}, {}, []
         for pid, piece in t.pieces.items():
-            nodes[pid] = (piece.pants, piece_kind(piece))
+            nodes[pid] = (piece.pants, _KINDS[len(piece.boundary)])  # a normal piece's kind, by its circles
             here = att[pid] = {}
             for he in sorted(piece.uncrossed):
                 leaves.append(LeafStub(pid, he))
@@ -190,16 +190,14 @@ def _leaf(sep: str, label: str, sign: str) -> tuple[str, str]:
     return f"{sep}{label}:{sign}", f"{sep}{label}:{_FLIPPED[sign]}"
 
 
-def _code(nt: NormalTorus, labels, cut, signs, node: str, entry: HalfEdge | None = None) -> tuple[str, str]:
-    """Both codes of ``node``'s decorations, as (code, code with every sign flipped).
+def _code(nt: NormalTorus, labels, signs, node: str, entry: HalfEdge) -> tuple[str, str]:
+    """Both codes of the tree hanging from ``node``, entered by ``entry``, as (code, code with every sign flipped).
 
-    Per half-edge in sorted order other than ``entry`` and the axis
-    crossings in ``cut``: ``he:sign`` at a leaf stub (``he:leaf`` when
+    ``pants<entry|payloads>``, the payloads per half-edge in sorted order
+    other than ``entry``: ``he:sign`` at a leaf stub (``he:leaf`` when
     ``signs`` is None) or ``he:(code)`` through a crossing, joined by
-    ``;``.  An axis node is a root with no ``entry`` and gives these
-    payloads alone; a hanging node, entered by ``entry``, wraps them as
-    ``pants<entry|payloads>``.  ``labels`` maps each half-edge to its
-    ``label()``.
+    ``;``.  ``labels`` maps each half-edge to its ``label()``.  A hanging
+    tree meets the axis only at its entry, so no other crossing leads back.
 
     The walk keeps its own stack, so deep branches cost no recursion.  It
     emits each fragment once, in order: a string common to both codes, a
@@ -221,18 +219,17 @@ def _code(nt: NormalTorus, labels, cut, signs, node: str, entry: HalfEdge | None
             flipped.append(top[1])
             continue
         node, entry = top
-        parts: list = [] if entry is None else [f"{nt.nodes[node][0]}<{labels[entry]}|"]
+        parts: list = [f"{nt.nodes[node][0]}<{labels[entry]}|"]
         sep = ""
         for he, (what, ident) in sorted(att[node].items()):
             if what == "leaf":
                 parts.append(_leaf(sep, labels[he], "leaf" if signs is None else signs[ident]))
-            elif he != entry and ident not in cut:
+            elif he != entry:
                 parts += (f"{sep}{labels[he]}:(", _across(nt, node, ident), ")")
             else:
                 continue
             sep = ";"
-        if entry is not None:
-            parts.append(">")
+        parts.append(">")
         stack.extend(reversed(parts))
     return "".join(plain), "".join(flipped)
 
@@ -246,28 +243,32 @@ def canonicalize(d: DecoratedGraph) -> str:
     and every rotation.  An axis has no intrinsic direction, since g and
     g^-1 generate the same edge group of its Z-splitting.  Reversing the
     axis reverses its node order and swaps each token's in and out
-    half-edges.  ``_code`` walks only the axis nodes with a hanging branch,
-    and ``_least_code`` compares only the rotations at least tokens.
+    half-edges.  Each axis node spells its own leaf stubs and hanging
+    crossings, ``_code`` walking the tree beyond each of the latter, and
+    ``_least_code`` compares only the rotations at least tokens.
     """
     nt, signs = d.torus, d.signs
     labels = {he: he.label() for he in nt.graph.incidence}
     nodes, cut = nt.axis
-    cuts = set(cut)
     heads = []
     for i, node in enumerate(nodes):
         he_in, he_out, plain, flipped = None, None, [], []
         for he, (what, ident) in sorted(nt.attachments[node].items()):
+            sep = ";" if plain else ""
             if what == "leaf":
-                leaf = _leaf(";" if plain else "", labels[he], signs[ident])
-                plain.append(leaf[0])
-                flipped.append(leaf[1])
+                fragment = _leaf(sep, labels[he], signs[ident])
             elif ident == cut[i] and he_out is None:  # a self-loop axis leaves through end 0, which sorts first
                 he_out = labels[he]
+                continue
             elif ident == cut[i - 1]:
                 he_in = labels[he]
-        simple = len(nt.attachments[node]) == len(plain) + 2  # leaves and two axis half-edges: no hanging branch
-        payloads = ("".join(plain), "".join(flipped)) if simple else _code(nt, labels, cuts, signs, node)
-        heads.append((nt.nodes[node][0], he_in, he_out, payloads))
+                continue
+            else:  # a hanging crossing
+                child = _code(nt, labels, signs, *_across(nt, node, ident))
+                fragment = tuple(f"{sep}{labels[he]}:({code})" for code in child)
+            plain.append(fragment[0])
+            flipped.append(fragment[1])
+        heads.append((nt.nodes[node][0], he_in, he_out, ("".join(plain), "".join(flipped))))
     codes = []
     for flip in (0, 1):
         forward = [f"{pants}[{he_in}>{he_out}|{payloads[flip]}]" for pants, he_in, he_out, payloads in heads]
@@ -308,11 +309,11 @@ def fundamental_domain(nt: NormalTorus) -> tuple[list[str], dict[str, list[str]]
     decorated graph.
     """
     nodes, edges = nt.axis
-    labels, cut = {he: he.label() for he in nt.graph.incidence}, set(edges)
+    labels, axis = {he: he.label() for he in nt.graph.incidence}, set(edges)
     branches: dict[str, list[str]] = {}
     for node in nodes:
-        hanging = [ident for _, (what, ident) in sorted(nt.attachments[node].items()) if what == "crossing" and ident not in cut]
-        subtrees = [_code(nt, labels, cut, None, *_across(nt, node, ident))[0] for ident in hanging]
+        hanging = [ident for _, (what, ident) in sorted(nt.attachments[node].items()) if what == "crossing" and ident not in axis]
+        subtrees = [_code(nt, labels, None, *_across(nt, node, ident))[0] for ident in hanging]
         if subtrees:
             branches[node] = subtrees
     return list(nodes), branches

@@ -20,7 +20,6 @@ determined by the present data:
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -240,50 +239,44 @@ def _inverse(t: TorusPosition, cand: tuple, index):
 class _Candidates:
     """The inverse moves of a valid position, kept across the steps of one perturbation.
 
-    Two tables: the domes of each circle, and per pants, the fingers of
-    each of its pieces.  A finger's arc runs inside one pants from the
-    piece to the sphere collar over the target region, so both endpoints
-    must lie in the same complementary component; in a pants, components
-    are cut out by the (separating) pieces, so it suffices that every other
-    piece of the pants sees both endpoints on one side.  One mask pass per
-    sphere end (``side_masks``) gives every region the sides of all pieces
-    of that pants at once, so the admissible regions are those whose mask
-    matches the mask at the piece's first anchor (a collar point next to
-    its own circle, where every other piece of the pants sees it) outside
-    the piece's own bit, which is constant at an end it does not cross.
+    Two tables: the domes of each circle, and the fingers of each piece.  A
+    finger's arc runs inside one pants from the piece to the sphere collar
+    over the target region, so both endpoints must lie in the same
+    complementary component; in a pants, components are cut out by the
+    (separating) pieces, so it suffices that every other piece of the pants
+    sees both endpoints on one side.  One mask pass per sphere end
+    (``side_masks``) gives every region the sides of all pieces of that
+    pants at once, so the admissible regions are those whose mask matches
+    the mask at the piece's first anchor (a collar point next to its own
+    circle, where every other piece of the pants sees it) outside the
+    piece's own bit, which is constant at an end it does not cross.
 
-    So a pants is redone whole: its pieces get bits in the order of their
-    ids, and each of its ends one mask pass.  ``update`` reads a step's
-    reported pieces and sphere: each reported piece leaves its old pants'
-    table and joins its new one, and every pants that held or holds one is
-    redone, as are the domes of every circle it held or holds and of every
-    circle on the reported sphere's tree.  That misses nothing: domes read
-    only the pieces at a circle's ends and its two regions, every changed
-    piece is reported, and a step replaces only the reported sphere's tree.
+    So a pants is redone whole: its pieces, read off the index at its
+    ends, get bits in the order of their ids, and each of its ends one mask
+    pass.  ``update`` reads a step's reported pieces and sphere: each
+    reported piece's fingers are dropped, and every pants that held or
+    holds one is redone, as are the domes of every circle it held or holds
+    and of every circle on the reported sphere's tree.  That misses
+    nothing: domes read only the pieces at a circle's ends and its two
+    regions, every changed piece is reported, and a step replaces only the
+    reported sphere's tree.
     """
 
     def __init__(self, t: TorusPosition, index):
         self.domes: dict[str, list[tuple]] = {}
-        self.fingers: dict[str, dict[str, list[tuple]]] = defaultdict(dict)
-        for pid, piece in t.pieces.items():
-            self.fingers[piece.pants][pid] = []
-        self._refresh(t, index, t.circles.keys(), list(self.fingers))
+        self.fingers: dict[str, list[tuple]] = {}
+        self._refresh(t, index, t.circles.keys(), {piece.pants for piece in t.pieces.values()})
 
     def count(self) -> int:
-        fingers = sum(len(cands) for table in self.fingers.values() for cands in table.values())
-        return sum(map(len, self.domes.values())) + fingers
+        return sum(map(len, self.domes.values())) + sum(map(len, self.fingers.values()))
 
     def pick(self, i: int) -> tuple:
         """The ``i``-th candidate, ``0 <= i < count()``: domes by circle id, then fingers by piece id."""
-        for cid in sorted(self.domes):
-            if i < len(self.domes[cid]):
-                return self.domes[cid][i]
-            i -= len(self.domes[cid])
-        fingers = {pid: cands for table in self.fingers.values() for pid, cands in table.items()}
-        for pid in sorted(fingers):
-            if i < len(fingers[pid]):
-                return fingers[pid][i]
-            i -= len(fingers[pid])
+        for table in (self.domes, self.fingers):
+            for key in sorted(table):
+                if i < len(table[key]):
+                    return table[key][i]
+                i -= len(table[key])
         raise IndexError(i)
 
     def update(self, before: TorusPosition, index, moved) -> None:
@@ -291,15 +284,11 @@ class _Candidates:
         after, pieces, _, sphere = moved
         circles, pants = set(after.trees[sphere].edges), set()
         for pid in pieces:
-            old, new = before.pieces.get(pid), after.pieces.get(pid)
-            if old is not None:
-                del self.fingers[old.pants][pid]
-                pants.add(old.pants)
-                circles |= old.circles()
-            if new is not None:
-                self.fingers[new.pants][pid] = []
-                pants.add(new.pants)
-                circles |= new.circles()
+            self.fingers.pop(pid, None)
+            for piece in (before.pieces.get(pid), after.pieces.get(pid)):
+                if piece is not None:
+                    pants.add(piece.pants)
+                    circles |= piece.circles()
         self._refresh(after, index, circles, pants)
 
     def _refresh(self, t: TorusPosition, index, circles, pants) -> None:
@@ -310,16 +299,20 @@ class _Candidates:
                 regions = sorted(t.trees[t.circles[cid].sphere].adjacent(cid))
                 self.domes[cid] = [("dome", cid, host_end, rx) for host_end in (0, 1) for rx in regions]
         for p in pants:
-            table = self.fingers[p]
-            bits = {pid: 1 << i for i, pid in enumerate(sorted(table))}
+            ends, held = t.graph.by_pants[p], set()
+            for he in ends:  # a valid position's circles each have one holder at either end
+                for cid in t.trees[he.sphere].edges:
+                    (a, at_a), (b, _) = index[cid]
+                    held.add(a.id if at_a.half_edge == he else b.id)
+            bits = {pid: 1 << i for i, pid in enumerate(sorted(held))}
             masks, groups = {}, {}
-            for he in t.graph.by_pants[p]:
+            for he in ends:
                 masks[he] = side_masks(t, he, bits)
                 groups[he] = {}  # regions by mask
                 for region in sorted(t.trees[he.sphere].regions):
                     groups[he].setdefault(masks[he][region], []).append(region)
             for pid, bit in bits.items():
-                table[pid] = _fingers(t.pieces[pid], bit, masks, groups)
+                self.fingers[pid] = _fingers(t.pieces[pid], bit, masks, groups)
 
 
 def _fingers(piece: Piece, bit: int, masks, groups) -> list[tuple]:

@@ -63,12 +63,8 @@ class _Monodromy(str):
 
 
 class _Problems(list):
-    """A check's problems, with the ``side`` bits of its walk over the piece graph, or of its certificate.
+    """A check's problems; a check that finds nothing also leaves the position's ``tally``, with its side bits."""
 
-    A full check that finds nothing also leaves the position's ``tally``.
-    """
-
-    side = None
     tally = None
 
 
@@ -301,9 +297,9 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
 def validate_position(t: TorusPosition, index=None) -> list[str]:
     """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``.
 
-    Once the check gets past the graph, the list is a ``_Problems``: it holds
-    the walk's side bits once the check gets to the piece graph, and, when
-    it finds nothing, ``t``'s ``Tally``, summed in the same per-item passes.
+    Once the check gets past the graph, the list is a ``_Problems``: when it
+    finds nothing, it holds ``t``'s ``Tally``, summed in the same per-item
+    passes, with the side bits of its walk over the piece graph.
     """
     problems = validate_graph(t.graph)
     if problems:
@@ -435,10 +431,11 @@ class Tally:
     ``counts`` is the intersection vector, ``euler`` the Euler sum, and
     ``abnormal`` holds the ids of the pieces that break the normal-piece
     rule (``is_normal_piece``).  An input's tally is summed by the passes
-    of its full check (``_checked``); ``of`` sums one afresh.  ``side`` (piece -> bit; a removed piece's
-    may linger) holds the side bits of the last walk over the piece graph,
-    carried from step to step and never edited: ``stepped`` hands them on
-    as they are, and ``_step`` puts its check's in their place, walked or
+    of its full check (``_checked``); ``of`` sums one afresh.  ``side``
+    (piece -> bit; a removed piece's may linger) holds the side bits of the
+    last walk over the piece graph, carried from step to step; a tally is
+    never edited.  ``stepped`` hands the bits on as they are, and a step
+    check that finds nothing hands back a new tally with its own, walked or
     certified (``_certified``).  None when not known; they take no part in
     equality.
     """
@@ -505,19 +502,14 @@ def _step(before: TorusPosition, index, tally: Tally, moved):
     ``circle_slots()`` and ``Tally``; the result's are updated from them
     over the reported ids.  The problems are ``validate_position(after)``,
     found by ``_validate_delta``, scoped by the report, for every step, the
-    last one and a normal result included.  A valid result's tally takes
-    the side bits that its check left.
+    last one and a normal result included.  A valid result's tally is the
+    one its check hands back, with the side bits that the check carried.
     """
     after, pieces, circles, sphere = moved
     after_index = _reindexed(index, before, after, pieces)
     after_tally = tally.stepped(before, after, pieces, circles)
     problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
-    if not problems:
-        after_tally.side = problems.side
-    return after, after_index, after_tally, problems
-
-
-_SEARCH_BUDGET = 64  # pieces a certificate's search may reach
+    return after, after_index, problems.tally or after_tally, problems
 
 
 def _certified(before: TorusPosition, pieces, circles, t: TorusPosition, index, side) -> dict | None:
@@ -528,51 +520,39 @@ def _certified(before: TorusPosition, pieces, circles, t: TorusPosition, index, 
     An edge is a circle's two holders and its flip (``_piece_edges``).  The
     scope holds every circle whose edge changed and every piece that is new
     or gained or lost a circle, so any other edge joins two kept pieces as
-    in ``before``, where it agreed with the bits.  Each new piece takes its
-    bit through a scoped edge; every scoped edge must agree with the bits,
-    and a search of ``t`` from the least target must meet every target (a
-    scoped piece or a holder of a scoped edge) within ``_SEARCH_BUDGET``
-    pieces: a path of ``before`` that the step cut leaves the kept part at
-    a target.  Anything else gives None, and the full walk decides.
+    in ``before``, where it agreed with the bits.  One breadth-first search
+    of ``t`` from the least kept target (a scoped piece or a holder of a
+    scoped edge) must meet every target: a path of ``before`` that the step
+    cut leaves the kept part at a target.  Each new piece takes its bit
+    across the edge that first reaches it, a scoped one, and every scoped
+    edge must agree with the bits.  Anything else gives None, and the full
+    walk decides.
     """
     if side is None:
         return None
-    edges = []
+    targets = set(pieces)
     for cid in circles:
-        (a, _), (b, _) = index[cid]
-        edges.append((a.id, b.id, not t.transport[cid]))
-    targets = {pid for a, b, _ in edges for pid in (a, b)} | pieces
-    bits, unset = side, {pid for pid in pieces if pid not in before.pieces}  # unset: the new pieces
-    if unset:  # a copy, so that no earlier tally's bits change
-        bits = dict(side)
-        for pid in unset:
-            bits.pop(pid, None)
-    while unset:
-        took = {other: bits[known] ^ flip for a, b, flip in edges
-                for known, other in ((a, b), (b, a)) if other in unset and known in bits}
-        if not took:
-            return None
-        bits.update(took)
-        unset -= took.keys()
-    if any(bits[a] ^ bits[b] != flip for a, b, flip in edges):
-        return None
-    return bits if not targets or _reaches(t, index, targets) else None
-
-
-def _reaches(t: TorusPosition, index, targets: set) -> bool:
-    """Whether a breadth-first search of ``t``'s piece graph from the least target meets every target within ``_SEARCH_BUDGET`` pieces."""
-    start = min(targets)
-    left, seen, queue = targets - {start}, {start}, [start]
+        targets.update(piece.id for piece, _ in index[cid])
+    start = min((pid for pid in targets if pid in before.pieces), default=None)
+    if start is None:  # no kept target; no target at all when the step changed no edge
+        return None if targets else side
+    bits, left, seen, queue = side, targets - {start}, {start}, [start]
     for pid in queue:
-        if not left or len(seen) > _SEARCH_BUDGET:
+        if not left:
             break
         for slot in t.pieces[pid].boundary:
             for piece, _ in index[slot.circle]:
-                if piece.id not in seen:
-                    seen.add(piece.id)
-                    left.discard(piece.id)
-                    queue.append(piece.id)
-    return not left
+                if piece.id in seen:
+                    continue
+                seen.add(piece.id)
+                left.discard(piece.id)
+                queue.append(piece.id)
+                if piece.id not in before.pieces:  # new: a copy, so that no earlier tally's bits change
+                    bits = dict(bits) if bits is side else bits
+                    bits[piece.id] = bits[pid] ^ (not t.transport[slot.circle])
+    if left or any(bits[index[cid][0][0].id] ^ bits[index[cid][1][0].id] == t.transport[cid] for cid in circles):
+        return None  # a target not met, or a scoped edge that disagrees: its flip is ``not transport``
+    return bits
 
 
 def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
@@ -596,7 +576,9 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     (``_sharing``), a certificate (``_certified``) carries the bits, or else
     the walk decides, and anchors are read at every end of the given
     spheres, off the index in one pass over each tree's circles, and at
-    the other ``ends``, as ``_delta_scope`` maps them.  The list holds the bits.
+    the other ``ends``, as ``_delta_scope`` maps them.  Either check's list,
+    when it finds nothing, holds ``t``'s tally with the bits it walked or
+    certified.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
@@ -727,7 +709,6 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
         reached, side, _, bad_cycle = walk(t.pieces, edges if full else _piece_edges(t, index))
     else:
         reached, bad_cycle = len(t.pieces), None
-    problems.side = side
     if reached != len(t.pieces):
         problems.append("piece graph disconnected")
 
@@ -744,8 +725,8 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
                     anchors.setdefault((piece.id, slot.half_edge), []).append((cid, slot.region_a))
     if faults := _anchor_faults(t, anchors):
         problems.extend(_validate_side_anchors(t, faults))
-    if full and not problems:
-        problems.tally = Tally(counts, chi, abnormal, side)
+    if not problems:
+        problems.tally = Tally(counts, chi, abnormal if full else tally.abnormal, side)
     return problems
 
 

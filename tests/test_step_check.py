@@ -62,9 +62,7 @@ def _listed(cache):
     last index and at a sample seeded by the count (a ``pick`` per index
     would cost a pass per candidate).
     """
-    fingers = {pid: cands for table in cache.fingers.values() for pid, cands in table.items()}
-    listed = [cand for cid in sorted(cache.domes) for cand in cache.domes[cid]]
-    listed += [cand for pid in sorted(fingers) for cand in fingers[pid]]
+    listed = [cand for table in (cache.domes, cache.fingers) for key in sorted(table) for cand in table[key]]
     assert cache.count() == len(listed)
     if listed:
         sample = random.Random(len(listed)).sample(range(len(listed)), min(5, len(listed)))
@@ -506,29 +504,36 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
     graph of the same rank; each chain's torus grows by one circle a step,
     so later steps update a cache far larger than the corpus's.  Every
     inverse move's report holds every change, the carried tally is a
-    fresh one, and its side bits are a fresh walk's, up to one flip.
+    fresh one, and its side bits are a fresh walk's, up to one flip.  A
+    frozen copy of the cache with a finger table per pants lists the same,
+    and each step's certificate is the frozen one's (``test_step_reference``).
     """
+    from test_step_reference import FrozenCandidates, against_the_frozen_certificate  # it imports this module
+
     kinds = set()
     for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
         for seed in range(3):
             current = random_normal_torus(g, 10 * rank + seed, 2 * rank)
             index, tally = position._checked(current)
             cache, rng = oracle._Candidates(current, index), random.Random(seed)
+            frozen = FrozenCandidates(current, index)
             for _ in range(64):
                 candidates = _listed(cache)
-                assert candidates == _inverse_candidates(current)
+                assert candidates == _inverse_candidates(current) == frozen.listed()
                 cand = candidates[rng.randrange(len(candidates))]
                 moved = oracle._inverse(current, cand, index)
                 _assert_reports_every_change(current, moved)
-                nxt, index, tally, problems = position._step(current, index, tally, moved)
-                assert problems == []
+                with against_the_frozen_certificate() as verdicts:
+                    nxt, index, tally, problems = position._step(current, index, tally, moved)
+                assert problems == [] and verdicts == [(True, True)]
                 assert tally == position.Tally.of(nxt)
                 assert _walked_up_to_a_flip(tally.side, nxt)
                 assert _ends_hold_a_changed_piece(current, moved)
                 cache.update(current, index, moved)
+                frozen.update(current, index, moved)
                 current = nxt
                 kinds.add(cand[0])
-            assert _listed(cache) == _inverse_candidates(current)
+            assert _listed(cache) == _inverse_candidates(current) == frozen.listed()
     assert kinds == {"dome", "finger"}
 
 

@@ -25,7 +25,7 @@ from .normal_graph import (
     sides,
     to_normal_torus,
 )
-from .oracle import _perturb, confluence_search, minimality_experiment, random_normal_torus, roundtrip_report
+from .oracle import confluence_search, minimality_experiment, perturb, random_normal_torus, roundtrip_report
 from .position import PositionError, _checked, intersection_vector, validate_position
 from .serialize import SchemaError
 
@@ -220,7 +220,8 @@ def cmd_minimality(args) -> int:
 
 def cmd_perturb(args) -> int:
     t = _want_position(*_read(args.input), "perturb")
-    out = _perturb(t, *_checked(t), args.seed, args.count)[0]
+    _checked(t)  # its problems unprefixed, as ``validate`` words them
+    out = perturb(t, args.seed, args.count)
     _write(args.output, serialize.position_to_json(out))
     print("counts: " + " ".join(f"{s}:{n}" for s, n in sorted(intersection_vector(out).items())))
     return EXIT_OK

@@ -23,6 +23,7 @@ from .position import (
     Piece,
     RegionTree,
     TorusPosition,
+    position_of,
 )
 
 
@@ -60,7 +61,7 @@ def make_t0() -> TorusPosition:
         "s1": RegionTree("s1", {"r2", "r3"}, {"c1": ("r2", "r3")}),
         "s2": RegionTree("s2", {"r4"}, {}),
     }
-    return TorusPosition(g, pieces, circles, trees, {"c0": True, "c1": True})
+    return position_of(g, pieces, circles, trees, {"c0": True, "c1": True})
 
 
 def make_t1() -> TorusPosition:
@@ -108,7 +109,7 @@ def make_t1() -> TorusPosition:
         "s1": RegionTree("s1", {"r2", "r3"}, {"c1": ("r2", "r3")}),
         "s2": RegionTree("s2", {"r4"}, {}),
     }
-    return TorusPosition(
+    return position_of(
         g, pieces, circles, trees, {"c0a": True, "c0b": True, "c1": True}
     )
 
@@ -155,7 +156,7 @@ def make_t2() -> TorusPosition:
         "s1": RegionTree("s1", {"r2", "r3"}, {"c1": ("r2", "r3")}),
         "s2": RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")}),
     }
-    return TorusPosition(
+    return position_of(
         g, pieces, circles, trees, {"c0": True, "c1": True, "c2": True}
     )
 
@@ -163,8 +164,7 @@ def make_t2() -> TorusPosition:
 def make_klein() -> TorusPosition:
     """t0 with one transport bit flipped: glues up to a Klein bottle."""
     t = make_t0()
-    t.transport["c1"] = False
-    return t
+    return position_of(t.graph, t.pieces, t.circles, t.trees, {"c0": True, "c1": False})
 
 
 def make_t0_with_dome() -> TorusPosition:
@@ -173,16 +173,14 @@ def make_t0_with_dome() -> TorusPosition:
     The dome F2 sits in p0 and is one cap move away from t0.
     """
     t = make_t0()
-    t.circles["c2"] = Circle("c2", "s2")
-    t.trees["s2"] = RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")})
-    t.pieces["F1"].uncrossed.pop(HalfEdge("s2", 0))
-    t.pieces["F1"].boundary.append(BoundarySlot("c2", HalfEdge("s2", 0), "r4"))
-    t.pieces["F2"] = Piece(
-        "F2",
-        "p0",
-        0,
-        [BoundarySlot("c2", HalfEdge("s2", 1), "r4")],
-        {HalfEdge("s0", 0): SIDE_A, HalfEdge("s1", 0): SIDE_A},
-    )
-    t.transport["c2"] = True
-    return t
+    pieces = {
+        "F0": t.pieces["F0"],
+        "F1": Piece("F1", "p1", 0, [*t.pieces["F1"].boundary, BoundarySlot("c2", HalfEdge("s2", 0), "r4")]),
+        "F2": Piece(
+            "F2", "p0", 0, [BoundarySlot("c2", HalfEdge("s2", 1), "r4")],
+            {HalfEdge("s0", 0): SIDE_A, HalfEdge("s1", 0): SIDE_A},
+        ),
+    }
+    circles = {**t.circles, "c2": Circle("c2", "s2")}
+    trees = {**t.trees, "s2": RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")})}
+    return position_of(t.graph, pieces, circles, trees, {**t.transport, "c2": True})

@@ -30,15 +30,16 @@ from .position import (
     Piece,
     PositionError,
     RegionTree,
-    Tally,
     TorusPosition,
     _all_regions,
     _checked,
+    _slots,
     _step,
     end_slot,
     fresh_id,
     is_boundary_parallel_disk,
     is_normal,
+    position_of,
     xor_side,
 )
 
@@ -94,11 +95,11 @@ def find_moves(t: TorusPosition) -> list[Move]:
     Slides come first (piece id, half-edge, then circle-id pairs), caps
     after (piece id).
     """
-    return list(_moves(t, t.circle_slots(), t.pieces))
+    return list(_moves(t, t.pieces))
 
 
-def _moves(t: TorusPosition, index, pieces) -> Iterator[Move]:
-    """The moves of ``find_moves`` from the given piece ids, lazily and in its order; ``index`` is ``t.circle_slots()``.
+def _moves(t: TorusPosition, pieces) -> Iterator[Move]:
+    """The moves of ``find_moves`` from the given piece ids, lazily and in its order.
 
     Only a non-normal piece (``Tally.abnormal``) has a move.
     """
@@ -106,7 +107,7 @@ def _moves(t: TorusPosition, index, pieces) -> Iterator[Move]:
     for pid in pieces:
         yield from _slides(t, pid)
     for pid in pieces:
-        cap = _cap(t, index, pid)
+        cap = _cap(t, pid)
         if cap is not None:
             yield cap
 
@@ -114,8 +115,8 @@ def _moves(t: TorusPosition, index, pieces) -> Iterator[Move]:
 def _slides(t: TorusPosition, pid: str) -> Iterator[Slide]:
     """The slides of one piece, in ``find_moves`` order."""
     by_he: dict[HalfEdge, list[str]] = {}
-    for slot in t.pieces[pid].boundary:
-        by_he.setdefault(slot.half_edge, []).append(slot.circle)
+    for cid, he, _ in t.pieces[pid].boundary:
+        by_he.setdefault(he, []).append(cid)
     for he in sorted(by_he):
         cids = sorted(by_he[he])
         tree = t.trees[he.sphere]
@@ -126,7 +127,7 @@ def _slides(t: TorusPosition, pid: str) -> Iterator[Slide]:
                     yield Slide(pid, he, c1, c2, min(shared))
 
 
-def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
+def _cap(t: TorusPosition, pid: str) -> Cap | None:
     """The cap of one piece, or None."""
     piece = t.pieces[pid]
     if not is_boundary_parallel_disk(piece):
@@ -137,7 +138,7 @@ def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
     if not tree.is_leaf(_ball_region(t, piece)):
         # sheets between the disk and the sphere would be dragged along
         return None
-    far, _ = end_slot(t, index, cid, 1 - slot.half_edge.end)
+    far, _ = end_slot(t, cid, 1 - slot.half_edge.end)
     if len(far.boundary) < 2:
         # capping would close the neighbor piece off; never a torus move
         return None
@@ -145,19 +146,19 @@ def _cap(t: TorusPosition, index, pid: str) -> Cap | None:
 
 
 def apply_move(t: TorusPosition, move: Move) -> TorusPosition:
-    return _move(t, move, t.circle_slots())[0]
+    return _move(t, move)[0]
 
 
-def _move(t: TorusPosition, move: Move, index):
+def _move(t: TorusPosition, move: Move):
     """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced)."""
     if isinstance(move, Slide):
-        return _apply_slide(t, move, index)
+        return _apply_slide(t, move)
     if isinstance(move, Cap):
-        return _apply_cap(t, move, index)
+        return _apply_cap(t, move)
     raise MoveError(f"unknown move {move!r}")
 
 
-def _apply_slide(t: TorusPosition, m: Slide, index):
+def _apply_slide(t: TorusPosition, m: Slide):
     if m.piece not in t.pieces or m.circle1 not in t.circles or m.circle2 not in t.circles:
         raise MoveError("inapplicable move: missing piece or circle")
     if m.circle1 == m.circle2:
@@ -179,8 +180,8 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
 
     far_end = 1 - m.half_edge.end
     far_he = HalfEdge(sphere, far_end)
-    g1, g1_slot = end_slot(t, index, m.circle1, far_end)
-    g2, g2_slot = end_slot(t, index, m.circle2, far_end)
+    g1, g1_slot = end_slot(t, m.circle1, far_end)
+    g2, g2_slot = end_slot(t, m.circle2, far_end)
     f1, f2 = _flip(t, m.circle1), _flip(t, m.circle2)
 
     # Gauge relation of each touched piece to the near piece, read through
@@ -207,9 +208,10 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
     rho = {pid: rel[pid] ^ rel[far_anchor] for pid in rel}
     rho[near.id] = False  # near piece always keeps its own gauge
 
-    out = t.shallow_copy()
-    new_cid = fresh_id("c", out.circles)
-    merged_region = fresh_id("r", _all_regions(out))
+    pieces, circles, trees, transport = t.pieces.copy(), t.circles.copy(), t.trees.copy(), t.transport.copy()
+    new_cid = fresh_id("c", circles)
+    merged_region = fresh_id("r", _all_regions(t))
+    index = _slots(t)
 
     # an anchor lies next to its own circle, so the anchors on the merged
     # regions all sit at circles of this tree; the pieces holding them get
@@ -223,14 +225,14 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
         edges[cid] = (merged_region if a in gone else a, merged_region if b in gone else b)
         stale.update(piece.id for piece, slot in index[cid] if slot.region_a in gone)
     edges[new_cid] = (m.region, merged_region)
-    out.trees[sphere] = RegionTree(sphere, (tree.regions - gone) | {merged_region}, edges)
+    trees[sphere] = RegionTree(sphere, (tree.regions - gone) | {merged_region}, edges)
     for pid in stale:
         old = t.pieces[pid]
         boundary = [
             BoundarySlot(s.circle, s.half_edge, merged_region) if s.circle in edges and s.region_a in gone else s
             for s in old.boundary
         ]
-        out.pieces[pid] = Piece(pid, old.pants, old.genus, boundary, old.uncrossed)
+        pieces[pid] = Piece(pid, old.pants, old.genus, boundary, old.uncrossed)
 
     far_group = {g1.id, g2.id}
     groups = [far_group | {near.id}] if combined else [{near.id}, far_group]
@@ -244,9 +246,9 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
     near_ptr = m.region if x1 else merged_region
     far_ptr = m.region if (y1 ^ rho[g1.id]) else merged_region
 
-    del out.circles[m.circle1]
-    del out.circles[m.circle2]
-    out.circles[new_cid] = Circle(new_cid, sphere)
+    del circles[m.circle1]
+    del circles[m.circle2]
+    circles[new_cid] = Circle(new_cid, sphere)
 
     for group in groups:
         anchor = near.id if near.id in group else g1.id
@@ -254,10 +256,11 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
         new_boundary: list[BoundarySlot] = []
         chi = 0
         for pid in members:
-            old = out.pieces[pid]
+            old = pieces[pid]
             chi += old.euler()
             for slot in old.boundary:
-                tag = consumed.get((pid, slot.circle, slot.half_edge), "keep")
+                cid, he, ra = slot
+                tag = consumed.get((pid, cid, he), "keep")
                 if tag is None:
                     continue
                 if tag == "near_new":
@@ -266,10 +269,9 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
                 if tag == "far_new":
                     new_boundary.append(BoundarySlot(new_cid, far_he, far_ptr))
                     continue
-                ra = slot.region_a
                 if rho.get(pid, False):
-                    ra = out.trees[t.circles[slot.circle].sphere].other_region(slot.circle, ra)
-                new_boundary.append(BoundarySlot(slot.circle, slot.half_edge, ra))
+                    slot = BoundarySlot(cid, he, trees[t.circles[cid].sphere].other_region(cid, ra))
+                new_boundary.append(slot)
         if near.id in group:
             chi += 1  # cutting the near piece along the sliding arc
         if g1.id in group:
@@ -279,14 +281,14 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
             raise MoveError("side transport mismatch: banding is not orientable here")
         genus = (2 - chi - b) // 2
         pants = t.pieces[anchor].pants
-        crossed = {slot.half_edge for slot in new_boundary}
+        crossed = {he for _, he, _ in new_boundary}
         if near.id in group:
             uncrossed = {
                 he: side
                 for he, side in t.pieces[anchor].uncrossed.items()
                 if he not in crossed
             }
-            for he in out.graph.half_edges_at(pants):
+            for he in t.graph.half_edges_at(pants):
                 if he not in crossed and he not in uncrossed:
                     raise MoveError(f"cannot derive uncrossed side at {he.label()}")
         else:
@@ -296,7 +298,7 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
             # does not separate (the sphere could sit beyond its partner).
             mats = [(g1, y1), (g2, y2)] if g1.id != g2.id else [(g1, y1)]
             uncrossed = {}
-            for he in out.graph.half_edges_at(pants):
+            for he in t.graph.half_edges_at(pants):
                 if he in crossed:
                     continue
                 claims = []
@@ -315,18 +317,19 @@ def _apply_slide(t: TorusPosition, m: Slide, index):
                     raise MoveError("side transport mismatch on slide")
                 uncrossed[he] = claims[0] if claims else fallback
         for pid in group:
-            del out.pieces[pid]
-        out.pieces[anchor] = Piece(anchor, pants, genus, new_boundary, uncrossed)
+            del pieces[pid]
+        pieces[anchor] = Piece(anchor, pants, genus, new_boundary, uncrossed)
 
-    del out.transport[m.circle1]
-    del out.transport[m.circle2]
-    regauged = {slot.circle for pid, r in rho.items() if r for slot in t.pieces[pid].boundary}
+    del transport[m.circle1]
+    del transport[m.circle2]
+    regauged = {cid for pid, r in rho.items() if r for cid, _, _ in t.pieces[pid].boundary}
     for cid in regauged - {m.circle1, m.circle2}:
         owners = {slot.half_edge.end: piece.id for piece, slot in index.get(cid, ())}
         flips = rho.get(owners.get(0), False) ^ rho.get(owners.get(1), False)
         if flips:
-            out.transport[cid] = not out.transport[cid]
-    out.transport[new_cid] = not (f1 ^ rho[g1.id])
+            transport[cid] = not transport[cid]
+    transport[new_cid] = not (f1 ^ rho[g1.id])
+    out = position_of(t.graph, pieces, circles, trees, transport)
     return out, stale | rel.keys(), regauged | {m.circle1, m.circle2, new_cid}, sphere
 
 
@@ -340,7 +343,7 @@ def _ball_region(t: TorusPosition, disk: Piece) -> str:
     return slot.region_a
 
 
-def _apply_cap(t: TorusPosition, m: Cap, index):
+def _apply_cap(t: TorusPosition, m: Cap):
     disk = t.pieces.get(m.disk)
     if disk is None or not is_boundary_parallel_disk(disk):
         raise MoveError(f"inapplicable move: {m.disk} is not a boundary-parallel disk")
@@ -355,21 +358,23 @@ def _apply_cap(t: TorusPosition, m: Cap, index):
         raise MoveError("inapplicable move: circle not innermost on the disk's product side")
     contracted = ball
 
-    far, far_slot = end_slot(t, index, m.circle, 1 - slot.half_edge.end)
+    far, far_slot = end_slot(t, m.circle, 1 - slot.half_edge.end)
     if far.id == disk.id or len(far.boundary) < 2:
         raise MoveError("inapplicable move: capping would close the neighbor piece")
     new_label = SIDE_A if far_slot.region_a == away else SIDE_B
 
-    out = t.shallow_copy()
-    del out.pieces[m.disk]
-    del out.circles[m.circle]
-    del out.transport[m.circle]
+    pieces, circles, trees, transport = t.pieces.copy(), t.circles.copy(), t.trees.copy(), t.transport.copy()
+    del pieces[m.disk]
+    del circles[m.circle]
+    del transport[m.circle]
     edges = {cid: ends for cid, ends in tree.edges.items() if cid != m.circle}
-    out.trees[sphere] = RegionTree(sphere, tree.regions - {contracted}, edges)
-    neighbor = out.pieces[far.id] = far.replacing_slot(m.circle, far_slot.half_edge, ())
-    if not any(s.half_edge == far_slot.half_edge for s in neighbor.boundary):
-        neighbor.uncrossed = {**far.uncrossed, far_slot.half_edge: new_label}
-    return out, {disk.id, far.id}, {m.circle}, sphere
+    trees[sphere] = RegionTree(sphere, tree.regions - {contracted}, edges)
+    neighbor = pieces[far.id] = far.replacing_slot(m.circle, far_slot.half_edge, ())
+    if not any(he == far_slot.half_edge for _, he, _ in neighbor.boundary):
+        uncrossed = far.uncrossed.copy()
+        uncrossed[far_slot.half_edge] = new_label
+        pieces[far.id] = Piece(far.id, far.pants, far.genus, neighbor.boundary, uncrossed)
+    return position_of(t.graph, pieces, circles, trees, transport), {disk.id, far.id}, {m.circle}, sphere
 
 
 @dataclass
@@ -393,31 +398,20 @@ def normalize(t: TorusPosition) -> NormalizeResult:
     Raises when the input is invalid (a valid position has a piece, so it
     meets the sphere system), when a fixpoint is reached that is not normal,
     or when a step breaks a preserved invariant (which would be a bug or a
-    geometrically inconsistent input).  The input gets
-    ``validate_position``; every move's result, the normal one included,
-    is checked by the one step routine, ``position._step``, with
-    ``_validate_delta``, scoped by the ids the move reports it replaced,
-    which finds the same problems.
+    geometrically inconsistent input).  The input gets ``validate_position``
+    unless it remembers a check (``_checked``); every move's result is
+    checked by the one step routine, ``position._step``.  Each move is the
+    first of ``_moves`` from the non-normal pieces of the step's ``Tally``;
+    it must lower the total by one and raise no sphere's count, which is
+    checked before the step's problems.  Once no move is left, the stuck
+    verdict is the tally's set of non-normal pieces; ``is_normal`` runs
+    only to name them.
     """
-    return _normalize(t, *_checked(t, "invalid position: ", NormalizeError))
-
-
-def _normalize(t: TorusPosition, index, tally: Tally) -> NormalizeResult:
-    """``normalize`` of a position already known to be valid; ``index`` and ``tally`` are its ``circle_slots()`` and ``Tally``.
-
-    Takes each move afresh as the first of ``_moves`` from the non-normal
-    pieces of the ``Tally``, over the index, both carried by ``position._step``
-    from the step before; the normal torus is built from the last index and
-    walks its piece graph itself.
-    A move must lower the total by one and raise no sphere's count; those
-    counts are checked before the step's problems.  Once no move is left,
-    the stuck verdict is the tally's set of non-normal pieces; ``is_normal``
-    runs only to name them.
-    """
+    tally = _checked(t, "invalid position: ", NormalizeError)
     trace: list[MoveRecord] = []
     current = t
-    while (move := next(_moves(current, index, tally.abnormal), None)) is not None:
-        nxt, nxt_index, nxt_tally, problems = _step(current, index, tally, _move(current, move, index))
+    while (move := next(_moves(current, tally.abnormal), None)) is not None:
+        nxt, nxt_tally, problems = _step(current, _move(current, move))
         before, after = tally.counts, nxt_tally.counts
         if sum(after.values()) != sum(before.values()) - 1:
             raise NormalizeError(f"move {move} changed the total by {sum(after.values()) - sum(before.values())}")
@@ -427,7 +421,7 @@ def _normalize(t: TorusPosition, index, tally: Tally) -> NormalizeResult:
         if problems:
             raise NormalizeError(f"move {move} broke invariants: " + "; ".join(problems))
         trace.append(MoveRecord(move, move.describe(current), before, after))
-        current, index, tally = nxt, nxt_index, nxt_tally
+        current, tally = nxt, nxt_tally
     if tally.abnormal:  # exactly the pieces ``is_normal`` finds a violation in
         raise NormalizeError("stuck non-normal: " + "; ".join(is_normal(current)[1]))
-    return NormalizeResult(current, NormalTorus(current, index), trace)
+    return NormalizeResult(current, NormalTorus(current), trace)

@@ -35,6 +35,7 @@ from .position import (
     PositionError,
     TorusPosition,
     _checked,
+    _slots,
     is_normal,
     xor_side,
 )
@@ -56,11 +57,11 @@ class NormalTorus:
     """Betti-1 graph of a normal torus, immersed into the sphere graph.
 
     Derived from ``position``, which must be valid and normal
-    (``to_normal_torus`` builds one checked), and its ``index``,
-    ``circle_slots()``, built when not given, as ``normalize`` and
-    ``to_normal_torus`` hand on theirs.  An immutable value that derives
-    once, in one pass over the pieces and one over the circles (which lists
-    the piece graph's edges for one ``graphs.walk``): its ``graph``;
+    (``to_normal_torus`` builds one checked), over the index it remembers
+    (``position._slots``), as its check or the last step of ``normalize``
+    left it.  An immutable value that derives once, in one pass over the
+    pieces and one over the circles (which lists the piece graph's edges
+    for one ``graphs.walk``): its ``graph``;
     ``nodes``, node id -> (pants, kind), one per piece;
     ``crossings``, circle id -> (sphere, node at end 0, node at end 1);
     ``leaves``, a stub per sphere end a piece does not cross;
@@ -73,7 +74,6 @@ class NormalTorus:
     """
 
     position: TorusPosition
-    index: dict | None = field(default=None, repr=False, compare=False)
     graph: SphereGraph = field(init=False, repr=False, compare=False)
     nodes: Mapping[str, tuple[str, str]] = field(init=False, repr=False, compare=False)
     crossings: Mapping[str, tuple[str, str, str]] = field(init=False, repr=False, compare=False)
@@ -84,7 +84,7 @@ class NormalTorus:
 
     def __post_init__(self) -> None:
         t = self.position
-        index = t.circle_slots() if self.index is None else self.index
+        index = _slots(t)
         nodes, leaves, att, crossings, edges = {}, [], {}, {}, []
         for pid, piece in t.pieces.items():
             nodes[pid] = (piece.pants, _KINDS[len(piece.boundary)])  # a normal piece's kind, by its circles
@@ -109,7 +109,6 @@ class NormalTorus:
         cycle, cut = cycle[i:] + cycle[:i], cut[i:] + cut[:i]
         if cut[-1] < cut[0]:
             cycle, cut = cycle[:1] + cycle[:0:-1], cut[::-1]
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "graph", t.graph)
         object.__setattr__(self, "nodes", MappingProxyType(nodes))
         object.__setattr__(self, "crossings", MappingProxyType(crossings))
@@ -127,10 +126,9 @@ def to_normal_torus(t: TorusPosition) -> NormalTorus:
 
     ``KleinBottleError`` if nontrivial monodromy is the only problem.
     """
-    index, tally = _checked(t)
-    if tally.abnormal:
+    if _checked(t).abnormal:
         raise PositionError("not normal: " + "; ".join(is_normal(t)[1]))
-    return NormalTorus(t, index)
+    return NormalTorus(t)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .graphs import GraphError, HalfEdge, SphereGraph, validate_graph
-from .moves import _normalize, apply_move, find_moves
+from .moves import apply_move, find_moves, normalize
 from .normal_graph import NormalTorus, bounds_solid_torus, canonicalize, decorate, equivalent, to_normal_torus
 from .position import (
     SIDE_A,
@@ -34,15 +34,16 @@ from .position import (
     Piece,
     PositionError,
     RegionTree,
-    Tally,
     TorusPosition,
     _all_regions,
     _checked,
+    _slots,
     _step,
     end_slot,
     fresh_id,
     intersection_vector,
     is_normal,
+    position_of,
     side_masks,
     total_intersections,
 )
@@ -84,7 +85,7 @@ def random_normal_torus(g: SphereGraph, seed: int, size_bound: int = 2) -> Torus
     else:
         raise PositionError("failed to sample a closed immersed walk")
     t = _assemble(g, _grow_branches(g, rng, walk, size_bound))
-    if _checked(t, "generator produced invalid position: ")[1].abnormal:
+    if _checked(t, "generator produced invalid position: ").abnormal:
         raise PositionError("generator produced non-normal position: " + "; ".join(is_normal(t)[1]))
     return t
 
@@ -177,7 +178,7 @@ def _assemble(g: SphereGraph, nodes: list[_Node]) -> TorusPosition:
                     for he, cid in sorted(node.ports.items()) if cid is not None]
         pieces[node.id] = Piece(node.id, node.pants, 0, boundary, dict(zip(free, (SIDE_A, SIDE_B))))
     circles = {cid: Circle(cid, sphere_of[cid]) for cid in sorted(sphere_of)}
-    return TorusPosition(g, pieces, circles, trees, {cid: True for cid in circles})
+    return position_of(g, pieces, circles, trees, {cid: True for cid in circles})
 
 
 # ---------------------------------------------------------------------------
@@ -189,51 +190,42 @@ def perturb(t: TorusPosition, seed: int, k: int) -> TorusPosition:
 
     The result is valid, homotopic to the input by construction, and its
     total intersection count is exactly ``k`` larger.  The input must be
-    valid; it is checked once, before any draw.  Every inverse move's
-    result, the last one included, is checked by the one step routine,
-    ``position._step``, with ``_validate_delta``, scoped by the ids the
-    inverse move reports it replaced.
+    valid; it is checked before any draw, unless it remembers a check
+    (``_checked``).  Every inverse move's result is checked by the one step
+    routine, ``position._step``, its problems before its total.  The
+    candidate cache redoes what each inverse move reports it replaced, and
+    is not refreshed after the last draw.  A rejected candidate means a
+    bookkeeping bug, so it raises.
     """
-    return _perturb(t, *_checked(t, "invalid position: "), seed, k)[0]
-
-
-def _perturb(t: TorusPosition, index, tally: Tally, seed: int, k: int) -> tuple[TorusPosition, dict, Tally]:
-    """``perturb`` of a position known to be valid, and the result's index and ``Tally``; ``index`` and ``tally`` are ``t``'s.
-
-    Carries the index and the ``Tally`` through ``position._step``, and
-    the candidate cache, which redoes what each inverse move reports it
-    replaced, from step to step.  A rejected candidate means a
-    bookkeeping bug, so it raises.  The cache is not refreshed after the
-    last draw.  A step's problems are checked before its total.
-    """
+    _checked(t, "invalid position: ")
     if k < 0:
         raise PositionError(f"cannot apply {k} inverse moves")
     rng = random.Random(seed)
     current = t
-    cache = _Candidates(t, index)
+    cache = _Candidates(t)
     for i in range(k):
         count = cache.count()
         if not count:
             raise PositionError("no applicable inverse move")
         cand = cache.pick(rng.randrange(count))
         try:
-            moved = _inverse(current, cand, index)
+            moved = _inverse(current, cand)
         except PositionError as exc:  # MoveError included
             raise PositionError(f"inverse move {cand} failed: {exc}") from exc
-        nxt, nxt_index, tally, problems = _step(current, index, tally, moved)
+        nxt, _, problems = _step(current, moved)
         if problems:
             raise PositionError(f"inverse move {cand} broke invariants: " + "; ".join(problems))
         if total_intersections(nxt) != total_intersections(current) + 1:
             raise PositionError(f"inverse move {cand} did not raise the total by one")
         if i + 1 < k:
-            cache.update(current, nxt_index, moved)
-        current, index = nxt, nxt_index
-    return current, index, tally
+            cache.update(current, moved)
+        current = nxt
+    return current
 
 
-def _inverse(t: TorusPosition, cand: tuple, index):
+def _inverse(t: TorusPosition, cand: tuple):
     """(result, ids of the pieces and circles it replaced, the sphere whose tree it replaced) of a dome or finger."""
-    return _apply_inverse_dome(t, index, *cand[1:]) if cand[0] == "dome" else _apply_inverse_finger(t, *cand[1:])
+    return _apply_inverse_dome(t, *cand[1:]) if cand[0] == "dome" else _apply_inverse_finger(t, *cand[1:])
 
 
 class _Candidates:
@@ -262,10 +254,10 @@ class _Candidates:
     reported sphere's tree.
     """
 
-    def __init__(self, t: TorusPosition, index):
+    def __init__(self, t: TorusPosition):
         self.domes: dict[str, list[tuple]] = {}
         self.fingers: dict[str, list[tuple]] = {}
-        self._refresh(t, index, t.circles.keys(), {piece.pants for piece in t.pieces.values()})
+        self._refresh(t, t.circles.keys(), {piece.pants for piece in t.pieces.values()})
 
     def count(self) -> int:
         return sum(map(len, self.domes.values())) + sum(map(len, self.fingers.values()))
@@ -279,8 +271,8 @@ class _Candidates:
                 i -= len(table[key])
         raise IndexError(i)
 
-    def update(self, before: TorusPosition, index, moved) -> None:
-        """Redo what a step from ``before`` changed; ``moved`` is its move's report, ``index`` the result's."""
+    def update(self, before: TorusPosition, moved) -> None:
+        """Redo what a step from ``before`` changed; ``moved`` is its move's report."""
         after, pieces, _, sphere = moved
         circles, pants = set(after.trees[sphere].edges), set()
         for pid in pieces:
@@ -289,10 +281,11 @@ class _Candidates:
                 if piece is not None:
                     pants.add(piece.pants)
                     circles |= piece.circles()
-        self._refresh(after, index, circles, pants)
+        self._refresh(after, circles, pants)
 
-    def _refresh(self, t: TorusPosition, index, circles, pants) -> None:
+    def _refresh(self, t: TorusPosition, circles, pants) -> None:
         """Rebuild the domes of ``circles`` and the fingers of every piece in ``pants``."""
+        index = _slots(t)
         for cid in circles:
             self.domes.pop(cid, None)
             if cid in t.circles and index[cid][0][0].id != index[cid][1][0].id:  # none if one piece holds both ends
@@ -326,7 +319,7 @@ def _fingers(piece: Piece, bit: int, masks, groups) -> list[tuple]:
     return out
 
 
-def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: str):
+def _apply_inverse_dome(t: TorusPosition, cid: str, host_end: int, rx: str):
     """Split a circle, shedding a boundary-parallel disk on the host side.
 
     Returns the result, the ids of the pieces and circles it replaced, and
@@ -334,8 +327,8 @@ def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: st
     """
     sphere = t.circles[cid].sphere
     host_he = HalfEdge(sphere, host_end)
-    host, host_slot = end_slot(t, index, cid, host_end)
-    near, near_slot = end_slot(t, index, cid, 1 - host_end)
+    host, host_slot = end_slot(t, cid, host_end)
+    near, near_slot = end_slot(t, cid, 1 - host_end)
     if host.id == near.id:
         raise PositionError("dome split needs distinct pieces")
     # A dome shed from the host piece opens toward the shared region, so its
@@ -344,36 +337,37 @@ def _apply_inverse_dome(t: TorusPosition, index, cid: str, host_end: int, rx: st
     dome_label = SIDE_A if host_slot.region_a == rx else SIDE_B
     r_y = t.trees[sphere].other_region(cid, rx)
 
-    out = t.shallow_copy()
-    c_dome = fresh_id("c", out.circles)
-    c_keep = fresh_id("c", {*out.circles, c_dome})
-    r_fp = fresh_id("r", _all_regions(out))
-    dome_id = fresh_id("F", out.pieces)
+    pieces, circles, trees, transport = t.pieces.copy(), t.circles.copy(), t.trees.copy(), t.transport.copy()
+    c_dome = fresh_id("c", circles)
+    c_keep = fresh_id("c", {*circles, c_dome})
+    r_fp = fresh_id("r", _all_regions(t))
+    dome_id = fresh_id("F", pieces)
 
     tree = t.trees[sphere]
     edges = {c: ends for c, ends in tree.edges.items() if c != cid}
     edges[c_dome] = (rx, r_fp)
     edges[c_keep] = (rx, r_y)
-    out.trees[sphere] = RegionTree(sphere, tree.regions | {r_fp}, edges)
+    trees[sphere] = RegionTree(sphere, tree.regions | {r_fp}, edges)
 
-    bit = out.transport.pop(cid)
-    del out.circles[cid]
-    out.circles[c_dome] = Circle(c_dome, sphere)
-    out.circles[c_keep] = Circle(c_keep, sphere)
-    out.transport[c_dome] = bit
-    out.transport[c_keep] = bit
+    bit = transport.pop(cid)
+    del circles[cid]
+    circles[c_dome] = Circle(c_dome, sphere)
+    circles[c_keep] = Circle(c_keep, sphere)
+    transport[c_dome] = bit
+    transport[c_keep] = bit
 
     x = near_slot.region_a == rx
-    out.pieces[near.id] = near.replacing_slot(cid, near_slot.half_edge, (
+    pieces[near.id] = near.replacing_slot(cid, near_slot.half_edge, (
         BoundarySlot(c_dome, near_slot.half_edge, rx if x else r_fp),
         BoundarySlot(c_keep, near_slot.half_edge, rx if x else r_y),
     ))
     o = host_slot.region_a == rx
-    out.pieces[host.id] = host.replacing_slot(
+    pieces[host.id] = host.replacing_slot(
         cid, host_he, (BoundarySlot(c_keep, host_he, rx if o else r_y),)
     )
 
-    out.pieces[dome_id] = _disk(t, dome_id, c_dome, host_he, dome_label, rx, r_fp)
+    pieces[dome_id] = _disk(t, dome_id, c_dome, host_he, dome_label, rx, r_fp)
+    out = position_of(t.graph, pieces, circles, trees, transport)
     return out, {near.id, host.id, dome_id}, {cid, c_dome, c_keep}, sphere
 
 
@@ -387,25 +381,27 @@ def _apply_inverse_finger(t: TorusPosition, pid: str, he: HalfEdge, region: str)
     if region not in t.trees[sphere].regions:
         raise PositionError("unknown landing region")
 
-    out = t.shallow_copy()
-    c_new = fresh_id("c", out.circles)
-    leaf = fresh_id("r", _all_regions(out))
-    dome_id = fresh_id("F", out.pieces)
+    pieces, circles, trees, transport = t.pieces.copy(), t.circles.copy(), t.trees.copy(), t.transport.copy()
+    c_new = fresh_id("c", circles)
+    leaf = fresh_id("r", _all_regions(t))
+    dome_id = fresh_id("F", pieces)
 
     tree = t.trees[sphere]
-    out.trees[sphere] = RegionTree(sphere, tree.regions | {leaf}, {**tree.edges, c_new: (region, leaf)})
-    out.circles[c_new] = Circle(c_new, sphere)
-    out.transport[c_new] = True
+    edges = tree.edges.copy()
+    edges[c_new] = (region, leaf)
+    trees[sphere] = RegionTree(sphere, tree.regions | {leaf}, edges)
+    circles[c_new] = Circle(c_new, sphere)
+    transport[c_new] = True
 
-    boundary = piece.boundary + [BoundarySlot(c_new, he, region if label == SIDE_A else leaf)]
+    boundary = (*piece.boundary, BoundarySlot(c_new, he, region if label == SIDE_A else leaf))
     uncrossed = {h: side for h, side in piece.uncrossed.items() if h != he}
-    out.pieces[pid] = Piece(pid, piece.pants, piece.genus, boundary, uncrossed)
+    pieces[pid] = Piece(pid, piece.pants, piece.genus, boundary, uncrossed)
 
     # The finger's cavity opens to the grown piece's far side, while the
     # dome's away side continues the near side across the sphere; with a
     # trivial transport bit the dome therefore reuses the host's label.
-    out.pieces[dome_id] = _disk(t, dome_id, c_new, he.other(), label, region, leaf)
-    return out, {pid, dome_id}, {c_new}, sphere
+    pieces[dome_id] = _disk(t, dome_id, c_new, he.other(), label, region, leaf)
+    return position_of(t.graph, pieces, circles, trees, transport), {pid, dome_id}, {c_new}, sphere
 
 
 def _disk(t: TorusPosition, pid: str, cid: str, he: HalfEdge, side: str, near: str, far: str) -> Piece:
@@ -505,10 +501,10 @@ def _state_key(t: TorusPosition) -> tuple:
     for i, p in enumerate(t.pieces.values()):
         piece_init.append((p.pants, p.genus, tuple(sorted(p.uncrossed.items()))))
         sl = []
-        for slot in p.boundary:
-            c = c_at[slot.circle]
-            sl.append((he_rank[slot.half_edge], c, r_at[slot.region_a]))
-            ends[c].append((slot.half_edge.end, i))
+        for cid, he, region_a in p.boundary:
+            c = c_at[cid]
+            sl.append((he_rank[he], c, r_at[region_a]))
+            ends[c].append((he.end, i))
         slots.append(sl)
     # circle -> (its ends in circle_slots order, sorted by end, stably as they come by piece; its two regions)
     circles = []
@@ -600,21 +596,20 @@ class FuzzReport:
         }
 
 
-def _trials(t: TorusPosition, index, tally: Tally, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
+def _trials(t: TorusPosition, trials: int, k_max: int, seed: int, stride: int) -> Iterator[tuple]:
     """Seed, k, perturbed position and normalize result of each perturb-then-normalize trial.
 
     Trial i perturbs ``t`` by (i mod ``k_max``) + 1 inverse moves, none when
-    ``k_max`` is 0.  ``t`` is already validated, and ``index`` and ``tally``
-    are the ``circle_slots()`` and ``Tally`` it was validated with; each
-    trial normalizes over the index and tally that ``_perturb`` carried.
+    ``k_max`` is 0.  ``t`` is already validated, and so is each perturbed
+    position, by its last step; neither is checked again.
     """
     if trials < 0 or k_max < 0:
         raise PositionError(f"trials and depth must be non-negative, got {trials} and {k_max}")
     for i in range(trials):
         trial_seed = seed + stride * i
         k = (i % k_max) + 1 if k_max >= 1 else 0
-        perturbed, *carried = _perturb(t, index, tally, trial_seed, k)
-        yield trial_seed, k, perturbed, _normalize(perturbed, *carried)
+        perturbed = perturb(t, trial_seed, k)
+        yield trial_seed, k, perturbed, normalize(perturbed)
 
 
 def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -> FuzzReport:
@@ -625,13 +620,12 @@ def minimality_experiment(t: TorusPosition, trials: int, k_max: int, seed: int =
     ones sphere by sphere, and never exceed the perturbed counts.  ``t`` is
     validated first (``position._checked``), then checked to be normal.
     """
-    index, tally = _checked(t)
-    if tally.abnormal:
+    if _checked(t).abnormal:
         raise PositionError("minimality experiment needs a normal position: " + "; ".join(is_normal(t)[1]))
     base = intersection_vector(t)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, index, tally, trials, k_max, seed, 1):
+    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 1):
         after = intersection_vector(result.position)
         messed = intersection_vector(perturbed)
         bad = []
@@ -657,7 +651,7 @@ def roundtrip_report(t: TorusPosition, trials: int, k_max: int, seed: int = 0) -
     base_solid = bounds_solid_torus(base_dec)
     report = FuzzReport(seed=seed, trials=trials)
     report.sizes = {"pieces": len(t.pieces), "circles": len(t.circles)}
-    for trial_seed, k, perturbed, result in _trials(t, nt.index, Tally.of(t, nt.side), trials, k_max, seed, 7919):
+    for trial_seed, k, perturbed, result in _trials(t, trials, k_max, seed, 7919):
         dec = decorate(result.torus)
         if not equivalent(dec, base_dec):
             report.failures.append(

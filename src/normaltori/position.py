@@ -5,44 +5,42 @@ connected pieces inside each pants, intersection circles on each sphere,
 the tree of complementary regions each sphere's circles cut out, and the
 side bookkeeping needed to transport a co-orientation across circles.
 
-Positions are treated as immutable values.  A move builds its result
-from one ``shallow_copy`` of its input and replaces each piece, circle
-or region tree it changes with a new object, never editing one; the
-result shares every unchanged item with its input.  Region trees are
-immutable values that copies share, so code that edits a position in
-place (the tests do) edits the pieces, circles and dicts of a ``clone``.
-Nothing here assumes the surface is in normal form - transient states
-mid-normalization (several circles of one piece on one sphere end,
-positive genus, boundary-parallel disks) are all representable.
+Positions are immutable values, made of immutable items.  A move builds
+its result (``position_of``) from copies of its input's maps with each
+item it changes replaced, sharing every other item.  So a position that
+was checked stays valid: it remembers the ``circle_slots()`` index and the
+``Tally`` that its check or its step produced.  Nothing here assumes the
+surface is in normal form - transient states mid-normalization (several
+circles of one piece on one sphere end, positive genus, boundary-parallel
+disks) are all representable.
 
 ``_step`` is the one step routine of ``normalize`` and ``perturb``.  It
 takes a move's or an inverse move's raw result, which reports the ids of
-the pieces, circles and region tree it replaced, and returns the
-result's ``circle_slots()`` index and its ``Tally``, each updated from
-the step before over those ids, with the result's problems from
-``_validate_delta``, the one check of a step's result, the last one and
-a normal one included.  That check takes its scope from the move's
-report (``_delta_scope``); the tests pin that scope equal to the one
-found by comparing every id of the two positions by value.  For
-connectivity and monodromy it carries the tally's side bits, the last
-walk's, over the edges the step changed (``_certified``), and walks the
-whole piece graph, as the full check does, only when that certificate
-cannot prove there is no problem.
+the pieces, circles and region tree it replaced, and leaves the result
+its index and its ``Tally``, each updated from the step before's over
+those ids, with the result's problems from ``_validate_delta``, the one
+check of a step's result, the last one and a normal one included.  That
+check takes its scope from the move's report (``_delta_scope``); the
+tests pin that scope equal to the one found by comparing every id of the
+two positions by value.  For connectivity and monodromy it carries the
+tally's side bits, the last walk's, over the edges the step changed
+(``_certified``), and walks the whole piece graph, as the full check
+does, only when that certificate cannot prove there is no problem.
 
-The full check of an input, ``validate_position`` (through ``_checked``),
-shares ``_validate`` with the step check, where each rule of a piece,
-circle or region tree is one test that words its own problem; the same
-passes sum the input's ``Tally`` and pick the few pieces whose side anchors
-can conflict, so a valid input costs no message and one pass over each kind.
+The full check of an input, ``validate_position`` (through ``_checked``,
+at most once per position), shares ``_validate`` with the step check,
+where each rule of a piece, circle or region tree is one test that words
+its own problem; the same passes sum the input's ``Tally`` and pick the
+few pieces whose side anchors can conflict, so a valid input costs no
+message and one pass over each kind.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .graphs import HalfEdge, SphereGraph, validate_graph, walk
 
@@ -60,12 +58,6 @@ class KleinBottleError(PositionError):
 
 class _Monodromy(str):
     """The problem of a bad cycle that the piece-graph walk found, as ``_checked`` tells it from the others."""
-
-
-class _Problems(list):
-    """A check's problems; a check that finds nothing also leaves the position's ``tally``, with its side bits."""
-
-    tally = None
 
 
 def flip_side(side: str) -> str:
@@ -96,16 +88,14 @@ def fresh_id(prefix: str, used) -> str:
         names = _NAMES[prefix] = names + tuple(f"{prefix}{k}" for k in range(len(names), 2 * len(names) + 16))
 
 
-@dataclass
-class Circle:
+class Circle(NamedTuple):
     """One intersection circle of the surface with one sphere."""
 
     id: str
     sphere: str
 
 
-@dataclass
-class BoundarySlot:
+class BoundarySlot(NamedTuple):
     """One boundary curve of a piece, glued to a circle at a sphere end.
 
     ``region_a`` pins down the circle's adjacent region that lies on side A
@@ -119,27 +109,37 @@ class BoundarySlot:
     region_a: str
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class Piece:
     """A connected component of the surface inside one pants.
 
     ``uncrossed`` maps every half-edge of the pants that carries none of
     this piece's boundary circles to the side (A or B) of the piece on
     which that boundary sphere lies.  Euler characteristic is
-    2 - 2*genus - len(boundary).
+    2 - 2*genus - len(boundary).  An immutable item: it holds its
+    ``boundary`` as a tuple and ``uncrossed`` read-only, a copy or another piece's.
     """
 
     id: str
     pants: str
     genus: int
-    boundary: list[BoundarySlot]
-    uncrossed: dict[HalfEdge, str] = field(default_factory=dict)
+    boundary: tuple[BoundarySlot, ...]
+    uncrossed: Mapping[HalfEdge, str]
+
+    def __init__(self, id: str, pants: str, genus: int, boundary, uncrossed=MappingProxyType({})) -> None:
+        if type(uncrossed) is not MappingProxyType:
+            uncrossed = MappingProxyType(uncrossed.copy())
+        # frozen: each field is set once, here, past the setter that refuses it
+        self.__dict__.update(id=id, pants=pants, genus=genus, boundary=tuple(boundary), uncrossed=uncrossed)
+
+    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
+        return Piece, (self.id, self.pants, self.genus, self.boundary, self.uncrossed.copy())
 
     def euler(self) -> int:
         return 2 - 2 * self.genus - len(self.boundary)
 
     def circles(self) -> set[str]:
-        return {slot.circle for slot in self.boundary}
+        return {cid for cid, _, _ in self.boundary}
 
     def replacing_slot(self, cid: str, he: HalfEdge, slots) -> "Piece":
         """A new piece with its slot of ``cid`` at ``he`` replaced by ``slots``."""
@@ -204,7 +204,10 @@ class RegionTree:
         return len(self.neighbors.get(region, ())) == 1
 
 
-@dataclass
+_MAPS = ("pieces", "circles", "trees", "transport")
+
+
+@dataclass(frozen=True)
 class TorusPosition:
     """A surface position: pieces, circles, region trees and side transport.
 
@@ -212,34 +215,35 @@ class TorusPosition:
     at end 0 of the circle's sphere continues to side A of the piece at
     end 1.  The product of these bits around any cycle of the piece graph
     must be trivial, otherwise the glued surface is one-sided.
+
+    An immutable value of read-only copies of the given maps; it remembers
+    (in ``_index`` and ``_tally``, no fields) its index and its ``Tally``.
     """
 
     graph: SphereGraph
-    pieces: dict[str, Piece]
-    circles: dict[str, Circle]
-    trees: dict[str, RegionTree]
-    transport: dict[str, bool]
+    pieces: Mapping[str, Piece]
+    circles: Mapping[str, Circle]
+    trees: Mapping[str, RegionTree]
+    transport: Mapping[str, bool]
+    _index = _tally = None
+
+    def __post_init__(self) -> None:
+        for name in _MAPS:
+            object.__setattr__(self, name, MappingProxyType(getattr(self, name).copy()))
+
+    def __reduce__(self):  # a read-only mapping cannot be pickled; its dict can
+        return TorusPosition, (self.graph, *(getattr(self, name).copy() for name in _MAPS))
 
     def clone(self) -> "TorusPosition":
-        """A deep copy, safe to edit in place; it shares the graph, an immutable value."""
-        return copy.deepcopy(self)
-
-    def shallow_copy(self) -> "TorusPosition":
-        """New dicts holding the same items, for a move to replace some of them."""
-        return TorusPosition(
-            self.graph, dict(self.pieces), dict(self.circles), dict(self.trees), dict(self.transport)
-        )
+        """The position itself: an immutable value needs no copy."""
+        return self
 
     def circle_slots(self) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
         """Circle id -> every (piece, slot) glued to it, in piece then slot order.
 
-        Built afresh on each call and never stored on the position: tests edit
-        the pieces of a clone in place, so a kept index would go stale.
-        Callers that look up many circles build it once and read it with
-        ``end_slot``.  Inside ``normalize`` and ``perturb`` each ``_step``
-        updates the index (``_reindexed``) instead of building it again; the
-        tests pin the update equal to a fresh build, up to the order of a
-        circle's pairs.
+        Built afresh on each call.  The index a position remembers (``_slots``) may be a step's
+        update (``_reindexed``), which lists a circle's pairs in any order; its readers find a
+        slot by its sphere end, never by its place.
         """
         index: dict[str, list[tuple[Piece, BoundarySlot]]] = {}
         for piece in self.pieces.values():
@@ -252,12 +256,24 @@ class TorusPosition:
         return f"{he.sphere}@{self.graph.pants_of(he)}"
 
 
-def end_slot(
-    t: TorusPosition, index: dict[str, list[tuple[Piece, BoundarySlot]]], cid: str, end: int
-) -> tuple[Piece, BoundarySlot]:
-    """The (piece, slot) at one end of a circle, read from a ``circle_slots`` index."""
+def position_of(graph: SphereGraph, pieces, circles, trees, transport) -> TorusPosition:
+    """The position of the given maps, wrapped read-only, not copied: each a new dict no one touches again, or read-only."""
+    t, wrap = object.__new__(TorusPosition), MappingProxyType  # frozen: each field is set once, here, in the instance dict
+    t.__dict__.update(graph=graph, pieces=wrap(pieces), circles=wrap(circles), trees=wrap(trees), transport=wrap(transport))
+    return t
+
+
+def _slots(t: TorusPosition) -> dict[str, list[tuple[Piece, BoundarySlot]]]:
+    """The index that ``t`` remembers, built on first use; see ``circle_slots`` for its pair order."""
+    if t._index is None:
+        object.__setattr__(t, "_index", t.circle_slots())
+    return t._index
+
+
+def end_slot(t: TorusPosition, cid: str, end: int) -> tuple[Piece, BoundarySlot]:
+    """The (piece, slot) at one end of a circle, read from the index ``t`` remembers."""
     he = HalfEdge(t.circles[cid].sphere, end)
-    for piece, slot in index.get(cid, ()):
+    for piece, slot in _slots(t).get(cid, ()):
         if slot.half_edge == he:
             return piece, slot
     raise PositionError(f"circle {cid} has no piece at {he.label()}")
@@ -294,34 +310,32 @@ def _piece_edges(t: TorusPosition, index) -> list[tuple[str, str, str, bool]]:
     return edges
 
 
-def validate_position(t: TorusPosition, index=None) -> list[str]:
-    """All structural invariants; empty list when the position is valid.  ``index``: ``t.circle_slots()``.
+def validate_position(t: TorusPosition) -> list[str]:
+    """All structural invariants; empty list when the position is valid.
 
-    Once the check gets past the graph, the list is a ``_Problems``: when it
-    finds nothing, it holds ``t``'s ``Tally``, summed in the same per-item
-    passes, with the side bits of its walk over the piece graph.
+    A full check on every call, over a fresh ``t.circle_slots()``; when it
+    finds nothing, ``t`` remembers that index and its ``Tally`` (``_validate``).
     """
     problems = validate_graph(t.graph)
     if problems:
         return problems
     if not t.pieces:
         return ["position has no pieces"]
-    return _validate(t, t.circle_slots() if index is None else index, t.pieces, t.circles, t.graph.sphere_edges)
+    return _validate(t, t.circle_slots(), t.pieces, t.circles, t.graph.sphere_edges)
 
 
-def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> tuple[dict, "Tally"]:
-    """The one validation boundary: ``t.circle_slots()`` and ``t``'s ``Tally``, for the caller to hand on, once ``t`` is valid.
+def _checked(t: TorusPosition, prefix: str = "", error: type = PositionError) -> Tally:
+    """The one validation boundary: ``t``'s ``Tally``, once ``t`` is valid.
 
-    The tally is the one that the check's passes summed (equal to
-    ``Tally.of``), with the side bits of its walk.  Else ``error`` of
+    The full check (``validate_position``) runs only when ``t`` remembers
+    no tally, from a check or from the step that made it.  Else ``error`` of
     ``prefix`` and the problems, or ``KleinBottleError`` if the walk's bad
     cycle is the only one.
     """
-    index = t.circle_slots()
-    if problems := validate_position(t, index):
+    if t._tally is None and (problems := validate_position(t)):
         one_sided = len(problems) == 1 and type(problems[0]) is _Monodromy
         raise (KleinBottleError if one_sided else error)(prefix + "; ".join(problems))
-    return index, problems.tally
+    return t._tally
 
 
 def _delta_scope(before: TorusPosition, after: TorusPosition, index, pieces, circles, spheres):
@@ -394,8 +408,8 @@ def _reshaped(old: Piece | None, new: Piece | None) -> bool:
 def _anchors_by_end(piece: Piece) -> dict[HalfEdge, list[tuple[str, str]]]:
     """Sphere end -> (circle, anchor) of each of the piece's slots there, in slot order."""
     by_he: dict[HalfEdge, list[tuple[str, str]]] = {}
-    for slot in piece.boundary:
-        by_he.setdefault(slot.half_edge, []).append((slot.circle, slot.region_a))
+    for cid, he, region_a in piece.boundary:
+        by_he.setdefault(he, []).append((cid, region_a))
     return by_he
 
 
@@ -435,9 +449,9 @@ class Tally:
     (piece -> bit; a removed piece's may linger) holds the side bits of the
     last walk over the piece graph, carried from step to step; a tally is
     never edited.  ``stepped`` hands the bits on as they are, and a step
-    check that finds nothing hands back a new tally with its own, walked or
-    certified (``_certified``).  None when not known; they take no part in
-    equality.
+    check that finds nothing leaves its position a new tally with its own,
+    walked or certified (``_certified``).  None when not known; they take
+    no part in equality.
     """
 
     counts: dict[str, int]
@@ -446,9 +460,9 @@ class Tally:
     side: dict[str, bool] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, t: TorusPosition, side=None) -> "Tally":
+    def of(cls, t: TorusPosition) -> "Tally":
         abnormal = {p.id for p in t.pieces.values() if not is_normal_piece(p)}
-        return cls(intersection_vector(t), euler_characteristic(t), abnormal, side)
+        return cls(intersection_vector(t), euler_characteristic(t), abnormal)
 
     def stepped(self, before: TorusPosition, after: TorusPosition, pieces, circles) -> "Tally":
         """The tally of ``after``, from this one of ``before``; ``pieces`` and ``circles`` hold every id that differs.
@@ -492,24 +506,22 @@ def _validate_delta(before: TorusPosition, after: TorusPosition, index, pieces, 
     return _validate(after, index, *_delta_scope(before, after, index, pieces, circles, spheres), tally, before)
 
 
-def _step(before: TorusPosition, index, tally: Tally, moved):
-    """(after, its index, its ``Tally``, its problems) of one step from a valid ``before``.
+def _step(before: TorusPosition, moved) -> tuple[TorusPosition, Tally, list[str]]:
+    """(after, its ``Tally``, its problems) of one step from a valid ``before``.
 
     The one step routine of ``normalize`` and ``perturb``.  ``moved`` is a
     move's or an inverse move's raw result, its report of what it changed:
     (after, ids of the pieces and circles it replaced, the sphere whose
-    tree it replaced).  ``index`` and ``tally`` are ``before``'s
-    ``circle_slots()`` and ``Tally``; the result's are updated from them
-    over the reported ids.  The problems are ``validate_position(after)``,
-    found by ``_validate_delta``, scoped by the report, for every step, the
-    last one and a normal result included.  A valid result's tally is the
-    one its check hands back, with the side bits that the check carried.
+    tree it replaced).  The index and tally ``before`` remembers are updated
+    over the reported ids; the problems are ``validate_position(after)``,
+    found by ``_validate_delta``, scoped by the report.  The tally is the one
+    a valid ``after`` remembers, else the updated one.
     """
     after, pieces, circles, sphere = moved
-    after_index = _reindexed(index, before, after, pieces)
-    after_tally = tally.stepped(before, after, pieces, circles)
-    problems = _validate_delta(before, after, after_index, pieces, circles, (sphere,), after_tally)
-    return after, after_index, problems.tally or after_tally, problems
+    index = _reindexed(before._index, before, after, pieces)
+    tally = before._tally.stepped(before, after, pieces, circles)
+    problems = _validate_delta(before, after, index, pieces, circles, (sphere,), tally)
+    return after, after._tally or tally, problems
 
 
 def _certified(before: TorusPosition, pieces, circles, t: TorusPosition, index, side) -> dict | None:
@@ -556,7 +568,7 @@ def _certified(before: TorusPosition, pieces, circles, t: TorusPosition, index, 
 
 
 def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
-              tally: Tally | None = None, before: TorusPosition | None = None) -> _Problems:
+              tally: Tally | None = None, before: TorusPosition | None = None) -> list[str]:
     """Every check after the graph's: per item over the given scope, globally over ``t``.
 
     ``index`` is ``t.circle_slots()``.  The passes run in this order: per piece
@@ -567,25 +579,24 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     only the side anchors are tested first (``_anchor_faults``) and worded
     after (``_validate_side_anchors``), so any scope that holds every item
     with a problem gives the same list.  Without ``tally``, the full check: the
-    passes also sum ``t``'s ``Tally``, which the list holds if it finds
-    nothing, and the walk's edges, and the anchors are read only at the ends
-    of pieces with a non-adjacent anchor or two slots at one end.  With
-    ``tally``, ``t``'s for a step from a valid ``before`` with ``before``'s
-    side bits, the step check: counts and Euler sum come from the tally, trees
-    are checked at ``spheres`` and where an added region id is shared
-    (``_sharing``), a certificate (``_certified``) carries the bits, or else
-    the walk decides, and anchors are read at every end of the given
-    spheres, off the index in one pass over each tree's circles, and at
-    the other ``ends``, as ``_delta_scope`` maps them.  Either check's list,
-    when it finds nothing, holds ``t``'s tally with the bits it walked or
-    certified.
+    passes also sum ``t``'s ``Tally`` and the walk's edges, and the anchors
+    are read only at the ends of pieces with a non-adjacent anchor or two
+    slots at one end.  With ``tally``, ``t``'s for a step from a valid
+    ``before`` with ``before``'s side bits, the step check: counts and Euler
+    sum come from the tally, trees are checked at ``spheres`` and where an
+    added region id is shared (``_sharing``), a certificate (``_certified``)
+    carries the bits, or else the walk decides, and anchors are read at
+    every end of the given spheres, off the index in one pass over each
+    tree's circles, and at the other ``ends``, as ``_delta_scope`` maps
+    them.  Either check, when it finds nothing, leaves ``t`` to remember
+    ``index`` and its tally, with the bits it walked or certified.
 
     Once the per-item checks pass, each circle has two slots and its bit:
     the Euler sum is 2 * (pieces - total genus - circles), so with genus 0
     it fixes betti number 1, and a stray bit shows as more bits than circles.
     """
     full = tally is None
-    problems = _Problems()
+    problems = []
     by_pants, circle_of, trees, transport = t.graph.by_pants, t.circles, t.trees, t.transport
     euler, abnormal, loud, adjacent = 0, set(), [], {}
     if full:  # each circle's two regions, read in the piece pass to find the anchors worth checking
@@ -595,7 +606,7 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     for pid in sorted(pieces):
         piece = t.pieces[pid]
         boundary, uncrossed, hes = piece.boundary, piece.uncrossed, by_pants.get(piece.pants)
-        crossed = {slot.half_edge for slot in boundary}
+        crossed = {he for _, he, _ in boundary}
         astray = False  # an anchor at a region that its circle does not border
         if piece.id != pid:
             problems.append(f"piece key {pid} disagrees with id {piece.id}")
@@ -606,16 +617,16 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
                 problems.append(f"piece {pid} has negative genus")
             if not boundary:
                 problems.append(f"piece {pid} is closed (no boundary)")
-            for slot in boundary:
-                he, circle = slot.half_edge, circle_of.get(slot.circle)
+            for cid, he, region_a in boundary:
+                circle = circle_of.get(cid)
                 if circle is None:
-                    problems.append(f"piece {pid} references unknown circle {slot.circle}")
+                    problems.append(f"piece {pid} references unknown circle {cid}")
                     continue
                 if he not in hes:
                     problems.append(f"piece {pid} boundary at {he.label()} outside its pants")
                 if circle.sphere != he.sphere:
-                    problems.append(f"piece {pid} attaches circle {slot.circle} to the wrong sphere")
-                if full and slot.region_a not in adjacent.get(slot.circle, ()):
+                    problems.append(f"piece {pid} attaches circle {cid} to the wrong sphere")
+                if full and region_a not in adjacent.get(cid, ()):
                     astray = True
             for he in hes:
                 if he not in crossed and he not in uncrossed:
@@ -726,7 +737,8 @@ def _validate(t: TorusPosition, index, pieces, circles, spheres, ends=None,
     if faults := _anchor_faults(t, anchors):
         problems.extend(_validate_side_anchors(t, faults))
     if not problems:
-        problems.tally = Tally(counts, chi, abnormal if full else tally.abnormal, side)
+        object.__setattr__(t, "_index", index)
+        object.__setattr__(t, "_tally", Tally(counts, chi, abnormal if full else tally.abnormal, side))
     return problems
 
 
@@ -806,10 +818,10 @@ def side_masks(t: TorusPosition, he: HalfEdge, bits: dict[str, int]) -> dict[str
     flips: dict[str, int] = {}
     anchors: dict[str, str] = {}
     for pid, bit in bits.items():
-        for slot in t.pieces[pid].boundary:
-            if slot.half_edge == he:
-                flips[slot.circle] = bit
-                anchors.setdefault(pid, slot.region_a)
+        for cid, at, region_a in t.pieces[pid].boundary:
+            if at == he:
+                flips[cid] = bit
+                anchors.setdefault(pid, region_a)
     mask: dict[str, int] = {}
     for parent, cid, r in t.trees[he.sphere].walk:  # the root comes first, with no parent and no circle
         mask[r] = mask.get(parent, 0) ^ flips.get(cid, 0)
@@ -871,7 +883,7 @@ def _fault(piece: Piece, crossed: set[HalfEdge] | None = None) -> str | None:
     n = len(piece.boundary)
     if n == 1:  # one slot meets no end twice
         return None if len(set(piece.uncrossed.values())) == 2 else "parallel"
-    if len({slot.half_edge for slot in piece.boundary} if crossed is None else crossed) != n:
+    if len({he for _, he, _ in piece.boundary} if crossed is None else crossed) != n:
         return "doubled"
     return None if n == 2 or n == 3 else "count"
 

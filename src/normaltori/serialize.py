@@ -25,6 +25,8 @@ from .position import (
     RegionTree,
     TorusPosition,
     _piece_edges,
+    _slots,
+    position_of,
 )
 
 FORMAT = 1
@@ -151,8 +153,7 @@ def position_to_json(t: TorusPosition) -> dict:
             "pants": p.pants,
             "genus": p.genus,
             "boundary": [
-                {"circle": slot.circle, "half_edge": _he_json(slot.half_edge), "region_a": slot.region_a}
-                for slot in p.boundary
+                {"circle": cid, "half_edge": _he_json(he), "region_a": region_a} for cid, he, region_a in p.boundary
             ],
             "uncrossed": [{"half_edge": _he_json(he), "side": v} for he, v in sorted(p.uncrossed.items())],
         }
@@ -252,7 +253,7 @@ def _position(obj: dict, path) -> TorusPosition:
         bits = _field(obj, "side_transport", dict, path)
         for cid in bits:
             _field(bits, cid, bool, (path, "side_transport"))
-    return TorusPosition(g, pieces, circles, trees, dict(bits))
+    return position_of(g, pieces, circles, trees, dict(bits))
 
 
 def normal_torus_to_json(nt: NormalTorus) -> dict:
@@ -492,14 +493,14 @@ def graph_to_dot(g: SphereGraph) -> str:
 
 
 def position_to_dot(t: TorusPosition) -> str:
-    """Piece graph: pieces as nodes, intersection circles as edges."""
+    """Piece graph: pieces as nodes, circles as edges from the lesser piece id, so equal positions draw alike."""
     lines = ["graph piece_graph {", "  node [shape=box];"]
     for pid, piece in sorted(t.pieces.items()):
         label = _dot(f"{pid}\n{piece.pants} g={piece.genus}")
         lines.append(f"  {_dot(pid)} [label={label}];")
-    for cid, a, b, _ in _piece_edges(t, t.circle_slots()):
+    for cid, a, b, _ in _piece_edges(t, _slots(t)):
         label = _dot(f"{cid}@{t.circles[cid].sphere}")
-        lines.append(f"  {_dot(a)} -- {_dot(b)} [label={label}];")
+        lines.append(f"  {_dot(min(a, b))} -- {_dot(max(a, b))} [label={label}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -18,6 +18,7 @@ from normaltori.position import (
     RegionTree,
     TorusPosition,
     end_slot,
+    position_of,
     total_intersections,
 )
 
@@ -30,7 +31,29 @@ def is_loop(g: SphereGraph, sphere: str) -> bool:
 
 def piece_at(t: TorusPosition, cid: str, end: int) -> Piece:
     """The piece attached at the given end of the circle's sphere."""
-    return end_slot(t, t.circle_slots(), cid, end)[0]
+    return end_slot(t, cid, end)[0]
+
+
+def edited(t: TorusPosition, **changes) -> TorusPosition:
+    """``t`` with the given items put in its maps, a new position built by ``position_of``.
+
+    ``changes`` maps a map's name (``pieces``, ``circles``, ``trees`` or
+    ``transport``) to {key: item}, in order: a replaced key keeps its place,
+    a new key goes last, and an item None takes its key out.  With no
+    changes, a copy of ``t`` that remembers no index and no check.
+    """
+    maps = {}
+    for name in ("pieces", "circles", "trees", "transport"):
+        items = getattr(t, name)
+        if name in changes:
+            items = items.copy()
+            for key, item in changes[name].items():
+                if item is None:
+                    del items[key]
+                else:
+                    items[key] = item
+        maps[name] = items
+    return position_of(t.graph, **maps)
 
 
 def make_u_tubes() -> TorusPosition:
@@ -69,7 +92,7 @@ def make_u_tubes() -> TorusPosition:
         "s1": RegionTree("s1", {"r3"}, {}),
         "s2": RegionTree("s2", {"r4"}, {}),
     }
-    return TorusPosition(g, pieces, circles, trees, {"ca": True, "cb": True})
+    return position_of(g, pieces, circles, trees, {"ca": True, "cb": True})
 
 
 def criterion_3_inputs() -> Iterator[tuple[str, TorusPosition]]:
@@ -102,15 +125,15 @@ def shared_region_ids(t: TorusPosition, sphere: str, onto: str) -> TorusPosition
     """
     rename = dict(zip(sorted(t.trees[sphere].regions), sorted(t.trees[onto].regions)))
     tree = t.trees[sphere]
-    trees = dict(t.trees)
+    trees = t.trees.copy()
     trees[sphere] = RegionTree(sphere, {rename.get(r, r) for r in tree.regions},
                                {c: (rename.get(a, a), rename.get(b, b)) for c, (a, b) in tree.edges.items()})
     pieces = {}
     for pid, p in t.pieces.items():
         boundary = [BoundarySlot(s.circle, s.half_edge, rename.get(s.region_a, s.region_a) if s.half_edge.sphere == sphere
                                  else s.region_a) for s in p.boundary]
-        pieces[pid] = Piece(p.id, p.pants, p.genus, boundary, dict(p.uncrossed))
-    return TorusPosition(t.graph, pieces, dict(t.circles), trees, dict(t.transport))
+        pieces[pid] = Piece(p.id, p.pants, p.genus, boundary, p.uncrossed)
+    return position_of(t.graph, pieces, t.circles, trees, t.transport)
 
 
 @contextlib.contextmanager
@@ -154,11 +177,12 @@ def recorded(fn, keep=lambda args, result: (args, result)):
         yield calls
 
 
-def _inverted_bit(t, m, index, slide=moves._apply_slide):
-    out, pieces, circles, sphere = slide(t, m, index)
+def _inverted_bit(t, m, slide=moves._apply_slide):
+    out, pieces, circles, sphere = slide(t, m)
     (merged,) = circles - t.circles.keys()
-    out.transport[merged] = not out.transport[merged]
-    return out, pieces, circles, sphere
+    transport = out.transport.copy()
+    transport[merged] = not transport[merged]
+    return position_of(out.graph, out.pieces, out.circles, out.trees, transport), pieces, circles, sphere
 
 
 def _other_side(t, disk, ball=moves._ball_region):

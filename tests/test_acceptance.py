@@ -9,6 +9,7 @@ criterion is an all-or-nothing property over its corpus.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from conftest import criterion_3_inputs, make_u_tubes
 
@@ -30,6 +31,7 @@ from normaltori.oracle import confluence_search, minimality_experiment, perturb,
 from normaltori.position import (
     intersection_vector,
     is_normal,
+    position_of,
     validate_position,
 )
 
@@ -147,13 +149,12 @@ def test_criterion_5_decoration_laws():
         assert canonicalize(decorate(nt, base_piece, "A")) == canonicalize(
             decorate(nt, base_piece, "B")
         )
-        relabeled = result.position.clone()
-        mapping = {pid: f"Q{i}" for i, pid in enumerate(sorted(relabeled.pieces, reverse=True))}
-        relabeled.pieces = {
-            mapping[pid]: piece for pid, piece in relabeled.pieces.items()
-        }
-        for new_id, piece in relabeled.pieces.items():
-            piece.id = new_id
+        t = result.position
+        mapping = {pid: f"Q{i}" for i, pid in enumerate(sorted(t.pieces, reverse=True))}
+        relabeled = position_of(
+            t.graph, {mapping[pid]: replace(piece, id=mapping[pid]) for pid, piece in t.pieces.items()},
+            t.circles, t.trees, t.transport,
+        )
         d_re = decorate(to_normal_torus(relabeled))
         assert canonicalize(d_re) == canonicalize(d)
         pos, neg = sides(d)

@@ -90,7 +90,7 @@ def test_the_piece_graph_walk_equals_the_crossing_walk():
     tori = [nt for _, _, nt, _ in _corpus()] + list(_ladder_tori())
     swapped = 0
     for nt in tori:
-        edges = _piece_edges(nt.position, nt.index)
+        edges = _piece_edges(nt.position, nt.position._index)
         old = _crossing_edges(nt)
         assert [(cid, {a, b}, flip) for cid, a, b, flip in edges] == [(cid, {a, b}, flip) for cid, a, b, flip in old]
         swapped += sum(new[1:3] != was[1:3] for new, was in zip(edges, old))

@@ -224,13 +224,13 @@ def test_position_without_pieces_is_diagnostic(tmp_path, capsys, command, closed
     Decorating the first raised from ``min()``, and ``export-dot`` drew both.
     """
     from normaltori.fixtures import theta_graph
-    from normaltori.position import Piece, RegionTree, TorusPosition
+    from normaltori.position import Piece, RegionTree, position_of
 
     g = theta_graph()
     trees = {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
     pieces = {"T": Piece("T", "p0", 1, [], {he: "A" for he in g.half_edges_at("p0")})} if closed else {}
     path = tmp_path / "empty.json"
-    path.write_text(dumps(position_to_json(TorusPosition(g, pieces, {}, trees, {}))), encoding="utf-8")
+    path.write_text(dumps(position_to_json(position_of(g, pieces, {}, trees, {}))), encoding="utf-8")
     argv = [command, str(path)] + ([str(path)] if command == "compare" else [])
     assert main(argv) == 1
     out = capsys.readouterr()

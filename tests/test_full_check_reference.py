@@ -26,8 +26,10 @@ bits of no circle, as the package's global pass does.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from dataclasses import replace
 
-from test_step_check import MUTATIONS, _corpus_steps, _mutants, _pick, _slot, _validate_by_value
+from conftest import edited
+from test_step_check import MUTATIONS, _corpus_steps, _mutants, _pick, _slot, _validate_by_value, _with_slot
 
 from normaltori import position
 from normaltori.fixtures import make_t0
@@ -205,15 +207,14 @@ def _slot_outside_pants(rng, t):
     slot = piece.boundary[i]
     others = [he for he in t.graph.incidence if he not in t.graph.by_pants[piece.pants]]
     he = HalfEdge(slot.half_edge.sphere, 2) if rng.random() < 0.5 else _pick(rng, others)
-    piece.boundary[i] = BoundarySlot(slot.circle, he, slot.region_a)
+    return _with_slot(t, piece, i, BoundarySlot(slot.circle, he, slot.region_a))
 
 
 def _strand_reversed_slots(rng, t):
     """Reverse one piece's slot order and anchor every slot to a region on no tree: one message per slot, in end order."""
-    pid = _pick(rng, t.pieces)
-    t.pieces[pid].boundary.reverse()
-    for slot in t.pieces[pid].boundary:
-        slot.region_a = "rX"
+    piece = t.pieces[_pick(rng, t.pieces)]
+    boundary = [slot._replace(region_a="rX") for slot in reversed(piece.boundary)]
+    return edited(t, pieces={piece.id: replace(piece, boundary=boundary)})
 
 
 def _share_region_id(rng, t):
@@ -223,11 +224,13 @@ def _share_region_id(rng, t):
     r, q = _pick(rng, t.trees[a].regions), _pick(rng, t.trees[b].regions)
     tree = t.trees[b]
     edges = {cid: tuple(r if x == q else x for x in ends) for cid, ends in tree.edges.items()}
-    t.trees[b] = RegionTree(b, (tree.regions - {q}) | {r}, edges)
-    for piece in t.pieces.values():
-        for slot in piece.boundary:
-            if slot.half_edge.sphere == b and slot.region_a == q:
-                slot.region_a = r
+    pieces = {}
+    for pid, piece in t.pieces.items():
+        if any(slot.half_edge.sphere == b and slot.region_a == q for slot in piece.boundary):
+            boundary = [slot._replace(region_a=r) if slot.half_edge.sphere == b and slot.region_a == q else slot
+                        for slot in piece.boundary]
+            pieces[pid] = replace(piece, boundary=boundary)
+    return edited(t, pieces=pieces, trees={b: RegionTree(b, (tree.regions - {q}) | {r}, edges)})
 
 
 # the step-check mutations, a quarter of out-of-pants slots and a seventh of
@@ -278,10 +281,9 @@ def test_a_slot_at_end_two_keeps_every_problem():
     """t0 with either slot of c0 moved to ``s0@2``: the circle's verdict stays beside the piece's two."""
     base = make_t0()
     for pid, far in (("F0", "s0@p0"), ("F1", "s0@p1")):
-        t = base.clone()
-        slot = t.pieces[pid].boundary[0]
+        slot = base.pieces[pid].boundary[0]
         assert slot.circle == "c0"
-        t.pieces[pid].boundary[0] = BoundarySlot("c0", HalfEdge("s0", 2), slot.region_a)
+        t = _with_slot(base, base.pieces[pid], 0, BoundarySlot("c0", HalfEdge("s0", 2), slot.region_a))
         want = [
             f"piece {pid} boundary at s0@2 outside its pants",
             f"piece {pid} missing uncrossed side at {far}",

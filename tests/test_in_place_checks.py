@@ -14,7 +14,7 @@ a fresh walk's.
 from __future__ import annotations
 
 from conftest import recorded
-from test_step_check import _corpus_steps, _validate_by_value
+from test_step_check import _corpus_steps, _validate_by_value, _with_slot
 
 from normaltori import position
 from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2
@@ -30,8 +30,8 @@ def test_a_valid_input_words_nothing():
             assert validate_position(after) == []
             assert _validate_by_value(before, after) == []
         assert calls == [] and len(steps) == 180
-        t = make_t0()
-        t.pieces["F0"].boundary[0].region_a = "rX"
+        t0 = make_t0()
+        t = _with_slot(t0, t0.pieces["F0"], 0, t0.pieces["F0"].boundary[0]._replace(region_a="rX"))
         assert validate_position(t) == ["piece F0 slot at c0 anchors a non-adjacent region"]
     assert len(calls) == 1
 
@@ -40,7 +40,8 @@ def test_the_full_check_sums_the_tally_and_walks_the_piece_graph():
     """On every corpus step's result and each orientable fixture, ``_checked`` gives ``Tally.of``'s tally and a walk's bits."""
     positions = [after for _, after in _corpus_steps()] + [make() for make in (make_t0, make_t1, make_t2, make_t0_with_dome)]
     for t in positions:
-        index, tally = position._checked(t)
+        tally = position._checked(t)
+        index = t._index  # the one its check built
         assert tally == Tally.of(t)
         assert list(tally.counts) == list(t.graph.sphere_edges)
         assert tally.side == walk(t.pieces, position._piece_edges(t, index))[1]

@@ -28,7 +28,7 @@ from normaltori import cli, serialize
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import Attachment, HalfEdge, SphereGraph, build_standard
 from normaltori.normal_graph import DecoratedGraph, NormalTorus, decorate, to_normal_torus
-from normaltori.position import SIDE_A, SIDE_B, BoundarySlot, Circle, Piece, RegionTree, TorusPosition
+from normaltori.position import SIDE_A, SIDE_B, BoundarySlot, Circle, Piece, RegionTree, TorusPosition, position_of
 from normaltori.serialize import (
     _MISSING,
     SchemaError,
@@ -135,7 +135,7 @@ def _position(obj: dict, path) -> TorusPosition:
         _put(trees, s, RegionTree(s, regions.keys(), edges), (at, "sphere"))
     bits = _field(obj, "side_transport", dict, path)
     transport = {cid: _field(bits, cid, bool, (path, "side_transport")) for cid in bits}
-    return TorusPosition(g, pieces, circles, trees, transport)
+    return position_of(g, pieces, circles, trees, transport)
 
 
 def _derived_torus(obj: dict, path) -> NormalTorus:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 import test_step_check
-from conftest import make_u_tubes
+from conftest import edited, make_u_tubes
 
 from normaltori.fixtures import make_t0, make_t0_with_dome, make_t1, make_t2
 from normaltori.graphs import HalfEdge, build_standard, random_cubic
@@ -77,8 +78,7 @@ def test_self_band_slide_creates_genus():
 
 
 def test_self_band_with_mismatched_transport_rejected():
-    t = make_u_tubes()
-    t.transport["cb"] = False
+    t = edited(make_u_tubes(), transport={"cb": False})
     move = find_moves(t)[0]
     with pytest.raises(MoveError, match="side transport mismatch"):
         apply_move(t, move)
@@ -161,11 +161,11 @@ def test_normalize_idempotent_on_fixtures():
 
 def test_normalize_rejects_empty_position():
     from normaltori.fixtures import theta_graph
-    from normaltori.position import TorusPosition, RegionTree
+    from normaltori.position import RegionTree, position_of
 
     g = theta_graph()
     trees = {s: RegionTree(s, {f"e{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
-    empty = TorusPosition(g, {}, {}, trees, {})
+    empty = position_of(g, {}, {}, trees, {})
     with pytest.raises(NormalizeError, match="position has no pieces"):
         normalize(empty)
 
@@ -229,21 +229,19 @@ def test_apply_move_is_pure(monkeypatch):
 
 
 def _renamed_regions(t, rng):
-    """A clone of ``t`` with every region renamed through a random bijection onto fresh ids."""
+    """``t`` with every region renamed through a random bijection onto fresh ids."""
     regions = sorted(r for tree in t.trees.values() for r in tree.regions)
     names = [f"q{i}" for i in range(len(regions))]
     rng.shuffle(names)
     rename = dict(zip(regions, names))
-    out = t.clone()
-    out.trees = {
+    trees = {
         s: RegionTree(s, {rename[r] for r in tree.regions},
                       {cid: (rename[a], rename[b]) for cid, (a, b) in tree.edges.items()})
         for s, tree in t.trees.items()
     }
-    for piece in out.pieces.values():
-        for slot in piece.boundary:
-            slot.region_a = rename[slot.region_a]
-    return out
+    pieces = {pid: replace(piece, boundary=[slot._replace(region_a=rename[slot.region_a]) for slot in piece.boundary])
+              for pid, piece in t.pieces.items()}
+    return edited(t, pieces=pieces, trees=trees)
 
 
 def test_region_names_do_not_matter():

@@ -29,7 +29,7 @@ from normaltori.position import (
     BoundarySlot,
     Piece,
     PositionError,
-    TorusPosition,
+    position_of,
     is_boundary_parallel_disk,
     is_normal,
     is_normal_piece,
@@ -168,7 +168,7 @@ def test_normal_form_matches_the_reference_on_hand_built_pieces():
         "four": Piece("four", "p0", 0, _slots(("s0", 0), ("s1", 0), ("s2", 1), ("s0", 1))),
         "key": Piece("F9", "p0", 0, _slots(("s2", 1)), {a: SIDE_A, b: SIDE_A}),
     }
-    t = TorusPosition(theta_graph(), pieces, {}, {}, {})
+    t = position_of(theta_graph(), pieces, {}, {}, {})
     assert _agree(t) == 14
     assert is_normal(t)[1] == [
         "piece closed has 0 boundary circles",
@@ -185,7 +185,7 @@ def test_normal_form_matches_the_reference_on_hand_built_pieces():
         "piece tripled meets half-edge (s0@p0) twice",
     ]
     for pid in ("cylinder", "pants", "essential"):
-        assert _is_normal(TorusPosition(t.graph, {pid: pieces[pid]}, {}, {}, {})) == (True, [])
+        assert _is_normal(position_of(t.graph, {pid: pieces[pid]}, {}, {}, {})) == (True, [])
 
 
 def _fake_axis(letters):

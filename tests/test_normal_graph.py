@@ -6,7 +6,7 @@ import random
 import re
 
 import pytest
-from conftest import swapped
+from conftest import edited, swapped
 
 from normaltori.fixtures import make_klein, make_t0, make_t1, make_t2
 from normaltori.graphs import HalfEdge, SphereGraph, build_standard, label_generators, random_cubic, walk
@@ -33,6 +33,7 @@ from normaltori.position import (
     TorusPosition,
     intersection_vector,
     is_normal,
+    position_of,
     validate_position,
 )
 
@@ -41,10 +42,10 @@ def test_position_without_pieces_raises_position_error():
     """Decorating or searching it raised ``ValueError`` from ``min()``; ``to_normal_torus`` now rejects it."""
     from normaltori.fixtures import theta_graph
     from normaltori.oracle import confluence_search
-    from normaltori.position import RegionTree, TorusPosition
+    from normaltori.position import RegionTree
 
     g = theta_graph()
-    empty = TorusPosition(g, {}, {}, {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}, {})
+    empty = position_of(g, {}, {}, {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}, {})
     with pytest.raises(PositionError, match=r"^position has no pieces$"):
         decorate(to_normal_torus(empty))
     with pytest.raises(PositionError, match=r"^position has no pieces$"):
@@ -93,8 +94,7 @@ def test_decorate_t2_disk_signs_opposite():
 @pytest.mark.parametrize("make", [make_t0, make_t2])
 def test_missing_transport_bit_raises_position_error(make):
     """A normal position without a circle's transport bit raised ``KeyError`` from ``decorate``."""
-    t = make()
-    del t.transport["c0"]
+    t = edited(make(), transport={"c0": None})
     with pytest.raises(PositionError, match=r"^circle c0 missing side transport bit$"):
         decorate(to_normal_torus(t))
 
@@ -114,13 +114,11 @@ def test_canonical_form_flip_invariant():
 
 def test_canonical_form_relabel_invariant():
     t = make_t0()
-    renamed = t.clone()
-    renamed.pieces = {
-        "Z9": renamed.pieces["F0"],
-        "A1": renamed.pieces["F1"],
+    pieces = {
+        "Z9": dataclasses.replace(t.pieces["F0"], id="Z9"),
+        "A1": dataclasses.replace(t.pieces["F1"], id="A1"),
     }
-    renamed.pieces["Z9"].id = "Z9"
-    renamed.pieces["A1"].id = "A1"
+    renamed = position_of(t.graph, pieces, t.circles, t.trees, t.transport)
     d1 = decorate(to_normal_torus(t))
     d2 = decorate(to_normal_torus(renamed))
     assert canonicalize(d1) == canonicalize(d2)
@@ -234,64 +232,70 @@ def test_fundamental_domain_t0_t2():
 
 
 def _uncross(t, cid, sides):
-    """Take circle ``cid`` out of ``t``: each piece it joined gets the side ``sides[piece]`` at that sphere end instead."""
-    sphere = t.circles.pop(cid).sphere
-    del t.transport[cid]
+    """``t`` with circle ``cid`` taken out: each piece it joined gets the side ``sides[piece]`` at that sphere end instead."""
+    sphere = t.circles[cid].sphere
+    pieces = {}
     for pid, side in sides.items():
         piece = t.pieces[pid]
         (slot,) = [slot for slot in piece.boundary if slot.circle == cid]
-        piece.boundary.remove(slot)
-        piece.uncrossed[slot.half_edge] = side
+        uncrossed = piece.uncrossed.copy()
+        uncrossed[slot.half_edge] = side
+        pieces[pid] = dataclasses.replace(piece, boundary=[s for s in piece.boundary if s != slot], uncrossed=uncrossed)
     tree = t.trees[sphere]
-    t.trees[sphere] = RegionTree(sphere, tree.regions - {tree.edges[cid][1]}, {c: e for c, e in tree.edges.items() if c != cid})
+    tree = RegionTree(sphere, tree.regions - {tree.edges[cid][1]}, {c: e for c, e in tree.edges.items() if c != cid})
+    return edited(t, pieces=pieces, circles={cid: None}, trees={sphere: tree}, transport={cid: None})
 
 
 def test_canonical_form_of_a_tree_is_an_error():
     """t2 with its axis circle c0 taken out is normal, but its piece graph is a tree: a sphere, which has no torus."""
-    t = make_t2()
-    _uncross(t, "c0", {"F0": "A", "F1": "B"})
+    t = _uncross(make_t2(), "c0", {"F0": "A", "F1": "B"})
     assert is_normal(t)[0]
     with pytest.raises(PositionError, match=r"^total euler characteristic 2 nonzero$"):
         canonicalize(decorate(to_normal_torus(t)))
 
 
 def _lose_a_leaf(t):
-    del t.pieces["F0"].uncrossed[HalfEdge("s2", 1)]
+    piece = t.pieces["F0"]
+    uncrossed = {he: side for he, side in piece.uncrossed.items() if he != HalfEdge("s2", 1)}
+    return edited(t, pieces={"F0": dataclasses.replace(piece, uncrossed=uncrossed)})
 
 
 def _make_f0_a_disk(t):
     piece = t.pieces["F0"]
-    piece.boundary = [slot for slot in piece.boundary if slot.circle != "c1"]
-    piece.uncrossed[HalfEdge("s1", 0)] = "B"
+    boundary = [slot for slot in piece.boundary if slot.circle != "c1"]
+    uncrossed = {**piece.uncrossed, HalfEdge("s1", 0): "B"}
+    return edited(t, pieces={"F0": dataclasses.replace(piece, boundary=boundary, uncrossed=uncrossed)})
 
 
 def _cut_c0(t):
-    _uncross(t, "c0", {"F0": "B", "F1": "B"})
+    return _uncross(t, "c0", {"F0": "B", "F1": "B"})
 
 
 def _join_the_leaves(t, bit=True):
     """A circle c2 on s2 joins F0 and F1 where t0 has two leaves."""
+    pieces = {}
     for pid, end in (("F0", 1), ("F1", 0)):
         piece = t.pieces[pid]
-        del piece.uncrossed[HalfEdge("s2", end)]
-        piece.boundary.append(BoundarySlot("c2", HalfEdge("s2", end), "r4"))
-    t.circles["c2"] = Circle("c2", "s2")
-    t.trees["s2"] = RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")})
-    if bit is not None:
-        t.transport["c2"] = bit
+        uncrossed = {he: side for he, side in piece.uncrossed.items() if he != HalfEdge("s2", end)}
+        boundary = [*piece.boundary, BoundarySlot("c2", HalfEdge("s2", end), "r4")]
+        pieces[pid] = dataclasses.replace(piece, boundary=boundary, uncrossed=uncrossed)
+    return edited(t, pieces=pieces, circles={"c2": Circle("c2", "s2")},
+                  trees={"s2": RegionTree("s2", {"r4", "r5"}, {"c2": ("r4", "r5")})},
+                  transport={} if bit is None else {"c2": bit})
 
 
 def _two_copies(t):
     """A second copy of t0, parallel to the first: c0' and c1' next to c0 and c1, on their B sides."""
+    pieces = {}
     for pid, pants, end in (("F0", "p0", 0), ("F1", "p1", 1)):
-        t.pieces[pid + "'"] = Piece(pid + "'", pants, 0, [
+        pieces[pid + "'"] = Piece(pid + "'", pants, 0, [
             BoundarySlot("c0'", HalfEdge("s0", end), "r1"),
             BoundarySlot("c1'", HalfEdge("s1", end), "r3"),
-        ], dict(t.pieces[pid].uncrossed))
-    t.circles.update({"c0'": Circle("c0'", "s0"), "c1'": Circle("c1'", "s1")})
-    t.trees["s0"] = RegionTree("s0", {"r0", "r1", "r6"}, {"c0": ("r0", "r1"), "c0'": ("r1", "r6")})
-    t.trees["s1"] = RegionTree("s1", {"r2", "r3", "r7"}, {"c1": ("r2", "r3"), "c1'": ("r3", "r7")})
-    t.transport.update({"c0'": True, "c1'": True})
+        ], t.pieces[pid].uncrossed)
+    trees = {"s0": RegionTree("s0", {"r0", "r1", "r6"}, {"c0": ("r0", "r1"), "c0'": ("r1", "r6")}),
+             "s1": RegionTree("s1", {"r2", "r3", "r7"}, {"c1": ("r2", "r3"), "c1'": ("r3", "r7")})}
+    return edited(t, pieces=pieces, circles={"c0'": Circle("c0'", "s0"), "c1'": Circle("c1'", "s1")}, trees=trees,
+                  transport={"c0'": True, "c1'": True})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -304,8 +308,7 @@ def _two_copies(t):
 ], ids=["immersion", "disk-pants-count", "tree", "transport-bit", "two-cycles", "two-copies"])
 def test_building_a_torus_checks_its_graph(edit, message):
     """t0 edited one way so that its graph does not immerse or is not one cycle with trees: still normal, and ``to_normal_torus`` rejects it with validate's one message."""
-    t = make_t0()
-    edit(t)
+    t = edit(make_t0())
     assert is_normal(t)[0]
     assert validate_position(t) == [message]
     with pytest.raises(PositionError, match="^" + re.escape(message) + "$"):
@@ -439,7 +442,7 @@ def _swapped_ends(t: TorusPosition, sphere: str) -> TorusPosition:
                    {swap(he): side for he, side in p.uncrossed.items()})
         for pid, p in t.pieces.items()
     }
-    return TorusPosition(graph, pieces, dict(t.circles), dict(t.trees), dict(t.transport))
+    return position_of(graph, pieces, t.circles, t.trees, t.transport)
 
 
 def test_swapping_a_spheres_ends_keeps_the_axis_word():

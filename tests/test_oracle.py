@@ -6,7 +6,9 @@ from itertools import product
 
 import pytest
 
-from conftest import PLANTS, criterion_3_inputs, is_loop, make_u_tubes, recorded, swapped
+from dataclasses import replace
+
+from conftest import PLANTS, criterion_3_inputs, edited, is_loop, make_u_tubes, recorded, swapped
 from normaltori.cli import main
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import GraphError, SphereGraph, build_standard, random_cubic, validate_graph
@@ -116,11 +118,11 @@ def test_perturb_deterministic():
 
 def test_perturb_rejects_nothing_to_do():
     from normaltori.fixtures import theta_graph
-    from normaltori.position import RegionTree, TorusPosition
+    from normaltori.position import RegionTree, position_of
 
     g = theta_graph()
     trees = {s: RegionTree(s, {f"q{i}"}, {}) for i, s in enumerate(g.sphere_edges)}
-    empty = TorusPosition(g, {}, {}, trees, {})
+    empty = position_of(g, {}, {}, trees, {})
     with pytest.raises(PositionError):
         perturb(empty, 0, 1)
 
@@ -271,8 +273,7 @@ def test_confluence_depth_guard():
 @pytest.mark.parametrize("make", [make_t0, make_t2])
 def test_confluence_rejects_a_missing_transport_bit(make):
     """A position without a circle's transport bit raised ``KeyError`` from the state key."""
-    t = make()
-    del t.transport["c0"]
+    t = edited(make(), transport={"c0": None})
     with pytest.raises(PositionError, match=r"^circle c0 missing side transport bit$"):
         confluence_search(t)
 
@@ -382,9 +383,9 @@ def test_rejected_inverse_move_raises_at_once(monkeypatch):
 
     tried = []
 
-    def no_op(t, cand, index):
+    def no_op(t, cand):
         tried.append(cand)
-        return t.clone(), set(), set(), None
+        return edited(t), set(), set(), None
 
     monkeypatch.setattr(oracle, "_inverse", no_op)
     with pytest.raises(PositionError, match=r"inverse move \('(dome|finger)'.* did not raise the total by one"):
@@ -401,26 +402,26 @@ def test_perturb_validates_input_before_drawing():
 
 def _flip_gauge(t, pid):
     """Swap one piece's A and B sides: same surface, other labels and bits."""
-    out = t.clone()
-    piece = out.pieces[pid]
-    piece.uncrossed = {he: "B" if side == "A" else "A" for he, side in piece.uncrossed.items()}
+    piece = t.pieces[pid]
+    uncrossed = {he: "B" if side == "A" else "A" for he, side in piece.uncrossed.items()}
+    boundary = [slot._replace(region_a=t.trees[slot.half_edge.sphere].other_region(slot.circle, slot.region_a))
+                for slot in piece.boundary]
+    transport = {}
     for slot in piece.boundary:
-        slot.region_a = out.trees[slot.half_edge.sphere].other_region(slot.circle, slot.region_a)
-        out.transport[slot.circle] = not out.transport[slot.circle]
-    return out
+        transport[slot.circle] = not transport.get(slot.circle, t.transport[slot.circle])
+    return edited(t, pieces={pid: replace(piece, boundary=boundary, uncrossed=uncrossed)}, transport=transport)
 
 
 def _candidates_by_side_of_region(t):
     """The inverse-move candidates, read region by region off ``side_of_region``."""
     from normaltori.position import end_slot, side_of_region
 
-    index = t.circle_slots()
     cands = []
     for cid in sorted(t.circles):
         a, b = t.trees[t.circles[cid].sphere].adjacent(cid)
         for host_end in (0, 1):
-            host, _ = end_slot(t, index, cid, host_end)
-            other, _ = end_slot(t, index, cid, 1 - host_end)
+            host, _ = end_slot(t, cid, host_end)
+            other, _ = end_slot(t, cid, 1 - host_end)
             if host.id != other.id:
                 cands += [("dome", cid, host_end, rx) for rx in sorted((a, b))]
     for pid in sorted(t.pieces):

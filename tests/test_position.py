@@ -12,13 +12,13 @@ from pathlib import Path
 import pytest
 
 import normaltori
-from conftest import criterion_3_inputs, is_loop, piece_at, shared_region_ids
+from conftest import criterion_3_inputs, edited, is_loop, piece_at, shared_region_ids
 from test_acceptance import _fuzz_corpus, piece_graph_betti
 
 from normaltori.fixtures import make_klein, make_t0, make_t0_with_dome, make_t1, make_t2
 from normaltori.graphs import HalfEdge, build_standard, random_cubic, walk
 from normaltori.normal_graph import to_normal_torus
-from normaltori.oracle import random_normal_torus
+from normaltori.oracle import perturb, random_normal_torus
 from normaltori.position import (
     SIDE_A,
     SIDE_B,
@@ -27,6 +27,7 @@ from normaltori.position import (
     Piece,
     PositionError,
     RegionTree,
+    Tally,
     TorusPosition,
     _checked,
     _pants_components,
@@ -36,6 +37,7 @@ from normaltori.position import (
     fresh_id,
     intersection_vector,
     is_normal,
+    position_of,
     side_of_region,
     total_intersections,
     validate_position,
@@ -53,8 +55,7 @@ def test_klein_bottle_diagnostic():
 
 
 def test_missing_piece_diagnostic():
-    t = make_t0()
-    del t.pieces["F1"]
+    t = edited(make_t0(), pieces={"F1": None})
     problems = validate_position(t)
     assert "circle c0 has one incident piece" in problems
     assert "circle c1 has one incident piece" in problems
@@ -93,7 +94,9 @@ def test_is_normal_t1_violations():
 
 def test_is_normal_flags_parallel_disk():
     t = make_t2()
-    t.pieces["F2"].uncrossed[HalfEdge("s1", 1)] = SIDE_A  # both sides now equal
+    disk = t.pieces["F2"]
+    uncrossed = {**disk.uncrossed, HalfEdge("s1", 1): SIDE_A}  # both sides now equal
+    t = edited(t, pieces={"F2": dataclasses.replace(disk, uncrossed=uncrossed)})
     ok, violations = is_normal(t)
     assert not ok
     assert "disk F2 boundary-parallel" in violations
@@ -101,7 +104,7 @@ def test_is_normal_flags_parallel_disk():
 
 def test_is_normal_flags_genus():
     t = make_t0()
-    t.pieces["F0"].genus = 1
+    t = edited(t, pieces={"F0": dataclasses.replace(t.pieces["F0"], genus=1)})
     ok, violations = is_normal(t)
     assert not ok
     assert any("genus" in v for v in violations)
@@ -114,7 +117,7 @@ def test_piece_graph_betti_one():
 
 def test_closed_piece_rejected():
     t = make_t0()
-    t.pieces["F0"].boundary.clear()
+    t = edited(t, pieces={"F0": dataclasses.replace(t.pieces["F0"], boundary=())})
     problems = validate_position(t)
     assert any("closed" in p for p in problems)
 
@@ -124,15 +127,14 @@ def test_stray_transport_bits_rejected():
     from test_step_check import _validate_by_value
 
     base = make_t0()
-    t = base.clone()
-    t.transport.update({"c9": False, "c10": True})
+    t = edited(base, transport={"c9": False, "c10": True})
     want = ["side transport bit of unknown circle c10", "side transport bit of unknown circle c9"]
     assert validate_position(t) == _validate_by_value(base, t) == want
 
 
 def test_a_piece_stored_under_another_key_is_named():
-    t = make_t0().clone()
-    t.pieces["F9"] = t.pieces.pop("F0")
+    t = make_t0()
+    t = edited(t, pieces={"F0": None, "F9": t.pieces["F0"]})
     assert validate_position(t) == ["piece key F9 disagrees with id F0"]
 
 
@@ -172,7 +174,7 @@ def test_monodromy_trivial_for_fixtures():
 def test_transport_flip_detected_on_self_loop():
     # one-cylinder torus over a loop sphere; flipped bit means one-sided
     from normaltori.graphs import random_cubic
-    from normaltori.oracle import random_normal_torus
+    from normaltori.oracle import perturb, random_normal_torus
 
     g = random_cubic(2, 0)
     loops = [s for s in g.sphere_edges if is_loop(g, s)]
@@ -185,7 +187,7 @@ def test_transport_flip_detected_on_self_loop():
             if piece_at(t, cid, 0).id == piece_at(t, cid, 1).id
         ]
         if self_loops:
-            t.transport[self_loops[0]] = False
+            t = edited(t, transport={self_loops[0]: False})
             assert monodromy_certificate(t) is not None
             break
     else:
@@ -215,23 +217,23 @@ def test_side_anchor_conflict_behind_an_anchored_region():
         "s1": RegionTree("s1", {"r4", "r5"}, {"c1": ("r4", "r5")}),
         "s2": RegionTree("s2", {"r6"}, {}),
     }
-    t = TorusPosition(build_standard(2), pieces, circles, trees, {c: True for c in circles})
+    t = position_of(build_standard(2), pieces, circles, trees, {c: True for c in circles})
     assert validate_position(t) == ["piece X side anchors conflict at s0@0"]
 
 
 _VALIDATE_MALFORMED = """
+from dataclasses import replace
 from normaltori.fixtures import make_t0, make_t2
-from normaltori.position import RegionTree, validate_position
+from normaltori.position import RegionTree, position_of, validate_position
 t = make_t0()
 for ends in (("r0", "rX"), ("r0", "r0")):
-    t.trees["s0"] = RegionTree("s0", {"r0", "r1"}, {"c0": ends})
-    print(validate_position(t))
-t = make_t0()
-t.trees["s2"] = RegionTree("s2", set(), {})
-print(validate_position(t))
+    trees = {**t.trees, "s0": RegionTree("s0", {"r0", "r1"}, {"c0": ends})}
+    print(validate_position(position_of(t.graph, t.pieces, t.circles, trees, t.transport)))
+trees = {**t.trees, "s2": RegionTree("s2", set(), {})}
+print(validate_position(position_of(t.graph, t.pieces, t.circles, trees, t.transport)))
 t = make_t2()
-t.pieces["F2"].uncrossed.clear()
-print(validate_position(t))
+pieces = {**t.pieces, "F2": replace(t.pieces["F2"], uncrossed={})}
+print(validate_position(position_of(t.graph, pieces, t.circles, t.trees, t.transport)))
 """
 
 
@@ -321,6 +323,43 @@ def test_a_region_tree_is_an_immutable_value_built_once():
     assert pickle.loads(pickle.dumps(nt)).position.trees == nt.position.trees
 
 
+def test_positions_are_immutable_values():
+    """No edit of a position or of its items goes through; a pickled position and a perturbed base remember what they should.
+
+    A position rebuilt from a pickle equals the original and remembers no
+    index and no check.  Perturbing one base twice gives equal results and
+    leaves the base remembering the tally of its own check.
+    """
+    t = make_t2()
+    piece, he = t.pieces["F2"], HalfEdge("s0", 1)
+    slot, circle = piece.boundary[0], t.circles["c0"]
+    edits = [
+        lambda: t.pieces.__setitem__("F0", piece),
+        lambda: t.transport.__delitem__("c0"),
+        lambda: piece.boundary.append(slot),
+        lambda: piece.uncrossed.__setitem__(he, SIDE_B),
+        lambda: setattr(slot, "region_a", "r1"),
+        lambda: setattr(circle, "sphere", "s1"),
+        lambda: setattr(piece, "genus", 1),
+        lambda: setattr(t, "pieces", {}),
+    ]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    assert validate_position(t) == [] and t == make_t2()
+
+    _checked(t)
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t and again is not t
+    assert again._index is None and again._tally is None
+    assert type(again.pieces["F2"].uncrossed) is type(piece.uncrossed) and type(again.pieces["F2"].boundary) is tuple
+
+    base = random_normal_torus(build_standard(3), 4, 6)
+    first, second = perturb(base, 9, 5), perturb(base, 9, 5)
+    assert first == second and first is not second
+    assert base._tally == Tally.of(base)
+
+
 def test_region_ids_that_two_spheres_share_are_rejected():
     """A region id held by two spheres' trees is named once per id, at the later sphere in graph order.
 
@@ -330,7 +369,7 @@ def test_region_ids_that_two_spheres_share_are_rejected():
     renamed, also when that sphere is the earlier one.
     """
     t2 = make_t2()
-    tally = _checked(t2)[1]
+    tally = _checked(t2)
     for sphere, onto, shared in (("s1", "s0", ("r0", "r1")), ("s0", "s1", ("r2", "r3"))):
         t = shared_region_ids(t2, sphere, onto)
         want = [f"region {r} of s1 also in the tree of s0" for r in shared]

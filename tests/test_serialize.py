@@ -11,7 +11,7 @@ from normaltori.fixtures import make_t0, make_t1, make_t2
 from normaltori.graphs import build_standard, random_cubic
 from normaltori.moves import normalize
 from normaltori.normal_graph import canonicalize, decorate, to_normal_torus
-from normaltori.oracle import minimality_experiment, random_normal_torus
+from normaltori.oracle import minimality_experiment, perturb, random_normal_torus
 from normaltori.position import validate_position
 from normaltori import serialize
 from normaltori.serialize import (
@@ -309,6 +309,26 @@ def test_dot_exports_mention_everything():
     d = decorate(to_normal_torus(t), "F2", "A")
     sdot = serialize.normal_torus_to_dot(d.torus, d.signs)
     assert "+" in sdot and "-" in sdot
+
+
+def test_a_position_and_its_file_draw_the_same_dot():
+    """``position_to_dot`` of a normalized perturbation equals that of the position loaded back from its file.
+
+    The result's maps list their items in the order its moves left them,
+    and its index, carried by the steps, may list a circle's two pieces
+    either way; the loaded position lists everything in id order.
+    """
+    cases = 0
+    for rank in (2, 3, 4):
+        for g in (build_standard(rank), random_cubic(rank, rank)):
+            for seed in range(5):
+                base = random_normal_torus(g, seed, 8)
+                for k in (1, 4, 16):
+                    t = normalize(perturb(base, seed, k)).position
+                    loaded = serialize.position_from_json(json.loads(serialize.dumps(serialize.position_to_json(t))))
+                    assert serialize.position_to_dot(t) == serialize.position_to_dot(loaded)
+                    cases += 1
+    assert cases == 90
 
 
 _QUOTED = r'"(?:[^"\\\n]|\\.)*"'

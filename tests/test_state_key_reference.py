@@ -33,7 +33,7 @@ from normaltori import oracle
 from normaltori.fixtures import make_t0, make_t2
 from normaltori.graphs import build_standard
 from normaltori.oracle import confluence_search, perturb, random_normal_torus
-from normaltori.position import RegionTree, TorusPosition, total_intersections
+from normaltori.position import RegionTree, TorusPosition, position_of, total_intersections
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ def _reversed(t: TorusPosition) -> TorusPosition:
         return dict(reversed(list(d.items())))
 
     trees = {s: RegionTree(s, tree.regions, flip(tree.edges)) for s, tree in flip(t.trees).items()}
-    return TorusPosition(t.graph, flip(t.pieces), flip(t.circles), trees, flip(t.transport))
+    return position_of(t.graph, flip(t.pieces), flip(t.circles), trees, flip(t.transport))
 
 
 def _popped(inputs) -> list[tuple[TorusPosition, tuple]]:

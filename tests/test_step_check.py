@@ -17,11 +17,11 @@ to the one full check of their input and each normal torus to its own walk.
 
 from __future__ import annotations
 
-import copy
 import random
+from dataclasses import replace
 
 import pytest
-from conftest import recorded
+from conftest import edited, recorded
 from test_acceptance import _fuzz_corpus
 
 from normaltori import moves, oracle, position
@@ -40,7 +40,6 @@ from normaltori.position import (
     BoundarySlot,
     Circle,
     RegionTree,
-    end_slot,
     intersection_vector,
     is_boundary_parallel_disk,
     is_normal,
@@ -51,8 +50,11 @@ from normaltori.serialize import dumps, normal_torus_to_json, position_to_json
 
 
 def _inverse_candidates(t):
-    """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece."""
-    return _listed(oracle._Candidates(t, t.circle_slots()))
+    """Every inverse move on a valid position, in a fixed order: domes by circle, then fingers by piece.
+
+    Built afresh, on a copy of ``t`` that remembers no index.
+    """
+    return _listed(oracle._Candidates(edited(t)))
 
 
 def _listed(cache):
@@ -72,7 +74,7 @@ def _listed(cache):
 
 def _apply_inverse(t, cand):
     """The position ``oracle._inverse`` steps to."""
-    return oracle._inverse(t, cand, t.circle_slots())[0]
+    return oracle._inverse(t, cand)[0]
 
 
 def _corpus_steps():
@@ -103,16 +105,23 @@ def _slot(rng, t):
     return piece, rng.randrange(len(piece.boundary))
 
 
+def _with_slot(t, piece, i, slot):
+    """``t`` with ``piece``'s ``i``-th slot replaced by ``slot``."""
+    boundary = list(piece.boundary)
+    boundary[i] = slot
+    return edited(t, pieces={piece.id: replace(piece, boundary=boundary)})
+
+
 def _drop_circle(rng, t):
     """Remove a circle everywhere but in the pieces, keeping its tree a tree."""
     cid = _pick(rng, t.circles)
-    sphere = t.circles.pop(cid).sphere
+    sphere = t.circles[cid].sphere
     tree = t.trees[sphere]
-    t.transport.pop(cid)
     keep, gone = tree.edges[cid]
     edges = {other: (keep if a == gone else a, keep if b == gone else b)
              for other, (a, b) in tree.edges.items() if other != cid}
-    t.trees[sphere] = RegionTree(sphere, tree.regions - {gone}, edges)
+    tree = RegionTree(sphere, tree.regions - {gone}, edges)
+    return edited(t, circles={cid: None}, trees={sphere: tree}, transport={cid: None})
 
 
 def _swap_far_ends(rng, t):
@@ -122,46 +131,55 @@ def _swap_far_ends(rng, t):
         by_sphere.setdefault(circle.sphere, []).append(cid)
     groups = sorted(cids for cids in by_sphere.values() if len(cids) >= 2)
     if not groups:
-        return
+        return edited(t)
     c1, c2 = rng.sample(sorted(groups[rng.randrange(len(groups))]), 2)
     ends = {}
     for piece in t.pieces.values():
         for i, slot in enumerate(piece.boundary):
             if slot.circle in (c1, c2) and slot.half_edge.end == 1:
-                ends[slot.circle] = (piece, i)
-    (p1, i1), (p2, i2) = ends[c1], ends[c2]
-    p1.boundary[i1].circle, p2.boundary[i2].circle = c2, c1
+                ends[slot.circle] = (piece.id, i)
+    pieces = {}
+    for cid, other in ((c1, c2), (c2, c1)):  # both ends may be one piece's
+        pid, i = ends[cid]
+        piece = pieces.get(pid, t.pieces[pid])
+        boundary = list(piece.boundary)
+        boundary[i] = boundary[i]._replace(circle=other)
+        pieces[pid] = replace(piece, boundary=boundary)
+    return edited(t, pieces=pieces)
 
 
 def _swap_tree_edges(rng, t):
     """Exchange two circles' places in one region tree: still a tree."""
     spheres = [s for s, tree in t.trees.items() if len(tree.edges) >= 2]
-    if spheres:
-        tree = t.trees[_pick(rng, spheres)]
-        c1, c2 = rng.sample(sorted(tree.edges), 2)
-        edges = dict(tree.edges)
-        edges[c1], edges[c2] = edges[c2], edges[c1]
-        t.trees[tree.sphere] = RegionTree(tree.sphere, tree.regions, edges)
+    if not spheres:
+        return edited(t)
+    tree = t.trees[_pick(rng, spheres)]
+    c1, c2 = rng.sample(sorted(tree.edges), 2)
+    edges = tree.edges.copy()
+    edges[c1], edges[c2] = edges[c2], edges[c1]
+    return edited(t, trees={tree.sphere: RegionTree(tree.sphere, tree.regions, edges)})
 
 
 def _genus(rng, t):
     piece = t.pieces[_pick(rng, t.pieces)]
-    piece.genus = rng.choice((-1, piece.genus + 1))
+    return edited(t, pieces={piece.id: replace(piece, genus=rng.choice((-1, piece.genus + 1)))})
 
 
 def _pants(rng, t):
-    t.pieces[_pick(rng, t.pieces)].pants = _pick(rng, t.graph.p_vertices)
+    pants = _pick(rng, t.graph.p_vertices)  # drawn before the piece, as an assignment's value is
+    piece = t.pieces[_pick(rng, t.pieces)]
+    return edited(t, pieces={piece.id: replace(piece, pants=pants)})
 
 
 def _slot_end(rng, t):
     piece, i = _slot(rng, t)
     slot = piece.boundary[i]
-    piece.boundary[i] = BoundarySlot(slot.circle, slot.half_edge.other(), slot.region_a)
+    return _with_slot(t, piece, i, BoundarySlot(slot.circle, slot.half_edge.other(), slot.region_a))
 
 
 def _slot_circle(rng, t):
     piece, i = _slot(rng, t)
-    piece.boundary[i].circle = _pick(rng, t.circles)
+    return _with_slot(t, piece, i, piece.boundary[i]._replace(circle=_pick(rng, t.circles)))
 
 
 def _anchor(rng, t):
@@ -169,35 +187,36 @@ def _anchor(rng, t):
     slot = piece.boundary[i]
     tree = t.trees[slot.half_edge.sphere]
     if rng.random() < 0.75:
-        slot.region_a = tree.other_region(slot.circle, slot.region_a)
+        region = tree.other_region(slot.circle, slot.region_a)
     else:
-        slot.region_a = _pick(rng, tree.regions)
+        region = _pick(rng, tree.regions)
+    return _with_slot(t, piece, i, slot._replace(region_a=region))
 
 
 def _uncrossed(rng, t):
     piece = t.pieces[_pick(rng, t.pieces)]
-    if piece.uncrossed:
-        he = _pick(rng, piece.uncrossed)
-        piece.uncrossed[he] = rng.choice(("A", "B", "C"))
+    uncrossed = piece.uncrossed.copy()
+    if uncrossed:
+        he = _pick(rng, uncrossed)
+        uncrossed[he] = rng.choice(("A", "B", "C"))
     else:
-        piece.uncrossed[piece.boundary[0].half_edge] = "A"
+        uncrossed[piece.boundary[0].half_edge] = "A"
+    return edited(t, pieces={piece.id: replace(piece, uncrossed=uncrossed)})
 
 
 def _transport(rng, t):
     cid = _pick(rng, t.circles)
-    if rng.random() < 0.9:
-        t.transport[cid] = not t.transport[cid]
-    else:
-        del t.transport[cid]
+    return edited(t, transport={cid: not t.transport[cid] if rng.random() < 0.9 else None})
 
 
 def _tree_edge(rng, t):
     tree = t.trees[_pick(rng, t.trees)]
-    if tree.edges:
-        # regions, then the circle: the draw order that the pinned mutant counts rest on
-        ends = _pick(rng, tree.regions), _pick(rng, tree.regions)
-        edges = {**tree.edges, _pick(rng, tree.edges): ends}
-        t.trees[tree.sphere] = RegionTree(tree.sphere, tree.regions, edges)
+    if not tree.edges:
+        return edited(t)
+    # regions, then the circle: the draw order that the pinned mutant counts rest on
+    ends = _pick(rng, tree.regions), _pick(rng, tree.regions)
+    edges = {**tree.edges, _pick(rng, tree.edges): ends}
+    return edited(t, trees={tree.sphere: RegionTree(tree.sphere, tree.regions, edges)})
 
 
 def _tree_region(rng, t):
@@ -206,31 +225,31 @@ def _tree_region(rng, t):
         regions = tree.regions | {"rX"}
     else:
         regions = tree.regions - {_pick(rng, tree.regions)}
-    t.trees[tree.sphere] = RegionTree(tree.sphere, regions, tree.edges)
+    return edited(t, trees={tree.sphere: RegionTree(tree.sphere, regions, tree.edges)})
 
 
 def _circle_sphere(rng, t):
-    t.circles[_pick(rng, t.circles)].sphere = _pick(rng, t.graph.sphere_edges)
+    sphere = _pick(rng, t.graph.sphere_edges)  # drawn before the circle, as an assignment's value is
+    cid = _pick(rng, t.circles)
+    return edited(t, circles={cid: t.circles[cid]._replace(sphere=sphere)})
 
 
 def _add_circle(rng, t):
     sphere = _pick(rng, t.graph.sphere_edges)
-    t.circles["cX"] = Circle("cX", sphere)
-    t.transport["cX"] = True
+    trees = {}
     if rng.random() < 0.5:
         tree = t.trees[sphere]
         edges = {**tree.edges, "cX": (_pick(rng, tree.regions), "rX")}
-        t.trees[sphere] = RegionTree(sphere, tree.regions | {"rX"}, edges)
+        trees[sphere] = RegionTree(sphere, tree.regions | {"rX"}, edges)
+    return edited(t, circles={"cX": Circle("cX", sphere)}, trees=trees, transport={"cX": True})
 
 
 def _add_piece(rng, t):
-    piece = copy.deepcopy(t.pieces[_pick(rng, t.pieces)])
-    piece.id = "FX"
-    t.pieces["FX"] = piece
+    return edited(t, pieces={"FX": replace(t.pieces[_pick(rng, t.pieces)], id="FX")})
 
 
 def _drop_piece(rng, t):
-    del t.pieces[_pick(rng, t.pieces)]
+    return edited(t, pieces={_pick(rng, t.pieces): None})
 
 
 MUTATIONS = (
@@ -242,10 +261,8 @@ MUTATIONS = (
 
 
 def _mutate(rng, t, mutations=MUTATIONS):
-    """A clone of ``t`` with one mutation drawn from ``mutations``."""
-    out = t.clone()
-    rng.choice(mutations)(rng, out)
-    return out
+    """``t`` with one mutation drawn from ``mutations``, a new position that remembers no check."""
+    return rng.choice(mutations)(rng, t)
 
 
 def _mutants(steps, seed, mutations=MUTATIONS):
@@ -275,7 +292,7 @@ def _sorted_moves(t):
             continue
         slot = piece.boundary[0]
         tree = t.trees[t.circles[slot.circle].sphere]
-        far, _ = end_slot(t, index, slot.circle, 1 - slot.half_edge.end)
+        far = next(p for p, s in index[slot.circle] if s.half_edge == slot.half_edge.other())
         if tree.is_leaf(_ball_region(t, piece)) and len(far.boundary) >= 2:
             caps.append(((pid, slot.circle), Cap(pid, slot.circle)))
     return [mv for _, mv in sorted(slides, key=lambda kv: kv[0])] + [mv for _, mv in sorted(caps, key=lambda kv: kv[0])]
@@ -294,8 +311,7 @@ def test_normalize_takes_the_first_move():
                 while found := find_moves(cur):
                     assert found == _sorted_moves(cur)
                     for _ in range(3):  # swapped far ends change which piece a slide bands
-                        swapped = cur.clone()
-                        _swap_far_ends(rng, swapped)
+                        swapped = _swap_far_ends(rng, cur)
                         assert find_moves(swapped) == _sorted_moves(swapped)
                     nxt = apply_move(cur, found[0])
                     walk.append((found[0].describe(cur), intersection_vector(cur), intersection_vector(nxt)))
@@ -318,10 +334,12 @@ def full_checks():
 
 
 def test_full_checks_only_at_the_ends(full_checks):
-    base = random_normal_torus(build_standard(4), 3, 6)
+    """Each input that remembers no check gets one full check; the step check checks every step's result."""
+    base = edited(random_normal_torus(build_standard(4), 3, 6))
     full_checks.clear()
     messy = perturb(base, 11, 5)
     assert len(full_checks) == 1  # the input; the step check checks the last inverse move's result
+    messy, base = edited(messy), edited(base)
     full_checks.clear()
     assert len(normalize(messy).trace) == 5
     assert len(full_checks) == 1  # the input; the step check checks the normal result
@@ -344,12 +362,38 @@ def test_experiments_validate_each_position_once(full_checks, tmp_path, capsys):
     assert len(full_checks) == 1  # the input
 
 
+def test_each_position_is_checked_in_full_once():
+    """The full check (``position._validate`` with no tally) runs once per position, whoever asks for it.
+
+    The generator checks its draw, and ``to_normal_torus`` reads that check;
+    ``perturb`` checks its input, and ``normalize`` reads the check that the
+    last step left on its result; a second ``perturb`` of one base reads the
+    first's check of it.
+    """
+    g = build_standard(4)
+    with recorded(position._validate, lambda args, _: len(args) < 7 or args[6] is None) as full:
+        to_normal_torus(random_normal_torus(g, 3, 6))
+        assert full.count(True) == 1
+        full.clear()
+        assert len(normalize(perturb(make_t2(), 5, 4)).trace) == 4
+        assert full.count(True) == 1
+        full.clear()
+        base = make_t0()
+        perturb(base, 1, 3)
+        perturb(base, 2, 3)
+        assert full.count(True) == 1
+
+
 def test_each_checked_input_builds_one_index():
-    """The index that validated the input is carried through every step, perturbed or normalized, and into the torus."""
-    base = random_normal_torus(build_standard(4), 3, 6)
+    """The index that validated the input is carried through every step, perturbed or normalized, and into the torus.
+
+    Each input is a copy that remembers no index.
+    """
+    base = edited(random_normal_torus(build_standard(4), 3, 6))
     with recorded(position.TorusPosition.circle_slots) as index_builds:
         messy = perturb(base, 11, 5)
         assert len(index_builds) == 1
+        messy = edited(messy)
         index_builds.clear()
         assert len(normalize(messy).trace) == 5
         assert len(index_builds) == 1
@@ -368,18 +412,18 @@ def test_the_input_check_and_each_torus_walk_once():
     ``side``, ``axis`` and file come out from ``normalize``,
     ``to_normal_torus`` and a torus built alone.  A sphere graph is walked
     once, when built, so on a built graph every ``graphs.walk`` is over a
-    piece graph.
+    piece graph.  Each input is a copy that remembers no check.
     """
-    base = random_normal_torus(build_standard(4), 3, 6)
+    base = edited(random_normal_torus(build_standard(4), 3, 6))
     with recorded(walk) as piece_walks:
         messy = perturb(base, 11, 5)
         assert len(piece_walks) == 1  # the input's check
         piece_walks.clear()
-        result = normalize(messy)
+        result = normalize(edited(messy))
         assert len(result.trace) == 5
         assert len(piece_walks) == 2  # the input's check and the torus's
         piece_walks.clear()
-        nt = to_normal_torus(result.position)
+        nt = to_normal_torus(edited(result.position))
         assert len(piece_walks) == 2  # the check's and the torus's
         piece_walks.clear()
         alone = NormalTorus(result.position)
@@ -424,19 +468,19 @@ def _corpus_deltas():
     """
     for instances, (rank, g, base) in enumerate(_fuzz_corpus(per_graph=4)):
         rng = random.Random(60_000 + instances)
-        current, (index, tally) = base, position._checked(base)
+        current, tally = base, position._checked(base)
         for _ in range((instances % 4) + 1):
             candidates = _inverse_candidates(current)
             cand = candidates[rng.randrange(len(candidates))]
-            moved = oracle._inverse(current, cand, index)
-            nxt, nxt_index, tally, problems = position._step(current, index, tally, moved)
-            yield cand[0], current, index, moved, nxt_index, tally, problems
-            current, index = nxt, nxt_index
-        while (move := next(moves._moves(current, index, tally.abnormal), None)) is not None:
-            moved = moves._move(current, move, index)
-            nxt, nxt_index, tally, problems = position._step(current, index, tally, moved)
-            yield type(move).__name__, current, index, moved, nxt_index, tally, problems
-            current, index = nxt, nxt_index
+            moved = oracle._inverse(current, cand)
+            nxt, tally, problems = position._step(current, moved)
+            yield cand[0], current, current._index, moved, nxt._index, tally, problems
+            current = nxt
+        while (move := next(moves._moves(current, tally.abnormal), None)) is not None:
+            moved = moves._move(current, move)
+            nxt, tally, problems = position._step(current, moved)
+            yield type(move).__name__, current, current._index, moved, nxt._index, tally, problems
+            current = nxt
 
 
 def _every_id(before, after):
@@ -474,17 +518,17 @@ def test_deltas_match_the_by_value_step():
         _assert_reports_every_change(before, moved)
         _, want_after = next(by_value)
         assert dumps(position_to_json(after)) == dumps(position_to_json(want_after))
-        fresh = after.circle_slots()
+        fresh, rebuilt = after.circle_slots(), edited(after)  # ``rebuilt`` remembers no index
         assert _same_slots(carried) == _same_slots(fresh)
         assert all(piece is after.pieces[piece.id] for pairs in carried.values() for piece, _ in pairs)
         want_scope = position._delta_scope(before, after, fresh, *_every_id(before, after))
         assert position._delta_scope(before, after, carried, pieces, circles, (sphere,)) == want_scope
-        assert list(moves._moves(after, carried, after.pieces)) == find_moves(after)
-        assert list(moves._moves(after, carried, tally.abnormal)) == find_moves(after)
+        assert list(moves._moves(after, after.pieces)) == find_moves(rebuilt)
+        assert list(moves._moves(after, tally.abnormal)) == find_moves(rebuilt)
         if before is not last:  # a new corpus instance
-            cache = oracle._Candidates(before, index)
+            cache = oracle._Candidates(before)
         assert _ends_hold_a_changed_piece(before, moved)
-        cache.update(before, carried, moved)
+        cache.update(before, moved)
         assert _listed(cache) == _inverse_candidates(after)
         assert tally == position.Tally.of(after)
         assert problems == position._validate_delta(before, after, carried, pieces, circles, (sphere,), tally) == []
@@ -514,23 +558,23 @@ def test_candidate_cache_matches_fresh_builds_on_long_chains(rank):
     for g in (build_standard(rank), random_cubic(rank, 5 * rank)):
         for seed in range(3):
             current = random_normal_torus(g, 10 * rank + seed, 2 * rank)
-            index, tally = position._checked(current)
-            cache, rng = oracle._Candidates(current, index), random.Random(seed)
-            frozen = FrozenCandidates(current, index)
+            tally = position._checked(current)
+            cache, rng = oracle._Candidates(current), random.Random(seed)
+            frozen = FrozenCandidates(current, current._index)
             for _ in range(64):
                 candidates = _listed(cache)
                 assert candidates == _inverse_candidates(current) == frozen.listed()
                 cand = candidates[rng.randrange(len(candidates))]
-                moved = oracle._inverse(current, cand, index)
+                moved = oracle._inverse(current, cand)
                 _assert_reports_every_change(current, moved)
                 with against_the_frozen_certificate() as verdicts:
-                    nxt, index, tally, problems = position._step(current, index, tally, moved)
+                    nxt, tally, problems = position._step(current, moved)
                 assert problems == [] and verdicts == [(True, True)]
                 assert tally == position.Tally.of(nxt)
                 assert _walked_up_to_a_flip(tally.side, nxt)
                 assert _ends_hold_a_changed_piece(current, moved)
-                cache.update(current, index, moved)
-                frozen.update(current, index, moved)
+                cache.update(current, moved)
+                frozen.update(current, nxt._index, moved)
                 current = nxt
                 kinds.add(cand[0])
             assert _listed(cache) == _inverse_candidates(current) == frozen.listed()
@@ -541,11 +585,11 @@ def _validate_by_value(before, after):
     """``_validate_delta`` of the step from a valid ``before`` to ``after``.
 
     It is given every id (``_every_id``), so ``after`` may be any edited
-    clone, and ``before``'s tally with the side bits of its full check, so
+    position, and ``before``'s tally with the side bits of its check, so
     the certificate runs as it does in a step.
     """
     every = _every_id(before, after)
-    tally = position._checked(before)[1].stepped(before, after, *every[:2])
+    tally = position._checked(before).stepped(before, after, *every[:2])
     return position._validate_delta(before, after, after.circle_slots(), *every, tally)
 
 

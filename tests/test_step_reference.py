@@ -188,12 +188,12 @@ def test_certificate_matches_the_frozen_one_on_the_corpus_and_its_mutants():
 def test_a_step_checked_over_every_id_is_certified_past_64_pieces():
     """With every piece and circle in scope, the search must meet them all: the frozen copy gives up at 64, the certificate not."""
     t = random_normal_torus(build_standard(12), 1, 256)
-    index, tally = position._checked(t)
+    tally = position._checked(t)
     assert len(t.pieces) > 64
-    moved = oracle._inverse(t, _inverse_candidates(t)[0], index)
-    after, after_index, _, problems = position._step(t, index, tally, moved)
+    moved = oracle._inverse(t, _inverse_candidates(t)[0])
+    after, _, problems = position._step(t, moved)
     assert problems == []
-    args = (t, set(after.pieces), set(after.circles), after, after_index, tally.side)
+    args = (t, set(after.pieces), set(after.circles), after, after._index, tally.side)
     bits = position._certified(*args)
     assert bits is not None and _walked_up_to_a_flip(bits, after)
     assert _frozen_certified(*args, 64) is None

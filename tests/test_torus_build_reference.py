@@ -76,7 +76,7 @@ def _derived(t, index):
 
 def _assert_built_as_derived(nt: NormalTorus) -> None:
     t = nt.position
-    nodes, crossings, leaves, att, side, axis = _derived(t, nt.index)
+    nodes, crossings, leaves, att, side, axis = _derived(t, t._index)  # the index the torus read
     assert list(nt.nodes.items()) == list(nodes.items())
     assert list(nt.crossings.items()) == list(crossings.items())
     assert nt.leaves == leaves

@@ -91,13 +91,17 @@ def _against(path: str):
     return _tree(spec.name)
 
 
-def _best(calls, repeat: int, scale: float = 1000) -> list[float]:
-    """The best of ``repeat`` runs of each call, in s times ``scale``; calls take turns, first one first, then last."""
+def _best(calls, repeat: int, scale: float = 1000, inputs=None) -> list[float]:
+    """The best of ``repeat`` runs of each call, in s times ``scale``; calls take turns, first one first, then last.
+
+    With ``inputs``, each run of call i is handed a new ``inputs[i]()``, made outside the timer.
+    """
     best = [float("inf")] * len(calls)
     for run in range(repeat):
         for i in range(len(calls)) if run % 2 == 0 else reversed(range(len(calls))):
+            args = (inputs[i](),) if inputs else ()
             start = perf_counter()
-            calls[i]()
+            calls[i](*args)
             best[i] = min(best[i], perf_counter() - start)
     return [scale * b for b in best]
 
@@ -108,6 +112,11 @@ def _cell(times: list[float], width: int, digits: int) -> str:
     if len(times) == 2:
         cell += f" {times[1]:>{width}.{digits}f} {times[0] / times[1]:>6.3f}"
     return cell
+
+
+def _fresh(tree, t):
+    """``t`` built again by ``tree``'s constructor: a copy that remembers no index and no check, in a tree whose positions remember them."""
+    return tree.position.TorusPosition(t.graph, t.pieces, t.circles, t.trees, t.transport)
 
 
 def _each(call, items) -> None:
@@ -147,22 +156,26 @@ def check(trees, repeat: int) -> None:
     Each row takes a rung of the normalize-ladder workload (rank, size bound
     and k), draws ``random_normal_torus(build_standard(rank), 1, bound)`` and
     perturbs it by ``k`` inverse moves with seed 7; ``validate_position`` and
-    ``position._checked`` are timed on the result, in ms.  Counted, in one
-    ``_checked`` per row: the calls of ``_validate_side_anchors``, the one
-    function that words a problem apart from its test (every other rule
+    ``position._checked`` are timed, in ms, each run on a copy of the result
+    that remembers no check (``_fresh``, made outside the timer), so that
+    both run the full check in either tree.  Counted, in one ``_checked``
+    per row, on such a copy: the calls of ``_validate_side_anchors``, the
+    one function that words a problem apart from its test (every other rule
     words its own); a valid input needs none.
     """
     print("rank  circles  k    validate_position ms        _checked ms")
     counts = []
     for rank, bound, k in CHECK_ROWS:
         bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 1, bound) for tree in trees]
-        inputs = [tree.oracle.perturb(base, 7, k) for tree, base in zip(trees, bases)]
-        validate = _best([partial(tree.position.validate_position, t) for tree, t in zip(trees, inputs)], repeat)
-        checked = _best([partial(tree.position._checked, t) for tree, t in zip(trees, inputs)], repeat)
-        t = inputs[0]
+        inputs = [partial(_fresh, tree, tree.oracle.perturb(base, 7, k)) for tree, base in zip(trees, bases)]
+        validate = _best([tree.position.validate_position for tree in trees], repeat, inputs=inputs)
+        checked = _best([tree.position._checked for tree in trees], repeat, inputs=inputs)
+        t = inputs[0]()
         print(f"{rank:>4}  {len(t.circles):>7}  {k:<3}  {_cell(validate, 8, 3):>24}  {_cell(checked, 8, 3):>24}")
-        with recorded(THIS.position._validate_side_anchors) as wordings:
+        with recorded(THIS.position.validate_position) as full, recorded(THIS.position._validate_side_anchors) as wordings:
             THIS.position._checked(t)
+        if len(full) != 1:
+            raise SystemExit("check: the counted _checked ran no full check")
         counts.append(f"{rank}/{len(t.circles)}/{k} {len(wordings)}")
     print("counts (wording calls per full check): " + ", ".join(counts))
 
@@ -171,23 +184,23 @@ def code(trees, repeat: int) -> None:
     """Cost of the last leg of the pipeline: the normal torus, its decoration and its canonical code.
 
     Each row takes the ``check`` probe's input (a normalize-ladder rung,
-    perturbed by ``k`` inverse moves with seed 7) and normalizes it; on the
-    normal position it times ``NormalTorus(position, index)``, with a fresh
-    ``circle_slots()`` index, ``decorate`` on that torus and ``canonicalize``
-    on the decorated graph, in ms.  Counted, per row: the axis nodes, the
-    nodes and the leaves of the torus, and the calls of ``normal_graph._code``
-    in one ``canonicalize``.
+    perturbed by ``k`` inverse moves with seed 7) and normalizes it; it times
+    ``NormalTorus(position)`` on a copy of the normal position that
+    remembers no index (``_fresh``, made outside the timer), so that in
+    either tree the build includes its ``circle_slots()`` index, then
+    ``decorate`` on a torus and ``canonicalize`` on the decorated graph, in
+    ms.  Counted, per row: the axis nodes, the nodes and the leaves of the
+    torus, and the calls of ``normal_graph._code`` in one ``canonicalize``.
     """
     print("rank  circles  k     NormalTorus ms            decorate ms        canonicalize ms")
     counts = []
     for rank, bound, k in CHECK_ROWS:
         bases = [tree.oracle.random_normal_torus(tree.graphs.build_standard(rank), 1, bound) for tree in trees]
         normal = [tree.moves.normalize(tree.oracle.perturb(base, 7, k)).position for tree, base in zip(trees, bases)]
-        indexes = [t.circle_slots() for t in normal]
-        tori = [tree.normal_graph.NormalTorus(t, index) for tree, t, index in zip(trees, normal, indexes)]
+        tori = [tree.normal_graph.NormalTorus(t) for tree, t in zip(trees, normal)]
         decorated = [tree.normal_graph.decorate(nt) for tree, nt in zip(trees, tori)]
-        build = _best([partial(tree.normal_graph.NormalTorus, t, index)
-                       for tree, t, index in zip(trees, normal, indexes)], repeat)
+        build = _best([tree.normal_graph.NormalTorus for tree in trees], repeat,
+                      inputs=[partial(_fresh, tree, t) for tree, t in zip(trees, normal)])
         signs = _best([partial(tree.normal_graph.decorate, nt) for tree, nt in zip(trees, tori)], repeat)
         spell = _best([partial(tree.normal_graph.canonicalize, d) for tree, d in zip(trees, decorated)], repeat)
         t, nt = normal[0], tori[0]
